@@ -343,11 +343,11 @@ def _verify_all(quick: bool, seed: int) -> dict:
     worst_excess = -np.inf
     chat = np.inf
     target = 4 * m * (2 * ell - 2) * np.pi
+    spec = stability.PerturbationSpec(eta=1e-3, seed=seed + 1, count=n_samples)
+    band = stability.BondBand(base, spec.eta)
     for trial in range(n_samples):
-        tube, _, _ = stability.sample_perturbation(
-            base, stability.PerturbationSpec(eta=1e-3, seed=seed + 1, count=n_samples), trial=trial
-        )
-        dec = abs(total_energy(tube, pots_soft) - cells.total_cell_energy(tube, pots_soft))
+        tube, graph, _ = stability.sample_perturbation(base, spec, trial=trial, band=band)
+        dec = abs(total_energy(tube, pots_soft, graph) - cells.total_cell_energy(tube, pots_soft))
         worst_dec = max(worst_dec, dec / (1e-9 * tube.n))
         summ = cells.cell_summary(tube, pots_soft)
         excess = cells.angle_sum(tube) - target

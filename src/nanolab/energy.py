@@ -9,7 +9,7 @@ closed-form family energy below.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .geometry import Nanotube, ZigzagGeometry
 from .potentials import PotentialSet
 
 E1 = np.array([1.0, 0.0, 0.0])
+BOND_CUTOFF = 1.1
 
 
 def periodic_distance(x, y, L: float):
@@ -41,9 +42,10 @@ def periodic_distance(x, y, L: float):
 class BondGraph:
     """Unordered bonds plus derived angle triples of one n-cell.
 
-    pairs[p] = (i, j) with i < j; pair_shifts[p] = t minimizing
-    |x[i] - x[j] + t*L*e1|.  triples[q] = (i, j, k) with vertex j and i < k;
-    the per-leg shifts give the minimal images of x[i], x[k] seen from x[j].
+    pairs[p] = (i, j) with i < j, in (i, j) order; pair_shifts[p] = t
+    minimizing |x[i] - x[j] + t*L*e1|.  triples[q] = (i, j, k) with vertex j
+    and i < k, in (j, i, k) order; the per-leg shifts give the minimal images
+    of x[i], x[k] seen from x[j].
     """
 
     n: int
@@ -52,7 +54,6 @@ class BondGraph:
     pair_shifts: np.ndarray
     triples: np.ndarray
     triple_shifts: np.ndarray
-    adjacency: list
 
     @property
     def n_bonds(self) -> int:
@@ -63,99 +64,116 @@ class BondGraph:
         return len(self.triples)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        for a, b in self.pairs:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
+        return np.bincount(self.pairs.ravel(), minlength=self.n)
 
     def pair_set(self) -> set:
         return {(int(a), int(b)) for a, b in self.pairs}
 
-
-def _pairs_brute(pos: np.ndarray, L: float, cutoff: float):
-    """O(n^2) reference pair search under the modulo-L metric."""
-    d = pos[:, None, :] - pos[None, :, :]
-    dx = d[..., 0]
-    cand = np.stack([dx, dx - L, dx + L])
-    k = np.argmin(np.abs(cand), axis=0)
-    shifts = np.array([0, -1, 1])[k]
-    dxw = np.take_along_axis(cand, k[None], axis=0)[0]
-    dist = np.sqrt(dxw**2 + d[..., 1] ** 2 + d[..., 2] ** 2)
-    ii, jj = np.where(np.triu(dist < cutoff, k=1))
-    return ii, jj, shifts[ii, jj], dist
+    @cached_property
+    def adjacency(self) -> list:
+        """adjacency[a] = [(b, t), ...] in b order: the leg from a to b uses shift t."""
+        vert, nbr, leg = _half_edges(self.pairs, self.pair_shifts)
+        cuts = np.searchsorted(vert, np.arange(1, self.n))
+        return [list(zip(b.tolist(), t.tolist())) for b, t in zip(np.split(nbr, cuts), np.split(leg, cuts))]
 
 
-def _pairs_grid(pos: np.ndarray, L: float, cutoff: float):
-    """Uniform spatial hash with cell size >= cutoff; periodic in the axial bin."""
-    n = pos.shape[0]
-    nx = max(1, int(np.floor(L / cutoff)))
-    hx = L / nx
-    cy = np.floor(pos[:, 1] / cutoff).astype(int)
-    cz = np.floor(pos[:, 2] / cutoff).astype(int)
-    cx = np.minimum((pos[:, 0] / hx).astype(int), nx - 1)
-    buckets: dict = {}
-    for idx in range(n):
-        buckets.setdefault((cx[idx], cy[idx], cz[idx]), []).append(idx)
-    out_i, out_j, out_t = [], [], []
-    seen_offsets = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)]
-    for (bx, by, bz), members in buckets.items():
-        neigh = []
-        for dx, dy, dz in seen_offsets:
-            key = ((bx + dx) % nx, by + dy, bz + dz)
-            neigh.extend(buckets.get(key, []))
-        neigh = np.array(sorted(set(neigh)), dtype=int)
-        for a in members:
-            cand = neigh[neigh > a]
-            if len(cand) == 0:
-                continue
-            d = pos[a] - pos[cand]
-            dx0 = d[:, 0]
-            stack = np.stack([dx0, dx0 - L, dx0 + L])
-            kk = np.argmin(np.abs(stack), axis=0)
-            dxw = np.take_along_axis(stack, kk[None], axis=0)[0]
-            dist = np.sqrt(dxw**2 + d[:, 1] ** 2 + d[:, 2] ** 2)
-            hit = dist < cutoff
-            for b, t in zip(cand[hit], np.array([0, -1, 1])[kk[hit]]):
-                out_i.append(a)
-                out_j.append(int(b))
-                out_t.append(int(t))
-    order = np.lexsort((out_j, out_i)) if out_i else np.array([], dtype=int)
-    return (
-        np.array(out_i, dtype=int)[order],
-        np.array(out_j, dtype=int)[order],
-        np.array(out_t, dtype=int)[order],
+def image_distances(d: np.ndarray, L: float):
+    """Nearest axial image of each difference vector d[p] = x[i] - x[j].
+
+    Returns (t, dist): t = -rint(dx / L), so exact half-period ties keep t = 0,
+    and dist = |d + t*L*e1|.
+    """
+    t = -np.rint(d[:, 0] / L)
+    dx = d[:, 0] + t * L
+    return t.astype(np.int64), np.sqrt(dx**2 + d[:, 1] ** 2 + d[:, 2] ** 2)
+
+
+# Cells are this much wider than the search radius, so round-off in the binning
+# cannot put two atoms closer than the radius two cells apart; at most this
+# many cells per axis keep the int64 cell keys from overflowing.
+_CELL_SLACK = 1e-6
+_MAX_CELLS = 2**20
+
+
+def near_pairs(pos: np.ndarray, L: float, radius: float):
+    """All pairs i < j at modulo-L distance below radius, in (i, j) order.
+
+    A cell list: atoms are binned into cells no narrower than radius (x wrapped
+    into [0, L) for the binning only), sorted by cell key, and matched against
+    the 27 neighbouring cells.  Distances and shifts come from image_distances
+    on the raw coordinates, so the result does not depend on which period
+    the atoms were written in.  Returns (i, j, t, dist).
+    Raises DegenerateGeometryError on non-finite input, which the binning
+    would otherwise cast to arbitrary integers.
+    """
+    if not (np.isfinite(L) and L > 0 and np.all(np.isfinite(pos))):
+        raise DegenerateGeometryError("positions and period must be finite, with period > 0")
+    n = len(pos)
+    h = radius * (1.0 + _CELL_SLACK)
+    nx = int(min(_MAX_CELLS, max(1.0, L // h)))
+    cx = np.floor(np.mod(pos[:, 0], L) / (L / nx)).astype(np.int64) % nx
+
+    def bins(v):
+        # 1-based, so the neighbour at -1 still has a nonnegative key
+        lo, hi = v.min(), v.max()
+        return np.floor((v - lo) / max(h, (hi - lo) / _MAX_CELLS)).astype(np.int64) + 1
+
+    cy, cz = bins(pos[:, 1]), bins(pos[:, 2])
+    ny, nz = int(cy.max()) + 2, int(cz.max()) + 2
+    cell = (cx * ny + cy) * nz + cz
+    order = np.argsort(cell, kind="stable")
+    sorted_keys = cell[order]
+
+    # with fewer than three axial cells, -1 and +1 name the same cell
+    offsets = np.array(
+        [(ox, oy, oz) for ox in sorted({o % nx for o in (-1, 0, 1)}) for oy in (-1, 0, 1) for oz in (-1, 0, 1)]
     )
+    keys = (((cx[:, None] + offsets[:, 0]) % nx * ny + cy[:, None] + offsets[:, 1]) * nz
+            + cz[:, None] + offsets[:, 2]).ravel()
+    lo = np.searchsorted(sorted_keys, keys, side="left")
+    count = np.searchsorted(sorted_keys, keys, side="right") - lo
+    a = np.repeat(np.repeat(np.arange(n), len(offsets)), count)
+    b = order[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(len(a))]
+    keep = a < b
+    a, b = a[keep], b[keep]
+    t, dist = image_distances(pos[a] - pos[b], L)
+    hit = dist < radius
+    a, b, t, dist = a[hit], b[hit], t[hit], dist[hit]
+    by_pair = np.argsort(a * n + b)
+    return a[by_pair], b[by_pair], t[by_pair], dist[by_pair]
 
 
-def bond_graph(tube: Nanotube, cutoff: float = 1.1, method: str = "grid") -> BondGraph:
-    """Build the bond graph of one n-cell (strict inequality at the cutoff)."""
-    pos = tube.positions
-    n = pos.shape[0]
-    L = tube.period
-    if method == "grid" and n > 1:
-        ii, jj, tt = _pairs_grid(pos, L, cutoff)
-    else:
-        ii, jj, tt, _ = _pairs_brute(pos, L, cutoff)
-    pairs = np.stack([ii, jj], axis=1) if len(ii) else np.zeros((0, 2), dtype=int)
-    shifts = np.asarray(tt, dtype=int)
+def _half_edges(pairs: np.ndarray, shifts: np.ndarray):
+    """Both directions of every bond in (vertex, neighbour) order, with the
+    shift of the leg from vertex to neighbour.
 
-    # pair_shifts[p] minimizes |pos[a] - pos[b] + t*L*e1|, i.e. the leg a-as-seen-from-b;
-    # the leg from a toward b therefore uses -t.
-    adjacency = [[] for _ in range(n)]
-    for (a, b), t in zip(pairs, shifts):
-        adjacency[a].append((int(b), -int(t)))
-        adjacency[b].append((int(a), int(t)))
+    pair_shifts[p] minimizes |pos[a] - pos[b] + t*L*e1|, i.e. the leg a-as-seen-
+    from-b; the leg from a toward b therefore uses -t.
+    """
+    vert = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    nbr = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    leg = np.concatenate([-shifts, shifts])
+    order = np.lexsort((nbr, vert))
+    return vert[order], nbr[order], leg[order]
 
-    trip, tsh = [], []
-    for j in range(n):
-        nbrs = sorted(adjacency[j])
-        for (a, ta), (b, tb) in combinations(nbrs, 2):
-            trip.append((a, j, b))
-            tsh.append((ta, tb))
-    triples = np.array(trip, dtype=int) if trip else np.zeros((0, 3), dtype=int)
-    triple_shifts = np.array(tsh, dtype=int) if tsh else np.zeros((0, 2), dtype=int)
-    return BondGraph(n, L, pairs, shifts, triples, triple_shifts, adjacency)
+
+def bond_graph(tube: Nanotube, cutoff: float = BOND_CUTOFF) -> BondGraph:
+    """Build the bond graph of one n-cell (strict inequality at the cutoff).
+
+    Raises DegenerateGeometryError on non-finite positions or period.
+    """
+    ii, jj, tt, _ = near_pairs(tube.positions, tube.period, cutoff)
+    pairs = np.stack([ii, jj], axis=1)
+
+    # every two legs at a vertex make one angle: half-edge e pairs with each
+    # later half-edge of its vertex, in order
+    vert, nbr, leg = _half_edges(pairs, tt)
+    later = np.searchsorted(vert, vert, side="right") - np.arange(len(vert)) - 1
+    first = np.repeat(np.arange(len(vert)), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    triples = np.stack([nbr[first], vert[first], nbr[second]], axis=1)
+    triple_shifts = np.stack([leg[first], leg[second]], axis=1)
+    return BondGraph(tube.n, tube.period, pairs, tt, triples, triple_shifts)
 
 
 def bond_angle(xi, xj, xk, L: float = 0.0, shift_i: int = 0, shift_k: int = 0) -> float:

@@ -6,6 +6,7 @@ bit-exact.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 
@@ -54,8 +55,8 @@ def read_pxyz(path, ell: int | None = None, m: int | None = None) -> Nanotube:
         period = float(head[1])
     except ValueError:
         raise PxyzFormatError(f"unparseable header {raw[0]!r}", line_number=1)
-    if n < 1 or period <= 0:
-        raise PxyzFormatError(f"need n >= 1 and L > 0, got n={n}, L={period}", line_number=1)
+    if n < 1 or not (0 < period < math.inf):
+        raise PxyzFormatError(f"need n >= 1 and finite L > 0, got n={n}, L={period}", line_number=1)
     if len(raw) < n + 1:
         raise PxyzFormatError(
             f"expected {n} coordinate lines, found {len(raw) - 1}", line_number=len(raw) + 1
@@ -68,9 +69,12 @@ def read_pxyz(path, ell: int | None = None, m: int | None = None) -> Nanotube:
                 f"expected 3 columns, got {len(parts)}", line_number=row + 2
             )
         try:
-            pos[row] = [float(v) for v in parts]
+            values = [float(v) for v in parts]
         except ValueError:
             raise PxyzFormatError(f"unparseable coordinates {raw[row + 1]!r}", line_number=row + 2)
+        if not all(map(math.isfinite, values)):
+            raise PxyzFormatError(f"non-finite coordinates {raw[row + 1]!r}", line_number=row + 2)
+        pos[row] = values
     if ell is None or m is None:
         if n % 4 != 0:
             raise PxyzFormatError(f"atom count {n} is not a multiple of 4", line_number=1)

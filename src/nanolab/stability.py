@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import cell_summary, gather_cells, symmetrize, to_local
-from .energy import bond_graph, gradient, total_energy
+from .energy import BOND_CUTOFF, bond_graph, gradient, image_distances, near_pairs, total_energy
 from .errors import EtaTooLargeError, NotStationaryError
 from .geometry import Nanotube, build_nanotube
 from .potentials import PotentialSet
@@ -58,35 +58,71 @@ def _displacement(rng: np.random.Generator, n: int, eta: float, mode: str) -> np
     return d
 
 
-def _same_bonds(base_pairs: np.ndarray, graph) -> bool:
-    if len(base_pairs) != len(graph.pairs):
-        return False
-    return bool(np.array_equal(base_pairs, graph.pairs))
+# Widening of the band, relative to the coordinate scale, that covers the
+# round-off in displaced positions and in their distances.
+_ROUNDING = 1e-9
+
+
+class BondBand:
+    """Base bond graph plus the pairs whose bond a displacement of at most eta
+    per atom can make or break.
+
+    Each pair distance moves by at most 2*eta, so only pairs whose base
+    distance lies within 2*eta (plus a rounding margin) of the cutoff can
+    change side.  A displaced copy has the base graph exactly when every band
+    pair stays on its side and no pair can switch to another axial image; the
+    latter can only happen for a pair within 2*eta of |dx| = L/2, in which
+    case every draw rebuilds its graph instead.  Build one per ensemble.
+    """
+
+    def __init__(self, base: Nanotube, eta: float):
+        self.eta = eta
+        self.graph = bond_graph(base)
+        pos, L = base.positions, base.period
+        reach = 2.0 * eta + _ROUNDING * (1.0 + L + float(np.max(np.abs(pos))))
+        i, j, t, dist = near_pairs(pos, L, BOND_CUTOFF + reach)
+        band = dist >= BOND_CUTOFF - reach
+        self.i, self.j = i[band], j[band]
+        self.bonded = dist[band] < BOND_CUTOFF
+        self.fixed_images = bool(np.all(np.abs(pos[i, 0] - pos[j, 0] + t * L) < 0.5 * L - reach))
+
+    def graph_of(self, tube: Nanotube):
+        """Bond graph of a displaced copy of the base if it has the base's
+        bonds, else None."""
+        if not self.fixed_images:
+            g = bond_graph(tube)
+            return g if np.array_equal(g.pairs, self.graph.pairs) else None
+        pos = tube.positions
+        _, dist = image_distances(pos[self.i] - pos[self.j], tube.period)
+        return self.graph if np.array_equal(dist < BOND_CUTOFF, self.bonded) else None
 
 
 def sample_perturbation(
     base: Nanotube,
     spec: PerturbationSpec,
     trial: int = 0,
-    base_graph=None,
+    band: BondBand | None = None,
     max_rejections: int = 1000,
 ):
     """One displaced copy of base with identical period and bond graph.
 
-    Returns (tube, graph, rejections).  Raises EtaTooLargeError after
-    max_rejections consecutive bond-graph-breaking draws.
+    band is base's BondBand for an eta of at least spec.eta; it is built when
+    omitted, so pass one to reuse it across an ensemble.  Returns (tube,
+    graph, rejections).  Raises EtaTooLargeError after max_rejections
+    consecutive bond-graph-breaking draws.
     """
-    if base_graph is None:
-        base_graph = bond_graph(base)
-    base_pairs = base_graph.pairs
+    if band is None:
+        band = BondBand(base, spec.eta)
+    elif band.eta < spec.eta:
+        raise ValueError(f"band built for eta={band.eta} cannot vet draws at eta={spec.eta}")
     rejections = 0
     rng = _trial_rng(spec.seed, trial)
     while True:
         d = _displacement(rng, base.n, spec.eta, spec.mode)
         tube = base.with_positions(base.positions + d)
-        g = bond_graph(tube, method="brute")
-        if _same_bonds(base_pairs, g):
-            return tube, g, rejections
+        graph = band.graph_of(tube)
+        if graph is not None:
+            return tube, graph, rejections
         rejections += 1
         if rejections >= max_rejections:
             raise EtaTooLargeError(
@@ -109,8 +145,8 @@ def stability_trial(
     """
     fam = minimize_family(mu, ell, pots, m=m)
     base = build_nanotube(fam.geometry, m)
-    base_graph = bond_graph(base)
-    e_base = total_energy(base, pots, base_graph)
+    band = BondBand(base, spec.eta)
+    e_base = total_energy(base, pots, band.graph)
 
     gaps = []
     ratios = []
@@ -118,7 +154,7 @@ def stability_trial(
     rejections = 0
     skipped_trivial = 0
     for trial in range(spec.count):
-        tube, g, rej = sample_perturbation(base, spec, trial=trial, base_graph=base_graph)
+        tube, g, rej = sample_perturbation(base, spec, trial=trial, band=band)
         rejections += rej
         if np.max(np.abs(tube.positions - base.positions)) == 0.0:
             skipped_trivial += 1
@@ -279,10 +315,10 @@ def certificate_eta_ladder(
 
     fam = minimize_family(reference_angles(ell, pots).mu_us + mu_offset, ell, pots, m=m)
     base = build_nanotube(fam.geometry, m)
-    base_graph = bond_graph(base)
     rows = []
     largest = None
     for eta in etas:
+        band = BondBand(base, eta)
         worst = np.inf
         ok = True
         try:
@@ -291,7 +327,7 @@ def certificate_eta_ladder(
                     base,
                     PerturbationSpec(eta=eta, seed=seed, count=samples_per_eta),
                     trial=trial,
-                    base_graph=base_graph,
+                    band=band,
                     max_rejections=50,
                 )
                 rep = per_cell_certificate(tube, fam, pots)

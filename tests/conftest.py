@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from nanolab import potentials
+
+# derandomized: every run draws the same examples, so the suite stays
+# deterministic; no example database is written
+settings.register_profile("nanolab", derandomize=True, database=None, deadline=None)
+settings.load_profile("nanolab")
 
 
 @pytest.fixture(scope="session")

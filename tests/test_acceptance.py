@@ -44,11 +44,12 @@ def base12(soft, refs12):
 
 @pytest.fixture(scope="module")
 def ensemble12(base12, soft):
-    _, tube, graph = base12
+    _, tube, _ = base12
     spec = stability.PerturbationSpec(eta=1e-3, seed=2024, count=100)
+    band = stability.BondBand(tube, spec.eta)
     samples = []
     for trial in range(spec.count):
-        sample, g, _ = stability.sample_perturbation(tube, spec, trial=trial, base_graph=graph)
+        sample, g, _ = stability.sample_perturbation(tube, spec, trial=trial, band=band)
         samples.append((sample, g))
     return samples
 

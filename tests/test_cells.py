@@ -26,7 +26,7 @@ from nanolab.energy import bond_graph, total_energy
 from nanolab.errors import InvalidCellError
 from nanolab.geometry import AtomId, build_nanotube, solve_family
 from nanolab.reduced import ReducedPoint, beta, minimize_family, reference_angles, sym_energy
-from nanolab.stability import PerturbationSpec, sample_perturbation
+from nanolab.stability import BondBand, PerturbationSpec, sample_perturbation
 
 
 @pytest.fixture(scope="module")
@@ -177,11 +177,11 @@ def test_theta_bar_is_mean(perturbed, pots_soft):
 def test_angle_sum_excess_controlled_by_defect(tube, pots_soft):
     # fit the constant on one half of the ensemble, validate on the other half
     target = 4 * tube.m * (2 * tube.ell - 2) * np.pi
-    base_graph = bond_graph(tube)
+    band = BondBand(tube, 1e-3)
     excesses, defects = [], []
     for trial in range(24):
         sample, _, _ = sample_perturbation(
-            tube, PerturbationSpec(eta=1e-3, seed=5, count=24), trial=trial, base_graph=base_graph
+            tube, PerturbationSpec(eta=1e-3, seed=5, count=24), trial=trial, band=band
         )
         excesses.append(angle_sum(sample) - target)
         defects.append(float(np.sum(symmetrize(to_local(gather_cells(sample)))[2])))
@@ -261,11 +261,11 @@ def test_symmetric_cell_energy_lower_bound(pots_soft):
     fam = minimize_family(refs.mu_us, ell, pots_soft)
     base = build_nanotube(fam.geometry, m)
     eta = 0.25 / ell**4
-    graph = bond_graph(base)
+    band = BondBand(base, eta)
     margins, gaps = [], []
     for trial in range(10):
         tube, _, _ = sample_perturbation(
-            base, PerturbationSpec(eta=eta, seed=11, count=10), trial=trial, base_graph=graph
+            base, PerturbationSpec(eta=eta, seed=11, count=10), trial=trial, band=band
         )
         loc = to_local(gather_cells(tube))
         _, sx, _ = symmetrize(loc)

@@ -129,3 +129,26 @@ def test_cells_guard_against_wrong_labels(tmp_path, capsys):
     # omitting --m makes the inferred labels inconsistent; the command refuses
     assert run(["cells", "--in", tube_path]) == 1
     assert "inconsistent" in capsys.readouterr().err
+
+
+def test_energy_of_tube_written_one_period_back(tmp_path, pots_soft):
+    from nanolab.geometry import build_nanotube
+    from nanolab.pxyz import write_pxyz
+    from nanolab.reduced import minimize_family, reference_angles
+
+    fam = minimize_family(reference_angles(12, pots_soft).mu_us, 12, pots_soft, m=4)
+    tube = build_nanotube(fam.geometry, 4)
+    moved = tube.with_positions(tube.positions - [tube.period, 0.0, 0.0])
+    path, out = str(tmp_path / "moved.pxyz"), str(tmp_path / "e.json")
+    write_pxyz(path, moved)
+    assert run(["energy", "--in", path, "--ell", "12", "--m", "4", "-o", out]) == 0
+    rep = json.loads(open(out).read())
+    assert rep["n_bonds"] == 288
+    assert rep["energy"] == pytest.approx(family_energy(fam.geometry, 4, pots_soft), abs=1e-9 * tube.n)
+
+
+def test_non_finite_row_exit_code(tmp_path, capsys):
+    bad = tmp_path / "nan.pxyz"
+    bad.write_text("4 6.0\n0 0 0\n1 0 0\nnan 0 0\n3 0 0\n")
+    assert run(["energy", "--in", str(bad)]) == 1
+    assert "line 4" in capsys.readouterr().err

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle import assert_graph_equals_brute, pairs_brute
 
 from nanolab import energy, geometry
 from nanolab.energy import (
+    E1,
     bond_angle,
     bond_graph,
     family_energy,
@@ -46,21 +50,97 @@ def test_bond_graph_counts_and_degrees(tube):
     assert g.n_angles == 3 * tube.n
 
 
+def _brute_pair_set(t):
+    ii, jj, _, _ = pairs_brute(t.positions, t.period, 1.1)
+    return set(zip(ii.tolist(), jj.tolist()))
+
+
 def test_grid_matches_brute_force(tube, rng):
     g1 = bond_graph(tube)
-    g2 = bond_graph(tube, method="brute")
-    assert g1.pair_set() == g2.pair_set()
+    assert g1.pair_set() == _brute_pair_set(tube)
     pos = tube.positions + 5e-2 * rng.standard_normal(tube.positions.shape)
     t2 = tube.with_positions(pos)
-    assert bond_graph(t2).pair_set() == bond_graph(t2, method="brute").pair_set()
+    assert bond_graph(t2).pair_set() == _brute_pair_set(t2)
 
 
 def test_cutoff_is_strict():
     t = Nanotube(np.array([[0.0, 0, 0], [1.1, 0, 0]]), 10.0, 1, 1)
-    g = bond_graph(t, method="brute")
+    g = bond_graph(t)
     assert g.n_bonds == 0
+    assert not _brute_pair_set(t)
     t2 = Nanotube(np.array([[0.0, 0, 0], [1.1 - 1e-9, 0, 0]]), 10.0, 1, 1)
-    assert bond_graph(t2, method="brute").n_bonds == 1
+    assert bond_graph(t2).n_bonds == 1
+    assert len(_brute_pair_set(t2)) == 1
+
+
+@pytest.fixture(scope="module")
+def tube12(pots_soft):
+    from nanolab.reduced import minimize_family, reference_angles
+
+    fam = minimize_family(reference_angles(12, pots_soft).mu_us, 12, pots_soft, m=4)
+    return build_nanotube(fam.geometry, 4)
+
+
+def _moved(t, periods, angle=0.0, jitter=0.0, seed=0):
+    """t shifted axially by periods*L, rotated about the axis by angle, and jittered."""
+    x, y, z = t.positions.T
+    c, s = np.cos(angle), np.sin(angle)
+    pos = np.column_stack([x + periods * t.period, c * y - s * z, s * y + c * z])
+    pos += jitter * np.random.default_rng(seed).standard_normal(pos.shape)
+    return t.with_positions(pos)
+
+
+@pytest.mark.parametrize("periods", [-2.2, -1.7, -1.0, -0.5, 0.3, 1.5, 3.7])
+@pytest.mark.parametrize("angle,jitter", [(0.0, 0.0), (2.1, 0.0), (0.7, 0.05)])
+def test_graph_equals_brute_on_moved_copies(tube12, periods, angle, jitter):
+    moved = _moved(tube12, periods, angle, jitter, seed=int(10 * periods) % 7)
+    assert_graph_equals_brute(bond_graph(moved), moved)
+
+
+@settings(max_examples=30)
+@given(
+    periods=st.floats(-3.0, 3.0),
+    angle=st.floats(0.0, 2 * np.pi),
+    jitter=st.floats(0.0, 0.08),
+    seed=st.integers(0, 2**16),
+)
+def test_graph_equals_brute_under_rigid_motion_and_jitter(tube, periods, angle, jitter, seed):
+    moved = _moved(tube, periods, angle, jitter, seed)
+    assert_graph_equals_brute(bond_graph(moved), moved)
+
+
+def test_graph_of_unwrapped_atoms(tube, pots_soft):
+    # each atom written in its own period: same bonds, shifts absorb the wraps
+    k = np.random.default_rng(3).integers(-3, 4, tube.n)
+    unwrapped = tube.with_positions(tube.positions + np.outer(k, E1) * tube.period)
+    g0, g1 = bond_graph(tube), bond_graph(unwrapped)
+    assert np.array_equal(g1.pairs, g0.pairs)
+    assert np.array_equal(g1.pair_shifts, g0.pair_shifts - k[g0.pairs[:, 0]] + k[g0.pairs[:, 1]])
+    assert total_energy(unwrapped, pots_soft) == pytest.approx(total_energy(tube, pots_soft), abs=1e-10 * tube.n)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_positions_raise(tube, bad):
+    pos = tube.positions.copy()
+    pos[5, 1] = bad
+    with pytest.raises(DegenerateGeometryError):
+        bond_graph(tube.with_positions(pos))
+    with pytest.raises(DegenerateGeometryError):
+        bond_graph(Nanotube(tube.positions, bad, tube.ell, tube.m))
+
+
+def test_degrees_and_adjacency_match_pairs(tube12):
+    g = bond_graph(_moved(tube12, 0.4, jitter=0.05))
+    counts = np.zeros(g.n, dtype=int)
+    for a, b in g.pairs:
+        counts[a] += 1
+        counts[b] += 1
+    assert np.array_equal(g.degrees(), counts)
+    for (a, b), t in zip(g.pairs, g.pair_shifts):
+        assert (int(b), -int(t)) in g.adjacency[a]
+        assert (int(a), int(t)) in g.adjacency[b]
+    assert [len(row) for row in g.adjacency] == counts.tolist()
+    assert all(row == sorted(row) for row in g.adjacency)
 
 
 def test_single_atom_empty_graph():

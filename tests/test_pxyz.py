@@ -34,6 +34,10 @@ def test_header_format(tmp_path):
         ("2 6.0\n0 0 0\n1 2\n", 3),
         ("2 6.0\n0 0 0\n1 2 x\n", 3),
         ("2 -1.0\n0 0 0\n1 2 3\n", 1),
+        ("4 nan\n0 0 0\n1 0 0\n2 0 0\n3 0 0\n", 1),
+        ("4 inf\n0 0 0\n1 0 0\n2 0 0\n3 0 0\n", 1),
+        ("2 6.0\n0 0 0\n1 nan 3\n", 3),
+        ("2 6.0\n-inf 0 0\n1 2 x\n", 2),
     ],
 )
 def test_malformed_inputs_carry_line_numbers(tmp_path, content, line):

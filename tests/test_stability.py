@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from oracle import assert_graph_equals_brute, graph_brute
 
+import nanolab.stability as stab
 from nanolab.energy import bond_graph
 from nanolab.errors import EtaTooLargeError, NotStationaryError
-from nanolab.geometry import build_nanotube
+from nanolab.geometry import Nanotube, build_nanotube
 from nanolab.reduced import minimize_family, reference_angles
 from nanolab.stability import (
     MODES,
+    BondBand,
     PerturbationSpec,
     critical_stretch_scan,
     hessian_spectrum,
@@ -44,8 +47,9 @@ def test_samples_respect_cap_and_bond_graph(base, mode):
     tube0, _, _ = base
     graph0 = bond_graph(tube0)
     spec = PerturbationSpec(eta=1e-3, seed=9, count=4, mode=mode)
+    band = BondBand(tube0, spec.eta)
     for trial in range(4):
-        sample, graph, _ = sample_perturbation(tube0, spec, trial=trial, base_graph=graph0)
+        sample, graph, _ = sample_perturbation(tube0, spec, trial=trial, band=band)
         disp = np.linalg.norm(sample.positions - tube0.positions, axis=1)
         assert np.max(disp) <= 1e-3 + 1e-15
         assert graph.pair_set() == graph0.pair_set()
@@ -60,6 +64,65 @@ def test_identical_seed_reproduces_ensemble(base):
     assert np.array_equal(a.positions, b.positions)
     c, _, _ = sample_perturbation(tube0, spec, trial=1)
     assert not np.array_equal(a.positions, c.positions)
+
+
+def _draw(base, spec, trial):
+    """The first draw of a trial, accepted or not."""
+    d = stab._displacement(stab._trial_rng(spec.seed, trial), base.n, spec.eta, spec.mode)
+    return base.with_positions(base.positions + d)
+
+
+def _check_band_against_brute(base, band, spec, draws):
+    """Each draw's band verdict is the brute bond-set equality, and an accepted
+    draw's graph is the brute graph.  Returns the verdicts."""
+    base_pairs = graph_brute(base)[0]
+    kept = []
+    for trial in range(draws):
+        tube = _draw(base, spec, trial)
+        graph = band.graph_of(tube)
+        kept.append(np.array_equal(graph_brute(tube)[0], base_pairs))
+        assert (graph is not None) == kept[-1]
+        if graph is not None:
+            assert_graph_equals_brute(graph, tube)
+    return kept
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("eta", [1e-3, 0.02, 0.05, 0.08])
+def test_band_verdict_equals_brute_rebuild(base, eta, mode):
+    tube0, _, _ = base
+    band = BondBand(tube0, eta)
+    assert band.fixed_images
+    kept = _check_band_against_brute(tube0, band, PerturbationSpec(eta=eta, seed=4, mode=mode), 40)
+    if eta == 0.08:  # large enough that some draws break a bond
+        assert 0 < sum(kept) < len(kept)
+
+
+def test_band_rebuilds_where_an_image_can_flip():
+    # pair (0, 1) sits at |dx| = L/2, so its nearest image follows the draw;
+    # pair (0, 2) sits at the cutoff, so about half the draws break the graph
+    base = Nanotube(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.3], [0.0, 1.1, 0.0]]), 2.0, 1, 1)
+    band = BondBand(base, 0.02)
+    assert not band.fixed_images
+    spec = PerturbationSpec(eta=0.02, seed=6)
+    kept = _check_band_against_brute(base, band, spec, 40)
+    assert 0 < sum(kept) < len(kept)
+    graphs = [band.graph_of(_draw(base, spec, trial)) for trial in range(40)]
+    assert {int(g.pair_shifts[0]) for g in graphs if g is not None} == {0, 1}
+
+
+def test_ensemble_builds_one_graph(base, pots_soft, monkeypatch):
+    _, _, refs = base
+    calls = []
+    monkeypatch.setattr(stab, "bond_graph", lambda *a, **k: calls.append(1) or bond_graph(*a, **k))
+    stability_trial(refs.mu_us, 12, 2, PerturbationSpec(eta=1e-3, seed=3, count=20), pots_soft)
+    assert len(calls) == 1
+
+
+def test_band_for_smaller_eta_is_refused(base):
+    tube0, _, _ = base
+    with pytest.raises(ValueError):
+        sample_perturbation(tube0, PerturbationSpec(eta=1e-2), band=BondBand(tube0, 1e-3))
 
 
 def test_eta_too_large_raises(base):
