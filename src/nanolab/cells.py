@@ -11,6 +11,7 @@ weighted cell energies sum exactly to the configurational energy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,8 +67,12 @@ def _flat_index(ell, m, i, j, k, l):
     return (((j % m) * ell + (i - 1) % ell) * 2 + k) * 2 + l
 
 
+@lru_cache(maxsize=32)
 def cell_atom_indices(ell: int, m: int) -> np.ndarray:
-    """Flat atom indices of every cell, shape (ell, m, 2, 8), centers (i,j,k)."""
+    """Flat atom indices of every cell, shape (ell, m, 2, 8), centers (i,j,k).
+
+    Cached per (ell, m) and shared between callers, so the array is read-only.
+    """
     i = np.arange(1, ell + 1)[:, None]
     j = np.arange(m)[None, :]
     table = np.empty((ell, m, 2, 8), dtype=int)
@@ -88,6 +93,7 @@ def cell_atom_indices(ell: int, m: int) -> np.ndarray:
     table[:, :, 1, 5] = f(i, j, 0, 1)
     table[:, :, 1, 6] = f(i, j - 1, 1, 1)
     table[:, :, 1, 7] = f(i, j + 1, 1, 0)
+    table.setflags(write=False)
     return table
 
 

@@ -22,20 +22,15 @@ BOND_CUTOFF = 1.1
 
 
 def periodic_distance(x, y, L: float):
-    """Distance modulo L along the first axis: min over t in {-1,0,+1} of |x-y+L*t*e1|.
+    """Distance modulo L along the first axis: min over integers t of |x-y+L*t*e1|.
 
-    Returns (distance, t); ties resolve to t = 0.
+    Returns (distance, t); an exact half-period tie resolves to t = 0.
     """
-    if L <= 0:
+    if not L > 0:
         raise ValueError("period L must be positive")
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    best_t = 0
-    best = np.inf
-    for t in (0, -1, 1):
-        dist = float(np.linalg.norm(d + L * t * E1))
-        if dist < best:
-            best, best_t = dist, t
-    return best, best_t
+    t, dist = image_distances(d.reshape(1, 3), L)
+    return float(dist[0]), int(t[0])
 
 
 @dataclass
@@ -230,6 +225,39 @@ def family_energy(geom: ZigzagGeometry, m: int, pots: PotentialSet) -> float:
     return float(pair + angle)
 
 
+def _bond_lengths(pos, graph: BondGraph):
+    d = _bond_vectors(pos, graph)
+    r = np.linalg.norm(d, axis=1)
+    if np.any(r == 0.0):
+        raise DegenerateGeometryError("zero-length bond")
+    return d, r
+
+
+def _angle_chain(pos, graph: BondGraph, v3):
+    """Chain rule through c = cos(theta) for every angle term v3(theta).
+
+    Returns (uh, vh, nu, nv, c, gu, gv, e_c, e_cc): the unit legs and leg
+    lengths, c = uh.vh, its leg gradients gu = dc/du = P_u vh/|u| and
+    gv = dc/dv, and dv3/dc = -v3'/sin(theta) and
+    d2v3/dc2 = (v3'' - v3' c/sin(theta))/sin(theta)^2.
+    """
+    u, v = _leg_vectors(pos, graph)
+    nu = np.linalg.norm(u, axis=1)
+    nv = np.linalg.norm(v, axis=1)
+    if np.any(nu == 0.0) or np.any(nv == 0.0):
+        raise DegenerateGeometryError("zero-length bond leg")
+    uh = u / nu[:, None]
+    vh = v / nv[:, None]
+    c = np.clip(np.einsum("ij,ij->i", uh, vh), -1.0, 1.0)
+    s = np.sqrt(np.maximum(1.0 - c**2, 1e-30))
+    theta = np.arccos(c)
+    e_c = -v3.deriv(theta) / s
+    e_cc = (v3.deriv2(theta) + e_c * c) / s**2
+    gu = (vh - c[:, None] * uh) / nu[:, None]
+    gv = (uh - c[:, None] * vh) / nv[:, None]
+    return uh, vh, nu, nv, c, gu, gv, e_c, e_cc
+
+
 def gradient(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = None) -> np.ndarray:
     """Analytic gradient of total_energy with respect to all positions at fixed L."""
     if graph is None:
@@ -237,29 +265,78 @@ def gradient(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = None)
     pos = tube.positions
     grad = np.zeros_like(pos)
     if graph.n_bonds:
-        d = _bond_vectors(pos, graph)
-        r = np.linalg.norm(d, axis=1)
-        if np.any(r == 0.0):
-            raise DegenerateGeometryError("zero-length bond")
+        d, r = _bond_lengths(pos, graph)
         coef = (pots.v2.deriv(r) / r)[:, None] * d
         np.add.at(grad, graph.pairs[:, 0], coef)
         np.add.at(grad, graph.pairs[:, 1], -coef)
     if graph.n_angles:
-        u, v = _leg_vectors(pos, graph)
-        nu = np.linalg.norm(u, axis=1)
-        nv = np.linalg.norm(v, axis=1)
-        if np.any(nu == 0.0) or np.any(nv == 0.0):
-            raise DegenerateGeometryError("zero-length bond leg")
-        uh = u / nu[:, None]
-        vh = v / nv[:, None]
-        c = np.clip(np.einsum("ij,ij->i", uh, vh), -1.0, 1.0)
-        s = np.sqrt(np.maximum(1.0 - c**2, 1e-30))
-        w = pots.v3.deriv(np.arccos(c)) / s
-        # d(theta)/d(leg): -(vh - c*uh)/(|u|) etc., with the chain sign from arccos
-        gi = -w[:, None] * (vh - c[:, None] * uh) / nu[:, None]
-        gk = -w[:, None] * (uh - c[:, None] * vh) / nv[:, None]
+        _, _, _, _, _, gu, gv, e_c, _ = _angle_chain(pos, graph, pots.v3)
+        gi = e_c[:, None] * gu
+        gk = e_c[:, None] * gv
         t = graph.triples
         np.add.at(grad, t[:, 0], gi)
         np.add.at(grad, t[:, 2], gk)
         np.add.at(grad, t[:, 1], -(gi + gk))
     return grad
+
+
+# Legs of a term as rows over its atoms: a bond's d = x_i - x_j over (i, j);
+# an angle's u = x_i - x_j and v = x_k - x_j over the triple's (i, j, k).
+_BOND_LEGS = np.array([[1.0, -1.0]])
+_ANGLE_LEGS = np.array([[1.0, -1.0, 0.0], [0.0, -1.0, 1.0]])
+# d2v3/dc2 divides by sin(theta)^2; below this sin^2 its round-off error
+# exceeds about 1e-6 of v3''.
+_STRAIGHT_SIN2 = 1e-10
+
+
+def _add_blocks(hess, atoms, legs, leg_blocks):
+    """Scatter-add per-term Hessian blocks given over the term's legs,
+    leg_blocks[t, a, :, b, :] = d2E_t / d(leg a) d(leg b), onto the rows and
+    columns of the term's atoms."""
+    blocks = np.einsum("ap,taxby,bq->tpxqy", legs, leg_blocks, legs)
+    rows = (3 * atoms[:, :, None] + np.arange(3)).reshape(len(atoms), -1)
+    flat = rows[:, :, None] * hess.shape[1] + rows[:, None, :]
+    np.add.at(hess.reshape(-1), flat.ravel(), blocks.ravel())
+
+
+def hessian(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = None) -> np.ndarray:
+    """Analytic Hessian of total_energy with respect to all positions at fixed
+    L, as one dense (3n, 3n) array with the coordinates of atom a in rows
+    3a..3a+2.
+
+    A bond of length r and direction rh adds [[K, -K], [-K, K]] with
+    K = v2'' rh rh^T + (v2'/r)(I - rh rh^T).  An angle adds
+    E_cc dc dc^T + E_c d2c over its legs u, v (see _angle_chain), with
+    d2c/du2 = -(gu uh^T + uh gu^T)/|u| - c P_u/|u|^2 and
+    d2c/du dv = P_u P_v/(|u||v|), P_u = I - uh uh^T.  It holds the gradient
+    terms too, so it is the Hessian at any configuration with this bond
+    graph, stationary or not.  Symmetric to round-off.
+    """
+    if graph is None:
+        graph = bond_graph(tube, cutoff=pots.cutoff)
+    pos = tube.positions
+    hess = np.zeros((3 * tube.n, 3 * tube.n))
+    eye = np.eye(3)
+    if graph.n_bonds:
+        d, r = _bond_lengths(pos, graph)
+        rr = np.einsum("ti,tj->tij", d, d) / (r**2)[:, None, None]
+        k = pots.v2.deriv2(r)[:, None, None] * rr + (pots.v2.deriv(r) / r)[:, None, None] * (eye - rr)
+        _add_blocks(hess, graph.pairs, _BOND_LEGS, k[:, None, :, None, :])
+    if graph.n_angles:
+        uh, vh, nu, nv, c, gu, gv, e_c, e_cc = _angle_chain(pos, graph, pots.v3)
+        if np.any(1.0 - c**2 < _STRAIGHT_SIN2):
+            raise DegenerateGeometryError("angle within 1e-5 rad of 0 or pi: its curvature is lost to round-off")
+        g = np.stack([gu, gv], axis=1)
+        blocks = e_cc[:, None, None, None, None] * np.einsum("tax,tby->taxby", g, g)
+        p_u = eye - np.einsum("ti,tj->tij", uh, uh)
+        p_v = eye - np.einsum("ti,tj->tij", vh, vh)
+        w = e_c[:, None, None]
+        for a, (gl, hl, nl, pl) in enumerate(((gu, uh, nu, p_u), (gv, vh, nv, p_v))):
+            outer = np.einsum("ti,tj->tij", gl, hl)
+            d2c = -(outer + outer.transpose(0, 2, 1)) / nl[:, None, None] - (c / nl**2)[:, None, None] * pl
+            blocks[:, a, :, a, :] += w * d2c
+        cross = w * (p_u @ p_v) / (nu * nv)[:, None, None]
+        blocks[:, 0, :, 1, :] += cross
+        blocks[:, 1, :, 0, :] += cross.transpose(0, 2, 1)
+        _add_blocks(hess, graph.triples, _ANGLE_LEGS, blocks)
+    return hess

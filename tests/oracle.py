@@ -1,5 +1,6 @@
-"""Brute-force bond graph: the independent reference the fast pair search and
-the perturbation sampler are tested against."""
+"""Independent references the fast paths are tested against: the brute-force
+bond graph (pair search and perturbation sampler) and the finite-difference
+Hessian (analytic energy.hessian)."""
 
 from itertools import combinations
 
@@ -48,3 +49,21 @@ def assert_graph_equals_brute(graph, tube, cutoff: float = 1.1):
     assert np.array_equal(graph.pair_shifts, shifts)
     assert np.array_equal(graph.triples, triples)
     assert np.array_equal(graph.triple_shifts, triple_shifts)
+
+
+def hessian_fd(tube, pots, graph, step: float = 1e-5):
+    """Central differences of the analytic gradient on a frozen bond graph,
+    symmetrized: 6n gradient calls for the (3n, 3n) Hessian."""
+    from nanolab.energy import gradient
+
+    n3 = 3 * tube.n
+    hess = np.empty((n3, n3))
+    flat = tube.positions.ravel().copy()
+    for col in range(n3):
+        x = flat.copy()
+        x[col] += step
+        gp = gradient(tube.with_positions(x.reshape(-1, 3)), pots, graph).ravel()
+        x[col] -= 2.0 * step
+        gm = gradient(tube.with_positions(x.reshape(-1, 3)), pots, graph).ravel()
+        hess[:, col] = (gp - gm) / (2.0 * step)
+    return 0.5 * (hess + hess.T)

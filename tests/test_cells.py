@@ -76,6 +76,17 @@ def test_degenerate_midpoint_synthetic():
     assert np.allclose(cs.z, 0.0)
 
 
+def test_cell_table_is_cached_and_read_only(tube):
+    table = cell_atom_indices(tube.ell, tube.m)
+    assert cell_atom_indices(tube.ell, tube.m) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0, 0, 0] = 1
+    fresh = cell_atom_indices.__wrapped__(tube.ell, tube.m)
+    assert np.array_equal(table, fresh)
+    assert np.array_equal(gather_cells(tube), gather_cells(tube, fresh))
+
+
 def test_extract_cell_matches_label_table(tube):
     graph = bond_graph(tube)
     table = cell_atom_indices(tube.ell, tube.m)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import assert_graph_equals_brute, pairs_brute
+from oracle import assert_graph_equals_brute, hessian_fd, pairs_brute
 
 from nanolab import energy, geometry
 from nanolab.energy import (
@@ -11,6 +11,7 @@ from nanolab.energy import (
     bond_graph,
     family_energy,
     gradient,
+    hessian,
     periodic_distance,
     total_energy,
 )
@@ -40,6 +41,18 @@ def test_periodic_distance_tie_prefers_zero_shift():
     d, t = periodic_distance((1.5, 0, 0), (0, 0, 0), 3.0)
     assert d == pytest.approx(1.5, abs=1e-14)
     assert t == 0
+
+
+@pytest.mark.parametrize("periods", [1.6, -2.2, 3.7, -4.45, 5.0])
+def test_periodic_distance_several_periods_apart(periods):
+    L = 12.0
+    x, y = np.array([0.3, -0.4, 1.1]), np.array([0.3 + periods * L, 0.2, 0.9])
+    t_all = np.arange(-10, 11)
+    dists = np.linalg.norm((x - y)[None, :] + np.outer(t_all, E1) * L, axis=1)
+    d, t = periodic_distance(x, y, L)
+    assert d == pytest.approx(dists.min(), abs=1e-12)
+    assert t == t_all[np.argmin(dists)]
+    assert periodic_distance((0, 0, 0), (26.4, 0, 0), L) == pytest.approx((2.4, 2), abs=1e-12)
 
 
 def test_bond_graph_counts_and_degrees(tube):
@@ -267,6 +280,43 @@ def test_gradient_zero_modes(tube, pots_soft, rng):
     rot[:, 1] = -t.positions[:, 2]
     rot[:, 2] = t.positions[:, 1]
     assert abs(np.sum(grad * rot)) <= 1e-8
+
+
+@settings(max_examples=12)
+@given(
+    periods=st.floats(-3.0, 3.0),
+    angle=st.floats(0.0, 2 * np.pi),
+    jitter=st.floats(0.0, 0.03),
+    seed=st.integers(0, 2**16),
+)
+def test_hessian_matches_fd_oracle(tube, pots_soft, periods, angle, jitter, seed):
+    # rigidly moved, jittered (not stationary) copies with each atom written
+    # in its own period
+    moved = _moved(tube, periods, angle, jitter, seed)
+    k = np.random.default_rng(seed + 1).integers(-3, 4, tube.n)
+    t = moved.with_positions(moved.positions + np.outer(k, E1) * tube.period)
+    graph = bond_graph(t)
+    h = hessian(t, pots_soft, graph)
+    scale = np.max(np.abs(h))
+    assert np.max(np.abs(h - hessian_fd(t, pots_soft, graph))) <= 1e-5 * scale
+    assert np.max(np.abs(h - h.T)) <= 1e-14 * scale
+    for d in range(3):
+        assert np.max(np.abs(h @ np.tile(np.eye(3)[d], t.n))) <= 1e-13 * scale
+
+
+def test_hessian_degenerate_inputs(pots_soft):
+    lone = Nanotube(np.array([[0.0, 0, 0], [5.0, 0, 0]]), 10.0, 1, 1)
+    assert np.array_equal(hessian(lone, pots_soft), np.zeros((6, 6)))
+    stacked = Nanotube(np.array([[0.0, 0, 0], [0.0, 0, 0]]), 10.0, 1, 1)
+    with pytest.raises(DegenerateGeometryError):
+        hessian(stacked, pots_soft)
+    for bend in (0.0, 1e-9):
+        straight = Nanotube(np.array([[-1.0, 0, 0], [0.0, bend, 0], [1.0, 0, 0]]), 20.0, 1, 1)
+        with pytest.raises(DegenerateGeometryError):
+            hessian(straight, pots_soft)
+    bent = Nanotube(np.array([[-1.0, 0, 0], [0.0, 1e-3, 0], [1.0, 0, 0]]), 20.0, 1, 1)
+    h = hessian(bent, pots_soft)
+    assert np.max(np.abs(h - hessian_fd(bent, pots_soft, bond_graph(bent)))) <= 1e-8 * np.max(np.abs(h))
 
 
 def test_gradient_vanishes_at_family_minimum(pots_soft):

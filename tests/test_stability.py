@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from oracle import assert_graph_equals_brute, graph_brute
+from oracle import assert_graph_equals_brute, graph_brute, hessian_fd
 
 import nanolab.stability as stab
-from nanolab.energy import bond_graph
+from nanolab.energy import bond_graph, gradient
 from nanolab.errors import EtaTooLargeError, NotStationaryError
 from nanolab.geometry import Nanotube, build_nanotube
 from nanolab.reduced import minimize_family, reference_angles
@@ -186,6 +186,37 @@ def test_hessian_null_space_structure(base, pots_soft):
     assert rep["n_negative"] == 0
     assert rep["rest_positive"]
     assert rep["max_principal_angle"] < 1e-3
+
+
+def test_spectrum_matches_fd_oracle(pots_soft):
+    # the criterion-08 tube: (12, 4) at mu_us + 0.01
+    fam = minimize_family(reference_angles(12, pots_soft).mu_us + 0.01, 12, pots_soft, m=4)
+    tube = build_nanotube(fam.geometry, 4)
+    rep = null_space_report(tube, pots_soft)
+    fd = np.linalg.eigvalsh(hessian_fd(tube, pots_soft, bond_graph(tube)))
+    rest = np.abs(rep["eigenvalues"]) >= rep["zero_tol"]
+    assert np.max(np.abs(rep["eigenvalues"][rest] - fd[rest]) / fd[rest]) < 1e-6
+    assert rep["n_near_null"] == 4
+    assert rep["max_principal_angle"] < 1e-9
+
+
+@pytest.mark.parametrize("ell,offset", [(24, 0.002), (48, 0.0)])
+def test_soft_modes_are_not_null(pots_soft, ell, offset):
+    # the softest physical modes of these tubes lie between 1e-8 and 1e-6 of
+    # the largest eigenvalue; only the four isometries are null
+    fam = minimize_family(reference_angles(ell, pots_soft).mu_us + offset, ell, pots_soft, m=4)
+    rep = null_space_report(build_nanotube(fam.geometry, 4), pots_soft)
+    assert rep["n_near_null"] == 4
+    assert rep["n_negative"] == 0
+    assert rep["rest_positive"]
+
+
+def test_spectrum_calls_gradient_once(base, pots_soft, monkeypatch):
+    tube0, _, _ = base
+    calls = []
+    monkeypatch.setattr(stab, "gradient", lambda *a, **k: calls.append(1) or gradient(*a, **k))
+    hessian_spectrum(tube0, pots_soft)
+    assert len(calls) == 1
 
 
 def test_spectrum_invariant_under_translation(base, pots_soft):
