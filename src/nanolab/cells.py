@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .energy import _angle_term, _bond_term, _image_shift, bond_graph
 from .errors import DegenerateGeometryError, InvalidCellError
 from .geometry import Nanotube
 from .potentials import PotentialSet
@@ -97,9 +98,9 @@ def cell_atom_indices(ell: int, m: int) -> np.ndarray:
     return table
 
 
-def _min_image(d: np.ndarray, L: float) -> np.ndarray:
-    d = np.array(d, dtype=float)
-    d[..., 0] -= L * np.round(d[..., 0] / L)
+def _nearest_image(d: np.ndarray, L: float) -> np.ndarray:
+    """d[..., :] moved in place to its nearest axial image."""
+    d[..., 0] += _image_shift(d[..., 0], L) * L
     return d
 
 
@@ -116,19 +117,29 @@ def gather_cells(tube: Nanotube, table: np.ndarray | None = None) -> np.ndarray:
     cells = np.empty(table.shape + (3,), dtype=float)
     cells[..., 0, :] = pos[table[..., 0]]
     for slot, anchor in _UNWRAP_CHAIN:
-        step = _min_image(pos[table[..., slot]] - cells[..., anchor, :], L)
+        step = _nearest_image(pos[table[..., slot]] - cells[..., anchor, :], L)
         cells[..., slot, :] = cells[..., anchor, :] + step
     return cells
 
 
+def _bond_legs(cells: np.ndarray) -> np.ndarray:
+    """Leg x_a - x_b of every cell bond (a, b) in BOND_SLOTS."""
+    return cells[..., BOND_SLOTS[:, 0], :] - cells[..., BOND_SLOTS[:, 1], :]
+
+
+def _angle_legs(cells: np.ndarray):
+    """Legs (x_i - x_j, x_k - x_j) of every cell angle (i, j, k) in ANGLE_SLOTS."""
+    u = cells[..., ANGLE_SLOTS[:, 0], :] - cells[..., ANGLE_SLOTS[:, 1], :]
+    v = cells[..., ANGLE_SLOTS[:, 2], :] - cells[..., ANGLE_SLOTS[:, 1], :]
+    return u, v
+
+
 def cell_bond_lengths(cells: np.ndarray) -> np.ndarray:
-    d = cells[..., BOND_SLOTS[:, 0], :] - cells[..., BOND_SLOTS[:, 1], :]
-    return np.linalg.norm(d, axis=-1)
+    return np.linalg.norm(_bond_legs(cells), axis=-1)
 
 
 def cell_angles(cells: np.ndarray) -> np.ndarray:
-    u = cells[..., ANGLE_SLOTS[:, 0], :] - cells[..., ANGLE_SLOTS[:, 1], :]
-    v = cells[..., ANGLE_SLOTS[:, 2], :] - cells[..., ANGLE_SLOTS[:, 1], :]
+    u, v = _angle_legs(cells)
     nu = np.linalg.norm(u, axis=-1)
     nv = np.linalg.norm(v, axis=-1)
     if np.any(nu == 0.0) or np.any(nv == 0.0):
@@ -148,30 +159,8 @@ def cell_energies(cells: np.ndarray, pots: PotentialSet) -> np.ndarray:
 def cell_energy_gradient(cell: np.ndarray, pots: PotentialSet) -> np.ndarray:
     """Analytic gradient of the weighted cell energy for a single (8,3) cell."""
     grad = np.zeros((8, 3))
-    for (a, b), w in zip(BOND_SLOTS, BOND_WEIGHTS):
-        d = cell[a] - cell[b]
-        r = np.linalg.norm(d)
-        if r == 0.0:
-            raise DegenerateGeometryError("zero-length cell bond")
-        coef = w * float(pots.v2.deriv(r)) / r
-        grad[a] += coef * d
-        grad[b] -= coef * d
-    for (i, j, k), w in zip(ANGLE_SLOTS, ANGLE_WEIGHTS):
-        u = cell[i] - cell[j]
-        v = cell[k] - cell[j]
-        nu = np.linalg.norm(u)
-        nv = np.linalg.norm(v)
-        if nu == 0.0 or nv == 0.0:
-            raise DegenerateGeometryError("zero-length cell bond leg")
-        uh, vh = u / nu, v / nv
-        c = float(np.clip(np.dot(uh, vh), -1.0, 1.0))
-        s = np.sqrt(max(1.0 - c * c, 1e-30))
-        coef = -w * float(pots.v3.deriv(np.arccos(c))) / s
-        gi = coef * (vh - c * uh) / nu
-        gk = coef * (uh - c * vh) / nv
-        grad[i] += gi
-        grad[k] += gk
-        grad[j] -= gi + gk
+    np.add.at(grad, BOND_SLOTS, _bond_term(_bond_legs(cell), pots.v2, BOND_WEIGHTS)[0])
+    np.add.at(grad, ANGLE_SLOTS, _angle_term(*_angle_legs(cell), pots.v3, ANGLE_WEIGHTS)[0])
     return grad
 
 
@@ -298,19 +287,9 @@ class CellView:
     def local_coordinates(self) -> np.ndarray:
         return to_local(self.positions[None])[0]
 
-    def symmetrize(self, reference: np.ndarray | None = None):
-        """Returns (x_prime, s_x, delta) in local coordinates.
-
-        reference is accepted for interface completeness; the reflections fix
-        it, so it cancels out of the projection formulas.
-        """
-        y = self.local_coordinates()
-        if reference is not None:
-            x_prime = reference + 0.5 * ((y - reference) + reflect_s1(y - reference))
-            s_x = reference + 0.5 * ((x_prime - reference) + reflect_s2(x_prime - reference))
-            delta = float(np.sum((y - x_prime) ** 2) + np.sum((x_prime - s_x) ** 2))
-            return x_prime, s_x, delta
-        xp, sx, d = symmetrize(y[None])
+    def symmetrize(self):
+        """Returns (x_prime, s_x, delta) in local coordinates."""
+        xp, sx, d = symmetrize(self.local_coordinates()[None])
         return xp[0], sx[0], float(d[0])
 
 
@@ -332,10 +311,10 @@ def centers(tube: Nanotube) -> Centers:
     pos = tube.positions
     L = tube.period
     x1 = pos[table[..., 0]]
-    d12 = _min_image(pos[table[..., 1]] - x1, L)
+    d12 = _nearest_image(pos[table[..., 1]] - x1, L)
     z = x1 + 0.5 * d12
     x2 = x1 + d12
-    d28 = _min_image(pos[table[..., 7]] - pos[table[..., 1]], L)
+    d28 = _nearest_image(pos[table[..., 7]] - pos[table[..., 1]], L)
     z_dual = x2 + 0.5 * d28
     z[..., 0] %= L
     z_dual[..., 0] %= L
@@ -349,8 +328,6 @@ def extract_cell(tube: Nanotube, center: tuple, graph=None) -> CellView:
     walk is ambiguous (any participating atom without exactly three bonds, or
     a missing unique common neighbor).
     """
-    from .energy import bond_graph
-
     if graph is None:
         graph = bond_graph(tube)
     i, j, k = center
@@ -391,7 +368,7 @@ def extract_cell(tube: Nanotube, center: tuple, graph=None) -> CellView:
     coords = np.empty((8, 3))
     coords[0] = pos[idx[0]]
     for slot, anchor in _UNWRAP_CHAIN:
-        coords[slot] = coords[anchor] + _min_image(pos[idx[slot]] - coords[anchor], tube.period)
+        coords[slot] = coords[anchor] + _nearest_image(pos[idx[slot]] - coords[anchor], tube.period)
     # orient so that x3 sits on the positive second-coordinate side
     local = to_local(coords[None])[0]
     if local[2, 1] < 0.0:

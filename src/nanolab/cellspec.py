@@ -16,8 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import ANGLE_WEIGHTS, BOND_WEIGHTS, cell_angles, cell_bond_lengths, cell_energies, cell_energy_gradient
-from .errors import DegenerateGeometryError, InvalidParameterError, VerificationFailureError
+from .cells import (
+    ANGLE_SLOTS,
+    ANGLE_WEIGHTS,
+    BOND_SLOTS,
+    BOND_WEIGHTS,
+    _angle_legs,
+    _bond_legs,
+    cell_angles,
+    cell_bond_lengths,
+)
+from .energy import _add_blocks, _angle_term, _bond_term
+from .errors import InvalidParameterError, VerificationFailureError
 from .geometry import gamma
 from .potentials import PotentialSet
 from .reduced import reference_angles
@@ -187,19 +197,29 @@ def tilde_hessian_diag(y: np.ndarray, pots: PotentialSet) -> np.ndarray:
     return np.concatenate([ANGLE_WEIGHTS * pots.v3.deriv2(y[:10]), BOND_WEIGHTS * pots.v2.deriv2(y[10:])])
 
 
-def t_jacobian(cell: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """(18, 24) finite-difference Jacobian of t_map at the given cell."""
+class _Identity:
+    """v(x) = x: with it the term kernels differentiate the bond lengths and
+    angles themselves."""
+
+    @staticmethod
+    def deriv(x):
+        return np.ones_like(x)
+
+    @staticmethod
+    def deriv2(x):
+        return np.zeros_like(x)
+
+
+def t_jacobian(cell: np.ndarray) -> np.ndarray:
+    """(18, 24) analytic Jacobian of t_map at the given cell: an angle row is
+    -(1/sin(theta)) dc/dx, a bond row +-rh on its two atoms."""
     cell = np.asarray(cell, dtype=float)
-    flat = cell.ravel()
-    cols = []
-    for idx in range(24):
-        x = flat.copy()
-        x[idx] += step
-        fp = t_map(x.reshape(8, 3)).vector
-        x[idx] -= 2.0 * step
-        fm = t_map(x.reshape(8, 3)).vector
-        cols.append((fp - fm) / (2.0 * step))
-    return np.stack(cols, axis=1)
+    jac = np.zeros((18, 8, 3))
+    angles, _ = _angle_term(*_angle_legs(cell), _Identity)
+    bonds, _ = _bond_term(_bond_legs(cell), _Identity)
+    jac[np.arange(10)[:, None], ANGLE_SLOTS] = angles
+    jac[10 + np.arange(8)[:, None], BOND_SLOTS] = bonds
+    return jac.reshape(18, 24)
 
 
 def t_jacobian_kernel(cell: np.ndarray | None = None, sv_tol: float = 1e-8) -> dict:
@@ -271,26 +291,14 @@ def tilde_derivative_signs(ells, pots: PotentialSet) -> dict:
     return {"rows": rows, "scaling_slope": slope}
 
 
-def cell_hessian(cell: np.ndarray, pots: PotentialSet, step: float = 1e-4) -> np.ndarray:
-    """24x24 Hessian of the cell energy: Richardson-extrapolated central
-    differences of the analytic cell gradient, symmetrized."""
-    flat = np.asarray(cell, dtype=float).ravel()
-
-    def fd(h):
-        cols = []
-        for idx in range(24):
-            x = flat.copy()
-            x[idx] += h
-            gp = cell_energy_gradient(x.reshape(8, 3), pots).ravel()
-            x[idx] -= 2.0 * h
-            gm = cell_energy_gradient(x.reshape(8, 3), pots).ravel()
-            cols.append((gp - gm) / (2.0 * h))
-        return np.stack(cols, axis=1)
-
-    h1 = fd(step)
-    h2 = fd(0.5 * step)
-    hess = (4.0 * h2 - h1) / 3.0
-    return 0.5 * (hess + hess.T)
+def cell_hessian(cell: np.ndarray, pots: PotentialSet) -> np.ndarray:
+    """24x24 analytic Hessian of the weighted cell energy: the weighted bond and
+    angle blocks of the term kernels, scatter-added."""
+    cell = np.asarray(cell, dtype=float)
+    hess = np.zeros((24, 24))
+    _add_blocks(hess, BOND_SLOTS, _bond_term(_bond_legs(cell), pots.v2, BOND_WEIGHTS, second=True)[1])
+    _add_blocks(hess, ANGLE_SLOTS, _angle_term(*_angle_legs(cell), pots.v3, ANGLE_WEIGHTS, second=True)[1])
+    return hess
 
 
 def constrained_rayleigh_min(hess: np.ndarray, span: np.ndarray, r: float, n_scan: int = 60) -> dict:
@@ -348,50 +356,33 @@ def constrained_rayleigh_min(hess: np.ndarray, span: np.ndarray, r: float, n_sca
     return {"lower": float(max(lower, vals[0] if best == 0 else lower)), "upper": upper, "nu": float(nu_star)}
 
 
-def angle_sum_concavity(pots: PotentialSet, n_samples: int = 200, seed: int = 0, step: float = 1e-3) -> dict:
+def angle_sum_concavity(pots: PotentialSet, n_samples: int = 200, seed: int = 0) -> dict:
     """Second directional derivative of the total angle sum at the planar
     reference, sampled over the degenerate-plus-bad span.
 
     The sum of all three angle-sum functionals decreases at second order in
     any such direction, at a rate controlled by the out-of-plane component.
+    Each sample's second derivative is v^T H v with H the analytic Hessian of
+    the weighted angle sum.
     """
     x0 = planar_reference()
     basis = cell_basis()
     span = np.concatenate([basis.degenerate, basis.bad], axis=0).reshape(-1, 24)
     qdeg, _ = np.linalg.qr(basis.degenerate.reshape(6, 24).T)
+    hess = np.zeros((24, 24))
+    weights = ANGLE_SUM_VECTORS.sum(axis=0)
+    _add_blocks(hess, ANGLE_SLOTS, _angle_term(*_angle_legs(x0), _Identity, weights, second=True)[1])
 
-    def total_angle_sum(cell):
-        return float(np.sum(t_map(cell).angle_sums()))
-
-    base = total_angle_sum(x0)
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    samples = []
-    for s in range(n_samples + 5):
-        if s < 5:
-            coef = np.zeros(11)
-            coef[6 + s % 5] = 1.0
-        else:
-            coef = rng.standard_normal(11)
-        v = coef @ span
-        v = v / np.linalg.norm(v)
-        vd = qdeg @ (qdeg.T @ v)
-        resid = np.linalg.norm(v - vd)
-        if resid < 1e-8:
-            continue
-
-        def second(h):
-            return (
-                total_angle_sum(x0 + h * v.reshape(8, 3))
-                - 2.0 * base
-                + total_angle_sum(x0 - h * v.reshape(8, 3))
-            ) / h**2
-
-        d2 = (4.0 * second(0.5 * step) - second(step)) / 3.0
-        ratio = -d2 / resid**2
-        samples.append(ratio)
-        worst = min(worst, ratio)
-    return {"c_kink": float(worst), "n_samples": len(samples), "ratios": np.array(samples)}
+    coef = np.zeros((5, 11))
+    coef[np.arange(5), 6 + np.arange(5)] = 1.0
+    coef = np.concatenate([coef, np.random.default_rng(seed).standard_normal((n_samples, 11))])
+    v = coef @ span
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    resid = np.linalg.norm(v - (v @ qdeg) @ qdeg.T, axis=1)
+    keep = resid >= 1e-8
+    v, resid = v[keep], resid[keep]
+    ratios = -np.einsum("si,ij,sj->s", v, hess, v) / resid**2
+    return {"c_kink": float(np.min(ratios)), "n_samples": len(ratios), "ratios": ratios}
 
 
 def cell_hessian_convexity(ell: int, pots: PotentialSet, r: float = 0.9) -> dict:

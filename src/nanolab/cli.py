@@ -5,8 +5,7 @@ the machine-readable verification suite.
 All file outputs are written atomically (temp file plus rename) and rendered
 deterministically: floats carry 17 significant digits, JSON keys are sorted,
 and no timestamps are embedded, so identical (argv, seed) runs are
-byte-identical.  Thread settings only ever affect wall time; every reduction
-in the library is index-ordered.
+byte-identical.
 """
 
 from __future__ import annotations
@@ -453,14 +452,6 @@ def build_parser() -> _Parser:
         p.add_argument("--pots", default="soft", help="potential preset (soft, stiff) or JSON file")
         p.add_argument("--config", default=None, help="JSON potential file (alias for --pots)")
 
-    def add_threads(p):
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=int(os.environ.get("NANOLAB_THREADS", "0")) or os.cpu_count(),
-            help="worker threads (outputs are thread-count independent)",
-        )
-
     p = sub.add_parser("generate", help="build a family tube and write PXYZ")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
@@ -475,7 +466,6 @@ def build_parser() -> _Parser:
     p.add_argument("--ell", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     add_pots(p)
-    add_threads(p)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_energy)
 
@@ -505,7 +495,6 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", default="uniform-ball", choices=stability.MODES)
     p.add_argument("--dump-counterexample", default=None, help="PXYZ path prefix for failing samples")
     add_pots(p)
-    add_threads(p)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_stability)
 
@@ -528,7 +517,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify-all", help="run the acceptance battery")
     p.add_argument("--quick", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    add_threads(p)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_verify_all)
 

@@ -72,13 +72,19 @@ class BondGraph:
         return [list(zip(b.tolist(), t.tolist())) for b, t in zip(np.split(nbr, cuts), np.split(leg, cuts))]
 
 
+def _image_shift(dx, L: float):
+    """Axial shift t = -rint(dx / L) of the nearest image (as floats); exact
+    half-period ties keep t = 0."""
+    return -np.rint(dx / L)
+
+
 def image_distances(d: np.ndarray, L: float):
     """Nearest axial image of each difference vector d[p] = x[i] - x[j].
 
-    Returns (t, dist): t = -rint(dx / L), so exact half-period ties keep t = 0,
-    and dist = |d + t*L*e1|.
+    Returns (t, dist): t = -rint(dx / L) from _image_shift, so exact
+    half-period ties keep t = 0, and dist = |d + t*L*e1|.
     """
-    t = -np.rint(d[:, 0] / L)
+    t = _image_shift(d[:, 0], L)
     dx = d[:, 0] + t * L
     return t.astype(np.int64), np.sqrt(dx**2 + d[:, 1] ** 2 + d[:, 2] ** 2)
 
@@ -225,61 +231,6 @@ def family_energy(geom: ZigzagGeometry, m: int, pots: PotentialSet) -> float:
     return float(pair + angle)
 
 
-def _bond_lengths(pos, graph: BondGraph):
-    d = _bond_vectors(pos, graph)
-    r = np.linalg.norm(d, axis=1)
-    if np.any(r == 0.0):
-        raise DegenerateGeometryError("zero-length bond")
-    return d, r
-
-
-def _angle_chain(pos, graph: BondGraph, v3):
-    """Chain rule through c = cos(theta) for every angle term v3(theta).
-
-    Returns (uh, vh, nu, nv, c, gu, gv, e_c, e_cc): the unit legs and leg
-    lengths, c = uh.vh, its leg gradients gu = dc/du = P_u vh/|u| and
-    gv = dc/dv, and dv3/dc = -v3'/sin(theta) and
-    d2v3/dc2 = (v3'' - v3' c/sin(theta))/sin(theta)^2.
-    """
-    u, v = _leg_vectors(pos, graph)
-    nu = np.linalg.norm(u, axis=1)
-    nv = np.linalg.norm(v, axis=1)
-    if np.any(nu == 0.0) or np.any(nv == 0.0):
-        raise DegenerateGeometryError("zero-length bond leg")
-    uh = u / nu[:, None]
-    vh = v / nv[:, None]
-    c = np.clip(np.einsum("ij,ij->i", uh, vh), -1.0, 1.0)
-    s = np.sqrt(np.maximum(1.0 - c**2, 1e-30))
-    theta = np.arccos(c)
-    e_c = -v3.deriv(theta) / s
-    e_cc = (v3.deriv2(theta) + e_c * c) / s**2
-    gu = (vh - c[:, None] * uh) / nu[:, None]
-    gv = (uh - c[:, None] * vh) / nv[:, None]
-    return uh, vh, nu, nv, c, gu, gv, e_c, e_cc
-
-
-def gradient(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = None) -> np.ndarray:
-    """Analytic gradient of total_energy with respect to all positions at fixed L."""
-    if graph is None:
-        graph = bond_graph(tube, cutoff=pots.cutoff)
-    pos = tube.positions
-    grad = np.zeros_like(pos)
-    if graph.n_bonds:
-        d, r = _bond_lengths(pos, graph)
-        coef = (pots.v2.deriv(r) / r)[:, None] * d
-        np.add.at(grad, graph.pairs[:, 0], coef)
-        np.add.at(grad, graph.pairs[:, 1], -coef)
-    if graph.n_angles:
-        _, _, _, _, _, gu, gv, e_c, _ = _angle_chain(pos, graph, pots.v3)
-        gi = e_c[:, None] * gu
-        gk = e_c[:, None] * gv
-        t = graph.triples
-        np.add.at(grad, t[:, 0], gi)
-        np.add.at(grad, t[:, 2], gk)
-        np.add.at(grad, t[:, 1], -(gi + gk))
-    return grad
-
-
 # Legs of a term as rows over its atoms: a bond's d = x_i - x_j over (i, j);
 # an angle's u = x_i - x_j and v = x_k - x_j over the triple's (i, j, k).
 _BOND_LEGS = np.array([[1.0, -1.0]])
@@ -289,54 +240,109 @@ _ANGLE_LEGS = np.array([[1.0, -1.0, 0.0], [0.0, -1.0, 1.0]])
 _STRAIGHT_SIN2 = 1e-10
 
 
-def _add_blocks(hess, atoms, legs, leg_blocks):
-    """Scatter-add per-term Hessian blocks given over the term's legs,
-    leg_blocks[t, a, :, b, :] = d2E_t / d(leg a) d(leg b), onto the rows and
-    columns of the term's atoms."""
-    blocks = np.einsum("ap,taxby,bq->tpxqy", legs, leg_blocks, legs)
+def _bond_term(d, v2, w=1.0, second=False):
+    """Derivatives of the pair terms w*v2(|d|), one per leg d[t] = x_i - x_j.
+
+    Returns (grad, block): grad[t] (2, 3) over the term's atoms (i, j) and,
+    with second, the (2, 3, 2, 3) Hessian block [[K, -K], [-K, K]] with
+    K = w (v2'' rh rh^T + (v2'/r)(I - rh rh^T)); otherwise block is None.
+    Raises DegenerateGeometryError on a zero-length bond.
+    """
+    r = np.linalg.norm(d, axis=1)
+    if np.any(r == 0.0):
+        raise DegenerateGeometryError("zero-length bond")
+    d1 = w * v2.deriv(r)
+    grad = np.einsum("ap,tx->tpx", _BOND_LEGS, (d1 / r)[:, None] * d)
+    if not second:
+        return grad, None
+    rr = np.einsum("ti,tj->tij", d, d) / (r**2)[:, None, None]
+    k = (w * v2.deriv2(r))[:, None, None] * rr + (d1 / r)[:, None, None] * (np.eye(3) - rr)
+    return grad, np.einsum("ap,txy,aq->tpxqy", _BOND_LEGS, k, _BOND_LEGS)
+
+
+def _angle_term(u, v, v3, w=1.0, second=False):
+    """Derivatives of the angle terms w*v3(theta), theta the angle between the
+    legs u[t] = x_i - x_j and v[t] = x_k - x_j, by the chain rule through
+    c = cos(theta) = uh.vh.
+
+    With gu = dc/du = P_u vh/|u|, gv = dc/dv, E_c = -w v3'/sin(theta) and
+    E_cc = (w v3'' + E_c c)/sin(theta)^2, returns (grad, block): grad[t]
+    (3, 3) over the atoms (i, j, k) from the leg gradients E_c gu, E_c gv and,
+    with second, the (3, 3, 3, 3) Hessian block E_cc dc dc^T + E_c d2c, where
+    d2c/du2 = -(gu uh^T + uh gu^T)/|u| - c P_u/|u|^2 and
+    d2c/du dv = P_u P_v/(|u||v|), P_u = I - uh uh^T; otherwise block is None.
+    Raises DegenerateGeometryError on a zero-length leg and, with second, on
+    an angle within 1e-5 rad of 0 or pi.
+    """
+    nu = np.linalg.norm(u, axis=1)
+    nv = np.linalg.norm(v, axis=1)
+    if np.any(nu == 0.0) or np.any(nv == 0.0):
+        raise DegenerateGeometryError("zero-length bond leg")
+    uh = u / nu[:, None]
+    vh = v / nv[:, None]
+    c = np.clip(np.einsum("ij,ij->i", uh, vh), -1.0, 1.0)
+    s = np.sqrt(np.maximum(1.0 - c**2, 1e-30))
+    theta = np.arccos(c)
+    e_c = -(w * v3.deriv(theta)) / s
+    gu = (vh - c[:, None] * uh) / nu[:, None]
+    gv = (uh - c[:, None] * vh) / nv[:, None]
+    g = np.stack([gu, gv], axis=1)
+    grad = np.einsum("ap,tax->tpx", _ANGLE_LEGS, e_c[:, None, None] * g)
+    if not second:
+        return grad, None
+    if np.any(1.0 - c**2 < _STRAIGHT_SIN2):
+        raise DegenerateGeometryError("angle within 1e-5 rad of 0 or pi: its curvature is lost to round-off")
+    e_cc = (w * v3.deriv2(theta) + e_c * c) / s**2
+    blocks = e_cc[:, None, None, None, None] * np.einsum("tax,tby->taxby", g, g)
+    eye = np.eye(3)
+    p_u = eye - np.einsum("ti,tj->tij", uh, uh)
+    p_v = eye - np.einsum("ti,tj->tij", vh, vh)
+    we = e_c[:, None, None]
+    for a, (gl, hl, nl, pl) in enumerate(((gu, uh, nu, p_u), (gv, vh, nv, p_v))):
+        outer = np.einsum("ti,tj->tij", gl, hl)
+        d2c = -(outer + outer.transpose(0, 2, 1)) / nl[:, None, None] - (c / nl**2)[:, None, None] * pl
+        blocks[:, a, :, a, :] += we * d2c
+    cross = we * (p_u @ p_v) / (nu * nv)[:, None, None]
+    blocks[:, 0, :, 1, :] += cross
+    blocks[:, 1, :, 0, :] += cross.transpose(0, 2, 1)
+    return grad, np.einsum("ap,taxby,bq->tpxqy", _ANGLE_LEGS, blocks, _ANGLE_LEGS)
+
+
+def _add_blocks(hess, atoms, blocks):
+    """Scatter-add per-term Hessian blocks, blocks[t, p, :, q, :] over the
+    term's atoms atoms[t, p] and atoms[t, q], into the dense (3n, 3n) hess."""
     rows = (3 * atoms[:, :, None] + np.arange(3)).reshape(len(atoms), -1)
     flat = rows[:, :, None] * hess.shape[1] + rows[:, None, :]
     np.add.at(hess.reshape(-1), flat.ravel(), blocks.ravel())
 
 
+def gradient(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = None) -> np.ndarray:
+    """Analytic gradient of total_energy with respect to all positions at fixed L."""
+    if graph is None:
+        graph = bond_graph(tube, cutoff=pots.cutoff)
+    pos = tube.positions
+    grad = np.zeros_like(pos)
+    if graph.n_bonds:
+        np.add.at(grad, graph.pairs, _bond_term(_bond_vectors(pos, graph), pots.v2)[0])
+    if graph.n_angles:
+        np.add.at(grad, graph.triples, _angle_term(*_leg_vectors(pos, graph), pots.v3)[0])
+    return grad
+
+
 def hessian(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = None) -> np.ndarray:
     """Analytic Hessian of total_energy with respect to all positions at fixed
     L, as one dense (3n, 3n) array with the coordinates of atom a in rows
-    3a..3a+2.
-
-    A bond of length r and direction rh adds [[K, -K], [-K, K]] with
-    K = v2'' rh rh^T + (v2'/r)(I - rh rh^T).  An angle adds
-    E_cc dc dc^T + E_c d2c over its legs u, v (see _angle_chain), with
-    d2c/du2 = -(gu uh^T + uh gu^T)/|u| - c P_u/|u|^2 and
-    d2c/du dv = P_u P_v/(|u||v|), P_u = I - uh uh^T.  It holds the gradient
-    terms too, so it is the Hessian at any configuration with this bond
-    graph, stationary or not.  Symmetric to round-off.
+    3a..3a+2: the 6x6 bond and 9x9 angle blocks of _bond_term and _angle_term
+    scatter-added.  It holds the gradient terms too, so it is the Hessian at
+    any configuration with this bond graph, stationary or not.  Symmetric to
+    round-off.
     """
     if graph is None:
         graph = bond_graph(tube, cutoff=pots.cutoff)
     pos = tube.positions
     hess = np.zeros((3 * tube.n, 3 * tube.n))
-    eye = np.eye(3)
     if graph.n_bonds:
-        d, r = _bond_lengths(pos, graph)
-        rr = np.einsum("ti,tj->tij", d, d) / (r**2)[:, None, None]
-        k = pots.v2.deriv2(r)[:, None, None] * rr + (pots.v2.deriv(r) / r)[:, None, None] * (eye - rr)
-        _add_blocks(hess, graph.pairs, _BOND_LEGS, k[:, None, :, None, :])
+        _add_blocks(hess, graph.pairs, _bond_term(_bond_vectors(pos, graph), pots.v2, second=True)[1])
     if graph.n_angles:
-        uh, vh, nu, nv, c, gu, gv, e_c, e_cc = _angle_chain(pos, graph, pots.v3)
-        if np.any(1.0 - c**2 < _STRAIGHT_SIN2):
-            raise DegenerateGeometryError("angle within 1e-5 rad of 0 or pi: its curvature is lost to round-off")
-        g = np.stack([gu, gv], axis=1)
-        blocks = e_cc[:, None, None, None, None] * np.einsum("tax,tby->taxby", g, g)
-        p_u = eye - np.einsum("ti,tj->tij", uh, uh)
-        p_v = eye - np.einsum("ti,tj->tij", vh, vh)
-        w = e_c[:, None, None]
-        for a, (gl, hl, nl, pl) in enumerate(((gu, uh, nu, p_u), (gv, vh, nv, p_v))):
-            outer = np.einsum("ti,tj->tij", gl, hl)
-            d2c = -(outer + outer.transpose(0, 2, 1)) / nl[:, None, None] - (c / nl**2)[:, None, None] * pl
-            blocks[:, a, :, a, :] += w * d2c
-        cross = w * (p_u @ p_v) / (nu * nv)[:, None, None]
-        blocks[:, 0, :, 1, :] += cross
-        blocks[:, 1, :, 0, :] += cross.transpose(0, 2, 1)
-        _add_blocks(hess, graph.triples, _ANGLE_LEGS, blocks)
+        _add_blocks(hess, graph.triples, _angle_term(*_leg_vectors(pos, graph), pots.v3, second=True)[1])
     return hess

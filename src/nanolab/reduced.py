@@ -93,36 +93,48 @@ def sym_energy(pt: ReducedPoint, pots: PotentialSet) -> float:
     )
 
 
-def _sym_grad_hess(x, mu, gamma1, gamma2, pots):
-    """Analytic gradient and Hessian of sym_energy in (lambda, alpha1, alpha2)."""
-    lam, a1, a2 = x
+def _sym_grad_hess(pt: ReducedPoint, pots: PotentialSet):
+    """Analytic gradient (6,) and Hessian (6, 6) of sym_energy in all six
+    variables z = (mu, gamma1, gamma2, lambda, alpha1, alpha2), the field order
+    of ReducedPoint."""
+    mu, lam = pt.mu, pt.lam
     v2, v3 = pots.v2, pots.v3
-    g = np.zeros(3)
-    h = np.zeros((3, 3))
-    g[0] = 2.0 * v2.deriv(lam)
-    h[0, 0] = 2.0 * v2.deriv2(lam)
-    for idx, (ai, gi) in enumerate(((a1, gamma1), (a2, gamma2))):
+    g = np.zeros(6)
+    h = np.zeros((6, 6))
+    g[3] = 2.0 * v2.deriv(lam)
+    h[3, 3] = 2.0 * v2.deriv2(lam)
+    for idx, (ai, gi) in enumerate(((pt.alpha1, pt.gamma1), (pt.alpha2, pt.gamma2))):
+        ia, ig = 4 + idx, 1 + idx
         ci, si = np.cos(ai), np.sin(ai)
         mi = 0.5 * mu + lam * ci
         bi = beta(ai, gi)
-        b_a, _, b_aa, _, _ = beta_derivatives(ai, gi)
+        b_a, b_g, b_aa, b_gg, b_ag = beta_derivatives(ai, gi)
         d1, d2 = v2.deriv(mi), v2.deriv2(mi)
-        g[0] += 0.5 * ci * d1
-        g[1 + idx] = -0.5 * lam * si * d1 + v3.deriv(bi) * b_a + 2.0 * v3.deriv(ai)
-        h[0, 0] += 0.5 * ci**2 * d2
-        h[1 + idx, 1 + idx] = (
-            0.5 * lam**2 * si**2 * d2
-            - 0.5 * lam * ci * d1
-            + 2.0 * v3.deriv2(ai)
-            + v3.deriv2(bi) * b_a**2
-            + v3.deriv(bi) * b_aa
-        )
-        h[0, 1 + idx] = h[1 + idx, 0] = -0.5 * si * d1 - 0.5 * lam * si * ci * d2
-    return g, h
+        e1, e2 = v3.deriv(bi), v3.deriv2(bi)
+        # dm_i/dmu = 1/2, dm_i/dlambda = cos(alpha_i), dm_i/dalpha_i = -lambda sin(alpha_i)
+        g[0] += 0.25 * d1
+        g[ig] = e1 * b_g
+        g[3] += 0.5 * ci * d1
+        g[ia] = -0.5 * lam * si * d1 + e1 * b_a + 2.0 * v3.deriv(ai)
+        h[0, 0] += 0.125 * d2
+        h[0, 3] += 0.25 * ci * d2
+        h[0, ia] = -0.25 * lam * si * d2
+        h[ig, ig] = e2 * b_g**2 + e1 * b_gg
+        h[ig, ia] = e2 * b_a * b_g + e1 * b_ag
+        h[3, 3] += 0.5 * ci**2 * d2
+        h[ia, ia] = 0.5 * lam**2 * si**2 * d2 - 0.5 * lam * ci * d1 + 2.0 * v3.deriv2(ai) + e2 * b_a**2 + e1 * b_aa
+        h[3, ia] = -0.5 * si * d1 - 0.5 * lam * si * ci * d2
+    # the loop fills the upper triangle
+    return g, h + np.triu(h, 1).T
 
 
 _BOX_LO = np.array([LAMBDA_LO, ALPHA_LO, ALPHA_LO])
 _BOX_HI = np.array([LAMBDA_HI, ALPHA_HI, ALPHA_HI])
+
+
+def _pinned(x, g):
+    """Inner variables at a box bound with the gradient pushing outward."""
+    return ((x <= _BOX_LO + 1e-12) & (g > 0.0)) | ((x >= _BOX_HI - 1e-12) & (g < 0.0))
 
 
 def reduced_energy(
@@ -136,9 +148,14 @@ def reduced_energy(
 ):
     """Minimize sym_energy over (lambda, alpha1, alpha2) in the box.
 
-    Damped Newton from (1, 2pi/3, 2pi/3) with projection onto the box; raises
-    OptimizationFailureError if the gradient tolerance is not met, and warns
-    (BoundaryWarning) when the minimizer sits on the box boundary.
+    Damped Newton from (1, 2pi/3, 2pi/3) with projection onto the box.  It
+    stops when the KKT residual (the gradient with the components pinned at a
+    bound removed) is at most grad_tol, or when Newton can no longer move (its
+    next iterate is the current or the previous one) and the residual is
+    within the round-off floor max_i sum_j |H_ij| ulp(x_j) of the free
+    variables, which is what one ulp of each variable moves the gradient by.
+    Raises OptimizationFailureError otherwise, and warns (BoundaryWarning) when
+    the minimizer sits on the box boundary.
     Returns (value, (lambda*, alpha1*, alpha2*)).
     """
     x = np.array([1.0, TWO_THIRDS_PI, TWO_THIRDS_PI])
@@ -146,22 +163,16 @@ def reduced_energy(
     def energy_at(y):
         return sym_energy(ReducedPoint(mu, gamma1, gamma2, *y), pots)
 
-    def kkt_residual(y, g):
-        # projected gradient: components pushing out of an active bound vanish
-        r = g.copy()
-        r[(y <= _BOX_LO + 1e-12) & (g > 0.0)] = 0.0
-        r[(y >= _BOX_HI - 1e-12) & (g < 0.0)] = 0.0
-        return np.max(np.abs(r))
-
     f = energy_at(x)
+    prev = x
     for _ in range(max_iter):
-        g, h = _sym_grad_hess(x, mu, gamma1, gamma2, pots)
-        if kkt_residual(x, g) <= grad_tol:
+        gz, hz = _sym_grad_hess(ReducedPoint(mu, gamma1, gamma2, *x), pots)
+        g, h = gz[3:], hz[3:, 3:]
+        # variables pinned at a bound stay fixed; Newton runs in the free subspace
+        free = ~_pinned(x, g)
+        residual = np.max(np.abs(g[free]), initial=0.0)
+        if residual <= grad_tol:
             break
-        # variables pinned at a bound with the gradient pushing outward stay
-        # fixed; Newton runs in the free subspace
-        pinned = ((x <= _BOX_LO + 1e-12) & (g > 0.0)) | ((x >= _BOX_HI - 1e-12) & (g < 0.0))
-        free = ~pinned
         step = np.zeros(3)
         hf = h[np.ix_(free, free)]
         gf = g[free]
@@ -178,7 +189,11 @@ def reduced_energy(
             if fc <= f + 1e-18 or np.allclose(cand, x):
                 break
             t *= 0.5
-        x, f = cand, fc
+        # a fixed point or a 2-cycle in floating point: Newton cannot improve x
+        stuck = np.array_equal(cand, x) or np.array_equal(cand, prev)
+        if stuck and residual <= np.max(np.abs(hf) @ np.spacing(np.abs(x[free])), initial=0.0):
+            break
+        prev, x, f = x, cand, fc
     else:
         raise OptimizationFailureError(
             f"reduced-energy Newton did not reach |grad| <= {grad_tol} in {max_iter} iterations"
@@ -192,41 +207,32 @@ def reduced_energy_value(mu, gamma1, gamma2, pots) -> float:
     return reduced_energy(mu, gamma1, gamma2, pots)[0]
 
 
+def _envelope(mu, gamma1, gamma2, pots):
+    """Gradient and Hessian of sym_energy in all six variables at the inner
+    minimizer, and the mask of its inner variables that are free (not pinned at
+    a box bound)."""
+    _, x = reduced_energy(mu, gamma1, gamma2, pots)
+    g, h = _sym_grad_hess(ReducedPoint(mu, gamma1, gamma2, *x), pots)
+    return g, h, ~_pinned(np.array(x), g[3:])
+
+
 def reduced_gradient(mu, gamma1, gamma2, pots):
     """Envelope first derivatives (d/dmu, d/dgamma1, d/dgamma2) of the reduced energy."""
-    _, (lam, a1, a2) = reduced_energy(mu, gamma1, gamma2, pots)
-    v2, v3 = pots.v2, pots.v3
-    dmu = 0.25 * (v2.deriv(0.5 * mu + lam * np.cos(a1)) + v2.deriv(0.5 * mu + lam * np.cos(a2)))
-    out = [float(dmu)]
-    for ai, gi in ((a1, gamma1), (a2, gamma2)):
-        _, b_g, _, _, _ = beta_derivatives(ai, gi)
-        out.append(float(v3.deriv(beta(ai, gi)) * b_g))
-    return np.array(out)
+    return _envelope(mu, gamma1, gamma2, pots)[0][:3]
 
 
-def reduced_hessian(mu, gamma1, gamma2, pots, step: float = 1e-4) -> np.ndarray:
+def reduced_hessian(mu, gamma1, gamma2, pots) -> np.ndarray:
     """3x3 Hessian of the reduced energy in (mu, gamma1, gamma2).
 
-    Central differences of the analytic envelope gradient with one level of
-    Richardson extrapolation, symmetrized.
+    The envelope Schur complement S_pp - S_px S_xx^-1 S_xp of the six-variable
+    Hessian S at the inner minimizer, with p = (mu, gamma1, gamma2) and x the
+    free inner variables (a variable pinned at a box bound stays fixed, so it
+    is left out of x).
     """
-    def grad_at(p):
-        return reduced_gradient(p[0], p[1], p[2], pots)
-
-    x0 = np.array([mu, gamma1, gamma2], dtype=float)
-
-    def fd(h):
-        cols = []
-        for d in range(3):
-            e = np.zeros(3)
-            e[d] = h
-            cols.append((grad_at(x0 + e) - grad_at(x0 - e)) / (2.0 * h))
-        return np.stack(cols, axis=1)
-
-    h1 = fd(step)
-    h2 = fd(0.5 * step)
-    h = (4.0 * h2 - h1) / 3.0
-    return 0.5 * (h + h.T)
+    _, h, free = _envelope(mu, gamma1, gamma2, pots)
+    inner = 3 + np.flatnonzero(free)
+    s = h[:3, :3] - h[:3, inner] @ np.linalg.solve(h[np.ix_(inner, inner)], h[inner, :3])
+    return 0.5 * (s + s.T)
 
 
 @dataclass(frozen=True)
@@ -350,43 +356,6 @@ def minimize_family(mu: float, ell: int, pots: PotentialSet, m: int = 1) -> Fami
         energy=float(2 * m * ell * value),
         geometry=geom,
     )
-
-
-def minimize_family_direct(mu: float, ell: int, pots: PotentialSet, m: int = 1, resolution: float = 1e-3):
-    """Brute-force oracle: grid over (lambda1, lambda2) plus local quadratic polish.
-
-    Returns (lambda1, lambda2, total energy).  Intentionally independent of the
-    Newton path through reduced_energy.
-    """
-    from .energy import family_energy
-
-    def energy(l1, l2):
-        try:
-            return family_energy(solve_family(ell, mu, l1, l2), m, pots)
-        except InvalidParameterError:
-            return np.inf
-
-    grid = np.arange(LAMBDA_LO + resolution, LAMBDA_HI, resolution)
-    best = (np.inf, None, None)
-    for l1 in grid:
-        for l2 in grid:
-            e = energy(l1, l2)
-            if e < best[0]:
-                best = (e, l1, l2)
-    e0, l1, l2 = best
-    step = resolution
-    for _ in range(40):
-        improved = False
-        for d1, d2 in ((step, 0), (-step, 0), (0, step), (0, -step), (step, step), (-step, -step), (step, -step), (-step, step)):
-            e = energy(l1 + d1, l2 + d2)
-            if e < e0:
-                e0, l1, l2 = e, l1 + d1, l2 + d2
-                improved = True
-        if not improved:
-            step *= 0.5
-            if step < 1e-10:
-                break
-    return float(l1), float(l2), float(e0)
 
 
 def verify_reduced_hessian(ell: int, pots: PotentialSet, n_split_samples: int = 24, seed: int = 0) -> dict:

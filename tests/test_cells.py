@@ -335,7 +335,3 @@ def test_cell_view_accessors(tube, pots_soft, geom):
     assert view.dual_center_distance() == pytest.approx(geom.mu, abs=1e-10)
     xp, sx, delta = view.symmetrize()
     assert delta <= 1e-20
-    from nanolab.cellspec import kink_cell
-
-    xp2, sx2, delta2 = view.symmetrize(reference=kink_cell(tube.ell, pots_soft))
-    assert delta2 == pytest.approx(delta, abs=1e-18)

@@ -2,8 +2,20 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle import angle_sum_second_fd, cell_hessian_fd, t_jacobian_fd
 
-from nanolab.cells import cell_energies, cell_plane_angles, reflect_s1, reflect_s2
+from nanolab import cells
+from nanolab.cells import (
+    ANGLE_SLOTS,
+    BOND_SLOTS,
+    cell_energies,
+    cell_energy_gradient,
+    cell_plane_angles,
+    reflect_s1,
+    reflect_s2,
+)
 from nanolab.cellspec import (
     ANGLE_SUM_VECTORS,
     angle_sum_concavity,
@@ -21,8 +33,9 @@ from nanolab.cellspec import (
     tilde_gradient,
     tilde_hessian_diag,
 )
+from nanolab.energy import BondGraph, gradient
 from nanolab.errors import InvalidParameterError, VerificationFailureError
-from nanolab.geometry import gamma
+from nanolab.geometry import Nanotube, gamma
 from nanolab.reduced import reference_angles
 
 TP = 2.0 * np.pi / 3.0
@@ -215,3 +228,85 @@ def test_angle_sum_concavity_constant(pots_soft):
 def test_convexity_rejects_small_ell(pots_soft):
     with pytest.raises(InvalidParameterError):
         cell_hessian_convexity(8, pots_soft)
+
+
+# generators of the infinitesimal rotations: a rotation about axis e_d moves
+# each atom x by _ROTATIONS[d] @ x
+_ROTATIONS = [np.cross(np.eye(3)[d], -np.eye(3)) for d in range(3)]
+
+
+def _rotation(axis, angle):
+    k = np.asarray(axis) / np.linalg.norm(axis)
+    kx = np.cross(k, -np.eye(3))
+    return np.eye(3) + np.sin(angle) * kx + (1.0 - np.cos(angle)) * kx @ kx
+
+
+@settings(max_examples=12)
+@given(
+    ell=st.sampled_from([0, 16, 64]),
+    jitter=st.floats(0.0, 0.03),
+    seed=st.integers(0, 2**16),
+    axis=st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(0.1, 1)),
+    angle=st.floats(0.0, 2 * np.pi),
+    shift=st.tuples(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5)),
+)
+def test_cell_derivatives_match_oracles(pots_soft, ell, jitter, seed, axis, angle, shift):
+    # planar (ell = 0) or kink reference, jittered, rigidly rotated and moved
+    ref = planar_reference() if ell == 0 else kink_cell(ell, pots_soft)
+    cell = ref + jitter * np.random.default_rng(seed).uniform(-1.0, 1.0, (8, 3))
+    cell = cell @ _rotation(axis, angle).T + np.array(shift)
+    h = cell_hessian(cell, pots_soft)
+    scale = np.max(np.abs(h))
+    assert np.max(np.abs(h - cell_hessian_fd(cell, pots_soft))) <= 1e-8 * scale
+    assert np.max(np.abs(h - h.T)) <= 1e-14 * scale
+    jac = t_jacobian(cell)
+    assert np.max(np.abs(jac - t_jacobian_fd(cell))) <= 1e-8
+
+    # rigid motions: translations are in the kernel of both; an infinitesimal
+    # rotation A is in the kernel of DT, and H (A x) = A grad (zero at a
+    # stationary cell) because the gradient turns with the cell
+    grad = cell_energy_gradient(cell, pots_soft)
+    for d in range(3):
+        move = np.zeros((8, 3))
+        move[:, d] = 1.0
+        assert np.max(np.abs(h @ move.ravel())) <= 1e-13 * scale
+        assert np.max(np.abs(jac @ move.ravel())) <= 1e-13
+        turn = cell @ _ROTATIONS[d].T
+        assert np.max(np.abs(h @ turn.ravel() - (grad @ _ROTATIONS[d].T).ravel())) <= 1e-12 * scale
+        assert np.max(np.abs(jac @ turn.ravel())) <= 1e-12
+
+    # the cell gradient is energy.gradient on the same terms once the cell
+    # weights are set to one
+    graph = BondGraph(8, 1e3, BOND_SLOTS, np.zeros(8, dtype=int), ANGLE_SLOTS, np.zeros((10, 2), dtype=int))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cells, "BOND_WEIGHTS", np.ones(8))
+        mp.setattr(cells, "ANGLE_WEIGHTS", np.ones(10))
+        unit = cell_energy_gradient(cell, pots_soft)
+    assert np.array_equal(unit, gradient(Nanotube(cell, 1e3, 1, 1), pots_soft, graph))
+
+
+@pytest.mark.parametrize("ell", [16, 32, 64])
+def test_kink_cell_derivatives_match_oracles(pots_soft, ell):
+    cell = kink_cell(ell, pots_soft)
+    h = cell_hessian(cell, pots_soft)
+    assert np.max(np.abs(h - cell_hessian_fd(cell, pots_soft))) <= 1e-8 * np.max(np.abs(h))
+    assert np.max(np.abs(t_jacobian(cell) - t_jacobian_fd(cell))) <= 1e-8
+
+
+def test_angle_sum_concavity_matches_second_difference(pots_soft):
+    # the first five samples are the five bad directions; their ratios are
+    # -d2/resid^2 with d2 the second derivative of the total angle sum
+    rep = angle_sum_concavity(pots_soft, n_samples=0)
+    basis = cell_basis()
+    qdeg, _ = np.linalg.qr(basis.degenerate.reshape(6, 24).T)
+    x0 = planar_reference()
+    for w, ratio in zip(basis.bad.reshape(5, 24), rep["ratios"]):
+        v = w / np.linalg.norm(w)
+        resid = np.linalg.norm(v - qdeg @ (qdeg.T @ v))
+        errors = [
+            abs(-angle_sum_second_fd(x0, v.reshape(8, 3), step) / resid**2 - ratio) for step in (1e-1, 3e-2, 1e-2, 1e-3)
+        ]
+        # the stencil converges to the analytic value as its step shrinks
+        # (O(step^4)) until round-off takes over near step = 1e-3
+        assert errors[1] < errors[0] / 50 and errors[2] < errors[1] / 50
+        assert errors[3] <= 1e-6 * abs(ratio)

@@ -2,18 +2,21 @@ import warnings
 
 import numpy as np
 import pytest
+from oracle import minimize_family_direct, reduced_hessian_fd
 
-from nanolab.errors import BoundaryWarning, DomainError, InvalidParameterError
+from nanolab.errors import BoundaryWarning, DomainError, InvalidParameterError, OptimizationFailureError
 from nanolab.geometry import build_nanotube, gamma
 from nanolab.energy import total_energy
+from nanolab.potentials import PotentialSet
 from nanolab.reduced import (
     ALPHA_HI,
     ALPHA_LO,
     ReducedPoint,
+    _pinned,
+    _sym_grad_hess,
     beta,
     beta_derivatives,
     minimize_family,
-    minimize_family_direct,
     minimizer_properties,
     reduced_energy,
     reduced_energy_value,
@@ -112,12 +115,10 @@ def test_equal_gammas_give_equal_alphas(pots_soft):
 
 
 def test_first_order_optimality_residual(pots_soft):
-    from nanolab.reduced import _sym_grad_hess
-
     for mu, g1, g2 in [(2.99, 2.95, 2.95), (2.98, 2.9, 3.0), (3.0, np.pi, np.pi)]:
         _, x = reduced_energy(mu, g1, g2, pots_soft)
-        g, _ = _sym_grad_hess(np.array(x), mu, g1, g2, pots_soft)
-        assert np.max(np.abs(g)) < 1e-10
+        g, _ = _sym_grad_hess(ReducedPoint(mu, g1, g2, *x), pots_soft)
+        assert np.max(np.abs(g[3:])) < 1e-10
 
 
 def test_reference_angles_ordering(pots_soft):
@@ -233,21 +234,22 @@ def test_radius_trend_flips_for_stiff(pots_stiff):
     assert rep["radius_trend_ok"]
 
 
+class _FarPair:
+    """Pair potential with its minimum at bond length 1.2, outside the box."""
+
+    def value(self, r):
+        return 400.0 * (np.asarray(r, dtype=float) - 1.2) ** 2 - 1.0
+
+    def deriv(self, r):
+        return 800.0 * (np.asarray(r, dtype=float) - 1.2)
+
+    def deriv2(self, r):
+        return 800.0 * np.ones_like(np.asarray(r, dtype=float))
+
+
 def test_boundary_warning_when_minimizer_leaves_box(pots_soft):
     # a pair potential preferring bond length 1.2 pulls lambda beyond the box,
     # so the solver pins it at the upper edge and warns
-    from nanolab.potentials import PotentialSet
-
-    class _FarPair:
-        def value(self, r):
-            return 400.0 * (np.asarray(r, dtype=float) - 1.2) ** 2 - 1.0
-
-        def deriv(self, r):
-            return 800.0 * (np.asarray(r, dtype=float) - 1.2)
-
-        def deriv2(self, r):
-            return 800.0 * np.ones_like(np.asarray(r, dtype=float))
-
     pots = PotentialSet(_FarPair(), pots_soft.v3)
     with pytest.warns(BoundaryWarning):
         _, (lam, a1, a2) = reduced_energy(2.9, np.pi, np.pi, pots)
@@ -262,3 +264,41 @@ def test_verify_rejects_small_ell(pots_soft):
 def test_verified_convexity_box_reported(pots_soft):
     rep = verify_reduced_hessian(32, pots_soft)
     assert rep["verified_box_halfwidth"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "ell, mu_offset, d1, d2",
+    [(16, 0.0, 0.0, 0.0), (16, 0.01, 0.005, -0.003), (64, -0.02, 0.0, 0.0), (64, 0.02, -0.004, 0.006)],
+)
+def test_reduced_hessian_matches_fd_oracle(pots_soft, ell, mu_offset, d1, d2):
+    g = gamma(ell)
+    pt = (reference_angles(ell, pots_soft).mu_us + mu_offset, g + d1, g + d2)
+    h = reduced_hessian(*pt, pots_soft)
+    assert np.max(np.abs(h - reduced_hessian_fd(*pt, pots_soft))) <= 1e-8 * np.max(np.abs(h))
+
+
+def test_reduced_hessian_with_lambda_pinned(pots_soft):
+    # lambda sits at the box bound, so the envelope runs over the alphas only
+    pots = PotentialSet(_FarPair(), pots_soft.v3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryWarning)
+        for pt in [(2.9, np.pi, np.pi), (2.92, np.pi - 0.01, np.pi - 0.02)]:
+            assert reduced_energy(*pt, pots)[1][0] == 1.1
+            h = reduced_hessian(*pt, pots)
+            assert np.max(np.abs(h - reduced_hessian_fd(*pt, pots))) <= 1e-8 * np.max(np.abs(h))
+
+
+def test_newton_stops_at_round_off_floor(pots_soft):
+    # Newton 2-cycles here between neighbouring floats whose KKT residuals
+    # (about 1.0e-12 and 1.2e-12) straddle grad_tol; one ulp of alpha moves
+    # the gradient by about 1.7e-12
+    g = gamma(64)
+    pt = (2.990860220598413, g + 5e-5, g)
+    _, x = reduced_energy(*pt, pots_soft)
+    grad, hess = _sym_grad_hess(ReducedPoint(*pt, *x), pots_soft)
+    x, grad, hess = np.array(x), grad[3:], hess[3:, 3:]
+    free = ~_pinned(x, grad)
+    floor = np.max(np.abs(hess[np.ix_(free, free)]) @ np.spacing(np.abs(x[free])))
+    assert np.max(np.abs(grad[free])) <= floor
+    with pytest.raises(OptimizationFailureError):
+        reduced_energy(*pt, pots_soft, max_iter=2)
