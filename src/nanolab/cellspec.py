@@ -301,13 +301,24 @@ def cell_hessian(cell: np.ndarray, pots: PotentialSet) -> np.ndarray:
     return hess
 
 
-def constrained_rayleigh_min(hess: np.ndarray, span: np.ndarray, r: float, n_scan: int = 60) -> dict:
+# points of the geometric nu scan before golden-section refinement
+N_SCAN = 60
+# eigenvalues of H + nu*P this close to the smallest, relative to max|lambda(H)|,
+# belong to its eigenspace: golden section leaves a multiple eigenvalue split by
+# about 1e-16 of that scale, and the next distinct one at the kink cells sits
+# at 6e-10 of it or more
+EIGENSPACE_TOL = 1e-10
+
+
+def constrained_rayleigh_min(hess: np.ndarray, span: np.ndarray, r: float) -> dict:
     """Lower bound on min v'Hv over unit v with |proj_span(v)| <= r.
 
     Weak Lagrangian duality: for any nu >= 0, lambda_min(H + nu*P) - nu*r^2 is
     a valid lower bound; the best nu is found by scanning plus golden-section
-    refinement (the dual function is concave in nu).  A feasible primal search
-    gives the companion upper bound.
+    refinement (the dual function is concave in nu).  The companion upper bound
+    is v'Hv at a feasible v from the dual-optimal eigenspace: the unit vector
+    there with |Pv| = r when one exists (then v'Hv equals the lower bound),
+    else the smallest eigenvector with its in-span part shrunk to |Pv| = r.
     """
     if not (0.0 < r < 1.0):
         raise InvalidParameterError(f"r must lie in (0, 1), got {r}")
@@ -318,7 +329,7 @@ def constrained_rayleigh_min(hess: np.ndarray, span: np.ndarray, r: float, n_sca
         return float(np.linalg.eigvalsh(hess + nu * proj)[0]) - nu * r**2
 
     scale = float(np.max(np.abs(np.linalg.eigvalsh(hess))))
-    nus = np.concatenate([[0.0], np.geomspace(1e-6 * scale, 10.0 * scale, n_scan)])
+    nus = np.concatenate([[0.0], np.geomspace(1e-6 * scale, 10.0 * scale, N_SCAN)])
     vals = np.array([dual(nu) for nu in nus])
     best = int(np.argmax(vals))
     lo = nus[max(0, best - 1)]
@@ -340,17 +351,25 @@ def constrained_rayleigh_min(hess: np.ndarray, span: np.ndarray, r: float, n_sca
     nu_star = 0.5 * (a + b)
     lower = dual(nu_star)
 
-    # primal feasible upper bound from the dual-optimal eigenvector
+    # At the kink cells the smallest eigenvalue is multiple, so a single eigh
+    # vector would be an arbitrary pick.  In the eigenspace V, |PVc|^2 ranges
+    # over the eigenvalues of V'PV; mixing the extreme two hits r^2.
     evals, evecs = np.linalg.eigh(hess + nu_star * proj)
-    v = evecs[:, 0]
-    pv = proj @ v
-    npv = np.linalg.norm(pv)
-    if npv > r:
-        # shrink the in-span component to the constraint boundary
-        perp = v - pv
-        nperp = np.linalg.norm(perp)
-        if nperp > 1e-14:
-            v = (r / npv) * pv + np.sqrt(1.0 - r**2) * perp / nperp
+    space = evecs[:, evals <= evals[0] + EIGENSPACE_TOL * scale]
+    p_evals, p_evecs = np.linalg.eigh(space.T @ proj @ space)
+    if p_evals[0] <= r**2 <= p_evals[-1] and p_evals[0] < p_evals[-1]:
+        s2 = (r**2 - p_evals[0]) / (p_evals[-1] - p_evals[0])
+        v = space @ (np.sqrt(1.0 - s2) * p_evecs[:, 0] + np.sqrt(s2) * p_evecs[:, -1])
+    else:
+        v = evecs[:, 0]
+        pv = proj @ v
+        npv = np.linalg.norm(pv)
+        if npv > r:
+            # shrink the in-span component to the constraint boundary
+            perp = v - pv
+            nperp = np.linalg.norm(perp)
+            if nperp > 1e-14:
+                v = (r / npv) * pv + np.sqrt(1.0 - r**2) * perp / nperp
     v = v / np.linalg.norm(v)
     upper = float(v @ hess @ v)
     return {"lower": float(max(lower, vals[0] if best == 0 else lower)), "upper": upper, "nu": float(nu_star)}

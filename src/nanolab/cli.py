@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 
 import numpy as np
 
-from . import __version__, cells, cellspec, fracture, geometry, potentials, pxyz, reduced, stability
-from .energy import bond_graph, family_energy, total_energy
+from . import __version__, acceptance, cells, cellspec, fracture, geometry, potentials, pxyz, reduced, stability
+from .energy import bond_graph, total_energy
 from .errors import NanolabError, PxyzFormatError, VerificationFailureError
 
 SCHEMA_VERSION = 1
@@ -36,10 +34,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _sanitize(obj):
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
@@ -52,38 +46,24 @@ def _sanitize(obj):
     return obj
 
 
-def _write_text(path, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _emit(text: str, out: str | None) -> None:
+    if out:
+        pxyz.write_text(out, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
     payload = dict(payload)
     payload["schema_version"] = SCHEMA_VERSION
-    text = json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n"
-    if out:
-        _write_text(out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n", out)
 
 
 def _emit_csv(header, rows, out: str | None) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (float, np.floating)) else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if out:
-        _write_text(out, text)
-    else:
-        sys.stdout.write(text)
+        lines.append(",".join(pxyz.format_float(v) if isinstance(v, (float, np.floating)) else str(v) for v in row))
+    _emit("\n".join(lines) + "\n", out)
 
 
 def _load_pots(args) -> potentials.PotentialSet:
@@ -229,218 +209,30 @@ def cmd_fracture(args) -> int:
 
 def cmd_verify_cell(args) -> int:
     pots = _load_pots(args)
-    report = {"checks": {}}
-    ok = True
-    kern = cellspec.t_jacobian_kernel()
-    kern_ok = (
-        kern["kernel_dim"] == 11
-        and kern["kernel_dim_angles"] == 17
-        and kern["max_principal_angle"] < 1e-4
-    )
-    ok &= kern_ok
-    report["checks"]["kernel"] = {
-        "passed": bool(kern_ok),
-        "kernel_dim": kern["kernel_dim"],
-        "kernel_dim_angles": kern["kernel_dim_angles"],
-        "max_principal_angle": kern["max_principal_angle"],
-    }
     ells = _int_list(args.ell)
-    convexity = []
-    try:
-        for ell in ells:
-            rep = cellspec.cell_hessian_convexity(ell, pots, r=args.r)
-            convexity.append(rep)
-    except VerificationFailureError as exc:
-        report["checks"]["convexity"] = {"passed": False, "error": str(exc)}
-        ok = False
-    else:
-        conv_ok = all(r["c_good"] > 0 and r["c_weak"] > 0 and r["c_kink"] > 0 for r in convexity)
-        entry = {"passed": bool(conv_ok), "rows": convexity}
-        if len(convexity) > 1:
-            arr = np.array([(r["ell"], r["c_weak"]) for r in convexity])
-            slope = float(np.polyfit(np.log(arr[:, 0]), np.log(arr[:, 1]), 1)[0])
-            entry["c_weak_scaling_slope"] = slope
-            conv_ok = conv_ok and abs(slope + 2.0) <= 0.3
-            entry["passed"] = bool(conv_ok)
-        ok &= conv_ok
-        report["checks"]["convexity"] = entry
+    checks = {
+        "kernel": acceptance.kernel_dimensions(None, 0),
+        "convexity": acceptance.cell_convexity(ells, 0, r=args.r, pots=pots),
+    }
     signs = cellspec.tilde_derivative_signs([ell for ell in ells if ell >= 16], pots)
-    signs_ok = all(r["bond_grad_residual"] <= 1e-10 for r in signs["rows"])
-    ok &= signs_ok
-    report["checks"]["tilde_derivatives"] = {
-        "passed": bool(signs_ok),
+    checks["tilde_derivatives"] = {
+        "passed": all(r["bond_grad_residual"] <= 1e-10 for r in signs["rows"]),
         "scaling_slope": signs["scaling_slope"],
         "rows": [{k: v for k, v in r.items() if k != "angle_grad"} for r in signs["rows"]],
     }
-    report["passed"] = bool(ok)
-    _emit_json(report, args.out)
-    return EXIT_OK if ok else EXIT_VERIFICATION
-
-
-def _verify_all(quick: bool, seed: int) -> dict:
-    pots_soft = potentials.default_soft()
-    pots_stiff = potentials.default_stiff()
-    checks = {}
-
-    rep_soft = potentials.validate(pots_soft)
-    rep_stiff = potentials.validate(pots_stiff)
-    checks["potentials"] = {
-        "passed": rep_soft.passed and rep_stiff.passed,
-        "soft": rep_soft.summary(),
-        "stiff": rep_stiff.summary(),
-    }
-
-    rng = np.random.default_rng(seed)
-    tuples = 5 if quick else 10
-    worst = 0.0
-    for _ in range(tuples):
-        ell = int(rng.integers(5, 13))
-        mu = float(rng.uniform(2.7, 3.05))
-        lo = 0.9 + 1e-6
-        hi1 = min(1.1, mu / 2 - 0.2) - 1e-6
-        l1 = float(rng.uniform(lo, hi1))
-        l2 = float(rng.uniform(max(lo, mu / 2 - l1 + 1e-3), 1.1 - 1e-6))
-        m = int(rng.integers(1, 4))
-        geom = geometry.solve_family(ell, mu, l1, l2)
-        tube = geometry.build_nanotube(geom, m)
-        diff = abs(total_energy(tube, pots_soft) - family_energy(geom, m, pots_soft))
-        worst = max(worst, diff / (1e-9 * tube.n))
-    checks["closed_form_identity"] = {"passed": worst <= 1.0, "worst_rel_to_tol": worst}
-
-    ba, bg, baa, bgg, bag = reduced.beta_derivatives(2 * np.pi / 3, np.pi)
-    beta_ok = abs(ba + 2) < 1e-8 and abs(bg) < 1e-8 and abs(bgg + np.sqrt(3) / 2) < 1e-8
-    checks["beta_anchors"] = {"passed": bool(beta_ok), "d_alpha": ba, "d_gamma": bg, "d2_gamma": bgg}
-
-    anchor_ok = True
-    for pots in (pots_soft, pots_stiff):
-        val, (lam, a1, a2) = reduced.reduced_energy(3.0, np.pi, np.pi, pots)
-        anchor_ok &= abs(val + 3.0) < 1e-9 and abs(lam - 1.0) < 1e-9 and abs(a1 - 2 * np.pi / 3) < 1e-9
-    checks["reduced_anchor"] = {"passed": bool(anchor_ok)}
-
-    order_ok = True
-    for ell in (10, 20) if quick else (10, 20, 40):
-        refs = reduced.reference_angles(ell, pots_soft)
-        order_ok &= refs.alpha_ch < refs.alpha_us < refs.alpha_ru
-    fit_ells = np.array([16, 32, 64] if quick else [16, 32, 64, 128], dtype=float)
-    gaps = np.array([2 * np.pi / 3 - reduced.reference_angles(int(l), pots_soft).alpha_us for l in fit_ells])
-    slope = float(np.polyfit(np.log(fit_ells), np.log(gaps), 1)[0])
-    checks["reference_angles"] = {"passed": bool(order_ok and abs(slope + 2) <= 0.2), "slope": slope}
-
-    hrep = reduced.verify_reduced_hessian(32 if quick else 64, pots_soft)
-    checks["reduced_hessian"] = {
-        "passed": bool(hrep["positive_definite"] and hrep["anchor_ok"]),
-        "anchor_ratio": hrep["anchor_ratio"],
-        "eigenvalues": hrep["eigenvalues"],
-    }
-
-    ell, m = 12, 2 if quick else 4
-    refs = reduced.reference_angles(ell, pots_soft)
-    fam = reduced.minimize_family(refs.mu_us, ell, pots_soft, m=m)
-    base = geometry.build_nanotube(fam.geometry, m)
-    n_samples = 10 if quick else 100
-    worst_dec = 0.0
-    worst_excess = -np.inf
-    chat = np.inf
-    target = 4 * m * (2 * ell - 2) * np.pi
-    spec = stability.PerturbationSpec(eta=1e-3, seed=seed + 1, count=n_samples)
-    band = stability.BondBand(base, spec.eta)
-    for trial in range(n_samples):
-        tube, graph, _ = stability.sample_perturbation(base, spec, trial=trial, band=band)
-        dec = abs(total_energy(tube, pots_soft, graph) - cells.total_cell_energy(tube, pots_soft))
-        worst_dec = max(worst_dec, dec / (1e-9 * tube.n))
-        summ = cells.cell_summary(tube, pots_soft)
-        excess = cells.angle_sum(tube) - target
-        dsum = float(np.sum(summ["delta"]))
-        if dsum > 1e-14:
-            worst_excess = max(worst_excess, excess / dsum)
-    base_excess = abs(cells.angle_sum(base) - target)
-    checks["cell_decomposition"] = {"passed": worst_dec <= 1.0, "worst_rel_to_tol": worst_dec}
-    checks["angle_sum"] = {
-        "passed": bool(base_excess <= 1e-8),
-        "unperturbed_residual": base_excess,
-        "excess_over_delta_max": worst_excess,
-    }
-
-    count = 50 if quick else 1000
-    stab_ok = True
-    min_gaps = {}
-    for off in (0.0, 0.01):
-        rep = stability.stability_trial(
-            refs.mu_us + off,
-            ell,
-            m,
-            stability.PerturbationSpec(eta=1e-3, seed=seed, count=count),
-            pots_soft,
-            collect_ratios=False,
-        )
-        stab_ok &= rep["n_failures"] == 0 and rep["min_gap"] > 0.0
-        min_gaps[str(off)] = rep["min_gap"]
-    checks["stability"] = {"passed": bool(stab_ok), "min_gaps": min_gaps, "count": count}
-
-    spec_ell, spec_m = (8, 2) if quick else (12, 4)
-    sfam = reduced.minimize_family(
-        reduced.reference_angles(spec_ell, pots_soft).mu_us + 0.01, spec_ell, pots_soft, m=spec_m
-    )
-    stube = geometry.build_nanotube(sfam.geometry, spec_m)
-    nrep = stability.null_space_report(stube, pots_soft)
-    checks["hessian_null_space"] = {
-        "passed": bool(
-            nrep["n_near_null"] == 4 and nrep["rest_positive"] and nrep["max_principal_angle"] < 1e-3
-        ),
-        "n_near_null": nrep["n_near_null"],
-        "max_principal_angle": nrep["max_principal_angle"],
-    }
-
-    kern = cellspec.t_jacobian_kernel()
-    checks["kernel_dimensions"] = {
-        "passed": bool(
-            kern["kernel_dim"] == 11 and kern["kernel_dim_angles"] == 17 and kern["max_principal_angle"] < 1e-4
-        ),
-        "kernel_dim": kern["kernel_dim"],
-        "kernel_dim_angles": kern["kernel_dim_angles"],
-    }
-
-    conv_ells = [16] if quick else [16, 32, 64]
-    conv_rows = [cellspec.cell_hessian_convexity(e, pots_soft) for e in conv_ells]
-    conv_ok = all(r["c_good"] > 0 and r["c_weak"] > 0 and r["c_kink"] > 0 for r in conv_rows)
-    entry = {"passed": bool(conv_ok), "rows": conv_rows}
-    if len(conv_rows) > 1:
-        arr = np.array([(r["ell"], r["c_weak"]) for r in conv_rows])
-        cw_slope = float(np.polyfit(np.log(arr[:, 0]), np.log(arr[:, 1]), 1)[0])
-        entry["c_weak_scaling_slope"] = cw_slope
-        conv_ok = conv_ok and abs(cw_slope + 2.0) <= 0.3
-        entry["passed"] = bool(conv_ok)
-    checks["cell_convexity"] = entry
-
-    ct = fracture.build_cleaved(12, 16, reduced.reference_angles(12, pots_soft).mu_us + 0.1, pots_soft)
-    ident = abs(ct.energy - ct.base_energy - 4 * ct.ell)
-    frac_ok = ct.fully_cleaved and ident <= 1e-10 * ct.tube.n
-    m_list = [4, 16] if quick else [4, 8, 16, 32, 64]
-    scaling = fracture.fracture_scaling(12, m_list, pots_soft)
-    if len(m_list) > 2:
-        frac_ok = frac_ok and abs(scaling["slope"] + 0.5) <= 0.1
-    checks["fracture"] = {
-        "passed": bool(frac_ok),
-        "bond_deficit": ct.bond_deficit,
-        "identity_residual": ident,
-        "slope": scaling["slope"],
-        "angle_release": ct.energy - ct.measured_energy,
-    }
-
-    trend_ok = True
-    for pots, sign in ((pots_soft, 1.0), (pots_stiff, -1.0)):
-        mp = reduced.minimizer_properties(16, pots, window=0.01, n_grid=7)
-        trend_ok &= np.sign(mp["drho_dmu_at_mu_us"]) == sign and mp["radius_trend_ok"]
-    checks["radius_trend"] = {"passed": bool(trend_ok)}
-
     passed = all(c["passed"] for c in checks.values())
-    return {"passed": passed, "quick": quick, "seed": seed, "version": __version__, "checks": checks}
+    _emit_json({"checks": checks, "passed": passed}, args.out)
+    return EXIT_OK if passed else EXIT_VERIFICATION
 
 
 def cmd_verify_all(args) -> int:
-    report = _verify_all(args.quick, args.seed)
+    checks = {
+        key: check(quick if args.quick else full, args.seed) for _, key, check, quick, full in acceptance.CHECKS
+    }
+    passed = all(c["passed"] for c in checks.values())
+    report = {"passed": passed, "quick": args.quick, "seed": args.seed, "version": __version__, "checks": checks}
     _emit_json(report, args.out)
-    return EXIT_OK if report["passed"] else EXIT_VERIFICATION
+    return EXIT_OK if passed else EXIT_VERIFICATION
 
 
 def build_parser() -> _Parser:

@@ -107,16 +107,15 @@ def cleaved_energy(ell: int, m: int, pots: PotentialSet) -> float:
     return family_energy(geom, m, pots) + 4.0 * ell
 
 
-def fracture_threshold(
-    ell: int,
-    m: int,
-    pots: PotentialSet,
-    window: float = 0.12,
-    coarse_steps: int = 49,
-    tol: float = 1e-6,
-) -> dict:
-    """Smallest mu with E(cleaved) < E(optimal family at mu), by coarse scan
-    plus bisection to tol.  Raises WindowTooSmallError without a crossing."""
+# mu points of the coarse scan for a sign change, and the bisection tolerance
+COARSE_STEPS = 49
+BISECTION_TOL = 1e-6
+
+
+def fracture_threshold(ell: int, m: int, pots: PotentialSet, window: float = 0.12) -> dict:
+    """Smallest mu with E(cleaved) < E(optimal family at mu), by a coarse scan
+    of COARSE_STEPS points plus bisection to BISECTION_TOL.  Raises
+    WindowTooSmallError without a crossing."""
     refs = reference_angles(ell, pots)
     mu_us = refs.mu_us
     e_cleaved = cleaved_energy(ell, m, pots)
@@ -126,7 +125,7 @@ def fracture_threshold(
         return e_cleaved - minimize_family(mu, ell, pots, m=m).energy
 
     hi_limit = min(mu_us + window, 3.1 - 1e-9)
-    grid = np.linspace(mu_us, hi_limit, coarse_steps)
+    grid = np.linspace(mu_us, hi_limit, COARSE_STEPS)
     vals = [excess(float(mu)) for mu in grid]
     bracket = None
     for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
@@ -138,7 +137,7 @@ def fracture_threshold(
             f"no fracture crossing for ell={ell}, m={m} within mu <= {hi_limit:.4f}"
         )
     lo, hi = bracket
-    while hi - lo > tol:
+    while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if excess(mid) > 0.0:
             lo = mid

@@ -1,7 +1,8 @@
 """PXYZ configuration files: line 1 holds `n L`, then n lines `x y z`.
 
 Floats are rendered with 17 significant digits so a write/read round trip is
-bit-exact.
+bit-exact.  The formatter and the atomic writer here serve every file the CLI
+writes.
 """
 
 from __future__ import annotations
@@ -16,25 +17,29 @@ from .errors import PxyzFormatError
 from .geometry import Nanotube
 
 
-def _fmt(x: float) -> str:
+def format_float(x: float) -> str:
+    """17 significant digits: enough for a bit-exact round trip."""
     return format(float(x), ".17g")
 
 
-def write_pxyz(path, tube: Nanotube) -> None:
+def write_text(path, text: str) -> None:
     """Write atomically: temp file in the target directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    lines = [f"{tube.n} {_fmt(tube.period)}"]
-    lines += [f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}" for p in tube.positions]
-    payload = "\n".join(lines) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".pxyz.tmp")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_pxyz(path, tube: Nanotube) -> None:
+    """Write the tube as PXYZ, atomically."""
+    lines = [f"{tube.n} {format_float(tube.period)}"]
+    lines += [f"{format_float(x)} {format_float(y)} {format_float(z)}" for x, y, z in tube.positions]
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_pxyz(path, ell: int | None = None, m: int | None = None) -> Nanotube:
@@ -75,6 +80,9 @@ def read_pxyz(path, ell: int | None = None, m: int | None = None) -> Nanotube:
         if not all(map(math.isfinite, values)):
             raise PxyzFormatError(f"non-finite coordinates {raw[row + 1]!r}", line_number=row + 2)
         pos[row] = values
+    extra = next((i for i in range(n + 1, len(raw)) if raw[i].strip()), None)
+    if extra is not None:
+        raise PxyzFormatError(f"unexpected line after {n} coordinate lines: {raw[extra]!r}", line_number=extra + 1)
     if ell is None or m is None:
         if n % 4 != 0:
             raise PxyzFormatError(f"atom count {n} is not a multiple of 4", line_number=1)

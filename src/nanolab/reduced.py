@@ -130,6 +130,8 @@ def _sym_grad_hess(pt: ReducedPoint, pots: PotentialSet):
 
 _BOX_LO = np.array([LAMBDA_LO, ALPHA_LO, ALPHA_LO])
 _BOX_HI = np.array([LAMBDA_HI, ALPHA_HI, ALPHA_HI])
+# KKT residual at which the inner Newton solve of reduced_energy stops
+GRAD_TOL = 1e-12
 
 
 def _pinned(x, g):
@@ -142,7 +144,6 @@ def reduced_energy(
     gamma1: float,
     gamma2: float,
     pots: PotentialSet,
-    grad_tol: float = 1e-12,
     max_iter: int = 200,
     warn_boundary: bool = True,
 ):
@@ -150,7 +151,7 @@ def reduced_energy(
 
     Damped Newton from (1, 2pi/3, 2pi/3) with projection onto the box.  It
     stops when the KKT residual (the gradient with the components pinned at a
-    bound removed) is at most grad_tol, or when Newton can no longer move (its
+    bound removed) is at most GRAD_TOL, or when Newton can no longer move (its
     next iterate is the current or the previous one) and the residual is
     within the round-off floor max_i sum_j |H_ij| ulp(x_j) of the free
     variables, which is what one ulp of each variable moves the gradient by.
@@ -171,7 +172,7 @@ def reduced_energy(
         # variables pinned at a bound stay fixed; Newton runs in the free subspace
         free = ~_pinned(x, g)
         residual = np.max(np.abs(g[free]), initial=0.0)
-        if residual <= grad_tol:
+        if residual <= GRAD_TOL:
             break
         step = np.zeros(3)
         hf = h[np.ix_(free, free)]
@@ -196,7 +197,7 @@ def reduced_energy(
         prev, x, f = x, cand, fc
     else:
         raise OptimizationFailureError(
-            f"reduced-energy Newton did not reach |grad| <= {grad_tol} in {max_iter} iterations"
+            f"reduced-energy Newton did not reach |grad| <= {GRAD_TOL} in {max_iter} iterations"
         )
     if warn_boundary and (np.any(x - _BOX_LO < 1e-9) or np.any(_BOX_HI - x < 1e-9)):
         warnings.warn("reduced-energy minimizer on the search box boundary", BoundaryWarning)

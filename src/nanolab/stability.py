@@ -210,23 +210,28 @@ def isometry_directions(tube: Nanotube) -> np.ndarray:
     return q
 
 
-def hessian_spectrum(
-    tube: Nanotube,
-    pots: PotentialSet,
-    grad_tol_factor: float = 1e-7,
-    return_vectors: bool = False,
-):
+# stationarity guard of hessian_spectrum: |grad| < GRAD_TOL_FACTOR * sqrt(n)
+GRAD_TOL_FACTOR = 1e-7
+# An eigenvalue is near-null when |lambda| < ZERO_TOL_REL * max|lambda|.  With
+# the analytic Hessian the isometry modes of family tubes come out at or below
+# about 2e-16 of the largest eigenvalue, while genuine soft modes go down to
+# about 1e-8 of it (the softest pair of (24,4) just above the unstretched
+# period sits near 9e-7), so the threshold sits between the two.
+ZERO_TOL_REL = 1e-10
+
+
+def hessian_spectrum(tube: Nanotube, pots: PotentialSet, return_vectors: bool = False):
     """Eigenvalues (ascending) of the configurational Hessian at fixed period.
 
     The analytic Hessian (energy.hessian) on the tube's bond graph, one dense
     eigensolve.  Raises NotStationaryError unless
-    |grad| < grad_tol_factor * sqrt(n).
+    |grad| < GRAD_TOL_FACTOR * sqrt(n).
     """
     graph = bond_graph(tube)
     g0 = gradient(tube, pots, graph)
-    if np.linalg.norm(g0) >= grad_tol_factor * np.sqrt(tube.n):
+    if np.linalg.norm(g0) >= GRAD_TOL_FACTOR * np.sqrt(tube.n):
         raise NotStationaryError(
-            f"gradient norm {np.linalg.norm(g0):.3e} exceeds {grad_tol_factor * np.sqrt(tube.n):.3e}"
+            f"gradient norm {np.linalg.norm(g0):.3e} exceeds {GRAD_TOL_FACTOR * np.sqrt(tube.n):.3e}"
         )
     hess = hessian(tube, pots, graph)
     if return_vectors:
@@ -235,21 +240,15 @@ def hessian_spectrum(
     return np.linalg.eigvalsh(hess)
 
 
-def null_space_report(tube: Nanotube, pots: PotentialSet, zero_tol_rel: float = 1e-10) -> dict:
-    """Spectrum partition into near-null and positive parts plus the principal
-    angles between the near-null eigenvectors and the isometry directions.
-
-    An eigenvalue is near-null when |lambda| < zero_tol_rel * max|lambda|.
-    With the analytic Hessian the isometry modes of family tubes come out at
-    or below about 2e-16 of the largest eigenvalue, while genuine soft modes
-    go down to about 1e-8 of it (the softest pair of (24,4) just above the
-    unstretched period sits near 9e-7), so the threshold sits between the two.
-    """
+def null_space_report(tube: Nanotube, pots: PotentialSet) -> dict:
+    """Spectrum partition into near-null (see ZERO_TOL_REL) and positive parts
+    plus the principal angles between the near-null eigenvectors and the
+    isometry directions."""
     from scipy.linalg import subspace_angles
 
     evals, evecs = hessian_spectrum(tube, pots, return_vectors=True)
     lam_max = float(np.max(np.abs(evals)))
-    zero_tol = zero_tol_rel * lam_max
+    zero_tol = ZERO_TOL_REL * lam_max
     near_null = np.abs(evals) < zero_tol
     n_null = int(np.sum(near_null))
     iso = isometry_directions(tube)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from nanolab import acceptance
 from nanolab.cli import main
 from nanolab.energy import family_energy
 from nanolab.geometry import solve_family
@@ -96,6 +97,9 @@ def test_verify_cell_command(tmp_path):
     rep = json.loads(open(out).read())
     assert rep["passed"]
     assert rep["checks"]["kernel"]["kernel_dim"] == 11
+    # the same checks as the verify-all rows, not a copy of them
+    assert rep["checks"]["kernel"] == acceptance.kernel_dimensions(None, 0)
+    assert rep["checks"]["convexity"] == acceptance.cell_convexity([16, 32], 0, r=0.9)
 
 
 def test_malformed_pxyz_exit_code(tmp_path, capsys):
@@ -152,3 +156,13 @@ def test_non_finite_row_exit_code(tmp_path, capsys):
     bad.write_text("4 6.0\n0 0 0\n1 0 0\nnan 0 0\n3 0 0\n")
     assert run(["energy", "--in", str(bad)]) == 1
     assert "line 4" in capsys.readouterr().err
+
+
+def test_header_undercounting_atoms_exit_code(tmp_path, capsys):
+    # 64 atoms of an (8, 2) tube under a header that claims 60
+    tube_path = tmp_path / "t.pxyz"
+    run(["generate", "--ell", "8", "--m", "2", "--mu", "3", "--lambda1", "1", "--lambda2", "1", "-o", str(tube_path)])
+    lines = tube_path.read_text().splitlines()
+    tube_path.write_text("\n".join(["60 6"] + lines[1:]) + "\n")
+    assert run(["energy", "--in", str(tube_path)]) == 1
+    assert "line 62" in capsys.readouterr().err

@@ -38,6 +38,8 @@ def test_header_format(tmp_path):
         ("4 inf\n0 0 0\n1 0 0\n2 0 0\n3 0 0\n", 1),
         ("2 6.0\n0 0 0\n1 nan 3\n", 3),
         ("2 6.0\n-inf 0 0\n1 2 x\n", 2),
+        ("2 6.0\n0 0 0\n1 2 3\n4 5 6\n", 4),
+        ("2 6.0\n0 0 0\n1 2 3\n\n \n4 5 6\n\n", 6),
     ],
 )
 def test_malformed_inputs_carry_line_numbers(tmp_path, content, line):
@@ -55,3 +57,9 @@ def test_shape_consistency_check(tmp_path):
         read_pxyz(str(path), ell=5, m=1)
     tube = read_pxyz(str(path))
     assert tube.n == 8
+
+
+def test_trailing_blank_lines_accepted(tmp_path):
+    path = tmp_path / "t.pxyz"
+    path.write_text("4 6.0\n" + "\n".join(["0 0 0"] * 4) + "\n\n  \n")
+    assert read_pxyz(str(path)).n == 4
