@@ -26,6 +26,7 @@ from nanolab.cellspec import (
     kink_cell,
     planar_reference,
     t_jacobian,
+    t_jacobian_kernel,
     t_map,
     tilde_derivative_signs,
     tilde_energy,
@@ -123,6 +124,13 @@ def test_angle_sum_caps_on_random_perturbations(rng):
     assert np.all(sums[:, 1:] <= 2 * np.pi + 1e-12)
 
 
+def test_kernel_dimensions_and_span():
+    rep = t_jacobian_kernel()
+    assert rep["kernel_dim"] == 11
+    assert rep["kernel_dim_angles"] == 17
+    assert rep["max_principal_angle"] < 1e-4
+
+
 def test_good_directions_act_to_first_order():
     jac = t_jacobian(planar_reference())
     basis = cell_basis()
@@ -195,6 +203,21 @@ def test_constrained_rayleigh_bounds_consistent(pots_soft):
                 assert abs(upper - rep["upper"]) < 1e-3 * abs(rep["upper"])
     with pytest.raises(InvalidParameterError):
         constrained_rayleigh_min(h, spans[0], 1.5)
+
+
+def test_cell_convexity_constants(pots_soft):
+    rep = cell_hessian_convexity(32, pots_soft, r=0.9)
+    assert rep["c_good"] > 0.0
+    assert rep["c_weak"] > 0.0
+    assert rep["c_kink"] > 0.0
+
+
+def test_cell_convexity_weak_bound_scales_inverse_square(pots_soft):
+    rows = [cell_hessian_convexity(ell, pots_soft, r=0.9) for ell in (16, 32, 64)]
+    ells = np.array([r["ell"] for r in rows], dtype=float)
+    cw = np.array([r["c_weak"] for r in rows])
+    slope = np.polyfit(np.log(ells), np.log(cw), 1)[0]
+    assert slope == pytest.approx(-2.0, abs=0.3)
 
 
 def test_single_atom_out_of_plane_angle_sum_drop():
