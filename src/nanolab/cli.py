@@ -148,25 +148,12 @@ def cmd_reduced(args) -> int:
     pots = _load_pots(args)
     refs = reduced.reference_angles(args.ell, pots)
     grid = _parse_grid(args.mu_grid, refs.mu_us)
-    g = geometry.gamma(args.ell)
-    rows = []
-    for mu in grid:
-        fam = reduced.minimize_family(float(mu), args.ell, pots, m=args.m)
-        hess = reduced.reduced_hessian(float(mu), g, g, pots)
-        evals = np.linalg.eigvalsh(hess)
-        rows.append(
-            [
-                float(mu),
-                fam.lambda1,
-                fam.lambda2,
-                fam.alpha,
-                fam.geometry.rho,
-                fam.energy,
-                float(evals[0]),
-                float(evals[1]),
-                float(evals[2]),
-            ]
-        )
+    fams, sol = reduced.family_minima(grid, args.ell, pots, m=args.m)
+    evals = np.linalg.eigvalsh(sol.envelope_hessian())
+    rows = [
+        [fam.mu, fam.lambda1, fam.lambda2, fam.alpha, fam.geometry.rho, fam.energy, *ev.tolist()]
+        for fam, ev in zip(fams, evals)
+    ]
     header = ["mu", "lambda1", "lambda2", "alpha", "rho", "emin", "hess_eig1", "hess_eig2", "hess_eig3"]
     _emit_csv(header, rows, args.out)
     return EXIT_OK
@@ -202,6 +189,8 @@ def cmd_fracture(args) -> int:
         "rows": [
             {k: r[k] for k in ("m", "mu_frac", "offset", "offset_sqrt_m")} for r in scaling["rows"]
         ],
+        "newton_iterations": scaling["newton_iterations"],
+        "max_kkt_residual": scaling["max_kkt_residual"],
     }
     _emit_json(payload, args.out)
     return EXIT_OK

@@ -4,11 +4,17 @@ The cleaved state keeps both halves at the unstretched optimal geometry and
 rigidly separates them along the axis; per n-cell it has 4*ell fewer bonds
 than the intact unstretched tube once the gap clears the bond cutoff.  Its
 energy is accounted as E(unstretched) + 4*ell (one unit per severed bond at
-the pair-potential minimum), which is the comparison the threshold scan uses
-against the elastically stretched minimizer.  The literally evaluated energy
-of the built configuration is also reported; it is lower by the small
-three-body energy released at the cleft faces (the angles there sit slightly
-off the angle-potential minimum), a contribution that vanishes as ell grows.
+the pair-potential minimum), which is what the threshold compares against
+the elastically stretched minimizer.  The literally evaluated energy of the
+built configuration is also reported; it is lower by the small three-body
+energy released at the cleft faces (the angles there sit slightly off the
+angle-potential minimum), a contribution that vanishes as ell grows.
+
+The stretched minimizer's energy is 2*m*ell*e(mu), with e the reduced
+energy per cell at (mu, gamma_ell, gamma_ell), and the unstretched tube's is
+2*m*ell*e(mu_us); e does not depend on m.  So the threshold of every m is a
+root of e(mu) - e(mu_us) = 2/m on the one curve e, and all m are solved
+together by a safeguarded Newton iteration on it.
 """
 
 from __future__ import annotations
@@ -19,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import bond_graph, family_energy, total_energy
-from .errors import InvalidParameterError, WindowTooSmallError, NotCleavedWarning
-from .geometry import Nanotube, solve_family
+from .errors import InvalidParameterError, NotCleavedWarning, OptimizationFailureError, WindowTooSmallError
+from .geometry import Nanotube, gamma, solve_family
 from .potentials import PotentialSet
-from .reduced import minimize_family, reference_angles
+from .reduced import reduced_solve, reference_angles
 
 
 @dataclass
@@ -100,50 +106,87 @@ def build_cleaved(ell: int, m: int, mu: float, pots: PotentialSet) -> CleavedTub
     )
 
 
+def _cleaved_energy(ell: int, m: int, mu_us: float, pots: PotentialSet) -> float:
+    return family_energy(solve_family(ell, mu_us, 1.0, 1.0), m, pots) + 4.0 * ell
+
+
 def cleaved_energy(ell: int, m: int, pots: PotentialSet) -> float:
     """Bookkept cleaved-state energy E(unstretched) + 4*ell; mu-independent."""
-    refs = reference_angles(ell, pots)
-    geom = solve_family(ell, refs.mu_us, 1.0, 1.0)
-    return family_energy(geom, m, pots) + 4.0 * ell
+    return _cleaved_energy(ell, m, reference_angles(ell, pots).mu_us, pots)
 
 
-# mu points of the coarse scan for a sign change, and the bisection tolerance
-COARSE_STEPS = 49
-BISECTION_TOL = 1e-6
+# Newton on e(mu) stops once its step is at most ROOT_TOL, and fails after
+# ROOT_MAX_ITER iterations
+ROOT_TOL = 1e-12
+ROOT_MAX_ITER = 100
 
 
-def fracture_threshold(ell: int, m: int, pots: PotentialSet, window: float = 0.12) -> dict:
-    """Smallest mu with E(cleaved) < E(optimal family at mu), by a coarse scan
-    of COARSE_STEPS points plus bisection to BISECTION_TOL.  Raises
-    WindowTooSmallError without a crossing."""
-    refs = reference_angles(ell, pots)
-    mu_us = refs.mu_us
-    e_cleaved = cleaved_energy(ell, m, pots)
+def _thresholds(ell: int, ms, pots: PotentialSet, window: float):
+    """Fracture thresholds mu_frac of every m of ms, solved together on the
+    per-cell reduced energy curve e(mu) = E_min(mu) / (2 m ell).
 
-    def excess(mu):
-        # positive while the stretched periodic tube is still favorable
-        return e_cleaved - minimize_family(mu, ell, pots, m=m).energy
+    E(cleaved) - E_min(mu) = 4 ell - 2 m ell (e(mu) - e(mu_us)), so mu_frac
+    is the root of e(mu) - e(mu_us) = 2/m in (mu_us, min(mu_us + window,
+    3.1 - 1e-9)].  Safeguarded Newton with slope e'(mu) from the envelope
+    gradient, bisecting whenever a step leaves the bracket, started at
+    mu_us + 2/sqrt(m e''(mu_us)); each iteration is one batched reduced solve
+    over the m not yet converged.  Raises WindowTooSmallError for the first m
+    whose root the window does not bracket.
 
+    Returns (mu_us, mu_frac array, total inner Newton iterations, largest
+    final KKT residual of the reduced solves).
+    """
+    ms = np.asarray(ms, dtype=int)
+    if np.any(ms < 1):
+        raise InvalidParameterError(f"m must be at least 1, got {ms.tolist()}")
+    mu_us = reference_angles(ell, pots).mu_us
+    g = gamma(ell)
     hi_limit = min(mu_us + window, 3.1 - 1e-9)
-    grid = np.linspace(mu_us, hi_limit, COARSE_STEPS)
-    vals = [excess(float(mu)) for mu in grid]
-    bracket = None
-    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if fa > 0.0 >= fb:
-            bracket = (float(a), float(b))
+    target = 2.0 / ms
+    solves = []
+
+    def solve(mus):
+        solves.append(reduced_solve(mus, g, g, pots))
+        return solves[-1]
+
+    ends = solve([mu_us, hi_limit])
+    e_us = ends.value[0]
+    for m, rise in zip(ms, target):
+        if ends.value[1] - e_us < rise:
+            raise WindowTooSmallError(f"no fracture crossing for ell={ell}, m={m} within mu <= {hi_limit:.4f}")
+    lo = np.full(len(ms), mu_us)
+    hi = np.full(len(ms), hi_limit)
+    curvature = ends.envelope_hessian()[0, 0, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = mu_us + 2.0 / np.sqrt(ms * curvature)
+    mu = np.where((mu > lo) & (mu < hi), mu, 0.5 * (lo + hi))
+    active = np.arange(len(ms))
+    for _ in range(ROOT_MAX_ITER):
+        curve = solve(mu[active])
+        f = curve.value - e_us - target[active]
+        below = f < 0.0
+        lo[active] = np.where(below, mu[active], lo[active])
+        hi[active] = np.where(below, hi[active], mu[active])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = mu[active] - f / curve.grad[:, 0]
+        # a step outside the bracket (or from a slope of 0 or NaN) bisects instead
+        inside = (step >= lo[active]) & (step <= hi[active])
+        step = np.where(inside, step, 0.5 * (lo[active] + hi[active]))
+        done = np.abs(step - mu[active]) <= ROOT_TOL
+        mu[active] = step
+        active = active[~done]
+        if len(active) == 0:
             break
-    if bracket is None:
-        raise WindowTooSmallError(
-            f"no fracture crossing for ell={ell}, m={m} within mu <= {hi_limit:.4f}"
+    else:
+        raise OptimizationFailureError(
+            f"fracture threshold Newton did not converge for ell={ell}, m={ms[active].tolist()}"
         )
-    lo, hi = bracket
-    while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    mu_frac = 0.5 * (lo + hi)
+    iterations = int(sum(int(np.sum(s.iterations)) for s in solves))
+    residual = float(max(np.max(s.residual) for s in solves))
+    return mu_us, mu, iterations, residual
+
+
+def _row(ell: int, m: int, mu_us: float, mu_frac: float, pots: PotentialSet) -> dict:
     return {
         "ell": ell,
         "m": m,
@@ -151,20 +194,36 @@ def fracture_threshold(ell: int, m: int, pots: PotentialSet, window: float = 0.1
         "mu_frac": mu_frac,
         "offset": mu_frac - mu_us,
         "offset_sqrt_m": (mu_frac - mu_us) * np.sqrt(m),
-        "cleaved_energy": e_cleaved,
+        "cleaved_energy": _cleaved_energy(ell, m, mu_us, pots),
     }
 
 
+def fracture_threshold(ell: int, m: int, pots: PotentialSet, window: float = 0.12) -> dict:
+    """Smallest mu with E(cleaved) < E(optimal family at mu), with the solver
+    diagnostics of its reduced solves.  Raises WindowTooSmallError without a
+    crossing."""
+    mu_us, mu_frac, iterations, residual = _thresholds(ell, [m], pots, window)
+    row = _row(ell, m, mu_us, float(mu_frac[0]), pots)
+    return {**row, "newton_iterations": iterations, "max_kkt_residual": residual}
+
+
 def fracture_scaling(ell: int, m_list, pots: PotentialSet, window: float = 0.12) -> dict:
-    """Thresholds across m plus the log-log slope of (mu_frac - mu_us) vs m."""
-    rows = [fracture_threshold(ell, int(m), pots, window=window) for m in m_list]
-    ms = np.array([r["m"] for r in rows], dtype=float)
+    """Thresholds across m, all solved together, plus the log-log slope of
+    (mu_frac - mu_us) vs m and the solver diagnostics of the reduced solves.
+    Needs at least two distinct m."""
+    ms = [int(m) for m in m_list]
+    if len(set(ms)) < 2:
+        raise InvalidParameterError(f"the m-scaling needs at least two distinct m, got {ms}")
+    mu_us, mu_frac, iterations, residual = _thresholds(ell, ms, pots, window)
+    rows = [_row(ell, m, mu_us, float(mf), pots) for m, mf in zip(ms, mu_frac)]
     offs = np.array([r["offset"] for r in rows])
-    slope, intercept = np.polyfit(np.log(ms), np.log(offs), 1)
+    slope, intercept = np.polyfit(np.log(np.array(ms, dtype=float)), np.log(offs), 1)
     return {
         "ell": ell,
         "rows": rows,
         "slope": float(slope),
         "prefactor": float(np.exp(intercept)),
         "offset_sqrt_m": [r["offset_sqrt_m"] for r in rows],
+        "newton_iterations": iterations,
+        "max_kkt_residual": residual,
     }

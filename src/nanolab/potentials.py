@@ -63,9 +63,19 @@ class PairPotential:
         self.hi = float(hi)
 
     def _psi(self, r):
+        r = np.asarray(r, dtype=float)
+        if np.all(r <= self.lo):
+            # psi, psi', psi'' on (0, lo], as the path below gives them
+            return 1.0, -0.0, 0.0
         width = self.hi - self.lo
-        u = (self.hi - np.asarray(r, dtype=float)) / width
-        s, s1, s2 = _smoothstep(u)
+        u = (self.hi - r) / width
+        # u >= 1 on r <= lo, where psi is 1; u <= 0 (or NaN) gives 0
+        s = np.where(u >= 1.0, 1.0, 0.0)
+        s1 = np.zeros_like(u)
+        s2 = np.zeros_like(u)
+        inner = (u > 0.0) & (u < 1.0)
+        if np.any(inner):
+            s[inner], s1[inner], s2[inner] = _smoothstep(u[inner])
         return s, -s1 / width, s2 / width**2
 
     def value(self, r):

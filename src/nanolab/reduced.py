@@ -77,12 +77,13 @@ class ReducedPoint:
         return float(0.5 * self.mu - self.lam * np.cos(self.alpha1))
 
 
-def sym_energy(pt: ReducedPoint, pots: PotentialSet) -> float:
-    """Cell energy of a fully symmetric cell, as a function of its six parameters."""
+def sym_energy(pt: ReducedPoint, pots: PotentialSet):
+    """Cell energy of a fully symmetric cell, as a function of its six
+    parameters: a float, or an array when the fields of pt are arrays."""
     v2, v3 = pots.v2, pots.v3
     m1 = 0.5 * pt.mu + pt.lam * np.cos(pt.alpha1)
     m2 = 0.5 * pt.mu + pt.lam * np.cos(pt.alpha2)
-    return float(
+    e = (
         2.0 * v2.value(pt.lam)
         + 0.5 * v2.value(m1)
         + 0.5 * v2.value(m2)
@@ -91,52 +92,207 @@ def sym_energy(pt: ReducedPoint, pots: PotentialSet) -> float:
         + v3.value(beta(pt.alpha1, pt.gamma1))
         + v3.value(beta(pt.alpha2, pt.gamma2))
     )
+    return float(e) if np.ndim(e) == 0 else e
 
 
 def _sym_grad_hess(pt: ReducedPoint, pots: PotentialSet):
-    """Analytic gradient (6,) and Hessian (6, 6) of sym_energy in all six
-    variables z = (mu, gamma1, gamma2, lambda, alpha1, alpha2), the field order
-    of ReducedPoint."""
-    mu, lam = pt.mu, pt.lam
+    """Analytic gradient (..., 6) and Hessian (..., 6, 6) of sym_energy in all
+    six variables z = (mu, gamma1, gamma2, lambda, alpha1, alpha2), the field
+    order of ReducedPoint, for fields of any common shape."""
+    mu, gamma1, gamma2, lam, alpha1, alpha2 = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (pt.mu, pt.gamma1, pt.gamma2, pt.lam, pt.alpha1, pt.alpha2))
+    )
     v2, v3 = pots.v2, pots.v3
-    g = np.zeros(6)
-    h = np.zeros((6, 6))
-    g[3] = 2.0 * v2.deriv(lam)
-    h[3, 3] = 2.0 * v2.deriv2(lam)
-    for idx, (ai, gi) in enumerate(((pt.alpha1, pt.gamma1), (pt.alpha2, pt.gamma2))):
-        ia, ig = 4 + idx, 1 + idx
-        ci, si = np.cos(ai), np.sin(ai)
-        mi = 0.5 * mu + lam * ci
-        bi = beta(ai, gi)
-        b_a, b_g, b_aa, b_gg, b_ag = beta_derivatives(ai, gi)
-        d1, d2 = v2.deriv(mi), v2.deriv2(mi)
-        e1, e2 = v3.deriv(bi), v3.deriv2(bi)
-        # dm_i/dmu = 1/2, dm_i/dlambda = cos(alpha_i), dm_i/dalpha_i = -lambda sin(alpha_i)
-        g[0] += 0.25 * d1
-        g[ig] = e1 * b_g
-        g[3] += 0.5 * ci * d1
-        g[ia] = -0.5 * lam * si * d1 + e1 * b_a + 2.0 * v3.deriv(ai)
-        h[0, 0] += 0.125 * d2
-        h[0, 3] += 0.25 * ci * d2
-        h[0, ia] = -0.25 * lam * si * d2
-        h[ig, ig] = e2 * b_g**2 + e1 * b_gg
-        h[ig, ia] = e2 * b_a * b_g + e1 * b_ag
-        h[3, 3] += 0.5 * ci**2 * d2
-        h[ia, ia] = 0.5 * lam**2 * si**2 * d2 - 0.5 * lam * ci * d1 + 2.0 * v3.deriv2(ai) + e2 * b_a**2 + e1 * b_aa
-        h[3, ia] = -0.5 * si * d1 - 0.5 * lam * si * ci * d2
-    # the loop fills the upper triangle
-    return g, h + np.triu(h, 1).T
+    # the two (alpha_i, gamma_i) pairs along a leading axis of length 2
+    alpha, gam = np.stack([alpha1, alpha2]), np.stack([gamma1, gamma2])
+    c, s = np.cos(alpha), np.sin(alpha)
+    m = 0.5 * mu + lam * c
+    b = beta(alpha, gam)
+    b_a, b_g, b_aa, b_gg, b_ag = beta_derivatives(alpha, gam)
+    d1, d2 = v2.deriv(m), v2.deriv2(m)
+    e1, e2 = v3.deriv(b), v3.deriv2(b)
+
+    def pairs(v):
+        return np.moveaxis(v, 0, -1)
+
+    g = np.zeros(mu.shape + (6,))
+    h = np.zeros(mu.shape + (6, 6))
+    # dm_i/dmu = 1/2, dm_i/dlambda = cos(alpha_i), dm_i/dalpha_i = -lambda sin(alpha_i)
+    g[..., 0] = 0.25 * d1[0] + 0.25 * d1[1]
+    g[..., 1:3] = pairs(e1 * b_g)
+    g[..., 3] = 2.0 * v2.deriv(lam) + 0.5 * c[0] * d1[0] + 0.5 * c[1] * d1[1]
+    g[..., 4:6] = pairs(-0.5 * lam * s * d1 + e1 * b_a + 2.0 * v3.deriv(alpha))
+    h[..., 0, 0] = 0.125 * d2[0] + 0.125 * d2[1]
+    h[..., 0, 3] = 0.25 * c[0] * d2[0] + 0.25 * c[1] * d2[1]
+    h[..., 0, 4:6] = pairs(-0.25 * lam * s * d2)
+    h[..., [1, 2], [1, 2]] = pairs(e2 * b_g**2 + e1 * b_gg)
+    h[..., [1, 2], [4, 5]] = pairs(e2 * b_a * b_g + e1 * b_ag)
+    h[..., 3, 3] = 2.0 * v2.deriv2(lam) + 0.5 * c[0] ** 2 * d2[0] + 0.5 * c[1] ** 2 * d2[1]
+    h[..., 3, 4:6] = pairs(-0.5 * s * d1 - 0.5 * lam * s * c * d2)
+    h[..., [4, 5], [4, 5]] = pairs(
+        0.5 * lam**2 * s**2 * d2 - 0.5 * lam * c * d1 + 2.0 * v3.deriv2(alpha) + e2 * b_a**2 + e1 * b_aa
+    )
+    # only the upper triangle is filled above
+    return g, h + np.swapaxes(np.triu(h, 1), -1, -2)
 
 
 _BOX_LO = np.array([LAMBDA_LO, ALPHA_LO, ALPHA_LO])
 _BOX_HI = np.array([LAMBDA_HI, ALPHA_HI, ALPHA_HI])
-# KKT residual at which the inner Newton solve of reduced_energy stops
+_START = np.array([1.0, TWO_THIRDS_PI, TWO_THIRDS_PI])
+# KKT residual at which the inner Newton solve of reduced_solve stops
 GRAD_TOL = 1e-12
 
 
 def _pinned(x, g):
     """Inner variables at a box bound with the gradient pushing outward."""
     return ((x <= _BOX_LO + 1e-12) & (g > 0.0)) | ((x >= _BOX_HI - 1e-12) & (g < 0.0))
+
+
+def _free_groups(free):
+    """(rows, cols) for each distinct row of the (k, 3) mask free: the points
+    with that pattern and the indices of their free inner variables."""
+    codes = free @ np.array([1, 2, 4])
+    for code in np.unique(codes):
+        rows = np.flatnonzero(codes == code)
+        yield rows, np.flatnonzero(free[rows[0]])
+
+
+@dataclass(frozen=True)
+class ReducedSolution:
+    """Inner minima of sym_energy at N points (mu, gamma1, gamma2).
+
+    value (N,) and x (N, 3) are the minimum and the minimizer (lambda,
+    alpha1, alpha2); grad (N, 6) and hess (N, 6, 6) are the derivatives of
+    sym_energy in all six variables there, and free (N, 3) marks the inner
+    variables not pinned at a box bound.  iterations (N,) counts each point's
+    Newton steps and residual (N,) is its final KKT residual.
+    """
+
+    value: np.ndarray
+    x: np.ndarray
+    grad: np.ndarray
+    hess: np.ndarray
+    free: np.ndarray
+    iterations: np.ndarray
+    residual: np.ndarray
+
+    def envelope_hessian(self) -> np.ndarray:
+        """(N, 3, 3) Hessians of the reduced energy in (mu, gamma1, gamma2).
+
+        The envelope Schur complement S_pp - S_px S_xx^-1 S_xp of the
+        six-variable Hessian S at the inner minimizer, with p = (mu, gamma1,
+        gamma2) and x the free inner variables (a variable pinned at a box
+        bound stays fixed, so it is left out of x).
+        """
+        out = np.empty((len(self.x), 3, 3))
+        for rows, cols in _free_groups(self.free):
+            inner = 3 + cols
+            h = self.hess[rows]
+            s = h[:, :3, :3] - h[:, :3, inner] @ np.linalg.solve(h[:, inner][:, :, inner], h[:, inner, :3])
+            out[rows] = 0.5 * (s + np.swapaxes(s, 1, 2))
+        return out
+
+
+def _free_steps(hf, gf):
+    """Newton steps -(H + tau I)^-1 g for a stack of free-variable systems,
+    with tau lifting the lowest eigenvalue of H to at least 1e-8.  A system
+    the solve rejects (singular or not finite) takes the step -g."""
+    try:
+        lowest = np.linalg.eigvalsh(hf)[:, 0]
+        tau = np.where(lowest > 1e-10, 0.0, 1e-8 - lowest)
+        return np.linalg.solve(hf + tau[:, None, None] * np.eye(hf.shape[-1]), -gf[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        if len(hf) == 1:
+            return -gf
+        # one bad system fails the stacked call; retry the systems one by one
+        return np.concatenate([_free_steps(hf[i : i + 1], gf[i : i + 1]) for i in range(len(hf))])
+
+
+def _newton_steps(h, g, free):
+    """Newton steps (k, 3) in the free variables of each point, zero in its
+    pinned ones; the points are solved in groups of equal free pattern."""
+    step = np.zeros_like(g)
+    for rows, cols in _free_groups(free):
+        step[np.ix_(rows, cols)] = _free_steps(h[np.ix_(rows, cols, cols)], g[np.ix_(rows, cols)])
+    return step
+
+
+def reduced_solve(mu, gamma1, gamma2, pots: PotentialSet, max_iter: int = 200, warn_boundary: bool = True):
+    """Minimize sym_energy over (lambda, alpha1, alpha2) in the box at every
+    point of the broadcast arrays (mu, gamma1, gamma2), all points at once.
+
+    Per point: damped Newton from (1, 2pi/3, 2pi/3) with projection onto the
+    box.  It stops when the KKT residual (the gradient with the components
+    pinned at a bound removed) is at most GRAD_TOL, or when Newton can no
+    longer move (its next iterate is the current or the previous one) and the
+    residual is within the round-off floor max_i sum_j |H_ij| ulp(x_j) of the
+    free variables, which is what one ulp of each variable moves the gradient
+    by.  Raises OptimizationFailureError when a point does neither within
+    max_iter iterations, and warns (BoundaryWarning) when a minimizer sits on
+    the box boundary.  Returns a ReducedSolution over the flattened points.
+    """
+    mu, gamma1, gamma2 = (np.ravel(v).astype(float) for v in np.broadcast_arrays(mu, gamma1, gamma2))
+    n = len(mu)
+
+    def energy_at(rows, y):
+        return sym_energy(ReducedPoint(mu[rows], gamma1[rows], gamma2[rows], *y.T), pots)
+
+    x = np.tile(_START, (n, 1))
+    prev = x.copy()
+    f = energy_at(np.arange(n), x)
+    grad = np.zeros((n, 6))
+    hess = np.zeros((n, 6, 6))
+    free = np.ones((n, 3), dtype=bool)
+    iterations = np.zeros(n, dtype=int)
+    residual = np.zeros(n)
+    active = np.arange(n)  # points still iterating
+    for _ in range(max_iter):
+        if len(active) == 0:
+            break
+        xa = x[active]
+        gz, hz = _sym_grad_hess(ReducedPoint(mu[active], gamma1[active], gamma2[active], *xa.T), pots)
+        grad[active], hess[active] = gz, hz
+        g, h = gz[:, 3:], hz[:, 3:, 3:]
+        # variables pinned at a bound stay fixed; Newton runs in the free subspace
+        fr = ~_pinned(xa, g)
+        free[active] = fr
+        res = np.max(np.where(fr, np.abs(g), 0.0), axis=1)
+        residual[active] = res
+        go = ~(res <= GRAD_TOL)  # a NaN residual keeps iterating, and so fails
+        active, xa, g, h, fr, res = active[go], xa[go], g[go], h[go], fr[go], res[go]
+        if len(active) == 0:
+            break
+        step = _newton_steps(h, g, fr)
+        # backtracking line search; every searching point has the same t
+        cand, fc = xa.copy(), f[active]
+        searching = np.arange(len(active))
+        t = 1.0
+        for _ in range(40):
+            c = np.clip(xa[searching] + t * step[searching], _BOX_LO, _BOX_HI)
+            cand[searching] = c
+            fc[searching] = energy_at(active[searching], c)
+            accept = (fc[searching] <= f[active[searching]] + 1e-18) | np.all(np.isclose(c, xa[searching]), axis=1)
+            searching = searching[~accept]
+            if len(searching) == 0:
+                break
+            t *= 0.5
+        # a fixed point or a 2-cycle in floating point: Newton cannot improve x
+        stuck = np.all(cand == xa, axis=1) | np.all(cand == prev[active], axis=1)
+        moving = np.ones(len(active), dtype=bool)
+        for i in np.flatnonzero(stuck):
+            hf = h[i][np.ix_(fr[i], fr[i])]
+            moving[i] = res[i] > np.max(np.abs(hf) @ np.spacing(np.abs(xa[i][fr[i]])), initial=0.0)
+        active = active[moving]
+        prev[active], x[active], f[active] = xa[moving], cand[moving], fc[moving]
+        iterations[active] += 1
+    if len(active):
+        raise OptimizationFailureError(
+            f"reduced-energy Newton did not reach |grad| <= {GRAD_TOL} in {max_iter} iterations"
+            f" at {len(active)} of {n} points"
+        )
+    if warn_boundary and (np.any(x - _BOX_LO < 1e-9) or np.any(_BOX_HI - x < 1e-9)):
+        warnings.warn("reduced-energy minimizer on the search box boundary", BoundaryWarning)
+    return ReducedSolution(f, x, grad, hess, free, iterations, residual)
 
 
 def reduced_energy(
@@ -147,93 +303,24 @@ def reduced_energy(
     max_iter: int = 200,
     warn_boundary: bool = True,
 ):
-    """Minimize sym_energy over (lambda, alpha1, alpha2) in the box.
-
-    Damped Newton from (1, 2pi/3, 2pi/3) with projection onto the box.  It
-    stops when the KKT residual (the gradient with the components pinned at a
-    bound removed) is at most GRAD_TOL, or when Newton can no longer move (its
-    next iterate is the current or the previous one) and the residual is
-    within the round-off floor max_i sum_j |H_ij| ulp(x_j) of the free
-    variables, which is what one ulp of each variable moves the gradient by.
-    Raises OptimizationFailureError otherwise, and warns (BoundaryWarning) when
-    the minimizer sits on the box boundary.
-    Returns (value, (lambda*, alpha1*, alpha2*)).
-    """
-    x = np.array([1.0, TWO_THIRDS_PI, TWO_THIRDS_PI])
-
-    def energy_at(y):
-        return sym_energy(ReducedPoint(mu, gamma1, gamma2, *y), pots)
-
-    f = energy_at(x)
-    prev = x
-    for _ in range(max_iter):
-        gz, hz = _sym_grad_hess(ReducedPoint(mu, gamma1, gamma2, *x), pots)
-        g, h = gz[3:], hz[3:, 3:]
-        # variables pinned at a bound stay fixed; Newton runs in the free subspace
-        free = ~_pinned(x, g)
-        residual = np.max(np.abs(g[free]), initial=0.0)
-        if residual <= GRAD_TOL:
-            break
-        step = np.zeros(3)
-        hf = h[np.ix_(free, free)]
-        gf = g[free]
-        try:
-            evals = np.linalg.eigvalsh(hf)
-            tau = 0.0 if evals[0] > 1e-10 else (1e-8 - evals[0])
-            step[free] = np.linalg.solve(hf + tau * np.eye(int(np.sum(free))), -gf)
-        except np.linalg.LinAlgError:
-            step[free] = -gf
-        t = 1.0
-        for _ in range(40):
-            cand = np.clip(x + t * step, _BOX_LO, _BOX_HI)
-            fc = energy_at(cand)
-            if fc <= f + 1e-18 or np.allclose(cand, x):
-                break
-            t *= 0.5
-        # a fixed point or a 2-cycle in floating point: Newton cannot improve x
-        stuck = np.array_equal(cand, x) or np.array_equal(cand, prev)
-        if stuck and residual <= np.max(np.abs(hf) @ np.spacing(np.abs(x[free])), initial=0.0):
-            break
-        prev, x, f = x, cand, fc
-    else:
-        raise OptimizationFailureError(
-            f"reduced-energy Newton did not reach |grad| <= {GRAD_TOL} in {max_iter} iterations"
-        )
-    if warn_boundary and (np.any(x - _BOX_LO < 1e-9) or np.any(_BOX_HI - x < 1e-9)):
-        warnings.warn("reduced-energy minimizer on the search box boundary", BoundaryWarning)
-    return float(f), (float(x[0]), float(x[1]), float(x[2]))
+    """reduced_solve at one point.  Returns (value, (lambda*, alpha1*, alpha2*))."""
+    sol = reduced_solve(mu, gamma1, gamma2, pots, max_iter=max_iter, warn_boundary=warn_boundary)
+    return float(sol.value[0]), tuple(float(v) for v in sol.x[0])
 
 
 def reduced_energy_value(mu, gamma1, gamma2, pots) -> float:
     return reduced_energy(mu, gamma1, gamma2, pots)[0]
 
 
-def _envelope(mu, gamma1, gamma2, pots):
-    """Gradient and Hessian of sym_energy in all six variables at the inner
-    minimizer, and the mask of its inner variables that are free (not pinned at
-    a box bound)."""
-    _, x = reduced_energy(mu, gamma1, gamma2, pots)
-    g, h = _sym_grad_hess(ReducedPoint(mu, gamma1, gamma2, *x), pots)
-    return g, h, ~_pinned(np.array(x), g[3:])
-
-
 def reduced_gradient(mu, gamma1, gamma2, pots):
     """Envelope first derivatives (d/dmu, d/dgamma1, d/dgamma2) of the reduced energy."""
-    return _envelope(mu, gamma1, gamma2, pots)[0][:3]
+    return reduced_solve(mu, gamma1, gamma2, pots).grad[0, :3]
 
 
 def reduced_hessian(mu, gamma1, gamma2, pots) -> np.ndarray:
-    """3x3 Hessian of the reduced energy in (mu, gamma1, gamma2).
-
-    The envelope Schur complement S_pp - S_px S_xx^-1 S_xp of the six-variable
-    Hessian S at the inner minimizer, with p = (mu, gamma1, gamma2) and x the
-    free inner variables (a variable pinned at a box bound stays fixed, so it
-    is left out of x).
-    """
-    _, h, free = _envelope(mu, gamma1, gamma2, pots)
-    inner = 3 + np.flatnonzero(free)
-    s = h[:3, :3] - h[:3, inner] @ np.linalg.solve(h[np.ix_(inner, inner)], h[inner, :3])
-    return 0.5 * (s + s.T)
+    """3x3 Hessian of the reduced energy in (mu, gamma1, gamma2); see
+    ReducedSolution.envelope_hessian."""
+    return reduced_solve(mu, gamma1, gamma2, pots).envelope_hessian()[0]
 
 
 @dataclass(frozen=True)
@@ -310,7 +397,11 @@ def reference_angles(ell: int, pots: PotentialSet) -> ReferenceAngles:
         fp = fprime(x)
         if abs(fp) < 1e-14:
             break
-        x = float(np.clip(x - fp / fsecond(x), ALPHA_LO, ALPHA_HI))
+        step = float(np.clip(x - fp / fsecond(x), ALPHA_LO, ALPHA_HI))
+        if step == x:
+            # a fixed point: the remaining iterations would not move x
+            break
+        x = step
     alpha_us = x
     return ReferenceAngles(
         ell=ell,
@@ -337,26 +428,38 @@ class FamilyMinimum:
     geometry: ZigzagGeometry
 
 
-def minimize_family(mu: float, ell: int, pots: PotentialSet, m: int = 1) -> FamilyMinimum:
-    """Optimal (lambda1, lambda2) at period mu via the reduced energy at gamma_ell.
+def family_minima(mus, ell: int, pots: PotentialSet, m: int = 1):
+    """Optimal (lambda1, lambda2) at each period of mus via one batched solve
+    of the reduced energy at gamma_ell.
 
-    The total energy of the minimizer is 2*m*ell times the per-cell reduced value.
+    The total energy of each minimizer is 2*m*ell times its per-cell reduced
+    value.  Returns (list of FamilyMinimum, the ReducedSolution).
     """
     g = gamma(ell)
-    value, (lam, a1, a2) = reduced_energy(mu, g, g, pots)
-    lambda1 = float(0.5 * mu + lam * np.cos(a1))
-    geom = solve_family(ell, mu, lambda1, lam)
-    return FamilyMinimum(
-        mu=mu,
-        ell=ell,
-        m=m,
-        lambda1=lambda1,
-        lambda2=lam,
-        alpha=float(a1),
-        energy_per_cell=value,
-        energy=float(2 * m * ell * value),
-        geometry=geom,
-    )
+    mus = np.ravel(np.asarray(mus, dtype=float))
+    sol = reduced_solve(mus, g, g, pots)
+    fams = []
+    for mu, value, (lam, a1, _) in zip(mus.tolist(), sol.value.tolist(), sol.x.tolist()):
+        lambda1 = float(0.5 * mu + lam * np.cos(a1))
+        fams.append(
+            FamilyMinimum(
+                mu=mu,
+                ell=ell,
+                m=m,
+                lambda1=lambda1,
+                lambda2=lam,
+                alpha=a1,
+                energy_per_cell=value,
+                energy=float(2 * m * ell * value),
+                geometry=solve_family(ell, mu, lambda1, lam),
+            )
+        )
+    return fams, sol
+
+
+def minimize_family(mu: float, ell: int, pots: PotentialSet, m: int = 1) -> FamilyMinimum:
+    """family_minima at one period mu."""
+    return family_minima([mu], ell, pots, m=m)[0][0]
 
 
 def verify_reduced_hessian(ell: int, pots: PotentialSet, n_split_samples: int = 24, seed: int = 0) -> dict:
@@ -370,7 +473,26 @@ def verify_reduced_hessian(ell: int, pots: PotentialSet, n_split_samples: int = 
     refs = reference_angles(ell, pots)
     g = gamma(ell)
     mu0 = refs.mu_us
-    hess = reduced_hessian(mu0, g, g, pots)
+    eps = min(0.01, 0.25 * (np.pi - g))
+
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(-eps, eps, size=(n_split_samples, 2))
+    d = d[np.abs(d[:, 0] - d[:, 1]) >= 1e-4]
+    g1, g2 = g + d[:, 0], g + d[:, 1]
+    gbar = 0.5 * (g1 + g2)
+    # strict convexity is guaranteed only near the reference point; report the
+    # box actually verified by checking definiteness at its corners
+    corners = np.array([(mu0 + dmu, g + dg1, g + dg2) for dmu in (-eps, eps) for dg1 in (-eps, eps) for dg2 in (-eps, 0.0)])
+    # one solve: the reference point, the split pairs (g1, g2) and (gbar, gbar), the corners
+    k = len(d)
+    sol = reduced_solve(
+        np.concatenate([[mu0], np.full(2 * k, mu0), corners[:, 0]]),
+        np.concatenate([[g], g1, gbar, corners[:, 1]]),
+        np.concatenate([[g], g2, gbar, corners[:, 2]]),
+        pots,
+    )
+    hessians = sol.envelope_hessian()
+    hess = hessians[0]
     evals = np.linalg.eigvalsh(hess)
     if evals[0] <= 0.0:
         raise VerificationFailureError(f"reduced Hessian not positive definite: eigenvalues {evals}")
@@ -380,30 +502,10 @@ def verify_reduced_hessian(ell: int, pots: PotentialSet, n_split_samples: int = 
     kconst = 9.0 + v2pp / (2.0 * v3pp)
     anchor = 2.0 * v2pp / kconst
     ratio = float(hess[0, 0] / anchor)
-
-    grad = reduced_gradient(mu0, g, g, pots)
-
-    rng = np.random.default_rng(seed)
-    base = reduced_energy_value(mu0, g, g, pots)
-    csplit = np.inf
-    eps = min(0.01, 0.25 * (np.pi - g))
-    for _ in range(n_split_samples):
-        d1, d2 = rng.uniform(-eps, eps, size=2)
-        if abs(d1 - d2) < 1e-4:
-            continue
-        g1, g2 = g + d1, g + d2
-        gbar = 0.5 * (g1 + g2)
-        gap = reduced_energy_value(mu0, g1, g2, pots) - reduced_energy_value(mu0, gbar, gbar, pots)
-        csplit = min(csplit, gap * ell**2 / (g1 - g2) ** 2)
-
-    # strict convexity is guaranteed only near the reference point; report the
-    # box actually verified by checking definiteness at its corners
-    box_ok = True
-    for dmu in (-eps, eps):
-        for dg1 in (-eps, eps):
-            for dg2 in (-eps, 0.0):
-                corner = np.linalg.eigvalsh(reduced_hessian(mu0 + dmu, g + dg1, g + dg2, pots))
-                box_ok &= bool(corner[0] > 0.0)
+    grad = sol.grad[0, :3]
+    gap = sol.value[1 : 1 + k] - sol.value[1 + k : 1 + 2 * k]
+    csplit = np.min(gap * ell**2 / (g1 - g2) ** 2, initial=np.inf)
+    box_ok = bool(np.all(np.linalg.eigvalsh(hessians[1 + 2 * k :])[:, 0] > 0.0))
 
     return {
         "verified_box_halfwidth": float(eps) if box_ok else 0.0,
@@ -430,7 +532,7 @@ def minimizer_properties(ell: int, pots: PotentialSet, window: float = 0.02, n_g
     refs = reference_angles(ell, pots)
     mu0 = refs.mu_us
     mus = np.linspace(mu0 - window, mu0 + window, n_grid)
-    sols = [minimize_family(float(mu), ell, pots) for mu in mus]
+    sols = family_minima(mus, ell, pots)[0]
     evals = np.array([s.energy for s in sols])
     l1 = np.array([s.lambda1 for s in sols])
     l2 = np.array([s.lambda2 for s in sols])

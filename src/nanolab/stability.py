@@ -11,10 +11,10 @@ import numpy as np
 
 from .cells import cell_summary, gather_cells, symmetrize, to_local
 from .energy import BOND_CUTOFF, bond_graph, gradient, hessian, image_distances, near_pairs, total_energy
-from .errors import EtaTooLargeError, NotStationaryError
+from .errors import EtaTooLargeError, InvalidParameterError, NotStationaryError
 from .geometry import Nanotube, build_nanotube
 from .potentials import PotentialSet
-from .reduced import FamilyMinimum, minimize_family, reduced_energy_value
+from .reduced import FamilyMinimum, minimize_family, reduced_solve
 
 MODES = ("uniform-ball", "gaussian-clipped", "per-direction")
 
@@ -29,10 +29,12 @@ class PerturbationSpec:
     mode: str = "uniform-ball"
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError("eta must be nonnegative")
+        if not (np.isfinite(self.eta) and self.eta >= 0):
+            raise InvalidParameterError(f"eta must be finite and nonnegative, got {self.eta}")
+        if self.count < 1:
+            raise InvalidParameterError(f"count must be at least 1, got {self.count}")
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+            raise InvalidParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -277,9 +279,8 @@ def per_cell_certificate(tube: Nanotube, base: FamilyMinimum, pots: PotentialSet
     """
     summ = cell_summary(tube, pots)
     ell = tube.ell
-    margins = np.empty(len(summ["energy"]))
-    for idx, (ec, mt, tb) in enumerate(zip(summ["energy"], summ["mu_tilde"], summ["theta_bar"])):
-        margins[idx] = ec - reduced_energy_value(float(mt), float(tb), float(tb), pots)
+    tb = summ["theta_bar"]
+    margins = summ["energy"] - reduced_solve(summ["mu_tilde"], tb, tb, pots).value
     delta = summ["delta"]
     mask = delta > 1e-14
     scaled = margins[mask] / (delta[mask] / ell**2) if np.any(mask) else np.array([])

@@ -2,8 +2,10 @@
 bond graph (pair search and perturbation sampler), the finite-difference
 stencils of the analytic derivatives (energy.hessian, cellspec.cell_hessian,
 cellspec.t_jacobian, the angle-sum Hessian in cellspec.angle_sum_concavity,
-reduced.reduced_hessian) and the brute-force family minimizer
-(reduced.minimize_family)."""
+reduced.reduced_hessian), the brute-force family minimizer
+(reduced.minimize_family), the one-point-at-a-time inner Newton solve
+(reduced.reduced_solve) and the scan-plus-bisection fracture threshold
+(fracture.fracture_threshold)."""
 
 from itertools import combinations
 
@@ -184,3 +186,92 @@ def minimize_family_direct(mu: float, ell: int, pots, m: int = 1, resolution: fl
             if step < 1e-10:
                 break
     return float(l1), float(l2), float(e0)
+
+
+def reduced_energy_scalar(mu, gamma1, gamma2, pots, max_iter: int = 200):
+    """The inner minimization of reduced.reduced_solve, one point at a time
+    on Python scalars: damped, box-projected Newton from (1, 2pi/3, 2pi/3)
+    with the same pinned-variable rule, GRAD_TOL exit and round-off-floor
+    exit.  Returns (value, (lambda*, alpha1*, alpha2*))."""
+    from nanolab.errors import OptimizationFailureError
+    from nanolab.potentials import TWO_THIRDS_PI
+    from nanolab.reduced import _BOX_HI, _BOX_LO, GRAD_TOL, ReducedPoint, _pinned, _sym_grad_hess, sym_energy
+
+    x = np.array([1.0, TWO_THIRDS_PI, TWO_THIRDS_PI])
+
+    def energy_at(y):
+        return sym_energy(ReducedPoint(mu, gamma1, gamma2, *y), pots)
+
+    f = energy_at(x)
+    prev = x
+    for _ in range(max_iter):
+        gz, hz = _sym_grad_hess(ReducedPoint(mu, gamma1, gamma2, *x), pots)
+        g, h = gz[3:], hz[3:, 3:]
+        free = ~_pinned(x, g)
+        residual = np.max(np.abs(g[free]), initial=0.0)
+        if residual <= GRAD_TOL:
+            break
+        step = np.zeros(3)
+        hf = h[np.ix_(free, free)]
+        gf = g[free]
+        try:
+            evals = np.linalg.eigvalsh(hf)
+            tau = 0.0 if evals[0] > 1e-10 else (1e-8 - evals[0])
+            step[free] = np.linalg.solve(hf + tau * np.eye(int(np.sum(free))), -gf)
+        except np.linalg.LinAlgError:
+            step[free] = -gf
+        t = 1.0
+        for _ in range(40):
+            cand = np.clip(x + t * step, _BOX_LO, _BOX_HI)
+            fc = energy_at(cand)
+            if fc <= f + 1e-18 or np.allclose(cand, x):
+                break
+            t *= 0.5
+        stuck = np.array_equal(cand, x) or np.array_equal(cand, prev)
+        if stuck and residual <= np.max(np.abs(hf) @ np.spacing(np.abs(x[free])), initial=0.0):
+            break
+        prev, x, f = x, cand, fc
+    else:
+        raise OptimizationFailureError(f"scalar reduced Newton did not converge in {max_iter} iterations")
+    return float(f), (float(x[0]), float(x[1]), float(x[2]))
+
+
+# mu points of the coarse scan for a sign change, and the bisection tolerance
+COARSE_STEPS = 49
+BISECTION_TOL = 1e-6
+
+
+def fracture_threshold_scan(ell: int, m: int, pots, window: float = 0.12) -> float:
+    """Smallest mu with E(cleaved) < E(optimal family at mu), by a coarse scan
+    of COARSE_STEPS points over [mu_us, min(mu_us + window, 3.1 - 1e-9)] plus
+    bisection to BISECTION_TOL, one scalar reduced solve per evaluation.
+    Raises WindowTooSmallError without a crossing."""
+    from nanolab.errors import WindowTooSmallError
+    from nanolab.fracture import cleaved_energy
+    from nanolab.geometry import gamma
+    from nanolab.reduced import reference_angles
+
+    mu_us = reference_angles(ell, pots).mu_us
+    e_cleaved = cleaved_energy(ell, m, pots)
+    g = gamma(ell)
+
+    def excess(mu):
+        # positive while the stretched periodic tube is still favorable
+        return e_cleaved - 2 * m * ell * reduced_energy_scalar(mu, g, g, pots)[0]
+
+    grid = np.linspace(mu_us, min(mu_us + window, 3.1 - 1e-9), COARSE_STEPS)
+    vals = [excess(float(mu)) for mu in grid]
+    bracket = next(
+        ((float(a), float(b)) for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]) if fa > 0.0 >= fb),
+        None,
+    )
+    if bracket is None:
+        raise WindowTooSmallError(f"no fracture crossing for ell={ell}, m={m}")
+    lo, hi = bracket
+    while hi - lo > BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if excess(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -166,3 +166,34 @@ def test_header_undercounting_atoms_exit_code(tmp_path, capsys):
     tube_path.write_text("\n".join(["60 6"] + lines[1:]) + "\n")
     assert run(["energy", "--in", str(tube_path)]) == 1
     assert "line 62" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, word",
+    [(["--eta", "nan", "--count", "2"], "eta"), (["--count", "0"], "count"), (["--eta", "-1", "--count", "2"], "eta")],
+)
+def test_stability_rejects_invalid_spec(tmp_path, capsys, flags, word):
+    out = tmp_path / "s.json"
+    assert run(["stability", "--ell", "12", "--m", "4", *flags, "-o", str(out)]) == 1
+    assert word in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("m_list", ["4", "4,4"])
+def test_fracture_rejects_single_m(tmp_path, capsys, m_list):
+    out = tmp_path / "f.json"
+    assert run(["fracture", "--ell", "12", "--m-list", m_list, "-o", str(out)]) == 1
+    assert "distinct m" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fracture_report_carries_solver_diagnostics(tmp_path, capsys):
+    paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+    for path in paths:
+        assert run(["fracture", "--ell", "12", "--m-list", "4,16,64", "-o", path]) == 0
+    assert capsys.readouterr().out == ""
+    first, second = (open(p, "rb").read() for p in paths)
+    assert first == second
+    rep = json.loads(first)
+    assert rep["newton_iterations"] > 0
+    assert 0.0 <= rep["max_kkt_residual"] <= 1e-12

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from oracle import fracture_threshold_scan
 from scipy.optimize import brentq
 
+from nanolab.energy import family_energy
 from nanolab.errors import InvalidParameterError, NotCleavedWarning, WindowTooSmallError
 from nanolab.fracture import build_cleaved, cleaved_energy, fracture_scaling, fracture_threshold
-from nanolab.geometry import build_nanotube, solve_family
-from nanolab.reduced import minimize_family, reference_angles
+from nanolab.geometry import build_nanotube, gamma, solve_family
+from nanolab.reduced import minimize_family, reduced_energy_value, reduced_hessian, reference_angles
 from nanolab.stability import PerturbationSpec, null_space_report, stability_trial
 
 
@@ -111,3 +113,50 @@ def test_halves_are_stable_tubes(refs12, pots_soft):
     tube = build_nanotube(fam.geometry, 2)
     nrep = null_space_report(tube, pots_soft)
     assert nrep["n_negative"] == 0 and nrep["rest_positive"]
+
+
+M_LIST = [4, 8, 16, 32, 64, 128, 256]
+
+
+@pytest.mark.parametrize("ell", [12, 24])
+def test_one_curve_thresholds_match_scan_oracle(pots_soft, ell):
+    rep = fracture_scaling(ell, M_LIST, pots_soft)
+    for row in rep["rows"]:
+        assert abs(row["mu_frac"] - fracture_threshold_scan(ell, row["m"], pots_soft)) <= 1e-6
+
+
+def test_unit_bond_tube_energy_is_the_reduced_curve_at_mu_us(refs12, pots_soft):
+    # the cleaved-state bookkeeping and the e(mu) curve share this value
+    g = gamma(12)
+    e_us = reduced_energy_value(refs12.mu_us, g, g, pots_soft)
+    for m in (4, 64, 256):
+        unit = family_energy(solve_family(12, refs12.mu_us, 1.0, 1.0), m, pots_soft)
+        assert abs(unit - 2 * m * 12 * e_us) <= 1e-14 * abs(unit)
+
+
+def test_offset_sqrt_m_tends_to_curvature_limit(refs12, pots_soft):
+    # e(mu) - e(mu_us) ~ e''(mu_us) (mu - mu_us)^2 / 2 = 2/m near mu_us
+    g = gamma(12)
+    limit = 2.0 / np.sqrt(reduced_hessian(refs12.mu_us, g, g, pots_soft)[0, 0])
+    rep = fracture_threshold(12, 256, pots_soft)
+    assert abs(rep["offset_sqrt_m"] - limit) <= 1e-4 * limit
+
+
+@pytest.mark.parametrize("m_list", [[4], [4, 4]])
+def test_scaling_needs_two_distinct_m(pots_soft, m_list):
+    with pytest.raises(InvalidParameterError):
+        fracture_scaling(12, m_list, pots_soft)
+
+
+def test_threshold_rejects_nonpositive_m(pots_soft):
+    with pytest.raises(InvalidParameterError):
+        fracture_threshold(12, 0, pots_soft)
+
+
+def test_scaling_reports_solver_diagnostics(pots_soft):
+    rep = fracture_scaling(12, [4, 16, 64], pots_soft)
+    assert rep["newton_iterations"] > 0
+    assert 0.0 <= rep["max_kkt_residual"] <= 1e-12
+    again = fracture_scaling(12, [4, 16, 64], pots_soft)
+    assert (again["newton_iterations"], again["max_kkt_residual"]) == (rep["newton_iterations"], rep["max_kkt_residual"])
+    assert [r["mu_frac"] for r in again["rows"]] == [r["mu_frac"] for r in rep["rows"]]

@@ -2,7 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
-from oracle import minimize_family_direct, reduced_hessian_fd
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracle import minimize_family_direct, reduced_energy_scalar, reduced_hessian_fd
 
 from nanolab.errors import BoundaryWarning, DomainError, InvalidParameterError, OptimizationFailureError
 from nanolab.geometry import build_nanotube, gamma
@@ -11,17 +13,20 @@ from nanolab.potentials import PotentialSet
 from nanolab.reduced import (
     ALPHA_HI,
     ALPHA_LO,
+    GRAD_TOL,
     ReducedPoint,
     _pinned,
     _sym_grad_hess,
     beta,
     beta_derivatives,
+    family_minima,
     minimize_family,
     minimizer_properties,
     reduced_energy,
     reduced_energy_value,
     reduced_gradient,
     reduced_hessian,
+    reduced_solve,
     reference_angles,
     sym_energy,
     verify_reduced_hessian,
@@ -302,3 +307,80 @@ def test_newton_stops_at_round_off_floor(pots_soft):
     assert np.max(np.abs(grad[free])) <= floor
     with pytest.raises(OptimizationFailureError):
         reduced_energy(*pt, pots_soft, max_iter=2)
+
+
+# the mu of the sweep benchmark's one-point Newton probe at ell = 64
+NEWTON_PROBE_MU = 2.990860220598413
+
+
+def _assert_matches_scalar_oracle(points, pots):
+    sol = reduced_solve(points[:, 0], points[:, 1], points[:, 2], pots)
+    for i, pt in enumerate(points):
+        value, x = reduced_energy_scalar(*pt, pots)
+        assert abs(sol.value[i] - value) <= 1e-13 * abs(value)
+        assert np.max(np.abs(sol.x[i] - x)) <= 1e-10
+
+
+@settings(max_examples=25)
+@given(
+    ell=st.integers(16, 64),
+    draws=st.lists(
+        st.tuples(st.floats(2.95, 3.08), st.floats(-0.01, 0.01), st.floats(-0.01, 0.01), st.booleans()),
+        min_size=1,
+        max_size=6,
+    ),
+    pinned=st.booleans(),
+)
+@example(ell=64, draws=[(NEWTON_PROBE_MU, 0.0, 0.0, False), (NEWTON_PROBE_MU, 5e-5, 0.0, True)], pinned=False)
+def test_batched_solve_matches_scalar_oracle(pots_soft, ell, draws, pinned):
+    # one batched solve over random points (equal or split gammas) against the
+    # one-point-at-a-time scalar loop; with the far-minimum pair potential
+    # lambda is pinned at the box bound
+    g = gamma(ell)
+    points = np.array([(mu, g + d1, g + (d2 if split else d1)) for mu, d1, d2, split in draws])
+    pots = PotentialSet(_FarPair(), pots_soft.v3) if pinned else pots_soft
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryWarning)
+        _assert_matches_scalar_oracle(points, pots)
+
+
+def test_batched_solve_reports_per_point_diagnostics(pots_soft):
+    g = gamma(32)
+    mus = np.array([3.0, 2.97, 3.02, 3.0])
+    sol = reduced_solve(mus, g, g, pots_soft)
+    assert sol.x.shape == (4, 3) and sol.grad.shape == (4, 6) and sol.hess.shape == (4, 6, 6)
+    assert np.all(sol.iterations >= 1)
+    assert sol.iterations[0] == sol.iterations[3]
+    # the residual is the largest free gradient component at the minimizer
+    kkt = np.max(np.where(sol.free, np.abs(sol.grad[:, 3:]), 0.0), axis=1)
+    assert np.array_equal(sol.residual, kkt)
+    assert np.all(sol.residual <= GRAD_TOL)
+    # each point's derivatives are those of sym_energy at its minimizer
+    g6, h6 = _sym_grad_hess(ReducedPoint(mus[1], g, g, *sol.x[1]), pots_soft)
+    assert np.array_equal(sol.grad[1], g6) and np.array_equal(sol.hess[1], h6)
+
+
+def test_batched_envelope_hessian_matches_one_point_calls(pots_soft):
+    g = gamma(24)
+    pts = np.array([(2.99, g, g), (3.01, g + 0.004, g - 0.002), (2.97, g - 0.003, g)])
+    hess = reduced_solve(pts[:, 0], pts[:, 1], pts[:, 2], pots_soft).envelope_hessian()
+    for h, pt in zip(hess, pts):
+        assert np.array_equal(h, reduced_hessian(*pt, pots_soft))
+
+
+def test_family_minima_matches_minimize_family(pots_soft):
+    mus = [2.98, 2.995, 3.01]
+    fams, sol = family_minima(mus, 12, pots_soft, m=3)
+    for mu, fam in zip(mus, fams):
+        one = minimize_family(mu, 12, pots_soft, m=3)
+        assert (fam.lambda1, fam.lambda2, fam.alpha, fam.energy) == (one.lambda1, one.lambda2, one.alpha, one.energy)
+    assert np.array_equal([f.energy_per_cell for f in fams], sol.value)
+
+
+def test_batched_solve_raises_when_a_point_does_not_converge(pots_soft):
+    g = gamma(64)
+    with pytest.raises(OptimizationFailureError):
+        reduced_solve([3.0, NEWTON_PROBE_MU], [g, g + 5e-5], [g, g], pots_soft, max_iter=2)
+    # a NaN residual never passes the GRAD_TOL exit
+    with pytest.raises(OptimizationFailureError):
+        reduced_solve([3.0, np.nan], g, g, pots_soft, max_iter=5)

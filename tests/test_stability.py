@@ -4,7 +4,7 @@ from oracle import assert_graph_equals_brute, graph_brute, hessian_fd
 
 import nanolab.stability as stab
 from nanolab.energy import bond_graph, gradient
-from nanolab.errors import EtaTooLargeError, NotStationaryError
+from nanolab.errors import EtaTooLargeError, InvalidParameterError, NotStationaryError
 from nanolab.geometry import Nanotube, build_nanotube
 from nanolab.reduced import minimize_family, reference_angles
 from nanolab.stability import (
@@ -33,6 +33,14 @@ def test_spec_validation():
         PerturbationSpec(eta=-1.0)
     with pytest.raises(ValueError):
         PerturbationSpec(eta=1e-3, mode="sideways")
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"eta": float("nan")}, {"eta": float("inf")}, {"eta": -1.0}, {"eta": 1e-3, "count": 0}, {"eta": 1e-3, "count": -3}]
+)
+def test_spec_rejects_invalid_eta_and_count(kwargs):
+    with pytest.raises(InvalidParameterError):
+        PerturbationSpec(**kwargs)
 
 
 def test_zero_eta_returns_base(base):
