@@ -86,21 +86,43 @@ def reduced_hessian_anchor(ells, seed) -> dict:
     }
 
 
+# The last ensemble drawn, keyed (m, seed): (base tube, its band, positions).
+# A draw is a pure function of (m, seed, count) and its positions are
+# read-only, so the cache changes how long a row takes, never what it returns.
+_LAST_ENSEMBLE = {}
+
+
 def _ensemble(m: int, count: int, seed):
-    """The optimal (12, m) tube at mu_us and its first `count` seeded
-    perturbations at eta = 1e-3, each with its bond graph."""
-    fam = reduced.minimize_family(reduced.reference_angles(12, SOFT).mu_us, 12, SOFT, m=m)
-    base = geometry.build_nanotube(fam.geometry, m)
-    spec = stability.PerturbationSpec(eta=1e-3, seed=seed, count=count)
-    band = stability.BondBand(base, spec.eta)
-    return base, [stability.sample_perturbation(base, spec, trial=t, band=band)[:2] for t in range(count)]
+    """The optimal (12, m) tube at mu_us, its bond graph and the positions
+    (count, n, 3) of its first `count` seeded perturbations at eta = 1e-3.
+
+    Each trial draws from its own stream, so the first `count` trials of a
+    larger draw are the same as a draw of `count`: rows 06 and 13 share the
+    last draw for their (m, seed), extended when a row needs more trials.
+    """
+    if (m, seed) in _LAST_ENSEMBLE:
+        base, band, positions = _LAST_ENSEMBLE[m, seed]
+    else:
+        fam = reduced.minimize_family(reduced.reference_angles(12, SOFT).mu_us, 12, SOFT, m=m)
+        base = geometry.build_nanotube(fam.geometry, m)
+        band = stability.BondBand(base, 1e-3)
+        positions = np.empty((0, base.n, 3))
+    if len(positions) < count:
+        spec = stability.PerturbationSpec(eta=1e-3, seed=seed, count=count)
+        more = stability.sample_perturbations(base, spec, range(len(positions), count), band)[0]
+        positions = np.concatenate([positions, more])
+        positions.setflags(write=False)
+    _LAST_ENSEMBLE.clear()
+    _LAST_ENSEMBLE[m, seed] = base, band, positions
+    return base, band.graph, positions[:count]
 
 
 def cell_decomposition(size, seed) -> dict:
     """Tube energy equals the sum of cell energies within 1e-9 per atom on
     perturbed (12, m) tubes; size is (m, samples)."""
-    _, samples = _ensemble(*size, seed)
-    worst = max(abs(total_energy(t, SOFT, g) - cells.total_cell_energy(t, SOFT)) / (1e-9 * t.n) for t, g in samples)
+    base, graph, positions = _ensemble(*size, seed)
+    diff = total_energy(base, SOFT, graph, positions=positions) - cells.total_cell_energy(base, SOFT, positions)
+    worst = float(np.max(np.abs(diff) / (1e-9 * base.n)))
     return {"passed": worst <= 1.0, "worst_rel_to_tol": worst}
 
 
@@ -188,19 +210,17 @@ def angle_sum(size, seed) -> dict:
     """The plane-angle sum is exact on the optimal (12, m) tube, and on its
     perturbations the excess over it divided by the summed symmetry defect is
     finite; size is (m, samples)."""
-    base, samples = _ensemble(*size, seed)
+    base, _, positions = _ensemble(*size, seed)
     target = 4 * base.m * (2 * base.ell - 2) * np.pi
     base_residual = abs(cells.angle_sum(base) - target)
-    ratios = []
-    for tube, _ in samples:
-        dsum = float(np.sum(cells.symmetrize(cells.to_local(cells.gather_cells(tube)))[2]))
-        if dsum > 1e-14:
-            ratios.append((cells.angle_sum(tube) - target) / dsum)
+    excess = cells.angle_sum(base, positions) - target
+    dsum = cells.total_symmetry_defect(base, positions)
+    ratios = excess[dsum > 1e-14] / dsum[dsum > 1e-14]
     ok = base_residual <= 1e-8 and bool(np.all(np.isfinite(ratios)))
     return {
         "passed": ok,
         "unperturbed_residual": base_residual,
-        "excess_over_delta_max": max(ratios, default=-np.inf),
+        "excess_over_delta_max": float(np.max(ratios, initial=-np.inf)),
     }
 
 

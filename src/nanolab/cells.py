@@ -53,13 +53,13 @@ _UNWRAP_CHAIN = [(2, 0), (3, 2), (1, 3), (4, 1), (5, 4), (6, 0), (7, 1)]
 
 
 def reflect_s1(cell: np.ndarray) -> np.ndarray:
-    out = cell[..., _S1_PERM, :].copy()
+    out = cell.take(_S1_PERM, axis=-2)
     out[..., 1] *= -1.0
     return out
 
 
 def reflect_s2(cell: np.ndarray) -> np.ndarray:
-    out = cell[..., _S2_PERM, :].copy()
+    out = cell.take(_S2_PERM, axis=-2)
     out[..., 0] *= -1.0
     return out
 
@@ -104,20 +104,21 @@ def _nearest_image(d: np.ndarray, L: float) -> np.ndarray:
     return d
 
 
-def gather_cells(tube: Nanotube, table: np.ndarray | None = None) -> np.ndarray:
+def gather_cells(tube: Nanotube, table: np.ndarray | None = None, positions=None) -> np.ndarray:
     """Unwrapped cell coordinates for every center, shape (ell, m, 2, 8, 3).
 
     Atoms are reconstructed by walking intra-cell bonds with minimal images, so
-    no cell straddles the periodic seam.
+    no cell straddles the periodic seam.  With positions, a stack (..., n, 3)
+    of configurations of tube's atoms at tube's period, the cells of each
+    carry the same leading axes.
     """
     if table is None:
         table = cell_atom_indices(tube.ell, tube.m)
-    pos = tube.positions
+    pos = tube.positions if positions is None else positions
     L = tube.period
-    cells = np.empty(table.shape + (3,), dtype=float)
-    cells[..., 0, :] = pos[table[..., 0]]
+    cells = pos.take(table, axis=-2)
     for slot, anchor in _UNWRAP_CHAIN:
-        step = _nearest_image(pos[table[..., slot]] - cells[..., anchor, :], L)
+        step = _nearest_image(cells[..., slot, :] - cells[..., anchor, :], L)
         cells[..., slot, :] = cells[..., anchor, :] + step
     return cells
 
@@ -377,17 +378,33 @@ def extract_cell(tube: Nanotube, center: tuple, graph=None) -> CellView:
     return CellView(center=center, atom_indices=idx, positions=coords)
 
 
-def total_cell_energy(tube: Nanotube, pots: PotentialSet) -> float:
-    """Sum of the weighted cell energies over all 2*m*ell centers."""
-    return float(np.sum(cell_energies(gather_cells(tube), pots)))
+def _tube_sums(per_cell: np.ndarray, positions):
+    """Sum over all cells of one tube (a float) or of each configuration of a
+    stack positions (an array over its leading axes), in the same order."""
+    lead = () if positions is None else positions.shape[:-2]
+    sums = np.sum(per_cell.reshape(lead + (-1,)), axis=-1)
+    return float(sums) if positions is None else sums
 
 
-def angle_sum(tube: Nanotube) -> float:
-    """Sum of (theta_l + theta_r) over all centers and dual centers.
+def total_cell_energy(tube: Nanotube, pots: PotentialSet, positions=None):
+    """Sum of the weighted cell energies over all 2*m*ell centers; with
+    positions, of each configuration of the stack, as in gather_cells."""
+    return _tube_sums(cell_energies(gather_cells(tube, positions=positions), pots), positions)
+
+
+def angle_sum(tube: Nanotube, positions=None):
+    """Sum of (theta_l + theta_r) over all centers and dual centers; with
+    positions, of each configuration of the stack, as in gather_cells.
 
     Equals 4*m*(2*ell - 2)*pi exactly on an unperturbed family configuration.
     """
-    return float(np.sum(cell_plane_angles(gather_cells(tube))))
+    return _tube_sums(cell_plane_angles(gather_cells(tube, positions=positions)), positions)
+
+
+def total_symmetry_defect(tube: Nanotube, positions=None):
+    """Sum of the symmetry defects of all cells; with positions, of each
+    configuration of the stack, as in gather_cells."""
+    return _tube_sums(symmetrize(to_local(gather_cells(tube, positions=positions)))[2], positions)
 
 
 def cell_summary(tube: Nanotube, pots: PotentialSet) -> dict:

@@ -79,14 +79,14 @@ def _image_shift(dx, L: float):
 
 
 def image_distances(d: np.ndarray, L: float):
-    """Nearest axial image of each difference vector d[p] = x[i] - x[j].
+    """Nearest axial image of each difference vector d[..., p, :] = x[i] - x[j].
 
     Returns (t, dist): t = -rint(dx / L) from _image_shift, so exact
     half-period ties keep t = 0, and dist = |d + t*L*e1|.
     """
-    t = _image_shift(d[:, 0], L)
-    dx = d[:, 0] + t * L
-    return t.astype(np.int64), np.sqrt(dx**2 + d[:, 1] ** 2 + d[:, 2] ** 2)
+    t = _image_shift(d[..., 0], L)
+    dx = d[..., 0] + t * L
+    return t.astype(np.int64), np.sqrt(dx**2 + d[..., 1] ** 2 + d[..., 2] ** 2)
 
 
 # Cells are this much wider than the search radius, so round-off in the binning
@@ -190,37 +190,44 @@ def bond_angle(xi, xj, xk, L: float = 0.0, shift_i: int = 0, shift_k: int = 0) -
 
 
 def _bond_vectors(pos, graph: BondGraph):
-    i, j = graph.pairs[:, 0], graph.pairs[:, 1]
-    d = pos[i] - pos[j]
-    d[:, 0] += graph.L * graph.pair_shifts
+    # take keeps a stack's trial axis outermost in memory, so the per-trial
+    # sums below add in the same order as for one configuration
+    d = pos.take(graph.pairs[:, 0], axis=-2) - pos.take(graph.pairs[:, 1], axis=-2)
+    d[..., 0] += graph.L * graph.pair_shifts
     return d
 
 
 def _leg_vectors(pos, graph: BondGraph):
     t = graph.triples
-    u = pos[t[:, 0]] - pos[t[:, 1]]
-    v = pos[t[:, 2]] - pos[t[:, 1]]
-    u[:, 0] += graph.L * graph.triple_shifts[:, 0]
-    v[:, 0] += graph.L * graph.triple_shifts[:, 1]
+    u = pos.take(t[:, 0], axis=-2) - pos.take(t[:, 1], axis=-2)
+    v = pos.take(t[:, 2], axis=-2) - pos.take(t[:, 1], axis=-2)
+    u[..., 0] += graph.L * graph.triple_shifts[:, 0]
+    v[..., 0] += graph.L * graph.triple_shifts[:, 1]
     return u, v
 
 
-def total_energy(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = None) -> float:
-    """Pair energy over bonds plus angle energy over triples."""
+def total_energy(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = None, positions=None):
+    """Pair energy over bonds plus angle energy over triples.
+
+    With positions, a stack (..., n, 3) of configurations of tube's atoms at
+    tube's period, all with bond graph graph, returns their energies as an
+    array over the leading axes; each equals the float the tube of that
+    configuration gives, to the bit.
+    """
     if graph is None:
         graph = bond_graph(tube, cutoff=pots.cutoff)
-    pos = tube.positions
-    e = 0.0
+    pos = tube.positions if positions is None else positions
+    e = np.zeros(pos.shape[:-2])
     if graph.n_bonds:
-        d = np.linalg.norm(_bond_vectors(pos, graph), axis=1)
-        e += float(np.sum(pots.v2.value(d)))
+        d = np.linalg.norm(_bond_vectors(pos, graph), axis=-1)
+        e += np.sum(pots.v2.value(d), axis=-1)
     if graph.n_angles:
         u, v = _leg_vectors(pos, graph)
-        nu = np.linalg.norm(u, axis=1)
-        nv = np.linalg.norm(v, axis=1)
-        c = np.clip(np.einsum("ij,ij->i", u, v) / (nu * nv), -1.0, 1.0)
-        e += float(np.sum(pots.v3.value(np.arccos(c))))
-    return e
+        nu = np.linalg.norm(u, axis=-1)
+        nv = np.linalg.norm(v, axis=-1)
+        c = np.clip(np.einsum("...ij,...ij->...i", u, v) / (nu * nv), -1.0, 1.0)
+        e += np.sum(pots.v3.value(np.arccos(c)), axis=-1)
+    return float(e) if positions is None else e
 
 
 def family_energy(geom: ZigzagGeometry, m: int, pots: PotentialSet) -> float:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import cell_summary, gather_cells, symmetrize, to_local
+from .cells import cell_summary, total_symmetry_defect
 from .energy import BOND_CUTOFF, bond_graph, gradient, hessian, image_distances, near_pairs, total_energy
 from .errors import EtaTooLargeError, InvalidParameterError, NotStationaryError
 from .geometry import Nanotube, build_nanotube
@@ -63,6 +63,10 @@ def _displacement(rng: np.random.Generator, n: int, eta: float, mode: str) -> np
 # Widening of the band, relative to the coordinate scale, that covers the
 # round-off in displaced positions and in their distances.
 _ROUNDING = 1e-9
+# Atoms per chunk of an ensemble: stability_trial draws, vets and scores
+# max(1, _CHUNK_ATOMS // n) trials at a time as one (B, n, 3) stack, which
+# bounds its memory at any n.
+_CHUNK_ATOMS = 2**10
 
 
 class BondBand:
@@ -88,15 +92,64 @@ class BondBand:
         self.bonded = dist[band] < BOND_CUTOFF
         self.fixed_images = bool(np.all(np.abs(pos[i, 0] - pos[j, 0] + t * L) < 0.5 * L - reach))
 
+    def graphs_of(self, tube: Nanotube, positions: np.ndarray) -> list:
+        """Bond graph of each displaced copy positions[b] of the base, a
+        (B, n, 3) stack at tube's period, or None where its bonds differ from
+        the base's.  Without fixed images each copy's graph is rebuilt."""
+        if not self.fixed_images:
+            graphs = [bond_graph(tube.with_positions(x)) for x in positions]
+            return [g if np.array_equal(g.pairs, self.graph.pairs) else None for g in graphs]
+        _, dist = image_distances(positions[:, self.i] - positions[:, self.j], tube.period)
+        keeps = np.all((dist < BOND_CUTOFF) == self.bonded, axis=-1)
+        return [self.graph if k else None for k in keeps]
+
     def graph_of(self, tube: Nanotube):
         """Bond graph of a displaced copy of the base if it has the base's
         bonds, else None."""
-        if not self.fixed_images:
-            g = bond_graph(tube)
-            return g if np.array_equal(g.pairs, self.graph.pairs) else None
-        pos = tube.positions
-        _, dist = image_distances(pos[self.i] - pos[self.j], tube.period)
-        return self.graph if np.array_equal(dist < BOND_CUTOFF, self.bonded) else None
+        return self.graphs_of(tube, tube.positions[None])[0]
+
+
+def sample_perturbations(
+    base: Nanotube,
+    spec: PerturbationSpec,
+    trials,
+    band: BondBand | None = None,
+    max_rejections: int = 1000,
+):
+    """Displaced copies of base, one per trial index in trials, each with
+    base's period and bond graph.
+
+    Trial t draws from its own stream _trial_rng(spec.seed, t) and redraws
+    from it while a draw breaks the bond graph, so its copy does not depend on
+    which trials are drawn with it or in what order.  band is base's BondBand
+    for an eta of at least spec.eta; it is built when omitted, so pass one to
+    reuse it across an ensemble.  Returns (positions, graphs, rejections): the
+    (len(trials), n, 3) stack, each copy's bond graph and the number of
+    redraws.  Raises EtaTooLargeError once a trial has made max_rejections
+    consecutive bond-graph-breaking draws.
+    """
+    if band is None:
+        band = BondBand(base, spec.eta)
+    elif band.eta < spec.eta:
+        raise ValueError(f"band built for eta={band.eta} cannot vet draws at eta={spec.eta}")
+    rngs = [_trial_rng(spec.seed, int(t)) for t in trials]
+    positions = np.empty((len(rngs), base.n, 3))
+    graphs = [None] * len(rngs)
+    rejections = np.zeros(len(rngs), dtype=np.int64)
+    todo = np.arange(len(rngs))
+    while len(todo):
+        for k in todo:
+            positions[k] = base.positions + _displacement(rngs[k], base.n, spec.eta, spec.mode)
+        verdicts = band.graphs_of(base, positions[todo])
+        for k, graph in zip(todo, verdicts):
+            graphs[k] = graph
+        todo = todo[[graph is None for graph in verdicts]]
+        rejections[todo] += 1
+        if len(todo) and rejections.max() >= max_rejections:
+            raise EtaTooLargeError(
+                f"{max_rejections} consecutive samples broke the bond graph at eta={spec.eta}"
+            )
+    return positions, graphs, int(rejections.sum())
 
 
 def sample_perturbation(
@@ -106,30 +159,18 @@ def sample_perturbation(
     band: BondBand | None = None,
     max_rejections: int = 1000,
 ):
-    """One displaced copy of base with identical period and bond graph.
+    """One displaced copy of base with identical period and bond graph: the
+    one-trial call of sample_perturbations.  Returns (tube, graph,
+    rejections)."""
+    positions, graphs, rejections = sample_perturbations(base, spec, [trial], band, max_rejections)
+    return base.with_positions(positions[0]), graphs[0], rejections
 
-    band is base's BondBand for an eta of at least spec.eta; it is built when
-    omitted, so pass one to reuse it across an ensemble.  Returns (tube,
-    graph, rejections).  Raises EtaTooLargeError after max_rejections
-    consecutive bond-graph-breaking draws.
-    """
-    if band is None:
-        band = BondBand(base, spec.eta)
-    elif band.eta < spec.eta:
-        raise ValueError(f"band built for eta={band.eta} cannot vet draws at eta={spec.eta}")
-    rejections = 0
-    rng = _trial_rng(spec.seed, trial)
-    while True:
-        d = _displacement(rng, base.n, spec.eta, spec.mode)
-        tube = base.with_positions(base.positions + d)
-        graph = band.graph_of(tube)
-        if graph is not None:
-            return tube, graph, rejections
-        rejections += 1
-        if rejections >= max_rejections:
-            raise EtaTooLargeError(
-                f"{max_rejections} consecutive samples broke the bond graph at eta={spec.eta}"
-            )
+
+def _chunks(count: int, n: int) -> list:
+    """Trial indices of an ensemble of count trials of n atoms, in chunks of
+    at most _CHUNK_ATOMS atoms (one trial at least)."""
+    size = max(1, _CHUNK_ATOMS // n)
+    return [np.arange(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
 def stability_trial(
@@ -144,33 +185,41 @@ def stability_trial(
 
     Every sampled perturbation must raise the energy; samples at or below the
     base energy are recorded as counterexamples (with positions), not raised.
+    Trials are drawn, vetted and scored a chunk at a time (_chunks); each
+    trial's result depends only on its index, and the report lists them in
+    trial order.  graph_rebuilds counts the draws that rebuilt their bond
+    graph because the band could not vet them.  Raises InvalidParameterError
+    at eta = 0, where every sample is the base tube.
     """
+    if spec.eta == 0.0:
+        raise InvalidParameterError("eta must be positive for a stability ensemble: at eta = 0 no sample moves")
     fam = minimize_family(mu, ell, pots, m=m)
     base = build_nanotube(fam.geometry, m)
     band = BondBand(base, spec.eta)
     e_base = total_energy(base, pots, band.graph)
 
-    gaps = []
-    ratios = []
+    gaps = np.empty(spec.count)
+    delta_sums = np.full(spec.count, np.nan)
+    trivial = np.zeros(spec.count, dtype=bool)
     failures = []
     rejections = 0
-    skipped_trivial = 0
-    for trial in range(spec.count):
-        tube, g, rej = sample_perturbation(base, spec, trial=trial, band=band)
+    for trials in _chunks(spec.count, base.n):
+        stack, graphs, rej = sample_perturbations(base, spec, trials, band)
         rejections += rej
-        if np.max(np.abs(tube.positions - base.positions)) == 0.0:
-            skipped_trivial += 1
-            continue
-        gap = total_energy(tube, pots, g) - e_base
-        gaps.append(gap)
+        trivial[trials] = np.max(np.abs(stack - base.positions), axis=(1, 2)) == 0.0
+        if band.fixed_images:
+            gaps[trials] = total_energy(base, pots, band.graph, positions=stack) - e_base
+        else:
+            gaps[trials] = [total_energy(base, pots, g, positions=x) - e_base for g, x in zip(graphs, stack)]
         if collect_ratios:
-            delta_sum = float(np.sum(symmetrize(to_local(gather_cells(tube)))[2]))
-            if delta_sum > 1e-14:
-                ratios.append(gap / delta_sum)
-        if gap <= 0.0:
-            failures.append({"trial": trial, "energy_gap": gap, "positions": tube.positions.copy()})
-    gaps = np.array(gaps)
-    ratios = np.array(ratios)
+            delta_sums[trials] = total_symmetry_defect(base, positions=stack)
+        for k in np.flatnonzero((gaps[trials] <= 0.0) & ~trivial[trials]):
+            trial = int(trials[k])
+            failures.append({"trial": trial, "energy_gap": float(gaps[trial]), "positions": stack[k].copy()})
+    failures.sort(key=lambda f: f["trial"])
+    with_ratio = ~trivial & (delta_sums > 1e-14)
+    ratios = gaps[with_ratio] / delta_sums[with_ratio]
+    gaps = gaps[~trivial]
     report = {
         "mu": mu,
         "ell": ell,
@@ -180,8 +229,9 @@ def stability_trial(
         "mode": spec.mode,
         "count": spec.count,
         "evaluated": int(len(gaps)),
-        "skipped_trivial": skipped_trivial,
+        "skipped_trivial": int(np.sum(trivial)),
         "rejections": rejections,
+        "graph_rebuilds": 0 if band.fixed_images else spec.count + rejections,
         "base_energy": e_base,
         "min_gap": float(np.min(gaps)) if len(gaps) else float("nan"),
         "max_gap": float(np.max(gaps)) if len(gaps) else float("nan"),
@@ -293,73 +343,3 @@ def per_cell_certificate(tube: Nanotube, base: FamilyMinimum, pots: PotentialSet
         "delta_sum": float(np.sum(delta)),
         "c_hat": float(np.min(scaled)) if len(scaled) else float("nan"),
     }
-
-
-def certificate_eta_ladder(
-    ell: int,
-    m: int,
-    pots: PotentialSet,
-    etas=(1e-4, 1e-3, 3e-3, 1e-2),
-    samples_per_eta: int = 3,
-    seed: int = 0,
-    mu_offset: float = 0.0,
-) -> dict:
-    """Largest sampled perturbation size at which every per-cell margin stays
-    nonnegative.  The admissible size is existential in the underlying theory;
-    this reports its empirical counterpart for the given (ell, m)."""
-    from .reduced import reference_angles
-
-    fam = minimize_family(reference_angles(ell, pots).mu_us + mu_offset, ell, pots, m=m)
-    base = build_nanotube(fam.geometry, m)
-    rows = []
-    largest = None
-    for eta in etas:
-        band = BondBand(base, eta)
-        worst = np.inf
-        ok = True
-        try:
-            for trial in range(samples_per_eta):
-                tube, _, _ = sample_perturbation(
-                    base,
-                    PerturbationSpec(eta=eta, seed=seed, count=samples_per_eta),
-                    trial=trial,
-                    band=band,
-                    max_rejections=50,
-                )
-                rep = per_cell_certificate(tube, fam, pots)
-                worst = min(worst, rep["min_margin"])
-            ok = worst >= 0.0
-        except EtaTooLargeError:
-            ok = False
-            worst = float("nan")
-        rows.append({"eta": eta, "passed": bool(ok), "min_margin": worst})
-        if ok:
-            largest = eta
-    return {"ell": ell, "m": m, "rows": rows, "largest_passing_eta": largest}
-
-
-def critical_stretch_scan(
-    ell: int,
-    m: int,
-    pots: PotentialSet,
-    eta: float = 1e-3,
-    count: int = 50,
-    seed: int = 0,
-    offsets=(0.0, 0.005, 0.01, 0.02, 0.04),
-) -> dict:
-    """Scan stretch offsets above the unstretched period and report the largest
-    one at which every trial keeps a positive energy gap (an empirical stand-in
-    for the critical stretch; no claim it matches any sharp threshold)."""
-    from .reduced import reference_angles
-
-    mu_us = reference_angles(ell, pots).mu_us
-    results = []
-    largest_pass = None
-    for off in offsets:
-        spec = PerturbationSpec(eta=eta, seed=seed, count=count)
-        rep = stability_trial(mu_us + off, ell, m, spec, pots, collect_ratios=False)
-        ok = rep["n_failures"] == 0 and rep["min_gap"] > 0.0
-        results.append({"offset": off, "passed": ok, "min_gap": rep["min_gap"]})
-        if ok:
-            largest_pass = off
-    return {"mu_us": mu_us, "offsets": results, "largest_passing_offset": largest_pass}

@@ -4,8 +4,9 @@ stencils of the analytic derivatives (energy.hessian, cellspec.cell_hessian,
 cellspec.t_jacobian, the angle-sum Hessian in cellspec.angle_sum_concavity,
 reduced.reduced_hessian), the brute-force family minimizer
 (reduced.minimize_family), the one-point-at-a-time inner Newton solve
-(reduced.reduced_solve) and the scan-plus-bisection fracture threshold
-(fracture.fracture_threshold)."""
+(reduced.reduced_solve), the scan-plus-bisection fracture threshold
+(fracture.fracture_threshold) and the one-trial-at-a-time stability ensemble
+with a bond graph rebuilt for every draw (stability.stability_trial)."""
 
 from itertools import combinations
 
@@ -275,3 +276,77 @@ def fracture_threshold_scan(ell: int, m: int, pots, window: float = 0.12) -> flo
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def sample_perturbation_rebuild(base, spec, trial: int, max_rejections: int = 1000):
+    """One trial's displaced copy of base, drawn from the trial's own stream
+    and redrawn until bond_graph, rebuilt for every draw, has base's bonds.
+    Returns (tube, graph, rejections)."""
+    from nanolab.energy import bond_graph
+    from nanolab.errors import EtaTooLargeError
+    from nanolab.stability import _displacement, _trial_rng
+
+    base_pairs = bond_graph(base).pairs
+    rng = _trial_rng(spec.seed, trial)
+    rejections = 0
+    while True:
+        tube = base.with_positions(base.positions + _displacement(rng, base.n, spec.eta, spec.mode))
+        graph = bond_graph(tube)
+        if np.array_equal(graph.pairs, base_pairs):
+            return tube, graph, rejections
+        rejections += 1
+        if rejections >= max_rejections:
+            raise EtaTooLargeError(f"{max_rejections} consecutive samples broke the bond graph at eta={spec.eta}")
+
+
+def stability_trial_loop(mu, ell, m, spec, pots, collect_ratios: bool = True) -> dict:
+    """stability.stability_trial one trial at a time: sample_perturbation_rebuild,
+    then one total_energy and one symmetry defect per tube."""
+    from nanolab.cells import gather_cells, symmetrize, to_local
+    from nanolab.energy import total_energy
+    from nanolab.geometry import build_nanotube
+    from nanolab.reduced import minimize_family
+    from nanolab.stability import BondBand
+
+    base = build_nanotube(minimize_family(mu, ell, pots, m=m).geometry, m)
+    e_base = total_energy(base, pots)
+    gaps, ratios, failures = [], [], []
+    rejections = skipped_trivial = 0
+    for trial in range(spec.count):
+        tube, graph, rej = sample_perturbation_rebuild(base, spec, trial)
+        rejections += rej
+        if np.max(np.abs(tube.positions - base.positions)) == 0.0:
+            skipped_trivial += 1
+            continue
+        gap = total_energy(tube, pots, graph) - e_base
+        gaps.append(gap)
+        if collect_ratios:
+            delta_sum = float(np.sum(symmetrize(to_local(gather_cells(tube)))[2]))
+            if delta_sum > 1e-14:
+                ratios.append(gap / delta_sum)
+        if gap <= 0.0:
+            failures.append({"trial": trial, "energy_gap": gap, "positions": tube.positions.copy()})
+    gaps, ratios = np.array(gaps), np.array(ratios)
+    stat = lambda f, a: float(f(a)) if len(a) else float("nan")
+    return {
+        "mu": mu,
+        "ell": ell,
+        "m": m,
+        "eta": spec.eta,
+        "seed": spec.seed,
+        "mode": spec.mode,
+        "count": spec.count,
+        "evaluated": len(gaps),
+        "skipped_trivial": skipped_trivial,
+        "rejections": rejections,
+        "graph_rebuilds": 0 if BondBand(base, spec.eta).fixed_images else spec.count + rejections,
+        "base_energy": e_base,
+        "min_gap": stat(np.min, gaps),
+        "max_gap": stat(np.max, gaps),
+        "mean_gap": stat(np.mean, gaps),
+        "gap_ratio_min": stat(np.min, ratios),
+        "gap_ratio_median": stat(np.median, ratios),
+        "gap_ratio_max": stat(np.max, ratios),
+        "n_failures": len(failures),
+        "failures": failures,
+    }

@@ -179,6 +179,24 @@ def test_stability_rejects_invalid_spec(tmp_path, capsys, flags, word):
     assert not out.exists()
 
 
+def test_stability_rejects_zero_eta(tmp_path, capsys):
+    # every sample would be the base tube: no gap to report
+    out = tmp_path / "s.json"
+    assert run(["stability", "--ell", "12", "--m", "4", "--eta", "0", "--count", "3", "-o", str(out)]) == 1
+    assert "eta" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stability_report_counts_graph_rebuilds(tmp_path, capsys):
+    paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+    for path in paths:
+        assert run(["stability", "--ell", "8", "--m", "2", "--count", "6", "--seed", "3", "-o", path]) == 0
+    assert capsys.readouterr().out == ""
+    first, second = (open(p, "rb").read() for p in paths)
+    assert first == second
+    assert json.loads(first)["graph_rebuilds"] == 0
+
+
 @pytest.mark.parametrize("m_list", ["4", "4,4"])
 def test_fracture_rejects_single_m(tmp_path, capsys, m_list):
     out = tmp_path / "f.json"

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from oracle import assert_graph_equals_brute, graph_brute, hessian_fd
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracle import assert_graph_equals_brute, graph_brute, hessian_fd, sample_perturbation_rebuild, stability_trial_loop
 
 import nanolab.stability as stab
 from nanolab.energy import bond_graph, gradient
@@ -11,12 +13,12 @@ from nanolab.stability import (
     MODES,
     BondBand,
     PerturbationSpec,
-    critical_stretch_scan,
     hessian_spectrum,
     isometry_directions,
     null_space_report,
     per_cell_certificate,
     sample_perturbation,
+    sample_perturbations,
     stability_trial,
 )
 
@@ -174,17 +176,136 @@ def test_counterexamples_recorded_not_raised(base, pots_soft, monkeypatch):
     real = stab.total_energy
     state = {"count": 0}
 
-    def fake(tube, pots, graph=None):
-        state["count"] += 1
-        val = real(tube, pots, graph)
-        return val - 1e6 if state["count"] == 3 else val
+    def fake(tube, pots, graph=None, positions=None):
+        # configurations are numbered from the base (0), so number 2 is sample 1
+        val = real(tube, pots, graph, positions)
+        first = state["count"]
+        state["count"] += 1 if positions is None else len(positions)
+        return val if positions is None else np.where(np.arange(first, state["count"]) == 2, val - 1e6, val)
 
     monkeypatch.setattr(stab, "total_energy", fake)
     rep = stab.stability_trial(
         refs.mu_us, 12, 2, PerturbationSpec(eta=1e-3, seed=1, count=4), pots_soft, collect_ratios=False
     )
     assert rep["n_failures"] == 1
+    assert rep["failures"][0]["trial"] == 1
     assert rep["failures"][0]["positions"].shape == (96, 3)
+
+
+def _assert_reports_equal(a, b):
+    """Field by field and to the bit; failures compared with their positions."""
+    assert a.keys() == b.keys()
+    for key in a.keys() - {"failures"}:
+        assert a[key] == b[key] or (a[key] != a[key] and b[key] != b[key]), key
+    assert [f["trial"] for f in a["failures"]] == [f["trial"] for f in b["failures"]]
+    for fa, fb in zip(a["failures"], b["failures"]):
+        assert fa["energy_gap"] == fb["energy_gap"]
+        assert np.array_equal(fa["positions"], fb["positions"])
+
+
+@settings(max_examples=10)
+@given(
+    ell=st.sampled_from([6, 8, 12]),
+    m=st.integers(2, 3),
+    eta=st.sampled_from([1e-4, 1e-3, 0.02, 0.08]),
+    mode=st.sampled_from(MODES),
+    seed=st.integers(0, 2**31 - 1),
+    offset=st.sampled_from([0.0, 0.01]),
+)
+@example(ell=12, m=2, eta=0.08, mode="uniform-ball", seed=3, offset=0.0)
+@example(ell=12, m=2, eta=0.08, mode="per-direction", seed=5, offset=0.01)
+def test_batched_report_equals_per_trial_oracle(pots_soft, ell, m, eta, mode, seed, offset):
+    mu = reference_angles(ell, pots_soft).mu_us + offset
+    spec = PerturbationSpec(eta=eta, seed=seed, count=12, mode=mode)
+    rep = stability_trial(mu, ell, m, spec, pots_soft)
+    _assert_reports_equal(rep, stability_trial_loop(mu, ell, m, spec, pots_soft))
+    if eta == 0.08 and m == 2:  # large enough that some draws break a bond
+        assert rep["rejections"] > 0
+
+
+def test_batched_sampler_on_rebuild_tube():
+    # the tube of test_band_rebuilds_where_an_image_can_flip: no fixed images,
+    # so every draw rebuilds its graph, and about half the draws are redrawn
+    base = Nanotube(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.3], [0.0, 1.1, 0.0]]), 2.0, 1, 1)
+    band = BondBand(base, 0.02)
+    assert not band.fixed_images
+    spec = PerturbationSpec(eta=0.02, seed=6)
+    trials = [5, 0, 17, 3, 3, 39, 12]
+    positions, graphs, rejections = sample_perturbations(base, spec, trials, band)
+    expected = [sample_perturbation_rebuild(base, spec, t) for t in trials]
+    assert rejections == sum(rej for _, _, rej in expected) > 0
+    for x, graph, (tube, graph_ref, _) in zip(positions, graphs, expected):
+        assert np.array_equal(x, tube.positions)
+        assert np.array_equal(graph.pairs, graph_ref.pairs)
+        assert np.array_equal(graph.pair_shifts, graph_ref.pair_shifts)
+
+
+def test_rebuild_path_report_equals_oracle(base, pots_soft, monkeypatch):
+    # family tubes always have fixed images; force the rebuild path, where
+    # every draw gets its own graph and graph_rebuilds counts them all
+    class RebuildingBand(BondBand):
+        def __init__(self, tube, eta):
+            super().__init__(tube, eta)
+            self.fixed_images = False
+
+    monkeypatch.setattr(stab, "BondBand", RebuildingBand)
+    _, _, refs = base
+    spec = PerturbationSpec(eta=0.08, seed=2, count=6, mode="gaussian-clipped")
+    rep = stability_trial(refs.mu_us, 12, 2, spec, pots_soft)
+    _assert_reports_equal(rep, stability_trial_loop(refs.mu_us, 12, 2, spec, pots_soft))
+    assert rep["graph_rebuilds"] == spec.count + rep["rejections"] > spec.count
+
+
+@pytest.mark.parametrize("per_chunk", [1, 7, 40])
+@pytest.mark.parametrize("order", ["forward", "reversed", "shuffled"])
+def test_report_independent_of_chunks_and_order(base, pots_soft, monkeypatch, per_chunk, order):
+    # eta = 0.08 at m = 2 makes some draws break a bond, so redraws cross
+    # chunks; the energy is doctored so that every sample whose first atom
+    # moved in +x is a counterexample, and failures cross chunks too
+    tube0, _, refs = base
+    real = stab.total_energy
+
+    def doctored(tube, pots, graph=None, positions=None):
+        val = real(tube, pots, graph, positions)
+        return val if positions is None else np.where(positions[:, 0, 0] > tube0.positions[0, 0], val - 1e6, val)
+
+    monkeypatch.setattr(stab, "total_energy", doctored)
+    spec = PerturbationSpec(eta=0.08, seed=21, count=23)
+    reference = stability_trial(refs.mu_us, 12, 2, spec, pots_soft)
+    assert 0 < reference["n_failures"] < spec.count
+    chunks = stab._chunks
+    permute = {
+        "forward": lambda c: c,
+        "reversed": lambda c: c[::-1],
+        "shuffled": lambda c: [c[k] for k in np.random.default_rng(per_chunk).permutation(len(c))],
+    }[order]
+    monkeypatch.setattr(stab, "_CHUNK_ATOMS", per_chunk * 96)
+    monkeypatch.setattr(stab, "_chunks", lambda count, n: permute(chunks(count, n)))
+    assert len(stab._chunks(spec.count, 96)) == -(-spec.count // per_chunk)
+    _assert_reports_equal(stability_trial(refs.mu_us, 12, 2, spec, pots_soft), reference)
+
+
+@settings(max_examples=30)
+@given(
+    mode=st.sampled_from(MODES),
+    eta=st.floats(1e-9, 0.05),
+    seed=st.integers(0, 2**31 - 1),
+    first=st.integers(0, 10**6),
+)
+def test_samples_never_exceed_eta(base, mode, eta, seed, first):
+    tube0, _, _ = base
+    spec = PerturbationSpec(eta=eta, seed=seed, mode=mode)
+    positions, _, _ = sample_perturbations(tube0, spec, range(first, first + 5))
+    # displacements are read back from the positions, whose rounding is a few
+    # ulps of the coordinates
+    slack = 4.0 * np.spacing(np.max(np.abs(tube0.positions)))
+    assert np.max(np.linalg.norm(positions - tube0.positions, axis=-1)) <= eta + slack
+
+
+def test_zero_eta_ensemble_is_refused(base, pots_soft):
+    _, _, refs = base
+    with pytest.raises(InvalidParameterError, match="eta"):
+        stability_trial(refs.mu_us, 12, 2, PerturbationSpec(eta=0.0, count=3), pots_soft)
 
 
 def test_hessian_null_space_structure(base, pots_soft):
@@ -266,17 +387,3 @@ def test_certificate_positive_on_samples(ell, pots_soft):
     rep = per_cell_certificate(sample, fam, pots_soft)
     assert rep["min_margin"] >= 0.0
     assert rep["c_hat"] > 0.0
-
-
-def test_critical_stretch_scan(pots_soft):
-    rep = critical_stretch_scan(8, 2, pots_soft, eta=5e-4, count=8, seed=2, offsets=(0.0, 0.01))
-    assert rep["largest_passing_offset"] == 0.01
-    assert all(row["passed"] for row in rep["offsets"])
-
-
-def test_certificate_eta_ladder(pots_soft):
-    from nanolab.stability import certificate_eta_ladder
-
-    rep = certificate_eta_ladder(12, 2, pots_soft, etas=(1e-4, 1e-3), samples_per_eta=2, seed=8)
-    assert rep["largest_passing_eta"] == 1e-3
-    assert all(row["passed"] for row in rep["rows"])
