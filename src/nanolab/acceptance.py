@@ -143,12 +143,21 @@ def stability_ensembles(size, seed) -> dict:
 
 def hessian_null_space(size, seed) -> dict:
     """The Hessian of the (ell, m) family minimizer at mu_us + 0.01 has exactly
-    the four isometry null modes and is positive on the rest."""
+    the four isometry null modes and is positive on the rest.  Also reported,
+    not checked: the Bloch blocks that hold the null modes and the
+    Cauchy-Born acoustic_ratio."""
     ell, m = size
     fam = reduced.minimize_family(reduced.reference_angles(ell, SOFT).mu_us + 0.01, ell, SOFT, m=m)
-    rep = stability.null_space_report(geometry.build_nanotube(fam.geometry, m), SOFT)
+    tube = geometry.build_nanotube(fam.geometry, m)
+    rep = stability.null_space_report(tube, SOFT)
     ok = rep["n_near_null"] == 4 and rep["rest_positive"] and rep["max_principal_angle"] < 1e-3
-    return {"passed": bool(ok), "n_near_null": rep["n_near_null"], "max_principal_angle": rep["max_principal_angle"]}
+    return {
+        "passed": bool(ok),
+        "n_near_null": rep["n_near_null"],
+        "max_principal_angle": rep["max_principal_angle"],
+        "null_blocks": rep["null_blocks"],
+        "acoustic_ratio": stability.acoustic_ratio(tube, SOFT),
+    }
 
 
 def kernel_dimensions(size, seed) -> dict:

@@ -1,4 +1,5 @@
-"""Bond graph under the axial periodic metric, configurational energy, gradient.
+"""Bond graph under the axial periodic metric, configurational energy, gradient,
+Hessian, and the Bloch blocks of the Hessian of a family tube.
 
 Bonds are pairs at modulo-L distance strictly below 1.1; triples share a
 vertex.  Sums run over unordered bonds and unordered angles: each bond
@@ -14,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateGeometryError
-from .geometry import Nanotube, ZigzagGeometry
+from .geometry import Nanotube, ZigzagGeometry, axial_rotations
 from .potentials import PotentialSet
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -353,3 +354,59 @@ def hessian(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = None) 
     if graph.n_angles:
         _add_blocks(hess, graph.triples, _angle_term(*_leg_vectors(pos, graph), pots.v3, second=True)[1])
     return hess
+
+
+def bloch_blocks(tube: Nanotube, pots: PotentialSet, p, q, graph: BondGraph | None = None) -> np.ndarray:
+    """Bloch blocks B(p, q) of the Hessian of a family tube: a (len(p), 12, 12)
+    complex Hermitian stack over the coordinates of the motif atoms 0..3.
+
+    tube must be laid out as build_nanotube lays out a family tube, with graph
+    its bond graph: atom (i, j, k, l) is motif atom 2k + l rotated by
+    2*pi*(i-1)/ell about the axis and translated by j*mu, mu = L/m.  Written
+    in each atom's motif frame (its 3-vector rotated by -2*pi*(i-1)/ell) the
+    Hessian commutes with this Z_ell x Z_m action, so it is block diagonal in
+    the Bloch basis, one 12x12 block per rotation index p (an integer) and
+    axial phase q (radians per mu):
+
+        B(p, q) = sum over the bonds and angles with a motif atom s of
+                  R_s^T H_t[s, u] R_u exp(i (2 pi p (i_u - i_s)/ell + q (J_u - J_s)))
+
+    over every atom u of the term, with H_t the term's Hessian block, R the
+    rotation into the motif frame and J the axial cell of the atom's image
+    counted in periods mu, image shifts included.  q = 2*pi*k/m, k = 0..m-1,
+    give the tube's own blocks, whose eigenvalues together are those of
+    hessian(tube); any real q is the Bloch phase of a longer tube.  Only the
+    terms that touch the motif are evaluated, so there is no n x n array.
+    """
+    if graph is None:
+        graph = bond_graph(tube, cutoff=pots.cutoff)
+    ell, L, pos = tube.ell, tube.period, tube.positions
+    bonds = np.any(graph.pairs < 4, axis=1)
+    angles = np.any(graph.triples < 4, axis=1)
+    motif = BondGraph(graph.n, L, graph.pairs[bonds], graph.pair_shifts[bonds],
+                      graph.triples[angles], graph.triple_shifts[angles])
+    # atoms, image shifts and Hessian blocks of the terms, one row per term
+    terms = (
+        (motif.pairs, np.stack([motif.pair_shifts, np.zeros_like(motif.pair_shifts)], axis=1),
+         _bond_term(_bond_vectors(pos, motif), pots.v2, second=True)[1]),
+        (motif.triples, np.insert(motif.triple_shifts, 1, 0, axis=1),
+         _angle_term(*_leg_vectors(pos, motif), pots.v3, second=True)[1]),
+    )
+    offsets, rows, cols, parts = [], [], [], []
+    for atoms, shifts, blocks in terms:
+        kappa = atoms % 4
+        turn = (atoms // 4) % ell
+        cell = np.rint((pos[atoms, 0] + shifts * L - pos[kappa, 0]) / (L / tube.m)).astype(np.int64)
+        rot = axial_rotations(2.0 * np.pi * turn / ell)
+        local = np.einsum("tsxa,tsxuy,tuyb->tsuab", rot, blocks, rot)
+        t, s = np.nonzero(atoms < 4)
+        offsets.append(np.stack([(turn[t] - turn[t, s, None]) % ell, cell[t] - cell[t, s, None]], axis=-1).reshape(-1, 2))
+        rows.append(np.broadcast_to(kappa[t, s, None], kappa[t].shape).ravel())
+        cols.append(kappa[t].ravel())
+        parts.append(local[t, s].reshape(-1, 3, 3))
+    offsets, inverse = np.unique(np.concatenate(offsets), axis=0, return_inverse=True)
+    coupling = np.zeros((len(offsets), 4, 4, 3, 3))
+    np.add.at(coupling, (inverse.ravel(), np.concatenate(rows), np.concatenate(cols)), np.concatenate(parts))
+    coupling = coupling.transpose(0, 1, 3, 2, 4).reshape(len(offsets), 144)
+    phase = np.exp(1j * (2.0 * np.pi / ell * np.outer(p, offsets[:, 0]) + np.outer(q, offsets[:, 1])))
+    return (phase @ coupling).reshape(-1, 12, 12)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .energy import bond_graph, family_energy, total_energy
 from .errors import InvalidParameterError, NotCleavedWarning, OptimizationFailureError, WindowTooSmallError
-from .geometry import Nanotube, gamma, solve_family
+from .geometry import Nanotube, gamma, solve_family, unwrapped_positions
 from .potentials import PotentialSet
 from .reduced import reduced_solve, reference_angles
 
@@ -67,14 +67,9 @@ def build_cleaved(ell: int, m: int, mu: float, pots: PotentialSet) -> CleavedTub
     gap = m * (mu - mu_us)
     L = m * mu
 
-    i = np.arange(1, ell + 1)
-    j = np.arange(m)
-    kk2 = np.arange(2)
-    jj, ii, kk, ll = np.meshgrid(j, i, kk2, kk2, indexing="ij")
-    x1 = kk * (geom.lambda1 + geom.sigma) + jj * geom.mu + ll * (2.0 * geom.sigma + geom.lambda1)
-    x1 = np.where(jj >= m // 2, x1 + gap, x1)
-    ang = np.pi * (2.0 * ii + kk) / ell
-    pos = np.stack([np.mod(x1, L), geom.rho * np.cos(ang), geom.rho * np.sin(ang)], axis=-1)
+    pos = unwrapped_positions(geom, m)
+    pos[m // 2 :, ..., 0] += gap
+    pos[..., 0] = np.mod(pos[..., 0], L)
     tube = Nanotube(pos.reshape(-1, 3), L, ell, m)
 
     graph = bond_graph(tube)

@@ -128,12 +128,12 @@ def solve_family(ell: int, mu: float, lambda1: float, lambda2: float) -> ZigzagG
     return ZigzagGeometry(ell, mu, lambda1, lambda2, sigma, rho, alpha, beta, g)
 
 
-def build_nanotube(geom: ZigzagGeometry, m: int) -> Nanotube:
-    """Materialize the n = 4*m*ell atom positions, wrapped into [0, L) axially."""
+def unwrapped_positions(geom: ZigzagGeometry, m: int) -> np.ndarray:
+    """Positions x(i, j, k, l) of the n = 4*m*ell atoms before the axial wrap,
+    shape (m, ell, 2, 2, 3) in flat-index order (j, i, k, l)."""
     if m < 1:
         raise InvalidParameterError(f"m must be at least 1, got {m}")
     ell = geom.ell
-    L = m * geom.mu
     i = np.arange(1, ell + 1)
     j = np.arange(m)
     k = np.arange(2)
@@ -141,11 +141,25 @@ def build_nanotube(geom: ZigzagGeometry, m: int) -> Nanotube:
     jj, ii, kk, ll = np.meshgrid(j, i, k, l, indexing="ij")
     x1 = kk * (geom.lambda1 + geom.sigma) + jj * geom.mu + ll * (2.0 * geom.sigma + geom.lambda1)
     ang = np.pi * (2.0 * ii + kk) / ell
-    pos = np.stack(
-        [np.mod(x1, L), geom.rho * np.cos(ang), geom.rho * np.sin(ang)],
-        axis=-1,
-    )
-    return Nanotube(pos.reshape(-1, 3), L, ell, m, geom)
+    return np.stack([x1, geom.rho * np.cos(ang), geom.rho * np.sin(ang)], axis=-1)
+
+
+def build_nanotube(geom: ZigzagGeometry, m: int) -> Nanotube:
+    """Materialize the n = 4*m*ell atom positions, wrapped into [0, L) axially."""
+    pos = unwrapped_positions(geom, m)
+    L = m * geom.mu
+    pos[..., 0] = np.mod(pos[..., 0], L)
+    return Nanotube(pos.reshape(-1, 3), L, geom.ell, m, geom)
+
+
+def axial_rotations(angles) -> np.ndarray:
+    """Rotations about the tube axis e1 by each of angles, shape (..., 3, 3)."""
+    c, s = np.cos(angles), np.sin(angles)
+    rot = np.zeros(np.shape(angles) + (3, 3))
+    rot[..., 0, 0] = 1.0
+    rot[..., 1, 1], rot[..., 1, 2] = c, -s
+    rot[..., 2, 1], rot[..., 2, 2] = s, c
+    return rot
 
 
 # Per-(k,l) neighbor offsets: (di, dj, k', l', bond kind).  Index arithmetic is

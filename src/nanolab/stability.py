@@ -1,6 +1,8 @@
 """Monte-Carlo verification that the optimal periodic tube is a strict local
 minimizer: seeded perturbation ensembles with a preserved bond graph, the full
-configurational Hessian spectrum, and per-cell lower-bound certificates.
+configurational Hessian spectrum (from the line-group Bloch blocks on family
+tubes, one dense eigensolve on any other tube), and per-cell lower-bound
+certificates.
 """
 
 from __future__ import annotations
@@ -10,11 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import cell_summary, total_symmetry_defect
-from .energy import BOND_CUTOFF, bond_graph, gradient, hessian, image_distances, near_pairs, total_energy
+from .energy import BOND_CUTOFF, bloch_blocks, bond_graph, gradient, hessian, image_distances, near_pairs, total_energy
 from .errors import EtaTooLargeError, InvalidParameterError, NotStationaryError
-from .geometry import Nanotube, build_nanotube
+from .geometry import Nanotube, axial_rotations, build_nanotube
 from .potentials import PotentialSet
-from .reduced import FamilyMinimum, minimize_family, reduced_solve
+from .reduced import FamilyMinimum, minimize_family, reduced_hessian, reduced_solve
 
 MODES = ("uniform-ball", "gaussian-clipped", "per-direction")
 
@@ -67,6 +69,13 @@ _ROUNDING = 1e-9
 # max(1, _CHUNK_ATOMS // n) trials at a time as one (B, n, 3) stack, which
 # bounds its memory at any n.
 _CHUNK_ATOMS = 2**10
+# stability_trial refuses an eta whose energy gaps come within
+# _GAP_ROUNDOFF * n * eps * |E_base| of zero, where round-off can flip their
+# sign.  Measured at (12, 2): eta = 1e-9 gaps scatter by about 3 eps*|E_base|
+# around their true size (8e-14), and the smallest of 1000 gaps at eta = 1e-8
+# is 1.4 times n*eps*|E_base| (gaussian-clipped draws); the floor is 8 times
+# that scatter at n = 96 and grows faster with n than the scatter does.
+_GAP_ROUNDOFF = 0.25
 
 
 class BondBand:
@@ -189,7 +198,9 @@ def stability_trial(
     trial's result depends only on its index, and the report lists them in
     trial order.  graph_rebuilds counts the draws that rebuilt their bond
     graph because the band could not vet them.  Raises InvalidParameterError
-    at eta = 0, where every sample is the base tube.
+    at eta = 0, where every sample is the base tube, and when a sample that
+    moved has an energy gap within the round-off floor _GAP_ROUNDOFF * n *
+    eps * |E_base|, where its sign is not resolved.
     """
     if spec.eta == 0.0:
         raise InvalidParameterError("eta must be positive for a stability ensemble: at eta = 0 no sample moves")
@@ -216,6 +227,13 @@ def stability_trial(
         for k in np.flatnonzero((gaps[trials] <= 0.0) & ~trivial[trials]):
             trial = int(trials[k])
             failures.append({"trial": trial, "energy_gap": float(gaps[trial]), "positions": stack[k].copy()})
+    floor = _GAP_ROUNDOFF * base.n * np.finfo(float).eps * abs(e_base)
+    unresolved = int(np.sum(~trivial & (np.abs(gaps) <= floor)))
+    if unresolved:
+        raise InvalidParameterError(
+            f"eta={spec.eta} is below the round-off resolution of the energy: {unresolved} samples have "
+            f"|energy gap| <= {floor:.3e}, where rounding can flip the sign of a gap"
+        )
     failures.sort(key=lambda f: f["trial"])
     with_ratio = ~trivial & (delta_sums > 1e-14)
     ratios = gaps[with_ratio] / delta_sums[with_ratio]
@@ -268,46 +286,131 @@ GRAD_TOL_FACTOR = 1e-7
 # the analytic Hessian the isometry modes of family tubes come out at or below
 # about 2e-16 of the largest eigenvalue, while genuine soft modes go down to
 # about 1e-8 of it (the softest pair of (24,4) just above the unstretched
-# period sits near 9e-7), so the threshold sits between the two.
+# period sits near 9e-7), so the threshold sits between the two up to about
+# ell = 180.  Beyond, the ring's flexural modes (Bloch blocks p = +-2, +-3 at
+# q = 0) fall below it as well: 7e-12 and 6e-11 of it at ell = 256.
 ZERO_TOL_REL = 1e-10
+# Axial Bloch phase (radians per period mu) at which acoustic_ratio reads the
+# long-wave curvature; the ratio's error from q > 0 is of order q^2.
+ACOUSTIC_Q = 1e-3
 
 
-def hessian_spectrum(tube: Nanotube, pots: PotentialSet, return_vectors: bool = False):
-    """Eigenvalues (ascending) of the configurational Hessian at fixed period.
-
-    The analytic Hessian (energy.hessian) on the tube's bond graph, one dense
-    eigensolve.  Raises NotStationaryError unless
-    |grad| < GRAD_TOL_FACTOR * sqrt(n).
-    """
+def _stationary_graph(tube: Nanotube, pots: PotentialSet):
+    """The tube's bond graph; raises NotStationaryError unless
+    |grad| < GRAD_TOL_FACTOR * sqrt(n)."""
     graph = bond_graph(tube)
     g0 = gradient(tube, pots, graph)
     if np.linalg.norm(g0) >= GRAD_TOL_FACTOR * np.sqrt(tube.n):
         raise NotStationaryError(
             f"gradient norm {np.linalg.norm(g0):.3e} exceeds {GRAD_TOL_FACTOR * np.sqrt(tube.n):.3e}"
         )
-    hess = hessian(tube, pots, graph)
-    if return_vectors:
-        evals, evecs = np.linalg.eigh(hess)
-        return evals, evecs
-    return np.linalg.eigvalsh(hess)
+    return graph
+
+
+def _is_family(tube: Nanotube, graph) -> bool:
+    """Whether the tube is its family geometry as build_nanotube lays it out,
+    to the bit, with the family bond graph (6*ell*m bonds, every atom of
+    degree 3): the tubes whose Hessian bloch_blocks splits."""
+    geom = tube.geometry
+    if geom is None or geom.ell != tube.ell:
+        return False
+    built = build_nanotube(geom, tube.m)
+    return (
+        built.period == tube.period
+        and np.array_equal(built.positions, tube.positions)
+        and graph.n_bonds == 6 * tube.ell * tube.m
+        and bool(np.all(graph.degrees() == 3))
+    )
+
+
+def _signed_labels(n: int) -> np.ndarray:
+    """The n irrep labels of Z_n in ascending order, -(n-1)//2 .. n//2."""
+    return np.arange(-((n - 1) // 2), n // 2 + 1)
+
+
+def _bloch_spectrum(tube: Nanotube, pots: PotentialSet, graph):
+    """Labels p, q, the blocks B(p, 2*pi*q/m) of every irrep of a family tube
+    and each block's ascending eigenvalues, one row per block in (p, q) order."""
+    p, q = np.meshgrid(_signed_labels(tube.ell), _signed_labels(tube.m), indexing="ij")
+    p, q = p.ravel(), q.ravel()
+    blocks = bloch_blocks(tube, pots, p, 2.0 * np.pi * q / tube.m, graph)
+    return p, q, blocks, np.linalg.eigvalsh(blocks)
+
+
+def _bloch_modes(tube: Nanotube, p: int, q: int, amplitudes: np.ndarray) -> np.ndarray:
+    """The complex 3n-vectors of the Bloch modes at (p, q) whose motif-frame
+    amplitudes are the columns of amplitudes (12, k): atom (i, j, k, l) moves
+    by R_i a_(2k+l) exp(2 pi i (p (i-1)/ell + q j/m))."""
+    ell, m = tube.ell, tube.m
+    turn, cell = np.arange(ell), np.arange(m)
+    phase = np.exp(2j * np.pi * (p * turn[None, :] / ell + q * cell[:, None] / m))
+    rot = axial_rotations(2.0 * np.pi * turn / ell)
+    modes = np.einsum("ji,ixy,cyk->jicxk", phase, rot, amplitudes.reshape(4, 3, -1))
+    return modes.reshape(3 * tube.n, -1)
+
+
+def _block_null_space(tube: Nanotube, p, q, blocks, near_null):
+    """(p, q, count) of each Bloch block with near-null eigenvalues, where
+    near_null[b] marks block b's, and an orthonormal real basis (3n, k) of the
+    k near-null modes.  Only those blocks are solved for eigenvectors."""
+    counts = np.sum(near_null, axis=1)
+    hit = np.flatnonzero(counts)
+    lifted = []
+    for b in hit:
+        w, v = np.linalg.eigh(blocks[b])
+        modes = _bloch_modes(tube, p[b], q[b], v[:, np.argsort(np.abs(w))[: counts[b]]])
+        lifted += [modes.real, modes.imag]
+    # the real and imaginary parts span the real near-null space, twice over
+    # where a block and its conjugate block both hold modes
+    basis = np.linalg.svd(np.hstack(lifted), full_matrices=False)[0][:, : np.sum(counts)] if len(hit) else None
+    return [(int(p[b]), int(q[b]), int(counts[b])) for b in hit], basis
+
+
+def hessian_spectrum(tube: Nanotube, pots: PotentialSet) -> np.ndarray:
+    """Eigenvalues (ascending) of the configurational Hessian at fixed period.
+
+    On a family tube (see _is_family) these are the eigenvalues of its ell*m
+    Bloch blocks (energy.bloch_blocks); any other tube takes one dense
+    eigensolve of energy.hessian.  Raises NotStationaryError unless
+    |grad| < GRAD_TOL_FACTOR * sqrt(n).
+    """
+    graph = _stationary_graph(tube, pots)
+    if _is_family(tube, graph):
+        return np.sort(_bloch_spectrum(tube, pots, graph)[3], axis=None)
+    return np.linalg.eigvalsh(hessian(tube, pots, graph))
 
 
 def null_space_report(tube: Nanotube, pots: PotentialSet) -> dict:
     """Spectrum partition into near-null (see ZERO_TOL_REL) and positive parts
     plus the principal angles between the near-null eigenvectors and the
-    isometry directions."""
+    isometry directions.
+
+    On a family tube the spectrum is that of the Bloch blocks, null_blocks
+    lists (p, q, count) for each block with near-null eigenvalues, and only
+    those blocks are solved for eigenvectors, which are lifted to an
+    orthonormal real basis of the near-null space.  Any other tube takes one
+    dense eigensolve, and null_blocks is None.
+    """
     from scipy.linalg import subspace_angles
 
-    evals, evecs = hessian_spectrum(tube, pots, return_vectors=True)
+    graph = _stationary_graph(tube, pots)
+    family = _is_family(tube, graph)
+    if family:
+        p, q, blocks, block_evals = _bloch_spectrum(tube, pots, graph)
+        evals = np.sort(block_evals, axis=None)
+    else:
+        evals, evecs = np.linalg.eigh(hessian(tube, pots, graph))
     lam_max = float(np.max(np.abs(evals)))
     zero_tol = ZERO_TOL_REL * lam_max
     near_null = np.abs(evals) < zero_tol
     n_null = int(np.sum(near_null))
-    iso = isometry_directions(tube)
+    if family:
+        null_blocks, null_vectors = _block_null_space(tube, p, q, blocks, np.abs(block_evals) < zero_tol)
+    else:
+        null_blocks, null_vectors = None, evecs[:, near_null]
     max_angle = float("nan")
     if n_null > 0:
-        angles = subspace_angles(iso, evecs[:, near_null])
-        max_angle = float(np.max(angles))
+        max_angle = float(np.max(subspace_angles(isometry_directions(tube), null_vectors)))
     positive_rest = bool(np.all(evals[~near_null] > 0.0))
     return {
         "eigenvalues": evals,
@@ -317,7 +420,30 @@ def null_space_report(tube: Nanotube, pots: PotentialSet) -> dict:
         "n_negative": int(np.sum(evals < -zero_tol)),
         "rest_positive": positive_rest,
         "max_principal_angle": max_angle,
+        "null_blocks": null_blocks,
     }
+
+
+def acoustic_ratio(tube: Nanotube, pots: PotentialSet) -> float:
+    """Cauchy-Born check on a family tube: the longitudinal acoustic curvature
+    lambda(q)/q^2 of the block B(0, q) at the axial phase q = ACOUSTIC_Q,
+    divided by e''(mu)/2, where e'' = reduced_hessian(mu, gamma, gamma)[0, 0]
+    is the stretching stiffness of the reduced periodic model.
+
+    The longitudinal branch is the eigenvector of B(0, q) closest to a
+    uniform axial translation.  The ratio tends to 1 as q -> 0 when the
+    long-wave stiffness of the atomistic Hessian is the reduced one.  Raises
+    InvalidParameterError on a tube that is not a family tube.
+    """
+    graph = bond_graph(tube)
+    if not _is_family(tube, graph):
+        raise InvalidParameterError("acoustic_ratio needs a family tube as build_nanotube lays it out")
+    w, v = np.linalg.eigh(bloch_blocks(tube, pots, [0], [ACOUSTIC_Q], graph)[0])
+    axial = np.tile([0.5, 0.0, 0.0], 4)
+    branch = np.argmax(np.abs(axial @ v))
+    geom = tube.geometry
+    stiffness = reduced_hessian(geom.mu, geom.gamma_ell, geom.gamma_ell, pots)[0, 0]
+    return float(w[branch] / ACOUSTIC_Q**2 / (0.5 * stiffness))
 
 
 def per_cell_certificate(tube: Nanotube, base: FamilyMinimum, pots: PotentialSet) -> dict:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nanolab import cells
 from nanolab.cells import (
@@ -24,7 +26,7 @@ from nanolab.cells import (
 )
 from nanolab.energy import bond_graph, total_energy
 from nanolab.errors import InvalidCellError
-from nanolab.geometry import AtomId, build_nanotube, solve_family
+from nanolab.geometry import AtomId, axial_rotations, build_nanotube, solve_family
 from nanolab.reduced import ReducedPoint, beta, minimize_family, reference_angles, sym_energy
 from nanolab.stability import BondBand, PerturbationSpec, sample_perturbation
 
@@ -335,3 +337,31 @@ def test_cell_view_accessors(tube, pots_soft, geom):
     assert view.dual_center_distance() == pytest.approx(geom.mu, abs=1e-10)
     xp, sx, delta = view.symmetrize()
     assert delta <= 1e-20
+
+
+@settings(max_examples=15)
+@given(
+    ell=st.integers(4, 16),
+    m=st.integers(1, 4),
+    a=st.integers(0, 15),
+    b=st.integers(0, 3),
+    seed=st.integers(0, 2**31 - 1),
+    eta=st.sampled_from([0.0, 1e-6, 1e-3, 0.02]),
+)
+def test_energy_and_cells_invariant_under_relabelling(pots_soft, ell, m, a, b, seed, eta):
+    # the Z_ell x Z_m action the Bloch blocks rely on: rotating a perturbed
+    # family tube by 2 pi a / ell and translating it by b mu, with the labels
+    # (i, j) moved to (i + a, j + b), changes no energy and moves each cell's
+    # energy to its relabelled center
+    a, b = a % ell, b % m
+    geom = solve_family(ell, 2.95, 1.0, 0.99)
+    tube = build_nanotube(geom, m)
+    moved = tube.positions + np.random.default_rng(seed).uniform(-eta, eta, tube.positions.shape)
+    image = moved.reshape(m, ell, 4, 3) @ axial_rotations(2.0 * np.pi * a / ell).T + np.array([b * geom.mu, 0.0, 0.0])
+    relabelled = tube.with_positions(np.roll(image, (b, a), axis=(0, 1)).reshape(-1, 3))
+    tube = tube.with_positions(moved)
+    e0 = total_energy(tube, pots_soft)
+    assert abs(total_energy(relabelled, pots_soft) - e0) <= 1e-12 * abs(e0)
+    cells0 = cell_summary(tube, pots_soft)["energy"].reshape(ell, m, 2)
+    cells1 = cell_summary(relabelled, pots_soft)["energy"].reshape(ell, m, 2)
+    assert np.max(np.abs(cells1 - np.roll(cells0, (a, b), axis=(0, 1)))) <= 1e-12

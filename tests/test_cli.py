@@ -187,6 +187,23 @@ def test_stability_rejects_zero_eta(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eta,count", [("1e-300", "3"), ("1e-9", "50")])
+def test_stability_refuses_eta_below_roundoff(tmp_path, capsys, eta, count):
+    # the gaps are round-off of either sign: no verdict, not false failures
+    out = tmp_path / "s.json"
+    assert run(["stability", "--ell", "12", "--m", "2", "--eta", eta, "--count", count, "-o", str(out)]) == 1
+    assert "eta" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_all_reports_null_blocks_and_acoustic_ratio(tmp_path):
+    out = tmp_path / "v.json"
+    assert run(["verify-all", "--quick", "-o", str(out)]) == 0
+    entry = json.loads(out.read_text())["checks"]["hessian_null_space"]
+    assert entry["null_blocks"] == [[-1, 0, 1], [0, 0, 2], [1, 0, 1]]
+    assert abs(entry["acoustic_ratio"] - 1.0) <= 1e-4
+
+
 def test_stability_report_counts_graph_rebuilds(tmp_path, capsys):
     paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
     for path in paths:

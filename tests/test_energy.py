@@ -7,6 +7,7 @@ from oracle import assert_graph_equals_brute, hessian_fd, pairs_brute
 from nanolab import energy, geometry
 from nanolab.energy import (
     E1,
+    bloch_blocks,
     bond_angle,
     bond_graph,
     family_energy,
@@ -346,3 +347,28 @@ def test_geometric_bonds_equal_combinatorial_neighbors(tube):
             tube.atom_index(nb) for nb, _ in expected_neighbors(tube.atom_id(idx), tube.ell, tube.m)
         }
         assert got == want
+
+
+@pytest.mark.parametrize("ell,m,longer", [(8, 1, 3), (6, 2, 4), (12, 1, 2)])
+def test_bloch_blocks_at_continuous_phase_give_longer_tube_spectrum(pots_soft, ell, m, longer):
+    # any family member, stationary or not: the blocks of the m-tube at the
+    # phases 2 pi k / longer are the blocks of the longer tube, whose dense
+    # Hessian is the oracle; (mu, lambda1) make the last motif atom wrap at m = 1
+    geom = solve_family(ell, 2.95, 1.02, 0.98)
+    short, long_ = build_nanotube(geom, m), build_nanotube(geom, longer * m)
+    p, k = np.meshgrid(np.arange(ell), np.arange(longer * m), indexing="ij")
+    blocks = bloch_blocks(short, pots_soft, p.ravel(), 2.0 * np.pi * k.ravel() / (longer * m))
+    dense = np.linalg.eigvalsh(hessian(long_, pots_soft))
+    spectrum = np.sort(np.linalg.eigvalsh(blocks), axis=None)
+    assert np.max(np.abs(spectrum - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_bloch_blocks_hermitian_and_conjugate_pairs(pots_soft):
+    tube = build_nanotube(solve_family(10, 2.9, 1.0, 1.0), 3)
+    p = np.array([0, 3, -3, 2])
+    q = np.array([0.0, 0.7, -0.7, np.pi])
+    b = bloch_blocks(tube, pots_soft, p, q)
+    scale = np.max(np.abs(b))
+    assert np.max(np.abs(b - b.conj().transpose(0, 2, 1))) <= 1e-13 * scale
+    assert np.max(np.abs(b[1] - b[2].conj())) <= 1e-13 * scale
+    assert np.max(np.abs(b[0].imag)) <= 1e-13 * scale

@@ -160,3 +160,13 @@ def test_scaling_reports_solver_diagnostics(pots_soft):
     again = fracture_scaling(12, [4, 16, 64], pots_soft)
     assert (again["newton_iterations"], again["max_kkt_residual"]) == (rep["newton_iterations"], rep["max_kkt_residual"])
     assert [r["mu_frac"] for r in again["rows"]] == [r["mu_frac"] for r in rep["rows"]]
+
+
+def test_uncleaved_tube_is_the_family_tube(pots_soft, refs12):
+    # at mu = mu_us the gap is 0, and the cleaved tube's positions are those
+    # of build_nanotube from the one position formula, to the bit
+    with pytest.warns(NotCleavedWarning):
+        ct = build_cleaved(12, 4, refs12.mu_us, pots_soft)
+    tube = build_nanotube(solve_family(12, refs12.mu_us, 1.0, 1.0), 4)
+    assert ct.gap == 0.0 and ct.tube.period == tube.period
+    assert np.array_equal(ct.tube.positions, tube.positions)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nanolab.errors import PxyzFormatError
 from nanolab.geometry import build_nanotube, solve_family
@@ -63,3 +65,27 @@ def test_trailing_blank_lines_accepted(tmp_path):
     path = tmp_path / "t.pxyz"
     path.write_text("4 6.0\n" + "\n".join(["0 0 0"] * 4) + "\n\n  \n")
     assert read_pxyz(str(path)).n == 4
+
+
+@settings(max_examples=25)
+@given(
+    ell=st.integers(4, 12),
+    m=st.integers(1, 3),
+    mu=st.floats(2.7, 3.05),
+    lambda1=st.floats(0.92, 1.08),
+    seed=st.integers(0, 2**31 - 1),
+    scale=st.sampled_from([0.0, 1e-300, 1e-8, 1.0, 1e6]),
+)
+def test_roundtrip_bit_exact_on_drawn_tubes(tmp_path_factory, ell, m, mu, lambda1, seed, scale):
+    # family tubes moved by anything from subnormal to huge displacements,
+    # negative zeros included: every coordinate and the period come back to the bit
+    tube = build_nanotube(solve_family(ell, mu, lambda1, max(0.901, mu / 2 - lambda1 + 1e-3)), m)
+    rng = np.random.default_rng(seed)
+    pos = tube.positions + scale * rng.standard_normal(tube.positions.shape)
+    pos[rng.uniform(size=pos.shape) < 0.05] = -0.0
+    tube = tube.with_positions(pos)
+    path = str(tmp_path_factory.getbasetemp() / "drawn.pxyz")
+    write_pxyz(path, tube)
+    back = read_pxyz(path, ell=ell, m=m)
+    assert back.positions.tobytes() == tube.positions.tobytes()
+    assert np.float64(back.period).tobytes() == np.float64(tube.period).tobytes()

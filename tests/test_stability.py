@@ -387,3 +387,110 @@ def test_certificate_positive_on_samples(ell, pots_soft):
     rep = per_cell_certificate(sample, fam, pots_soft)
     assert rep["min_margin"] >= 0.0
     assert rep["c_hat"] > 0.0
+
+
+@pytest.mark.parametrize("eta,count", [(1e-300, 3), (1e-9, 50)])
+def test_eta_below_roundoff_is_refused(base, pots_soft, eta, count):
+    # the samples move the tube (at 1e-300 only its coordinates that are 0),
+    # but their gaps are round-off: 0 or either sign
+    _, _, refs = base
+    with pytest.raises(InvalidParameterError, match="eta"):
+        stability_trial(refs.mu_us, 12, 2, PerturbationSpec(eta=eta, count=count), pots_soft)
+
+
+def test_smallest_resolved_eta_still_runs(base, pots_soft):
+    _, _, refs = base
+    rep = stability_trial(refs.mu_us, 12, 2, PerturbationSpec(eta=1e-8, count=50), pots_soft)
+    assert rep["n_failures"] == 0 and rep["min_gap"] > 0.0
+
+
+def _family_tube(ell, m, offset, pots):
+    fam = minimize_family(reference_angles(ell, pots).mu_us + offset, ell, pots, m=m)
+    return build_nanotube(fam.geometry, m)
+
+
+def _unlabelled(tube):
+    """The same configuration without its family geometry: the dense path."""
+    return Nanotube(tube.positions, tube.period, tube.ell, tube.m)
+
+
+@settings(max_examples=12)
+@given(
+    preset=st.sampled_from(["soft", "stiff"]),
+    ell=st.integers(4, 24),
+    m=st.integers(1, 4),
+    offset=st.floats(0.0, 0.02, exclude_max=True),
+)
+@example(preset="soft", ell=24, m=4, offset=0.0)
+@example(preset="stiff", ell=4, m=1, offset=0.019)
+def test_block_spectrum_equals_dense(pots_soft, pots_stiff, preset, ell, m, offset):
+    pots = pots_soft if preset == "soft" else pots_stiff
+    tube = _family_tube(ell, m, offset, pots)
+    assert stab._is_family(tube, bond_graph(tube))
+    block = null_space_report(tube, pots)
+    dense = null_space_report(_unlabelled(tube), pots)
+    assert dense["null_blocks"] is None and block["null_blocks"] is not None
+    spectrum = hessian_spectrum(tube, pots)
+    assert np.max(np.abs(spectrum - dense["eigenvalues"])) <= 1e-12 * dense["lam_max"]
+    assert np.array_equal(block["eigenvalues"], spectrum)
+    assert block["n_near_null"] == dense["n_near_null"]
+    assert (block["max_principal_angle"] < 1e-3) == (dense["max_principal_angle"] < 1e-3)
+
+
+def test_null_modes_sit_in_three_blocks(base, pots_soft):
+    tube0, _, _ = base
+    assert null_space_report(tube0, pots_soft)["null_blocks"] == [(-1, 0, 1), (0, 0, 2), (1, 0, 1)]
+
+
+def _count_paths(monkeypatch):
+    """Count the calls of the dense Hessian and of the block builder."""
+    calls = {"hessian": 0, "bloch_blocks": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _real=getattr(stab, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(stab, name, counted)
+    return calls
+
+
+def test_family_tube_takes_block_path(base, pots_soft, monkeypatch):
+    tube0, _, _ = base
+    calls = _count_paths(monkeypatch)
+    hessian_spectrum(tube0, pots_soft)
+    null_space_report(tube0, pots_soft)
+    assert calls == {"hessian": 0, "bloch_blocks": 2}
+
+
+@pytest.mark.parametrize("how", ["one-ulp", "no-geometry", "translated"])
+def test_non_family_tubes_take_dense_path(base, pots_soft, monkeypatch, how):
+    tube0, _, _ = base
+    if how == "one-ulp":
+        pos = tube0.positions.copy()
+        pos[5, 1] = np.nextafter(pos[5, 1], np.inf)
+        tube = tube0.with_positions(pos)
+    elif how == "no-geometry":
+        tube = _unlabelled(tube0)
+    else:
+        tube = tube0.with_positions(tube0.positions + np.array([0.4, 1.3, -0.2]))
+    reference = hessian_spectrum(tube0, pots_soft)
+    calls = _count_paths(monkeypatch)
+    rep = null_space_report(tube, pots_soft)
+    assert calls == {"hessian": 1, "bloch_blocks": 0}
+    assert rep["null_blocks"] is None and rep["n_near_null"] == 4
+    assert np.max(np.abs(rep["eigenvalues"] - reference)) <= 1e-10 * rep["lam_max"]
+
+
+@pytest.mark.parametrize("ell", [12, 24, 48])
+def test_acoustic_ratio_is_cauchy_born(pots_soft, ell):
+    # the long-wave stretching stiffness of the atomistic Hessian is that of
+    # the reduced periodic model
+    tube = _family_tube(ell, 2, 0.01, pots_soft)
+    assert abs(stab.acoustic_ratio(tube, pots_soft) - 1.0) <= 1e-4
+
+
+def test_acoustic_ratio_refuses_other_tubes(base, pots_soft):
+    tube0, _, _ = base
+    with pytest.raises(InvalidParameterError):
+        stab.acoustic_ratio(_unlabelled(tube0), pots_soft)
