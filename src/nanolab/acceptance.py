@@ -149,14 +149,14 @@ def hessian_null_space(size, seed) -> dict:
     ell, m = size
     fam = reduced.minimize_family(reduced.reference_angles(ell, SOFT).mu_us + 0.01, ell, SOFT, m=m)
     tube = geometry.build_nanotube(fam.geometry, m)
-    rep = stability.null_space_report(tube, SOFT)
+    rep = stability.null_space_report(tube, SOFT, acoustic=True)
     ok = rep["n_near_null"] == 4 and rep["rest_positive"] and rep["max_principal_angle"] < 1e-3
     return {
         "passed": bool(ok),
         "n_near_null": rep["n_near_null"],
         "max_principal_angle": rep["max_principal_angle"],
         "null_blocks": rep["null_blocks"],
-        "acoustic_ratio": stability.acoustic_ratio(tube, SOFT),
+        "acoustic_ratio": rep["acoustic_ratio"],
     }
 
 

@@ -410,3 +410,16 @@ def bloch_blocks(tube: Nanotube, pots: PotentialSet, p, q, graph: BondGraph | No
     coupling = coupling.transpose(0, 1, 3, 2, 4).reshape(len(offsets), 144)
     phase = np.exp(1j * (2.0 * np.pi / ell * np.outer(p, offsets[:, 0]) + np.outer(q, offsets[:, 1])))
     return (phase @ coupling).reshape(-1, 12, 12)
+
+
+def bloch_modes(tube: Nanotube, p: int, q: float, amplitudes: np.ndarray) -> np.ndarray:
+    """The complex 3n-vectors of the Bloch modes of block B(p, q) (see
+    bloch_blocks) whose motif-frame amplitudes are the columns of amplitudes
+    (12, k): atom (i, j, k, l) moves by R_i a_(2k+l) exp(i (2 pi p (i-1)/ell
+    + q j)), with R_i the rotation by 2*pi*(i-1)/ell about the axis."""
+    ell, m = tube.ell, tube.m
+    turn, cell = np.arange(ell), np.arange(m)
+    phase = np.exp(1j * (2.0 * np.pi / ell * p * turn[None, :] + q * cell[:, None]))
+    rot = axial_rotations(2.0 * np.pi * turn / ell)
+    modes = np.einsum("ji,ixy,cyk->jicxk", phase, rot, amplitudes.reshape(4, 3, -1))
+    return modes.reshape(3 * tube.n, -1)

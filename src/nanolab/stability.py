@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import cell_summary, total_symmetry_defect
-from .energy import BOND_CUTOFF, bloch_blocks, bond_graph, gradient, hessian, image_distances, near_pairs, total_energy
+from .energy import BOND_CUTOFF, bloch_blocks, bloch_modes, bond_graph, gradient, hessian, image_distances, near_pairs, total_energy
 from .errors import EtaTooLargeError, InvalidParameterError, NotStationaryError
-from .geometry import Nanotube, axial_rotations, build_nanotube
+from .geometry import Nanotube, build_nanotube
 from .potentials import PotentialSet
 from .reduced import FamilyMinimum, minimize_family, reduced_hessian, reduced_solve
 
@@ -70,12 +70,16 @@ _ROUNDING = 1e-9
 # bounds its memory at any n.
 _CHUNK_ATOMS = 2**10
 # stability_trial refuses an eta whose energy gaps come within
-# _GAP_ROUNDOFF * n * eps * |E_base| of zero, where round-off can flip their
-# sign.  Measured at (12, 2): eta = 1e-9 gaps scatter by about 3 eps*|E_base|
+# _GAP_ROUNDOFF * eps * |E_base| of zero, where round-off can flip their sign.
+# Both |E_base| and the floor are extensive, while the rounding of the energy
+# stays about eps * |E_base| at any n: relabelling the atoms of perturbed
+# (12, m) tubes, m = 2 .. 256, changes it by at most 0.95 eps * |E_base|.
+# Measured at (12, 2): eta = 1e-9 gaps scatter by about 3 eps * |E_base|
 # around their true size (8e-14), and the smallest of 1000 gaps at eta = 1e-8
-# is 1.4 times n*eps*|E_base| (gaussian-clipped draws); the floor is 8 times
-# that scatter at n = 96 and grows faster with n than the scatter does.
-_GAP_ROUNDOFF = 0.25
+# is 134 eps * |E_base| (gaussian-clipped draws); at (12, 64) the smallest of
+# 30 gaps at eta = 1e-8 is 360 eps * |E_base|.  The floor is 8 times the
+# scatter.
+_GAP_ROUNDOFF = 24.0
 
 
 class BondBand:
@@ -199,8 +203,9 @@ def stability_trial(
     trial order.  graph_rebuilds counts the draws that rebuilt their bond
     graph because the band could not vet them.  Raises InvalidParameterError
     at eta = 0, where every sample is the base tube, and when a sample that
-    moved has an energy gap within the round-off floor _GAP_ROUNDOFF * n *
-    eps * |E_base|, where its sign is not resolved.
+    moved has an energy gap within the round-off floor _GAP_ROUNDOFF * eps *
+    |E_base|, where its sign is not resolved: at an eta too small for the
+    energy to see, or at a gap too close to zero to call a counterexample.
     """
     if spec.eta == 0.0:
         raise InvalidParameterError("eta must be positive for a stability ensemble: at eta = 0 no sample moves")
@@ -227,12 +232,12 @@ def stability_trial(
         for k in np.flatnonzero((gaps[trials] <= 0.0) & ~trivial[trials]):
             trial = int(trials[k])
             failures.append({"trial": trial, "energy_gap": float(gaps[trial]), "positions": stack[k].copy()})
-    floor = _GAP_ROUNDOFF * base.n * np.finfo(float).eps * abs(e_base)
+    floor = _GAP_ROUNDOFF * np.finfo(float).eps * abs(e_base)
     unresolved = int(np.sum(~trivial & (np.abs(gaps) <= floor)))
     if unresolved:
         raise InvalidParameterError(
-            f"eta={spec.eta} is below the round-off resolution of the energy: {unresolved} samples have "
-            f"|energy gap| <= {floor:.3e}, where rounding can flip the sign of a gap"
+            f"eta={spec.eta}: {unresolved} samples have |energy gap| <= {floor:.3e}, the round-off floor "
+            f"of the energy, where rounding can flip the sign of a gap"
         )
     failures.sort(key=lambda f: f["trial"])
     with_ratio = ~trivial & (delta_sums > 1e-14)
@@ -337,16 +342,12 @@ def _bloch_spectrum(tube: Nanotube, pots: PotentialSet, graph):
     return p, q, blocks, np.linalg.eigvalsh(blocks)
 
 
-def _bloch_modes(tube: Nanotube, p: int, q: int, amplitudes: np.ndarray) -> np.ndarray:
-    """The complex 3n-vectors of the Bloch modes at (p, q) whose motif-frame
-    amplitudes are the columns of amplitudes (12, k): atom (i, j, k, l) moves
-    by R_i a_(2k+l) exp(2 pi i (p (i-1)/ell + q j/m))."""
-    ell, m = tube.ell, tube.m
-    turn, cell = np.arange(ell), np.arange(m)
-    phase = np.exp(2j * np.pi * (p * turn[None, :] / ell + q * cell[:, None] / m))
-    rot = axial_rotations(2.0 * np.pi * turn / ell)
-    modes = np.einsum("ji,ixy,cyk->jicxk", phase, rot, amplitudes.reshape(4, 3, -1))
-    return modes.reshape(3 * tube.n, -1)
+def _vetted_spectrum(tube: Nanotube, pots: PotentialSet):
+    """The bond graph of a stationary tube (see _stationary_graph) and, on a
+    family tube (see _is_family), its Bloch spectrum (see _bloch_spectrum),
+    None on any other tube."""
+    graph = _stationary_graph(tube, pots)
+    return graph, (_bloch_spectrum(tube, pots, graph) if _is_family(tube, graph) else None)
 
 
 def _block_null_space(tube: Nanotube, p, q, blocks, near_null):
@@ -358,12 +359,30 @@ def _block_null_space(tube: Nanotube, p, q, blocks, near_null):
     lifted = []
     for b in hit:
         w, v = np.linalg.eigh(blocks[b])
-        modes = _bloch_modes(tube, p[b], q[b], v[:, np.argsort(np.abs(w))[: counts[b]]])
+        modes = bloch_modes(tube, p[b], 2.0 * np.pi * q[b] / tube.m, v[:, np.argsort(np.abs(w))[: counts[b]]])
         lifted += [modes.real, modes.imag]
     # the real and imaginary parts span the real near-null space, twice over
     # where a block and its conjugate block both hold modes
     basis = np.linalg.svd(np.hstack(lifted), full_matrices=False)[0][:, : np.sum(counts)] if len(hit) else None
     return [(int(p[b]), int(q[b]), int(counts[b])) for b in hit], basis
+
+
+def _acoustic_ratio(tube: Nanotube, pots: PotentialSet, graph) -> float:
+    """Cauchy-Born check on a family tube: the longitudinal acoustic curvature
+    lambda(q)/q^2 of the block B(0, q) at the axial phase q = ACOUSTIC_Q,
+    divided by e''(mu)/2, where e'' = reduced_hessian(mu, gamma, gamma)[0, 0]
+    is the stretching stiffness of the reduced periodic model.
+
+    The longitudinal branch is the eigenvector of B(0, q) closest to a
+    uniform axial translation.  The ratio tends to 1 as q -> 0 when the
+    long-wave stiffness of the atomistic Hessian is the reduced one.
+    """
+    w, v = np.linalg.eigh(bloch_blocks(tube, pots, [0], [ACOUSTIC_Q], graph)[0])
+    axial = np.tile([0.5, 0.0, 0.0], 4)
+    branch = np.argmax(np.abs(axial @ v))
+    geom = tube.geometry
+    stiffness = reduced_hessian(geom.mu, geom.gamma_ell, geom.gamma_ell, pots)[0, 0]
+    return float(w[branch] / ACOUSTIC_Q**2 / (0.5 * stiffness))
 
 
 def hessian_spectrum(tube: Nanotube, pots: PotentialSet) -> np.ndarray:
@@ -374,13 +393,13 @@ def hessian_spectrum(tube: Nanotube, pots: PotentialSet) -> np.ndarray:
     eigensolve of energy.hessian.  Raises NotStationaryError unless
     |grad| < GRAD_TOL_FACTOR * sqrt(n).
     """
-    graph = _stationary_graph(tube, pots)
-    if _is_family(tube, graph):
-        return np.sort(_bloch_spectrum(tube, pots, graph)[3], axis=None)
+    graph, bloch = _vetted_spectrum(tube, pots)
+    if bloch is not None:
+        return np.sort(bloch[3], axis=None)
     return np.linalg.eigvalsh(hessian(tube, pots, graph))
 
 
-def null_space_report(tube: Nanotube, pots: PotentialSet) -> dict:
+def null_space_report(tube: Nanotube, pots: PotentialSet, acoustic: bool = False) -> dict:
     """Spectrum partition into near-null (see ZERO_TOL_REL) and positive parts
     plus the principal angles between the near-null eigenvectors and the
     isometry directions.
@@ -389,14 +408,15 @@ def null_space_report(tube: Nanotube, pots: PotentialSet) -> dict:
     lists (p, q, count) for each block with near-null eigenvalues, and only
     those blocks are solved for eigenvectors, which are lifted to an
     orthonormal real basis of the near-null space.  Any other tube takes one
-    dense eigensolve, and null_blocks is None.
+    dense eigensolve, and null_blocks is None.  With acoustic, the report
+    also holds acoustic_ratio (see _acoustic_ratio) of a family tube, None
+    on any other tube.
     """
     from scipy.linalg import subspace_angles
 
-    graph = _stationary_graph(tube, pots)
-    family = _is_family(tube, graph)
-    if family:
-        p, q, blocks, block_evals = _bloch_spectrum(tube, pots, graph)
+    graph, bloch = _vetted_spectrum(tube, pots)
+    if bloch is not None:
+        p, q, blocks, block_evals = bloch
         evals = np.sort(block_evals, axis=None)
     else:
         evals, evecs = np.linalg.eigh(hessian(tube, pots, graph))
@@ -404,7 +424,7 @@ def null_space_report(tube: Nanotube, pots: PotentialSet) -> dict:
     zero_tol = ZERO_TOL_REL * lam_max
     near_null = np.abs(evals) < zero_tol
     n_null = int(np.sum(near_null))
-    if family:
+    if bloch is not None:
         null_blocks, null_vectors = _block_null_space(tube, p, q, blocks, np.abs(block_evals) < zero_tol)
     else:
         null_blocks, null_vectors = None, evecs[:, near_null]
@@ -412,7 +432,7 @@ def null_space_report(tube: Nanotube, pots: PotentialSet) -> dict:
     if n_null > 0:
         max_angle = float(np.max(subspace_angles(isometry_directions(tube), null_vectors)))
     positive_rest = bool(np.all(evals[~near_null] > 0.0))
-    return {
+    report = {
         "eigenvalues": evals,
         "lam_max": lam_max,
         "zero_tol": zero_tol,
@@ -422,28 +442,9 @@ def null_space_report(tube: Nanotube, pots: PotentialSet) -> dict:
         "max_principal_angle": max_angle,
         "null_blocks": null_blocks,
     }
-
-
-def acoustic_ratio(tube: Nanotube, pots: PotentialSet) -> float:
-    """Cauchy-Born check on a family tube: the longitudinal acoustic curvature
-    lambda(q)/q^2 of the block B(0, q) at the axial phase q = ACOUSTIC_Q,
-    divided by e''(mu)/2, where e'' = reduced_hessian(mu, gamma, gamma)[0, 0]
-    is the stretching stiffness of the reduced periodic model.
-
-    The longitudinal branch is the eigenvector of B(0, q) closest to a
-    uniform axial translation.  The ratio tends to 1 as q -> 0 when the
-    long-wave stiffness of the atomistic Hessian is the reduced one.  Raises
-    InvalidParameterError on a tube that is not a family tube.
-    """
-    graph = bond_graph(tube)
-    if not _is_family(tube, graph):
-        raise InvalidParameterError("acoustic_ratio needs a family tube as build_nanotube lays it out")
-    w, v = np.linalg.eigh(bloch_blocks(tube, pots, [0], [ACOUSTIC_Q], graph)[0])
-    axial = np.tile([0.5, 0.0, 0.0], 4)
-    branch = np.argmax(np.abs(axial @ v))
-    geom = tube.geometry
-    stiffness = reduced_hessian(geom.mu, geom.gamma_ell, geom.gamma_ell, pots)[0, 0]
-    return float(w[branch] / ACOUSTIC_Q**2 / (0.5 * stiffness))
+    if acoustic:
+        report["acoustic_ratio"] = None if bloch is None else _acoustic_ratio(tube, pots, graph)
+    return report
 
 
 def per_cell_certificate(tube: Nanotube, base: FamilyMinimum, pots: PotentialSet) -> dict:

@@ -83,3 +83,8 @@ def test_criterion_14_determinism(tmp_path):
     rep = json.loads(open(a).read())
     assert rep["passed"]
     assert sorted(rep["checks"]) == sorted(key for _, key, *_ in acceptance.CHECKS)
+    # report-only keys of criterion 08: the null modes' Bloch blocks and the
+    # Cauchy-Born ratio
+    null_space = rep["checks"]["hessian_null_space"]
+    assert null_space["null_blocks"] == [[-1, 0, 1], [0, 0, 2], [1, 0, 1]]
+    assert abs(null_space["acoustic_ratio"] - 1.0) <= 1e-4

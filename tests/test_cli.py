@@ -196,14 +196,6 @@ def test_stability_refuses_eta_below_roundoff(tmp_path, capsys, eta, count):
     assert not out.exists()
 
 
-def test_verify_all_reports_null_blocks_and_acoustic_ratio(tmp_path):
-    out = tmp_path / "v.json"
-    assert run(["verify-all", "--quick", "-o", str(out)]) == 0
-    entry = json.loads(out.read_text())["checks"]["hessian_null_space"]
-    assert entry["null_blocks"] == [[-1, 0, 1], [0, 0, 2], [1, 0, 1]]
-    assert abs(entry["acoustic_ratio"] - 1.0) <= 1e-4
-
-
 def test_stability_report_counts_graph_rebuilds(tmp_path, capsys):
     paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
     for path in paths:

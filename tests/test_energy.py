@@ -8,6 +8,7 @@ from nanolab import energy, geometry
 from nanolab.energy import (
     E1,
     bloch_blocks,
+    bloch_modes,
     bond_angle,
     bond_graph,
     family_energy,
@@ -372,3 +373,17 @@ def test_bloch_blocks_hermitian_and_conjugate_pairs(pots_soft):
     assert np.max(np.abs(b - b.conj().transpose(0, 2, 1))) <= 1e-13 * scale
     assert np.max(np.abs(b[1] - b[2].conj())) <= 1e-13 * scale
     assert np.max(np.abs(b[0].imag)) <= 1e-13 * scale
+
+
+def test_bloch_modes_are_eigenvectors_of_the_dense_hessian(pots_soft):
+    # bloch_modes lifts a block's eigenvectors with bloch_blocks' convention:
+    # the lifted vectors are eigenvectors of hessian(tube) with the same values
+    tube = build_nanotube(solve_family(7, 2.95, 1.02, 0.98), 3)
+    dense = hessian(tube, pots_soft)
+    for p, k in [(0, 0), (2, 1), (-3, 2)]:
+        q = 2.0 * np.pi * k / tube.m
+        w, v = np.linalg.eigh(bloch_blocks(tube, pots_soft, [p], [q])[0])
+        modes = bloch_modes(tube, p, q, v)
+        assert modes.shape == (3 * tube.n, 12)
+        residual = dense @ modes - modes * w
+        assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(dense)) * np.sqrt(tube.n)
