@@ -4,7 +4,7 @@ ensembles, fracture thresholds, and cell-level convexity checks."""
 
 from . import cells, cellspec, energy, fracture, geometry, potentials, pxyz, reduced, stability
 from .energy import bond_graph, family_energy, gradient, periodic_distance, total_energy
-from .geometry import AtomId, Nanotube, ZigzagGeometry, build_nanotube, expected_neighbors, gamma, solve_family
+from .geometry import AtomId, Nanotube, ZigzagGeometry, build_nanotube, gamma, solve_family
 from .potentials import PotentialSet, default_soft, default_stiff, validate
 from .pxyz import read_pxyz, write_pxyz
 from .reduced import (
@@ -36,7 +36,6 @@ __all__ = [
     "default_soft",
     "default_stiff",
     "energy",
-    "expected_neighbors",
     "family_energy",
     "fracture",
     "gamma",

@@ -10,12 +10,11 @@ weighted cell energies sum exactly to the configurational energy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .energy import _angle_term, _bond_term, _image_shift, bond_graph
+from .energy import _angle_term, _bond_term, _image_shift
 from .errors import DegenerateGeometryError, InvalidCellError
 from .geometry import Nanotube
 from .potentials import PotentialSet
@@ -175,20 +174,6 @@ def _plane_angle(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
     return np.maximum(t, np.pi - t)
 
 
-def plane_angle_theta(x, neighbor1, neighbor2, axial) -> float:
-    """Angle between the planes {axial, x, neighbor1} and {axial, x, neighbor2}.
-
-    The axial argument is the bonded neighbor whose bond is approximately
-    parallel to the tube axis; the result lies in [pi/2, pi] and equals pi for
-    a coplanar junction.
-    """
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(axial, dtype=float) - x
-    n1 = np.cross(np.asarray(neighbor1, dtype=float) - x, a)
-    n2 = np.cross(np.asarray(neighbor2, dtype=float) - x, a)
-    return float(_plane_angle(n1, n2))
-
-
 def cell_plane_angles(cells: np.ndarray) -> np.ndarray:
     """(theta_l, theta_r, theta at x2, theta at x1) for every cell, shape (..., 4).
 
@@ -257,127 +242,6 @@ def symmetrize(cells_local: np.ndarray):
     return x_prime, s_x, delta
 
 
-@dataclass
-class CellView:
-    """One extracted cell: unwrapped coordinates plus derived quantities."""
-
-    center: tuple
-    atom_indices: np.ndarray
-    positions: np.ndarray
-
-    def bond_lengths(self) -> np.ndarray:
-        return cell_bond_lengths(self.positions)
-
-    def angles(self) -> np.ndarray:
-        return cell_angles(self.positions)
-
-    def energy(self, pots: PotentialSet) -> float:
-        return float(cell_energies(self.positions, pots))
-
-    def plane_angles(self) -> np.ndarray:
-        return cell_plane_angles(self.positions)
-
-    def theta_bar(self) -> float:
-        return float(np.mean(self.plane_angles()))
-
-    def dual_center_distance(self) -> float:
-        p = 0.5 * (self.positions[0] + self.positions[6])
-        q = 0.5 * (self.positions[1] + self.positions[7])
-        return float(np.linalg.norm(q - p))
-
-    def local_coordinates(self) -> np.ndarray:
-        return to_local(self.positions[None])[0]
-
-    def symmetrize(self):
-        """Returns (x_prime, s_x, delta) in local coordinates."""
-        xp, sx, d = symmetrize(self.local_coordinates()[None])
-        return xp[0], sx[0], float(d[0])
-
-
-@dataclass
-class Centers:
-    """Cell centers and dual cell centers, indexed (i-1, j, k)."""
-
-    z: np.ndarray
-    z_dual: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return int(np.prod(self.z.shape[:-1]))
-
-
-def centers(tube: Nanotube) -> Centers:
-    """Midpoints generating the cells; wrapped back into [0, L) axially."""
-    table = cell_atom_indices(tube.ell, tube.m)
-    pos = tube.positions
-    L = tube.period
-    x1 = pos[table[..., 0]]
-    d12 = _nearest_image(pos[table[..., 1]] - x1, L)
-    z = x1 + 0.5 * d12
-    x2 = x1 + d12
-    d28 = _nearest_image(pos[table[..., 7]] - pos[table[..., 1]], L)
-    z_dual = x2 + 0.5 * d28
-    z[..., 0] %= L
-    z_dual[..., 0] %= L
-    return Centers(z, z_dual)
-
-
-def extract_cell(tube: Nanotube, center: tuple, graph=None) -> CellView:
-    """Identify the 8 cell atoms by bond-graph walks from the two generators.
-
-    center is (i, j, k) with i 1-based.  Raises InvalidCellError whenever a
-    walk is ambiguous (any participating atom without exactly three bonds, or
-    a missing unique common neighbor).
-    """
-    if graph is None:
-        graph = bond_graph(tube)
-    i, j, k = center
-    a1 = _flat_index(tube.ell, tube.m, i, j, k, 0)
-    a2 = _flat_index(tube.ell, tube.m, i, j, k, 1)
-    adj = graph.adjacency
-
-    def nbrs(a):
-        out = [b for b, _ in adj[a]]
-        if len(out) != 3:
-            raise InvalidCellError(f"atom {a} has degree {len(out)}, expected 3")
-        return out
-
-    n1 = nbrs(a1)
-    n2 = set(nbrs(a2))
-    wings = []
-    outer1 = []
-    for u in n1:
-        common = [w for w in nbrs(u) if w in n2]
-        if common:
-            if len(common) != 1:
-                raise InvalidCellError(f"ambiguous hexagon closure at atom {u}")
-            wings.append((u, common[0]))
-        else:
-            outer1.append(u)
-    if len(wings) != 2 or len(outer1) != 1:
-        raise InvalidCellError("cell walk did not find two hexagon wings and one axial neighbor")
-    x7 = outer1[0]
-    partners = {v for _, v in wings}
-    outer2 = [u for u in n2 if u not in partners]
-    if len(outer2) != 1:
-        raise InvalidCellError("no unique axial neighbor at the second generator")
-    x8 = outer2[0]
-
-    (u1, v1), (u2, v2) = wings
-    idx = np.array([a1, a2, u1, v1, v2, u2, x7, x8])
-    pos = tube.positions
-    coords = np.empty((8, 3))
-    coords[0] = pos[idx[0]]
-    for slot, anchor in _UNWRAP_CHAIN:
-        coords[slot] = coords[anchor] + _nearest_image(pos[idx[slot]] - coords[anchor], tube.period)
-    # orient so that x3 sits on the positive second-coordinate side
-    local = to_local(coords[None])[0]
-    if local[2, 1] < 0.0:
-        idx = idx[[0, 1, 5, 4, 3, 2, 6, 7]]
-        coords = coords[[0, 1, 5, 4, 3, 2, 6, 7]]
-    return CellView(center=center, atom_indices=idx, positions=coords)
-
-
 def _tube_sums(per_cell: np.ndarray, positions):
     """Sum over all cells of one tube (a float) or of each configuration of a
     stack positions (an array over its leading axes), in the same order."""
@@ -423,8 +287,7 @@ def cell_summary(tube: Nanotube, pots: PotentialSet) -> dict:
     p = 0.5 * (cells[..., 0, :] + cells[..., 6, :])
     q = 0.5 * (cells[..., 1, :] + cells[..., 7, :])
     mu_tilde = np.linalg.norm(q - p, axis=-1)
-    ell, m = tube.ell, tube.m
-    ids = np.array([(i + 1, j, k) for i in range(ell) for j in range(m) for k in range(2)])
+    ids = np.indices((tube.ell, tube.m, 2)).reshape(3, -1).T + (1, 0, 0)
     flat = lambda a: a.reshape(-1, *a.shape[3:])
     return {
         "centers": ids,

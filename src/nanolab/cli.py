@@ -59,11 +59,9 @@ def _emit_json(payload: dict, out: str | None) -> None:
     _emit(json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n", out)
 
 
-def _emit_csv(header, rows, out: str | None) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(pxyz.format_float(v) if isinstance(v, (float, np.floating)) else str(v) for v in row))
-    _emit("\n".join(lines) + "\n", out)
+def _emit_csv(header, columns, out: str | None) -> None:
+    """CSV of the column blocks side by side (see pxyz.format_table)."""
+    _emit(",".join(header) + "\n" + pxyz.format_table(columns, ","), out)
 
 
 def _load_pots(args) -> potentials.PotentialSet:
@@ -124,16 +122,7 @@ def cmd_cells(args) -> int:
         + [f"phi{t}" for t in range(1, 11)]
         + ["theta_l", "theta_r", "theta_l_dual", "theta_r_dual", "delta"]
     )
-    rows = []
-    for idx, (ci, cj, ck) in enumerate(summ["centers"]):
-        rows.append(
-            [int(ci), int(cj), int(ck)]
-            + [float(v) for v in summ["bonds"][idx]]
-            + [float(v) for v in summ["angles"][idx]]
-            + [float(v) for v in summ["theta"][idx]]
-            + [float(summ["delta"][idx])]
-        )
-    _emit_csv(header, rows, args.out)
+    _emit_csv(header, [summ[key] for key in ("centers", "bonds", "angles", "theta", "delta")], args.out)
     return EXIT_OK
 
 
@@ -150,12 +139,9 @@ def cmd_reduced(args) -> int:
     grid = _parse_grid(args.mu_grid, refs.mu_us)
     fams, sol = reduced.family_minima(grid, args.ell, pots, m=args.m)
     evals = np.linalg.eigvalsh(sol.envelope_hessian())
-    rows = [
-        [fam.mu, fam.lambda1, fam.lambda2, fam.alpha, fam.geometry.rho, fam.energy, *ev.tolist()]
-        for fam, ev in zip(fams, evals)
-    ]
+    minima = [[fam.mu, fam.lambda1, fam.lambda2, fam.alpha, fam.geometry.rho, fam.energy] for fam in fams]
     header = ["mu", "lambda1", "lambda2", "alpha", "rho", "emin", "hess_eig1", "hess_eig2", "hess_eig3"]
-    _emit_csv(header, rows, args.out)
+    _emit_csv(header, [np.array(minima, dtype=float), evals], args.out)
     return EXIT_OK
 
 
@@ -179,8 +165,9 @@ def cmd_fracture(args) -> int:
     pots = _load_pots(args)
     scaling = fracture.fracture_scaling(args.ell, _int_list(args.m_list), pots, window=args.window)
     if args.out_csv:
-        rows = [[r["m"], r["mu_frac"], r["offset_sqrt_m"]] for r in scaling["rows"]]
-        _emit_csv(["m", "mu_frac", "offset_sqrt_m"], rows, args.out_csv)
+        rows = scaling["rows"]
+        columns = [[r["m"] for r in rows], [[r["mu_frac"], r["offset_sqrt_m"]] for r in rows]]
+        _emit_csv(["m", "mu_frac", "offset_sqrt_m"], columns, args.out_csv)
     payload = {
         "ell": scaling["ell"],
         "slope": scaling["slope"],

@@ -18,7 +18,6 @@ from .errors import DegenerateGeometryError
 from .geometry import Nanotube, ZigzagGeometry, axial_rotations
 from .potentials import PotentialSet
 
-E1 = np.array([1.0, 0.0, 0.0])
 BOND_CUTOFF = 1.1
 
 
@@ -176,18 +175,6 @@ def bond_graph(tube: Nanotube, cutoff: float = BOND_CUTOFF) -> BondGraph:
     triples = np.stack([nbr[first], vert[first], nbr[second]], axis=1)
     triple_shifts = np.stack([leg[first], leg[second]], axis=1)
     return BondGraph(tube.n, tube.period, pairs, tt, triples, triple_shifts)
-
-
-def bond_angle(xi, xj, xk, L: float = 0.0, shift_i: int = 0, shift_k: int = 0) -> float:
-    """Angle at vertex xj formed by the (periodically shifted) legs to xi and xk."""
-    u = np.asarray(xi, dtype=float) - np.asarray(xj, dtype=float) + L * shift_i * E1
-    v = np.asarray(xk, dtype=float) - np.asarray(xj, dtype=float) + L * shift_k * E1
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise DegenerateGeometryError("zero-length bond leg in angle evaluation")
-    c = np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0)
-    return float(np.arccos(c))
 
 
 def _bond_vectors(pos, graph: BondGraph):

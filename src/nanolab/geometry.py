@@ -23,9 +23,6 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
-LAMBDA1_BOND = "lambda1"
-LAMBDA2_BOND = "lambda2"
-
 
 def gamma(ell: int) -> float:
     """Interior angle of a regular 2*ell-gon, pi*(1 - 1/ell)."""
@@ -160,23 +157,3 @@ def axial_rotations(angles) -> np.ndarray:
     rot[..., 1, 1], rot[..., 1, 2] = c, -s
     rot[..., 2, 1], rot[..., 2, 2] = s, c
     return rot
-
-
-# Per-(k,l) neighbor offsets: (di, dj, k', l', bond kind).  Index arithmetic is
-# modulo ell in i and modulo m in j (bonds cross the periodic seam).
-_NEIGHBOR_TABLE = {
-    (0, 0): [(0, -1, 1, 1, LAMBDA2_BOND), (-1, -1, 1, 1, LAMBDA2_BOND), (0, -1, 0, 1, LAMBDA1_BOND)],
-    (0, 1): [(0, 0, 1, 0, LAMBDA2_BOND), (-1, 0, 1, 0, LAMBDA2_BOND), (0, 1, 0, 0, LAMBDA1_BOND)],
-    (1, 0): [(0, 0, 0, 1, LAMBDA2_BOND), (1, 0, 0, 1, LAMBDA2_BOND), (0, -1, 1, 1, LAMBDA1_BOND)],
-    (1, 1): [(0, 1, 0, 0, LAMBDA2_BOND), (1, 1, 0, 0, LAMBDA2_BOND), (0, 1, 1, 0, LAMBDA1_BOND)],
-}
-
-
-def expected_neighbors(a: AtomId, ell: int, m: int) -> list[tuple[AtomId, str]]:
-    """The three combinatorial neighbors of an atom and their bond kinds."""
-    out = []
-    for di, dj, nk, nl, kind in _NEIGHBOR_TABLE[(a.k, a.l)]:
-        ni = (a.i - 1 + di) % ell + 1
-        nj = (a.j + dj) % m
-        out.append((AtomId(ni, nj, nk, nl), kind))
-    return out

@@ -1,8 +1,8 @@
 """PXYZ configuration files: line 1 holds `n L`, then n lines `x y z`.
 
 Floats are rendered with 17 significant digits so a write/read round trip is
-bit-exact.  The formatter and the atomic writer here serve every file the CLI
-writes.
+bit-exact.  The table formatter and the atomic writer here serve every file
+the CLI writes.
 """
 
 from __future__ import annotations
@@ -10,16 +10,34 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from itertools import chain
 
 import numpy as np
 
 from .errors import PxyzFormatError
 from .geometry import Nanotube
 
+# 17 significant digits: enough for a bit-exact round trip of every double
+FLOAT_FORMAT = "%.17g"
+_FIELD_FORMATS = {"i": "%d", "f": FLOAT_FORMAT}
 
-def format_float(x: float) -> str:
-    """17 significant digits: enough for a bit-exact round trip."""
-    return format(float(x), ".17g")
+
+def format_table(blocks, sep: str = " ") -> str:
+    """Text of a table whose columns are the blocks side by side, one line per row.
+
+    Each block is array-like of shape (rows,) or (rows, k): integer blocks are
+    written with %d, float blocks with FLOAT_FORMAT.  The whole table is one
+    % operation on the values in row order.
+    """
+    blocks = [np.asarray(b) for b in blocks]
+    blocks = [b if b.ndim == 2 else b.reshape(-1, 1) for b in blocks]
+    rows = len(blocks[0])
+    fields = []
+    for b in blocks:
+        fields += [_FIELD_FORMATS[b.dtype.kind]] * b.shape[1]
+    table = np.empty((rows, len(fields)), dtype=object)
+    np.concatenate(blocks, axis=1, out=table)
+    return (sep.join(fields) + "\n") * rows % tuple(table.ravel().tolist())
 
 
 def write_text(path, text: str) -> None:
@@ -37,9 +55,22 @@ def write_text(path, text: str) -> None:
 
 def write_pxyz(path, tube: Nanotube) -> None:
     """Write the tube as PXYZ, atomically."""
-    lines = [f"{tube.n} {format_float(tube.period)}"]
-    lines += [f"{format_float(x)} {format_float(y)} {format_float(z)}" for x, y, z in tube.positions]
-    write_text(path, "\n".join(lines) + "\n")
+    write_text(path, format_table([[tube.n], [tube.period]]) + format_table([tube.positions]))
+
+
+def _coordinate_error(raw, n: int) -> PxyzFormatError:
+    """The error of the first malformed coordinate line, in file order."""
+    for row in range(n):
+        parts = raw[row + 1].split()
+        if len(parts) != 3:
+            return PxyzFormatError(f"expected 3 columns, got {len(parts)}", line_number=row + 2)
+        try:
+            values = [float(v) for v in parts]
+        except ValueError:
+            return PxyzFormatError(f"unparseable coordinates {raw[row + 1]!r}", line_number=row + 2)
+        if not all(map(math.isfinite, values)):
+            return PxyzFormatError(f"non-finite coordinates {raw[row + 1]!r}", line_number=row + 2)
+    raise AssertionError("no malformed coordinate line")
 
 
 def read_pxyz(path, ell: int | None = None, m: int | None = None) -> Nanotube:
@@ -66,20 +97,14 @@ def read_pxyz(path, ell: int | None = None, m: int | None = None) -> Nanotube:
         raise PxyzFormatError(
             f"expected {n} coordinate lines, found {len(raw) - 1}", line_number=len(raw) + 1
         )
-    pos = np.empty((n, 3), dtype=float)
-    for row in range(n):
-        parts = raw[row + 1].split()
-        if len(parts) != 3:
-            raise PxyzFormatError(
-                f"expected 3 columns, got {len(parts)}", line_number=row + 2
-            )
-        try:
-            values = [float(v) for v in parts]
-        except ValueError:
-            raise PxyzFormatError(f"unparseable coordinates {raw[row + 1]!r}", line_number=row + 2)
-        if not all(map(math.isfinite, values)):
-            raise PxyzFormatError(f"non-finite coordinates {raw[row + 1]!r}", line_number=row + 2)
-        pos[row] = values
+    # split lazily, twice, so no line's tokens outlive their parse
+    body = raw[1 : n + 1]
+    try:
+        pos = np.fromiter(map(float, chain.from_iterable(map(str.split, body))), dtype=float, count=3 * n)
+    except ValueError:  # an unparseable token, or fewer than 3n of them
+        pos = None
+    if pos is None or set(map(len, map(str.split, body))) != {3} or not np.isfinite(pos).all():
+        raise _coordinate_error(raw, n)
     extra = next((i for i in range(n + 1, len(raw)) if raw[i].strip()), None)
     if extra is not None:
         raise PxyzFormatError(f"unexpected line after {n} coordinate lines: {raw[extra]!r}", line_number=extra + 1)
@@ -89,4 +114,4 @@ def read_pxyz(path, ell: int | None = None, m: int | None = None) -> Nanotube:
         ell, m = n // 4, 1
     elif 4 * ell * m != n:
         raise PxyzFormatError(f"n={n} inconsistent with ell={ell}, m={m}", line_number=1)
-    return Nanotube(pos, period, ell, m)
+    return Nanotube(pos.reshape(n, 3), period, ell, m)

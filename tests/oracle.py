@@ -6,11 +6,37 @@ reduced.reduced_hessian), the brute-force family minimizer
 (reduced.minimize_family), the one-point-at-a-time inner Newton solve
 (reduced.reduced_solve), the scan-plus-bisection fracture threshold
 (fracture.fracture_threshold) and the one-trial-at-a-time stability ensemble
-with a bond graph rebuilt for every draw (stability.stability_trial)."""
+with a bond graph rebuilt for every draw (stability.stability_trial).
 
+Also the per-value text I/O that pxyz.format_table, pxyz.write_pxyz and
+pxyz.read_pxyz replace, the bond-graph walk that finds one cell's atoms
+(checks cells.cell_atom_indices), and the scalar bond angle, plane angle and
+neighbor table behind the vectorised cell and graph formulas."""
+
+import math
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+
+from nanolab.cells import (
+    _UNWRAP_CHAIN,
+    _flat_index,
+    _nearest_image,
+    _plane_angle,
+    cell_angles,
+    cell_atom_indices,
+    cell_bond_lengths,
+    cell_energies,
+    cell_plane_angles,
+    symmetrize,
+    to_local,
+)
+from nanolab.energy import bond_graph
+from nanolab.errors import DegenerateGeometryError, InvalidCellError, PxyzFormatError
+from nanolab.geometry import AtomId, Nanotube
+
+E1 = np.array([1.0, 0.0, 0.0])
 
 
 def pairs_brute(pos: np.ndarray, L: float, cutoff: float):
@@ -282,7 +308,6 @@ def sample_perturbation_rebuild(base, spec, trial: int, max_rejections: int = 10
     """One trial's displaced copy of base, drawn from the trial's own stream
     and redrawn until bond_graph, rebuilt for every draw, has base's bonds.
     Returns (tube, graph, rejections)."""
-    from nanolab.energy import bond_graph
     from nanolab.errors import EtaTooLargeError
     from nanolab.stability import _displacement, _trial_rng
 
@@ -350,3 +375,232 @@ def stability_trial_loop(mu, ell, m, spec, pots, collect_ratios: bool = True) ->
         "n_failures": len(failures),
         "failures": failures,
     }
+
+
+def format_rows(rows, sep: str = ",") -> str:
+    """One line per row: format(float(v), ".17g") for every float value,
+    str(v) for everything else."""
+    return "".join(
+        sep.join(format(float(v), ".17g") if isinstance(v, (float, np.floating)) else str(v) for v in row) + "\n"
+        for row in rows
+    )
+
+
+def pxyz_text(tube) -> str:
+    """PXYZ text of a tube, one coordinate at a time."""
+    lines = [f"{tube.n} {format(float(tube.period), '.17g')}"]
+    lines += [" ".join(format(float(v), ".17g") for v in xyz) for xyz in tube.positions]
+    return "\n".join(lines) + "\n"
+
+
+def read_pxyz_lines(path, ell=None, m=None):
+    """Parse a PXYZ file line by line: one float() list, one finiteness check
+    and one row assignment per atom; the first malformed line raises."""
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = fh.read().splitlines()
+    if not raw:
+        raise PxyzFormatError("empty PXYZ file", line_number=1)
+    head = raw[0].split()
+    if len(head) != 2:
+        raise PxyzFormatError(f"header must be 'n L', got {raw[0]!r}", line_number=1)
+    try:
+        n = int(head[0])
+        period = float(head[1])
+    except ValueError:
+        raise PxyzFormatError(f"unparseable header {raw[0]!r}", line_number=1)
+    if n < 1 or not (0 < period < math.inf):
+        raise PxyzFormatError(f"need n >= 1 and finite L > 0, got n={n}, L={period}", line_number=1)
+    if len(raw) < n + 1:
+        raise PxyzFormatError(f"expected {n} coordinate lines, found {len(raw) - 1}", line_number=len(raw) + 1)
+    pos = np.empty((n, 3), dtype=float)
+    for row in range(n):
+        parts = raw[row + 1].split()
+        if len(parts) != 3:
+            raise PxyzFormatError(f"expected 3 columns, got {len(parts)}", line_number=row + 2)
+        try:
+            values = [float(v) for v in parts]
+        except ValueError:
+            raise PxyzFormatError(f"unparseable coordinates {raw[row + 1]!r}", line_number=row + 2)
+        if not all(map(math.isfinite, values)):
+            raise PxyzFormatError(f"non-finite coordinates {raw[row + 1]!r}", line_number=row + 2)
+        pos[row] = values
+    extra = next((i for i in range(n + 1, len(raw)) if raw[i].strip()), None)
+    if extra is not None:
+        raise PxyzFormatError(f"unexpected line after {n} coordinate lines: {raw[extra]!r}", line_number=extra + 1)
+    if ell is None or m is None:
+        if n % 4 != 0:
+            raise PxyzFormatError(f"atom count {n} is not a multiple of 4", line_number=1)
+        ell, m = n // 4, 1
+    elif 4 * ell * m != n:
+        raise PxyzFormatError(f"n={n} inconsistent with ell={ell}, m={m}", line_number=1)
+    return Nanotube(pos, period, ell, m)
+
+
+def bond_angle(xi, xj, xk, L: float = 0.0, shift_i: int = 0, shift_k: int = 0) -> float:
+    """Angle at vertex xj formed by the (periodically shifted) legs to xi and xk."""
+    u = np.asarray(xi, dtype=float) - np.asarray(xj, dtype=float) + L * shift_i * E1
+    v = np.asarray(xk, dtype=float) - np.asarray(xj, dtype=float) + L * shift_k * E1
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        raise DegenerateGeometryError("zero-length bond leg in angle evaluation")
+    c = np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0)
+    return float(np.arccos(c))
+
+
+def plane_angle_theta(x, neighbor1, neighbor2, axial) -> float:
+    """Angle between the planes {axial, x, neighbor1} and {axial, x, neighbor2}.
+
+    The axial argument is the bonded neighbor whose bond is approximately
+    parallel to the tube axis; the result lies in [pi/2, pi] and equals pi for
+    a coplanar junction.
+    """
+    x = np.asarray(x, dtype=float)
+    a = np.asarray(axial, dtype=float) - x
+    n1 = np.cross(np.asarray(neighbor1, dtype=float) - x, a)
+    n2 = np.cross(np.asarray(neighbor2, dtype=float) - x, a)
+    return float(_plane_angle(n1, n2))
+
+
+@dataclass
+class CellView:
+    """One extracted cell: unwrapped coordinates plus derived quantities."""
+
+    center: tuple
+    atom_indices: np.ndarray
+    positions: np.ndarray
+
+    def bond_lengths(self) -> np.ndarray:
+        return cell_bond_lengths(self.positions)
+
+    def angles(self) -> np.ndarray:
+        return cell_angles(self.positions)
+
+    def energy(self, pots) -> float:
+        return float(cell_energies(self.positions, pots))
+
+    def plane_angles(self) -> np.ndarray:
+        return cell_plane_angles(self.positions)
+
+    def theta_bar(self) -> float:
+        return float(np.mean(self.plane_angles()))
+
+    def dual_center_distance(self) -> float:
+        p = 0.5 * (self.positions[0] + self.positions[6])
+        q = 0.5 * (self.positions[1] + self.positions[7])
+        return float(np.linalg.norm(q - p))
+
+    def local_coordinates(self) -> np.ndarray:
+        return to_local(self.positions[None])[0]
+
+    def symmetrize(self):
+        """Returns (x_prime, s_x, delta) in local coordinates."""
+        xp, sx, d = symmetrize(self.local_coordinates()[None])
+        return xp[0], sx[0], float(d[0])
+
+
+@dataclass
+class Centers:
+    """Cell centers and dual cell centers, indexed (i-1, j, k)."""
+
+    z: np.ndarray
+    z_dual: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return int(np.prod(self.z.shape[:-1]))
+
+
+def centers(tube: Nanotube) -> Centers:
+    """Midpoints generating the cells; wrapped back into [0, L) axially."""
+    table = cell_atom_indices(tube.ell, tube.m)
+    pos = tube.positions
+    L = tube.period
+    x1 = pos[table[..., 0]]
+    d12 = _nearest_image(pos[table[..., 1]] - x1, L)
+    z = x1 + 0.5 * d12
+    x2 = x1 + d12
+    d28 = _nearest_image(pos[table[..., 7]] - pos[table[..., 1]], L)
+    z_dual = x2 + 0.5 * d28
+    z[..., 0] %= L
+    z_dual[..., 0] %= L
+    return Centers(z, z_dual)
+
+
+def extract_cell(tube: Nanotube, center: tuple, graph=None) -> CellView:
+    """Identify the 8 cell atoms by bond-graph walks from the two generators.
+
+    center is (i, j, k) with i 1-based.  Raises InvalidCellError whenever a
+    walk is ambiguous (any participating atom without exactly three bonds, or
+    a missing unique common neighbor).
+    """
+    if graph is None:
+        graph = bond_graph(tube)
+    i, j, k = center
+    a1 = _flat_index(tube.ell, tube.m, i, j, k, 0)
+    a2 = _flat_index(tube.ell, tube.m, i, j, k, 1)
+    adj = graph.adjacency
+
+    def nbrs(a):
+        out = [b for b, _ in adj[a]]
+        if len(out) != 3:
+            raise InvalidCellError(f"atom {a} has degree {len(out)}, expected 3")
+        return out
+
+    n1 = nbrs(a1)
+    n2 = set(nbrs(a2))
+    wings = []
+    outer1 = []
+    for u in n1:
+        common = [w for w in nbrs(u) if w in n2]
+        if common:
+            if len(common) != 1:
+                raise InvalidCellError(f"ambiguous hexagon closure at atom {u}")
+            wings.append((u, common[0]))
+        else:
+            outer1.append(u)
+    if len(wings) != 2 or len(outer1) != 1:
+        raise InvalidCellError("cell walk did not find two hexagon wings and one axial neighbor")
+    x7 = outer1[0]
+    partners = {v for _, v in wings}
+    outer2 = [u for u in n2 if u not in partners]
+    if len(outer2) != 1:
+        raise InvalidCellError("no unique axial neighbor at the second generator")
+    x8 = outer2[0]
+
+    (u1, v1), (u2, v2) = wings
+    idx = np.array([a1, a2, u1, v1, v2, u2, x7, x8])
+    pos = tube.positions
+    coords = np.empty((8, 3))
+    coords[0] = pos[idx[0]]
+    for slot, anchor in _UNWRAP_CHAIN:
+        coords[slot] = coords[anchor] + _nearest_image(pos[idx[slot]] - coords[anchor], tube.period)
+    # orient so that x3 sits on the positive second-coordinate side
+    local = to_local(coords[None])[0]
+    if local[2, 1] < 0.0:
+        idx = idx[[0, 1, 5, 4, 3, 2, 6, 7]]
+        coords = coords[[0, 1, 5, 4, 3, 2, 6, 7]]
+    return CellView(center=center, atom_indices=idx, positions=coords)
+
+
+LAMBDA1_BOND = "lambda1"
+LAMBDA2_BOND = "lambda2"
+
+# Per-(k,l) neighbor offsets: (di, dj, k', l', bond kind).  Index arithmetic is
+# modulo ell in i and modulo m in j (bonds cross the periodic seam).
+_NEIGHBOR_TABLE = {
+    (0, 0): [(0, -1, 1, 1, LAMBDA2_BOND), (-1, -1, 1, 1, LAMBDA2_BOND), (0, -1, 0, 1, LAMBDA1_BOND)],
+    (0, 1): [(0, 0, 1, 0, LAMBDA2_BOND), (-1, 0, 1, 0, LAMBDA2_BOND), (0, 1, 0, 0, LAMBDA1_BOND)],
+    (1, 0): [(0, 0, 0, 1, LAMBDA2_BOND), (1, 0, 0, 1, LAMBDA2_BOND), (0, -1, 1, 1, LAMBDA1_BOND)],
+    (1, 1): [(0, 1, 0, 0, LAMBDA2_BOND), (1, 1, 0, 0, LAMBDA2_BOND), (0, 1, 1, 0, LAMBDA1_BOND)],
+}
+
+
+def expected_neighbors(a: AtomId, ell: int, m: int) -> list[tuple[AtomId, str]]:
+    """The three combinatorial neighbors of an atom and their bond kinds."""
+    out = []
+    for di, dj, nk, nl, kind in _NEIGHBOR_TABLE[(a.k, a.l)]:
+        ni = (a.i - 1 + di) % ell + 1
+        nj = (a.j + dj) % m
+        out.append((AtomId(ni, nj, nk, nl), kind))
+    return out

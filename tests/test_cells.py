@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import centers, extract_cell, plane_angle_theta
 
 from nanolab import cells
 from nanolab.cells import (
-    CellView,
     angle_sum,
     cell_angles,
     cell_atom_indices,
@@ -14,10 +14,7 @@ from nanolab.cells import (
     cell_energy_gradient,
     cell_plane_angles,
     cell_summary,
-    centers,
-    extract_cell,
     gather_cells,
-    plane_angle_theta,
     reflect_s1,
     reflect_s2,
     symmetrize,

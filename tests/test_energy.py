@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import assert_graph_equals_brute, hessian_fd, pairs_brute
+from oracle import E1, assert_graph_equals_brute, bond_angle, expected_neighbors, hessian_fd, pairs_brute
 
 from nanolab import energy, geometry
 from nanolab.energy import (
-    E1,
     bloch_blocks,
     bloch_modes,
-    bond_angle,
     bond_graph,
     family_energy,
     gradient,
@@ -339,8 +337,6 @@ def test_energy_continuity_across_bond_graph_change(pots_soft):
 
 
 def test_geometric_bonds_equal_combinatorial_neighbors(tube):
-    from nanolab.geometry import expected_neighbors
-
     graph = bond_graph(tube)
     for idx in range(tube.n):
         got = {b for b, _ in graph.adjacency[idx]}

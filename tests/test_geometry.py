@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from oracle import bond_angle, expected_neighbors
 
 from nanolab import geometry
 from nanolab.errors import InvalidParameterError
-from nanolab.geometry import AtomId, build_nanotube, expected_neighbors, gamma, solve_family
+from nanolab.geometry import AtomId, build_nanotube, gamma, solve_family
 
 
 def test_gamma_values():
@@ -193,8 +194,6 @@ def test_flat_index_bijection(tube):
 
 
 def test_bond_angles_two_alpha_one_beta(tube):
-    from nanolab.energy import bond_angle
-
     g = tube.geometry
     pos = tube.positions
     for idx in (0, 13, 41):

@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from oracle import format_rows, pxyz_text, read_pxyz_lines
 
 from nanolab.errors import PxyzFormatError
-from nanolab.geometry import build_nanotube, solve_family
-from nanolab.pxyz import read_pxyz, write_pxyz
+from nanolab.geometry import Nanotube, build_nanotube, solve_family
+from nanolab.pxyz import format_table, read_pxyz, write_pxyz
+
+# doubles whose text is easy to get wrong
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
+FLOATS = st.one_of(st.floats(), st.sampled_from(SPECIAL))
 
 
 def test_roundtrip_bit_exact(tmp_path):
@@ -42,6 +48,11 @@ def test_header_format(tmp_path):
         ("2 6.0\n-inf 0 0\n1 2 x\n", 2),
         ("2 6.0\n0 0 0\n1 2 3\n4 5 6\n", 4),
         ("2 6.0\n0 0 0\n1 2 3\n\n \n4 5 6\n\n", 6),
+        ("2 6.0\n0 0 0\n1 2 3 4\n", 3),
+        ("2 6.0\n0 0 0\n1 inf 3\n", 3),
+        ("3 6.0\n0 0 x\n1 2\n0 0 0\n", 2),
+        ("3 6.0\n0 0 0\n1 2 3 4\n0 nan 0\n", 3),
+        ("3 6.0\n0 0 0\n0 inf 0\n1 2\n", 3),
     ],
 )
 def test_malformed_inputs_carry_line_numbers(tmp_path, content, line):
@@ -50,6 +61,9 @@ def test_malformed_inputs_carry_line_numbers(tmp_path, content, line):
     with pytest.raises(PxyzFormatError) as err:
         read_pxyz(str(path))
     assert err.value.line_number == line
+    with pytest.raises(PxyzFormatError) as want:
+        read_pxyz_lines(str(path))
+    assert (str(err.value), err.value.line_number) == (str(want.value), want.value.line_number)
 
 
 def test_shape_consistency_check(tmp_path):
@@ -89,3 +103,81 @@ def test_roundtrip_bit_exact_on_drawn_tubes(tmp_path_factory, ell, m, mu, lambda
     back = read_pxyz(path, ell=ell, m=m)
     assert back.positions.tobytes() == tube.positions.tobytes()
     assert np.float64(back.period).tobytes() == np.float64(tube.period).tobytes()
+
+
+@st.composite
+def column_blocks(draw):
+    """1 to 4 blocks of the same row count: int64 label blocks and float
+    blocks, each of shape (rows,) or (rows, k)."""
+    rows = draw(st.integers(0, 12))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        shape = (rows,) if draw(st.booleans()) else (rows, draw(st.integers(1, 4)))
+        if draw(st.booleans()):
+            blocks.append(draw(arrays(np.int64, shape, elements=st.integers(-(2**63), 2**63 - 1))))
+        else:
+            blocks.append(draw(arrays(np.float64, shape, elements=FLOATS)))
+    return blocks
+
+
+@settings(max_examples=60)
+@given(blocks=column_blocks(), sep=st.sampled_from([",", " "]))
+def test_table_bytes_equal_per_value_oracle(blocks, sep):
+    rows = [sum((b.reshape(len(b), -1)[r].tolist() for b in blocks), []) for r in range(len(blocks[0]))]
+    assert format_table(blocks, sep) == format_rows(rows, sep)
+
+
+@settings(max_examples=25)
+@given(
+    ell=st.integers(1, 6),
+    m=st.integers(1, 3),
+    data=st.data(),
+    period=st.one_of(st.floats(min_value=5e-324, max_value=1e308), st.sampled_from([6.0, 1e-300])),
+)
+def test_write_pxyz_bytes_equal_oracle(tmp_path_factory, ell, m, data, period):
+    # the oracle formats one coordinate at a time; on a finite file the
+    # line-by-line reader returns the same bits as read_pxyz
+    pos = data.draw(arrays(np.float64, (4 * ell * m, 3), elements=FLOATS))
+    tube = Nanotube(pos, period, ell, m)
+    path = tmp_path_factory.getbasetemp() / "oracle.pxyz"
+    write_pxyz(str(path), tube)
+    assert path.read_bytes() == pxyz_text(tube).encode()
+    if np.isfinite(pos).all():
+        back, want = read_pxyz(str(path), ell, m), read_pxyz_lines(str(path), ell, m)
+        assert back.positions.tobytes() == want.positions.tobytes() == pos.tobytes()
+        assert back.period == want.period == period
+
+
+DEFECTS = {
+    "two fields": "{} {}",
+    "four fields": "{} {} 0 1",
+    "unparseable": "{} 0x1p3 {}",
+    "nan": "{} nan {}",
+    "inf": "-inf {} {}",
+}
+
+
+@settings(max_examples=30)
+@given(
+    cells=st.integers(250, 400),
+    seed=st.integers(0, 2**31 - 1),
+    kinds=st.lists(st.sampled_from(sorted(DEFECTS)), min_size=1, max_size=2, unique=True),
+    data=st.data(),
+)
+def test_planted_defect_reported_like_oracle(tmp_path_factory, cells, seed, kinds, data):
+    # n >= 1000 coordinate lines with one defect, or an earlier defect of one
+    # kind before a later one of another: the first in file order is reported
+    n = 4 * cells
+    rng = np.random.default_rng(seed)
+    lines = format_rows(rng.standard_normal((n, 3)).tolist(), " ").splitlines()
+    where = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=len(kinds), max_size=len(kinds), unique=True)))
+    for row, kind in zip(where, kinds):
+        lines[row] = DEFECTS[kind].format(*lines[row].split()[:2])
+    path = tmp_path_factory.getbasetemp() / "planted.pxyz"
+    path.write_text(f"{n} 6.0\n" + "\n".join(lines) + "\n")
+    with pytest.raises(PxyzFormatError) as err:
+        read_pxyz(str(path))
+    with pytest.raises(PxyzFormatError) as want:
+        read_pxyz_lines(str(path))
+    assert err.value.line_number == want.value.line_number == where[0] + 2
+    assert str(err.value) == str(want.value)
