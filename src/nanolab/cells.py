@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .energy import _angle_term, _bond_term, _image_shift
+from .energy import _angle_term, _bond_term, _cross3, _dot3, _image_shift, _norm3
 from .errors import DegenerateGeometryError, InvalidCellError
 from .geometry import Nanotube
 from .potentials import PotentialSet
@@ -135,16 +135,16 @@ def _angle_legs(cells: np.ndarray):
 
 
 def cell_bond_lengths(cells: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(_bond_legs(cells), axis=-1)
+    return _norm3(_bond_legs(cells))
 
 
 def cell_angles(cells: np.ndarray) -> np.ndarray:
     u, v = _angle_legs(cells)
-    nu = np.linalg.norm(u, axis=-1)
-    nv = np.linalg.norm(v, axis=-1)
+    nu = _norm3(u)
+    nv = _norm3(v)
     if np.any(nu == 0.0) or np.any(nv == 0.0):
         raise DegenerateGeometryError("zero-length bond leg inside a cell")
-    c = np.clip(np.einsum("...ij,...ij->...i", u, v) / (nu * nv), -1.0, 1.0)
+    c = np.clip(_dot3(u, v) / (nu * nv), -1.0, 1.0)
     return np.arccos(c)
 
 
@@ -165,11 +165,11 @@ def cell_energy_gradient(cell: np.ndarray, pots: PotentialSet) -> np.ndarray:
 
 
 def _plane_angle(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
-    a1 = np.linalg.norm(n1, axis=-1)
-    a2 = np.linalg.norm(n2, axis=-1)
+    a1 = _norm3(n1)
+    a2 = _norm3(n2)
     if np.any(a1 < 1e-14) or np.any(a2 < 1e-14):
         raise DegenerateGeometryError("collinear points define no plane")
-    c = np.clip(np.einsum("...i,...i->...", n1, n2) / (a1 * a2), -1.0, 1.0)
+    c = np.clip(_dot3(n1, n2) / (a1 * a2), -1.0, 1.0)
     t = np.arccos(c)
     return np.maximum(t, np.pi - t)
 
@@ -183,49 +183,54 @@ def cell_plane_angles(cells: np.ndarray) -> np.ndarray:
     """
     x = cells
     x1, x2 = x[..., 0, :], x[..., 1, :]
-    n_l1 = np.cross(x[..., 2, :] - x1, x[..., 3, :] - x1)
-    n_l2 = np.cross(x[..., 5, :] - x1, x[..., 4, :] - x1)
+    n_l1 = _cross3(x[..., 2, :] - x1, x[..., 3, :] - x1)
+    n_l2 = _cross3(x[..., 5, :] - x1, x[..., 4, :] - x1)
     theta_l = _plane_angle(n_l1, n_l2)
-    n_r1 = np.cross(x[..., 2, :] - x2, x[..., 3, :] - x2)
-    n_r2 = np.cross(x[..., 4, :] - x2, x[..., 5, :] - x2)
+    n_r1 = _cross3(x[..., 2, :] - x2, x[..., 3, :] - x2)
+    n_r2 = _cross3(x[..., 4, :] - x2, x[..., 5, :] - x2)
     theta_r = _plane_angle(n_r1, n_r2)
     a2 = x[..., 7, :] - x2
-    theta_x2 = _plane_angle(np.cross(x[..., 3, :] - x2, a2), np.cross(x[..., 4, :] - x2, a2))
+    theta_x2 = _plane_angle(_cross3(x[..., 3, :] - x2, a2), _cross3(x[..., 4, :] - x2, a2))
     a1 = x[..., 6, :] - x1
-    theta_x1 = _plane_angle(np.cross(x[..., 2, :] - x1, a1), np.cross(x[..., 5, :] - x1, a1))
+    theta_x1 = _plane_angle(_cross3(x[..., 2, :] - x1, a1), _cross3(x[..., 5, :] - x1, a1))
     return np.stack([theta_l, theta_r, theta_x2, theta_x1], axis=-1)
 
 
-def local_frames(cells: np.ndarray):
+def local_frames(slots: np.ndarray):
     """Origin and rotation of the cell frame: axis through the two dual centers,
-    wings bending toward positive third coordinate.  Returns (origins, frames)
-    with frames[..., r, :] the r-th frame row."""
-    p = 0.5 * (cells[..., 0, :] + cells[..., 6, :])
-    q = 0.5 * (cells[..., 1, :] + cells[..., 7, :])
+    wings bending toward positive third coordinate.  slots holds the cells
+    slot first, slots[a] = cells[..., a, :].  Returns (origins, frames) with
+    frames[..., r, :] the r-th frame row."""
+    x = slots
+    p = 0.5 * (x[0] + x[6])
+    q = 0.5 * (x[1] + x[7])
     origin = 0.5 * (p + q)
     e1 = q - p
-    n1 = np.linalg.norm(e1, axis=-1, keepdims=True)
+    n1 = _norm3(e1)[..., None]
     if np.any(n1 < 1e-12):
         raise InvalidCellError("coincident dual centers: no cell axis")
     e1 = e1 / n1
-    w = cells[..., 3, :] - cells[..., 4, :]
-    e3 = np.cross(e1, w)
-    n3 = np.linalg.norm(e3, axis=-1, keepdims=True)
+    e3 = _cross3(e1, x[3] - x[4])
+    n3 = _norm3(e3)[..., None]
     if np.any(n3 < 1e-12):
         raise InvalidCellError("degenerate cell: x4 - x5 parallel to the axis")
     e3 = e3 / n3
-    wing = np.sum(cells[..., 2:6, :], axis=-2) - 2.0 * (cells[..., 0, :] + cells[..., 1, :])
-    sign = np.where(np.einsum("...i,...i->...", wing, e3) < 0.0, -1.0, 1.0)
-    e3 = e3 * sign[..., None]
-    e2 = np.cross(e3, e1)
-    frames = np.stack([e1, e2, e3], axis=-2)
-    return origin, frames
+    wing = (((x[2] + x[3]) + x[4]) + x[5]) - 2.0 * (x[0] + x[1])
+    e3 = e3 * np.where(_dot3(wing, e3) < 0.0, -1.0, 1.0)[..., None]
+    e2 = _cross3(e3, e1)
+    return origin, np.stack([e1, e2, e3], axis=-2)
 
 
 def to_local(cells: np.ndarray):
     """Express cells in their local frames; shape preserved."""
-    origin, frames = local_frames(cells)
-    return np.einsum("...rc,...ac->...ar", frames, cells - origin[..., None, :])
+    # slot first and contiguous, so each slot's vectors are one block
+    slots = np.moveaxis(cells, -2, 0).copy()
+    origin, frames = local_frames(slots)
+    y = slots - origin
+    local = np.empty(cells.shape)
+    for r in range(3):
+        local[..., r] = np.moveaxis(_dot3(y, frames[..., r, :]), 0, -1)
+    return local
 
 
 def symmetrize(cells_local: np.ndarray):
@@ -286,7 +291,7 @@ def cell_summary(tube: Nanotube, pots: PotentialSet) -> dict:
     _, _, delta = symmetrize(local)
     p = 0.5 * (cells[..., 0, :] + cells[..., 6, :])
     q = 0.5 * (cells[..., 1, :] + cells[..., 7, :])
-    mu_tilde = np.linalg.norm(q - p, axis=-1)
+    mu_tilde = _norm3(q - p)
     ids = np.indices((tube.ell, tube.m, 2)).reshape(3, -1).T + (1, 0, 0)
     flat = lambda a: a.reshape(-1, *a.shape[3:])
     return {

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, acceptance, cells, cellspec, fracture, geometry, potentials, pxyz, reduced, stability
 from .energy import bond_graph, total_energy
-from .errors import NanolabError, PxyzFormatError, VerificationFailureError
+from .errors import InvalidParameterError, NanolabError, PxyzFormatError, VerificationFailureError
 
 SCHEMA_VERSION = 1
 
@@ -127,10 +127,21 @@ def cmd_cells(args) -> int:
 
 
 def _parse_grid(text: str, mu_us: float):
+    """The --mu-grid points a:b:steps: finite ends and steps >= 1, with a == b
+    when steps is 1.  Raises InvalidParameterError otherwise."""
     if not text:
         return np.linspace(mu_us - 0.02, mu_us + 0.02, 9)
-    a, b, steps = text.split(":")
-    return np.linspace(float(a), float(b), int(steps))
+    parts = text.split(":")
+    try:
+        a, b, steps = float(parts[0]), float(parts[1]), int(parts[2])
+        valid = len(parts) == 3 and np.isfinite([a, b]).all() and (steps > 1 or (steps == 1 and a == b))
+    except (ValueError, IndexError):
+        valid = False
+    if not valid:
+        raise InvalidParameterError(
+            f"--mu-grid must be a:b:steps with finite a, b and steps >= 1 (a == b for one step), got {text!r}"
+        )
+    return np.linspace(a, b, steps)
 
 
 def cmd_reduced(args) -> int:

@@ -177,6 +177,28 @@ def bond_graph(tube: Nanotube, cutoff: float = BOND_CUTOFF) -> BondGraph:
     return BondGraph(tube.n, tube.period, pairs, tt, triples, triple_shifts)
 
 
+# Explicit-component arithmetic on 3-vectors stored along the last axis, each
+# added in the order numpy adds the same reduction (numpy 2.4): einsum adds a
+# length-3 contraction as (c0 + c2) + c1 onto +0.0, np.linalg.norm as
+# (c0 + c1) + c2.
+def _dot3(a, b):
+    """Dot products a . b over the last axis, added as einsum adds them; the
+    final + 0.0 turns a -0.0 sum into einsum's +0.0 and changes nothing else."""
+    return ((a[..., 0] * b[..., 0] + a[..., 2] * b[..., 2]) + a[..., 1] * b[..., 1]) + 0.0
+
+
+def _norm3(a):
+    """Euclidean norms over the last axis, added as np.linalg.norm adds them."""
+    return np.sqrt((a[..., 0] * a[..., 0] + a[..., 1] * a[..., 1]) + a[..., 2] * a[..., 2])
+
+
+def _cross3(a, b):
+    """Cross products a x b over the last axis, each component as np.cross forms it."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def _bond_vectors(pos, graph: BondGraph):
     # take keeps a stack's trial axis outermost in memory, so the per-trial
     # sums below add in the same order as for one configuration
@@ -207,13 +229,10 @@ def total_energy(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = N
     pos = tube.positions if positions is None else positions
     e = np.zeros(pos.shape[:-2])
     if graph.n_bonds:
-        d = np.linalg.norm(_bond_vectors(pos, graph), axis=-1)
-        e += np.sum(pots.v2.value(d), axis=-1)
+        e += np.sum(pots.v2.value(_norm3(_bond_vectors(pos, graph))), axis=-1)
     if graph.n_angles:
         u, v = _leg_vectors(pos, graph)
-        nu = np.linalg.norm(u, axis=-1)
-        nv = np.linalg.norm(v, axis=-1)
-        c = np.clip(np.einsum("...ij,...ij->...i", u, v) / (nu * nv), -1.0, 1.0)
+        c = np.clip(_dot3(u, v) / (_norm3(u) * _norm3(v)), -1.0, 1.0)
         e += np.sum(pots.v3.value(np.arccos(c)), axis=-1)
     return float(e) if positions is None else e
 

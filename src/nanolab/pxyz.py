@@ -73,14 +73,27 @@ def _coordinate_error(raw, n: int) -> PxyzFormatError:
     raise AssertionError("no malformed coordinate line")
 
 
+def _ascii_lines(path) -> list:
+    """The lines of a text file that holds only ASCII characters and no
+    underscore.  float() and int() would read any Unicode digit and take 1_0
+    for 10, so the first line that breaks this raises PxyzFormatError."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8", errors="replace")
+    if text.isascii() and "_" not in text:
+        return text.splitlines()
+    # keepends keeps a non-ASCII line separator on its line
+    lines = text.splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if not line.isascii() or "_" in line)
+    raise PxyzFormatError(f"non-ASCII character or underscore in {lines[row]!r}", line_number=row + 1)
+
+
 def read_pxyz(path, ell: int | None = None, m: int | None = None) -> Nanotube:
     """Parse a PXYZ file; malformed content raises PxyzFormatError with the line number.
 
     ell and m restore the label structure when known; otherwise the tube is
     returned with ell = n // 4, m = 1 (labels then carry no geometric meaning).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
+    raw = _ascii_lines(path)
     if not raw:
         raise PxyzFormatError("empty PXYZ file", line_number=1)
     head = raw[0].split()

@@ -10,8 +10,11 @@ with a bond graph rebuilt for every draw (stability.stability_trial).
 
 Also the per-value text I/O that pxyz.format_table, pxyz.write_pxyz and
 pxyz.read_pxyz replace, the bond-graph walk that finds one cell's atoms
-(checks cells.cell_atom_indices), and the scalar bond angle, plane angle and
-neighbor table behind the vectorised cell and graph formulas."""
+(checks cells.cell_atom_indices), the scalar bond angle, plane angle and
+neighbor table behind the vectorised cell and graph formulas, and the
+einsum, np.cross and np.linalg.norm forms of the energy, cell-angle, cell-frame
+and symmetry-defect kernels and the per-trial displacement draw that the
+explicit-component kernels and the chunked sampler must equal to the bit."""
 
 import math
 from dataclasses import dataclass
@@ -21,18 +24,20 @@ import numpy as np
 
 from nanolab.cells import (
     _UNWRAP_CHAIN,
+    _angle_legs,
     _flat_index,
     _nearest_image,
-    _plane_angle,
     cell_angles,
     cell_atom_indices,
     cell_bond_lengths,
     cell_energies,
     cell_plane_angles,
+    reflect_s1,
+    reflect_s2,
     symmetrize,
     to_local,
 )
-from nanolab.energy import bond_graph
+from nanolab.energy import _bond_vectors, _leg_vectors, bond_graph
 from nanolab.errors import DegenerateGeometryError, InvalidCellError, PxyzFormatError
 from nanolab.geometry import AtomId, Nanotube
 
@@ -81,6 +86,118 @@ def assert_graph_equals_brute(graph, tube, cutoff: float = 1.1):
     assert np.array_equal(graph.pair_shifts, shifts)
     assert np.array_equal(graph.triples, triples)
     assert np.array_equal(graph.triple_shifts, triple_shifts)
+
+
+def total_energy_einsum(tube, pots, graph=None, positions=None):
+    """energy.total_energy with np.linalg.norm bond lengths and einsum leg
+    dot products."""
+    if graph is None:
+        graph = bond_graph(tube, cutoff=pots.cutoff)
+    pos = tube.positions if positions is None else positions
+    e = np.zeros(pos.shape[:-2])
+    if graph.n_bonds:
+        d = np.linalg.norm(_bond_vectors(pos, graph), axis=-1)
+        e += np.sum(pots.v2.value(d), axis=-1)
+    if graph.n_angles:
+        u, v = _leg_vectors(pos, graph)
+        nu = np.linalg.norm(u, axis=-1)
+        nv = np.linalg.norm(v, axis=-1)
+        c = np.clip(np.einsum("...ij,...ij->...i", u, v) / (nu * nv), -1.0, 1.0)
+        e += np.sum(pots.v3.value(np.arccos(c)), axis=-1)
+    return float(e) if positions is None else e
+
+
+def cell_angles_einsum(cells):
+    """cells.cell_angles with np.linalg.norm and an einsum dot product."""
+    u, v = _angle_legs(cells)
+    nu = np.linalg.norm(u, axis=-1)
+    nv = np.linalg.norm(v, axis=-1)
+    if np.any(nu == 0.0) or np.any(nv == 0.0):
+        raise DegenerateGeometryError("zero-length bond leg inside a cell")
+    c = np.clip(np.einsum("...ij,...ij->...i", u, v) / (nu * nv), -1.0, 1.0)
+    return np.arccos(c)
+
+
+def plane_angle_einsum(n1, n2):
+    """cells._plane_angle with np.linalg.norm and an einsum dot product."""
+    a1 = np.linalg.norm(n1, axis=-1)
+    a2 = np.linalg.norm(n2, axis=-1)
+    if np.any(a1 < 1e-14) or np.any(a2 < 1e-14):
+        raise DegenerateGeometryError("collinear points define no plane")
+    c = np.clip(np.einsum("...i,...i->...", n1, n2) / (a1 * a2), -1.0, 1.0)
+    t = np.arccos(c)
+    return np.maximum(t, np.pi - t)
+
+
+def cell_plane_angles_cross(cells):
+    """cells.cell_plane_angles with np.cross normals and plane_angle_einsum."""
+    x = cells
+    x1, x2 = x[..., 0, :], x[..., 1, :]
+    theta_l = plane_angle_einsum(np.cross(x[..., 2, :] - x1, x[..., 3, :] - x1), np.cross(x[..., 5, :] - x1, x[..., 4, :] - x1))
+    theta_r = plane_angle_einsum(np.cross(x[..., 2, :] - x2, x[..., 3, :] - x2), np.cross(x[..., 4, :] - x2, x[..., 5, :] - x2))
+    a2 = x[..., 7, :] - x2
+    theta_x2 = plane_angle_einsum(np.cross(x[..., 3, :] - x2, a2), np.cross(x[..., 4, :] - x2, a2))
+    a1 = x[..., 6, :] - x1
+    theta_x1 = plane_angle_einsum(np.cross(x[..., 2, :] - x1, a1), np.cross(x[..., 5, :] - x1, a1))
+    return np.stack([theta_l, theta_r, theta_x2, theta_x1], axis=-1)
+
+
+def local_frames_einsum(cells):
+    """cells.local_frames on cells (..., 8, 3) with np.linalg.norm, np.cross
+    and an einsum dot product."""
+    p = 0.5 * (cells[..., 0, :] + cells[..., 6, :])
+    q = 0.5 * (cells[..., 1, :] + cells[..., 7, :])
+    origin = 0.5 * (p + q)
+    e1 = q - p
+    n1 = np.linalg.norm(e1, axis=-1, keepdims=True)
+    if np.any(n1 < 1e-12):
+        raise InvalidCellError("coincident dual centers: no cell axis")
+    e1 = e1 / n1
+    w = cells[..., 3, :] - cells[..., 4, :]
+    e3 = np.cross(e1, w)
+    n3 = np.linalg.norm(e3, axis=-1, keepdims=True)
+    if np.any(n3 < 1e-12):
+        raise InvalidCellError("degenerate cell: x4 - x5 parallel to the axis")
+    e3 = e3 / n3
+    wing = np.sum(cells[..., 2:6, :], axis=-2) - 2.0 * (cells[..., 0, :] + cells[..., 1, :])
+    sign = np.where(np.einsum("...i,...i->...", wing, e3) < 0.0, -1.0, 1.0)
+    e3 = e3 * sign[..., None]
+    e2 = np.cross(e3, e1)
+    return origin, np.stack([e1, e2, e3], axis=-2)
+
+
+def to_local_einsum(cells):
+    """cells.to_local as one einsum over local_frames_einsum."""
+    origin, frames = local_frames_einsum(cells)
+    return np.einsum("...rc,...ac->...ar", frames, cells - origin[..., None, :])
+
+
+def symmetrize_reflect(cells_local):
+    """cells.symmetrize as two reflection averages of the whole cell."""
+    x = cells_local
+    x_prime = 0.5 * (x + reflect_s1(x))
+    s_x = 0.5 * (x_prime + reflect_s2(x_prime))
+    delta = np.sum((x - x_prime) ** 2, axis=(-1, -2)) + np.sum((x_prime - s_x) ** 2, axis=(-1, -2))
+    return x_prime, s_x, delta
+
+
+def displacement(rng, n: int, eta: float, mode: str):
+    """One trial's (n, 3) displacement, drawn and scaled on its own: the
+    per-trial form of stability._displacements."""
+    if eta == 0.0:
+        return np.zeros((n, 3))
+    if mode == "uniform-ball":
+        d = rng.standard_normal((n, 3))
+        norms = np.linalg.norm(d, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        radii = eta * rng.uniform(size=(n, 1)) ** (1.0 / 3.0)
+        return d / norms * radii
+    if mode == "gaussian-clipped":
+        d = rng.standard_normal((n, 3)) * (eta / 3.0)
+        norms = np.linalg.norm(d, axis=1, keepdims=True)
+        scale = np.minimum(1.0, (1.0 - 1e-14) * eta / np.maximum(norms, 1e-300))
+        return d * scale
+    return rng.uniform(-eta / np.sqrt(3.0), eta / np.sqrt(3.0), size=(n, 3))
 
 
 def hessian_fd(tube, pots, graph, step: float = 1e-5):
@@ -309,13 +426,13 @@ def sample_perturbation_rebuild(base, spec, trial: int, max_rejections: int = 10
     and redrawn until bond_graph, rebuilt for every draw, has base's bonds.
     Returns (tube, graph, rejections)."""
     from nanolab.errors import EtaTooLargeError
-    from nanolab.stability import _displacement, _trial_rng
+    from nanolab.stability import _trial_rng
 
     base_pairs = bond_graph(base).pairs
     rng = _trial_rng(spec.seed, trial)
     rejections = 0
     while True:
-        tube = base.with_positions(base.positions + _displacement(rng, base.n, spec.eta, spec.mode))
+        tube = base.with_positions(base.positions + displacement(rng, base.n, spec.eta, spec.mode))
         graph = bond_graph(tube)
         if np.array_equal(graph.pairs, base_pairs):
             return tube, graph, rejections
@@ -326,15 +443,15 @@ def sample_perturbation_rebuild(base, spec, trial: int, max_rejections: int = 10
 
 def stability_trial_loop(mu, ell, m, spec, pots, collect_ratios: bool = True) -> dict:
     """stability.stability_trial one trial at a time: sample_perturbation_rebuild,
-    then one total_energy and one symmetry defect per tube."""
-    from nanolab.cells import gather_cells, symmetrize, to_local
-    from nanolab.energy import total_energy
+    then one total_energy_einsum and one symmetry defect (to_local_einsum,
+    symmetrize_reflect) per tube."""
+    from nanolab.cells import gather_cells
     from nanolab.geometry import build_nanotube
     from nanolab.reduced import minimize_family
     from nanolab.stability import BondBand
 
     base = build_nanotube(minimize_family(mu, ell, pots, m=m).geometry, m)
-    e_base = total_energy(base, pots)
+    e_base = total_energy_einsum(base, pots)
     gaps, ratios, failures = [], [], []
     rejections = skipped_trivial = 0
     for trial in range(spec.count):
@@ -343,10 +460,10 @@ def stability_trial_loop(mu, ell, m, spec, pots, collect_ratios: bool = True) ->
         if np.max(np.abs(tube.positions - base.positions)) == 0.0:
             skipped_trivial += 1
             continue
-        gap = total_energy(tube, pots, graph) - e_base
+        gap = total_energy_einsum(tube, pots, graph) - e_base
         gaps.append(gap)
         if collect_ratios:
-            delta_sum = float(np.sum(symmetrize(to_local(gather_cells(tube)))[2]))
+            delta_sum = float(np.sum(symmetrize_reflect(to_local_einsum(gather_cells(tube)))[2]))
             if delta_sum > 1e-14:
                 ratios.append(gap / delta_sum)
         if gap <= 0.0:
@@ -459,7 +576,7 @@ def plane_angle_theta(x, neighbor1, neighbor2, axial) -> float:
     a = np.asarray(axial, dtype=float) - x
     n1 = np.cross(np.asarray(neighbor1, dtype=float) - x, a)
     n2 = np.cross(np.asarray(neighbor2, dtype=float) - x, a)
-    return float(_plane_angle(n1, n2))
+    return float(plane_angle_einsum(n1, n2))
 
 
 @dataclass

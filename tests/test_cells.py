@@ -2,9 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import centers, extract_cell, plane_angle_theta
+from oracle import (
+    cell_angles_einsum,
+    cell_plane_angles_cross,
+    centers,
+    extract_cell,
+    plane_angle_theta,
+    sample_perturbation_rebuild,
+    symmetrize_reflect,
+    to_local_einsum,
+    total_energy_einsum,
+)
 
-from nanolab import cells
+from nanolab import cells, potentials
 from nanolab.cells import (
     angle_sum,
     cell_angles,
@@ -20,12 +30,13 @@ from nanolab.cells import (
     symmetrize,
     to_local,
     total_cell_energy,
+    total_symmetry_defect,
 )
 from nanolab.energy import bond_graph, total_energy
 from nanolab.errors import InvalidCellError
 from nanolab.geometry import AtomId, axial_rotations, build_nanotube, solve_family
 from nanolab.reduced import ReducedPoint, beta, minimize_family, reference_angles, sym_energy
-from nanolab.stability import BondBand, PerturbationSpec, sample_perturbation
+from nanolab.stability import MODES, BondBand, PerturbationSpec, sample_perturbation, sample_perturbations
 
 
 @pytest.fixture(scope="module")
@@ -362,3 +373,55 @@ def test_energy_and_cells_invariant_under_relabelling(pots_soft, ell, m, a, b, s
     cells0 = cell_summary(tube, pots_soft)["energy"].reshape(ell, m, 2)
     cells1 = cell_summary(relabelled, pots_soft)["energy"].reshape(ell, m, 2)
     assert np.max(np.abs(cells1 - np.roll(cells0, (a, b), axis=(0, 1)))) <= 1e-12
+
+
+def _assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80)
+@given(
+    ell=st.sampled_from([4, 6, 12]),
+    m=st.integers(1, 3),
+    moved=st.booleans(),
+    eta=st.sampled_from([0.0, 1e-3, 0.02]),
+    shape=st.sampled_from([(), (3,), (2, 2)]),
+    preset=st.sampled_from(["soft", "stiff"]),
+    mode=st.sampled_from(MODES),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_explicit_component_kernels_equal_einsum_oracle(ell, m, moved, eta, shape, preset, mode, seed):
+    # the chunked draws, energies, cell angles, cell frames and symmetry
+    # defects of family tubes, perturbed (eta > 0) or not, as built or moved
+    # (unwrapped, rotated), one at a time and as stacks, equal the per-trial
+    # draw and the einsum / np.cross / np.linalg.norm forms to the bit
+    pots = potentials.load(preset)
+    base = build_nanotube(minimize_family(reference_angles(ell, pots).mu_us + 0.005, ell, pots, m=m).geometry, m)
+    if moved:
+        rng = np.random.default_rng(seed)
+        image = base.positions @ axial_rotations(rng.uniform(0.0, 2.0 * np.pi)).T
+        image[:, 0] += rng.uniform(-2.0, 2.0) * base.period
+        base = base.with_positions(image)
+    count = int(np.prod(shape, dtype=int))
+    spec = PerturbationSpec(eta=eta, seed=seed, mode=mode)
+    stack, graphs, _ = sample_perturbations(base, spec, range(count))
+    _assert_same_bits(stack, [sample_perturbation_rebuild(base, spec, t)[0].positions for t in range(count)])
+    graph = graphs[0]
+    if shape:
+        tube, positions = base, stack.reshape(shape + (base.n, 3))
+    else:
+        tube, positions = base.with_positions(stack[0]), None
+    _assert_same_bits(total_energy(tube, pots, graph, positions), total_energy_einsum(tube, pots, graph, positions))
+    cells_ = gather_cells(tube, positions=positions)
+    _assert_same_bits(cell_angles(cells_), cell_angles_einsum(cells_))
+    _assert_same_bits(cell_plane_angles(cells_), cell_plane_angles_cross(cells_))
+    _assert_same_bits(cell_bond_lengths(cells_), np.linalg.norm(cells._bond_legs(cells_), axis=-1))
+    local = to_local(cells_)
+    _assert_same_bits(local, to_local_einsum(cells_))
+    for got, want in zip(symmetrize(local), symmetrize_reflect(local)):
+        _assert_same_bits(got, want)
+    delta = symmetrize_reflect(to_local_einsum(cells_))[2]
+    want = np.sum(delta.reshape(shape + (-1,)), axis=-1)
+    _assert_same_bits(total_symmetry_defect(tube, positions), want if shape else float(want))

@@ -110,6 +110,29 @@ def test_malformed_pxyz_exit_code(tmp_path, capsys):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize("grid", ["2.9:3.0:0", "2.9:3.0", "3.0:2.9:-1", "nan:3.0:5", "2.9:inf:5", "2.9:3.0:1", "2.9:3.0:x"])
+def test_reduced_rejects_invalid_mu_grid(tmp_path, capsys, grid):
+    out = tmp_path / "r.csv"
+    assert run(["reduced", "--ell", "12", "--mu-grid", grid, "-o", str(out)]) == 1
+    assert "--mu-grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reduced_single_point_grid(tmp_path):
+    out = tmp_path / "r.csv"
+    assert run(["reduced", "--ell", "12", "--mu-grid", "2.99:2.99:1", "-o", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    assert len(rows) == 2 and float(rows[1].split(",")[0]) == 2.99
+
+
+def test_underscore_in_pxyz_exit_code(tmp_path, capsys):
+    # float() reads 0_2 as 2.0: without the grammar check this file has an energy
+    bad = tmp_path / "bad.pxyz"
+    bad.write_text("4 6.0\n0 0 0\n0_2 0 0\n0 1 0\n0 0 1\n")
+    assert run(["energy", "--in", str(bad)]) == 1
+    assert "line 3" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_one(capsys):
     assert run(["frobnicate"]) == 1
     assert run(["generate", "--ell", "8"]) == 1

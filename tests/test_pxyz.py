@@ -35,6 +35,38 @@ def test_header_format(tmp_path):
 @pytest.mark.parametrize(
     "content,line",
     [
+        ("2 6.0\n0_2 0 0\n1 2 3\n", 2),
+        ("2 6.0\n0 0 0\n1 2 3e1_0\n", 3),
+        ("4_0 6.0\n0 0 0\n1 2 3\n", 1),
+        ("4 6_0.0\n0 0 0\n1 0 0\n2 0 0\n3 0 0\n", 1),
+        ("2 6.0\n0 0 0\n1 \uff12 3\n", 3),
+        ("2 6.0\n0 0 0\n\u0661 2 3\n", 3),
+        ("\u0664 6.0\n0 0 0\n1 0 0\n2 0 0\n3 0 0\n", 1),
+        ("2 6.0\n0\u20030 0\n1 2 3\n", 2),
+        ("2 6.0\n0 0 0\u2028\n1 2 3\n", 2),
+        ("2 6.0\n0 0 0\n1 2 3\n\u00a0\n", 4),
+    ],
+)
+def test_characters_outside_number_grammar_rejected(tmp_path, content, line):
+    # float() and int() take Unicode digits and spaces and read 0_2 as 2
+    path = tmp_path / "bad.pxyz"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(PxyzFormatError) as err:
+        read_pxyz(str(path))
+    assert err.value.line_number == line
+
+
+def test_undecodable_bytes_rejected_with_line(tmp_path):
+    path = tmp_path / "bad.pxyz"
+    path.write_bytes(b"2 6.0\n0 0 0\n1 2 \xff3\n")
+    with pytest.raises(PxyzFormatError) as err:
+        read_pxyz(str(path))
+    assert err.value.line_number == 3
+
+
+@pytest.mark.parametrize(
+    "content,line",
+    [
         ("", 1),
         ("abc def\n", 1),
         ("4\n", 1),

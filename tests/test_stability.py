@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracle import assert_graph_equals_brute, graph_brute, hessian_fd, sample_perturbation_rebuild, stability_trial_loop
+from oracle import assert_graph_equals_brute, displacement, graph_brute, hessian_fd, sample_perturbation_rebuild, stability_trial_loop
 
 import nanolab.stability as stab
 from nanolab.energy import bond_graph, gradient
@@ -78,7 +78,7 @@ def test_identical_seed_reproduces_ensemble(base):
 
 def _draw(base, spec, trial):
     """The first draw of a trial, accepted or not."""
-    d = stab._displacement(stab._trial_rng(spec.seed, trial), base.n, spec.eta, spec.mode)
+    d = displacement(stab._trial_rng(spec.seed, trial), base.n, spec.eta, spec.mode)
     return base.with_positions(base.positions + d)
 
 
