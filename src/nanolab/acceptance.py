@@ -169,11 +169,17 @@ def kernel_dimensions(size, seed) -> dict:
     return {"passed": bool(ok), **{k: rep[k] for k in keys}}
 
 
-def cell_convexity(ells, seed, r: float = 0.9, pots=SOFT) -> dict:
+def cell_convexity(ells, seed, r: float = 0.9, pots=SOFT, cells=None) -> dict:
     """Positive constrained convexity constants at each ell, and c_weak ~ ell^-2
-    (log-log slope within 0.3) when there are several."""
+    (log-log slope within 0.3) when there are several.  cells, when given,
+    holds the kink cell of each ell (see cellspec.kink_cell)."""
+    # the angle-sum concavity constant does not depend on ell
+    c_kink = cellspec.angle_sum_concavity(pots)["c_kink"]
     try:
-        rows = [cellspec.cell_hessian_convexity(ell, pots, r=r) for ell in ells]
+        rows = [
+            cellspec.cell_hessian_convexity(ell, pots, r=r, cell=cell, c_kink=c_kink)
+            for ell, cell in zip(ells, cells or [None] * len(ells))
+        ]
     except VerificationFailureError as exc:
         return {"passed": False, "error": str(exc)}
     ok = all(row["c_good"] > 0 and row["c_weak"] > 0 and row["c_kink"] > 0 for row in rows)

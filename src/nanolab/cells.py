@@ -276,13 +276,15 @@ def total_symmetry_defect(tube: Nanotube, positions=None):
     return _tube_sums(symmetrize(to_local(gather_cells(tube, positions=positions)))[2], positions)
 
 
-def cell_summary(tube: Nanotube, pots: PotentialSet) -> dict:
-    """Vectorized per-cell quantities for a whole tube.
+def cell_summary(tube: Nanotube, pots: PotentialSet, cells: np.ndarray | None = None) -> dict:
+    """Vectorized per-cell quantities for a whole tube; cells is
+    gather_cells(tube) when the caller already has it.
 
     Keys: bonds (C,8), angles (C,10), energy (C,), theta (C,4), theta_bar (C,),
     delta (C,), mu_tilde (C,), centers (C,3) label triples.
     """
-    cells = gather_cells(tube)
+    if cells is None:
+        cells = gather_cells(tube)
     b = cell_bond_lengths(cells)
     phi = cell_angles(cells)
     energy = cell_energies(cells, pots)

@@ -255,19 +255,20 @@ def t_jacobian_kernel(cell: np.ndarray | None = None, sv_tol: float = 1e-8) -> d
     }
 
 
-def tilde_derivative_signs(ells, pots: PotentialSet) -> dict:
+def tilde_derivative_signs(ells, pots: PotentialSet, cells=None) -> dict:
     """Sign and scale structure of the tilde-energy derivatives at the kink cell.
 
     Bond entries of the gradient vanish (unit bonds at the pair minimum); angle
     entries are strictly negative with magnitude of order 1/ell^2; the Hessian
-    is diagonal with entries in a fixed positive band.  Raises
+    is diagonal with entries in a fixed positive band.  cells, when given,
+    holds the kink cell of each ell (see kink_cell).  Raises
     VerificationFailureError on a sign violation.
     """
     rows = []
-    for ell in ells:
+    for ell, cell in zip(ells, cells or [None] * len(ells)):
         if ell < 16:
             raise InvalidParameterError(f"ell must be at least 16, got {ell}")
-        y = t_map(kink_cell(ell, pots)).vector
+        y = t_map(kink_cell(ell, pots) if cell is None else cell).vector
         g = tilde_gradient(y, pots)
         hd = tilde_hessian_diag(y, pots)
         bond_res = float(np.max(np.abs(g[10:])))
@@ -330,7 +331,9 @@ def constrained_rayleigh_min(hess: np.ndarray, span: np.ndarray, r: float) -> di
 
     scale = float(np.max(np.abs(np.linalg.eigvalsh(hess))))
     nus = np.concatenate([[0.0], np.geomspace(1e-6 * scale, 10.0 * scale, N_SCAN)])
-    vals = np.array([dual(nu) for nu in nus])
+    # the scan as one stacked eigensolve: each matrix and its eigenvalues are
+    # the ones dual(nu) computes
+    vals = np.linalg.eigvalsh(hess + nus[:, None, None] * proj)[:, 0] - nus * r**2
     best = int(np.argmax(vals))
     lo = nus[max(0, best - 1)]
     hi = nus[min(len(nus) - 1, best + 1)]
@@ -404,19 +407,21 @@ def angle_sum_concavity(pots: PotentialSet, n_samples: int = 200, seed: int = 0)
     return {"c_kink": float(np.min(ratios)), "n_samples": len(ratios), "ratios": ratios}
 
 
-def cell_hessian_convexity(ell: int, pots: PotentialSet, r: float = 0.9) -> dict:
+def cell_hessian_convexity(ell: int, pots: PotentialSet, r: float = 0.9, cell=None, c_kink=None) -> dict:
     """Constrained convexity of the cell-energy Hessian at the kink cell.
 
     (a) directions r-separated from the degenerate-plus-bad span have Rayleigh
     quotients bounded below by a positive constant; (b) directions merely
     r-separated from the rigid motions keep a positive bound of order 1/ell^2;
     (c) the angle-sum concavity constant at the planar reference is positive.
-    Raises VerificationFailureError if a certified lower bound is nonpositive.
+    cell (the kink cell of ell) and c_kink (angle_sum_concavity's constant)
+    are computed when not given.  Raises VerificationFailureError if a
+    certified lower bound is nonpositive.
     """
     if ell < 16:
         raise InvalidParameterError(f"ell must be at least 16, got {ell}")
     basis = cell_basis()
-    hess = cell_hessian(kink_cell(ell, pots), pots)
+    hess = cell_hessian(kink_cell(ell, pots) if cell is None else cell, pots)
     span_db = np.concatenate([basis.degenerate, basis.bad], axis=0).reshape(-1, 24).T
     span_d = basis.degenerate.reshape(6, 24).T
     good = constrained_rayleigh_min(hess, span_db, r)
@@ -425,7 +430,8 @@ def cell_hessian_convexity(ell: int, pots: PotentialSet, r: float = 0.9) -> dict
         raise VerificationFailureError(
             f"nonpositive constrained convexity bound at ell={ell}: {good['lower']}, {weak['lower']}"
         )
-    conc = angle_sum_concavity(pots)
+    if c_kink is None:
+        c_kink = angle_sum_concavity(pots)["c_kink"]
     return {
         "ell": ell,
         "r": r,
@@ -433,5 +439,5 @@ def cell_hessian_convexity(ell: int, pots: PotentialSet, r: float = 0.9) -> dict
         "c_good_upper": good["upper"],
         "c_weak": weak["lower"],
         "c_weak_upper": weak["upper"],
-        "c_kink": conc["c_kink"],
+        "c_kink": c_kink,
     }

@@ -107,15 +107,15 @@ def cmd_energy(args) -> int:
 def cmd_cells(args) -> int:
     pots = _load_pots(args)
     tube = _read_tube(args)
-    probe = cells.cell_bond_lengths(cells.gather_cells(tube))
-    if float(np.max(probe)) >= pots.cutoff:
+    unwrapped = cells.gather_cells(tube)
+    if float(np.max(cells.cell_bond_lengths(unwrapped))) >= pots.cutoff:
         print(
             "nanolab: cell labels are inconsistent with the bond structure; "
             "pass --ell and --m matching the file",
             file=sys.stderr,
         )
         return EXIT_USAGE
-    summ = cells.cell_summary(tube, pots)
+    summ = cells.cell_summary(tube, pots, unwrapped)
     header = (
         ["i", "j", "k"]
         + [f"b{t}" for t in range(1, 9)]
@@ -197,11 +197,14 @@ def cmd_fracture(args) -> int:
 def cmd_verify_cell(args) -> int:
     pots = _load_pots(args)
     ells = _int_list(args.ell)
+    # one kink cell per ell for both checks; an ell below 16 makes
+    # cell_convexity raise before tilde_derivative_signs runs
+    cells = [cellspec.kink_cell(ell, pots) if ell >= 16 else None for ell in ells]
     checks = {
         "kernel": acceptance.kernel_dimensions(None, 0),
-        "convexity": acceptance.cell_convexity(ells, 0, r=args.r, pots=pots),
+        "convexity": acceptance.cell_convexity(ells, 0, r=args.r, pots=pots, cells=cells),
     }
-    signs = cellspec.tilde_derivative_signs([ell for ell in ells if ell >= 16], pots)
+    signs = cellspec.tilde_derivative_signs(ells, pots, cells)
     checks["tilde_derivatives"] = {
         "passed": all(r["bond_grad_residual"] <= 1e-10 for r in signs["rows"]),
         "scaling_slope": signs["scaling_slope"],

@@ -33,9 +33,11 @@ LAMBDA_HI = 1.1
 def beta(alpha, gam):
     """Out-of-plane bond angle 2*arcsin(sin(alpha)*sin(gam/2))."""
     s = np.sin(alpha) * np.sin(0.5 * np.asarray(gam, dtype=float))
-    if np.any(np.abs(s) > 1.0 + 1e-12):
+    # the ufunc and method forms of clip and any: the same bits as np.clip and
+    # np.any, without their wrapper cost on the scalars of the angle solves
+    if (np.abs(s) > 1.0 + 1e-12).any():
         raise DomainError("arcsin argument exceeds 1")
-    return 2.0 * np.arcsin(np.clip(s, -1.0, 1.0))
+    return 2.0 * np.arcsin(np.minimum(np.maximum(s, -1.0), 1.0))
 
 
 def beta_derivatives(alpha, gam):
@@ -357,6 +359,10 @@ def _alpha_ch(ell: int) -> float:
     return 0.5 * (lo + hi)
 
 
+# Newton steps of the alpha_us polish in reference_angles
+_POLISH_STEPS = 60
+
+
 def reference_angles(ell: int, pots: PotentialSet) -> ReferenceAngles:
     """Solve for alpha_ch (fixed point of beta) and alpha_us (angle-energy minimizer)."""
     if ell <= 3:
@@ -367,14 +373,14 @@ def reference_angles(ell: int, pots: PotentialSet) -> ReferenceAngles:
     def fval(a):
         return 2.0 * v3.value(a) + v3.value(beta(a, g))
 
-    def fprime(a):
-        b_a = beta_derivatives(a, g)[0]
-        return 2.0 * v3.deriv(a) + v3.deriv(beta(a, g)) * b_a
-
-    def fsecond(a):
+    def slopes(a):
+        """(f'(a), f''(a)) of the angle energy fval."""
         b_a, _, b_aa, _, _ = beta_derivatives(a, g)
         b = beta(a, g)
-        return 2.0 * v3.deriv2(a) + v3.deriv2(b) * b_a**2 + v3.deriv(b) * b_aa
+        return (
+            2.0 * v3.deriv(a) + v3.deriv(b) * b_a,
+            2.0 * v3.deriv2(a) + v3.deriv2(b) * b_a**2 + v3.deriv(b) * b_aa,
+        )
 
     # golden-section bracket, then Newton polish on the stationarity equation
     lo, hi = ALPHA_LO, ALPHA_HI
@@ -392,16 +398,22 @@ def reference_angles(ell: int, pots: PotentialSet) -> ReferenceAngles:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = fval(d)
-    x = 0.5 * (a + b)
-    for _ in range(60):
-        fp = fprime(x)
+    x, prev = 0.5 * (a + b), None
+    for it in range(_POLISH_STEPS):
+        fp, fpp = slopes(x)
         if abs(fp) < 1e-14:
             break
-        step = float(np.clip(x - fp / fsecond(x), ALPHA_LO, ALPHA_HI))
+        step = min(max(float(x - fp / fpp), ALPHA_LO), ALPHA_HI)
         if step == x:
             # a fixed point: the remaining iterations would not move x
             break
-        x = step
+        if step == prev:
+            # a 2-cycle: the remaining iterations alternate between step and x,
+            # so the last of them lands on step when their number is odd
+            if (_POLISH_STEPS - it) % 2:
+                x = step
+            break
+        x, prev = step, x
     alpha_us = x
     return ReferenceAngles(
         ell=ell,

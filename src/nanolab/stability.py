@@ -305,14 +305,23 @@ def isometry_directions(tube: Nanotube) -> np.ndarray:
 
 # stationarity guard of hessian_spectrum: |grad| < GRAD_TOL_FACTOR * sqrt(n)
 GRAD_TOL_FACTOR = 1e-7
-# An eigenvalue is near-null when |lambda| < ZERO_TOL_REL * max|lambda|.  With
-# the analytic Hessian the isometry modes of family tubes come out at or below
-# about 2e-16 of the largest eigenvalue, while genuine soft modes go down to
-# about 1e-8 of it (the softest pair of (24,4) just above the unstretched
-# period sits near 9e-7), so the threshold sits between the two up to about
-# ell = 180.  Beyond, the ring's flexural modes (Bloch blocks p = +-2, +-3 at
-# q = 0) fall below it as well: 7e-12 and 6e-11 of it at ell = 256.
+# On a tube without Bloch blocks an eigenvalue is near-null when
+# |lambda| < ZERO_TOL_REL * max|lambda|.  With the analytic Hessian the
+# isometry modes of family tubes come out at or below about 2e-16 of the
+# largest eigenvalue, while genuine soft modes go down to about 1e-8 of it
+# (the softest pair of (24,4) just above the unstretched period sits near
+# 9e-7), so the threshold sits between the two up to about ell = 180.  Beyond,
+# the ring's flexural modes (Bloch blocks p = +-2, +-3 at q = 0) fall below it
+# as well: 7e-12 and 6e-11 of it at ell = 256.
 ZERO_TOL_REL = 1e-10
+# On a family tube each Bloch block B is measured against its own round-off:
+# an eigenvalue of B is null when |lambda| <= BLOCK_NULL_ULPS * eps * max|lambda(B)|.
+# The flexural modes shrink like ell^-4 relative to the largest eigenvalue of
+# the tube, but not relative to their own block.  At mu_us + 0.01, ell = 4 ..
+# 512, m = 1 and 4 and both presets, the isometries measured at most
+# 52 eps ||B|| (stiff, ell = 384) and the softest non-null mode at least
+# 290 eps ||B|| (stiff, ell = 512).
+BLOCK_NULL_ULPS = 100.0
 # Axial Bloch phase (radians per period mu) at which acoustic_ratio reads the
 # long-wave curvature; the ratio's error from q > 0 is of order q^2.
 ACOUSTIC_Q = 1e-3
@@ -418,45 +427,45 @@ def hessian_spectrum(tube: Nanotube, pots: PotentialSet) -> np.ndarray:
 
 
 def null_space_report(tube: Nanotube, pots: PotentialSet, acoustic: bool = False) -> dict:
-    """Spectrum partition into near-null (see ZERO_TOL_REL) and positive parts
-    plus the principal angles between the near-null eigenvectors and the
-    isometry directions.
+    """Spectrum partition into near-null and positive parts plus the
+    principal angles between the near-null eigenvectors and the isometry
+    directions.
 
-    On a family tube the spectrum is that of the Bloch blocks, null_blocks
-    lists (p, q, count) for each block with near-null eigenvalues, and only
-    those blocks are solved for eigenvectors, which are lifted to an
-    orthonormal real basis of the near-null space.  Any other tube takes one
-    dense eigensolve, and null_blocks is None.  With acoustic, the report
-    also holds acoustic_ratio (see _acoustic_ratio) of a family tube, None
-    on any other tube.
+    On a family tube the spectrum is that of the Bloch blocks, each block's
+    eigenvalues are near-null against that block's round-off (see
+    BLOCK_NULL_ULPS), zero_tol is the largest of the blocks' thresholds,
+    null_blocks lists (p, q, count) for each block with near-null
+    eigenvalues, and only those blocks are solved for eigenvectors, which are
+    lifted to an orthonormal real basis of the near-null space.  Any other
+    tube takes one dense eigensolve with the threshold zero_tol =
+    ZERO_TOL_REL * lam_max, and null_blocks is None.  With acoustic, the
+    report also holds acoustic_ratio (see _acoustic_ratio) of a family tube,
+    None on any other tube.
     """
     from scipy.linalg import subspace_angles
 
     graph, bloch = _vetted_spectrum(tube, pots)
     if bloch is not None:
-        p, q, blocks, block_evals = bloch
-        evals = np.sort(block_evals, axis=None)
+        p, q, blocks, evals = bloch
+        tol = BLOCK_NULL_ULPS * np.finfo(float).eps * np.max(np.abs(evals), axis=1, keepdims=True)
+        near_null = np.abs(evals) <= tol
+        null_blocks, null_vectors = _block_null_space(tube, p, q, blocks, near_null)
     else:
         evals, evecs = np.linalg.eigh(hessian(tube, pots, graph))
-    lam_max = float(np.max(np.abs(evals)))
-    zero_tol = ZERO_TOL_REL * lam_max
-    near_null = np.abs(evals) < zero_tol
-    n_null = int(np.sum(near_null))
-    if bloch is not None:
-        null_blocks, null_vectors = _block_null_space(tube, p, q, blocks, np.abs(block_evals) < zero_tol)
-    else:
+        tol = ZERO_TOL_REL * float(np.max(np.abs(evals)))
+        near_null = np.abs(evals) < tol
         null_blocks, null_vectors = None, evecs[:, near_null]
+    n_null = int(np.sum(near_null))
     max_angle = float("nan")
     if n_null > 0:
         max_angle = float(np.max(subspace_angles(isometry_directions(tube), null_vectors)))
-    positive_rest = bool(np.all(evals[~near_null] > 0.0))
     report = {
-        "eigenvalues": evals,
-        "lam_max": lam_max,
-        "zero_tol": zero_tol,
+        "eigenvalues": np.sort(evals, axis=None),
+        "lam_max": float(np.max(np.abs(evals))),
+        "zero_tol": float(np.max(tol)),
         "n_near_null": n_null,
-        "n_negative": int(np.sum(evals < -zero_tol)),
-        "rest_positive": positive_rest,
+        "n_negative": int(np.sum(evals < -tol)),
+        "rest_positive": bool(np.all(evals[~near_null] > 0.0)),
         "max_principal_angle": max_angle,
         "null_blocks": null_blocks,
     }

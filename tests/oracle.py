@@ -4,7 +4,10 @@ stencils of the analytic derivatives (energy.hessian, cellspec.cell_hessian,
 cellspec.t_jacobian, the angle-sum Hessian in cellspec.angle_sum_concavity,
 reduced.reduced_hessian), the brute-force family minimizer
 (reduced.minimize_family), the one-point-at-a-time inner Newton solve
-(reduced.reduced_solve), the scan-plus-bisection fracture threshold
+(reduced.reduced_solve), the np.clip form of reduced.beta, the reference
+angles with the Newton polish run to its step cap
+(reduced.reference_angles), the one-eigensolve-per-point dual scan
+(cellspec.constrained_rayleigh_min), the scan-plus-bisection fracture threshold
 (fracture.fracture_threshold) and the one-trial-at-a-time stability ensemble
 with a bond graph rebuilt for every draw (stability.stability_trial).
 
@@ -38,7 +41,7 @@ from nanolab.cells import (
     to_local,
 )
 from nanolab.energy import _bond_vectors, _leg_vectors, bond_graph
-from nanolab.errors import DegenerateGeometryError, InvalidCellError, PxyzFormatError
+from nanolab.errors import DegenerateGeometryError, DomainError, InvalidCellError, PxyzFormatError
 from nanolab.geometry import AtomId, Nanotube
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -378,6 +381,142 @@ def reduced_energy_scalar(mu, gamma1, gamma2, pots, max_iter: int = 200):
     else:
         raise OptimizationFailureError(f"scalar reduced Newton did not converge in {max_iter} iterations")
     return float(f), (float(x[0]), float(x[1]), float(x[2]))
+
+
+def beta_clip(alpha, gam):
+    """reduced.beta through np.clip and np.any, the wrappers its ufunc and
+    method calls replace."""
+    s = np.sin(alpha) * np.sin(0.5 * np.asarray(gam, dtype=float))
+    if np.any(np.abs(s) > 1.0 + 1e-12):
+        raise DomainError("arcsin argument exceeds 1")
+    return 2.0 * np.arcsin(np.clip(s, -1.0, 1.0))
+
+
+def reference_angles_capped(ell: int, pots):
+    """reduced.reference_angles on beta_clip, with a Newton polish that runs
+    to its 60-step cap when its iterates cycle (the library stops at the
+    first repeat of a 2-cycle)."""
+    from nanolab.geometry import gamma
+    from nanolab.potentials import TWO_THIRDS_PI
+    from nanolab.reduced import ALPHA_HI, ALPHA_LO, ReferenceAngles, beta_derivatives
+
+    g = gamma(ell)
+    v3 = pots.v3
+
+    def f(a):
+        return beta_clip(a, g) - a
+
+    lo, hi = ALPHA_LO, ALPHA_HI
+    flo, fhi = f(lo), f(hi)
+    if flo * fhi > 0:
+        raise DomainError("no sign change for the polyhedral-angle bisection")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0 or hi - lo < 1e-13:
+            break
+        if flo * fm < 0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    alpha_ch = 0.5 * (lo + hi)
+
+    def fval(a):
+        return 2.0 * v3.value(a) + v3.value(beta_clip(a, g))
+
+    def fprime(a):
+        b_a = beta_derivatives(a, g)[0]
+        return 2.0 * v3.deriv(a) + v3.deriv(beta_clip(a, g)) * b_a
+
+    def fsecond(a):
+        b_a, _, b_aa, _, _ = beta_derivatives(a, g)
+        b = beta_clip(a, g)
+        return 2.0 * v3.deriv2(a) + v3.deriv2(b) * b_a**2 + v3.deriv(b) * b_aa
+
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = ALPHA_LO, ALPHA_HI
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fval(c), fval(d)
+    for _ in range(80):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fval(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fval(d)
+    x = 0.5 * (a + b)
+    for _ in range(60):
+        fp = fprime(x)
+        if abs(fp) < 1e-14:
+            break
+        step = float(np.clip(x - fp / fsecond(x), ALPHA_LO, ALPHA_HI))
+        if step == x:
+            break
+        x = step
+    return ReferenceAngles(
+        ell=ell,
+        alpha_ru=TWO_THIRDS_PI,
+        alpha_ch=alpha_ch,
+        alpha_us=x,
+        mu_us=float(2.0 - 2.0 * np.cos(x)),
+        beta_us=float(beta_clip(x, g)),
+    )
+
+
+def constrained_rayleigh_min_loop(hess, span, r: float) -> dict:
+    """cellspec.constrained_rayleigh_min with its nu scan evaluated one
+    eigvalsh call per point."""
+    from nanolab.cellspec import EIGENSPACE_TOL, N_SCAN
+
+    q, _ = np.linalg.qr(span)
+    proj = q @ q.T
+
+    def dual(nu):
+        return float(np.linalg.eigvalsh(hess + nu * proj)[0]) - nu * r**2
+
+    scale = float(np.max(np.abs(np.linalg.eigvalsh(hess))))
+    nus = np.concatenate([[0.0], np.geomspace(1e-6 * scale, 10.0 * scale, N_SCAN)])
+    vals = np.array([dual(nu) for nu in nus])
+    best = int(np.argmax(vals))
+    lo = nus[max(0, best - 1)]
+    hi = nus[min(len(nus) - 1, best + 1)]
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd_ = dual(c), dual(d)
+    for _ in range(60):
+        if fc > fd_:
+            b, d, fd_ = d, c, fc
+            c = b - invphi * (b - a)
+            fc = dual(c)
+        else:
+            a, c, fc = c, d, fd_
+            d = a + invphi * (b - a)
+            fd_ = dual(d)
+    nu_star = 0.5 * (a + b)
+    lower = dual(nu_star)
+    evals, evecs = np.linalg.eigh(hess + nu_star * proj)
+    space = evecs[:, evals <= evals[0] + EIGENSPACE_TOL * scale]
+    p_evals, p_evecs = np.linalg.eigh(space.T @ proj @ space)
+    if p_evals[0] <= r**2 <= p_evals[-1] and p_evals[0] < p_evals[-1]:
+        s2 = (r**2 - p_evals[0]) / (p_evals[-1] - p_evals[0])
+        v = space @ (np.sqrt(1.0 - s2) * p_evecs[:, 0] + np.sqrt(s2) * p_evecs[:, -1])
+    else:
+        v = evecs[:, 0]
+        pv = proj @ v
+        npv = np.linalg.norm(pv)
+        if npv > r:
+            perp = v - pv
+            nperp = np.linalg.norm(perp)
+            if nperp > 1e-14:
+                v = (r / npv) * pv + np.sqrt(1.0 - r**2) * perp / nperp
+    v = v / np.linalg.norm(v)
+    upper = float(v @ hess @ v)
+    return {"lower": float(max(lower, vals[0] if best == 0 else lower)), "upper": upper, "nu": float(nu_star)}
 
 
 # mu points of the coarse scan for a sign change, and the bisection tolerance

@@ -2,9 +2,9 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracle import angle_sum_second_fd, cell_hessian_fd, t_jacobian_fd
+from oracle import angle_sum_second_fd, cell_hessian_fd, constrained_rayleigh_min_loop, t_jacobian_fd
 
 from nanolab import cells
 from nanolab.cells import (
@@ -322,3 +322,32 @@ def test_angle_sum_concavity_matches_second_difference(pots_soft):
         # (O(step^4)) until round-off takes over near step = 1e-3
         assert errors[1] < errors[0] / 50 and errors[2] < errors[1] / 50
         assert errors[3] <= 1e-6 * abs(ratio)
+
+
+def _same_report(got: dict, want: dict) -> bool:
+    """Equal keys and, for each, the same type and bits."""
+    return got.keys() == want.keys() and all(
+        type(got[k]) is type(want[k]) and np.float64(got[k]).tobytes() == np.float64(want[k]).tobytes() for k in got
+    )
+
+
+def test_constrained_rayleigh_min_equals_loop_oracle_on_kink_cells(pots_soft):
+    basis = cell_basis()
+    spans = [np.concatenate([basis.degenerate, basis.bad]).reshape(-1, 24).T, basis.degenerate.reshape(6, 24).T]
+    for ell in range(16, 129):
+        h = cell_hessian(kink_cell(ell, pots_soft), pots_soft)
+        for span in spans:
+            assert _same_report(constrained_rayleigh_min(h, span, 0.9), constrained_rayleigh_min_loop(h, span, 0.9)), ell
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(3, 12), r=st.floats(0.05, 0.95))
+@example(seed=0, rank=3, r=0.5)
+@example(seed=1, rank=12, r=0.9)
+def test_constrained_rayleigh_min_equals_loop_oracle_on_random_matrices(seed, rank, r):
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((24, 24))
+    h += h.T
+    span = rng.standard_normal((24, rank))
+    assert _same_report(constrained_rayleigh_min(h, span, r), constrained_rayleigh_min_loop(h, span, r))
+

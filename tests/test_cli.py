@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nanolab import acceptance
+from nanolab import acceptance, cells, cellspec
 from nanolab.cli import main
 from nanolab.energy import family_energy
 from nanolab.geometry import solve_family
@@ -247,3 +247,33 @@ def test_fracture_report_carries_solver_diagnostics(tmp_path, capsys):
     rep = json.loads(first)
     assert rep["newton_iterations"] > 0
     assert 0.0 <= rep["max_kkt_residual"] <= 1e-12
+
+
+def test_verify_cell_builds_each_kink_cell_once(tmp_path, monkeypatch):
+    # one reference-angle solve per ell and one angle-sum concavity scan per
+    # command, shared by the convexity and tilde-derivative checks
+    counts = {"reference_angles": 0, "angle_sum_concavity": 0}
+    for name in counts:
+
+        def counted(*args, _name=name, _real=getattr(cellspec, name), **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cellspec, name, counted)
+    assert run(["verify-cell", "--ell", "16,32,64", "-o", str(tmp_path / "v.json")]) == 0
+    assert counts == {"reference_angles": 3, "angle_sum_concavity": 1}
+
+
+def test_verify_cell_rejects_small_ell(tmp_path, capsys):
+    assert run(["verify-cell", "--ell", "16,8", "-o", str(tmp_path / "v.json")]) == 1
+    assert "ell must be at least 16, got 8" in capsys.readouterr().err
+
+
+def test_cells_gathers_once(tmp_path, monkeypatch):
+    tube_path = str(tmp_path / "t.pxyz")
+    run(["generate", "--ell", "6", "--m", "2", "--mu", "2.95", "--lambda1", "1", "--lambda2", "1", "-o", tube_path])
+    calls = []
+    real = cells.gather_cells
+    monkeypatch.setattr(cells, "gather_cells", lambda *a, **k: calls.append(1) or real(*a, **k))
+    assert run(["cells", "--in", tube_path, "--ell", "6", "--m", "2", "-o", str(tmp_path / "c.csv")]) == 0
+    assert len(calls) == 1

@@ -1,15 +1,18 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracle import minimize_family_direct, reduced_energy_scalar, reduced_hessian_fd
+from oracle import beta_clip, minimize_family_direct, reduced_energy_scalar, reduced_hessian_fd, reference_angles_capped
 
 from nanolab.errors import BoundaryWarning, DomainError, InvalidParameterError, OptimizationFailureError
 from nanolab.geometry import build_nanotube, gamma
 from nanolab.energy import total_energy
+from nanolab import potentials
 from nanolab.potentials import PotentialSet
+import nanolab.reduced as reduced_module
 from nanolab.reduced import (
     ALPHA_HI,
     ALPHA_LO,
@@ -384,3 +387,62 @@ def test_batched_solve_raises_when_a_point_does_not_converge(pots_soft):
     # a NaN residual never passes the GRAD_TOL exit
     with pytest.raises(OptimizationFailureError):
         reduced_solve([3.0, np.nan], g, g, pots_soft, max_iter=5)
+
+
+def _same_bits(a, b) -> bool:
+    """Same type, shape and bytes: NaN equals NaN, -0.0 differs from 0.0."""
+    return type(a) is type(b) and np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+_ANGLES = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([np.nan, 0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, TP]),
+)
+
+
+@settings(max_examples=80)
+@given(alpha=st.lists(_ANGLES, min_size=1, max_size=6), gam=st.lists(_ANGLES, min_size=1, max_size=6),
+       shape=st.sampled_from(["scalar", "array", "array-scalar", "scalar-array"]))
+@example(alpha=[-0.0, 0.0, np.nan], gam=[np.pi, -0.0, 1.0], shape="array")
+@example(alpha=[-0.0], gam=[np.pi], shape="scalar")
+@example(alpha=[np.nan], gam=[1.0], shape="scalar")
+def test_beta_equals_clip_oracle(alpha, gam, shape):
+    n = min(len(alpha), len(gam))
+    a = alpha[0] if shape.startswith("scalar") else np.array(alpha[:n])
+    g = gam[0] if shape.endswith("scalar") else np.array(gam[:n])
+    assert _same_bits(beta(a, g), beta_clip(a, g))
+
+
+@pytest.mark.parametrize("alpha", [np.pi / 2 + 1e-5j, np.array([TP, np.pi / 2 - 2e-5j])])
+def test_beta_raises_just_past_one_like_oracle(alpha):
+    # |sin| of a complex angle exceeds 1: |s| = cosh(imag) is 1 + 5e-11 and
+    # 1 + 2e-10 here, just past the 1 + 1e-12 the check allows
+    for f in (beta, beta_clip):
+        with pytest.raises(DomainError, match="exceeds 1"):
+            f(alpha, np.pi)
+
+
+@pytest.mark.parametrize("preset", ["soft", "stiff", "json"])
+def test_reference_angles_equal_capped_oracle(preset):
+    # the polish alternates between two floats for 9 of the 792 (ell, preset)
+    # pairs of ell 4 .. 399 x {soft, stiff}, all soft (ell = 7, 11, 12, 95,
+    # ...); the library stops there and must still return the iterate the
+    # 60-step cap ends on
+    doc = {"name": "custom", "k2": 300.0, "k3": 120.0, "cutoff_lo": 1.04, "cutoff_hi": 1.09}
+    pots = potentials.from_json(doc) if preset == "json" else potentials.load(preset)
+    for ell in range(4, 400):
+        got, want = reference_angles(ell, pots), reference_angles_capped(ell, pots)
+        for field in dataclasses.fields(got):
+            assert _same_bits(getattr(got, field.name), getattr(want, field.name)), (ell, field.name)
+
+
+def test_reference_angles_polish_stops_at_two_cycle(pots_soft, monkeypatch):
+    # the polish makes one beta_derivatives call per Newton step; at soft
+    # ell = 12, one of the cycling pairs, it stops after a few steps where
+    # the 60-step cap would have it alternate to the end
+    calls = []
+    real = reduced_module.beta_derivatives
+    monkeypatch.setattr(reduced_module, "beta_derivatives", lambda *a: calls.append(1) or real(*a))
+    refs = reference_angles(12, pots_soft)
+    assert len(calls) <= 4
+    assert _same_bits(refs.alpha_us, reference_angles_capped(12, pots_soft).alpha_us)

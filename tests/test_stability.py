@@ -496,3 +496,27 @@ def test_acoustic_ratio_only_on_family_tubes(base, pots_soft):
     tube0, _, _ = base
     assert "acoustic_ratio" not in null_space_report(tube0, pots_soft)
     assert null_space_report(_unlabelled(tube0), pots_soft, acoustic=True)["acoustic_ratio"] is None
+
+
+@pytest.mark.parametrize("preset", ["soft", "stiff"])
+@pytest.mark.parametrize("ell", [12, 16, 24, 48, 96, 128, 192, 256])
+def test_null_modes_counted_per_block(pots_soft, pots_stiff, preset, ell):
+    # each block against its own round-off: the ring's flexural blocks
+    # (+-2, 0) and (+-3, 0) sink below 1e-10 of the largest eigenvalue of
+    # the tube from ell = 192 on, but not below their own block's round-off
+    pots = pots_soft if preset == "soft" else pots_stiff
+    rep = null_space_report(_family_tube(ell, 4, 0.01, pots), pots)
+    assert rep["null_blocks"] == [(-1, 0, 1), (0, 0, 2), (1, 0, 1)]
+    assert rep["n_near_null"] == 4 and rep["n_negative"] == 0 and rep["rest_positive"]
+    assert rep["max_principal_angle"] < 1e-3
+
+
+@pytest.mark.parametrize("preset", ["soft", "stiff"])
+def test_compressed_long_tube_negative_per_block(pots_soft, pots_stiff, preset):
+    # (12, 128) at mu_us - 0.01 is longer than its Euler length (m_c about
+    # 89): the flexural blocks (+-1, +-1) are negative, the isometries stay null
+    pots = pots_soft if preset == "soft" else pots_stiff
+    rep = null_space_report(_family_tube(12, 128, -0.01, pots), pots)
+    assert rep["n_negative"] == 4 and rep["n_near_null"] == 4
+    assert rep["null_blocks"] == [(-1, 0, 1), (0, 0, 2), (1, 0, 1)]
+    assert not rep["rest_positive"]
