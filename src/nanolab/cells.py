@@ -14,9 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .energy import _angle_term, _bond_term, _cross3, _dot3, _image_shift, _norm3
+from .energy import BondGraph, _bond_angles, _bond_lengths, _cross3, _dot3, _image_shift, _norm3
 from .errors import DegenerateGeometryError, InvalidCellError
-from .geometry import Nanotube
+from .geometry import Nanotube, flat_index
 from .potentials import PotentialSet
 
 BOND_WEIGHTS = np.array([0.25, 0.25, 0.5, 0.5, 0.5, 0.5, 0.25, 0.25])
@@ -41,6 +41,9 @@ ANGLE_SLOTS = np.array(
         (4, 1, 7),
     ]
 )
+# The cell as a bond graph of eight atoms with no period: its bonds and angles
+# run through the term layer of the tube energy.
+CELL_GRAPH = BondGraph(8, 0.0, BOND_SLOTS, np.zeros(8, dtype=int), ANGLE_SLOTS, np.zeros((10, 2), dtype=int))
 
 # Reflection S1: swap (x3,x6), (x4,x5) and negate second components.
 _S1_PERM = np.array([0, 1, 5, 4, 3, 2, 6, 7])
@@ -63,10 +66,6 @@ def reflect_s2(cell: np.ndarray) -> np.ndarray:
     return out
 
 
-def _flat_index(ell, m, i, j, k, l):
-    return (((j % m) * ell + (i - 1) % ell) * 2 + k) * 2 + l
-
-
 @lru_cache(maxsize=32)
 def cell_atom_indices(ell: int, m: int) -> np.ndarray:
     """Flat atom indices of every cell, shape (ell, m, 2, 8), centers (i,j,k).
@@ -76,7 +75,7 @@ def cell_atom_indices(ell: int, m: int) -> np.ndarray:
     i = np.arange(1, ell + 1)[:, None]
     j = np.arange(m)[None, :]
     table = np.empty((ell, m, 2, 8), dtype=int)
-    f = lambda ii, jj, kk, ll: _flat_index(ell, m, ii, jj, kk, ll)
+    f = lambda ii, jj, kk, ll: flat_index(ell, m, ii, jj, kk, ll)
     table[:, :, 0, 0] = f(i, j, 0, 0)
     table[:, :, 0, 1] = f(i, j, 0, 1)
     table[:, :, 0, 2] = f(i, j - 1, 1, 1)
@@ -122,46 +121,26 @@ def gather_cells(tube: Nanotube, table: np.ndarray | None = None, positions=None
     return cells
 
 
-def _bond_legs(cells: np.ndarray) -> np.ndarray:
-    """Leg x_a - x_b of every cell bond (a, b) in BOND_SLOTS."""
-    return cells[..., BOND_SLOTS[:, 0], :] - cells[..., BOND_SLOTS[:, 1], :]
-
-
-def _angle_legs(cells: np.ndarray):
-    """Legs (x_i - x_j, x_k - x_j) of every cell angle (i, j, k) in ANGLE_SLOTS."""
-    u = cells[..., ANGLE_SLOTS[:, 0], :] - cells[..., ANGLE_SLOTS[:, 1], :]
-    v = cells[..., ANGLE_SLOTS[:, 2], :] - cells[..., ANGLE_SLOTS[:, 1], :]
-    return u, v
-
-
 def cell_bond_lengths(cells: np.ndarray) -> np.ndarray:
-    return _norm3(_bond_legs(cells))
+    """The eight bond lengths of every cell in BOND_SLOTS order, shape (..., 8)."""
+    return _bond_lengths(cells, CELL_GRAPH)
 
 
 def cell_angles(cells: np.ndarray) -> np.ndarray:
-    u, v = _angle_legs(cells)
-    nu = _norm3(u)
-    nv = _norm3(v)
-    if np.any(nu == 0.0) or np.any(nv == 0.0):
-        raise DegenerateGeometryError("zero-length bond leg inside a cell")
-    c = np.clip(_dot3(u, v) / (nu * nv), -1.0, 1.0)
-    return np.arccos(c)
+    """The ten angles of every cell in ANGLE_SLOTS order, shape (..., 10)."""
+    return _bond_angles(cells, CELL_GRAPH)
 
 
-def cell_energies(cells: np.ndarray, pots: PotentialSet) -> np.ndarray:
-    b = cell_bond_lengths(cells)
-    phi = cell_angles(cells)
-    return np.einsum("...i,i->...", pots.v2.value(b), BOND_WEIGHTS) + np.einsum(
-        "...i,i->...", pots.v3.value(phi), ANGLE_WEIGHTS
+def _weighted_energies(bonds: np.ndarray, angles: np.ndarray, pots: PotentialSet) -> np.ndarray:
+    """Cell energies from the cells' bond lengths and angles."""
+    return np.einsum("...i,i->...", pots.v2.value(bonds), BOND_WEIGHTS) + np.einsum(
+        "...i,i->...", pots.v3.value(angles), ANGLE_WEIGHTS
     )
 
 
-def cell_energy_gradient(cell: np.ndarray, pots: PotentialSet) -> np.ndarray:
-    """Analytic gradient of the weighted cell energy for a single (8,3) cell."""
-    grad = np.zeros((8, 3))
-    np.add.at(grad, BOND_SLOTS, _bond_term(_bond_legs(cell), pots.v2, BOND_WEIGHTS)[0])
-    np.add.at(grad, ANGLE_SLOTS, _angle_term(*_angle_legs(cell), pots.v3, ANGLE_WEIGHTS)[0])
-    return grad
+def cell_energies(cells: np.ndarray, pots: PotentialSet) -> np.ndarray:
+    """Weighted cell energy of every cell, shape (...)."""
+    return _weighted_energies(cell_bond_lengths(cells), cell_angles(cells), pots)
 
 
 def _plane_angle(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
@@ -287,7 +266,7 @@ def cell_summary(tube: Nanotube, pots: PotentialSet, cells: np.ndarray | None = 
         cells = gather_cells(tube)
     b = cell_bond_lengths(cells)
     phi = cell_angles(cells)
-    energy = cell_energies(cells, pots)
+    energy = _weighted_energies(b, phi, pots)
     theta = cell_plane_angles(cells)
     local = to_local(cells)
     _, _, delta = symmetrize(local)

@@ -21,16 +21,15 @@ from .cells import (
     ANGLE_WEIGHTS,
     BOND_SLOTS,
     BOND_WEIGHTS,
-    _angle_legs,
-    _bond_legs,
+    CELL_GRAPH,
     cell_angles,
     cell_bond_lengths,
 )
-from .energy import _add_blocks, _angle_term, _bond_term
+from .energy import _angle_term, _bond_term, _bond_vectors, _leg_vectors, term_hessian
 from .errors import InvalidParameterError, VerificationFailureError
 from .geometry import gamma
 from .potentials import PotentialSet
-from .reduced import reference_angles
+from .reduced import golden_section_min, reference_angles
 
 SQ3 = np.sqrt(3.0)
 
@@ -181,12 +180,6 @@ def t_map(cell: np.ndarray) -> TMapValue:
     return TMapValue(angles=cell_angles(cell), bonds=cell_bond_lengths(cell))
 
 
-def tilde_energy(y: np.ndarray, pots: PotentialSet) -> float:
-    """Weighted sum over the 18 bond/angle values; composes with t_map to the cell energy."""
-    y = np.asarray(y, dtype=float)
-    return float(np.dot(ANGLE_WEIGHTS, pots.v3.value(y[:10])) + np.dot(BOND_WEIGHTS, pots.v2.value(y[10:])))
-
-
 def tilde_gradient(y: np.ndarray, pots: PotentialSet) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     return np.concatenate([ANGLE_WEIGHTS * pots.v3.deriv(y[:10]), BOND_WEIGHTS * pots.v2.deriv(y[10:])])
@@ -215,31 +208,28 @@ def t_jacobian(cell: np.ndarray) -> np.ndarray:
     -(1/sin(theta)) dc/dx, a bond row +-rh on its two atoms."""
     cell = np.asarray(cell, dtype=float)
     jac = np.zeros((18, 8, 3))
-    angles, _ = _angle_term(*_angle_legs(cell), _Identity)
-    bonds, _ = _bond_term(_bond_legs(cell), _Identity)
+    angles, _ = _angle_term(*_leg_vectors(cell, CELL_GRAPH), _Identity)
+    bonds, _ = _bond_term(_bond_vectors(cell, CELL_GRAPH), _Identity)
     jac[np.arange(10)[:, None], ANGLE_SLOTS] = angles
     jac[10 + np.arange(8)[:, None], BOND_SLOTS] = bonds
     return jac.reshape(18, 24)
 
 
-def t_jacobian_kernel(cell: np.ndarray | None = None, sv_tol: float = 1e-8) -> dict:
-    """Kernel dimensions of DT and DT^a at the planar reference via SVD.
+def t_jacobian_kernel() -> dict:
+    """Kernel dimensions of DT and DT^a at the planar reference via SVD, with
+    singular values below 1e-8 of the largest counted as zero.
 
     Also reports the largest principal angle between the computed kernel of DT
     and the span of the degenerate-plus-bad basis directions.
     """
     from scipy.linalg import subspace_angles
 
-    if cell is None:
-        cell = planar_reference()
-    jac = t_jacobian(cell)
+    jac = t_jacobian(planar_reference())
     u, s, vt = np.linalg.svd(jac)
-    thresh = sv_tol * s[0]
-    rank = int(np.sum(s > thresh))
+    rank = int(np.sum(s > 1e-8 * s[0]))
     kernel = vt[rank:].T
-    ja = jac[:10]
-    sa = np.linalg.svd(ja, compute_uv=False)
-    rank_a = int(np.sum(sa > sv_tol * sa[0]))
+    sa = np.linalg.svd(jac[:10], compute_uv=False)
+    rank_a = int(np.sum(sa > 1e-8 * sa[0]))
 
     basis = cell_basis()
     span = np.concatenate([basis.degenerate, basis.bad], axis=0).reshape(-1, 24).T
@@ -293,13 +283,9 @@ def tilde_derivative_signs(ells, pots: PotentialSet, cells=None) -> dict:
 
 
 def cell_hessian(cell: np.ndarray, pots: PotentialSet) -> np.ndarray:
-    """24x24 analytic Hessian of the weighted cell energy: the weighted bond and
-    angle blocks of the term kernels, scatter-added."""
-    cell = np.asarray(cell, dtype=float)
-    hess = np.zeros((24, 24))
-    _add_blocks(hess, BOND_SLOTS, _bond_term(_bond_legs(cell), pots.v2, BOND_WEIGHTS, second=True)[1])
-    _add_blocks(hess, ANGLE_SLOTS, _angle_term(*_angle_legs(cell), pots.v3, ANGLE_WEIGHTS, second=True)[1])
-    return hess
+    """24x24 analytic Hessian of the weighted cell energy: the term_hessian of
+    CELL_GRAPH with the cell weights."""
+    return term_hessian(np.asarray(cell, dtype=float), CELL_GRAPH, pots.v2, pots.v3, BOND_WEIGHTS, ANGLE_WEIGHTS)
 
 
 # points of the geometric nu scan before golden-section refinement
@@ -337,21 +323,7 @@ def constrained_rayleigh_min(hess: np.ndarray, span: np.ndarray, r: float) -> di
     best = int(np.argmax(vals))
     lo = nus[max(0, best - 1)]
     hi = nus[min(len(nus) - 1, best + 1)]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd_ = dual(c), dual(d)
-    for _ in range(60):
-        if fc > fd_:
-            b, d, fd_ = d, c, fc
-            c = b - invphi * (b - a)
-            fc = dual(c)
-        else:
-            a, c, fc = c, d, fd_
-            d = a + invphi * (b - a)
-            fd_ = dual(d)
-    nu_star = 0.5 * (a + b)
+    nu_star = golden_section_min(lambda nu: -dual(nu), lo, hi, 60)
     lower = dual(nu_star)
 
     # At the kink cells the smallest eigenvalue is multiple, so a single eigh
@@ -391,9 +363,8 @@ def angle_sum_concavity(pots: PotentialSet, n_samples: int = 200, seed: int = 0)
     basis = cell_basis()
     span = np.concatenate([basis.degenerate, basis.bad], axis=0).reshape(-1, 24)
     qdeg, _ = np.linalg.qr(basis.degenerate.reshape(6, 24).T)
-    hess = np.zeros((24, 24))
-    weights = ANGLE_SUM_VECTORS.sum(axis=0)
-    _add_blocks(hess, ANGLE_SLOTS, _angle_term(*_angle_legs(x0), _Identity, weights, second=True)[1])
+    # the angle sum is the cell's term sum with zero bond weights
+    hess = term_hessian(x0, CELL_GRAPH, _Identity, _Identity, 0.0, ANGLE_SUM_VECTORS.sum(axis=0))
 
     coef = np.zeros((5, 11))
     coef[np.arange(5), 6 + np.arange(5)] = 1.0

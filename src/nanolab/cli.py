@@ -64,11 +64,6 @@ def _emit_csv(header, columns, out: str | None) -> None:
     _emit(",".join(header) + "\n" + pxyz.format_table(columns, ","), out)
 
 
-def _load_pots(args) -> potentials.PotentialSet:
-    spec = getattr(args, "config", None) or getattr(args, "pots", None) or "soft"
-    return potentials.load(spec)
-
-
 def _read_tube(args) -> geometry.Nanotube:
     return pxyz.read_pxyz(args.infile, ell=args.ell, m=args.m)
 
@@ -85,9 +80,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    pots = _load_pots(args)
+    pots = potentials.load(args.pots)
     tube = _read_tube(args)
-    graph = bond_graph(tube, cutoff=pots.cutoff)
+    graph = bond_graph(tube)
     degrees = graph.degrees()
     _emit_json(
         {
@@ -105,10 +100,10 @@ def cmd_energy(args) -> int:
 
 
 def cmd_cells(args) -> int:
-    pots = _load_pots(args)
+    pots = potentials.load(args.pots)
     tube = _read_tube(args)
     unwrapped = cells.gather_cells(tube)
-    if float(np.max(cells.cell_bond_lengths(unwrapped))) >= pots.cutoff:
+    if float(np.max(cells.cell_bond_lengths(unwrapped))) >= potentials.BOND_CUTOFF:
         print(
             "nanolab: cell labels are inconsistent with the bond structure; "
             "pass --ell and --m matching the file",
@@ -145,7 +140,7 @@ def _parse_grid(text: str, mu_us: float):
 
 
 def cmd_reduced(args) -> int:
-    pots = _load_pots(args)
+    pots = potentials.load(args.pots)
     refs = reduced.reference_angles(args.ell, pots)
     grid = _parse_grid(args.mu_grid, refs.mu_us)
     fams, sol = reduced.family_minima(grid, args.ell, pots, m=args.m)
@@ -157,7 +152,7 @@ def cmd_reduced(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    pots = _load_pots(args)
+    pots = potentials.load(args.pots)
     refs = reduced.reference_angles(args.ell, pots)
     spec = stability.PerturbationSpec(eta=args.eta, seed=args.seed, count=args.count, mode=args.mode)
     rep = stability.stability_trial(refs.mu_us + args.mu_offset, args.ell, args.m, spec, pots)
@@ -173,7 +168,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_fracture(args) -> int:
-    pots = _load_pots(args)
+    pots = potentials.load(args.pots)
     scaling = fracture.fracture_scaling(args.ell, _int_list(args.m_list), pots, window=args.window)
     if args.out_csv:
         rows = scaling["rows"]
@@ -195,7 +190,7 @@ def cmd_fracture(args) -> int:
 
 
 def cmd_verify_cell(args) -> int:
-    pots = _load_pots(args)
+    pots = potentials.load(args.pots)
     ells = _int_list(args.ell)
     # one kink cell per ell for both checks; an ell below 16 makes
     # cell_convexity raise before tilde_derivative_signs runs
@@ -231,8 +226,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_pots(p):
-        p.add_argument("--pots", default="soft", help="potential preset (soft, stiff) or JSON file")
-        p.add_argument("--config", default=None, help="JSON potential file (alias for --pots)")
+        p.add_argument("--pots", default="soft", help="preset (soft, stiff) or JSON {name, k2, k3, cutoff_lo, cutoff_hi}")
 
     p = sub.add_parser("generate", help="build a family tube and write PXYZ")
     p.add_argument("--ell", type=int, required=True)

@@ -1,8 +1,8 @@
 """Bond graph under the axial periodic metric, configurational energy, gradient,
 Hessian, and the Bloch blocks of the Hessian of a family tube.
 
-Bonds are pairs at modulo-L distance strictly below 1.1; triples share a
-vertex.  Sums run over unordered bonds and unordered angles: each bond
+Bonds are pairs at modulo-L distance strictly below BOND_CUTOFF; triples
+share a vertex.  Sums run over unordered bonds and unordered angles: each bond
 contributes one pair term and each angle one triple term, which matches the
 closed-form family energy below.
 """
@@ -16,9 +16,7 @@ import numpy as np
 
 from .errors import DegenerateGeometryError
 from .geometry import Nanotube, ZigzagGeometry, axial_rotations
-from .potentials import PotentialSet
-
-BOND_CUTOFF = 1.1
+from .potentials import BOND_CUTOFF, PotentialSet
 
 
 def periodic_distance(x, y, L: float):
@@ -158,12 +156,12 @@ def _half_edges(pairs: np.ndarray, shifts: np.ndarray):
     return vert[order], nbr[order], leg[order]
 
 
-def bond_graph(tube: Nanotube, cutoff: float = BOND_CUTOFF) -> BondGraph:
-    """Build the bond graph of one n-cell (strict inequality at the cutoff).
+def bond_graph(tube: Nanotube) -> BondGraph:
+    """Build the bond graph of one n-cell (strict inequality at BOND_CUTOFF).
 
     Raises DegenerateGeometryError on non-finite positions or period.
     """
-    ii, jj, tt, _ = near_pairs(tube.positions, tube.period, cutoff)
+    ii, jj, tt, _ = near_pairs(tube.positions, tube.period, BOND_CUTOFF)
     pairs = np.stack([ii, jj], axis=1)
 
     # every two legs at a vertex make one angle: half-edge e pairs with each
@@ -216,24 +214,39 @@ def _leg_vectors(pos, graph: BondGraph):
     return u, v
 
 
+def _bond_lengths(pos, graph: BondGraph):
+    """Length of every bond of graph in each configuration of the stack pos."""
+    return _norm3(_bond_vectors(pos, graph))
+
+
+def _bond_angles(pos, graph: BondGraph):
+    """Angle of every triple of graph in each configuration of the stack pos;
+    raises DegenerateGeometryError on a zero-length leg."""
+    u, v = _leg_vectors(pos, graph)
+    nu = _norm3(u)
+    nv = _norm3(v)
+    if np.any(nu == 0.0) or np.any(nv == 0.0):
+        raise DegenerateGeometryError("zero-length bond leg")
+    return np.arccos(np.clip(_dot3(u, v) / (nu * nv), -1.0, 1.0))
+
+
 def total_energy(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = None, positions=None):
     """Pair energy over bonds plus angle energy over triples.
 
     With positions, a stack (..., n, 3) of configurations of tube's atoms at
     tube's period, all with bond graph graph, returns their energies as an
     array over the leading axes; each equals the float the tube of that
-    configuration gives, to the bit.
+    configuration gives, to the bit.  Raises DegenerateGeometryError when
+    two bonded atoms coincide.
     """
     if graph is None:
-        graph = bond_graph(tube, cutoff=pots.cutoff)
+        graph = bond_graph(tube)
     pos = tube.positions if positions is None else positions
     e = np.zeros(pos.shape[:-2])
     if graph.n_bonds:
-        e += np.sum(pots.v2.value(_norm3(_bond_vectors(pos, graph))), axis=-1)
+        e += np.sum(pots.v2.value(_bond_lengths(pos, graph)), axis=-1)
     if graph.n_angles:
-        u, v = _leg_vectors(pos, graph)
-        c = np.clip(_dot3(u, v) / (_norm3(u) * _norm3(v)), -1.0, 1.0)
-        e += np.sum(pots.v3.value(np.arccos(c)), axis=-1)
+        e += np.sum(pots.v3.value(_bond_angles(pos, graph)), axis=-1)
     return float(e) if positions is None else e
 
 
@@ -330,10 +343,22 @@ def _add_blocks(hess, atoms, blocks):
     np.add.at(hess.reshape(-1), flat.ravel(), blocks.ravel())
 
 
+def term_hessian(pos, graph: BondGraph, v2, v3, bond_weights=1.0, angle_weights=1.0) -> np.ndarray:
+    """Dense (3n, 3n) Hessian of sum_p bond_weights[p] v2(r_p) + sum_q
+    angle_weights[q] v3(theta_q) over graph at pos (n, 3), atom a in rows
+    3a..3a+2: the blocks of _bond_term and _angle_term scatter-added."""
+    hess = np.zeros((3 * graph.n, 3 * graph.n))
+    if graph.n_bonds:
+        _add_blocks(hess, graph.pairs, _bond_term(_bond_vectors(pos, graph), v2, bond_weights, second=True)[1])
+    if graph.n_angles:
+        _add_blocks(hess, graph.triples, _angle_term(*_leg_vectors(pos, graph), v3, angle_weights, second=True)[1])
+    return hess
+
+
 def gradient(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = None) -> np.ndarray:
     """Analytic gradient of total_energy with respect to all positions at fixed L."""
     if graph is None:
-        graph = bond_graph(tube, cutoff=pots.cutoff)
+        graph = bond_graph(tube)
     pos = tube.positions
     grad = np.zeros_like(pos)
     if graph.n_bonds:
@@ -345,21 +370,13 @@ def gradient(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = None)
 
 def hessian(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = None) -> np.ndarray:
     """Analytic Hessian of total_energy with respect to all positions at fixed
-    L, as one dense (3n, 3n) array with the coordinates of atom a in rows
-    3a..3a+2: the 6x6 bond and 9x9 angle blocks of _bond_term and _angle_term
-    scatter-added.  It holds the gradient terms too, so it is the Hessian at
-    any configuration with this bond graph, stationary or not.  Symmetric to
-    round-off.
+    L, as one dense (3n, 3n) term_hessian with unit weights.  It holds the
+    gradient terms too, so it is the Hessian at any configuration with this
+    bond graph, stationary or not.  Symmetric to round-off.
     """
     if graph is None:
-        graph = bond_graph(tube, cutoff=pots.cutoff)
-    pos = tube.positions
-    hess = np.zeros((3 * tube.n, 3 * tube.n))
-    if graph.n_bonds:
-        _add_blocks(hess, graph.pairs, _bond_term(_bond_vectors(pos, graph), pots.v2, second=True)[1])
-    if graph.n_angles:
-        _add_blocks(hess, graph.triples, _angle_term(*_leg_vectors(pos, graph), pots.v3, second=True)[1])
-    return hess
+        graph = bond_graph(tube)
+    return term_hessian(tube.positions, graph, pots.v2, pots.v3)
 
 
 def bloch_blocks(tube: Nanotube, pots: PotentialSet, p, q, graph: BondGraph | None = None) -> np.ndarray:
@@ -385,7 +402,7 @@ def bloch_blocks(tube: Nanotube, pots: PotentialSet, p, q, graph: BondGraph | No
     terms that touch the motif are evaluated, so there is no n x n array.
     """
     if graph is None:
-        graph = bond_graph(tube, cutoff=pots.cutoff)
+        graph = bond_graph(tube)
     ell, L, pos = tube.ell, tube.period, tube.positions
     bonds = np.any(graph.pairs < 4, axis=1)
     angles = np.any(graph.triples < 4, axis=1)

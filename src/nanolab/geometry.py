@@ -56,10 +56,10 @@ class AtomId:
     l: int
 
 
-def id_to_index(a: AtomId, ell: int, m: int) -> int:
-    i = (a.i - 1) % ell
-    j = a.j % m
-    return ((j * ell + i) * 2 + a.k) * 2 + a.l
+def flat_index(ell: int, m: int, i, j, k, l):
+    """Flat atom index of the label (i, j, k, l), i and j taken cyclically;
+    elementwise on integer arrays."""
+    return (((j % m) * ell + (i - 1) % ell) * 2 + k) * 2 + l
 
 
 def index_to_id(idx: int, ell: int, m: int) -> AtomId:
@@ -87,7 +87,7 @@ class Nanotube:
         return self.positions.shape[0]
 
     def atom_index(self, a: AtomId) -> int:
-        return id_to_index(a, self.ell, self.m)
+        return flat_index(self.ell, self.m, a.i, a.j, a.k, a.l)
 
     def atom_id(self, idx: int) -> AtomId:
         return index_to_id(idx, self.ell, self.m)

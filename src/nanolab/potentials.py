@@ -11,11 +11,17 @@ the radius trend under stretching.
 from __future__ import annotations
 
 import json
+import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidParameterError
+
 TWO_THIRDS_PI = 2.0 * np.pi / 3.0
+# pairs closer than this are bonded; the pair potential vanishes beyond it
+BOND_CUTOFF = 1.1
 
 
 def _bump(t):
@@ -52,12 +58,13 @@ class PairPotential:
     """v2(r) = (-1 + k2*(r-1)^2) * psi(r) with a C-infinity cutoff.
 
     psi equals 1 on (0, lo] and 0 on [hi, infinity); values and the two
-    supplied derivatives are bit-exact zero beyond hi.
+    supplied derivatives are bit-exact zero beyond hi.  Raises
+    InvalidParameterError unless 0 < lo < hi <= BOND_CUTOFF.
     """
 
-    def __init__(self, k2: float = 400.0, lo: float = 1.05, hi: float = 1.1):
-        if not (0.0 < lo < hi):
-            raise ValueError("cutoff knots must satisfy 0 < lo < hi")
+    def __init__(self, k2: float = 400.0, lo: float = 1.05, hi: float = BOND_CUTOFF):
+        if not 0.0 < lo < hi <= BOND_CUTOFF:
+            raise InvalidParameterError(f"cutoff knots must satisfy 0 < lo < hi <= {BOND_CUTOFF}, got {lo}, {hi}")
         self.k2 = float(k2)
         self.lo = float(lo)
         self.hi = float(hi)
@@ -117,11 +124,10 @@ class AnglePotential:
 
 @dataclass(frozen=True)
 class PotentialSet:
-    """Immutable pair of interaction potentials plus the bond cutoff (1.1)."""
+    """Immutable pair of interaction potentials."""
 
     v2: PairPotential
     v3: AnglePotential
-    cutoff: float = 1.1
     name: str = "custom"
 
     def v2_curvature_at_min(self) -> float:
@@ -151,30 +157,45 @@ def from_name(name: str) -> PotentialSet:
         raise ValueError(f"unknown potential preset {name!r}; choose from {sorted(_PRESETS)}")
 
 
+_JSON_DEFAULTS = {"k2": 400.0, "k3": 400.0, "cutoff_lo": 1.05, "cutoff_hi": BOND_CUTOFF}
+
+
 def from_json(source) -> PotentialSet:
-    """Load a potential set from a JSON document {name, k2, k3, cutoff_lo, cutoff_hi}."""
-    if isinstance(source, dict):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    k2 = float(doc.get("k2", 400.0))
-    k3 = float(doc.get("k3", 400.0))
-    lo = float(doc.get("cutoff_lo", 1.05))
-    hi = float(doc.get("cutoff_hi", 1.1))
-    if hi > 1.1 + 1e-15:
-        raise ValueError("cutoff_hi must not exceed the bond cutoff 1.1")
-    return PotentialSet(PairPotential(k2, lo, hi), AnglePotential(k3), name=str(doc.get("name", "custom")))
+    """Load a potential set from a JSON file path, or its parsed dict, holding
+    one object {name, k2, k3, cutoff_lo, cutoff_hi}, every key optional.
+
+    Raises InvalidParameterError on malformed JSON, a document that is not an
+    object, an unknown key, a value that is not a finite number, or cutoff
+    knots that PairPotential refuses.
+    """
+    try:
+        if isinstance(source, dict):
+            doc = source
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        raise InvalidParameterError(f"potential file is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise InvalidParameterError("potential JSON must be an object")
+    unknown = sorted(set(doc) - set(_JSON_DEFAULTS) - {"name"})
+    if unknown:
+        raise InvalidParameterError(f"unknown potential keys {unknown}; allowed: name, {', '.join(_JSON_DEFAULTS)}")
+    params = {}
+    for key, default in _JSON_DEFAULTS.items():
+        value = doc.get(key, default)
+        # true and false are ints to Python but no numbers; NaN fails the comparison
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
+            raise InvalidParameterError(f"potential parameter {key} must be a finite number, got {value!r}")
+        params[key] = float(value)
+    pair = PairPotential(params["k2"], params["cutoff_lo"], params["cutoff_hi"])
+    return PotentialSet(pair, AnglePotential(params["k3"]), name=str(doc.get("name", "custom")))
 
 
 def load(spec) -> PotentialSet:
     """Resolve a preset name, JSON path, or dict into a PotentialSet."""
     if isinstance(spec, PotentialSet):
         return spec
-    if isinstance(spec, dict):
-        return from_json(spec)
     if isinstance(spec, str) and spec in _PRESETS:
         return from_name(spec)
     return from_json(spec)
@@ -231,7 +252,7 @@ def _windowed_scale(values, halfwidth=10, floor=1.0):
     return out
 
 
-def validate(p: PotentialSet, fd_tol: float = 1e-6) -> ValidationReport:
+def validate(p: PotentialSet) -> ValidationReport:
     """Check every assumption the bond model places on a potential set.
 
     Violations are reported, never raised; each check carries its worst-case
@@ -252,7 +273,7 @@ def validate(p: PotentialSet, fd_tol: float = 1e-6) -> ValidationReport:
     rep.add("pair-stationary-at-one", abs(float(p.v2.deriv(1.0))) <= 1e-10, abs(float(p.v2.deriv(1.0))))
     rep.add("pair-curvature-at-one", float(p.v2.deriv2(1.0)) > 0.0, float(p.v2.deriv2(1.0)))
 
-    tail = np.linspace(p.cutoff, 3.0, 257)
+    tail = np.linspace(BOND_CUTOFF, 3.0, 257)
     cut_res = max(
         float(np.max(np.abs(p.v2.value(tail)))),
         float(np.max(np.abs(p.v2.deriv(tail)))),
@@ -269,7 +290,7 @@ def validate(p: PotentialSet, fd_tol: float = 1e-6) -> ValidationReport:
     fd_d2 = _fd1(p.v2.deriv, r, h)
     an_d2 = p.v2.deriv2(r)
     res2 = float(np.max(np.abs(fd_d2 - an_d2) / _windowed_scale(an_d2)))
-    rep.add("pair-deriv-fd", max(res1, res2) <= fd_tol, max(res1, res2))
+    rep.add("pair-deriv-fd", max(res1, res2) <= 1e-6, max(res1, res2))
 
     v3 = p.v3.value(a)
     rep.add("angle-nonnegative", float(np.min(v3)) >= -1e-15, float(np.min(v3)))
@@ -298,6 +319,6 @@ def validate(p: PotentialSet, fd_tol: float = 1e-6) -> ValidationReport:
     fd_a2 = _fd1(p.v3.deriv, a, h)
     an_a2 = p.v3.deriv2(a)
     resa2 = float(np.max(np.abs(fd_a2 - an_a2) / _windowed_scale(an_a2)))
-    rep.add("angle-deriv-fd", max(resa1, resa2) <= fd_tol, max(resa1, resa2))
+    rep.add("angle-deriv-fd", max(resa1, resa2) <= 1e-6, max(resa1, resa2))
 
     return rep

@@ -219,7 +219,7 @@ def _newton_steps(h, g, free):
     return step
 
 
-def reduced_solve(mu, gamma1, gamma2, pots: PotentialSet, max_iter: int = 200, warn_boundary: bool = True):
+def reduced_solve(mu, gamma1, gamma2, pots: PotentialSet, max_iter: int = 200):
     """Minimize sym_energy over (lambda, alpha1, alpha2) in the box at every
     point of the broadcast arrays (mu, gamma1, gamma2), all points at once.
 
@@ -292,21 +292,14 @@ def reduced_solve(mu, gamma1, gamma2, pots: PotentialSet, max_iter: int = 200, w
             f"reduced-energy Newton did not reach |grad| <= {GRAD_TOL} in {max_iter} iterations"
             f" at {len(active)} of {n} points"
         )
-    if warn_boundary and (np.any(x - _BOX_LO < 1e-9) or np.any(_BOX_HI - x < 1e-9)):
+    if np.any(x - _BOX_LO < 1e-9) or np.any(_BOX_HI - x < 1e-9):
         warnings.warn("reduced-energy minimizer on the search box boundary", BoundaryWarning)
     return ReducedSolution(f, x, grad, hess, free, iterations, residual)
 
 
-def reduced_energy(
-    mu: float,
-    gamma1: float,
-    gamma2: float,
-    pots: PotentialSet,
-    max_iter: int = 200,
-    warn_boundary: bool = True,
-):
+def reduced_energy(mu: float, gamma1: float, gamma2: float, pots: PotentialSet, max_iter: int = 200):
     """reduced_solve at one point.  Returns (value, (lambda*, alpha1*, alpha2*))."""
-    sol = reduced_solve(mu, gamma1, gamma2, pots, max_iter=max_iter, warn_boundary=warn_boundary)
+    sol = reduced_solve(mu, gamma1, gamma2, pots, max_iter=max_iter)
     return float(sol.value[0]), tuple(float(v) for v in sol.x[0])
 
 
@@ -359,6 +352,25 @@ def _alpha_ch(ell: int) -> float:
     return 0.5 * (lo + hi)
 
 
+def golden_section_min(f, a: float, b: float, steps: int) -> float:
+    """Midpoint of the bracket [a, b] after steps golden-section steps toward
+    a minimum of the unimodal f."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(steps):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
 # Newton steps of the alpha_us polish in reference_angles
 _POLISH_STEPS = 60
 
@@ -383,22 +395,7 @@ def reference_angles(ell: int, pots: PotentialSet) -> ReferenceAngles:
         )
 
     # golden-section bracket, then Newton polish on the stationarity equation
-    lo, hi = ALPHA_LO, ALPHA_HI
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fval(c), fval(d)
-    for _ in range(80):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fval(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fval(d)
-    x, prev = 0.5 * (a + b), None
+    x, prev = golden_section_min(fval, ALPHA_LO, ALPHA_HI, 80), None
     for it in range(_POLISH_STEPS):
         fp, fpp = slopes(x)
         if abs(fp) < 1e-14:
@@ -474,7 +471,7 @@ def minimize_family(mu: float, ell: int, pots: PotentialSet, m: int = 1) -> Fami
     return family_minima([mu], ell, pots, m=m)[0][0]
 
 
-def verify_reduced_hessian(ell: int, pots: PotentialSet, n_split_samples: int = 24, seed: int = 0) -> dict:
+def verify_reduced_hessian(ell: int, pots: PotentialSet) -> dict:
     """Positive definiteness and curvature anchor of the reduced energy at the
     unstretched point, plus the gamma-splitting lower bound.
 
@@ -487,8 +484,8 @@ def verify_reduced_hessian(ell: int, pots: PotentialSet, n_split_samples: int = 
     mu0 = refs.mu_us
     eps = min(0.01, 0.25 * (np.pi - g))
 
-    rng = np.random.default_rng(seed)
-    d = rng.uniform(-eps, eps, size=(n_split_samples, 2))
+    # 24 gamma-split pairs from a fixed seed
+    d = np.random.default_rng(0).uniform(-eps, eps, size=(24, 2))
     d = d[np.abs(d[:, 0] - d[:, 1]) >= 1e-4]
     g1, g2 = g + d[:, 0], g + d[:, 1]
     gbar = 0.5 * (g1 + g2)

@@ -13,7 +13,6 @@ import numpy as np
 
 from .cells import cell_summary, total_symmetry_defect
 from .energy import (
-    BOND_CUTOFF,
     _norm3,
     bloch_blocks,
     bloch_modes,
@@ -26,7 +25,7 @@ from .energy import (
 )
 from .errors import EtaTooLargeError, InvalidParameterError, NotStationaryError
 from .geometry import Nanotube, build_nanotube
-from .potentials import PotentialSet
+from .potentials import BOND_CUTOFF, PotentialSet
 from .reduced import FamilyMinimum, minimize_family, reduced_hessian, reduced_solve
 
 MODES = ("uniform-ball", "gaussian-clipped", "per-direction")

@@ -1,6 +1,7 @@
 """Independent references the fast paths are tested against: the brute-force
-bond graph (pair search and perturbation sampler), the finite-difference
-stencils of the analytic derivatives (energy.hessian, cellspec.cell_hessian,
+bond graph (pair search and perturbation sampler), the weighted cell-energy
+gradient and the tilde energy (the weighted sum over the values of
+cellspec.t_map), the finite-difference stencils of the analytic derivatives (energy.hessian, cellspec.cell_hessian,
 cellspec.t_jacobian, the angle-sum Hessian in cellspec.angle_sum_concavity,
 reduced.reduced_hessian), the brute-force family minimizer
 (reduced.minimize_family), the one-point-at-a-time inner Newton solve
@@ -25,10 +26,12 @@ from itertools import combinations
 
 import numpy as np
 
+from nanolab import cells as _cells
 from nanolab.cells import (
     _UNWRAP_CHAIN,
-    _angle_legs,
-    _flat_index,
+    ANGLE_SLOTS,
+    BOND_SLOTS,
+    CELL_GRAPH,
     _nearest_image,
     cell_angles,
     cell_atom_indices,
@@ -40,9 +43,9 @@ from nanolab.cells import (
     symmetrize,
     to_local,
 )
-from nanolab.energy import _bond_vectors, _leg_vectors, bond_graph
+from nanolab.energy import _angle_term, _bond_term, _bond_vectors, _leg_vectors, bond_graph
 from nanolab.errors import DegenerateGeometryError, DomainError, InvalidCellError, PxyzFormatError
-from nanolab.geometry import AtomId, Nanotube
+from nanolab.geometry import AtomId, Nanotube, flat_index
 
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -95,7 +98,7 @@ def total_energy_einsum(tube, pots, graph=None, positions=None):
     """energy.total_energy with np.linalg.norm bond lengths and einsum leg
     dot products."""
     if graph is None:
-        graph = bond_graph(tube, cutoff=pots.cutoff)
+        graph = bond_graph(tube)
     pos = tube.positions if positions is None else positions
     e = np.zeros(pos.shape[:-2])
     if graph.n_bonds:
@@ -112,7 +115,7 @@ def total_energy_einsum(tube, pots, graph=None, positions=None):
 
 def cell_angles_einsum(cells):
     """cells.cell_angles with np.linalg.norm and an einsum dot product."""
-    u, v = _angle_legs(cells)
+    u, v = _leg_vectors(cells, CELL_GRAPH)
     nu = np.linalg.norm(u, axis=-1)
     nv = np.linalg.norm(v, axis=-1)
     if np.any(nu == 0.0) or np.any(nv == 0.0):
@@ -221,11 +224,26 @@ def hessian_fd(tube, pots, graph, step: float = 1e-5):
     return 0.5 * (hess + hess.T)
 
 
+def cell_energy_gradient(cell, pots):
+    """Analytic gradient of the weighted cell energy of one (8, 3) cell: the
+    term kernels' gradients with the cell weights, scatter-added.  The weights
+    are read from nanolab.cells at call time."""
+    grad = np.zeros((8, 3))
+    np.add.at(grad, BOND_SLOTS, _bond_term(_bond_vectors(cell, CELL_GRAPH), pots.v2, _cells.BOND_WEIGHTS)[0])
+    np.add.at(grad, ANGLE_SLOTS, _angle_term(*_leg_vectors(cell, CELL_GRAPH), pots.v3, _cells.ANGLE_WEIGHTS)[0])
+    return grad
+
+
+def tilde_energy(y, pots):
+    """Weighted sum over the 18 values y = (ten angles, eight bond lengths) of
+    cellspec.t_map; composes with t_map to the cell energy."""
+    y = np.asarray(y, dtype=float)
+    return float(np.dot(_cells.ANGLE_WEIGHTS, pots.v3.value(y[:10])) + np.dot(_cells.BOND_WEIGHTS, pots.v2.value(y[10:])))
+
+
 def cell_hessian_fd(cell, pots, step: float = 1e-4):
     """Richardson-extrapolated central differences of the analytic cell
     gradient, symmetrized: 96 cell_energy_gradient calls."""
-    from nanolab.cells import cell_energy_gradient
-
     flat = np.asarray(cell, dtype=float).ravel()
 
     def fd(h):
@@ -793,8 +811,8 @@ def extract_cell(tube: Nanotube, center: tuple, graph=None) -> CellView:
     if graph is None:
         graph = bond_graph(tube)
     i, j, k = center
-    a1 = _flat_index(tube.ell, tube.m, i, j, k, 0)
-    a2 = _flat_index(tube.ell, tube.m, i, j, k, 1)
+    a1 = flat_index(tube.ell, tube.m, i, j, k, 0)
+    a2 = flat_index(tube.ell, tube.m, i, j, k, 1)
     adj = graph.adjacency
 
     def nbrs(a):

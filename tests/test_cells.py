@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import (
     cell_angles_einsum,
+    cell_energy_gradient,
     cell_plane_angles_cross,
     centers,
     extract_cell,
@@ -21,7 +22,6 @@ from nanolab.cells import (
     cell_atom_indices,
     cell_bond_lengths,
     cell_energies,
-    cell_energy_gradient,
     cell_plane_angles,
     cell_summary,
     gather_cells,
@@ -32,9 +32,9 @@ from nanolab.cells import (
     total_cell_energy,
     total_symmetry_defect,
 )
-from nanolab.energy import bond_graph, total_energy
+from nanolab.energy import _bond_vectors, bond_graph, total_energy
 from nanolab.errors import InvalidCellError
-from nanolab.geometry import AtomId, axial_rotations, build_nanotube, solve_family
+from nanolab.geometry import AtomId, Nanotube, axial_rotations, build_nanotube, solve_family
 from nanolab.reduced import ReducedPoint, beta, minimize_family, reference_angles, sym_energy
 from nanolab.stability import MODES, BondBand, PerturbationSpec, sample_perturbation, sample_perturbations
 
@@ -417,7 +417,7 @@ def test_explicit_component_kernels_equal_einsum_oracle(ell, m, moved, eta, shap
     cells_ = gather_cells(tube, positions=positions)
     _assert_same_bits(cell_angles(cells_), cell_angles_einsum(cells_))
     _assert_same_bits(cell_plane_angles(cells_), cell_plane_angles_cross(cells_))
-    _assert_same_bits(cell_bond_lengths(cells_), np.linalg.norm(cells._bond_legs(cells_), axis=-1))
+    _assert_same_bits(cell_bond_lengths(cells_), np.linalg.norm(_bond_vectors(cells_, cells.CELL_GRAPH), axis=-1))
     local = to_local(cells_)
     _assert_same_bits(local, to_local_einsum(cells_))
     for got, want in zip(symmetrize(local), symmetrize_reflect(local)):
@@ -425,3 +425,20 @@ def test_explicit_component_kernels_equal_einsum_oracle(ell, m, moved, eta, shap
     delta = symmetrize_reflect(to_local_einsum(cells_))[2]
     want = np.sum(delta.reshape(shape + (-1,)), axis=-1)
     _assert_same_bits(total_symmetry_defect(tube, positions), want if shape else float(want))
+
+
+@pytest.mark.parametrize("preset", ["soft", "stiff"])
+@pytest.mark.parametrize("ell", [12, 64])
+def test_cell_graph_is_the_bond_graph_of_a_family_cell(preset, ell):
+    # every cell of a family tube, alone in a period far longer than the cell,
+    # has the bonds and angles of CELL_GRAPH as unordered sets
+    def unordered(graph):
+        bonds = sorted(tuple(sorted(p)) for p in graph.pairs.tolist())
+        angles = sorted((j, min(i, k), max(i, k)) for i, j, k in graph.triples.tolist())
+        return bonds, angles
+
+    pots = potentials.load(preset)
+    fam = minimize_family(reference_angles(ell, pots).mu_us + 0.01, ell, pots, m=2)
+    want = unordered(cells.CELL_GRAPH)
+    for cell in gather_cells(build_nanotube(fam.geometry, 2)).reshape(-1, 8, 3):
+        assert unordered(bond_graph(Nanotube(cell, 1e3, 1, 1))) == want

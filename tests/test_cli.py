@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from nanolab import acceptance, cells, cellspec
+from nanolab import acceptance, cells, cellspec, pxyz
 from nanolab.cli import main
 from nanolab.energy import family_energy
-from nanolab.geometry import solve_family
+from nanolab.geometry import build_nanotube, solve_family
 
 
 def run(args):
@@ -32,7 +32,7 @@ def test_energy_accepts_json_potentials(tmp_path):
     (tmp_path / "p.json").write_text(json.dumps({"name": "x", "k2": 400.0, "k3": 400.0}))
     run(["generate", "--ell", "6", "--m", "1", "--mu", "2.9", "--lambda1", "1", "--lambda2", "1", "-o", tube_path])
     out = str(tmp_path / "e.json")
-    assert run(["energy", "--in", tube_path, "--ell", "6", "--m", "1", "--config", pots_path, "-o", out]) == 0
+    assert run(["energy", "--in", tube_path, "--ell", "6", "--m", "1", "--pots", pots_path, "-o", out]) == 0
     assert json.loads(open(out).read())["potentials"] == "x"
 
 
@@ -277,3 +277,40 @@ def test_cells_gathers_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cells, "gather_cells", lambda *a, **k: calls.append(1) or real(*a, **k))
     assert run(["cells", "--in", tube_path, "--ell", "6", "--m", "2", "-o", str(tmp_path / "c.csv")]) == 0
     assert len(calls) == 1
+
+
+def test_energy_rejects_coincident_atoms(tmp_path, capsys):
+    # atom 1 moved onto atom 0 makes a zero-length bond, so the angles at atom
+    # 0 that use it are undefined
+    tube = build_nanotube(solve_family(6, 2.9, 1.0, 1.0), 1)
+    pos = tube.positions.copy()
+    pos[1] = pos[0]
+    path = str(tmp_path / "t.pxyz")
+    pxyz.write_pxyz(path, tube.with_positions(pos))
+    assert run(["energy", "--in", path, "--ell", "6", "--m", "1", "-o", str(tmp_path / "e.json")]) == 1
+    assert capsys.readouterr().err == "nanolab: zero-length bond leg\n"
+    assert not (tmp_path / "e.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text, word",
+    [
+        ("{", "not valid JSON"),
+        ("[400.0]", "must be an object"),
+        ('{"k_2": 300.0}', "unknown potential keys ['k_2']"),
+        ('{"k2": "300"}', "k2 must be a finite number"),
+        ('{"k3": NaN}', "k3 must be a finite number"),
+        ('{"cutoff_lo": 1.08, "cutoff_hi": 1.06}', "0 < lo < hi <= 1.1, got 1.08, 1.06"),
+        ('{"cutoff_hi": 1.2}', "0 < lo < hi <= 1.1, got 1.05, 1.2"),
+    ],
+    ids=["malformed", "not-object", "unknown-key", "not-number", "not-finite", "knots-reversed", "beyond-cutoff"],
+)
+def test_energy_rejects_invalid_potential_json(tmp_path, capsys, text, word):
+    tube_path = str(tmp_path / "t.pxyz")
+    run(["generate", "--ell", "6", "--m", "1", "--mu", "2.9", "--lambda1", "1", "--lambda2", "1", "-o", tube_path])
+    (tmp_path / "p.json").write_text(text)
+    out = tmp_path / "e.json"
+    assert run(["energy", "--in", tube_path, "--pots", str(tmp_path / "p.json"), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nanolab: ") and word in err and len(err.splitlines()) == 1
+    assert not out.exists()

@@ -383,3 +383,16 @@ def test_bloch_modes_are_eigenvectors_of_the_dense_hessian(pots_soft):
         assert modes.shape == (3 * tube.n, 12)
         residual = dense @ modes - modes * w
         assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(dense)) * np.sqrt(tube.n)
+
+
+def test_total_energy_raises_on_coincident_bonded_atoms(tube, pots_soft):
+    # the second copy of the stack puts atom b of an unshifted bond onto atom
+    # a, so every angle with that bond as a leg is undefined
+    graph = bond_graph(tube)
+    a, b = graph.pairs[np.flatnonzero(graph.pair_shifts == 0)[0]]
+    stack = np.stack([tube.positions, tube.positions])
+    stack[1, b] = stack[1, a]
+    with pytest.raises(DegenerateGeometryError, match="zero-length bond leg"):
+        total_energy(tube, pots_soft, graph, stack)
+    with pytest.raises(DegenerateGeometryError, match="zero-length bond leg"):
+        total_energy(tube.with_positions(stack[1]), pots_soft)
