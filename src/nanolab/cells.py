@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .energy import BondGraph, _bond_angles, _bond_lengths, _cross3, _dot3, _image_shift, _norm3
+from .energy import BondGraph, _bond_angles, _bond_lengths, _cross3, _dot3, _image_shift, _norm3, _sum24
 from .errors import DegenerateGeometryError, InvalidCellError
 from .geometry import Nanotube, flat_index
 from .potentials import PotentialSet
@@ -54,16 +54,37 @@ _S2_PERM = np.array([1, 0, 3, 2, 5, 4, 7, 6])
 _UNWRAP_CHAIN = [(2, 0), (3, 2), (1, 3), (4, 1), (5, 4), (6, 0), (7, 1)]
 
 
+# Cells slot first: slots[a] = cells[..., a, :], shape (8, ..., 3), as
+# local_frames takes them.  They are stored component first, i.e. in the memory
+# order of (8, 3, ...), so that slots[a, ..., c] is one contiguous block and
+# every unwrap, frame, reflection and defect step works block by block.  numpy
+# allocates the result of an elementwise operation in its operands' memory
+# order, so the layout carries through the arithmetic; energy._cross3 keeps it.
+
+
+def _slots_first(cells: np.ndarray) -> np.ndarray:
+    """cells (..., 8, 3) copied into slots (8, ..., 3), stored component first."""
+    return np.moveaxis(np.moveaxis(cells, (-2, -1), (0, 1)).copy(), 1, -1)
+
+
+def _cells_last(slots: np.ndarray) -> np.ndarray:
+    """slots (8, ..., 3) copied back into C-contiguous cells (..., 8, 3)."""
+    return np.ascontiguousarray(np.moveaxis(slots, 0, -2))
+
+
+def _reflect(slots: np.ndarray, perm: np.ndarray, comp: int) -> np.ndarray:
+    """The reflection that permutes the slots by perm and negates component comp."""
+    out = np.moveaxis(slots, -1, 1).take(perm, axis=0)
+    out[:, comp] *= -1.0
+    return np.moveaxis(out, 1, -1)
+
+
 def reflect_s1(cell: np.ndarray) -> np.ndarray:
-    out = cell.take(_S1_PERM, axis=-2)
-    out[..., 1] *= -1.0
-    return out
+    return _cells_last(_reflect(_slots_first(cell), _S1_PERM, 1))
 
 
 def reflect_s2(cell: np.ndarray) -> np.ndarray:
-    out = cell.take(_S2_PERM, axis=-2)
-    out[..., 0] *= -1.0
-    return out
+    return _cells_last(_reflect(_slots_first(cell), _S2_PERM, 0))
 
 
 @lru_cache(maxsize=32)
@@ -96,10 +117,23 @@ def cell_atom_indices(ell: int, m: int) -> np.ndarray:
     return table
 
 
-def _nearest_image(d: np.ndarray, L: float) -> np.ndarray:
-    """d[..., :] moved in place to its nearest axial image."""
-    d[..., 0] += _image_shift(d[..., 0], L) * L
-    return d
+def _gather_slots(tube: Nanotube, table: np.ndarray | None = None, positions=None) -> np.ndarray:
+    """gather_cells' unwrapped cells as slots (8, ..., 3), stored component first."""
+    if table is None:
+        table = cell_atom_indices(tube.ell, tube.m)
+    pos = tube.positions if positions is None else positions
+    L = tube.period
+    comps = np.moveaxis(pos, -1, 0).copy()
+    x = np.empty((8, 3) + pos.shape[:-2] + table.shape[:-1])
+    for a in range(8):
+        x[a] = comps.take(table[..., a], axis=-1)
+    # only the axial component moves to its nearest image, but all three are
+    # rebuilt as anchor + (slot - anchor), which rounds the other two as well
+    for slot, anchor in _UNWRAP_CHAIN:
+        step = x[slot] - x[anchor]
+        step[0] += _image_shift(step[0], L) * L
+        x[slot] = x[anchor] + step
+    return np.moveaxis(x, 1, -1)
 
 
 def gather_cells(tube: Nanotube, table: np.ndarray | None = None, positions=None) -> np.ndarray:
@@ -110,15 +144,7 @@ def gather_cells(tube: Nanotube, table: np.ndarray | None = None, positions=None
     of configurations of tube's atoms at tube's period, the cells of each
     carry the same leading axes.
     """
-    if table is None:
-        table = cell_atom_indices(tube.ell, tube.m)
-    pos = tube.positions if positions is None else positions
-    L = tube.period
-    cells = pos.take(table, axis=-2)
-    for slot, anchor in _UNWRAP_CHAIN:
-        step = _nearest_image(cells[..., slot, :] - cells[..., anchor, :], L)
-        cells[..., slot, :] = cells[..., anchor, :] + step
-    return cells
+    return _cells_last(_gather_slots(tube, table, positions))
 
 
 def cell_bond_lengths(cells: np.ndarray) -> np.ndarray:
@@ -175,11 +201,8 @@ def cell_plane_angles(cells: np.ndarray) -> np.ndarray:
     return np.stack([theta_l, theta_r, theta_x2, theta_x1], axis=-1)
 
 
-def local_frames(slots: np.ndarray):
-    """Origin and rotation of the cell frame: axis through the two dual centers,
-    wings bending toward positive third coordinate.  slots holds the cells
-    slot first, slots[a] = cells[..., a, :].  Returns (origins, frames) with
-    frames[..., r, :] the r-th frame row."""
+def _frame(slots: np.ndarray):
+    """local_frames with the frame rows (e1, e2, e3) apart, each stored as slots are."""
     x = slots
     p = 0.5 * (x[0] + x[6])
     q = 0.5 * (x[1] + x[7])
@@ -197,19 +220,54 @@ def local_frames(slots: np.ndarray):
     wing = (((x[2] + x[3]) + x[4]) + x[5]) - 2.0 * (x[0] + x[1])
     e3 = e3 * np.where(_dot3(wing, e3) < 0.0, -1.0, 1.0)[..., None]
     e2 = _cross3(e3, e1)
-    return origin, np.stack([e1, e2, e3], axis=-2)
+    return origin, (e1, e2, e3)
+
+
+def local_frames(slots: np.ndarray):
+    """Origin and rotation of the cell frame: axis through the two dual centers,
+    wings bending toward positive third coordinate.  slots holds the cells
+    slot first, slots[a] = cells[..., a, :].  Returns (origins, frames) with
+    frames[..., r, :] the r-th frame row."""
+    origin, rows = _frame(slots)
+    return origin, np.stack(rows, axis=-2)
+
+
+def _local_slots(slots: np.ndarray) -> np.ndarray:
+    """to_local on slots (8, ..., 3), returning slots; overwrites slots."""
+    origin, rows = _frame(slots)
+    y = np.subtract(slots, origin, out=slots)
+    local = np.empty_like(y)
+    for r, e in enumerate(rows):
+        local[..., r] = _dot3(y, e)
+    return local
 
 
 def to_local(cells: np.ndarray):
     """Express cells in their local frames; shape preserved."""
-    # slot first and contiguous, so each slot's vectors are one block
-    slots = np.moveaxis(cells, -2, 0).copy()
-    origin, frames = local_frames(slots)
-    y = slots - origin
-    local = np.empty(cells.shape)
-    for r in range(3):
-        local[..., r] = np.moveaxis(_dot3(y, frames[..., r, :]), 0, -1)
-    return local
+    return _cells_last(_local_slots(_slots_first(cells)))
+
+
+def _reflection_average(x: np.ndarray, perm: np.ndarray, comp: int) -> np.ndarray:
+    """0.5 * (x + the reflection of x), formed in the reflection's buffer; the
+    sum and the product commute, so the bits are the same."""
+    out = _reflect(x, perm, comp)
+    out += x
+    out *= 0.5
+    return out
+
+
+def _square_sum(d: np.ndarray) -> np.ndarray:
+    """|d|^2 of every cell of slots d, as np.sum adds its 24 squares; overwrites d."""
+    blocks = np.moveaxis(d, -1, 1)
+    return _sum24(np.square(blocks, out=blocks).reshape((24,) + d.shape[1:-1]))
+
+
+def _symmetrize_slots(x: np.ndarray):
+    """symmetrize on slots (8, ..., 3), returning x_prime and s_x as slots; overwrites x."""
+    x_prime = _reflection_average(x, _S1_PERM, 1)
+    s_x = _reflection_average(x_prime, _S2_PERM, 0)
+    delta = _square_sum(np.subtract(x, x_prime, out=x))
+    return x_prime, s_x, delta + _square_sum(np.subtract(x_prime, s_x, out=x))
 
 
 def symmetrize(cells_local: np.ndarray):
@@ -219,11 +277,8 @@ def symmetrize(cells_local: np.ndarray):
     symmetrized cell, and the symmetry defect |x-x'|^2 + |x'-S(x)|^2.  The
     fixed reference cancels because both reflections are linear maps fixing it.
     """
-    x = cells_local
-    x_prime = 0.5 * (x + reflect_s1(x))
-    s_x = 0.5 * (x_prime + reflect_s2(x_prime))
-    delta = np.sum((x - x_prime) ** 2, axis=(-1, -2)) + np.sum((x_prime - s_x) ** 2, axis=(-1, -2))
-    return x_prime, s_x, delta
+    x_prime, s_x, delta = _symmetrize_slots(_slots_first(cells_local))
+    return _cells_last(x_prime), _cells_last(s_x), delta
 
 
 def _tube_sums(per_cell: np.ndarray, positions):
@@ -252,7 +307,7 @@ def angle_sum(tube: Nanotube, positions=None):
 def total_symmetry_defect(tube: Nanotube, positions=None):
     """Sum of the symmetry defects of all cells; with positions, of each
     configuration of the stack, as in gather_cells."""
-    return _tube_sums(symmetrize(to_local(gather_cells(tube, positions=positions)))[2], positions)
+    return _tube_sums(_symmetrize_slots(_local_slots(_gather_slots(tube, positions=positions)))[2], positions)
 
 
 def cell_summary(tube: Nanotube, pots: PotentialSet, cells: np.ndarray | None = None) -> dict:
@@ -268,8 +323,7 @@ def cell_summary(tube: Nanotube, pots: PotentialSet, cells: np.ndarray | None = 
     phi = cell_angles(cells)
     energy = _weighted_energies(b, phi, pots)
     theta = cell_plane_angles(cells)
-    local = to_local(cells)
-    _, _, delta = symmetrize(local)
+    _, _, delta = _symmetrize_slots(_local_slots(_slots_first(cells)))
     p = 0.5 * (cells[..., 0, :] + cells[..., 6, :])
     q = 0.5 * (cells[..., 1, :] + cells[..., 7, :])
     mu_tilde = _norm3(q - p)

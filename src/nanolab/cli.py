@@ -103,10 +103,14 @@ def cmd_cells(args) -> int:
     pots = potentials.load(args.pots)
     tube = _read_tube(args)
     unwrapped = cells.gather_cells(tube)
-    if float(np.max(cells.cell_bond_lengths(unwrapped))) >= potentials.BOND_CUTOFF:
+    bonds = cells.cell_bond_lengths(unwrapped)
+    broken = np.argwhere(bonds >= potentials.BOND_CUTOFF)
+    if len(broken):
+        i, j, k, b = broken[0]
         print(
-            "nanolab: cell labels are inconsistent with the bond structure; "
-            "pass --ell and --m matching the file",
+            f"nanolab: cell ({i + 1}, {j}, {k}) bond b{b + 1} has length {bonds[i, j, k, b]:.6g}, at or beyond "
+            f"the bond cutoff {potentials.BOND_CUTOFF}: either the labels are inconsistent with the file "
+            "(pass --ell and --m matching it) or atoms are displaced",
             file=sys.stderr,
         )
         return EXIT_USAGE
@@ -317,7 +321,7 @@ def main(argv=None) -> int:
     except NanolabError as exc:
         print(f"nanolab: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"nanolab: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -191,10 +191,25 @@ def _norm3(a):
 
 
 def _cross3(a, b):
-    """Cross products a x b over the last axis, each component as np.cross forms it."""
+    """Cross products a x b over the last axis, each component as np.cross forms
+    it; the result is stored component first, each component one block."""
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+    return np.moveaxis(np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]), 0, -1)
+
+
+def _sum24(a):
+    """Sums over the first axis, of length 24, added as np.sum adds 24
+    contiguous values: numpy's pairwise summation keeps eight partials
+    r_j = (a_j + a_{j+8}) + a_{j+16} and adds them as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), to its start value
+    0.0.  np.sum over a strided 24-long axis rounds differently.  Overwrites a."""
+    r = a[:8]
+    r += a[8:16]
+    r += a[16:]
+    r[0::2] += r[1::2]
+    r[0::4] += r[2::4]
+    return (r[0] + r[4]) + 0.0
 
 
 def _bond_vectors(pos, graph: BondGraph):

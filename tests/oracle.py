@@ -32,7 +32,6 @@ from nanolab.cells import (
     ANGLE_SLOTS,
     BOND_SLOTS,
     CELL_GRAPH,
-    _nearest_image,
     cell_angles,
     cell_atom_indices,
     cell_bond_lengths,
@@ -43,7 +42,7 @@ from nanolab.cells import (
     symmetrize,
     to_local,
 )
-from nanolab.energy import _angle_term, _bond_term, _bond_vectors, _leg_vectors, bond_graph
+from nanolab.energy import _angle_term, _bond_term, _bond_vectors, _image_shift, _leg_vectors, bond_graph
 from nanolab.errors import DegenerateGeometryError, DomainError, InvalidCellError, PxyzFormatError
 from nanolab.geometry import AtomId, Nanotube, flat_index
 
@@ -170,6 +169,16 @@ def local_frames_einsum(cells):
     e3 = e3 * sign[..., None]
     e2 = np.cross(e3, e1)
     return origin, np.stack([e1, e2, e3], axis=-2)
+
+
+def gather_cells_per_vector(tube: Nanotube, positions=None):
+    """cells.gather_cells stored cells last: one take of the (..., 8, 3) cells,
+    then each unwrap step on whole slot vectors."""
+    pos = tube.positions if positions is None else positions
+    cells = pos.take(cell_atom_indices(tube.ell, tube.m), axis=-2)
+    for slot, anchor in _UNWRAP_CHAIN:
+        cells[..., slot, :] = cells[..., anchor, :] + _nearest_image(cells[..., slot, :] - cells[..., anchor, :], tube.period)
+    return cells
 
 
 def to_local_einsum(cells):
@@ -783,6 +792,12 @@ class Centers:
     @property
     def count(self) -> int:
         return int(np.prod(self.z.shape[:-1]))
+
+
+def _nearest_image(d: np.ndarray, L: float) -> np.ndarray:
+    """d[..., :] moved in place to its nearest axial image."""
+    d[..., 0] += _image_shift(d[..., 0], L) * L
+    return d
 
 
 def centers(tube: Nanotube) -> Centers:

@@ -8,6 +8,7 @@ from oracle import (
     cell_plane_angles_cross,
     centers,
     extract_cell,
+    gather_cells_per_vector,
     plane_angle_theta,
     sample_perturbation_rebuild,
     symmetrize_reflect,
@@ -415,6 +416,7 @@ def test_explicit_component_kernels_equal_einsum_oracle(ell, m, moved, eta, shap
         tube, positions = base.with_positions(stack[0]), None
     _assert_same_bits(total_energy(tube, pots, graph, positions), total_energy_einsum(tube, pots, graph, positions))
     cells_ = gather_cells(tube, positions=positions)
+    _assert_same_bits(cells_, gather_cells_per_vector(tube, positions))
     _assert_same_bits(cell_angles(cells_), cell_angles_einsum(cells_))
     _assert_same_bits(cell_plane_angles(cells_), cell_plane_angles_cross(cells_))
     _assert_same_bits(cell_bond_lengths(cells_), np.linalg.norm(_bond_vectors(cells_, cells.CELL_GRAPH), axis=-1))
@@ -425,6 +427,62 @@ def test_explicit_component_kernels_equal_einsum_oracle(ell, m, moved, eta, shap
     delta = symmetrize_reflect(to_local_einsum(cells_))[2]
     want = np.sum(delta.reshape(shape + (-1,)), axis=-1)
     _assert_same_bits(total_symmetry_defect(tube, positions), want if shape else float(want))
+
+
+def _moved_ensemble(preset, shift, shape, seed):
+    """A (12, 4) family tube rotated and moved by shift periods, and a stack of
+    shape + (n, 3) ensemble draws of it."""
+    pots = potentials.load(preset)
+    base = build_nanotube(minimize_family(reference_angles(12, pots).mu_us + 0.01, 12, pots, m=4).geometry, 4)
+    image = base.positions @ axial_rotations(1.0 + shift).T
+    image[:, 0] += shift * base.period
+    base = base.with_positions(image)
+    count = int(np.prod(shape, dtype=int))
+    stack, _, _ = sample_perturbations(base, PerturbationSpec(eta=1e-3, seed=seed), range(count))
+    return pots, base, stack.reshape(shape + (base.n, 3))
+
+
+@pytest.mark.parametrize("preset", ["soft", "stiff"])
+@pytest.mark.parametrize("shape", [(21,), (3, 7)], ids=["ensemble-chunk", "two-axes"])
+@pytest.mark.parametrize("shift", [-2.0, -1.37, 0.0, 0.63, 2.0])
+def test_defect_path_equals_oracle_on_ensemble_stacks(preset, shape, shift):
+    # a chunk of the n = 192 ensemble (4096 // 192 = 21 trials) and a stack
+    # with two leading axes, of a rotated tube moved by -2 ... 2 periods: the
+    # cells, local coordinates, reflections and defects equal the cells-last
+    # einsum forms to the bit, and cell_summary's defects those of one trial
+    pots, base, positions = _moved_ensemble(preset, shift, shape, seed=int(10 * shift) % 7)
+    cells_ = gather_cells(base, positions=positions)
+    _assert_same_bits(cells_, gather_cells_per_vector(base, positions))
+    local = to_local(cells_)
+    _assert_same_bits(local, to_local_einsum(cells_))
+    for got, want in zip(symmetrize(local), symmetrize_reflect(local)):
+        _assert_same_bits(got, want)
+    delta = symmetrize_reflect(to_local_einsum(cells_))[2]
+    _assert_same_bits(total_symmetry_defect(base, positions), np.sum(delta.reshape(shape + (-1,)), axis=-1))
+    one = (0,) * len(shape)
+    _assert_same_bits(cell_summary(base.with_positions(positions[one]), pots)["delta"], delta[one].reshape(-1))
+
+
+@pytest.mark.parametrize("defect", ["coincident-dual-centers", "x4-x5-axial"])
+def test_degenerate_cell_in_a_stack_raises(defect):
+    # one configuration of a stack whose cell (1, 0, 0) has no axis or no
+    # normal makes the whole stack raise, with the message of the einsum form
+    _, base, positions = _moved_ensemble("soft", 0.0, (4,), seed=3)
+    atoms = cell_atom_indices(base.ell, base.m)[0, 0, 0]
+    x = gather_cells(base, positions=positions)[2, 0, 0, 0]
+    if defect == "coincident-dual-centers":
+        # x7 onto x2 and x8 onto x1: both dual-center midpoints are (x1 + x2) / 2
+        positions[2, atoms[6]] = positions[2, atoms[1]]
+        positions[2, atoms[7]] = positions[2, atoms[0]]
+        message = "coincident dual centers: no cell axis"
+    else:
+        axis = 0.5 * (x[1] + x[7]) - 0.5 * (x[0] + x[6])
+        positions[2, atoms[4]] = x[3] - 0.5 * axis
+        message = "degenerate cell: x4 - x5 parallel to the axis"
+    cells_ = gather_cells(base, positions=positions)
+    for compute in (lambda: to_local(cells_), lambda: total_symmetry_defect(base, positions), lambda: to_local_einsum(cells_)):
+        with pytest.raises(InvalidCellError, match=f"^{message}$"):
+            compute()
 
 
 @pytest.mark.parametrize("preset", ["soft", "stiff"])

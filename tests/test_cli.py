@@ -150,12 +150,55 @@ def test_missing_file_exit_one():
     assert run(["energy", "--in", "/nonexistent/t.pxyz"]) == 1
 
 
+@pytest.mark.parametrize("flag", ["--in", "--pots", "-o"])
+def test_directory_in_place_of_a_file_exits_one(tmp_path, capsys, flag):
+    # reading a directory as the tube or the potentials, or replacing it with
+    # the report, is an OSError; it ends in one line and leaves no temp file
+    tube_path = str(tmp_path / "t.pxyz")
+    run(["generate", "--ell", "6", "--m", "1", "--mu", "2.9", "--lambda1", "1", "--lambda2", "1", "-o", tube_path])
+    target = tmp_path / "d"
+    target.mkdir()
+    args = {"--in": tube_path, "--pots": "soft", "-o": str(tmp_path / "e.json")}
+    args[flag] = str(target)
+    assert run(["energy"] + [v for item in args.items() for v in item]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nanolab: ") and "Is a directory" in err and len(err.splitlines()) == 1
+    assert not list(tmp_path.glob("*.tmp")) and not list(target.iterdir())
+
+
 def test_cells_guard_against_wrong_labels(tmp_path, capsys):
     tube_path = str(tmp_path / "t.pxyz")
     run(["generate", "--ell", "6", "--m", "2", "--mu", "2.95", "--lambda1", "1", "--lambda2", "1", "-o", tube_path])
     # omitting --m makes the inferred labels inconsistent; the command refuses
     assert run(["cells", "--in", tube_path]) == 1
     assert "inconsistent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "moved, ell, m, want",
+    [
+        (True, 12, 4, "cell (1, 0, 0) bond b4 has length 1.73176, "),
+        (False, 6, 8, "cell (1, 0, 0) bond b1 has length 6.75264, "),
+    ],
+    ids=["displaced-atom", "wrong-ell"],
+)
+def test_cells_names_the_first_broken_bond(tmp_path, capsys, pots_soft, moved, ell, m, want):
+    # a displaced atom and labels that do not match the file both break a cell
+    # bond; the message names the first such bond and both causes
+    from nanolab.reduced import minimize_family, reference_angles
+
+    tube = build_nanotube(minimize_family(reference_angles(12, pots_soft).mu_us + 0.01, 12, pots_soft, m=4).geometry, 4)
+    pos = tube.positions.copy()
+    if moved:
+        pos[1] = pos[0]
+    path = str(tmp_path / "t.pxyz")
+    pxyz.write_pxyz(path, tube.with_positions(pos))
+    out = tmp_path / "c.csv"
+    assert run(["cells", "--in", path, "--ell", str(ell), "--m", str(m), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nanolab: " + want) and len(err.splitlines()) == 1
+    assert "at or beyond the bond cutoff 1.1" in err and "--ell and --m" in err and "atoms are displaced" in err
+    assert not out.exists()
 
 
 def test_energy_of_tube_written_one_period_back(tmp_path, pots_soft):
