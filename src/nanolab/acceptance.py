@@ -86,35 +86,18 @@ def reduced_hessian_anchor(ells, seed) -> dict:
     }
 
 
-# The last ensemble drawn, keyed (m, seed): (base tube, its band, positions).
-# A draw is a pure function of (m, seed, count) and its positions are
-# read-only, so the cache changes how long a row takes, never what it returns.
-_LAST_ENSEMBLE = {}
-
-
 def _ensemble(m: int, count: int, seed):
     """The optimal (12, m) tube at mu_us, its bond graph and the positions
     (count, n, 3) of its first `count` seeded perturbations at eta = 1e-3.
 
-    Each trial draws from its own stream, so the first `count` trials of a
-    larger draw are the same as a draw of `count`: rows 06 and 13 share the
-    last draw for their (m, seed), extended when a row needs more trials.
+    Each trial draws from its own stream, so rows 06 and 13 see the same
+    positions in the trials they both draw.
     """
-    if (m, seed) in _LAST_ENSEMBLE:
-        base, band, positions = _LAST_ENSEMBLE[m, seed]
-    else:
-        fam = reduced.minimize_family(reduced.reference_angles(12, SOFT).mu_us, 12, SOFT, m=m)
-        base = geometry.build_nanotube(fam.geometry, m)
-        band = stability.BondBand(base, 1e-3)
-        positions = np.empty((0, base.n, 3))
-    if len(positions) < count:
-        spec = stability.PerturbationSpec(eta=1e-3, seed=seed, count=count)
-        more = stability.sample_perturbations(base, spec, range(len(positions), count), band)[0]
-        positions = np.concatenate([positions, more])
-        positions.setflags(write=False)
-    _LAST_ENSEMBLE.clear()
-    _LAST_ENSEMBLE[m, seed] = base, band, positions
-    return base, band.graph, positions[:count]
+    fam = reduced.minimize_family(reduced.reference_angles(12, SOFT).mu_us, 12, SOFT, m=m)
+    base = geometry.build_nanotube(fam.geometry, m)
+    band = stability.BondBand(base, 1e-3)
+    spec = stability.PerturbationSpec(eta=1e-3, seed=seed, count=count)
+    return base, band.graph, stability.sample_perturbations(base, spec, range(count), band)[0]
 
 
 def cell_decomposition(size, seed) -> dict:

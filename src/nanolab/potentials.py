@@ -220,12 +220,6 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def __getitem__(self, name) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def summary(self) -> dict:
         return {
             "passed": self.passed,

@@ -141,8 +141,10 @@ def _sym_grad_hess(pt: ReducedPoint, pots: PotentialSet):
 _BOX_LO = np.array([LAMBDA_LO, ALPHA_LO, ALPHA_LO])
 _BOX_HI = np.array([LAMBDA_HI, ALPHA_HI, ALPHA_HI])
 _START = np.array([1.0, TWO_THIRDS_PI, TWO_THIRDS_PI])
-# KKT residual at which the inner Newton solve of reduced_solve stops
+# KKT residual at which the inner Newton solve of reduced_solve stops, and the
+# iterations it may take to get there
 GRAD_TOL = 1e-12
+MAX_ITER = 200
 
 
 def _pinned(x, g):
@@ -150,13 +152,11 @@ def _pinned(x, g):
     return ((x <= _BOX_LO + 1e-12) & (g > 0.0)) | ((x >= _BOX_HI - 1e-12) & (g < 0.0))
 
 
-def _free_groups(free):
-    """(rows, cols) for each distinct row of the (k, 3) mask free: the points
-    with that pattern and the indices of their free inner variables."""
-    codes = free @ np.array([1, 2, 4])
-    for code in np.unique(codes):
-        rows = np.flatnonzero(codes == code)
-        yield rows, np.flatnonzero(free[rows[0]])
+def _pin(h, free):
+    """The stack h (k, 3, 3) with the row and column of each inner variable not
+    free (k, 3) replaced by those of the identity: a solve with a right-hand
+    side that is 0 in the pinned rows leaves the pinned variables at 0."""
+    return np.where(free[:, :, None] & free[:, None, :], h, np.eye(3))
 
 
 @dataclass(frozen=True)
@@ -184,21 +184,20 @@ class ReducedSolution:
         The envelope Schur complement S_pp - S_px S_xx^-1 S_xp of the
         six-variable Hessian S at the inner minimizer, with p = (mu, gamma1,
         gamma2) and x the free inner variables (a variable pinned at a box
-        bound stays fixed, so it is left out of x).
+        bound stays fixed, so it is left out of x: its row of S_xx is an
+        identity row and its row of S_xp is 0).
         """
-        out = np.empty((len(self.x), 3, 3))
-        for rows, cols in _free_groups(self.free):
-            inner = 3 + cols
-            h = self.hess[rows]
-            s = h[:, :3, :3] - h[:, :3, inner] @ np.linalg.solve(h[:, inner][:, :, inner], h[:, inner, :3])
-            out[rows] = 0.5 * (s + np.swapaxes(s, 1, 2))
-        return out
+        h = self.hess
+        h_xp = np.where(self.free[:, :, None], h[:, 3:, :3], 0.0)
+        s = h[:, :3, :3] - h[:, :3, 3:] @ np.linalg.solve(_pin(h[:, 3:, 3:], self.free), h_xp)
+        return 0.5 * (s + np.swapaxes(s, 1, 2))
 
 
 def _free_steps(hf, gf):
-    """Newton steps -(H + tau I)^-1 g for a stack of free-variable systems,
-    with tau lifting the lowest eigenvalue of H to at least 1e-8.  A system
-    the solve rejects (singular or not finite) takes the step -g."""
+    """Newton steps -(H + tau I)^-1 g for a stack of systems (pinned variables
+    as identity rows, see _pin), with tau lifting the lowest eigenvalue of H
+    to at least 1e-8.  A system the solve rejects (singular or not finite)
+    takes the step -g."""
     try:
         lowest = np.linalg.eigvalsh(hf)[:, 0]
         tau = np.where(lowest > 1e-10, 0.0, 1e-8 - lowest)
@@ -210,16 +209,7 @@ def _free_steps(hf, gf):
         return np.concatenate([_free_steps(hf[i : i + 1], gf[i : i + 1]) for i in range(len(hf))])
 
 
-def _newton_steps(h, g, free):
-    """Newton steps (k, 3) in the free variables of each point, zero in its
-    pinned ones; the points are solved in groups of equal free pattern."""
-    step = np.zeros_like(g)
-    for rows, cols in _free_groups(free):
-        step[np.ix_(rows, cols)] = _free_steps(h[np.ix_(rows, cols, cols)], g[np.ix_(rows, cols)])
-    return step
-
-
-def reduced_solve(mu, gamma1, gamma2, pots: PotentialSet, max_iter: int = 200):
+def reduced_solve(mu, gamma1, gamma2, pots: PotentialSet):
     """Minimize sym_energy over (lambda, alpha1, alpha2) in the box at every
     point of the broadcast arrays (mu, gamma1, gamma2), all points at once.
 
@@ -230,7 +220,7 @@ def reduced_solve(mu, gamma1, gamma2, pots: PotentialSet, max_iter: int = 200):
     residual is within the round-off floor max_i sum_j |H_ij| ulp(x_j) of the
     free variables, which is what one ulp of each variable moves the gradient
     by.  Raises OptimizationFailureError when a point does neither within
-    max_iter iterations, and warns (BoundaryWarning) when a minimizer sits on
+    MAX_ITER iterations, and warns (BoundaryWarning) when a minimizer sits on
     the box boundary.  Returns a ReducedSolution over the flattened points.
     """
     mu, gamma1, gamma2 = (np.ravel(v).astype(float) for v in np.broadcast_arrays(mu, gamma1, gamma2))
@@ -248,7 +238,7 @@ def reduced_solve(mu, gamma1, gamma2, pots: PotentialSet, max_iter: int = 200):
     iterations = np.zeros(n, dtype=int)
     residual = np.zeros(n)
     active = np.arange(n)  # points still iterating
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if len(active) == 0:
             break
         xa = x[active]
@@ -264,7 +254,8 @@ def reduced_solve(mu, gamma1, gamma2, pots: PotentialSet, max_iter: int = 200):
         active, xa, g, h, fr, res = active[go], xa[go], g[go], h[go], fr[go], res[go]
         if len(active) == 0:
             break
-        step = _newton_steps(h, g, fr)
+        hp = _pin(h, fr)
+        step = _free_steps(hp, np.where(fr, g, 0.0))
         # backtracking line search; every searching point has the same t
         cand, fc = xa.copy(), f[active]
         searching = np.arange(len(active))
@@ -280,16 +271,14 @@ def reduced_solve(mu, gamma1, gamma2, pots: PotentialSet, max_iter: int = 200):
             t *= 0.5
         # a fixed point or a 2-cycle in floating point: Newton cannot improve x
         stuck = np.all(cand == xa, axis=1) | np.all(cand == prev[active], axis=1)
-        moving = np.ones(len(active), dtype=bool)
-        for i in np.flatnonzero(stuck):
-            hf = h[i][np.ix_(fr[i], fr[i])]
-            moving[i] = res[i] > np.max(np.abs(hf) @ np.spacing(np.abs(xa[i][fr[i]])), initial=0.0)
+        ulp = np.where(fr, np.spacing(np.abs(xa)), 0.0)
+        moving = ~stuck | (res > np.max(np.abs(hp) @ ulp[:, :, None], axis=(1, 2)))
         active = active[moving]
         prev[active], x[active], f[active] = xa[moving], cand[moving], fc[moving]
         iterations[active] += 1
     if len(active):
         raise OptimizationFailureError(
-            f"reduced-energy Newton did not reach |grad| <= {GRAD_TOL} in {max_iter} iterations"
+            f"reduced-energy Newton did not reach |grad| <= {GRAD_TOL} in {MAX_ITER} iterations"
             f" at {len(active)} of {n} points"
         )
     if np.any(x - _BOX_LO < 1e-9) or np.any(_BOX_HI - x < 1e-9):
@@ -297,14 +286,10 @@ def reduced_solve(mu, gamma1, gamma2, pots: PotentialSet, max_iter: int = 200):
     return ReducedSolution(f, x, grad, hess, free, iterations, residual)
 
 
-def reduced_energy(mu: float, gamma1: float, gamma2: float, pots: PotentialSet, max_iter: int = 200):
+def reduced_energy(mu: float, gamma1: float, gamma2: float, pots: PotentialSet):
     """reduced_solve at one point.  Returns (value, (lambda*, alpha1*, alpha2*))."""
-    sol = reduced_solve(mu, gamma1, gamma2, pots, max_iter=max_iter)
+    sol = reduced_solve(mu, gamma1, gamma2, pots)
     return float(sol.value[0]), tuple(float(v) for v in sol.x[0])
-
-
-def reduced_energy_value(mu, gamma1, gamma2, pots) -> float:
-    return reduced_energy(mu, gamma1, gamma2, pots)[0]
 
 
 def reduced_gradient(mu, gamma1, gamma2, pots):

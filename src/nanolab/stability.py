@@ -98,6 +98,8 @@ _CHUNK_ATOMS = 2**12
 # 30 gaps at eta = 1e-8 is 360 eps * |E_base|.  The floor is 8 times the
 # scatter.
 _GAP_ROUNDOFF = 24.0
+# Consecutive bond-graph-breaking draws after which a trial gives up on eta.
+MAX_REJECTIONS = 1000
 
 
 class BondBand:
@@ -134,18 +136,12 @@ class BondBand:
         keeps = np.all((dist < BOND_CUTOFF) == self.bonded, axis=-1)
         return [self.graph if k else None for k in keeps]
 
-    def graph_of(self, tube: Nanotube):
-        """Bond graph of a displaced copy of the base if it has the base's
-        bonds, else None."""
-        return self.graphs_of(tube, tube.positions[None])[0]
-
 
 def sample_perturbations(
     base: Nanotube,
     spec: PerturbationSpec,
     trials,
     band: BondBand | None = None,
-    max_rejections: int = 1000,
 ):
     """Displaced copies of base, one per trial index in trials, each with
     base's period and bond graph.
@@ -156,7 +152,7 @@ def sample_perturbations(
     for an eta of at least spec.eta; it is built when omitted, so pass one to
     reuse it across an ensemble.  Returns (positions, graphs, rejections): the
     (len(trials), n, 3) stack, each copy's bond graph and the number of
-    redraws.  Raises EtaTooLargeError once a trial has made max_rejections
+    redraws.  Raises EtaTooLargeError once a trial has made MAX_REJECTIONS
     consecutive bond-graph-breaking draws.
     """
     if band is None:
@@ -175,9 +171,9 @@ def sample_perturbations(
             graphs[k] = graph
         todo = todo[[graph is None for graph in verdicts]]
         rejections[todo] += 1
-        if len(todo) and rejections.max() >= max_rejections:
+        if len(todo) and rejections.max() >= MAX_REJECTIONS:
             raise EtaTooLargeError(
-                f"{max_rejections} consecutive samples broke the bond graph at eta={spec.eta}"
+                f"{MAX_REJECTIONS} consecutive samples broke the bond graph at eta={spec.eta}"
             )
     return positions, graphs, int(rejections.sum())
 
@@ -187,12 +183,11 @@ def sample_perturbation(
     spec: PerturbationSpec,
     trial: int = 0,
     band: BondBand | None = None,
-    max_rejections: int = 1000,
 ):
     """One displaced copy of base with identical period and bond graph: the
     one-trial call of sample_perturbations.  Returns (tube, graph,
     rejections)."""
-    positions, graphs, rejections = sample_perturbations(base, spec, [trial], band, max_rejections)
+    positions, graphs, rejections = sample_perturbations(base, spec, [trial], band)
     return base.with_positions(positions[0]), graphs[0], rejections
 
 

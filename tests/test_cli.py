@@ -163,7 +163,18 @@ def test_directory_in_place_of_a_file_exits_one(tmp_path, capsys, flag):
     assert run(["energy"] + [v for item in args.items() for v in item]) == 1
     err = capsys.readouterr().err
     assert err.startswith("nanolab: ") and "Is a directory" in err and len(err.splitlines()) == 1
+    # the line names the file the user gave, never the temp file
+    assert repr(str(target)) in err and ".tmp" not in err
     assert not list(tmp_path.glob("*.tmp")) and not list(target.iterdir())
+
+
+def test_missing_output_directory_exits_one(tmp_path, capsys):
+    target = str(tmp_path / "missing" / "t.pxyz")
+    assert run(["generate", "--ell", "6", "--m", "1", "--mu", "2.9", "--lambda1", "1", "--lambda2", "1", "-o", target]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nanolab: ") and "No such file or directory" in err and len(err.splitlines()) == 1
+    assert repr(target) in err and ".tmp" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cells_guard_against_wrong_labels(tmp_path, capsys):

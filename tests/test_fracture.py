@@ -7,7 +7,7 @@ from nanolab.energy import family_energy
 from nanolab.errors import InvalidParameterError, NotCleavedWarning, WindowTooSmallError
 from nanolab.fracture import build_cleaved, cleaved_energy, fracture_scaling, fracture_threshold
 from nanolab.geometry import build_nanotube, gamma, solve_family
-from nanolab.reduced import minimize_family, reduced_energy_value, reduced_hessian, reference_angles
+from nanolab.reduced import minimize_family, reduced_energy, reduced_hessian, reference_angles
 from nanolab.stability import PerturbationSpec, null_space_report, stability_trial
 
 
@@ -128,7 +128,7 @@ def test_one_curve_thresholds_match_scan_oracle(pots_soft, ell):
 def test_unit_bond_tube_energy_is_the_reduced_curve_at_mu_us(refs12, pots_soft):
     # the cleaved-state bookkeeping and the e(mu) curve share this value
     g = gamma(12)
-    e_us = reduced_energy_value(refs12.mu_us, g, g, pots_soft)
+    e_us = reduced_energy(refs12.mu_us, g, g, pots_soft)[0]
     for m in (4, 64, 256):
         unit = family_energy(solve_family(12, refs12.mu_us, 1.0, 1.0), m, pots_soft)
         assert abs(unit - 2 * m * 12 * e_us) <= 1e-14 * abs(unit)

@@ -60,6 +60,11 @@ def test_validate_passes_for_both_presets(pots_soft, pots_stiff):
         assert rep.passed, [c.name for c in rep.checks if not c.passed]
 
 
+def _checks(p: PotentialSet) -> dict:
+    """validate(p)'s checks by name."""
+    return {c.name: c for c in validate(p).checks}
+
+
 class _HalvedPair(PairPotential):
     def value(self, r):
         return 0.5 * super().value(r)
@@ -73,9 +78,8 @@ class _HalvedPair(PairPotential):
 
 def test_validate_flags_wrong_minimum_value():
     p = PotentialSet(_HalvedPair(400.0), AnglePotential(400.0))
-    rep = validate(p)
-    assert not rep["pair-minimum-value"].passed
-    assert not rep.passed
+    assert not _checks(p)["pair-minimum-value"].passed
+    assert not validate(p).passed
 
 
 class _AsymmetricAngle(AnglePotential):
@@ -85,8 +89,7 @@ class _AsymmetricAngle(AnglePotential):
 
 def test_validate_flags_asymmetric_angle_potential():
     p = PotentialSet(PairPotential(400.0), _AsymmetricAngle(400.0))
-    rep = validate(p)
-    assert not rep["angle-symmetry"].passed
+    assert not _checks(p)["angle-symmetry"].passed
 
 
 def test_validate_flags_extra_angle_zero():
@@ -103,7 +106,7 @@ def test_validate_flags_extra_angle_zero():
             h = 1e-4
             return (self.value(a + h) - 2 * self.value(a) + self.value(a - h)) / h**2
 
-    rep = validate(PotentialSet(PairPotential(400.0), _Zeroish(400.0)))
+    rep = _checks(PotentialSet(PairPotential(400.0), _Zeroish(400.0)))
     assert not rep["angle-minimum-points"].passed
     assert "extra zero" in rep["angle-minimum-points"].detail
 
@@ -135,6 +138,6 @@ def test_load_by_name_and_passthrough(pots_soft):
 def test_derivatives_match_finite_differences_everywhere(pots_soft):
     # includes the mollifier window, where magnitudes are checked against a
     # locally windowed scale
-    rep = validate(pots_soft)
+    rep = _checks(pots_soft)
     assert rep["pair-deriv-fd"].residual <= 1e-6
     assert rep["angle-deriv-fd"].residual <= 1e-6

@@ -26,7 +26,6 @@ from nanolab.reduced import (
     minimize_family,
     minimizer_properties,
     reduced_energy,
-    reduced_energy_value,
     reduced_gradient,
     reduced_hessian,
     reduced_solve,
@@ -186,7 +185,7 @@ def test_reduced_energy_increasing_above_mu_us(pots_soft):
     refs = reference_angles(16, pots_soft)
     g = gamma(16)
     mus = np.linspace(refs.mu_us, refs.mu_us + 0.02, 9)
-    vals = [reduced_energy_value(float(mu), g, g, pots_soft) for mu in mus]
+    vals = [reduced_energy(float(mu), g, g, pots_soft)[0] for mu in mus]
     assert np.all(np.diff(vals) > 0.0)
 
 
@@ -194,8 +193,8 @@ def test_reduced_gradient_matches_fd(pots_soft):
     mu, g1, g2 = 2.99, 2.95, 2.97
     grad = reduced_gradient(mu, g1, g2, pots_soft)
     h = 1e-6
-    fd_mu = (reduced_energy_value(mu + h, g1, g2, pots_soft) - reduced_energy_value(mu - h, g1, g2, pots_soft)) / (2 * h)
-    fd_g1 = (reduced_energy_value(mu, g1 + h, g2, pots_soft) - reduced_energy_value(mu, g1 - h, g2, pots_soft)) / (2 * h)
+    fd_mu = (reduced_energy(mu + h, g1, g2, pots_soft)[0] - reduced_energy(mu - h, g1, g2, pots_soft)[0]) / (2 * h)
+    fd_g1 = (reduced_energy(mu, g1 + h, g2, pots_soft)[0] - reduced_energy(mu, g1 - h, g2, pots_soft)[0]) / (2 * h)
     assert grad[0] == pytest.approx(fd_mu, abs=1e-7)
     assert grad[1] == pytest.approx(fd_g1, abs=1e-7)
 
@@ -296,7 +295,7 @@ def test_reduced_hessian_with_lambda_pinned(pots_soft):
             assert np.max(np.abs(h - reduced_hessian_fd(*pt, pots))) <= 1e-8 * np.max(np.abs(h))
 
 
-def test_newton_stops_at_round_off_floor(pots_soft):
+def test_newton_stops_at_round_off_floor(pots_soft, monkeypatch):
     # Newton 2-cycles here between neighbouring floats whose KKT residuals
     # (about 1.0e-12 and 1.2e-12) straddle grad_tol; one ulp of alpha moves
     # the gradient by about 1.7e-12
@@ -308,8 +307,9 @@ def test_newton_stops_at_round_off_floor(pots_soft):
     free = ~_pinned(x, grad)
     floor = np.max(np.abs(hess[np.ix_(free, free)]) @ np.spacing(np.abs(x[free])))
     assert np.max(np.abs(grad[free])) <= floor
+    monkeypatch.setattr(reduced_module, "MAX_ITER", 2)
     with pytest.raises(OptimizationFailureError):
-        reduced_energy(*pt, pots_soft, max_iter=2)
+        reduced_energy(*pt, pots_soft)
 
 
 # the mu of the sweep benchmark's one-point Newton probe at ell = 64
@@ -363,12 +363,28 @@ def test_batched_solve_reports_per_point_diagnostics(pots_soft):
     assert np.array_equal(sol.grad[1], g6) and np.array_equal(sol.hess[1], h6)
 
 
-def test_batched_envelope_hessian_matches_one_point_calls(pots_soft):
+def test_batched_envelope_hessian_matches_one_point_calls(pots_soft, pots_stiff):
     g = gamma(24)
     pts = np.array([(2.99, g, g), (3.01, g + 0.004, g - 0.002), (2.97, g - 0.003, g)])
     hess = reduced_solve(pts[:, 0], pts[:, 1], pts[:, 2], pots_soft).envelope_hessian()
     for h, pt in zip(hess, pts):
         assert np.array_equal(h, reduced_hessian(*pt, pots_soft))
+    # two free patterns in one batch: at stiff ell = 12 both alphas are pinned
+    # at their bound for mu up to about 2.79, and nothing is pinned above
+    g = gamma(12)
+    mus = np.linspace(2.62, 3.09, 12)
+    split = [(2.70, g + 0.01, g - 0.005), (2.75, g - 0.004, g + 0.002), (3.0, g - 0.004, g + 0.002)]
+    pts = np.concatenate([np.stack([mus, np.full(12, g), np.full(12, g)], axis=1), split])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryWarning)
+        sol = reduced_solve(pts[:, 0], pts[:, 1], pts[:, 2], pots_stiff)
+        ones = [reduced_solve(*pt, pots_stiff) for pt in pts]
+    assert {tuple(f) for f in sol.free.tolist()} == {(True, False, False), (True, True, True)}
+    hess = sol.envelope_hessian()
+    for i, one in enumerate(ones):
+        for field in ("value", "x", "iterations", "residual", "free"):
+            assert _same_bits(getattr(sol, field)[i], getattr(one, field)[0]), (i, field)
+        assert _same_bits(hess[i], one.envelope_hessian()[0]), i
 
 
 def test_family_minima_matches_minimize_family(pots_soft):
@@ -380,13 +396,15 @@ def test_family_minima_matches_minimize_family(pots_soft):
     assert np.array_equal([f.energy_per_cell for f in fams], sol.value)
 
 
-def test_batched_solve_raises_when_a_point_does_not_converge(pots_soft):
+def test_batched_solve_raises_when_a_point_does_not_converge(pots_soft, monkeypatch):
     g = gamma(64)
+    monkeypatch.setattr(reduced_module, "MAX_ITER", 2)
     with pytest.raises(OptimizationFailureError):
-        reduced_solve([3.0, NEWTON_PROBE_MU], [g, g + 5e-5], [g, g], pots_soft, max_iter=2)
+        reduced_solve([3.0, NEWTON_PROBE_MU], [g, g + 5e-5], [g, g], pots_soft)
     # a NaN residual never passes the GRAD_TOL exit
+    monkeypatch.setattr(reduced_module, "MAX_ITER", 5)
     with pytest.raises(OptimizationFailureError):
-        reduced_solve([3.0, np.nan], g, g, pots_soft, max_iter=5)
+        reduced_solve([3.0, np.nan], g, g, pots_soft)
 
 
 def _same_bits(a, b) -> bool:

@@ -89,7 +89,7 @@ def _check_band_against_brute(base, band, spec, draws):
     kept = []
     for trial in range(draws):
         tube = _draw(base, spec, trial)
-        graph = band.graph_of(tube)
+        graph = band.graphs_of(tube, tube.positions[None])[0]
         kept.append(np.array_equal(graph_brute(tube)[0], base_pairs))
         assert (graph is not None) == kept[-1]
         if graph is not None:
@@ -117,7 +117,7 @@ def test_band_rebuilds_where_an_image_can_flip():
     spec = PerturbationSpec(eta=0.02, seed=6)
     kept = _check_band_against_brute(base, band, spec, 40)
     assert 0 < sum(kept) < len(kept)
-    graphs = [band.graph_of(_draw(base, spec, trial)) for trial in range(40)]
+    graphs = band.graphs_of(base, np.stack([_draw(base, spec, trial).positions for trial in range(40)]))
     assert {int(g.pair_shifts[0]) for g in graphs if g is not None} == {0, 1}
 
 
@@ -135,10 +135,11 @@ def test_band_for_smaller_eta_is_refused(base):
         sample_perturbation(tube0, PerturbationSpec(eta=1e-2), band=BondBand(tube0, 1e-3))
 
 
-def test_eta_too_large_raises(base):
+def test_eta_too_large_raises(base, monkeypatch):
     tube0, _, _ = base
-    with pytest.raises(EtaTooLargeError):
-        sample_perturbation(tube0, PerturbationSpec(eta=0.8, seed=0, count=1), max_rejections=20)
+    monkeypatch.setattr(stab, "MAX_REJECTIONS", 20)
+    with pytest.raises(EtaTooLargeError, match="^20 consecutive"):
+        sample_perturbation(tube0, PerturbationSpec(eta=0.8, seed=0, count=1))
 
 
 def test_stability_trial_all_gaps_positive(base, pots_soft):
