@@ -24,7 +24,7 @@ STIFF = potentials.default_stiff()
 def potential_presets(size, seed) -> dict:
     """Both presets satisfy every assumption of the bond model."""
     soft, stiff = potentials.validate(SOFT), potentials.validate(STIFF)
-    return {"passed": soft.passed and stiff.passed, "soft": soft.summary(), "stiff": stiff.summary()}
+    return {"passed": soft["passed"] and stiff["passed"], "soft": soft, "stiff": stiff}
 
 
 def closed_form_identity(tuples: int, seed) -> dict:
@@ -157,7 +157,7 @@ def cell_convexity(ells, seed, r: float = 0.9, pots=SOFT, cells=None) -> dict:
     (log-log slope within 0.3) when there are several.  cells, when given,
     holds the kink cell of each ell (see cellspec.kink_cell)."""
     # the angle-sum concavity constant does not depend on ell
-    c_kink = cellspec.angle_sum_concavity(pots)["c_kink"]
+    c_kink = cellspec.angle_sum_concavity()["c_kink"]
     try:
         rows = [
             cellspec.cell_hessian_convexity(ell, pots, r=r, cell=cell, c_kink=c_kink)

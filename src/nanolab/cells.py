@@ -54,9 +54,9 @@ _S2_PERM = np.array([1, 0, 3, 2, 5, 4, 7, 6])
 _UNWRAP_CHAIN = [(2, 0), (3, 2), (1, 3), (4, 1), (5, 4), (6, 0), (7, 1)]
 
 
-# Cells slot first: slots[a] = cells[..., a, :], shape (8, ..., 3), as
-# local_frames takes them.  They are stored component first, i.e. in the memory
-# order of (8, 3, ...), so that slots[a, ..., c] is one contiguous block and
+# Cells slot first: slots[a] = cells[..., a, :], shape (8, ..., 3).  They are
+# stored component first, i.e. in the memory order of (8, 3, ...), so that
+# slots[a, ..., c] is one contiguous block and
 # every unwrap, frame, reflection and defect step works block by block.  numpy
 # allocates the result of an elementwise operation in its operands' memory
 # order, so the layout carries through the arithmetic; energy._cross3 keeps it.
@@ -77,14 +77,6 @@ def _reflect(slots: np.ndarray, perm: np.ndarray, comp: int) -> np.ndarray:
     out = np.moveaxis(slots, -1, 1).take(perm, axis=0)
     out[:, comp] *= -1.0
     return np.moveaxis(out, 1, -1)
-
-
-def reflect_s1(cell: np.ndarray) -> np.ndarray:
-    return _cells_last(_reflect(_slots_first(cell), _S1_PERM, 1))
-
-
-def reflect_s2(cell: np.ndarray) -> np.ndarray:
-    return _cells_last(_reflect(_slots_first(cell), _S2_PERM, 0))
 
 
 @lru_cache(maxsize=32)
@@ -117,10 +109,9 @@ def cell_atom_indices(ell: int, m: int) -> np.ndarray:
     return table
 
 
-def _gather_slots(tube: Nanotube, table: np.ndarray | None = None, positions=None) -> np.ndarray:
+def _gather_slots(tube: Nanotube, positions=None) -> np.ndarray:
     """gather_cells' unwrapped cells as slots (8, ..., 3), stored component first."""
-    if table is None:
-        table = cell_atom_indices(tube.ell, tube.m)
+    table = cell_atom_indices(tube.ell, tube.m)
     pos = tube.positions if positions is None else positions
     L = tube.period
     comps = np.moveaxis(pos, -1, 0).copy()
@@ -136,7 +127,7 @@ def _gather_slots(tube: Nanotube, table: np.ndarray | None = None, positions=Non
     return np.moveaxis(x, 1, -1)
 
 
-def gather_cells(tube: Nanotube, table: np.ndarray | None = None, positions=None) -> np.ndarray:
+def gather_cells(tube: Nanotube, positions=None) -> np.ndarray:
     """Unwrapped cell coordinates for every center, shape (ell, m, 2, 8, 3).
 
     Atoms are reconstructed by walking intra-cell bonds with minimal images, so
@@ -144,7 +135,7 @@ def gather_cells(tube: Nanotube, table: np.ndarray | None = None, positions=None
     of configurations of tube's atoms at tube's period, the cells of each
     carry the same leading axes.
     """
-    return _cells_last(_gather_slots(tube, table, positions))
+    return _cells_last(_gather_slots(tube, positions))
 
 
 def cell_bond_lengths(cells: np.ndarray) -> np.ndarray:
@@ -202,7 +193,9 @@ def cell_plane_angles(cells: np.ndarray) -> np.ndarray:
 
 
 def _frame(slots: np.ndarray):
-    """local_frames with the frame rows (e1, e2, e3) apart, each stored as slots are."""
+    """Origin and rows (e1, e2, e3) of the cell frame of slots (8, ..., 3), each
+    stored as slots are: axis through the two dual centers, wings bending
+    toward positive third coordinate."""
     x = slots
     p = 0.5 * (x[0] + x[6])
     q = 0.5 * (x[1] + x[7])
@@ -221,15 +214,6 @@ def _frame(slots: np.ndarray):
     e3 = e3 * np.where(_dot3(wing, e3) < 0.0, -1.0, 1.0)[..., None]
     e2 = _cross3(e3, e1)
     return origin, (e1, e2, e3)
-
-
-def local_frames(slots: np.ndarray):
-    """Origin and rotation of the cell frame: axis through the two dual centers,
-    wings bending toward positive third coordinate.  slots holds the cells
-    slot first, slots[a] = cells[..., a, :].  Returns (origins, frames) with
-    frames[..., r, :] the r-th frame row."""
-    origin, rows = _frame(slots)
-    return origin, np.stack(rows, axis=-2)
 
 
 def _local_slots(slots: np.ndarray) -> np.ndarray:
@@ -314,8 +298,8 @@ def cell_summary(tube: Nanotube, pots: PotentialSet, cells: np.ndarray | None = 
     """Vectorized per-cell quantities for a whole tube; cells is
     gather_cells(tube) when the caller already has it.
 
-    Keys: bonds (C,8), angles (C,10), energy (C,), theta (C,4), theta_bar (C,),
-    delta (C,), mu_tilde (C,), centers (C,3) label triples.
+    Keys: bonds (C,8), angles (C,10), energy (C,), theta (C,4), delta (C,),
+    centers (C,3) label triples.
     """
     if cells is None:
         cells = gather_cells(tube)
@@ -324,9 +308,6 @@ def cell_summary(tube: Nanotube, pots: PotentialSet, cells: np.ndarray | None = 
     energy = _weighted_energies(b, phi, pots)
     theta = cell_plane_angles(cells)
     _, _, delta = _symmetrize_slots(_local_slots(_slots_first(cells)))
-    p = 0.5 * (cells[..., 0, :] + cells[..., 6, :])
-    q = 0.5 * (cells[..., 1, :] + cells[..., 7, :])
-    mu_tilde = _norm3(q - p)
     ids = np.indices((tube.ell, tube.m, 2)).reshape(3, -1).T + (1, 0, 0)
     flat = lambda a: a.reshape(-1, *a.shape[3:])
     return {
@@ -335,7 +316,5 @@ def cell_summary(tube: Nanotube, pots: PotentialSet, cells: np.ndarray | None = 
         "angles": flat(phi),
         "energy": flat(energy),
         "theta": flat(theta),
-        "theta_bar": flat(theta).mean(axis=-1) if theta.size else np.zeros(0),
         "delta": flat(delta),
-        "mu_tilde": flat(mu_tilde),
     }

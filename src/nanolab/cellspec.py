@@ -130,13 +130,6 @@ class CellBasis:
     good: np.ndarray
     bad: np.ndarray
 
-    def matrix(self) -> np.ndarray:
-        stacked = np.concatenate([self.degenerate, self.good, self.bad], axis=0)
-        return stacked.reshape(len(stacked), 24).T
-
-    def rank(self) -> int:
-        return int(np.linalg.matrix_rank(self.matrix(), tol=1e-10))
-
 
 def cell_basis() -> CellBasis:
     x0 = planar_reference()
@@ -159,25 +152,13 @@ ANGLE_SUM_VECTORS[1, [0, 6, 7]] = 1.0
 ANGLE_SUM_VECTORS[2, [1, 8, 9]] = 1.0
 
 
-@dataclass
-class TMapValue:
-    angles: np.ndarray
-    bonds: np.ndarray
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.angles, self.bonds])
-
-    def angle_sums(self) -> np.ndarray:
-        return ANGLE_SUM_VECTORS @ self.angles
-
-
-def t_map(cell: np.ndarray) -> TMapValue:
-    """The ten angles and eight bond lengths of an 8-atom cell."""
+def t_map(cell: np.ndarray) -> np.ndarray:
+    """T(x) of an 8-atom cell: the 18-vector of its ten angles (ANGLE_SLOTS
+    order), then its eight bond lengths (BOND_SLOTS order)."""
     cell = np.asarray(cell, dtype=float)
     if cell.shape != (8, 3):
         raise InvalidParameterError(f"cell must have shape (8, 3), got {cell.shape}")
-    return TMapValue(angles=cell_angles(cell), bonds=cell_bond_lengths(cell))
+    return np.concatenate([cell_angles(cell), cell_bond_lengths(cell)])
 
 
 def tilde_gradient(y: np.ndarray, pots: PotentialSet) -> np.ndarray:
@@ -258,7 +239,7 @@ def tilde_derivative_signs(ells, pots: PotentialSet, cells=None) -> dict:
     for ell, cell in zip(ells, cells or [None] * len(ells)):
         if ell < 16:
             raise InvalidParameterError(f"ell must be at least 16, got {ell}")
-        y = t_map(kink_cell(ell, pots) if cell is None else cell).vector
+        y = t_map(kink_cell(ell, pots) if cell is None else cell)
         g = tilde_gradient(y, pots)
         hd = tilde_hessian_diag(y, pots)
         bond_res = float(np.max(np.abs(g[10:])))
@@ -350,7 +331,7 @@ def constrained_rayleigh_min(hess: np.ndarray, span: np.ndarray, r: float) -> di
     return {"lower": float(max(lower, vals[0] if best == 0 else lower)), "upper": upper, "nu": float(nu_star)}
 
 
-def angle_sum_concavity(pots: PotentialSet, n_samples: int = 200, seed: int = 0) -> dict:
+def angle_sum_concavity(n_samples: int = 200, seed: int = 0) -> dict:
     """Second directional derivative of the total angle sum at the planar
     reference, sampled over the degenerate-plus-bad span.
 
@@ -402,7 +383,7 @@ def cell_hessian_convexity(ell: int, pots: PotentialSet, r: float = 0.9, cell=No
             f"nonpositive constrained convexity bound at ell={ell}: {good['lower']}, {weak['lower']}"
         )
     if c_kink is None:
-        c_kink = angle_sum_concavity(pots)["c_kink"]
+        c_kink = angle_sum_concavity()["c_kink"]
     return {
         "ell": ell,
         "r": r,

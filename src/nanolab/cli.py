@@ -150,8 +150,10 @@ def cmd_reduced(args) -> int:
     fams, sol = reduced.family_minima(grid, args.ell, pots, m=args.m)
     evals = np.linalg.eigvalsh(sol.envelope_hessian())
     minima = [[fam.mu, fam.lambda1, fam.lambda2, fam.alpha, fam.geometry.rho, fam.energy] for fam in fams]
-    header = ["mu", "lambda1", "lambda2", "alpha", "rho", "emin", "hess_eig1", "hess_eig2", "hess_eig3"]
-    _emit_csv(header, [np.array(minima, dtype=float), evals], args.out)
+    # inner variables (lambda, alpha1, alpha2) pinned at a bound of the search box
+    n_pinned = 3 - np.sum(sol.free, axis=1)
+    header = ["mu", "lambda1", "lambda2", "alpha", "rho", "emin", "hess_eig1", "hess_eig2", "hess_eig3", "n_pinned"]
+    _emit_csv(header, [np.array(minima, dtype=float), evals, n_pinned], args.out)
     return EXIT_OK
 
 

@@ -10,7 +10,6 @@ closed-form family energy below.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -58,16 +57,6 @@ class BondGraph:
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self.pairs.ravel(), minlength=self.n)
-
-    def pair_set(self) -> set:
-        return {(int(a), int(b)) for a, b in self.pairs}
-
-    @cached_property
-    def adjacency(self) -> list:
-        """adjacency[a] = [(b, t), ...] in b order: the leg from a to b uses shift t."""
-        vert, nbr, leg = _half_edges(self.pairs, self.pair_shifts)
-        cuts = np.searchsorted(vert, np.arange(1, self.n))
-        return [list(zip(b.tolist(), t.tolist())) for b, t in zip(np.split(nbr, cuts), np.split(leg, cuts))]
 
 
 def _image_shift(dx, L: float):

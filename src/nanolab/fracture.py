@@ -102,12 +102,8 @@ def build_cleaved(ell: int, m: int, mu: float, pots: PotentialSet) -> CleavedTub
 
 
 def _cleaved_energy(ell: int, m: int, mu_us: float, pots: PotentialSet) -> float:
-    return family_energy(solve_family(ell, mu_us, 1.0, 1.0), m, pots) + 4.0 * ell
-
-
-def cleaved_energy(ell: int, m: int, pots: PotentialSet) -> float:
     """Bookkept cleaved-state energy E(unstretched) + 4*ell; mu-independent."""
-    return _cleaved_energy(ell, m, reference_angles(ell, pots).mu_us, pots)
+    return family_energy(solve_family(ell, mu_us, 1.0, 1.0), m, pots) + 4.0 * ell
 
 
 # Newton on e(mu) stops once its step is at most ROOT_TOL, and fails after
@@ -126,7 +122,8 @@ def _thresholds(ell: int, ms, pots: PotentialSet, window: float):
     gradient, bisecting whenever a step leaves the bracket, started at
     mu_us + 2/sqrt(m e''(mu_us)); each iteration is one batched reduced solve
     over the m not yet converged.  Raises WindowTooSmallError for the first m
-    whose root the window does not bracket.
+    whose root the window does not bracket, and InvalidParameterError for an
+    m below 1 or a window that is not finite and positive.
 
     Returns (mu_us, mu_frac array, total inner Newton iterations, largest
     final KKT residual of the reduced solves).
@@ -134,6 +131,8 @@ def _thresholds(ell: int, ms, pots: PotentialSet, window: float):
     ms = np.asarray(ms, dtype=int)
     if np.any(ms < 1):
         raise InvalidParameterError(f"m must be at least 1, got {ms.tolist()}")
+    if not (np.isfinite(window) and window > 0.0):
+        raise InvalidParameterError(f"window must be finite and positive, got {window}")
     mu_us = reference_angles(ell, pots).mu_us
     g = gamma(ell)
     hi_limit = min(mu_us + window, 3.1 - 1e-9)

@@ -31,6 +31,12 @@ def gamma(ell: int) -> float:
     return np.pi * (1.0 - 1.0 / ell)
 
 
+def beta(alpha, gam):
+    """Out-of-plane bond angle 2*arcsin(sin(alpha)*sin(gam/2)).  A product of
+    two sines lies in [-1, 1] after rounding, so arcsin needs no clip."""
+    return 2.0 * np.arcsin(np.sin(alpha) * np.sin(0.5 * gam))
+
+
 @dataclass(frozen=True)
 class ZigzagGeometry:
     """Closed-form parameter bundle for one member of the zigzag family."""
@@ -121,8 +127,7 @@ def solve_family(ell: int, mu: float, lambda1: float, lambda2: float) -> ZigzagG
     if rho <= 0.55 / np.sin(g):
         raise InvalidParameterError(f"rho={rho} must exceed 0.55/sin(gamma_ell)={0.55 / np.sin(g)}")
     alpha = np.arccos(-sigma / lambda2)
-    beta = 2.0 * np.arcsin(np.sin(alpha) * np.sin(0.5 * g))
-    return ZigzagGeometry(ell, mu, lambda1, lambda2, sigma, rho, alpha, beta, g)
+    return ZigzagGeometry(ell, mu, lambda1, lambda2, sigma, rho, alpha, beta(alpha, g), g)
 
 
 def unwrapped_positions(geom: ZigzagGeometry, m: int) -> np.ndarray:

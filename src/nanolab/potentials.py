@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,35 +201,6 @@ def load(spec) -> PotentialSet:
     return from_json(spec)
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    residual: float
-    detail: str = ""
-
-
-@dataclass
-class ValidationReport:
-    checks: list = field(default_factory=list)
-
-    def add(self, name, passed, residual, detail=""):
-        self.checks.append(CheckResult(name, bool(passed), float(residual), detail))
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def summary(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "residual": c.residual, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
-
-
 def _fd1(f, x, h):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
@@ -246,26 +217,31 @@ def _windowed_scale(values, halfwidth=10, floor=1.0):
     return out
 
 
-def validate(p: PotentialSet) -> ValidationReport:
+def validate(p: PotentialSet) -> dict:
     """Check every assumption the bond model places on a potential set.
 
-    Violations are reported, never raised; each check carries its worst-case
+    Returns {"passed", "checks": [{name, passed, residual, detail}, ...]}:
+    violations are reported, never raised; each check carries its worst-case
     residual.  Extra zeros of the angle potential (beyond 2pi/3 and 4pi/3) are
     flagged as failures of the uniqueness check rather than rejected silently.
     """
-    rep = ValidationReport()
+    checks = []
+
+    def add(name, passed, residual, detail=""):
+        checks.append({"name": name, "passed": bool(passed), "residual": float(residual), "detail": detail})
+
     r = np.linspace(0.3, 1.35, 4201)
     a = np.linspace(0.0, 2.0 * np.pi, 4321)
 
     v2 = p.v2.value(r)
-    rep.add("pair-minimum-value", abs(p.v2.value(1.0) + 1.0) <= 1e-12, abs(float(p.v2.value(1.0)) + 1.0))
+    add("pair-minimum-value", abs(p.v2.value(1.0) + 1.0) <= 1e-12, abs(float(p.v2.value(1.0)) + 1.0))
 
     away = np.abs(r - 1.0) >= 0.01
     margin = float(np.min(v2[away]) + 1.0)
-    rep.add("pair-minimum-unique", margin > 0.0, margin, "min v2 + 1 away from r=1")
+    add("pair-minimum-unique", margin > 0.0, margin, "min v2 + 1 away from r=1")
 
-    rep.add("pair-stationary-at-one", abs(float(p.v2.deriv(1.0))) <= 1e-10, abs(float(p.v2.deriv(1.0))))
-    rep.add("pair-curvature-at-one", float(p.v2.deriv2(1.0)) > 0.0, float(p.v2.deriv2(1.0)))
+    add("pair-stationary-at-one", abs(float(p.v2.deriv(1.0))) <= 1e-10, abs(float(p.v2.deriv(1.0))))
+    add("pair-curvature-at-one", float(p.v2.deriv2(1.0)) > 0.0, float(p.v2.deriv2(1.0)))
 
     tail = np.linspace(BOND_CUTOFF, 3.0, 257)
     cut_res = max(
@@ -273,9 +249,9 @@ def validate(p: PotentialSet) -> ValidationReport:
         float(np.max(np.abs(p.v2.deriv(tail)))),
         float(np.max(np.abs(p.v2.deriv2(tail)))),
     )
-    rep.add("pair-cutoff-exact", cut_res == 0.0, cut_res, "v2 and derivatives bit-zero beyond cutoff")
+    add("pair-cutoff-exact", cut_res == 0.0, cut_res, "v2 and derivatives bit-zero beyond cutoff")
 
-    rep.add("pair-range", float(np.min(v2)) >= -1.0 - 1e-12, float(np.min(v2)))
+    add("pair-range", float(np.min(v2)) >= -1.0 - 1e-12, float(np.min(v2)))
 
     h = 1e-6
     fd_d1 = _fd1(p.v2.value, r, h)
@@ -284,13 +260,13 @@ def validate(p: PotentialSet) -> ValidationReport:
     fd_d2 = _fd1(p.v2.deriv, r, h)
     an_d2 = p.v2.deriv2(r)
     res2 = float(np.max(np.abs(fd_d2 - an_d2) / _windowed_scale(an_d2)))
-    rep.add("pair-deriv-fd", max(res1, res2) <= 1e-6, max(res1, res2))
+    add("pair-deriv-fd", max(res1, res2) <= 1e-6, max(res1, res2))
 
     v3 = p.v3.value(a)
-    rep.add("angle-nonnegative", float(np.min(v3)) >= -1e-15, float(np.min(v3)))
+    add("angle-nonnegative", float(np.min(v3)) >= -1e-15, float(np.min(v3)))
 
     sym = float(np.max(np.abs(p.v3.value(a) - p.v3.value(2.0 * np.pi - a))))
-    rep.add("angle-symmetry", sym <= 1e-12, sym, "symmetry around pi")
+    add("angle-symmetry", sym <= 1e-12, sym, "symmetry around pi")
 
     z1 = abs(float(p.v3.value(TWO_THIRDS_PI)))
     z2 = abs(float(p.v3.value(2.0 * TWO_THIRDS_PI)))
@@ -298,14 +274,14 @@ def validate(p: PotentialSet) -> ValidationReport:
     floor_away = float(np.min(v3[~near])) if np.any(~near) else np.inf
     extra = floor_away <= 1e-12
     detail = "extra zero detected away from 2pi/3 and 4pi/3" if extra else ""
-    rep.add("angle-minimum-points", max(z1, z2) <= 1e-12 and not extra, max(z1, z2, 0.0 if not extra else 1.0), detail)
+    add("angle-minimum-points", max(z1, z2) <= 1e-12 and not extra, max(z1, z2, 0.0 if not extra else 1.0), detail)
 
-    rep.add(
+    add(
         "angle-stationary-at-min",
         abs(float(p.v3.deriv(TWO_THIRDS_PI))) <= 1e-10,
         abs(float(p.v3.deriv(TWO_THIRDS_PI))),
     )
-    rep.add("angle-curvature-at-min", float(p.v3.deriv2(TWO_THIRDS_PI)) > 0.0, float(p.v3.deriv2(TWO_THIRDS_PI)))
+    add("angle-curvature-at-min", float(p.v3.deriv2(TWO_THIRDS_PI)) > 0.0, float(p.v3.deriv2(TWO_THIRDS_PI)))
 
     fd_a1 = _fd1(p.v3.value, a, h)
     an_a1 = p.v3.deriv(a)
@@ -313,6 +289,6 @@ def validate(p: PotentialSet) -> ValidationReport:
     fd_a2 = _fd1(p.v3.deriv, a, h)
     an_a2 = p.v3.deriv2(a)
     resa2 = float(np.max(np.abs(fd_a2 - an_a2) / _windowed_scale(an_a2)))
-    rep.add("angle-deriv-fd", max(resa1, resa2) <= 1e-6, max(resa1, resa2))
+    add("angle-deriv-fd", max(resa1, resa2) <= 1e-6, max(resa1, resa2))
 
-    return rep
+    return {"passed": all(c["passed"] for c in checks), "checks": checks}

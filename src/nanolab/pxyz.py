@@ -14,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import PxyzFormatError
+from .errors import InvalidParameterError, PxyzFormatError
 from .geometry import Nanotube
 
 # 17 significant digits: enough for a bit-exact round trip of every double
@@ -96,6 +96,7 @@ def read_pxyz(path, ell: int | None = None, m: int | None = None) -> Nanotube:
 
     ell and m restore the label structure when known; otherwise the tube is
     returned with ell = n // 4, m = 1 (labels then carry no geometric meaning).
+    Raises InvalidParameterError for an ell or m below 1.
     """
     raw = _ascii_lines(path)
     if not raw:
@@ -129,6 +130,8 @@ def read_pxyz(path, ell: int | None = None, m: int | None = None) -> Nanotube:
         if n % 4 != 0:
             raise PxyzFormatError(f"atom count {n} is not a multiple of 4", line_number=1)
         ell, m = n // 4, 1
+    elif ell < 1 or m < 1:
+        raise InvalidParameterError(f"ell and m must be at least 1, got ell={ell}, m={m}")
     elif 4 * ell * m != n:
         raise PxyzFormatError(f"n={n} inconsistent with ell={ell}, m={m}", line_number=1)
     return Nanotube(pos.reshape(n, 3), period, ell, m)

@@ -21,23 +21,13 @@ from .errors import (
     OptimizationFailureError,
     VerificationFailureError,
 )
-from .geometry import ZigzagGeometry, gamma, solve_family
+from .geometry import ZigzagGeometry, beta, gamma, solve_family
 from .potentials import TWO_THIRDS_PI, PotentialSet
 
 ALPHA_LO = float(np.arccos(-0.4))
 ALPHA_HI = float(np.arccos(-0.6))
 LAMBDA_LO = 0.9
 LAMBDA_HI = 1.1
-
-
-def beta(alpha, gam):
-    """Out-of-plane bond angle 2*arcsin(sin(alpha)*sin(gam/2))."""
-    s = np.sin(alpha) * np.sin(0.5 * np.asarray(gam, dtype=float))
-    # the ufunc and method forms of clip and any: the same bits as np.clip and
-    # np.any, without their wrapper cost on the scalars of the angle solves
-    if (np.abs(s) > 1.0 + 1e-12).any():
-        raise DomainError("arcsin argument exceeds 1")
-    return 2.0 * np.arcsin(np.minimum(np.maximum(s, -1.0), 1.0))
 
 
 def beta_derivatives(alpha, gam):
@@ -71,12 +61,6 @@ class ReducedPoint:
     lam: float
     alpha1: float
     alpha2: float
-
-    @property
-    def lambda4(self) -> float:
-        # axial hexagon diameter: lambda1 - 2*lambda2*cos(alpha1) with
-        # lambda1 = mu/2 + lambda*cos(alpha1)
-        return float(0.5 * self.mu - self.lam * np.cos(self.alpha1))
 
 
 def sym_energy(pt: ReducedPoint, pots: PotentialSet):
@@ -427,8 +411,11 @@ def family_minima(mus, ell: int, pots: PotentialSet, m: int = 1):
     of the reduced energy at gamma_ell.
 
     The total energy of each minimizer is 2*m*ell times its per-cell reduced
-    value.  Returns (list of FamilyMinimum, the ReducedSolution).
+    value.  Returns (list of FamilyMinimum, the ReducedSolution).  Raises
+    InvalidParameterError for m < 1.
     """
+    if m < 1:
+        raise InvalidParameterError(f"m must be at least 1, got {m}")
     g = gamma(ell)
     mus = np.ravel(np.asarray(mus, dtype=float))
     sol = reduced_solve(mus, g, g, pots)

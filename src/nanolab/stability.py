@@ -1,8 +1,7 @@
 """Monte-Carlo verification that the optimal periodic tube is a strict local
 minimizer: seeded perturbation ensembles with a preserved bond graph, the full
 configurational Hessian spectrum (from the line-group Bloch blocks on family
-tubes, one dense eigensolve on any other tube), and per-cell lower-bound
-certificates.
+tubes, one dense eigensolve on any other tube).
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import cell_summary, total_symmetry_defect
+from .cells import total_symmetry_defect
 from .energy import (
     _norm3,
     bloch_blocks,
@@ -26,7 +25,7 @@ from .energy import (
 from .errors import EtaTooLargeError, InvalidParameterError, NotStationaryError
 from .geometry import Nanotube, build_nanotube
 from .potentials import BOND_CUTOFF, PotentialSet
-from .reduced import FamilyMinimum, minimize_family, reduced_hessian, reduced_solve
+from .reduced import minimize_family, reduced_hessian
 
 MODES = ("uniform-ball", "gaussian-clipped", "per-direction")
 
@@ -466,28 +465,3 @@ def null_space_report(tube: Nanotube, pots: PotentialSet, acoustic: bool = False
     if acoustic:
         report["acoustic_ratio"] = None if bloch is None else _acoustic_ratio(tube, pots, graph)
     return report
-
-
-def per_cell_certificate(tube: Nanotube, base: FamilyMinimum, pots: PotentialSet) -> dict:
-    """Per-cell lower bound: cell energy minus the reduced energy evaluated at
-    the measured dual-center distance and mean plane angle.
-
-    Reports the minimum margin and the empirical constant
-    C_hat = min over cells with delta > 1e-14 of margin / (delta / ell^2).
-    """
-    summ = cell_summary(tube, pots)
-    ell = tube.ell
-    tb = summ["theta_bar"]
-    margins = summ["energy"] - reduced_solve(summ["mu_tilde"], tb, tb, pots).value
-    delta = summ["delta"]
-    mask = delta > 1e-14
-    scaled = margins[mask] / (delta[mask] / ell**2) if np.any(mask) else np.array([])
-    return {
-        "n_cells": len(margins),
-        "min_margin": float(np.min(margins)),
-        "max_margin": float(np.max(margins)),
-        "margins": margins,
-        "delta": delta,
-        "delta_sum": float(np.sum(delta)),
-        "c_hat": float(np.min(scaled)) if len(scaled) else float("nan"),
-    }

@@ -10,15 +10,18 @@ angles with the Newton polish run to its step cap
 (reduced.reference_angles), the one-eigensolve-per-point dual scan
 (cellspec.constrained_rayleigh_min), the scan-plus-bisection fracture threshold
 (fracture.fracture_threshold) and the one-trial-at-a-time stability ensemble
-with a bond graph rebuilt for every draw (stability.stability_trial).
+with a bond graph rebuilt for every draw (stability.stability_trial).  The
+paper's per-cell lower-bound certificate lives here too: it is a check on a
+tube, run only by the tests.
 
 Also the per-value text I/O that pxyz.format_table, pxyz.write_pxyz and
 pxyz.read_pxyz replace, the bond-graph walk that finds one cell's atoms
 (checks cells.cell_atom_indices), the scalar bond angle, plane angle and
-neighbor table behind the vectorised cell and graph formulas, and the
-einsum, np.cross and np.linalg.norm forms of the energy, cell-angle, cell-frame
-and symmetry-defect kernels and the per-trial displacement draw that the
-explicit-component kernels and the chunked sampler must equal to the bit."""
+neighbor table behind the vectorised cell and graph formulas, the two cell
+reflections, and the einsum, np.cross and np.linalg.norm forms of the energy,
+cell-angle, cell-frame and symmetry-defect kernels and the per-trial
+displacement draw that the explicit-component kernels and the chunked sampler
+must equal to the bit."""
 
 import math
 from dataclasses import dataclass
@@ -37,8 +40,8 @@ from nanolab.cells import (
     cell_bond_lengths,
     cell_energies,
     cell_plane_angles,
-    reflect_s1,
-    reflect_s2,
+    cell_summary,
+    gather_cells,
     symmetrize,
     to_local,
 )
@@ -66,18 +69,26 @@ def pairs_brute(pos: np.ndarray, L: float, cutoff: float):
     return ii, jj, shifts[ii, jj], dist
 
 
+def adjacency(pairs, pair_shifts, n: int) -> list:
+    """adjacency[a] = [(b, t), ...] in b order over the n atoms of a bond
+    graph's pairs: the leg from a to b uses shift t (a pair (i, j) with shift
+    t is the leg j -> i at t and i -> j at -t)."""
+    adj = [[] for _ in range(n)]
+    for (a, b), t in zip(np.asarray(pairs).tolist(), np.asarray(pair_shifts).tolist()):
+        adj[a].append((b, -t))
+        adj[b].append((a, t))
+    return [sorted(row) for row in adj]
+
+
 def graph_brute(tube, cutoff: float = 1.1):
     """(pairs, pair_shifts, triples, triple_shifts) from the brute pair search
     and a Python loop over the angle triples at each vertex."""
     ii, jj, tt, _ = pairs_brute(tube.positions, tube.period, cutoff)
     pairs = np.stack([ii, jj], axis=1) if len(ii) else np.zeros((0, 2), dtype=int)
-    adjacency = [[] for _ in range(tube.n)]
-    for (a, b), t in zip(pairs, tt):
-        adjacency[a].append((int(b), -int(t)))
-        adjacency[b].append((int(a), int(t)))
+    adj = adjacency(pairs, tt, tube.n)
     trip, tsh = [], []
     for j in range(tube.n):
-        for (a, ta), (b, tb) in combinations(sorted(adjacency[j]), 2):
+        for (a, ta), (b, tb) in combinations(adj[j], 2):
             trip.append((a, j, b))
             tsh.append((ta, tb))
     triples = np.array(trip, dtype=int) if trip else np.zeros((0, 3), dtype=int)
@@ -148,8 +159,9 @@ def cell_plane_angles_cross(cells):
 
 
 def local_frames_einsum(cells):
-    """cells.local_frames on cells (..., 8, 3) with np.linalg.norm, np.cross
-    and an einsum dot product."""
+    """Origins and frames (rows e1, e2, e3) of cells (..., 8, 3), as
+    cells._frame builds them, with np.linalg.norm, np.cross and an einsum dot
+    product."""
     p = 0.5 * (cells[..., 0, :] + cells[..., 6, :])
     q = 0.5 * (cells[..., 1, :] + cells[..., 7, :])
     origin = 0.5 * (p + q)
@@ -185,6 +197,22 @@ def to_local_einsum(cells):
     """cells.to_local as one einsum over local_frames_einsum."""
     origin, frames = local_frames_einsum(cells)
     return np.einsum("...rc,...ac->...ar", frames, cells - origin[..., None, :])
+
+
+def reflect_s1(cells):
+    """Reflection S1 of cells (..., 8, 3): swap (x3, x6) and (x4, x5), negate
+    the second components."""
+    out = cells[..., [0, 1, 5, 4, 3, 2, 6, 7], :]
+    out[..., 1] *= -1.0
+    return out
+
+
+def reflect_s2(cells):
+    """Reflection S2 of cells (..., 8, 3): swap (x1, x2), (x3, x4), (x5, x6)
+    and (x7, x8), negate the first components."""
+    out = cells[..., [1, 0, 3, 2, 5, 4, 7, 6], :]
+    out[..., 0] *= -1.0
+    return out
 
 
 def symmetrize_reflect(cells_local):
@@ -279,9 +307,9 @@ def t_jacobian_fd(cell, step: float = 1e-6):
     for idx in range(24):
         x = flat.copy()
         x[idx] += step
-        fp = t_map(x.reshape(8, 3)).vector
+        fp = t_map(x.reshape(8, 3))
         x[idx] -= 2.0 * step
-        fm = t_map(x.reshape(8, 3)).vector
+        fm = t_map(x.reshape(8, 3))
         cols.append((fp - fm) / (2.0 * step))
     return np.stack(cols, axis=1)
 
@@ -289,10 +317,10 @@ def t_jacobian_fd(cell, step: float = 1e-6):
 def angle_sum_second_fd(cell, v, step: float = 1e-3):
     """Richardson-extrapolated second difference of the total angle sum (all
     three angle-sum functionals) along the direction v (8, 3)."""
-    from nanolab.cellspec import t_map
+    from nanolab.cellspec import ANGLE_SUM_VECTORS, t_map
 
     def total(c):
-        return float(np.sum(t_map(c).angle_sums()))
+        return float(np.sum(ANGLE_SUM_VECTORS @ t_map(c)[:10]))
 
     base = total(cell)
 
@@ -411,8 +439,8 @@ def reduced_energy_scalar(mu, gamma1, gamma2, pots, max_iter: int = 200):
 
 
 def beta_clip(alpha, gam):
-    """reduced.beta through np.clip and np.any, the wrappers its ufunc and
-    method calls replace."""
+    """reduced.beta with a domain check on the arcsin argument and np.clip
+    onto [-1, 1], neither of which can act on real input."""
     s = np.sin(alpha) * np.sin(0.5 * np.asarray(gam, dtype=float))
     if np.any(np.abs(s) > 1.0 + 1e-12):
         raise DomainError("arcsin argument exceeds 1")
@@ -556,13 +584,14 @@ def fracture_threshold_scan(ell: int, m: int, pots, window: float = 0.12) -> flo
     of COARSE_STEPS points over [mu_us, min(mu_us + window, 3.1 - 1e-9)] plus
     bisection to BISECTION_TOL, one scalar reduced solve per evaluation.
     Raises WindowTooSmallError without a crossing."""
+    from nanolab.energy import family_energy
     from nanolab.errors import WindowTooSmallError
-    from nanolab.fracture import cleaved_energy
-    from nanolab.geometry import gamma
+    from nanolab.geometry import gamma, solve_family
     from nanolab.reduced import reference_angles
 
     mu_us = reference_angles(ell, pots).mu_us
-    e_cleaved = cleaved_energy(ell, m, pots)
+    # the unstretched unit-bond tube plus one unit per severed bond, 4 ell of them
+    e_cleaved = family_energy(solve_family(ell, mu_us, 1.0, 1.0), m, pots) + 4.0 * ell
     g = gamma(ell)
 
     def excess(mu):
@@ -745,6 +774,32 @@ def plane_angle_theta(x, neighbor1, neighbor2, axial) -> float:
     return float(plane_angle_einsum(n1, n2))
 
 
+def per_cell_certificate(tube, pots) -> dict:
+    """Per-cell lower bound: each cell's energy minus the reduced energy at the
+    cell's dual-center distance and mean plane angle, its margin.
+
+    Reports the smallest and largest margin, the summed symmetry defect and
+    the empirical constant C_hat = min over cells with delta > 1e-14 of
+    margin / (delta / ell^2).
+    """
+    from nanolab.reduced import reduced_solve
+
+    summ = cell_summary(tube, pots)
+    x = gather_cells(tube).reshape(-1, 8, 3)
+    mu_tilde = np.linalg.norm(0.5 * (x[:, 1] + x[:, 7]) - 0.5 * (x[:, 0] + x[:, 6]), axis=-1)
+    theta_bar = summ["theta"].mean(axis=-1)
+    margins = summ["energy"] - reduced_solve(mu_tilde, theta_bar, theta_bar, pots).value
+    delta = summ["delta"]
+    mask = delta > 1e-14
+    scaled = margins[mask] / (delta[mask] / tube.ell**2)
+    return {
+        "min_margin": float(np.min(margins)),
+        "max_margin": float(np.max(margins)),
+        "delta_sum": float(np.sum(delta)),
+        "c_hat": float(np.min(scaled)) if len(scaled) else float("nan"),
+    }
+
+
 @dataclass
 class CellView:
     """One extracted cell: unwrapped coordinates plus derived quantities."""
@@ -828,7 +883,7 @@ def extract_cell(tube: Nanotube, center: tuple, graph=None) -> CellView:
     i, j, k = center
     a1 = flat_index(tube.ell, tube.m, i, j, k, 0)
     a2 = flat_index(tube.ell, tube.m, i, j, k, 1)
-    adj = graph.adjacency
+    adj = adjacency(graph.pairs, graph.pair_shifts, graph.n)
 
     def nbrs(a):
         out = [b for b, _ in adj[a]]

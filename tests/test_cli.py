@@ -56,8 +56,36 @@ def test_reduced_csv(tmp_path):
     assert len(lines) == 4
     assert lines[0].split(",")[0] == "mu"
     row = [float(v) for v in lines[1].split(",")]
-    assert len(row) == 9
+    assert len(row) == 10
     assert row[6] > 0.0  # positive-definite reduced Hessian along the sweep
+    assert lines[1].split(",")[9] == "0"  # no inner variable pinned at the box
+
+
+@pytest.mark.filterwarnings("ignore::nanolab.errors.BoundaryWarning")
+@pytest.mark.parametrize(
+    "args, counts",
+    [
+        (["--ell", "12", "--pots", "stiff", "--mu-grid", "2.70:3.09:79"], {"0": 59, "2": 20}),
+        (["--ell", "64", "--mu-grid", "2.96:3.02:61"], {"0": 61}),
+    ],
+    ids=["stiff-12", "soft-64"],
+)
+def test_reduced_marks_pinned_rows(tmp_path, args, counts):
+    # stiff ell = 12 far below mu_us puts both alphas on ALPHA_LO
+    out = tmp_path / "r.csv"
+    assert run(["reduced", *args, "-o", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0].split(",")[-1] == "n_pinned"
+    pinned = [line.split(",")[-1] for line in lines[1:]]
+    assert {v: pinned.count(v) for v in set(pinned)} == counts
+
+
+@pytest.mark.parametrize("m", ["0", "-2"])
+def test_reduced_rejects_m_below_one(tmp_path, capsys, m):
+    out = tmp_path / "r.csv"
+    assert run(["reduced", "--ell", "12", "--m", m, "--mu-grid", "2.95:2.96:2", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"nanolab: m must be at least 1, got {m}\n"
+    assert not out.exists()
 
 
 def test_stability_command(tmp_path):
@@ -288,6 +316,27 @@ def test_fracture_rejects_single_m(tmp_path, capsys, m_list):
     out = tmp_path / "f.json"
     assert run(["fracture", "--ell", "12", "--m-list", m_list, "-o", str(out)]) == 1
     assert "distinct m" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("window", ["nan", "inf", "0", "-0.1"])
+def test_fracture_rejects_window_not_finite_and_positive(tmp_path, capsys, window):
+    out = tmp_path / "f.json"
+    assert run(["fracture", "--ell", "12", "--window", window, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nanolab: window must be finite and positive") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cells", "energy"])
+def test_labels_below_one_exit_one(tmp_path, capsys, command):
+    # 4 * (-12) * (-4) is the atom count of the file, so only the sign of the
+    # labels is wrong
+    tube_path = str(tmp_path / "t.pxyz")
+    run(["generate", "--ell", "12", "--m", "4", "--mu", "2.95", "--lambda1", "1", "--lambda2", "1", "-o", tube_path])
+    out = tmp_path / "out"
+    assert run([command, "--in", tube_path, "--ell", "-12", "--m", "-4", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "nanolab: ell and m must be at least 1, got ell=-12, m=-4\n"
     assert not out.exists()
 
 

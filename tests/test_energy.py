@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import E1, assert_graph_equals_brute, bond_angle, expected_neighbors, hessian_fd, pairs_brute
+from oracle import E1, adjacency, assert_graph_equals_brute, bond_angle, expected_neighbors, hessian_fd, pairs_brute
 
 from nanolab import energy, geometry
 from nanolab.energy import (
@@ -68,12 +68,16 @@ def _brute_pair_set(t):
     return set(zip(ii.tolist(), jj.tolist()))
 
 
+def _pair_set(graph):
+    return set(map(tuple, graph.pairs.tolist()))
+
+
 def test_grid_matches_brute_force(tube, rng):
     g1 = bond_graph(tube)
-    assert g1.pair_set() == _brute_pair_set(tube)
+    assert _pair_set(g1) == _brute_pair_set(tube)
     pos = tube.positions + 5e-2 * rng.standard_normal(tube.positions.shape)
     t2 = tube.with_positions(pos)
-    assert bond_graph(t2).pair_set() == _brute_pair_set(t2)
+    assert _pair_set(bond_graph(t2)) == _brute_pair_set(t2)
 
 
 def test_cutoff_is_strict():
@@ -149,11 +153,13 @@ def test_degrees_and_adjacency_match_pairs(tube12):
         counts[a] += 1
         counts[b] += 1
     assert np.array_equal(g.degrees(), counts)
+    # the neighbor lists the oracle's cell walk reads, from pairs and pair_shifts
+    adj = adjacency(g.pairs, g.pair_shifts, g.n)
     for (a, b), t in zip(g.pairs, g.pair_shifts):
-        assert (int(b), -int(t)) in g.adjacency[a]
-        assert (int(a), int(t)) in g.adjacency[b]
-    assert [len(row) for row in g.adjacency] == counts.tolist()
-    assert all(row == sorted(row) for row in g.adjacency)
+        assert (int(b), -int(t)) in adj[a]
+        assert (int(a), int(t)) in adj[b]
+    assert [len(row) for row in adj] == counts.tolist()
+    assert all(row == sorted(row) for row in adj)
 
 
 def test_single_atom_empty_graph():
@@ -338,8 +344,9 @@ def test_energy_continuity_across_bond_graph_change(pots_soft):
 
 def test_geometric_bonds_equal_combinatorial_neighbors(tube):
     graph = bond_graph(tube)
+    adj = adjacency(graph.pairs, graph.pair_shifts, graph.n)
     for idx in range(tube.n):
-        got = {b for b, _ in graph.adjacency[idx]}
+        got = {b for b, _ in adj[idx]}
         want = {
             tube.atom_index(nb) for nb, _ in expected_neighbors(tube.atom_id(idx), tube.ell, tube.m)
         }

@@ -5,7 +5,7 @@ from scipy.optimize import brentq
 
 from nanolab.energy import family_energy
 from nanolab.errors import InvalidParameterError, NotCleavedWarning, WindowTooSmallError
-from nanolab.fracture import build_cleaved, cleaved_energy, fracture_scaling, fracture_threshold
+from nanolab.fracture import build_cleaved, fracture_scaling, fracture_threshold
 from nanolab.geometry import build_nanotube, gamma, solve_family
 from nanolab.reduced import minimize_family, reduced_energy, reduced_hessian, reference_angles
 from nanolab.stability import PerturbationSpec, null_space_report, stability_trial
@@ -78,7 +78,8 @@ def test_threshold_matches_crossing_equation(refs12, pots_soft):
 def test_energy_comparison_identity(refs12, pots_soft):
     # E(cleaved) - E(optimal at mu) = 4*ell + E_min(mu_us) - E_min(mu)
     m, mu = 8, refs12.mu_us + 0.03
-    lhs = cleaved_energy(12, m, pots_soft) - minimize_family(mu, 12, pots_soft, m=m).energy
+    e_cleaved = family_energy(solve_family(12, refs12.mu_us, 1.0, 1.0), m, pots_soft) + 4 * 12
+    lhs = e_cleaved - minimize_family(mu, 12, pots_soft, m=m).energy
     rhs = (
         4 * 12
         + minimize_family(refs12.mu_us, 12, pots_soft, m=m).energy

@@ -57,12 +57,12 @@ def test_angle_symmetry_and_nonnegativity(pots_soft):
 def test_validate_passes_for_both_presets(pots_soft, pots_stiff):
     for p in (pots_soft, pots_stiff):
         rep = validate(p)
-        assert rep.passed, [c.name for c in rep.checks if not c.passed]
+        assert rep["passed"], [c["name"] for c in rep["checks"] if not c["passed"]]
 
 
 def _checks(p: PotentialSet) -> dict:
     """validate(p)'s checks by name."""
-    return {c.name: c for c in validate(p).checks}
+    return {c["name"]: c for c in validate(p)["checks"]}
 
 
 class _HalvedPair(PairPotential):
@@ -78,8 +78,8 @@ class _HalvedPair(PairPotential):
 
 def test_validate_flags_wrong_minimum_value():
     p = PotentialSet(_HalvedPair(400.0), AnglePotential(400.0))
-    assert not _checks(p)["pair-minimum-value"].passed
-    assert not validate(p).passed
+    assert not _checks(p)["pair-minimum-value"]["passed"]
+    assert not validate(p)["passed"]
 
 
 class _AsymmetricAngle(AnglePotential):
@@ -89,7 +89,7 @@ class _AsymmetricAngle(AnglePotential):
 
 def test_validate_flags_asymmetric_angle_potential():
     p = PotentialSet(PairPotential(400.0), _AsymmetricAngle(400.0))
-    assert not _checks(p)["angle-symmetry"].passed
+    assert not _checks(p)["angle-symmetry"]["passed"]
 
 
 def test_validate_flags_extra_angle_zero():
@@ -107,8 +107,8 @@ def test_validate_flags_extra_angle_zero():
             return (self.value(a + h) - 2 * self.value(a) + self.value(a - h)) / h**2
 
     rep = _checks(PotentialSet(PairPotential(400.0), _Zeroish(400.0)))
-    assert not rep["angle-minimum-points"].passed
-    assert "extra zero" in rep["angle-minimum-points"].detail
+    assert not rep["angle-minimum-points"]["passed"]
+    assert "extra zero" in rep["angle-minimum-points"]["detail"]
 
 
 def test_json_loading_roundtrip(tmp_path):
@@ -119,7 +119,7 @@ def test_json_loading_roundtrip(tmp_path):
     assert p.name == "custom-soft"
     assert p.v2.value(1.0) == pytest.approx(-1.0)
     assert p.v2.value(1.09) == 0.0
-    assert validate(p).passed
+    assert validate(p)["passed"]
 
 
 def test_json_rejects_cutoff_beyond_bond_cutoff():
@@ -139,5 +139,5 @@ def test_derivatives_match_finite_differences_everywhere(pots_soft):
     # includes the mollifier window, where magnitudes are checked against a
     # locally windowed scale
     rep = _checks(pots_soft)
-    assert rep["pair-deriv-fd"].residual <= 1e-6
-    assert rep["angle-deriv-fd"].residual <= 1e-6
+    assert rep["pair-deriv-fd"]["residual"] <= 1e-6
+    assert rep["angle-deriv-fd"]["residual"] <= 1e-6

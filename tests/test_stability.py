@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracle import assert_graph_equals_brute, displacement, graph_brute, hessian_fd, sample_perturbation_rebuild, stability_trial_loop
+from oracle import (
+    assert_graph_equals_brute,
+    displacement,
+    graph_brute,
+    hessian_fd,
+    per_cell_certificate,
+    sample_perturbation_rebuild,
+    stability_trial_loop,
+)
 
 import nanolab.stability as stab
 from nanolab.energy import bond_graph, gradient
@@ -16,7 +24,6 @@ from nanolab.stability import (
     hessian_spectrum,
     isometry_directions,
     null_space_report,
-    per_cell_certificate,
     sample_perturbation,
     sample_perturbations,
     stability_trial,
@@ -62,7 +69,7 @@ def test_samples_respect_cap_and_bond_graph(base, mode):
         sample, graph, _ = sample_perturbation(tube0, spec, trial=trial, band=band)
         disp = np.linalg.norm(sample.positions - tube0.positions, axis=1)
         assert np.max(disp) <= 1e-3 + 1e-15
-        assert graph.pair_set() == graph0.pair_set()
+        assert np.array_equal(graph.pairs, graph0.pairs)
         assert sample.period == tube0.period
 
 
@@ -372,8 +379,8 @@ def test_isometry_directions_orthonormal(base):
 
 
 def test_certificate_zero_on_unperturbed(base, pots_soft):
-    tube0, fam, _ = base
-    rep = per_cell_certificate(tube0, fam, pots_soft)
+    tube0, _, _ = base
+    rep = per_cell_certificate(tube0, pots_soft)
     assert abs(rep["min_margin"]) <= 1e-9
     assert abs(rep["max_margin"]) <= 1e-9
     assert rep["delta_sum"] <= 1e-20
@@ -385,7 +392,7 @@ def test_certificate_positive_on_samples(ell, pots_soft):
     fam = minimize_family(refs.mu_us, ell, pots_soft, m=2)
     tube0 = build_nanotube(fam.geometry, 2)
     sample, _, _ = sample_perturbation(tube0, PerturbationSpec(eta=1e-3, seed=13, count=1))
-    rep = per_cell_certificate(sample, fam, pots_soft)
+    rep = per_cell_certificate(sample, pots_soft)
     assert rep["min_margin"] >= 0.0
     assert rep["c_hat"] > 0.0
 
