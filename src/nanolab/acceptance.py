@@ -207,7 +207,8 @@ def radius_trend(size, seed) -> dict:
 def angle_sum(size, seed) -> dict:
     """The plane-angle sum is exact on the optimal (12, m) tube, and on its
     perturbations the excess over it divided by the summed symmetry defect is
-    finite; size is (m, samples)."""
+    finite; size is (m, samples).  excess_over_delta_max is None when no
+    perturbation has a defect above 1e-14."""
     base, _, positions = _ensemble(*size, seed)
     target = 4 * base.m * (2 * base.ell - 2) * np.pi
     base_residual = abs(cells.angle_sum(base) - target)
@@ -218,7 +219,7 @@ def angle_sum(size, seed) -> dict:
     return {
         "passed": ok,
         "unperturbed_residual": base_residual,
-        "excess_over_delta_max": float(np.max(ratios, initial=-np.inf)),
+        "excess_over_delta_max": float(np.max(ratios)) if len(ratios) else None,
     }
 
 

@@ -14,8 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .energy import BondGraph, _bond_angles, _bond_lengths, _cross3, _dot3, _image_shift, _norm3, _sum24
-from .errors import DegenerateGeometryError, InvalidCellError
+from .energy import BondGraph, _bond_angles, _bond_lengths, _cos_angle, _cross3, _dot3, _image_shift, _norm3, _sum24
+from .errors import InvalidCellError
 from .geometry import Nanotube, flat_index
 from .potentials import PotentialSet
 
@@ -161,12 +161,7 @@ def cell_energies(cells: np.ndarray, pots: PotentialSet) -> np.ndarray:
 
 
 def _plane_angle(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
-    a1 = _norm3(n1)
-    a2 = _norm3(n2)
-    if np.any(a1 < 1e-14) or np.any(a2 < 1e-14):
-        raise DegenerateGeometryError("collinear points define no plane")
-    c = np.clip(_dot3(n1, n2) / (a1 * a2), -1.0, 1.0)
-    t = np.arccos(c)
+    t = np.arccos(_cos_angle(n1, n2, 1e-14, "collinear points define no plane")[0])
     return np.maximum(t, np.pi - t)
 
 

@@ -232,8 +232,9 @@ def tilde_derivative_signs(ells, pots: PotentialSet, cells=None) -> dict:
     Bond entries of the gradient vanish (unit bonds at the pair minimum); angle
     entries are strictly negative with magnitude of order 1/ell^2; the Hessian
     is diagonal with entries in a fixed positive band.  cells, when given,
-    holds the kink cell of each ell (see kink_cell).  Raises
-    VerificationFailureError on a sign violation.
+    holds the kink cell of each ell (see kink_cell).  scaling_slope, the
+    log-log slope of the mean angle entry over ell, is None for one ell.
+    Raises VerificationFailureError on a sign violation.
     """
     rows = []
     for ell, cell in zip(ells, cells or [None] * len(ells)):
@@ -259,7 +260,7 @@ def tilde_derivative_signs(ells, pots: PotentialSet, cells=None) -> dict:
         )
     ells_arr = np.array([r["ell"] for r in rows], dtype=float)
     mags = np.array([np.mean(-r["angle_grad"]) for r in rows])
-    slope = float(np.polyfit(np.log(ells_arr), np.log(mags), 1)[0]) if len(rows) > 1 else float("nan")
+    slope = float(np.polyfit(np.log(ells_arr), np.log(mags), 1)[0]) if len(rows) > 1 else None
     return {"rows": rows, "scaling_slope": slope}
 
 
@@ -331,32 +332,26 @@ def constrained_rayleigh_min(hess: np.ndarray, span: np.ndarray, r: float) -> di
     return {"lower": float(max(lower, vals[0] if best == 0 else lower)), "upper": upper, "nu": float(nu_star)}
 
 
-def angle_sum_concavity(n_samples: int = 200, seed: int = 0) -> dict:
-    """Second directional derivative of the total angle sum at the planar
-    reference, sampled over the degenerate-plus-bad span.
+def angle_sum_concavity() -> dict:
+    """Angle-sum concavity constant c_kink at the planar reference, exactly:
+    -lambda_max of the analytic angle-sum Hessian H on the five bad directions
+    with their rigid-motion parts projected out.  Also the rate -w'Hw/|w|^2
+    of each such direction w (ratios).
 
-    The sum of all three angle-sum functionals decreases at second order in
-    any such direction, at a rate controlled by the out-of-plane component.
-    Each sample's second derivative is v^T H v with H the analytic Hessian of
-    the weighted angle sum.
+    The angle sum is invariant under rigid motions and stationary at the
+    planar reference, so H annihilates the six rigid directions and c_kink is
+    the least rate -v'Hv/|v_perp|^2 over the whole degenerate-plus-bad span,
+    v_perp the part of v off the rigid motions.
     """
-    x0 = planar_reference()
     basis = cell_basis()
-    span = np.concatenate([basis.degenerate, basis.bad], axis=0).reshape(-1, 24)
     qdeg, _ = np.linalg.qr(basis.degenerate.reshape(6, 24).T)
+    bad = basis.bad.reshape(5, 24)
+    perp = bad - (bad @ qdeg) @ qdeg.T
+    q, _ = np.linalg.qr(perp.T)
     # the angle sum is the cell's term sum with zero bond weights
-    hess = term_hessian(x0, CELL_GRAPH, _Identity, _Identity, 0.0, ANGLE_SUM_VECTORS.sum(axis=0))
-
-    coef = np.zeros((5, 11))
-    coef[np.arange(5), 6 + np.arange(5)] = 1.0
-    coef = np.concatenate([coef, np.random.default_rng(seed).standard_normal((n_samples, 11))])
-    v = coef @ span
-    v /= np.linalg.norm(v, axis=1)[:, None]
-    resid = np.linalg.norm(v - (v @ qdeg) @ qdeg.T, axis=1)
-    keep = resid >= 1e-8
-    v, resid = v[keep], resid[keep]
-    ratios = -np.einsum("si,ij,sj->s", v, hess, v) / resid**2
-    return {"c_kink": float(np.min(ratios)), "n_samples": len(ratios), "ratios": ratios}
+    hess = term_hessian(planar_reference(), CELL_GRAPH, _Identity, _Identity, 0.0, ANGLE_SUM_VECTORS.sum(axis=0))
+    ratios = -np.einsum("bi,ij,bj->b", perp, hess, perp) / np.sum(perp**2, axis=1)
+    return {"c_kink": float(-np.linalg.eigvalsh(q.T @ hess @ q)[-1]), "ratios": ratios}
 
 
 def cell_hessian_convexity(ell: int, pots: PotentialSet, r: float = 0.9, cell=None, c_kink=None) -> dict:

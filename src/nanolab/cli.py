@@ -56,7 +56,7 @@ def _emit(text: str, out: str | None) -> None:
 def _emit_json(payload: dict, out: str | None) -> None:
     payload = dict(payload)
     payload["schema_version"] = SCHEMA_VERSION
-    _emit(json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n", out)
+    _emit(json.dumps(_sanitize(payload), sort_keys=True, indent=2, allow_nan=False) + "\n", out)
 
 
 def _emit_csv(header, columns, out: str | None) -> None:
@@ -68,8 +68,12 @@ def _read_tube(args) -> geometry.Nanotube:
     return pxyz.read_pxyz(args.infile, ell=args.ell, m=args.m)
 
 
-def _int_list(text: str):
-    return [int(v) for v in text.split(",") if v]
+def _int_list(option: str, text: str):
+    """The integers of the comma-separated list text of option; refuses an empty or non-integer item."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise InvalidParameterError(f"{option} must be comma-separated integers, got {text!r}") from None
 
 
 def cmd_generate(args) -> int:
@@ -175,7 +179,7 @@ def cmd_stability(args) -> int:
 
 def cmd_fracture(args) -> int:
     pots = potentials.load(args.pots)
-    scaling = fracture.fracture_scaling(args.ell, _int_list(args.m_list), pots, window=args.window)
+    scaling = fracture.fracture_scaling(args.ell, _int_list("--m-list", args.m_list), pots, window=args.window)
     if args.out_csv:
         rows = scaling["rows"]
         columns = [[r["m"] for r in rows], [[r["mu_frac"], r["offset_sqrt_m"]] for r in rows]]
@@ -197,7 +201,7 @@ def cmd_fracture(args) -> int:
 
 def cmd_verify_cell(args) -> int:
     pots = potentials.load(args.pots)
-    ells = _int_list(args.ell)
+    ells = _int_list("--ell", args.ell)
     # one kink cell per ell for both checks; an ell below 16 makes
     # cell_convexity raise before tilde_derivative_signs runs
     cells = [cellspec.kink_cell(ell, pots) if ell >= 16 else None for ell in ells]

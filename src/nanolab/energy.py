@@ -223,15 +223,21 @@ def _bond_lengths(pos, graph: BondGraph):
     return _norm3(_bond_vectors(pos, graph))
 
 
+def _cos_angle(u, v, floor: float = 0.0, what: str = "zero-length bond leg"):
+    """(cos(theta), |u|, |v|) over the last axis, theta the angle between u and
+    v: the one angle formula, of bond angles, angle terms and cell plane
+    angles.  Raises DegenerateGeometryError(what) when a norm is <= floor."""
+    nu = _norm3(u)
+    nv = _norm3(v)
+    if np.any(np.minimum(nu, nv) <= floor):
+        raise DegenerateGeometryError(what)
+    return np.clip(_dot3(u, v) / (nu * nv), -1.0, 1.0), nu, nv
+
+
 def _bond_angles(pos, graph: BondGraph):
     """Angle of every triple of graph in each configuration of the stack pos;
     raises DegenerateGeometryError on a zero-length leg."""
-    u, v = _leg_vectors(pos, graph)
-    nu = _norm3(u)
-    nv = _norm3(v)
-    if np.any(nu == 0.0) or np.any(nv == 0.0):
-        raise DegenerateGeometryError("zero-length bond leg")
-    return np.arccos(np.clip(_dot3(u, v) / (nu * nv), -1.0, 1.0))
+    return np.arccos(_cos_angle(*_leg_vectors(pos, graph))[0])
 
 
 def total_energy(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = None, positions=None):
@@ -279,7 +285,7 @@ def _bond_term(d, v2, w=1.0, second=False):
     K = w (v2'' rh rh^T + (v2'/r)(I - rh rh^T)); otherwise block is None.
     Raises DegenerateGeometryError on a zero-length bond.
     """
-    r = np.linalg.norm(d, axis=1)
+    r = _norm3(d)
     if np.any(r == 0.0):
         raise DegenerateGeometryError("zero-length bond")
     d1 = w * v2.deriv(r)
@@ -294,7 +300,7 @@ def _bond_term(d, v2, w=1.0, second=False):
 def _angle_term(u, v, v3, w=1.0, second=False):
     """Derivatives of the angle terms w*v3(theta), theta the angle between the
     legs u[t] = x_i - x_j and v[t] = x_k - x_j, by the chain rule through
-    c = cos(theta) = uh.vh.
+    c = cos(theta) = uh.vh (from _cos_angle).
 
     With gu = dc/du = P_u vh/|u|, gv = dc/dv, E_c = -w v3'/sin(theta) and
     E_cc = (w v3'' + E_c c)/sin(theta)^2, returns (grad, block): grad[t]
@@ -305,13 +311,9 @@ def _angle_term(u, v, v3, w=1.0, second=False):
     Raises DegenerateGeometryError on a zero-length leg and, with second, on
     an angle within 1e-5 rad of 0 or pi.
     """
-    nu = np.linalg.norm(u, axis=1)
-    nv = np.linalg.norm(v, axis=1)
-    if np.any(nu == 0.0) or np.any(nv == 0.0):
-        raise DegenerateGeometryError("zero-length bond leg")
+    c, nu, nv = _cos_angle(u, v)
     uh = u / nu[:, None]
     vh = v / nv[:, None]
-    c = np.clip(np.einsum("ij,ij->i", uh, vh), -1.0, 1.0)
     s = np.sqrt(np.maximum(1.0 - c**2, 1e-30))
     theta = np.arccos(c)
     e_c = -(w * v3.deriv(theta)) / s

@@ -206,8 +206,12 @@ def reduced_solve(mu, gamma1, gamma2, pots: PotentialSet):
     by.  Raises OptimizationFailureError when a point does neither within
     MAX_ITER iterations, and warns (BoundaryWarning) when a minimizer sits on
     the box boundary.  Returns a ReducedSolution over the flattened points.
+    Raises InvalidParameterError on a non-finite mu, gamma1 or gamma2.
     """
     mu, gamma1, gamma2 = (np.ravel(v).astype(float) for v in np.broadcast_arrays(mu, gamma1, gamma2))
+    for name, v in (("mu", mu), ("gamma1", gamma1), ("gamma2", gamma2)):
+        if not np.all(np.isfinite(v)):
+            raise InvalidParameterError(f"{name} must be finite, got {v[~np.isfinite(v)][0]}")
     n = len(mu)
 
     def energy_at(rows, y):
@@ -299,28 +303,6 @@ class ReferenceAngles:
     beta_us: float
 
 
-def _alpha_ch(ell: int) -> float:
-    g = gamma(ell)
-    lo, hi = ALPHA_LO, ALPHA_HI
-
-    def f(a):
-        return beta(a, g) - a
-
-    flo, fhi = f(lo), f(hi)
-    if flo * fhi > 0:
-        raise DomainError("no sign change for the polyhedral-angle bisection")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0 or hi - lo < 1e-13:
-            break
-        if flo * fm < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
 def golden_section_min(f, a: float, b: float, steps: int) -> float:
     """Midpoint of the bracket [a, b] after steps golden-section steps toward
     a minimum of the unimodal f."""
@@ -345,7 +327,9 @@ _POLISH_STEPS = 60
 
 
 def reference_angles(ell: int, pots: PotentialSet) -> ReferenceAngles:
-    """Solve for alpha_ch (fixed point of beta) and alpha_us (angle-energy minimizer)."""
+    """alpha_ch, the fixed point of beta(., gamma_ell), in closed form: sin(a/2) =
+    sin(a) sin(g/2) gives alpha_ch = 2 arccos(1/(2 sin(g/2))).  alpha_us, the
+    angle-energy minimizer, by golden section and a Newton polish."""
     if ell <= 3:
         raise InvalidParameterError(f"ell must exceed 3, got {ell}")
     g = gamma(ell)
@@ -384,7 +368,7 @@ def reference_angles(ell: int, pots: PotentialSet) -> ReferenceAngles:
     return ReferenceAngles(
         ell=ell,
         alpha_ru=TWO_THIRDS_PI,
-        alpha_ch=_alpha_ch(ell),
+        alpha_ch=float(2.0 * np.arccos(0.5 / np.sin(0.5 * g))),
         alpha_us=alpha_us,
         mu_us=float(2.0 - 2.0 * np.cos(alpha_us)),
         beta_us=float(beta(alpha_us, g)),

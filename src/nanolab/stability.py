@@ -212,11 +212,13 @@ def stability_trial(
     Trials are drawn, vetted and scored a chunk at a time (_chunks); each
     trial's result depends only on its index, and the report lists them in
     trial order.  graph_rebuilds counts the draws that rebuilt their bond
-    graph because the band could not vet them.  Raises InvalidParameterError
-    at eta = 0, where every sample is the base tube, and when a sample that
-    moved has an energy gap within the round-off floor _GAP_ROUNDOFF * eps *
-    |E_base|, where its sign is not resolved: at an eta too small for the
-    energy to see, or at a gap too close to zero to call a counterexample.
+    graph because the band could not vet them, and the gap_ratio statistics
+    are None when no sample has a symmetry defect above 1e-14.  Raises
+    InvalidParameterError at eta = 0, where every sample is the base tube, and
+    when a sample has an energy gap within the round-off floor _GAP_ROUNDOFF *
+    eps * |E_base|, where its sign is not resolved: at an eta too small for
+    the energy to see (a sample no atom of which moved has a gap of exactly
+    0), or at a gap too close to zero to call a counterexample.
     """
     if spec.eta == 0.0:
         raise InvalidParameterError("eta must be positive for a stability ensemble: at eta = 0 no sample moves")
@@ -227,33 +229,30 @@ def stability_trial(
 
     gaps = np.empty(spec.count)
     delta_sums = np.full(spec.count, np.nan)
-    trivial = np.zeros(spec.count, dtype=bool)
     failures = []
     rejections = 0
     for trials in _chunks(spec.count, base.n):
         stack, graphs, rej = sample_perturbations(base, spec, trials, band)
         rejections += rej
-        trivial[trials] = np.max(np.abs(stack - base.positions), axis=(1, 2)) == 0.0
         if band.fixed_images:
             gaps[trials] = total_energy(base, pots, band.graph, positions=stack) - e_base
         else:
             gaps[trials] = [total_energy(base, pots, g, positions=x) - e_base for g, x in zip(graphs, stack)]
         if collect_ratios:
             delta_sums[trials] = total_symmetry_defect(base, positions=stack)
-        for k in np.flatnonzero((gaps[trials] <= 0.0) & ~trivial[trials]):
+        for k in np.flatnonzero(gaps[trials] <= 0.0):
             trial = int(trials[k])
             failures.append({"trial": trial, "energy_gap": float(gaps[trial]), "positions": stack[k].copy()})
     floor = _GAP_ROUNDOFF * np.finfo(float).eps * abs(e_base)
-    unresolved = int(np.sum(~trivial & (np.abs(gaps) <= floor)))
+    unresolved = int(np.sum(np.abs(gaps) <= floor))
     if unresolved:
         raise InvalidParameterError(
             f"eta={spec.eta}: {unresolved} samples have |energy gap| <= {floor:.3e}, the round-off floor "
             f"of the energy, where rounding can flip the sign of a gap"
         )
     failures.sort(key=lambda f: f["trial"])
-    with_ratio = ~trivial & (delta_sums > 1e-14)
+    with_ratio = delta_sums > 1e-14
     ratios = gaps[with_ratio] / delta_sums[with_ratio]
-    gaps = gaps[~trivial]
     report = {
         "mu": mu,
         "ell": ell,
@@ -262,17 +261,16 @@ def stability_trial(
         "seed": spec.seed,
         "mode": spec.mode,
         "count": spec.count,
-        "evaluated": int(len(gaps)),
-        "skipped_trivial": int(np.sum(trivial)),
+        "evaluated": spec.count,
         "rejections": rejections,
         "graph_rebuilds": 0 if band.fixed_images else spec.count + rejections,
         "base_energy": e_base,
-        "min_gap": float(np.min(gaps)) if len(gaps) else float("nan"),
-        "max_gap": float(np.max(gaps)) if len(gaps) else float("nan"),
-        "mean_gap": float(np.mean(gaps)) if len(gaps) else float("nan"),
-        "gap_ratio_min": float(np.min(ratios)) if len(ratios) else float("nan"),
-        "gap_ratio_median": float(np.median(ratios)) if len(ratios) else float("nan"),
-        "gap_ratio_max": float(np.max(ratios)) if len(ratios) else float("nan"),
+        "min_gap": float(np.min(gaps)),
+        "max_gap": float(np.max(gaps)),
+        "mean_gap": float(np.mean(gaps)),
+        "gap_ratio_min": float(np.min(ratios)) if len(ratios) else None,
+        "gap_ratio_median": float(np.median(ratios)) if len(ratios) else None,
+        "gap_ratio_max": float(np.max(ratios)) if len(ratios) else None,
         "n_failures": len(failures),
         "failures": failures,
     }
@@ -431,7 +429,8 @@ def null_space_report(tube: Nanotube, pots: PotentialSet, acoustic: bool = False
     eigenvalues, and only those blocks are solved for eigenvectors, which are
     lifted to an orthonormal real basis of the near-null space.  Any other
     tube takes one dense eigensolve with the threshold zero_tol =
-    ZERO_TOL_REL * lam_max, and null_blocks is None.  With acoustic, the
+    ZERO_TOL_REL * lam_max, and null_blocks is None.  max_principal_angle is
+    None when there are no near-null modes.  With acoustic, the
     report also holds acoustic_ratio (see _acoustic_ratio) of a family tube,
     None on any other tube.
     """
@@ -449,9 +448,7 @@ def null_space_report(tube: Nanotube, pots: PotentialSet, acoustic: bool = False
         near_null = np.abs(evals) < tol
         null_blocks, null_vectors = None, evecs[:, near_null]
     n_null = int(np.sum(near_null))
-    max_angle = float("nan")
-    if n_null > 0:
-        max_angle = float(np.max(subspace_angles(isometry_directions(tube), null_vectors)))
+    max_angle = float(np.max(subspace_angles(isometry_directions(tube), null_vectors))) if n_null else None
     report = {
         "eigenvalues": np.sort(evals, axis=None),
         "lam_max": float(np.max(np.abs(evals))),

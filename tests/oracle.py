@@ -448,9 +448,10 @@ def beta_clip(alpha, gam):
 
 
 def reference_angles_capped(ell: int, pots):
-    """reduced.reference_angles on beta_clip, with a Newton polish that runs
-    to its 60-step cap when its iterates cycle (the library stops at the
-    first repeat of a 2-cycle)."""
+    """reduced.reference_angles on beta_clip, with alpha_ch by bisection on
+    beta_clip(a) - a (the library has its closed form) and a Newton polish
+    that runs to its 60-step cap when its iterates cycle (the library stops
+    at the first repeat of a 2-cycle)."""
     from nanolab.geometry import gamma
     from nanolab.potentials import TWO_THIRDS_PI
     from nanolab.reduced import ALPHA_HI, ALPHA_LO, ReferenceAngles, beta_derivatives
@@ -648,13 +649,10 @@ def stability_trial_loop(mu, ell, m, spec, pots, collect_ratios: bool = True) ->
     base = build_nanotube(minimize_family(mu, ell, pots, m=m).geometry, m)
     e_base = total_energy_einsum(base, pots)
     gaps, ratios, failures = [], [], []
-    rejections = skipped_trivial = 0
+    rejections = 0
     for trial in range(spec.count):
         tube, graph, rej = sample_perturbation_rebuild(base, spec, trial)
         rejections += rej
-        if np.max(np.abs(tube.positions - base.positions)) == 0.0:
-            skipped_trivial += 1
-            continue
         gap = total_energy_einsum(tube, pots, graph) - e_base
         gaps.append(gap)
         if collect_ratios:
@@ -664,7 +662,7 @@ def stability_trial_loop(mu, ell, m, spec, pots, collect_ratios: bool = True) ->
         if gap <= 0.0:
             failures.append({"trial": trial, "energy_gap": gap, "positions": tube.positions.copy()})
     gaps, ratios = np.array(gaps), np.array(ratios)
-    stat = lambda f, a: float(f(a)) if len(a) else float("nan")
+    stat = lambda f, a: float(f(a)) if len(a) else None
     return {
         "mu": mu,
         "ell": ell,
@@ -674,7 +672,6 @@ def stability_trial_loop(mu, ell, m, spec, pots, collect_ratios: bool = True) ->
         "mode": spec.mode,
         "count": spec.count,
         "evaluated": len(gaps),
-        "skipped_trivial": skipped_trivial,
         "rejections": rejections,
         "graph_rebuilds": 0 if BondBand(base, spec.eta).fixed_images else spec.count + rejections,
         "base_energy": e_base,

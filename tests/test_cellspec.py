@@ -19,11 +19,13 @@ from nanolab import cells
 from nanolab.cells import (
     ANGLE_SLOTS,
     BOND_SLOTS,
+    CELL_GRAPH,
     cell_energies,
     cell_plane_angles,
 )
 from nanolab.cellspec import (
     ANGLE_SUM_VECTORS,
+    _Identity,
     angle_sum_concavity,
     cell_basis,
     cell_hessian,
@@ -38,7 +40,7 @@ from nanolab.cellspec import (
     tilde_gradient,
     tilde_hessian_diag,
 )
-from nanolab.energy import BondGraph, gradient
+from nanolab.energy import BondGraph, gradient, term_hessian
 from nanolab.errors import InvalidParameterError, VerificationFailureError
 from nanolab.geometry import Nanotube, gamma
 from nanolab.reduced import reference_angles
@@ -239,7 +241,7 @@ def test_single_atom_out_of_plane_angle_sum_drop():
 
 
 def test_angle_sum_concavity_constant():
-    rep = angle_sum_concavity(n_samples=100, seed=4)
+    rep = angle_sum_concavity()
     assert rep["c_kink"] > 0.0
     assert np.all(rep["ratios"] > 0.0)
 
@@ -313,9 +315,9 @@ def test_kink_cell_derivatives_match_oracles(pots_soft, ell):
 
 
 def test_angle_sum_concavity_matches_second_difference():
-    # the first five samples are the five bad directions; their ratios are
-    # -d2/resid^2 with d2 the second derivative of the total angle sum
-    rep = angle_sum_concavity(n_samples=0)
+    # the ratios are those of the five bad directions, -d2/resid^2 with d2
+    # the second derivative of the total angle sum
+    rep = angle_sum_concavity()
     basis = cell_basis()
     qdeg, _ = np.linalg.qr(basis.degenerate.reshape(6, 24).T)
     x0 = planar_reference()
@@ -329,6 +331,45 @@ def test_angle_sum_concavity_matches_second_difference():
         # (O(step^4)) until round-off takes over near step = 1e-3
         assert errors[1] < errors[0] / 50 and errors[2] < errors[1] / 50
         assert errors[3] <= 1e-6 * abs(ratio)
+
+
+def _angle_sum_hessian():
+    """Analytic Hessian of the total angle sum at the planar reference."""
+    return term_hessian(planar_reference(), CELL_GRAPH, _Identity, _Identity, 0.0, ANGLE_SUM_VECTORS.sum(axis=0))
+
+
+def test_angle_sum_hessian_annihilates_rigid_motions():
+    h = _angle_sum_hessian()
+    assert np.max(np.abs(h @ cell_basis().degenerate.reshape(6, 24).T)) <= 1e-13 * np.max(np.abs(h))
+
+
+def test_angle_sum_concavity_bounds_random_directions():
+    # c_kink is the least rate over the whole degenerate-plus-bad span, so no
+    # direction in it has a smaller one
+    basis = cell_basis()
+    span = np.concatenate([basis.degenerate, basis.bad]).reshape(-1, 24)
+    qdeg, _ = np.linalg.qr(basis.degenerate.reshape(6, 24).T)
+    v = np.random.default_rng(0).standard_normal((20000, 11)) @ span
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    resid = np.linalg.norm(v - (v @ qdeg) @ qdeg.T, axis=1)
+    v, resid = v[resid >= 1e-8], resid[resid >= 1e-8]
+    ratios = -np.einsum("si,ij,sj->s", v, _angle_sum_hessian(), v) / resid**2
+    assert len(ratios) == 20000
+    assert angle_sum_concavity()["c_kink"] <= np.min(ratios) + 1e-12
+
+
+def test_angle_sum_concavity_equals_second_difference_at_minimizer():
+    # the minimizing direction: the top eigenvector of the angle-sum Hessian
+    # on the bad directions with their rigid-motion parts projected out
+    basis = cell_basis()
+    qdeg, _ = np.linalg.qr(basis.degenerate.reshape(6, 24).T)
+    bad = basis.bad.reshape(5, 24)
+    q, _ = np.linalg.qr((bad - (bad @ qdeg) @ qdeg.T).T)
+    h = _angle_sum_hessian()
+    v = q @ np.linalg.eigh(q.T @ h @ q)[1][:, -1]
+    assert np.linalg.norm(v @ qdeg) <= 1e-14
+    c_kink = angle_sum_concavity()["c_kink"]
+    assert -angle_sum_second_fd(planar_reference(), v.reshape(8, 3), 1e-2) == pytest.approx(c_kink, rel=1e-8)
 
 
 def _same_report(got: dict, want: dict) -> bool:

@@ -301,6 +301,64 @@ def test_stability_refuses_eta_below_roundoff(tmp_path, capsys, eta, count):
     assert not out.exists()
 
 
+def test_stability_refuses_samples_that_do_not_move(tmp_path, capsys):
+    # at eta = 5e-324 the clipped gaussian draws round to no displacement, so
+    # every gap is exactly 0: inside the round-off floor, and checks nothing
+    out = tmp_path / "s.json"
+    argv = ["stability", "--ell", "12", "--m", "2", "--eta", "5e-324", "--count", "3", "--mode", "gaussian-clipped"]
+    assert run([*argv, "-o", str(out)]) == 1
+    assert "3 samples have |energy gap| <=" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("offset", ["nan", "inf", "-inf"])
+def test_stability_rejects_non_finite_mu(tmp_path, capsys, offset):
+    out = tmp_path / "s.json"
+    assert run(["stability", "--ell", "12", "--m", "2", f"--mu-offset={offset}", "--count", "3", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"nanolab: mu must be finite, got {offset}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [(["verify-cell", "--ell", ""], "--ell"), (["verify-cell", "--ell", ","], "--ell"),
+     (["fracture", "--ell", "12", "--m-list", "4,,8"], "--m-list")],
+    ids=["empty", "comma", "empty-item"],
+)
+def test_list_options_reject_empty_items(tmp_path, capsys, argv, option):
+    # an empty list would check nothing and still pass
+    out = tmp_path / "o.json"
+    assert run([*argv, "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"nanolab: {option} must be comma-separated integers, got ")
+    assert not out.exists()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["energy", "--in", "{tube}", "--ell", "6", "--m", "2"],
+        ["stability", "--ell", "8", "--m", "2", "--count", "6"],
+        # no sample's symmetry defect exceeds 1e-14: the gap ratios are undefined
+        ["stability", "--ell", "12", "--m", "2", "--eta", "5e-9", "--count", "20"],
+        ["fracture", "--ell", "12", "--m-list", "4,16"],
+        # one ell: the scaling slope is undefined
+        ["verify-cell", "--ell", "16"],
+        ["verify-all", "--quick"],
+    ],
+    ids=["energy", "stability", "stability-no-ratios", "fracture", "verify-cell-one-ell", "verify-all-quick"],
+)
+def test_json_reports_are_strict(tmp_path, argv):
+    tube = str(tmp_path / "t.pxyz")
+    run(["generate", "--ell", "6", "--m", "2", "--mu", "2.95", "--lambda1", "1", "--lambda2", "1", "-o", tube])
+    out = tmp_path / "r.json"
+    assert run([arg.replace("{tube}", tube) for arg in argv] + ["-o", str(out)]) == 0
+    json.loads(out.read_text(), parse_constant=_refuse_constant)
+
+
 def test_stability_report_counts_graph_rebuilds(tmp_path, capsys):
     paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
     for path in paths:

@@ -397,9 +397,26 @@ def test_batched_solve_raises_when_a_point_does_not_converge(pots_soft, monkeypa
     with pytest.raises(OptimizationFailureError):
         reduced_solve([3.0, NEWTON_PROBE_MU], [g, g + 5e-5], [g, g], pots_soft)
     # a NaN residual never passes the GRAD_TOL exit
+    real = reduced_module._sym_grad_hess
+
+    def nan_gradient(pt, pots):
+        grad, hess = real(pt, pots)
+        return np.full_like(grad, np.nan), hess
+
     monkeypatch.setattr(reduced_module, "MAX_ITER", 5)
+    monkeypatch.setattr(reduced_module, "_sym_grad_hess", nan_gradient)
     with pytest.raises(OptimizationFailureError):
-        reduced_solve([3.0, np.nan], g, g, pots_soft)
+        reduced_solve(3.0, g, g, pots_soft)
+
+
+@pytest.mark.parametrize("field", [0, 1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_batched_solve_rejects_non_finite_input(pots_soft, field, bad):
+    point = [[3.0, 3.0], [gamma(64)] * 2, [gamma(64)] * 2]
+    point[field][1] = bad
+    name = ("mu", "gamma1", "gamma2")[field]
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be finite, got {bad}$"):
+        reduced_solve(*point, pots_soft)
 
 
 def _same_bits(a, b) -> bool:
@@ -437,7 +454,17 @@ def test_reference_angles_equal_capped_oracle(preset):
     for ell in range(4, 400):
         got, want = reference_angles(ell, pots), reference_angles_capped(ell, pots)
         for field in dataclasses.fields(got):
-            assert _same_bits(getattr(got, field.name), getattr(want, field.name)), (ell, field.name)
+            if field.name == "alpha_ch":
+                # closed form against bisection: equal within the bracket width
+                assert abs(got.alpha_ch - want.alpha_ch) <= 1e-13, ell
+            else:
+                assert _same_bits(getattr(got, field.name), getattr(want, field.name)), (ell, field.name)
+
+
+def test_alpha_ch_is_fixed_point_to_the_ulp(pots_soft):
+    for ell in range(4, 400):
+        a = reference_angles(ell, pots_soft).alpha_ch
+        assert abs(beta(a, gamma(ell)) - a) <= 4 * np.spacing(a), ell
 
 
 def test_reference_angles_polish_stops_at_two_cycle(pots_soft, monkeypatch):
