@@ -3,8 +3,8 @@ construction, configurational energy, reduced-energy minimization, stability
 ensembles, fracture thresholds, and cell-level convexity checks."""
 
 from . import cells, cellspec, energy, fracture, geometry, potentials, pxyz, reduced, stability
-from .energy import bond_graph, family_energy, gradient, periodic_distance, total_energy
-from .geometry import AtomId, Nanotube, ZigzagGeometry, build_nanotube, gamma, solve_family
+from .energy import bond_graph, family_energy, gradient, total_energy
+from .geometry import Nanotube, ZigzagGeometry, build_nanotube, gamma, solve_family
 from .potentials import PotentialSet, default_soft, default_stiff, validate
 from .pxyz import read_pxyz, write_pxyz
 from .reduced import (
@@ -21,7 +21,6 @@ from .stability import PerturbationSpec, hessian_spectrum, sample_perturbation, 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomId",
     "Nanotube",
     "PerturbationSpec",
     "PotentialSet",
@@ -43,7 +42,6 @@ __all__ = [
     "gradient",
     "hessian_spectrum",
     "minimize_family",
-    "periodic_distance",
     "potentials",
     "pxyz",
     "read_pxyz",

@@ -277,6 +277,12 @@ N_SCAN = 60
 # about 1e-16 of that scale, and the next distinct one at the kink cells sits
 # at 6e-10 of it or more
 EIGENSPACE_TOL = 1e-10
+# The dual value lambda_min(H + nu*P) - nu*r^2 is lowered by
+# DUAL_ROUNDOFF_ULPS * eps * max|lambda(H + nu*P)|, a bound on eigvalsh's
+# round-off with room to spare, so that the reported lower bound holds in
+# floating point: at the kink cells of ell = 16 .. 128 the bare dual value
+# exceeded the upper bound in 26 of 226 cases, by up to 0.17 of that unit.
+DUAL_ROUNDOFF_ULPS = 24.0
 
 
 def constrained_rayleigh_min(hess: np.ndarray, span: np.ndarray, r: float) -> dict:
@@ -286,8 +292,10 @@ def constrained_rayleigh_min(hess: np.ndarray, span: np.ndarray, r: float) -> di
     a valid lower bound; the best nu is found by scanning plus golden-section
     refinement (the dual function is concave in nu).  The companion upper bound
     is v'Hv at a feasible v from the dual-optimal eigenspace: the unit vector
-    there with |Pv| = r when one exists (then v'Hv equals the lower bound),
+    there with |Pv| = r when one exists (then v'Hv equals the dual value),
     else the smallest eigenvector with its in-span part shrunk to |Pv| = r.
+    The lower bound is the dual value less its round-off allowance
+    (DUAL_ROUNDOFF_ULPS).
     """
     if not (0.0 < r < 1.0):
         raise InvalidParameterError(f"r must lie in (0, 1), got {r}")
@@ -306,12 +314,14 @@ def constrained_rayleigh_min(hess: np.ndarray, span: np.ndarray, r: float) -> di
     lo = nus[max(0, best - 1)]
     hi = nus[min(len(nus) - 1, best + 1)]
     nu_star = golden_section_min(lambda nu: -dual(nu), lo, hi, 60)
-    lower = dual(nu_star)
-
     # At the kink cells the smallest eigenvalue is multiple, so a single eigh
     # vector would be an arbitrary pick.  In the eigenspace V, |PVc|^2 ranges
     # over the eigenvalues of V'PV; mixing the extreme two hits r^2.
     evals, evecs = np.linalg.eigh(hess + nu_star * proj)
+    roundoff = DUAL_ROUNDOFF_ULPS * np.finfo(float).eps
+    lower = dual(nu_star) - roundoff * float(np.max(np.abs(evals)))
+    if best == 0:
+        lower = max(lower, float(vals[0]) - roundoff * scale)
     space = evecs[:, evals <= evals[0] + EIGENSPACE_TOL * scale]
     p_evals, p_evecs = np.linalg.eigh(space.T @ proj @ space)
     if p_evals[0] <= r**2 <= p_evals[-1] and p_evals[0] < p_evals[-1]:
@@ -329,7 +339,7 @@ def constrained_rayleigh_min(hess: np.ndarray, span: np.ndarray, r: float) -> di
                 v = (r / npv) * pv + np.sqrt(1.0 - r**2) * perp / nperp
     v = v / np.linalg.norm(v)
     upper = float(v @ hess @ v)
-    return {"lower": float(max(lower, vals[0] if best == 0 else lower)), "upper": upper, "nu": float(nu_star)}
+    return {"lower": lower, "upper": upper, "nu": float(nu_star)}
 
 
 def angle_sum_concavity() -> dict:

@@ -18,18 +18,6 @@ from .geometry import Nanotube, ZigzagGeometry, axial_rotations
 from .potentials import BOND_CUTOFF, PotentialSet
 
 
-def periodic_distance(x, y, L: float):
-    """Distance modulo L along the first axis: min over integers t of |x-y+L*t*e1|.
-
-    Returns (distance, t); an exact half-period tie resolves to t = 0.
-    """
-    if not L > 0:
-        raise ValueError("period L must be positive")
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    t, dist = image_distances(d.reshape(1, 3), L)
-    return float(dist[0]), int(t[0])
-
-
 @dataclass
 class BondGraph:
     """Unordered bonds plus derived angle triples of one n-cell.

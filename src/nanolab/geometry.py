@@ -52,30 +52,10 @@ class ZigzagGeometry:
     gamma_ell: float
 
 
-@dataclass(frozen=True)
-class AtomId:
-    """Label (i, j, k, l); i is 1-based around the circumference."""
-
-    i: int
-    j: int
-    k: int
-    l: int
-
-
 def flat_index(ell: int, m: int, i, j, k, l):
     """Flat atom index of the label (i, j, k, l), i and j taken cyclically;
     elementwise on integer arrays."""
     return (((j % m) * ell + (i - 1) % ell) * 2 + k) * 2 + l
-
-
-def index_to_id(idx: int, ell: int, m: int) -> AtomId:
-    l = idx % 2
-    k = (idx // 2) % 2
-    i = (idx // 4) % ell + 1
-    j = idx // (4 * ell)
-    if not (0 <= j < m):
-        raise InvalidParameterError(f"flat index {idx} out of range for ell={ell}, m={m}")
-    return AtomId(i, j, k, l)
 
 
 @dataclass
@@ -91,12 +71,6 @@ class Nanotube:
     @property
     def n(self) -> int:
         return self.positions.shape[0]
-
-    def atom_index(self, a: AtomId) -> int:
-        return flat_index(self.ell, self.m, a.i, a.j, a.k, a.l)
-
-    def atom_id(self, idx: int) -> AtomId:
-        return index_to_id(idx, self.ell, self.m)
 
     def with_positions(self, positions: np.ndarray) -> "Nanotube":
         return Nanotube(np.array(positions, dtype=float), self.period, self.ell, self.m, self.geometry)

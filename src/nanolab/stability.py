@@ -105,35 +105,36 @@ class BondBand:
     """Base bond graph plus the pairs whose bond a displacement of at most eta
     per atom can make or break.
 
-    Each pair distance moves by at most 2*eta, so only pairs whose base
-    distance lies within 2*eta (plus a rounding margin) of the cutoff can
-    change side.  A displaced copy has the base graph exactly when every band
-    pair stays on its side and no pair can switch to another axial image; the
-    latter can only happen for a pair within 2*eta of |dx| = L/2, in which
-    case every draw rebuilds its graph instead.  Build one per ensemble.
+    A nearest-image distance is a minimum of 1-Lipschitz functions of the two
+    positions, so it moves by at most 2*eta: only pairs whose base distance
+    lies within reach = 2*eta (plus a rounding margin) of the cutoff can
+    change side.  A pair bonded before and after a draw keeps its axial image
+    unless L < 2*BOND_CUTOFF + reach, so at any longer period a draw that
+    keeps every band pair on its side has the base graph exactly: pairs,
+    shifts, triples and triple shifts.  Raises EtaTooLargeError, naming L and
+    eta, at a shorter period.  Build one per ensemble.
     """
 
     def __init__(self, base: Nanotube, eta: float):
-        self.eta = eta
-        self.graph = bond_graph(base)
         pos, L = base.positions, base.period
         reach = 2.0 * eta + _ROUNDING * (1.0 + L + float(np.max(np.abs(pos))))
-        i, j, t, dist = near_pairs(pos, L, BOND_CUTOFF + reach)
+        if L < 2.0 * BOND_CUTOFF + reach:
+            raise EtaTooLargeError(
+                f"eta={eta} is too large for the period L={L}: a bond can change its axial image "
+                f"unless L >= 2*cutoff + 2*eta, cutoff = {BOND_CUTOFF}"
+            )
+        self.eta = eta
+        self.graph = bond_graph(base)
+        i, j, _, dist = near_pairs(pos, L, BOND_CUTOFF + reach)
         band = dist >= BOND_CUTOFF - reach
         self.i, self.j = i[band], j[band]
         self.bonded = dist[band] < BOND_CUTOFF
-        self.fixed_images = bool(np.all(np.abs(pos[i, 0] - pos[j, 0] + t * L) < 0.5 * L - reach))
 
-    def graphs_of(self, tube: Nanotube, positions: np.ndarray) -> list:
-        """Bond graph of each displaced copy positions[b] of the base, a
-        (B, n, 3) stack at tube's period, or None where its bonds differ from
-        the base's.  Without fixed images each copy's graph is rebuilt."""
-        if not self.fixed_images:
-            graphs = [bond_graph(tube.with_positions(x)) for x in positions]
-            return [g if np.array_equal(g.pairs, self.graph.pairs) else None for g in graphs]
-        _, dist = image_distances(positions[:, self.i] - positions[:, self.j], tube.period)
-        keeps = np.all((dist < BOND_CUTOFF) == self.bonded, axis=-1)
-        return [self.graph if k else None for k in keeps]
+    def keeps(self, positions: np.ndarray) -> np.ndarray:
+        """Whether each displaced copy positions[b] of the base, a (B, n, 3)
+        stack at the base's period, has the base's bond graph."""
+        _, dist = image_distances(positions[:, self.i] - positions[:, self.j], self.graph.L)
+        return np.all((dist < BOND_CUTOFF) == self.bonded, axis=-1)
 
 
 def sample_perturbations(
@@ -149,10 +150,10 @@ def sample_perturbations(
     from it while a draw breaks the bond graph, so its copy does not depend on
     which trials are drawn with it or in what order.  band is base's BondBand
     for an eta of at least spec.eta; it is built when omitted, so pass one to
-    reuse it across an ensemble.  Returns (positions, graphs, rejections): the
-    (len(trials), n, 3) stack, each copy's bond graph and the number of
-    redraws.  Raises EtaTooLargeError once a trial has made MAX_REJECTIONS
-    consecutive bond-graph-breaking draws.
+    reuse it across an ensemble.  Returns (positions, rejections): the
+    (len(trials), n, 3) stack and the number of redraws.  Raises
+    EtaTooLargeError once a trial has made MAX_REJECTIONS consecutive
+    bond-graph-breaking draws.
     """
     if band is None:
         band = BondBand(base, spec.eta)
@@ -160,21 +161,17 @@ def sample_perturbations(
         raise ValueError(f"band built for eta={band.eta} cannot vet draws at eta={spec.eta}")
     rngs = [_trial_rng(spec.seed, int(t)) for t in trials]
     positions = np.empty((len(rngs), base.n, 3))
-    graphs = [None] * len(rngs)
     rejections = np.zeros(len(rngs), dtype=np.int64)
     todo = np.arange(len(rngs))
     while len(todo):
         positions[todo] = base.positions + _displacements([rngs[k] for k in todo], base.n, spec.eta, spec.mode)
-        verdicts = band.graphs_of(base, positions[todo])
-        for k, graph in zip(todo, verdicts):
-            graphs[k] = graph
-        todo = todo[[graph is None for graph in verdicts]]
+        todo = todo[~band.keeps(positions[todo])]
         rejections[todo] += 1
         if len(todo) and rejections.max() >= MAX_REJECTIONS:
             raise EtaTooLargeError(
                 f"{MAX_REJECTIONS} consecutive samples broke the bond graph at eta={spec.eta}"
             )
-    return positions, graphs, int(rejections.sum())
+    return positions, int(rejections.sum())
 
 
 def sample_perturbation(
@@ -185,9 +182,10 @@ def sample_perturbation(
 ):
     """One displaced copy of base with identical period and bond graph: the
     one-trial call of sample_perturbations.  Returns (tube, graph,
-    rejections)."""
-    positions, graphs, rejections = sample_perturbations(base, spec, [trial], band)
-    return base.with_positions(positions[0]), graphs[0], rejections
+    rejections), graph being the band's base graph."""
+    band = band or BondBand(base, spec.eta)
+    positions, rejections = sample_perturbations(base, spec, [trial], band)
+    return base.with_positions(positions[0]), band.graph, rejections
 
 
 def _chunks(count: int, n: int) -> list:
@@ -211,14 +209,14 @@ def stability_trial(
     base energy are recorded as counterexamples (with positions), not raised.
     Trials are drawn, vetted and scored a chunk at a time (_chunks); each
     trial's result depends only on its index, and the report lists them in
-    trial order.  graph_rebuilds counts the draws that rebuilt their bond
-    graph because the band could not vet them, and the gap_ratio statistics
-    are None when no sample has a symmetry defect above 1e-14.  Raises
-    InvalidParameterError at eta = 0, where every sample is the base tube, and
-    when a sample has an energy gap within the round-off floor _GAP_ROUNDOFF *
-    eps * |E_base|, where its sign is not resolved: at an eta too small for
-    the energy to see (a sample no atom of which moved has a gap of exactly
-    0), or at a gap too close to zero to call a counterexample.
+    trial order.  The gap_ratio statistics are None when no sample has a
+    symmetry defect above 1e-14.  Raises EtaTooLargeError from BondBand and
+    sample_perturbations.  Raises InvalidParameterError at eta = 0, where
+    every sample is the base tube, and when a sample has an energy gap within
+    the round-off floor _GAP_ROUNDOFF * eps * |E_base|, where its sign is not
+    resolved: at an eta too small for the energy to see (a sample no atom of
+    which moved has a gap of exactly 0), or at a gap too close to zero to call
+    a counterexample.
     """
     if spec.eta == 0.0:
         raise InvalidParameterError("eta must be positive for a stability ensemble: at eta = 0 no sample moves")
@@ -232,12 +230,9 @@ def stability_trial(
     failures = []
     rejections = 0
     for trials in _chunks(spec.count, base.n):
-        stack, graphs, rej = sample_perturbations(base, spec, trials, band)
+        stack, rej = sample_perturbations(base, spec, trials, band)
         rejections += rej
-        if band.fixed_images:
-            gaps[trials] = total_energy(base, pots, band.graph, positions=stack) - e_base
-        else:
-            gaps[trials] = [total_energy(base, pots, g, positions=x) - e_base for g, x in zip(graphs, stack)]
+        gaps[trials] = total_energy(base, pots, band.graph, positions=stack) - e_base
         if collect_ratios:
             delta_sums[trials] = total_symmetry_defect(base, positions=stack)
         for k in np.flatnonzero(gaps[trials] <= 0.0):
@@ -263,7 +258,6 @@ def stability_trial(
         "count": spec.count,
         "evaluated": spec.count,
         "rejections": rejections,
-        "graph_rebuilds": 0 if band.fixed_images else spec.count + rejections,
         "base_energy": e_base,
         "min_gap": float(np.min(gaps)),
         "max_gap": float(np.max(gaps)),

@@ -17,7 +17,8 @@ tube, run only by the tests.
 Also the per-value text I/O that pxyz.format_table, pxyz.write_pxyz and
 pxyz.read_pxyz replace, the bond-graph walk that finds one cell's atoms
 (checks cells.cell_atom_indices), the scalar bond angle, plane angle and
-neighbor table behind the vectorised cell and graph formulas, the two cell
+neighbor table (on atom labels, with the inverse of geometry.flat_index)
+behind the vectorised cell and graph formulas, the two cell
 reflections, and the einsum, np.cross and np.linalg.norm forms of the energy,
 cell-angle, cell-frame and symmetry-defect kernels and the per-trial
 displacement draw that the explicit-component kernels and the chunked sampler
@@ -26,6 +27,7 @@ must equal to the bit."""
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +49,7 @@ from nanolab.cells import (
 )
 from nanolab.energy import _angle_term, _bond_term, _bond_vectors, _image_shift, _leg_vectors, bond_graph
 from nanolab.errors import DegenerateGeometryError, DomainError, InvalidCellError, PxyzFormatError
-from nanolab.geometry import AtomId, Nanotube, flat_index
+from nanolab.geometry import Nanotube, flat_index
 
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -525,7 +527,7 @@ def reference_angles_capped(ell: int, pots):
 def constrained_rayleigh_min_loop(hess, span, r: float) -> dict:
     """cellspec.constrained_rayleigh_min with its nu scan evaluated one
     eigvalsh call per point."""
-    from nanolab.cellspec import EIGENSPACE_TOL, N_SCAN
+    from nanolab.cellspec import DUAL_ROUNDOFF_ULPS, EIGENSPACE_TOL, N_SCAN
 
     q, _ = np.linalg.qr(span)
     proj = q @ q.T
@@ -554,8 +556,11 @@ def constrained_rayleigh_min_loop(hess, span, r: float) -> dict:
             d = a + invphi * (b - a)
             fd_ = dual(d)
     nu_star = 0.5 * (a + b)
-    lower = dual(nu_star)
     evals, evecs = np.linalg.eigh(hess + nu_star * proj)
+    roundoff = DUAL_ROUNDOFF_ULPS * np.finfo(float).eps
+    lower = dual(nu_star) - roundoff * float(np.max(np.abs(evals)))
+    if best == 0:
+        lower = max(lower, float(vals[0]) - roundoff * scale)
     space = evecs[:, evals <= evals[0] + EIGENSPACE_TOL * scale]
     p_evals, p_evecs = np.linalg.eigh(space.T @ proj @ space)
     if p_evals[0] <= r**2 <= p_evals[-1] and p_evals[0] < p_evals[-1]:
@@ -572,7 +577,7 @@ def constrained_rayleigh_min_loop(hess, span, r: float) -> dict:
                 v = (r / npv) * pv + np.sqrt(1.0 - r**2) * perp / nperp
     v = v / np.linalg.norm(v)
     upper = float(v @ hess @ v)
-    return {"lower": float(max(lower, vals[0] if best == 0 else lower)), "upper": upper, "nu": float(nu_star)}
+    return {"lower": lower, "upper": upper, "nu": float(nu_star)}
 
 
 # mu points of the coarse scan for a sign change, and the bisection tolerance
@@ -644,7 +649,6 @@ def stability_trial_loop(mu, ell, m, spec, pots, collect_ratios: bool = True) ->
     from nanolab.cells import gather_cells
     from nanolab.geometry import build_nanotube
     from nanolab.reduced import minimize_family
-    from nanolab.stability import BondBand
 
     base = build_nanotube(minimize_family(mu, ell, pots, m=m).geometry, m)
     e_base = total_energy_einsum(base, pots)
@@ -673,7 +677,6 @@ def stability_trial_loop(mu, ell, m, spec, pots, collect_ratios: bool = True) ->
         "count": spec.count,
         "evaluated": len(gaps),
         "rejections": rejections,
-        "graph_rebuilds": 0 if BondBand(base, spec.eta).fixed_images else spec.count + rejections,
         "base_energy": e_base,
         "min_gap": stat(np.min, gaps),
         "max_gap": stat(np.max, gaps),
@@ -935,6 +938,23 @@ _NEIGHBOR_TABLE = {
     (1, 0): [(0, 0, 0, 1, LAMBDA2_BOND), (1, 0, 0, 1, LAMBDA2_BOND), (0, -1, 1, 1, LAMBDA1_BOND)],
     (1, 1): [(0, 1, 0, 0, LAMBDA2_BOND), (1, 1, 0, 0, LAMBDA2_BOND), (0, 1, 1, 0, LAMBDA1_BOND)],
 }
+
+
+class AtomId(NamedTuple):
+    """Label (i, j, k, l); i is 1-based around the circumference.  Its flat
+    index is geometry.flat_index(ell, m, *label)."""
+
+    i: int
+    j: int
+    k: int
+    l: int
+
+
+def index_to_id(idx: int, ell: int, m: int) -> AtomId:
+    """The label of flat index idx, the inverse of geometry.flat_index."""
+    if not (0 <= idx < 4 * ell * m):
+        raise ValueError(f"flat index {idx} out of range for ell={ell}, m={m}")
+    return AtomId((idx // 4) % ell + 1, idx // (4 * ell), (idx // 2) % 2, idx % 2)
 
 
 def expected_neighbors(a: AtomId, ell: int, m: int) -> list[tuple[AtomId, str]]:

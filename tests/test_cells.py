@@ -35,7 +35,7 @@ from nanolab.cells import (
 )
 from nanolab.energy import _bond_vectors, bond_graph, total_energy
 from nanolab.errors import InvalidCellError
-from nanolab.geometry import AtomId, Nanotube, axial_rotations, build_nanotube, solve_family
+from nanolab.geometry import Nanotube, axial_rotations, build_nanotube, flat_index, solve_family
 from nanolab.reduced import ReducedPoint, beta, minimize_family, reference_angles, sym_energy
 from nanolab.stability import MODES, BondBand, PerturbationSpec, sample_perturbation, sample_perturbations
 
@@ -117,7 +117,7 @@ def test_extract_cell_rejects_wrong_degree(tube):
 def test_perturbing_one_atom_only_changes_its_cells(tube, pots_soft):
     table = cell_atom_indices(tube.ell, tube.m)
     e0 = cell_energies(gather_cells(tube), pots_soft)
-    target = tube.atom_index(AtomId(3, 1, 0, 1))
+    target = flat_index(tube.ell, tube.m, 3, 1, 0, 1)
     pos = tube.positions.copy()
     pos[target] += np.array([2e-4, -1e-4, 3e-4])
     e1 = cell_energies(gather_cells(tube.with_positions(pos)), pots_soft)
@@ -401,9 +401,9 @@ def test_explicit_component_kernels_equal_einsum_oracle(ell, m, moved, eta, shap
         base = base.with_positions(image)
     count = int(np.prod(shape, dtype=int))
     spec = PerturbationSpec(eta=eta, seed=seed, mode=mode)
-    stack, graphs, _ = sample_perturbations(base, spec, range(count))
+    stack, _ = sample_perturbations(base, spec, range(count))
     _assert_same_bits(stack, [sample_perturbation_rebuild(base, spec, t)[0].positions for t in range(count)])
-    graph = graphs[0]
+    graph = bond_graph(base)
     if shape:
         tube, positions = base, stack.reshape(shape + (base.n, 3))
     else:
@@ -432,7 +432,7 @@ def _moved_ensemble(preset, shift, shape, seed):
     image[:, 0] += shift * base.period
     base = base.with_positions(image)
     count = int(np.prod(shape, dtype=int))
-    stack, _, _ = sample_perturbations(base, PerturbationSpec(eta=1e-3, seed=seed), range(count))
+    stack, _ = sample_perturbations(base, PerturbationSpec(eta=1e-3, seed=seed), range(count))
     return pots, base, stack.reshape(shape + (base.n, 3))
 
 

@@ -195,13 +195,15 @@ def test_constrained_rayleigh_bounds_consistent(pots_soft):
     basis = cell_basis()
     spans = [np.concatenate([basis.degenerate, basis.bad]).reshape(-1, 24).T, basis.degenerate.reshape(6, 24).T]
     rng = np.random.default_rng(7)
-    for ell in (16, 32, 64):
+    for ell in range(16, 129):
         h = cell_hessian(kink_cell(ell, pots_soft), pots_soft)
         for span in spans:
             rep = constrained_rayleigh_min(h, span, 0.9)
-            assert rep["lower"] <= rep["upper"] + 1e-9
+            assert rep["lower"] <= rep["upper"], ell
             assert rep["lower"] > 0.0
             assert rep["upper"] - rep["lower"] <= 1e-3 * abs(rep["lower"])
+            if ell not in (16, 32, 64):
+                continue
             # the dual-optimal eigenvalue is double at some of these cells; a
             # round-off-sized perturbation must not move the bound
             for _ in range(3):

@@ -359,14 +359,24 @@ def test_json_reports_are_strict(tmp_path, argv):
     json.loads(out.read_text(), parse_constant=_refuse_constant)
 
 
-def test_stability_report_counts_graph_rebuilds(tmp_path, capsys):
+def test_stability_report_is_byte_identical_without_graph_rebuilds(tmp_path, capsys):
     paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
     for path in paths:
         assert run(["stability", "--ell", "8", "--m", "2", "--count", "6", "--seed", "3", "-o", path]) == 0
     assert capsys.readouterr().out == ""
     first, second = (open(p, "rb").read() for p in paths)
     assert first == second
-    assert json.loads(first)["graph_rebuilds"] == 0
+    assert "graph_rebuilds" not in json.loads(first)
+
+
+def test_stability_refuses_an_eta_the_period_cannot_hold(tmp_path, capsys):
+    # (12, 1) has L = mu_us, about 2.98: a bond can change its axial image
+    # once 2*eta exceeds L - 2*cutoff
+    out = tmp_path / "s.json"
+    assert run(["stability", "--ell", "12", "--m", "1", "--eta", "0.4", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nanolab: eta=0.4 is too large for the period L=") and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("m_list", ["4", "4,4"])

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import E1, adjacency, assert_graph_equals_brute, bond_angle, expected_neighbors, hessian_fd, pairs_brute
+from oracle import (
+    E1,
+    adjacency,
+    assert_graph_equals_brute,
+    bond_angle,
+    expected_neighbors,
+    hessian_fd,
+    index_to_id,
+    pairs_brute,
+)
 
 from nanolab import energy, geometry
 from nanolab.energy import (
@@ -12,11 +21,11 @@ from nanolab.energy import (
     family_energy,
     gradient,
     hessian,
-    periodic_distance,
+    image_distances,
     total_energy,
 )
 from nanolab.errors import DegenerateGeometryError
-from nanolab.geometry import Nanotube, build_nanotube, solve_family
+from nanolab.geometry import Nanotube, build_nanotube, flat_index, solve_family
 
 
 @pytest.fixture(scope="module")
@@ -24,21 +33,27 @@ def tube():
     return build_nanotube(solve_family(8, 3.0, 1.0, 1.0), 2)
 
 
+def _periodic_distance(x, y, L):
+    """(distance, shift) of x - y from image_distances."""
+    t, dist = image_distances(np.subtract(x, y, dtype=float)[None], L)
+    return float(dist[0]), int(t[0])
+
+
 def test_periodic_distance_wraparound():
-    d, t = periodic_distance((0.05, 0, 0), (5.95, 0, 0), 6.0)
+    d, t = _periodic_distance((0.05, 0, 0), (5.95, 0, 0), 6.0)
     assert d == pytest.approx(0.1, abs=1e-12)
     assert t == 1
 
 
 def test_periodic_distance_zero():
-    d, t = periodic_distance((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), 5.0)
+    d, t = _periodic_distance((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), 5.0)
     assert d == 0.0
     assert t == 0
 
 
 def test_periodic_distance_tie_prefers_zero_shift():
     # both t=0 and t=-1 give 1.5; the tie resolves toward t=0
-    d, t = periodic_distance((1.5, 0, 0), (0, 0, 0), 3.0)
+    d, t = _periodic_distance((1.5, 0, 0), (0, 0, 0), 3.0)
     assert d == pytest.approx(1.5, abs=1e-14)
     assert t == 0
 
@@ -49,10 +64,10 @@ def test_periodic_distance_several_periods_apart(periods):
     x, y = np.array([0.3, -0.4, 1.1]), np.array([0.3 + periods * L, 0.2, 0.9])
     t_all = np.arange(-10, 11)
     dists = np.linalg.norm((x - y)[None, :] + np.outer(t_all, E1) * L, axis=1)
-    d, t = periodic_distance(x, y, L)
+    d, t = _periodic_distance(x, y, L)
     assert d == pytest.approx(dists.min(), abs=1e-12)
     assert t == t_all[np.argmin(dists)]
-    assert periodic_distance((0, 0, 0), (26.4, 0, 0), L) == pytest.approx((2.4, 2), abs=1e-12)
+    assert _periodic_distance((0, 0, 0), (26.4, 0, 0), L) == pytest.approx((2.4, 2), abs=1e-12)
 
 
 def test_bond_graph_counts_and_degrees(tube):
@@ -347,9 +362,8 @@ def test_geometric_bonds_equal_combinatorial_neighbors(tube):
     adj = adjacency(graph.pairs, graph.pair_shifts, graph.n)
     for idx in range(tube.n):
         got = {b for b, _ in adj[idx]}
-        want = {
-            tube.atom_index(nb) for nb, _ in expected_neighbors(tube.atom_id(idx), tube.ell, tube.m)
-        }
+        a = index_to_id(idx, tube.ell, tube.m)
+        want = {flat_index(tube.ell, tube.m, *nb) for nb, _ in expected_neighbors(a, tube.ell, tube.m)}
         assert got == want
 
 

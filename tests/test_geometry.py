@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from oracle import bond_angle, expected_neighbors
+from oracle import AtomId, bond_angle, expected_neighbors, index_to_id
 
 from nanolab import geometry
+from nanolab.energy import image_distances
 from nanolab.errors import InvalidParameterError
-from nanolab.geometry import AtomId, build_nanotube, gamma, solve_family
+from nanolab.geometry import build_nanotube, flat_index, gamma, solve_family
 
 
 def test_gamma_values():
@@ -77,7 +78,7 @@ def test_build_basic_shape(tube):
 
 def test_first_atom_position(tube):
     g = tube.geometry
-    idx = tube.atom_index(AtomId(1, 0, 0, 0))
+    idx = flat_index(tube.ell, tube.m, 1, 0, 0, 0)
     want = np.array([0.0, g.rho * np.cos(2 * np.pi / 8), g.rho * np.sin(2 * np.pi / 8)])
     assert np.allclose(tube.positions[idx], want, atol=1e-14)
 
@@ -91,7 +92,7 @@ def test_fixed_i_k_atoms_collinear_along_axis(tube):
     for i in (1, 5):
         for k in (0, 1):
             yz = [
-                tube.positions[tube.atom_index(AtomId(i, j, k, l))][1:]
+                tube.positions[flat_index(tube.ell, tube.m, i, j, k, l)][1:]
                 for j in range(tube.m)
                 for l in (0, 1)
             ]
@@ -161,13 +162,11 @@ def test_expected_neighbors_table(tube):
 
 
 def test_expected_neighbor_distances(tube):
-    from nanolab.energy import periodic_distance
-
     g = tube.geometry
     for idx in range(0, tube.n, 7):
-        a = tube.atom_id(idx)
+        a = index_to_id(idx, tube.ell, tube.m)
         for nb, kind in expected_neighbors(a, tube.ell, tube.m):
-            d, _ = periodic_distance(tube.positions[tube.atom_index(nb)], tube.positions[idx], tube.period)
+            _, d = image_distances(tube.positions[flat_index(tube.ell, tube.m, *nb)] - tube.positions[idx], tube.period)
             want = g.lambda1 if kind == "lambda1" else g.lambda2
             assert d == pytest.approx(want, abs=1e-10)
 
@@ -175,9 +174,9 @@ def test_expected_neighbor_distances(tube):
 def test_neighbor_symmetry(tube):
     # the combinatorial neighbor relation is symmetric
     for idx in range(tube.n):
-        a = tube.atom_id(idx)
+        a = index_to_id(idx, tube.ell, tube.m)
         for nb, _ in expected_neighbors(a, tube.ell, tube.m):
-            back = [tube.atom_index(x) for x, _ in expected_neighbors(nb, tube.ell, tube.m)]
+            back = [flat_index(tube.ell, tube.m, *x) for x, _ in expected_neighbors(nb, tube.ell, tube.m)]
             assert idx in back
 
 
@@ -187,8 +186,8 @@ def test_flat_index_bijection(tube):
         for j in range(tube.m):
             for k in (0, 1):
                 for l in (0, 1):
-                    idx = tube.atom_index(AtomId(i, j, k, l))
-                    assert tube.atom_id(idx) == AtomId(i, j, k, l)
+                    idx = flat_index(tube.ell, tube.m, i, j, k, l)
+                    assert index_to_id(idx, tube.ell, tube.m) == AtomId(i, j, k, l)
                     seen.add(idx)
     assert seen == set(range(tube.n))
 
@@ -197,15 +196,13 @@ def test_bond_angles_two_alpha_one_beta(tube):
     g = tube.geometry
     pos = tube.positions
     for idx in (0, 13, 41):
-        a = tube.atom_id(idx)
-        nbrs = [tube.atom_index(nb) for nb, _ in expected_neighbors(a, tube.ell, tube.m)]
+        a = index_to_id(idx, tube.ell, tube.m)
+        nbrs = [flat_index(tube.ell, tube.m, *nb) for nb, _ in expected_neighbors(a, tube.ell, tube.m)]
         angles = []
         for p in range(3):
             for q in range(p + 1, 3):
-                from nanolab.energy import periodic_distance
-
-                _, ti = periodic_distance(pos[nbrs[p]], pos[idx], tube.period)
-                _, tk = periodic_distance(pos[nbrs[q]], pos[idx], tube.period)
+                ti, _ = image_distances(pos[nbrs[p]] - pos[idx], tube.period)
+                tk, _ = image_distances(pos[nbrs[q]] - pos[idx], tube.period)
                 angles.append(
                     bond_angle(pos[nbrs[p]], pos[idx], pos[nbrs[q]], tube.period, ti, tk)
                 )

@@ -8,14 +8,14 @@ from oracle import (
     graph_brute,
     hessian_fd,
     per_cell_certificate,
-    sample_perturbation_rebuild,
     stability_trial_loop,
 )
 
 import nanolab.stability as stab
-from nanolab.energy import bond_graph, gradient
+from nanolab.energy import bond_graph, gradient, near_pairs
 from nanolab.errors import EtaTooLargeError, InvalidParameterError, NotStationaryError
 from nanolab.geometry import Nanotube, build_nanotube
+from nanolab.potentials import BOND_CUTOFF
 from nanolab.reduced import minimize_family, reference_angles
 from nanolab.stability import (
     MODES,
@@ -89,43 +89,81 @@ def _draw(base, spec, trial):
     return base.with_positions(base.positions + d)
 
 
-def _check_band_against_brute(base, band, spec, draws):
-    """Each draw's band verdict is the brute bond-set equality, and an accepted
-    draw's graph is the brute graph.  Returns the verdicts."""
-    base_pairs = graph_brute(base)[0]
-    kept = []
-    for trial in range(draws):
-        tube = _draw(base, spec, trial)
-        graph = band.graphs_of(tube, tube.positions[None])[0]
-        kept.append(np.array_equal(graph_brute(tube)[0], base_pairs))
-        assert (graph is not None) == kept[-1]
-        if graph is not None:
-            assert_graph_equals_brute(graph, tube)
-    return kept
-
-
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("eta", [1e-3, 0.02, 0.05, 0.08])
 def test_band_verdict_equals_brute_rebuild(base, eta, mode):
+    # each draw's band verdict is the brute bond-set equality, and an accepted
+    # draw's graph is the brute graph
     tube0, _, _ = base
     band = BondBand(tube0, eta)
-    assert band.fixed_images
-    kept = _check_band_against_brute(tube0, band, PerturbationSpec(eta=eta, seed=4, mode=mode), 40)
+    spec = PerturbationSpec(eta=eta, seed=4, mode=mode)
+    base_pairs = graph_brute(tube0)[0]
+    kept = []
+    for trial in range(40):
+        tube = _draw(tube0, spec, trial)
+        kept.append(bool(band.keeps(tube.positions[None])[0]))
+        assert kept[-1] == np.array_equal(graph_brute(tube)[0], base_pairs)
+        if kept[-1]:
+            assert_graph_equals_brute(band.graph, tube)
     if eta == 0.08:  # large enough that some draws break a bond
         assert 0 < sum(kept) < len(kept)
 
 
-def test_band_rebuilds_where_an_image_can_flip():
-    # pair (0, 1) sits at |dx| = L/2, so its nearest image follows the draw;
-    # pair (0, 2) sits at the cutoff, so about half the draws break the graph
-    base = Nanotube(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.3], [0.0, 1.1, 0.0]]), 2.0, 1, 1)
-    band = BondBand(base, 0.02)
-    assert not band.fixed_images
-    spec = PerturbationSpec(eta=0.02, seed=6)
-    kept = _check_band_against_brute(base, band, spec, 40)
-    assert 0 < sum(kept) < len(kept)
-    graphs = band.graphs_of(base, np.stack([_draw(base, spec, trial).positions for trial in range(40)]))
-    assert {int(g.pair_shifts[0]) for g in graphs if g is not None} == {0, 1}
+def _random_base(rng):
+    """A base of 3-8 atoms about a bond length apart at a period L in
+    [2.2, 3.2], each atom moved by -2 .. 2 periods, and an eta the period
+    admits (at most 0.12)."""
+    n = int(rng.integers(3, 9))
+    L = float(rng.uniform(2.2, 3.2))
+    pos = np.column_stack([rng.uniform(0.0, L, n), rng.uniform(-0.7, 0.7, (n, 2))])
+    pos[:, 0] += rng.integers(-2, 3, n) * L
+    return Nanotube(pos, L, 1, 1), float(rng.uniform(0.0, min(0.12, 0.5 * (L - 2.2) - 1e-6)))
+
+
+def test_band_verdict_equals_rebuild_on_random_bases():
+    # the band's verdict is the rebuilt graph's, pairs, shifts and triples
+    # alike, on unwrapped bases; some bases have a near pair within 2*eta of
+    # |dx| = L/2, whose axial image a draw can flip (below the cutoff only
+    # when L < 2*cutoff + 2*eta, which the band refuses)
+    rng = np.random.default_rng(17)
+    near_half_period = kept = broken = 0
+    for b in range(300):
+        base, eta = _random_base(rng)
+        band = BondBand(base, eta)
+        i, j, t, _ = near_pairs(base.positions, base.period, BOND_CUTOFF + 2.0 * eta)
+        dx = base.positions[i, 0] - base.positions[j, 0] + t * base.period
+        near_half_period += bool(np.any(np.abs(dx) >= 0.5 * base.period - 2.0 * eta))
+        spec = PerturbationSpec(eta=eta, seed=b, mode=MODES[b % 3])
+        for trial in range(8):
+            tube = _draw(base, spec, trial)
+            graph = bond_graph(tube)
+            same = np.array_equal(graph.pairs, band.graph.pairs)
+            assert band.keeps(tube.positions[None])[0] == same
+            if same:
+                for field in ("pair_shifts", "triples", "triple_shifts"):
+                    assert np.array_equal(getattr(graph, field), getattr(band.graph, field))
+            kept += same
+            broken += not same
+    assert near_half_period > 0 and kept > 0 and broken > 0
+
+
+def test_band_refuses_a_period_below_twice_the_cutoff():
+    # pair (0, 1) sits at |dx| = L/2, where its nearest image follows the draw
+    with pytest.raises(EtaTooLargeError, match=r"eta=0\.02 .* period L=2\.0"):
+        BondBand(Nanotube(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.3], [0.0, 1.1, 0.0]]), 2.0, 1, 1), 0.02)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_band_refuses_an_eta_that_lets_a_bond_change_its_image(pots_soft, m):
+    # (12, m) at mu_us takes eta up to (L - 2*cutoff)/2 and no further
+    mu = reference_angles(12, pots_soft).mu_us
+    tube = build_nanotube(minimize_family(mu, 12, pots_soft, m=m).geometry, m)
+    limit = 0.5 * (tube.period - 2.0 * BOND_CUTOFF)
+    BondBand(tube, limit - 1e-6)
+    with pytest.raises(EtaTooLargeError, match="period L="):
+        BondBand(tube, limit + 1e-6)
+    with pytest.raises(EtaTooLargeError, match="period L="):
+        stability_trial(mu, 12, m, PerturbationSpec(eta=limit + 1e-6, count=3), pots_soft)
 
 
 def test_ensemble_builds_one_graph(base, pots_soft, monkeypatch):
@@ -231,39 +269,6 @@ def test_batched_report_equals_per_trial_oracle(pots_soft, ell, m, eta, mode, se
         assert rep["rejections"] > 0
 
 
-def test_batched_sampler_on_rebuild_tube():
-    # the tube of test_band_rebuilds_where_an_image_can_flip: no fixed images,
-    # so every draw rebuilds its graph, and about half the draws are redrawn
-    base = Nanotube(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.3], [0.0, 1.1, 0.0]]), 2.0, 1, 1)
-    band = BondBand(base, 0.02)
-    assert not band.fixed_images
-    spec = PerturbationSpec(eta=0.02, seed=6)
-    trials = [5, 0, 17, 3, 3, 39, 12]
-    positions, graphs, rejections = sample_perturbations(base, spec, trials, band)
-    expected = [sample_perturbation_rebuild(base, spec, t) for t in trials]
-    assert rejections == sum(rej for _, _, rej in expected) > 0
-    for x, graph, (tube, graph_ref, _) in zip(positions, graphs, expected):
-        assert np.array_equal(x, tube.positions)
-        assert np.array_equal(graph.pairs, graph_ref.pairs)
-        assert np.array_equal(graph.pair_shifts, graph_ref.pair_shifts)
-
-
-def test_rebuild_path_report_equals_oracle(base, pots_soft, monkeypatch):
-    # family tubes always have fixed images; force the rebuild path, where
-    # every draw gets its own graph and graph_rebuilds counts them all
-    class RebuildingBand(BondBand):
-        def __init__(self, tube, eta):
-            super().__init__(tube, eta)
-            self.fixed_images = False
-
-    monkeypatch.setattr(stab, "BondBand", RebuildingBand)
-    _, _, refs = base
-    spec = PerturbationSpec(eta=0.08, seed=2, count=6, mode="gaussian-clipped")
-    rep = stability_trial(refs.mu_us, 12, 2, spec, pots_soft)
-    _assert_reports_equal(rep, stability_trial_loop(refs.mu_us, 12, 2, spec, pots_soft))
-    assert rep["graph_rebuilds"] == spec.count + rep["rejections"] > spec.count
-
-
 @pytest.mark.parametrize("per_chunk", [1, 7, 40])
 @pytest.mark.parametrize("order", ["forward", "reversed", "shuffled"])
 def test_report_independent_of_chunks_and_order(base, pots_soft, monkeypatch, per_chunk, order):
@@ -303,7 +308,7 @@ def test_report_independent_of_chunks_and_order(base, pots_soft, monkeypatch, pe
 def test_samples_never_exceed_eta(base, mode, eta, seed, first):
     tube0, _, _ = base
     spec = PerturbationSpec(eta=eta, seed=seed, mode=mode)
-    positions, _, _ = sample_perturbations(tube0, spec, range(first, first + 5))
+    positions, _ = sample_perturbations(tube0, spec, range(first, first + 5))
     # displacements are read back from the positions, whose rounding is a few
     # ulps of the coordinates
     slack = 4.0 * np.spacing(np.max(np.abs(tube0.positions)))
