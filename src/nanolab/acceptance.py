@@ -75,15 +75,19 @@ def reference_angle_order(ells, seed) -> dict:
 
 
 def reduced_hessian_anchor(ells, seed) -> dict:
-    """Reduced Hessian positive definite, and d2E/dmu2 within 10/ell of the
-    anchor 2 v2''(1)/K, at each ell."""
-    reps = [reduced.verify_reduced_hessian(ell, SOFT) for ell in ells]
-    return {
-        "passed": all(r["positive_definite"] and r["anchor_ok"] for r in reps),
-        "ells": list(ells),
-        "anchor_ratio": [r["anchor_ratio"] for r in reps],
-        "eigenvalues": [r["eigenvalues"] for r in reps],
-    }
+    """Reduced Hessian at (mu_us, gamma_ell, gamma_ell) positive definite, and
+    d2E/dmu2 there within 10/ell of the anchor 2 v2''(1)/K, K = 9 + v2''(1) /
+    (2 v3''(2pi/3)), at each ell."""
+    v2pp, v3pp = SOFT.v2_curvature_at_min(), SOFT.v3_curvature_at_min()
+    anchor = 2.0 * v2pp / (9.0 + v2pp / (2.0 * v3pp))
+    hess = []
+    for ell in ells:
+        g = geometry.gamma(ell)
+        hess.append(reduced.reduced_hessian(reduced.reference_angles(ell, SOFT).mu_us, g, g, SOFT))
+    evals = [np.linalg.eigvalsh(h) for h in hess]
+    ratios = [float(h[0, 0] / anchor) for h in hess]
+    ok = all(ev[0] > 0.0 and abs(r - 1.0) <= 10.0 / ell for ell, ev, r in zip(ells, evals, ratios))
+    return {"passed": bool(ok), "ells": list(ells), "anchor_ratio": ratios, "eigenvalues": evals}
 
 
 def _ensemble(m: int, count: int, seed):
@@ -154,8 +158,8 @@ def kernel_dimensions(size, seed) -> dict:
 
 def cell_convexity(ells, seed, r: float = 0.9, pots=SOFT, cells=None) -> dict:
     """Positive constrained convexity constants at each ell, and c_weak ~ ell^-2
-    (log-log slope within 0.3) when there are several.  cells, when given,
-    holds the kink cell of each ell (see cellspec.kink_cell)."""
+    (log-log slope within 0.3) when there are several distinct ell.  cells,
+    when given, holds the kink cell of each ell (see cellspec.kink_cell)."""
     # the angle-sum concavity constant does not depend on ell
     c_kink = cellspec.angle_sum_concavity()["c_kink"]
     try:
@@ -167,7 +171,7 @@ def cell_convexity(ells, seed, r: float = 0.9, pots=SOFT, cells=None) -> dict:
         return {"passed": False, "error": str(exc)}
     ok = all(row["c_good"] > 0 and row["c_weak"] > 0 and row["c_kink"] > 0 for row in rows)
     entry = {"rows": rows}
-    if len(rows) > 1:
+    if len({row["ell"] for row in rows}) > 1:
         arr = np.array([(row["ell"], row["c_weak"]) for row in rows])
         slope = float(np.polyfit(np.log(arr[:, 0]), np.log(arr[:, 1]), 1)[0])
         entry["c_weak_scaling_slope"] = slope
@@ -193,14 +197,25 @@ def fracture_thresholds(m_list, seed) -> dict:
 
 
 def radius_trend(size, seed) -> dict:
-    """At ell = 16 the radius grows with mu for the soft preset and shrinks for
-    the stiff one, as sign(6 v3''(2pi/3) - v2''(1)) predicts."""
+    """At ell = 16 the radius grows with mu at mu_us for the soft preset and
+    shrinks for the stiff one, as sign(6 v3''(2pi/3) - v2''(1)) predicts.
+
+    rho = lambda sin(alpha) / (2 sin(pi/(2 ell))) at the minimizer (lambda,
+    alpha, alpha), so drho/dmu takes (dlambda/dmu, dalpha/dmu) from the mu
+    column of the minimizer derivative of one reduced solve.
+    """
+    ell = 16
+    g = geometry.gamma(ell)
     ok = True
     drho = {}
-    for pots, sign, window in ((SOFT, 1.0, 0.01), (STIFF, -1.0, 0.005)):
-        rep = reduced.minimizer_properties(16, pots, window=window, n_grid=7)
-        ok &= np.sign(rep["drho_dmu_at_mu_us"]) == sign and rep["radius_trend_ok"]
-        drho[pots.name] = rep["drho_dmu_at_mu_us"]
+    for pots, sign in ((SOFT, 1.0), (STIFF, -1.0)):
+        sol = reduced.reduced_solve(reduced.reference_angles(ell, pots).mu_us, g, g, pots)
+        lam, alpha, _ = sol.x[0]
+        dlam, dalpha, _ = sol.minimizer_derivative()[0, :, 0]
+        d = float((dlam * np.sin(alpha) + lam * np.cos(alpha) * dalpha) / (2.0 * np.sin(np.pi / (2.0 * ell))))
+        trend = np.sign(6.0 * pots.v3_curvature_at_min() - pots.v2_curvature_at_min())
+        ok &= np.sign(d) == sign and np.sign(d) == trend
+        drho[pots.name] = d
     return {"passed": bool(ok), "drho_dmu_at_mu_us": drho}
 
 

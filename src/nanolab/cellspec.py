@@ -233,8 +233,8 @@ def tilde_derivative_signs(ells, pots: PotentialSet, cells=None) -> dict:
     entries are strictly negative with magnitude of order 1/ell^2; the Hessian
     is diagonal with entries in a fixed positive band.  cells, when given,
     holds the kink cell of each ell (see kink_cell).  scaling_slope, the
-    log-log slope of the mean angle entry over ell, is None for one ell.
-    Raises VerificationFailureError on a sign violation.
+    log-log slope of the mean angle entry over ell, is None without two
+    distinct ell.  Raises VerificationFailureError on a sign violation.
     """
     rows = []
     for ell, cell in zip(ells, cells or [None] * len(ells)):
@@ -260,7 +260,7 @@ def tilde_derivative_signs(ells, pots: PotentialSet, cells=None) -> dict:
         )
     ells_arr = np.array([r["ell"] for r in rows], dtype=float)
     mags = np.array([np.mean(-r["angle_grad"]) for r in rows])
-    slope = float(np.polyfit(np.log(ells_arr), np.log(mags), 1)[0]) if len(rows) > 1 else None
+    slope = float(np.polyfit(np.log(ells_arr), np.log(mags), 1)[0]) if len(set(ells_arr)) > 1 else None
     return {"rows": rows, "scaling_slope": slope}
 
 

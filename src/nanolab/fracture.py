@@ -101,11 +101,6 @@ def build_cleaved(ell: int, m: int, mu: float, pots: PotentialSet) -> CleavedTub
     )
 
 
-def _cleaved_energy(ell: int, m: int, mu_us: float, pots: PotentialSet) -> float:
-    """Bookkept cleaved-state energy E(unstretched) + 4*ell; mu-independent."""
-    return family_energy(solve_family(ell, mu_us, 1.0, 1.0), m, pots) + 4.0 * ell
-
-
 # Newton on e(mu) stops once its step is at most ROOT_TOL, and fails after
 # ROOT_MAX_ITER iterations
 ROOT_TOL = 1e-12
@@ -180,7 +175,7 @@ def _thresholds(ell: int, ms, pots: PotentialSet, window: float):
     return mu_us, mu, iterations, residual
 
 
-def _row(ell: int, m: int, mu_us: float, mu_frac: float, pots: PotentialSet) -> dict:
+def _row(ell: int, m: int, mu_us: float, mu_frac: float) -> dict:
     return {
         "ell": ell,
         "m": m,
@@ -188,7 +183,6 @@ def _row(ell: int, m: int, mu_us: float, mu_frac: float, pots: PotentialSet) -> 
         "mu_frac": mu_frac,
         "offset": mu_frac - mu_us,
         "offset_sqrt_m": (mu_frac - mu_us) * np.sqrt(m),
-        "cleaved_energy": _cleaved_energy(ell, m, mu_us, pots),
     }
 
 
@@ -197,7 +191,7 @@ def fracture_threshold(ell: int, m: int, pots: PotentialSet, window: float = 0.1
     diagnostics of its reduced solves.  Raises WindowTooSmallError without a
     crossing."""
     mu_us, mu_frac, iterations, residual = _thresholds(ell, [m], pots, window)
-    row = _row(ell, m, mu_us, float(mu_frac[0]), pots)
+    row = _row(ell, m, mu_us, float(mu_frac[0]))
     return {**row, "newton_iterations": iterations, "max_kkt_residual": residual}
 
 
@@ -209,7 +203,7 @@ def fracture_scaling(ell: int, m_list, pots: PotentialSet, window: float = 0.12)
     if len(set(ms)) < 2:
         raise InvalidParameterError(f"the m-scaling needs at least two distinct m, got {ms}")
     mu_us, mu_frac, iterations, residual = _thresholds(ell, ms, pots, window)
-    rows = [_row(ell, m, mu_us, float(mf), pots) for m, mf in zip(ms, mu_frac)]
+    rows = [_row(ell, m, mu_us, float(mf)) for m, mf in zip(ms, mu_frac)]
     offs = np.array([r["offset"] for r in rows])
     slope, intercept = np.polyfit(np.log(np.array(ms, dtype=float)), np.log(offs), 1)
     return {

@@ -1,6 +1,7 @@
 """Symmetric cell energy, its reduced (inner-minimized) form, and the
 closed-form facts hanging off them: reference angles, the unstretched period,
-family energy minimization, and numerical convexity checks.
+family energy minimization, and the derivatives of the inner minimum and its
+minimizer in (mu, gamma1, gamma2).
 
 The reduced energy at (mu, gamma, gamma) equals the family energy per basic
 cell, so one three-variable minimization recovers the optimal bond lengths of
@@ -14,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BoundaryWarning,
-    DomainError,
-    InvalidParameterError,
-    OptimizationFailureError,
-    VerificationFailureError,
-)
+from .errors import BoundaryWarning, DomainError, InvalidParameterError, OptimizationFailureError
 from .geometry import ZigzagGeometry, beta, gamma, solve_family
 from .potentials import TWO_THIRDS_PI, PotentialSet
 
@@ -162,18 +157,23 @@ class ReducedSolution:
     iterations: np.ndarray
     residual: np.ndarray
 
-    def envelope_hessian(self) -> np.ndarray:
-        """(N, 3, 3) Hessians of the reduced energy in (mu, gamma1, gamma2).
-
-        The envelope Schur complement S_pp - S_px S_xx^-1 S_xp of the
-        six-variable Hessian S at the inner minimizer, with p = (mu, gamma1,
-        gamma2) and x the free inner variables (a variable pinned at a box
-        bound stays fixed, so it is left out of x: its row of S_xx is an
-        identity row and its row of S_xp is 0).
+    def minimizer_derivative(self) -> np.ndarray:
+        """(N, 3, 3) derivatives dx*/dp of the minimizer x* = (lambda, alpha1,
+        alpha2) in p = (mu, gamma1, gamma2): -S_xx^-1 S_xp by the implicit
+        function theorem on the six-variable Hessian S at the minimizer.  A
+        variable pinned at a box bound stays fixed, so its row is 0 (its row
+        of S_xx is an identity row and its row of S_xp is 0).
         """
         h = self.hess
         h_xp = np.where(self.free[:, :, None], h[:, 3:, :3], 0.0)
-        s = h[:, :3, :3] - h[:, :3, 3:] @ np.linalg.solve(_pin(h[:, 3:, 3:], self.free), h_xp)
+        return -np.linalg.solve(_pin(h[:, 3:, 3:], self.free), h_xp)
+
+    def envelope_hessian(self) -> np.ndarray:
+        """(N, 3, 3) Hessians of the reduced energy in (mu, gamma1, gamma2):
+        the envelope Schur complement S_pp + S_px dx*/dp (see
+        minimizer_derivative)."""
+        h = self.hess
+        s = h[:, :3, :3] + h[:, :3, 3:] @ self.minimizer_derivative()
         return 0.5 * (s + np.swapaxes(s, 1, 2))
 
 
@@ -330,8 +330,6 @@ def reference_angles(ell: int, pots: PotentialSet) -> ReferenceAngles:
     """alpha_ch, the fixed point of beta(., gamma_ell), in closed form: sin(a/2) =
     sin(a) sin(g/2) gives alpha_ch = 2 arccos(1/(2 sin(g/2))).  alpha_us, the
     angle-energy minimizer, by golden section and a Newton polish."""
-    if ell <= 3:
-        raise InvalidParameterError(f"ell must exceed 3, got {ell}")
     g = gamma(ell)
     v3 = pots.v3
 
@@ -425,124 +423,3 @@ def family_minima(mus, ell: int, pots: PotentialSet, m: int = 1):
 def minimize_family(mu: float, ell: int, pots: PotentialSet, m: int = 1) -> FamilyMinimum:
     """family_minima at one period mu."""
     return family_minima([mu], ell, pots, m=m)[0][0]
-
-
-def verify_reduced_hessian(ell: int, pots: PotentialSet) -> dict:
-    """Positive definiteness and curvature anchor of the reduced energy at the
-    unstretched point, plus the gamma-splitting lower bound.
-
-    Raises VerificationFailureError if the 3x3 Hessian is not positive definite.
-    """
-    if ell < 16:
-        raise InvalidParameterError(f"ell must be at least 16, got {ell}")
-    refs = reference_angles(ell, pots)
-    g = gamma(ell)
-    mu0 = refs.mu_us
-    eps = min(0.01, 0.25 * (np.pi - g))
-
-    # 24 gamma-split pairs from a fixed seed
-    d = np.random.default_rng(0).uniform(-eps, eps, size=(24, 2))
-    d = d[np.abs(d[:, 0] - d[:, 1]) >= 1e-4]
-    g1, g2 = g + d[:, 0], g + d[:, 1]
-    gbar = 0.5 * (g1 + g2)
-    # strict convexity is guaranteed only near the reference point; report the
-    # box actually verified by checking definiteness at its corners
-    corners = np.array([(mu0 + dmu, g + dg1, g + dg2) for dmu in (-eps, eps) for dg1 in (-eps, eps) for dg2 in (-eps, 0.0)])
-    # one solve: the reference point, the split pairs (g1, g2) and (gbar, gbar), the corners
-    k = len(d)
-    sol = reduced_solve(
-        np.concatenate([[mu0], np.full(2 * k, mu0), corners[:, 0]]),
-        np.concatenate([[g], g1, gbar, corners[:, 1]]),
-        np.concatenate([[g], g2, gbar, corners[:, 2]]),
-        pots,
-    )
-    hessians = sol.envelope_hessian()
-    hess = hessians[0]
-    evals = np.linalg.eigvalsh(hess)
-    if evals[0] <= 0.0:
-        raise VerificationFailureError(f"reduced Hessian not positive definite: eigenvalues {evals}")
-
-    v2pp = pots.v2_curvature_at_min()
-    v3pp = pots.v3_curvature_at_min()
-    kconst = 9.0 + v2pp / (2.0 * v3pp)
-    anchor = 2.0 * v2pp / kconst
-    ratio = float(hess[0, 0] / anchor)
-    grad = sol.grad[0, :3]
-    gap = sol.value[1 : 1 + k] - sol.value[1 + k : 1 + 2 * k]
-    csplit = np.min(gap * ell**2 / (g1 - g2) ** 2, initial=np.inf)
-    box_ok = bool(np.all(np.linalg.eigvalsh(hessians[1 + 2 * k :])[:, 0] > 0.0))
-
-    return {
-        "verified_box_halfwidth": float(eps) if box_ok else 0.0,
-        "ell": ell,
-        "mu_us": mu0,
-        "hessian": hess,
-        "eigenvalues": evals,
-        "positive_definite": bool(evals[0] > 0.0),
-        "anchor": anchor,
-        "d2mumu": float(hess[0, 0]),
-        "anchor_ratio": ratio,
-        "anchor_ok": bool(abs(ratio - 1.0) <= 10.0 / ell),
-        "gamma_symmetry_residual": float(abs(hess[1, 1] - hess[2, 2])),
-        "dgamma_negative": bool(grad[1] < 0.0 and grad[2] < 0.0),
-        "dgamma": (float(grad[1]), float(grad[2])),
-        "split_constant": float(csplit),
-    }
-
-
-def minimizer_properties(ell: int, pots: PotentialSet, window: float = 0.02, n_grid: int = 13) -> dict:
-    """Report-only checks on the family minimizer along a mu-grid around mu_us:
-    convexity of E_min, monotone bond lengths, the angle sandwich, and the
-    radius trend controlled by sign(6*v3''(2pi/3) - v2''(1))."""
-    refs = reference_angles(ell, pots)
-    mu0 = refs.mu_us
-    mus = np.linspace(mu0 - window, mu0 + window, n_grid)
-    sols = family_minima(mus, ell, pots)[0]
-    evals = np.array([s.energy for s in sols])
-    l1 = np.array([s.lambda1 for s in sols])
-    l2 = np.array([s.lambda2 for s in sols])
-    alph = np.array([s.alpha for s in sols])
-    rho = np.array([s.geometry.rho for s in sols])
-
-    second = np.diff(evals, 2)
-    h = mus[1] - mus[0]
-    i0 = int(np.argmin(np.abs(mus - mu0)))
-    d2emin = (evals[i0 + 1] - 2.0 * evals[i0] + evals[i0 - 1]) / h**2
-    drho = (rho[i0 + 1] - rho[i0 - 1]) / (2.0 * h)
-    trend_sign = float(np.sign(6.0 * pots.v3_curvature_at_min() - pots.v2_curvature_at_min()))
-
-    # The angle sandwich alpha_ch < alpha^mu < alpha_ru holds on a neighborhood
-    # of mu_us whose width shrinks with ell; measure it instead of asserting it
-    # on the whole grid.
-    in_sandwich = (alph > refs.alpha_ch) & (alph < refs.alpha_ru)
-    comp_hw = 0.0
-    stretch_hw = 0.0
-    for mu_i, ok in zip(mus, in_sandwich):
-        if not ok:
-            continue
-        if mu_i <= mu0:
-            comp_hw = max(comp_hw, mu0 - mu_i)
-        if mu_i >= mu0:
-            stretch_hw = max(stretch_hw, mu_i - mu0)
-    n = 4 * ell
-    return {
-        "ell": ell,
-        "mu_us": mu0,
-        "mu_grid": mus,
-        "emin": evals,
-        "emin_convex": bool(np.all(second > 0.0)),
-        "emin_argmin_at_mu_us": bool(np.argmin(evals) == i0),
-        "lambda1_monotone": bool(np.all(np.diff(l1) > 0.0)),
-        "lambda2_monotone": bool(np.all(np.diff(l2) > 0.0)),
-        "alpha_in_sandwich_at_mu_us": bool(in_sandwich[i0]),
-        "sandwich_halfwidth_compression": float(comp_hw),
-        "sandwich_halfwidth_stretch": float(stretch_hw),
-        "d2emin_at_mu_us": float(d2emin),
-        "d2emin_per_atom": float(d2emin / n),
-        "drho_dmu_at_mu_us": float(drho),
-        "radius_trend_ok": bool(np.sign(drho) == trend_sign),
-        "alpha": alph,
-        "lambda1": l1,
-        "lambda2": l2,
-        "rho": rho,
-    }

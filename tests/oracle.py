@@ -1,9 +1,10 @@
 """Independent references the fast paths are tested against: the brute-force
 bond graph (pair search and perturbation sampler), the weighted cell-energy
 gradient and the tilde energy (the weighted sum over the values of
-cellspec.t_map), the finite-difference stencils of the analytic derivatives (energy.hessian, cellspec.cell_hessian,
-cellspec.t_jacobian, the angle-sum Hessian in cellspec.angle_sum_concavity,
-reduced.reduced_hessian), the brute-force family minimizer
+cellspec.t_map), the finite-difference stencils of the analytic derivatives
+(energy.hessian, cellspec.cell_hessian, cellspec.t_jacobian, the angle-sum
+Hessian in cellspec.angle_sum_concavity, reduced.reduced_hessian,
+ReducedSolution.minimizer_derivative), the brute-force family minimizer
 (reduced.minimize_family), the one-point-at-a-time inner Newton solve
 (reduced.reduced_solve), the np.clip form of reduced.beta, the reference
 angles with the Newton polish run to its step cap
@@ -349,6 +350,23 @@ def reduced_hessian_fd(mu, gamma1, gamma2, pots, step: float = 1e-4):
 
     hess = (4.0 * fd(0.5 * step) - fd(step)) / 3.0
     return 0.5 * (hess + hess.T)
+
+
+def minimizer_derivative_fd(mu, gamma1, gamma2, pots, step: float = 1e-4):
+    """Richardson-extrapolated central differences of the minimizer x* =
+    (lambda, alpha1, alpha2) of reduced.reduced_solve in (mu, gamma1, gamma2),
+    as a 3x3 array with column d the derivative in parameter d: 12 points in
+    one batched solve."""
+    from nanolab.reduced import reduced_solve
+
+    x0 = np.array([mu, gamma1, gamma2], dtype=float)
+    # offsets +h, -h, +h/2, -h/2 along each parameter axis
+    offsets = np.concatenate([s * np.eye(3) for s in (step, -step, 0.5 * step, -0.5 * step)])
+    pts = x0 + offsets
+    x = reduced_solve(pts[:, 0], pts[:, 1], pts[:, 2], pots).x.reshape(4, 3, 3)
+    fd_h = (x[0] - x[1]).T / (2.0 * step)
+    fd_half = (x[2] - x[3]).T / step
+    return (4.0 * fd_half - fd_h) / 3.0
 
 
 def minimize_family_direct(mu: float, ell: int, pots, m: int = 1, resolution: float = 1e-3):

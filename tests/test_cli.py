@@ -130,6 +130,18 @@ def test_verify_cell_command(tmp_path):
     assert rep["checks"]["convexity"] == acceptance.cell_convexity([16, 32], 0, r=0.9)
 
 
+def test_verify_cell_repeated_ell_fits_no_slope(tmp_path):
+    # one distinct ell gives no abscissa to fit a scaling slope over: the
+    # report is that of the one-ell case, each row checked on its own
+    out = str(tmp_path / "vc.json")
+    assert run(["verify-cell", "--ell", "16,16", "-o", out]) == 0
+    rep = json.loads(open(out).read())
+    assert rep["passed"]
+    assert "c_weak_scaling_slope" not in rep["checks"]["convexity"]
+    assert rep["checks"]["tilde_derivatives"]["scaling_slope"] is None
+    assert [r["ell"] for r in rep["checks"]["convexity"]["rows"]] == [16, 16]
+
+
 def test_malformed_pxyz_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.pxyz"
     bad.write_text("2 6.0\n0 0 0\n1 2\n")

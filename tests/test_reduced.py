@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracle import beta_clip, minimize_family_direct, reduced_energy_scalar, reduced_hessian_fd, reference_angles_capped
+from oracle import (
+    beta_clip,
+    minimize_family_direct,
+    minimizer_derivative_fd,
+    reduced_energy_scalar,
+    reduced_hessian_fd,
+    reference_angles_capped,
+)
 
 from nanolab.errors import BoundaryWarning, DomainError, InvalidParameterError, OptimizationFailureError
 from nanolab.geometry import build_nanotube, gamma
@@ -13,6 +20,7 @@ from nanolab.energy import total_energy
 from nanolab import potentials
 from nanolab.potentials import PotentialSet
 import nanolab.reduced as reduced_module
+from nanolab.acceptance import radius_trend, reduced_hessian_anchor
 from nanolab.reduced import (
     ALPHA_HI,
     ALPHA_LO,
@@ -24,14 +32,12 @@ from nanolab.reduced import (
     beta_derivatives,
     family_minima,
     minimize_family,
-    minimizer_properties,
     reduced_energy,
     reduced_gradient,
     reduced_hessian,
     reduced_solve,
     reference_angles,
     sym_energy,
-    verify_reduced_hessian,
 )
 
 TP = 2.0 * np.pi / 3.0
@@ -194,46 +200,85 @@ def test_reduced_gradient_matches_fd(pots_soft):
     assert grad[1] == pytest.approx(fd_g1, abs=1e-7)
 
 
-def test_verify_reduced_hessian_anchor(pots_soft):
-    rep = verify_reduced_hessian(64, pots_soft)
-    assert rep["positive_definite"]
-    assert rep["anchor_ok"]
-    assert abs(rep["anchor_ratio"] - 1.0) <= 10.0 / 64.0
-    assert rep["gamma_symmetry_residual"] <= 1e-8
-    assert rep["dgamma_negative"]
-    assert rep["split_constant"] > 0.0
+def _solve_at_mu_us(ell, pots, gamma1, gamma2):
+    return reduced_solve(reference_angles(ell, pots).mu_us, gamma1, gamma2, pots)
 
 
-def test_anchor_ratio_decays_like_inverse_ell(pots_soft):
-    devs = [abs(verify_reduced_hessian(ell, pots_soft)["anchor_ratio"] - 1.0) for ell in (32, 64, 128)]
+def test_reduced_hessian_at_mu_us(pots_soft, pots_stiff):
+    # positive definite for both presets; at equal gammas the two gamma
+    # directions are symmetric and the energy falls as either gamma opens
+    for pots in (pots_soft, pots_stiff):
+        for ell in (32, 64):
+            sol = _solve_at_mu_us(ell, pots, gamma(ell), gamma(ell))
+            hess = sol.envelope_hessian()[0]
+            assert np.all(np.linalg.eigvalsh(hess) > 0.0)
+            assert abs(hess[1, 1] - hess[2, 2]) <= 1e-8
+            assert sol.grad[0, 1] < 0.0 and sol.grad[0, 2] < 0.0
+
+
+def test_anchor_ratio_decays_like_inverse_ell():
+    rep = reduced_hessian_anchor((32, 64, 128), 0)
+    assert rep["passed"]
+    devs = [abs(r - 1.0) for r in rep["anchor_ratio"]]
     assert devs[0] <= 10.0 / 32.0
     assert devs[1] < devs[0] or devs[1] < 1e-3
     assert devs[2] < devs[0]
 
 
-def test_verify_reduced_hessian_positive_definite_both_presets(pots_soft, pots_stiff):
-    for pots in (pots_soft, pots_stiff):
-        for ell in (32, 64):
-            rep = verify_reduced_hessian(ell, pots)
-            assert np.all(rep["eigenvalues"] > 0.0)
+def test_gamma_split_raises_reduced_energy(pots_soft):
+    # splitting (gamma, gamma) into (gamma1, gamma2) at the same mean costs
+    # energy of order (gamma1 - gamma2)^2 / ell^2: the split constant is positive
+    for ell in (32, 64):
+        g = gamma(ell)
+        eps = min(0.01, 0.25 * (np.pi - g))
+        d = np.random.default_rng(ell).uniform(-eps, eps, size=(24, 2))
+        d = d[np.abs(d[:, 0] - d[:, 1]) >= 1e-4]
+        g1, g2 = g + d[:, 0], g + d[:, 1]
+        split = _solve_at_mu_us(ell, pots_soft, g1, g2).value
+        even = _solve_at_mu_us(ell, pots_soft, 0.5 * (g1 + g2), 0.5 * (g1 + g2)).value
+        assert np.min((split - even) * ell**2 / (g1 - g2) ** 2) > 0.0
 
 
-def test_minimizer_properties_report(pots_soft):
-    rep = minimizer_properties(16, pots_soft, window=0.01, n_grid=9)
-    assert rep["emin_convex"]
-    assert rep["emin_argmin_at_mu_us"]
-    assert rep["lambda1_monotone"] and rep["lambda2_monotone"]
-    assert rep["alpha_in_sandwich_at_mu_us"]
-    assert rep["sandwich_halfwidth_stretch"] >= 0.0
-    assert rep["d2emin_per_atom"] > 0.0
-    assert rep["drho_dmu_at_mu_us"] > 0.0
-    assert rep["radius_trend_ok"]
+def test_reduced_hessian_positive_definite_on_box_corners(pots_soft):
+    ell = 32
+    g = gamma(ell)
+    mu0 = reference_angles(ell, pots_soft).mu_us
+    eps = min(0.01, 0.25 * (np.pi - g))
+    corners = np.array([(mu0 + a, g + b, g + c) for a in (-eps, eps) for b in (-eps, eps) for c in (-eps, 0.0)])
+    hess = reduced_solve(corners[:, 0], corners[:, 1], corners[:, 2], pots_soft).envelope_hessian()
+    assert np.all(np.linalg.eigvalsh(hess)[:, 0] > 0.0)
 
 
-def test_radius_trend_flips_for_stiff(pots_stiff):
-    rep = minimizer_properties(16, pots_stiff, window=0.005, n_grid=7)
-    assert rep["drho_dmu_at_mu_us"] < 0.0
-    assert rep["radius_trend_ok"]
+@pytest.mark.parametrize("preset, window", [("soft", 0.01), ("stiff", 0.005)])
+def test_family_minimum_around_mu_us(preset, window):
+    # E_min is convex with its grid argmin at mu_us, both bond lengths grow
+    # with mu, and alpha_ch < alpha < alpha_ru at mu_us
+    pots = potentials.load(preset)
+    refs = reference_angles(16, pots)
+    mus = np.linspace(refs.mu_us - window, refs.mu_us + window, 9)
+    fams, _ = family_minima(mus, 16, pots)
+    emin = np.array([f.energy for f in fams])
+    assert np.all(np.diff(emin, 2) > 0.0)
+    assert np.argmin(emin) == 4
+    assert np.all(np.diff([f.lambda1 for f in fams]) > 0.0)
+    assert np.all(np.diff([f.lambda2 for f in fams]) > 0.0)
+    assert refs.alpha_ch < fams[4].alpha < refs.alpha_ru
+
+
+def test_radius_trend_matches_central_difference():
+    # the closed-form drho/dmu of the battery row against a central
+    # difference of the family minimizer's radius
+    rep = radius_trend(None, 0)
+    assert rep["passed"]
+    h = 1e-4
+    for preset, sign in (("soft", 1.0), ("stiff", -1.0)):
+        pots = potentials.load(preset)
+        mu0 = reference_angles(16, pots).mu_us
+        fams, _ = family_minima([mu0 + h, mu0 - h], 16, pots)
+        fd = (fams[0].geometry.rho - fams[1].geometry.rho) / (2.0 * h)
+        drho = rep["drho_dmu_at_mu_us"][preset]
+        assert np.sign(drho) == sign
+        assert abs(drho - fd) <= 1e-8 * abs(fd)
 
 
 class _FarPair:
@@ -258,16 +303,6 @@ def test_boundary_warning_when_minimizer_leaves_box(pots_soft):
     assert lam == pytest.approx(1.1, abs=1e-9)
 
 
-def test_verify_rejects_small_ell(pots_soft):
-    with pytest.raises(InvalidParameterError):
-        verify_reduced_hessian(8, pots_soft)
-
-
-def test_verified_convexity_box_reported(pots_soft):
-    rep = verify_reduced_hessian(32, pots_soft)
-    assert rep["verified_box_halfwidth"] > 0.0
-
-
 @pytest.mark.parametrize(
     "ell, mu_offset, d1, d2",
     [(16, 0.0, 0.0, 0.0), (16, 0.01, 0.005, -0.003), (64, -0.02, 0.0, 0.0), (64, 0.02, -0.004, 0.006)],
@@ -288,6 +323,43 @@ def test_reduced_hessian_with_lambda_pinned(pots_soft):
             assert reduced_energy(*pt, pots)[1][0] == 1.1
             h = reduced_hessian(*pt, pots)
             assert np.max(np.abs(h - reduced_hessian_fd(*pt, pots))) <= 1e-8 * np.max(np.abs(h))
+
+
+@settings(max_examples=20)
+@given(
+    preset=st.sampled_from(["soft", "stiff"]),
+    ell=st.integers(16, 64),
+    mu=st.floats(2.95, 3.08),
+    d1=st.floats(-0.01, 0.01),
+    d2=st.floats(-0.01, 0.01),
+    split=st.booleans(),
+)
+def test_minimizer_derivative_matches_fd_oracle(preset, ell, mu, d1, d2, split):
+    g = gamma(ell)
+    pt = (mu, g + d1, g + (d2 if split else d1))
+    pots = potentials.load(preset)
+    deriv = reduced_solve(*pt, pots).minimizer_derivative()[0]
+    assert np.max(np.abs(deriv - minimizer_derivative_fd(*pt, pots))) <= 1e-8 * np.max(np.abs(deriv))
+
+
+def test_minimizer_derivative_pinned_rows_are_zero(pots_soft, pots_stiff):
+    # a variable at its box bound stays there: its row is exactly 0.  The
+    # far-minimum pair potential pins lambda; at stiff ell = 12 and mu below
+    # about 2.79 both alphas are pinned
+    g = gamma(12)
+    cases = [
+        (PotentialSet(_FarPair(), pots_soft.v3), (2.9, np.pi, np.pi), [False, True, True]),
+        (PotentialSet(_FarPair(), pots_soft.v3), (2.92, np.pi - 0.01, np.pi - 0.02), [False, True, True]),
+        (pots_stiff, (2.70, g + 0.01, g - 0.005), [True, False, False]),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryWarning)
+        for pots, pt, free in cases:
+            sol = reduced_solve(*pt, pots)
+            assert sol.free[0].tolist() == free
+            deriv = sol.minimizer_derivative()[0]
+            assert np.all(deriv[~sol.free[0]] == 0.0)
+            assert np.max(np.abs(deriv - minimizer_derivative_fd(*pt, pots))) <= 1e-8 * np.max(np.abs(deriv))
 
 
 def test_newton_stops_at_round_off_floor(pots_soft, monkeypatch):
