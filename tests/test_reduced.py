@@ -204,7 +204,16 @@ def _solve_at_mu_us(ell, pots, gamma1, gamma2):
     return reduced_solve(reference_angles(ell, pots).mu_us, gamma1, gamma2, pots)
 
 
-def test_reduced_hessian_at_mu_us(pots_soft, pots_stiff):
+def test_verify_reduced_hessian_anchor():
+    # d2E/dmu2 at (mu_us, gamma_ell, gamma_ell) within 10/ell of the anchor,
+    # with a positive definite reduced Hessian there
+    rep = reduced_hessian_anchor((64,), 0)
+    assert rep["passed"]
+    assert abs(rep["anchor_ratio"][0] - 1.0) <= 10.0 / 64.0
+    assert np.all(rep["eigenvalues"][0] > 0.0)
+
+
+def test_verify_reduced_hessian_positive_definite_both_presets(pots_soft, pots_stiff):
     # positive definite for both presets; at equal gammas the two gamma
     # directions are symmetric and the energy falls as either gamma opens
     for pots in (pots_soft, pots_stiff):
@@ -239,7 +248,9 @@ def test_gamma_split_raises_reduced_energy(pots_soft):
         assert np.min((split - even) * ell**2 / (g1 - g2) ** 2) > 0.0
 
 
-def test_reduced_hessian_positive_definite_on_box_corners(pots_soft):
+def test_verified_convexity_box_reported(pots_soft):
+    # the reduced Hessian is positive definite at every corner of the box
+    # mu_us +- eps, gamma_ell +- eps around the reference point
     ell = 32
     g = gamma(ell)
     mu0 = reference_angles(ell, pots_soft).mu_us
@@ -249,35 +260,41 @@ def test_reduced_hessian_positive_definite_on_box_corners(pots_soft):
     assert np.all(np.linalg.eigvalsh(hess)[:, 0] > 0.0)
 
 
-@pytest.mark.parametrize("preset, window", [("soft", 0.01), ("stiff", 0.005)])
-def test_family_minimum_around_mu_us(preset, window):
-    # E_min is convex with its grid argmin at mu_us, both bond lengths grow
-    # with mu, and alpha_ch < alpha < alpha_ru at mu_us
-    pots = potentials.load(preset)
-    refs = reference_angles(16, pots)
-    mus = np.linspace(refs.mu_us - window, refs.mu_us + window, 9)
-    fams, _ = family_minima(mus, 16, pots)
-    emin = np.array([f.energy for f in fams])
-    assert np.all(np.diff(emin, 2) > 0.0)
-    assert np.argmin(emin) == 4
-    assert np.all(np.diff([f.lambda1 for f in fams]) > 0.0)
-    assert np.all(np.diff([f.lambda2 for f in fams]) > 0.0)
-    assert refs.alpha_ch < fams[4].alpha < refs.alpha_ru
+def test_minimizer_properties_report():
+    # on a 9-point mu grid around mu_us: E_min is convex with its grid argmin
+    # at mu_us, both bond lengths grow with mu, and alpha_ch < alpha < alpha_ru
+    # at mu_us
+    for preset, window in (("soft", 0.01), ("stiff", 0.005)):
+        pots = potentials.load(preset)
+        refs = reference_angles(16, pots)
+        mus = np.linspace(refs.mu_us - window, refs.mu_us + window, 9)
+        fams, _ = family_minima(mus, 16, pots)
+        emin = np.array([f.energy for f in fams])
+        assert np.all(np.diff(emin, 2) > 0.0)
+        assert np.argmin(emin) == 4
+        assert np.all(np.diff([f.lambda1 for f in fams]) > 0.0)
+        assert np.all(np.diff([f.lambda2 for f in fams]) > 0.0)
+        assert refs.alpha_ch < fams[4].alpha < refs.alpha_ru
+
+
+def test_radius_trend_flips_for_stiff():
+    rep = radius_trend(None, 0)
+    assert rep["passed"]
+    assert rep["drho_dmu_at_mu_us"]["soft"] > 0.0
+    assert rep["drho_dmu_at_mu_us"]["stiff"] < 0.0
 
 
 def test_radius_trend_matches_central_difference():
     # the closed-form drho/dmu of the battery row against a central
     # difference of the family minimizer's radius
     rep = radius_trend(None, 0)
-    assert rep["passed"]
     h = 1e-4
-    for preset, sign in (("soft", 1.0), ("stiff", -1.0)):
+    for preset in ("soft", "stiff"):
         pots = potentials.load(preset)
         mu0 = reference_angles(16, pots).mu_us
         fams, _ = family_minima([mu0 + h, mu0 - h], 16, pots)
         fd = (fams[0].geometry.rho - fams[1].geometry.rho) / (2.0 * h)
         drho = rep["drho_dmu_at_mu_us"][preset]
-        assert np.sign(drho) == sign
         assert abs(drho - fd) <= 1e-8 * abs(fd)
 
 
