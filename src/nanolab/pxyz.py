@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
+import re
+import stat
 from itertools import chain
 
 import numpy as np
@@ -22,12 +23,23 @@ FLOAT_FORMAT = "%.17g"
 _FIELD_FORMATS = {"i": "%d", "f": FLOAT_FORMAT}
 
 
+def _bits(block: np.ndarray) -> np.ndarray:
+    """int64 keys of a block's values: equal keys print the same text, and
+    0.0 and -0.0, or two NaN payloads, keep keys of their own."""
+    if block.dtype.kind == "f":
+        return block.astype(np.float64, copy=False).view(np.int64)
+    return block.astype(np.int64, copy=False)
+
+
 def format_table(blocks, sep: str = " ") -> str:
     """Text of a table whose columns are the blocks side by side, one line per row.
 
     Each block is array-like of shape (rows,) or (rows, k): integer blocks are
-    written with %d, float blocks with FLOAT_FORMAT.  The whole table is one
-    % operation on the values in row order.
+    written with %d, float blocks with FLOAT_FORMAT.  When the blocks'
+    distinct values number at most half of the table's values (a periodic
+    tube repeats its cells), each block's distinct values are formatted once
+    and the cells take their text by bit pattern; otherwise the whole table
+    is one % operation on the values in row order.  Both give the same text.
     """
     blocks = [np.asarray(b) for b in blocks]
     blocks = [b if b.ndim == 2 else b.reshape(-1, 1) for b in blocks]
@@ -36,17 +48,39 @@ def format_table(blocks, sep: str = " ") -> str:
     for b in blocks:
         fields += [_FIELD_FORMATS[b.dtype.kind]] * b.shape[1]
     table = np.empty((rows, len(fields)), dtype=object)
-    np.concatenate(blocks, axis=1, out=table)
-    return (sep.join(fields) + "\n") * rows % tuple(table.ravel().tolist())
+    keys = [_bits(b) for b in blocks]
+    ordered = [np.sort(k, axis=None) for k in keys]
+    repeats = [s[1:] == s[:-1] for s in ordered]
+    if 2 * sum(s.size - np.count_nonzero(r) for s, r in zip(ordered, repeats)) > table.size:
+        np.concatenate(blocks, axis=1, out=table)
+        return (sep.join(fields) + "\n") * rows % tuple(table.ravel().tolist())
+    col = 0
+    for b, k, s, r in zip(blocks, keys, ordered, repeats):
+        d = np.concatenate((s[:1], s[1:][~r]))
+        values = d.view(np.float64) if b.dtype.kind == "f" else d
+        text = ("\n".join([_FIELD_FORMATS[b.dtype.kind]] * len(d)) % tuple(values.tolist())).split("\n")
+        table[:, col : col + k.shape[1]] = np.array(text, dtype=object)[np.searchsorted(d, k)]
+        col += k.shape[1]
+    return "".join([sep.join(row) + "\n" for row in table.tolist()])
 
 
 def write_text(path, text: str) -> None:
-    """Write atomically: temp file in the target directory, then rename.  An
-    OSError is raised again with path, not the temp file, as its file name."""
+    """Write atomically: temp file in the target directory, then rename.
+
+    The temp file is created with mode 0o666 less the umask, as open(path, "w")
+    creates a file, and takes the mode of the file it replaces.  An OSError is
+    raised again with path, not the temp file, as its file name."""
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            mode = None
+        tmp = f"{os.path.abspath(path)}.{os.urandom(8).hex()}.tmp"
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                if mode is not None:
+                    os.fchmod(fh.fileno(), mode)
                 fh.write(text)
             os.replace(tmp, path)
         except BaseException:
@@ -77,18 +111,30 @@ def _coordinate_error(raw, n: int) -> PxyzFormatError:
     raise AssertionError("no malformed coordinate line")
 
 
+# Characters that float() and int() accept although no number is written with
+# them (non-ASCII digits and spaces, the underscore of 1_0), and the ASCII
+# controls that str.splitlines() or str.split() take for a line or field break
+_REFUSED_ASCII = "_\v\f\x1c\x1d\x1e\x1f"
+_REFUSED = re.compile(f"[^\\x00-\\x7f]|[{re.escape(_REFUSED_ASCII)}]")
+
+
 def _ascii_lines(path) -> list:
-    """The lines of a text file that holds only ASCII characters and no
-    underscore.  float() and int() would read any Unicode digit and take 1_0
-    for 10, so the first line that breaks this raises PxyzFormatError."""
+    """The lines of a text file that holds only ASCII characters, with no
+    underscore and no control character that splits lines or fields other
+    than newline, carriage return and tab.  The first line that breaks this
+    raises PxyzFormatError."""
     with open(path, "rb") as fh:
         text = fh.read().decode("utf-8", errors="replace")
-    if text.isascii() and "_" not in text:
+    if text.isascii() and not any(c in text for c in _REFUSED_ASCII):
         return text.splitlines()
-    # keepends keeps a non-ASCII line separator on its line
-    lines = text.splitlines(keepends=True)
-    row = next(i for i, line in enumerate(lines) if not line.isascii() or "_" in line)
-    raise PxyzFormatError(f"non-ASCII character or underscore in {lines[row]!r}", line_number=row + 1)
+    # the lines up to and including the first refused character are split as
+    # in a clean file; keepends keeps a refused line break on its line
+    pos = _REFUSED.search(text).start()
+    row = len(text[: pos + 1].splitlines()) - 1
+    line = text.splitlines(keepends=True)[row]
+    raise PxyzFormatError(
+        f"non-ASCII character, underscore or control character in {line!r}", line_number=row + 1
+    )
 
 
 def read_pxyz(path, ell: int | None = None, m: int | None = None) -> Nanotube:

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,7 @@ from oracle import format_rows, pxyz_text, read_pxyz_lines
 
 from nanolab.errors import PxyzFormatError
 from nanolab.geometry import Nanotube, build_nanotube, solve_family
-from nanolab.pxyz import format_table, read_pxyz, write_pxyz
+from nanolab.pxyz import format_table, read_pxyz, write_pxyz, write_text
 
 # doubles whose text is easy to get wrong
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
@@ -45,10 +48,16 @@ def test_header_format(tmp_path):
         ("2 6.0\n0\u20030 0\n1 2 3\n", 2),
         ("2 6.0\n0 0 0\u2028\n1 2 3\n", 2),
         ("2 6.0\n0 0 0\n1 2 3\n\u00a0\n", 4),
+        ("4 3.0\n0 0 0\f1 1 1\n2 2 2\n3 3 3\n", 2),
+        ("4 3.0\n0\x1f0 0\n1 1 1\n2 2 2\n3 3 3\n", 2),
+        ("4 3.0\n0 0 0\n1 1 1\n2 2 2\v\n3 3 3\n", 4),
+        ("4 3.0\n0 0 0\n1 1 1\x1e2 2 2\n3 3 3\n", 3),
+        ("4 3.0\x1c0 0 0\n1 1 1\n2 2 2\n3 3 3\n", 1),
     ],
 )
 def test_characters_outside_number_grammar_rejected(tmp_path, content, line):
-    # float() and int() take Unicode digits and spaces and read 0_2 as 2
+    # float() and int() take Unicode digits and spaces and read 0_2 as 2;
+    # str.splitlines() and str.split() break lines or fields at \v, \f and \x1c-\x1f
     path = tmp_path / "bad.pxyz"
     path.write_text(content, encoding="utf-8")
     with pytest.raises(PxyzFormatError) as err:
@@ -124,7 +133,9 @@ def test_trailing_blank_lines_accepted(tmp_path):
 )
 def test_roundtrip_bit_exact_on_drawn_tubes(tmp_path_factory, ell, m, mu, lambda1, seed, scale):
     # family tubes moved by anything from subnormal to huge displacements,
-    # negative zeros included: every coordinate and the period come back to the bit
+    # negative zeros included: the file equals the per-coordinate oracle's
+    # (scale 0 writes a family tube, whose values repeat cell to cell), and
+    # every coordinate and the period come back to the bit
     tube = build_nanotube(solve_family(ell, mu, lambda1, max(0.901, mu / 2 - lambda1 + 1e-3)), m)
     rng = np.random.default_rng(seed)
     pos = tube.positions + scale * rng.standard_normal(tube.positions.shape)
@@ -132,6 +143,8 @@ def test_roundtrip_bit_exact_on_drawn_tubes(tmp_path_factory, ell, m, mu, lambda
     tube = tube.with_positions(pos)
     path = str(tmp_path_factory.getbasetemp() / "drawn.pxyz")
     write_pxyz(path, tube)
+    with open(path, "rb") as fh:
+        assert fh.read() == pxyz_text(tube).encode()
     back = read_pxyz(path, ell=ell, m=m)
     assert back.positions.tobytes() == tube.positions.tobytes()
     assert np.float64(back.period).tobytes() == np.float64(tube.period).tobytes()
@@ -152,11 +165,64 @@ def column_blocks(draw):
     return blocks
 
 
+def per_value_text(blocks, sep):
+    rows = [sum((b.reshape(len(b), -1)[r].tolist() for b in blocks), []) for r in range(len(blocks[0]))]
+    return format_rows(rows, sep)
+
+
 @settings(max_examples=60)
 @given(blocks=column_blocks(), sep=st.sampled_from([",", " "]))
 def test_table_bytes_equal_per_value_oracle(blocks, sep):
-    rows = [sum((b.reshape(len(b), -1)[r].tolist() for b in blocks), []) for r in range(len(blocks[0]))]
-    assert format_table(blocks, sep) == format_rows(rows, sep)
+    assert format_table(blocks, sep) == per_value_text(blocks, sep)
+
+
+# values whose text is easy to get wrong, with pairs that == or a sort by
+# value would merge: 0.0 and -0.0, and two NaN payloads
+POOL = {
+    "f": np.concatenate((
+        [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308, 0.1],
+        np.array([0x7FF8000000000000, 0x7FF8000000000001], dtype=np.int64).view(np.float64),
+    )),
+    "i": np.array([-(2**63), 2**63 - 1, -1, 0, 1]),
+}
+
+
+@st.composite
+def pooled_blocks(draw):
+    """1 to 4 blocks of up to 40 rows, each drawn from a pool of at most 4
+    values: long tables are mostly repeats, short ones mostly distinct."""
+    rows = draw(st.one_of(st.integers(0, 3), st.integers(4, 40)))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        shape = (rows,) if draw(st.booleans()) else (rows, draw(st.integers(1, 4)))
+        values = POOL[draw(st.sampled_from("fi"))]
+        pool = values[draw(st.lists(st.integers(0, len(values) - 1), min_size=1, max_size=4, unique=True))]
+        blocks.append(pool[draw(arrays(np.intp, shape, elements=st.integers(0, len(pool) - 1)))])
+    return blocks
+
+
+@settings(max_examples=60)
+@given(blocks=pooled_blocks(), sep=st.sampled_from([",", " "]))
+def test_pooled_table_bytes_equal_per_value_oracle(blocks, sep):
+    # both paths of format_table: each distinct value formatted once, and the
+    # whole table in one % operation
+    assert format_table(blocks, sep) == per_value_text(blocks, sep)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+def test_written_file_mode_follows_umask_or_replaced_file(tmp_path):
+    new, kept = tmp_path / "new.csv", tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    kept.chmod(0o640)
+    umask = os.umask(0o022)
+    try:
+        write_text(new, "a\n")
+        write_text(kept, "b\n")
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o644
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o640 and kept.read_text() == "b\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv", "new.csv"]
 
 
 @settings(max_examples=25)
