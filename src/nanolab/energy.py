@@ -74,19 +74,29 @@ _MAX_CELLS = 2**20
 def near_pairs(pos: np.ndarray, L: float, radius: float):
     """All pairs i < j at modulo-L distance below radius, in (i, j) order.
 
-    A cell list: atoms are binned into cells no narrower than radius (x wrapped
-    into [0, L) for the binning only), sorted by cell key, and matched against
-    the 27 neighbouring cells.  Distances and shifts come from image_distances
-    on the raw coordinates, so the result does not depend on which period
-    the atoms were written in.  Returns (i, j, t, dist).
+    A half-shell cell list: atoms are binned into cells no narrower than
+    radius (x wrapped into [0, L) for the binning only) and sorted by cell
+    key; each atom is matched against the atoms after it in its own cell and
+    against the 13 neighbouring cells that follow its cell in key order, so
+    each pair of cells is visited once.  Distances and shifts come from
+    image_distances on the raw coordinates, so the result does not depend on
+    which period the atoms were written in.  Returns (i, j, t, dist).
     Raises DegenerateGeometryError on non-finite input, which the binning
-    would otherwise cast to arbitrary integers.
+    would otherwise cast to arbitrary integers, and on an axial coordinate
+    2**52 or more periods from the origin, whose image shift is no longer
+    an exact integer.
     """
     if not (np.isfinite(L) and L > 0 and np.all(np.isfinite(pos))):
         raise DegenerateGeometryError("positions and period must be finite, with period > 0")
+    if not np.all(np.abs(pos[:, 0]) < 2.0**52 * L):
+        raise DegenerateGeometryError(f"axial coordinates must lie within 2**52 periods of the origin, period L={L!r}")
     n = len(pos)
     h = radius * (1.0 + _CELL_SLACK)
-    nx = int(min(_MAX_CELLS, max(1.0, L // h)))
+    # with fewer than three axial cells, the cells at -1 and +1 would be one
+    # cell and its pairs would be found twice
+    nx = int(min(_MAX_CELLS, L // h))
+    if nx < 3:
+        nx = 1
     cx = np.floor(np.mod(pos[:, 0], L) / (L / nx)).astype(np.int64) % nx
 
     def bins(v):
@@ -100,18 +110,20 @@ def near_pairs(pos: np.ndarray, L: float, radius: float):
     order = np.argsort(cell, kind="stable")
     sorted_keys = cell[order]
 
-    # with fewer than three axial cells, -1 and +1 name the same cell
+    # the offsets after (0, 0, 0) in key order; queried atom by atom in cell
+    # order, each offset's keys arrive (nearly) sorted
     offsets = np.array(
-        [(ox, oy, oz) for ox in sorted({o % nx for o in (-1, 0, 1)}) for oy in (-1, 0, 1) for oz in (-1, 0, 1)]
+        [(ox, oy, oz) for ox in (0, 1) if ox < nx for oy in (-1, 0, 1) for oz in (-1, 0, 1) if (ox, oy, oz) > (0, 0, 0)]
     )
-    keys = (((cx[:, None] + offsets[:, 0]) % nx * ny + cy[:, None] + offsets[:, 1]) * nz
-            + cz[:, None] + offsets[:, 2]).ravel()
-    lo = np.searchsorted(sorted_keys, keys, side="left")
-    count = np.searchsorted(sorted_keys, keys, side="right") - lo
-    a = np.repeat(np.repeat(np.arange(n), len(offsets)), count)
+    cx, cy, cz = cx[order], cy[order], cz[order]
+    keys = (((cx + offsets[:, :1]) % nx * ny + cy + offsets[:, 1:2]) * nz + cz + offsets[:, 2:]).ravel()
+    # the atom at sorted place s meets places s + 1 ... of its own cell first
+    lo = np.concatenate([np.arange(1, n + 1), np.searchsorted(sorted_keys, keys, side="left")])
+    hi = np.searchsorted(sorted_keys, np.concatenate([sorted_keys, keys]), side="right")
+    count = hi - lo
+    a = np.repeat(np.tile(order, len(offsets) + 1), count)
     b = order[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(len(a))]
-    keep = a < b
-    a, b = a[keep], b[keep]
+    a, b = np.minimum(a, b), np.maximum(a, b)
     t, dist = image_distances(pos[a] - pos[b], L)
     hit = dist < radius
     a, b, t, dist = a[hit], b[hit], t[hit], dist[hit]
@@ -136,7 +148,8 @@ def _half_edges(pairs: np.ndarray, shifts: np.ndarray):
 def bond_graph(tube: Nanotube) -> BondGraph:
     """Build the bond graph of one n-cell (strict inequality at BOND_CUTOFF).
 
-    Raises DegenerateGeometryError on non-finite positions or period.
+    Raises DegenerateGeometryError on non-finite positions or period, and on
+    axial coordinates 2**52 or more periods from the origin.
     """
     ii, jj, tt, _ = near_pairs(tube.positions, tube.period, BOND_CUTOFF)
     pairs = np.stack([ii, jj], axis=1)

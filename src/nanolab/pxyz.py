@@ -11,7 +11,6 @@ import math
 import os
 import re
 import stat
-from itertools import chain
 
 import numpy as np
 
@@ -118,15 +117,15 @@ _REFUSED_ASCII = "_\v\f\x1c\x1d\x1e\x1f"
 _REFUSED = re.compile(f"[^\\x00-\\x7f]|[{re.escape(_REFUSED_ASCII)}]")
 
 
-def _ascii_lines(path) -> list:
-    """The lines of a text file that holds only ASCII characters, with no
+def _ascii_text(path) -> str:
+    """The text of a file that holds only ASCII characters, with no
     underscore and no control character that splits lines or fields other
     than newline, carriage return and tab.  The first line that breaks this
     raises PxyzFormatError."""
     with open(path, "rb") as fh:
         text = fh.read().decode("utf-8", errors="replace")
     if text.isascii() and not any(c in text for c in _REFUSED_ASCII):
-        return text.splitlines()
+        return text
     # the lines up to and including the first refused character are split as
     # in a clean file; keepends keeps a refused line break on its line
     pos = _REFUSED.search(text).start()
@@ -144,7 +143,8 @@ def read_pxyz(path, ell: int | None = None, m: int | None = None) -> Nanotube:
     returned with ell = n // 4, m = 1 (labels then carry no geometric meaning).
     Raises InvalidParameterError for an ell or m below 1.
     """
-    raw = _ascii_lines(path)
+    text = _ascii_text(path)
+    raw = text.splitlines()
     if not raw:
         raise PxyzFormatError("empty PXYZ file", line_number=1)
     head = raw[0].split()
@@ -161,13 +161,29 @@ def read_pxyz(path, ell: int | None = None, m: int | None = None) -> Nanotube:
         raise PxyzFormatError(
             f"expected {n} coordinate lines, found {len(raw) - 1}", line_number=len(raw) + 1
         )
-    # split lazily, twice, so no line's tokens outlive their parse
-    body = raw[1 : n + 1]
+    # each line's fields are counted on a split that is dropped at once; the
+    # tokens come from one split of the whole text (the header's two, then the
+    # body's), so no per-line lists are kept alive
+    if set(map(len, map(str.split, raw[1 : n + 1]))) != {3}:
+        raise _coordinate_error(raw, n)
+    tokens = text.split()[2 : 2 + 3 * n]
+    # as format_table does: when at most half of the tokens are distinct (a
+    # periodic tube repeats its cells), float() each distinct token once.  The
+    # count stops at the first half of the tokens when those are already
+    # more than half of all of them, as when every token is distinct
+    half = len(tokens) // 2
+    distinct = set(tokens[: half + 1])
+    if len(distinct) <= half:
+        distinct.update(tokens[half + 1 :])
     try:
-        pos = np.fromiter(map(float, chain.from_iterable(map(str.split, body))), dtype=float, count=3 * n)
-    except ValueError:  # an unparseable token, or fewer than 3n of them
+        if 2 * len(distinct) <= len(tokens):
+            value = dict(zip(distinct, map(float, distinct)))
+            pos = np.fromiter(map(value.__getitem__, tokens), dtype=float, count=3 * n)
+        else:
+            pos = np.fromiter(map(float, tokens), dtype=float, count=3 * n)
+    except ValueError:
         pos = None
-    if pos is None or set(map(len, map(str.split, body))) != {3} or not np.isfinite(pos).all():
+    if pos is None or not np.isfinite(pos).all():
         raise _coordinate_error(raw, n)
     extra = next((i for i in range(n + 1, len(raw)) if raw[i].strip()), None)
     if extra is not None:

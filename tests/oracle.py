@@ -56,16 +56,19 @@ E1 = np.array([1.0, 0.0, 0.0])
 
 
 def pairs_brute(pos: np.ndarray, L: float, cutoff: float):
-    """O(n^2) pair search under the modulo-L metric over the images t in {0, -1, +1}.
+    """O(n^2) nearest-image pair search under the modulo-L metric: each axial
+    difference is first brought within about half a period by t0 = -rint(dx / L),
+    then the images t0 + {0, -1, +1} are scanned for the nearest.
 
-    Returns (i, j, shift, dist) for the pairs i < j at distance below cutoff,
-    in (i, j) order, plus the full distance matrix.
+    Returns (i, j, shift) for the pairs i < j at distance below cutoff, in
+    (i, j) order, plus the full distance matrix.
     """
     d = pos[:, None, :] - pos[None, :, :]
-    dx = d[..., 0]
+    t0 = -np.rint(d[..., 0] / L)
+    dx = d[..., 0] + t0 * L
     cand = np.stack([dx, dx - L, dx + L])
     k = np.argmin(np.abs(cand), axis=0)
-    shifts = np.array([0, -1, 1])[k]
+    shifts = t0.astype(np.int64) + np.array([0, -1, 1])[k]
     dxw = np.take_along_axis(cand, k[None], axis=0)[0]
     dist = np.sqrt(dxw**2 + d[..., 1] ** 2 + d[..., 2] ** 2)
     ii, jj = np.where(np.triu(dist < cutoff, k=1))

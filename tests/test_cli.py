@@ -475,6 +475,18 @@ def test_energy_rejects_coincident_atoms(tmp_path, capsys):
     assert not (tmp_path / "e.json").exists()
 
 
+def test_energy_rejects_axial_coordinates_far_beyond_the_period(tmp_path, capsys):
+    # 1.5 is 1.5e300 periods of 1e-300 from the origin: the image shifts do
+    # not fit an int64, and the energy came out arbitrary with exit 0
+    path = tmp_path / "t.pxyz"
+    path.write_text("4 1e-300\n0 0 0\n0.5 0.5 0\n1 0 0\n1.5 0.5 0\n")
+    out = tmp_path / "e.json"
+    assert run(["energy", "--in", str(path), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nanolab: ") and "period L=1e-300" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text, word",
     [

@@ -22,6 +22,7 @@ from nanolab.energy import (
     gradient,
     hessian,
     image_distances,
+    near_pairs,
     total_energy,
 )
 from nanolab.errors import DegenerateGeometryError
@@ -159,6 +160,38 @@ def test_non_finite_positions_raise(tube, bad):
         bond_graph(tube.with_positions(pos))
     with pytest.raises(DegenerateGeometryError):
         bond_graph(Nanotube(tube.positions, bad, tube.ell, tube.m))
+
+
+def test_axial_coordinates_far_from_origin_raise():
+    # at L = 1e-300 the image shifts rint(dx / L) ~ 1e300 do not fit an int64:
+    # the cast gave arbitrary shifts and a wrong energy
+    tiny = Nanotube(np.array([[0.0, 0, 0], [0.5, 0.5, 0], [1.0, 0, 0], [1.5, 0.5, 0]]), 1e-300, 1, 1)
+    with pytest.raises(DegenerateGeometryError, match="period L=1e-300"):
+        bond_graph(tiny)
+    for x in (2.0**52, -(2.0**52)):
+        with pytest.raises(DegenerateGeometryError, match="2\\*\\*52 periods"):
+            near_pairs(np.array([[x, 0.0, 0.0], [0.0, 0.0, 0.0]]), 1.0, 1.1)
+    assert near_pairs(np.array([[2.0**52 - 1, 0.0, 0.0], [0.0, 0.0, 0.0]]), 1.0, 1.1)[0].tolist() == [0]
+
+
+@settings(max_examples=300)
+@given(
+    n=st.integers(2, 80),
+    L=st.floats(0.3, 8.0),
+    radius=st.floats(0.3, 2.5),
+    width=st.floats(0.5, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_near_pairs_equal_nearest_image_oracle(n, L, radius, width, seed):
+    # L // radius spans 0 to 26, so the axial cell count is 1 (fewer than
+    # three cells fit) or 3 and more; each atom sits -2 to 2 periods away
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(0.0, 1.0, (n, 3)) * [L, width, width]
+    pos[:, 0] += rng.integers(-2, 3, n) * L
+    i, j, t, dist = near_pairs(pos, L, radius)
+    ii, jj, tt, full = pairs_brute(pos, L, radius)
+    assert np.array_equal(i, ii) and np.array_equal(j, jj)
+    assert np.array_equal(t, tt) and np.array_equal(dist, full[ii, jj])
 
 
 def test_degrees_and_adjacency_match_pairs(tube12):

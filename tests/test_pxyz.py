@@ -279,3 +279,48 @@ def test_planted_defect_reported_like_oracle(tmp_path_factory, cells, seed, kind
         read_pxyz_lines(str(path))
     assert err.value.line_number == want.value.line_number == where[0] + 2
     assert str(err.value) == str(want.value)
+
+
+# spellings of a few values: 1.0 four ways, 0.0 and -0.0 two ways each, and
+# 17-digit values
+SPELLINGS = ["1", "1.0", "+1.0", "1e0", "-0", "-0.0", "0.0", "0", "0.10000000000000001",
+             "-2.9999999999999996", "1.2345678901234567e-300", "5e-324", "1.7976931348623157e308"]
+
+
+@settings(max_examples=80)
+@given(cells=st.integers(1, 15), pooled=st.booleans(), data=st.data())
+def test_both_reader_paths_parse_like_float_per_token(tmp_path_factory, cells, pooled, data):
+    # tokens drawn from a pool of at most four spellings are mostly repeats,
+    # so each distinct token is parsed once; all-distinct values are parsed
+    # token by token.  Either way the bits are float()'s, and a malformed item
+    # gets the line-by-line oracle's error
+    n = 4 * cells
+    if pooled:
+        pool = data.draw(st.lists(st.sampled_from(SPELLINGS), min_size=1, max_size=4, unique=True))
+        tokens = data.draw(st.lists(st.sampled_from(pool), min_size=3 * n, max_size=3 * n))
+    else:
+        values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3 * n,
+                                    max_size=3 * n, unique=True))
+        tokens = [format(v, ".17g") if data.draw(st.booleans()) else repr(v) for v in values]
+    assert (2 * len(set(tokens)) <= len(tokens)) == pooled
+    lines = [" ".join(tokens[3 * r : 3 * r + 3]) for r in range(n)]
+    path = tmp_path_factory.getbasetemp() / "paths.pxyz"
+    path.write_text(f"{n} 6.0\n" + "\n".join(lines) + "\n")
+    want = np.array([float(tok) for tok in tokens])
+    assert np.array_equal(read_pxyz(str(path)).positions.ravel().view(np.int64), want.view(np.int64))
+
+    row, col = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, 2))
+    item = data.draw(st.sampled_from(["1.0.0", "nan", "inf", None]))
+    parts = lines[row].split()
+    if item is None:  # a line with two fields
+        del parts[col]
+    else:
+        parts[col] = item
+    lines[row] = " ".join(parts)
+    path.write_text(f"{n} 6.0\n" + "\n".join(lines) + "\n")
+    with pytest.raises(PxyzFormatError) as err:
+        read_pxyz(str(path))
+    with pytest.raises(PxyzFormatError) as oracle:
+        read_pxyz_lines(str(path))
+    assert (str(err.value), err.value.line_number) == (str(oracle.value), oracle.value.line_number)
+    assert err.value.line_number == row + 2
