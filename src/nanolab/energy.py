@@ -82,12 +82,13 @@ def near_pairs(pos: np.ndarray, L: float, radius: float):
     image_distances on the raw coordinates, so the result does not depend on
     which period the atoms were written in.  Returns (i, j, t, dist).
     Raises DegenerateGeometryError on non-finite input, which the binning
-    would otherwise cast to arbitrary integers, and on an axial coordinate
-    2**52 or more periods from the origin, whose image shift is no longer
-    an exact integer.
+    would otherwise cast to arbitrary integers, on a coordinate of magnitude
+    2**510 or more, whose differences could square to infinity, and on an
+    axial coordinate 2**52 or more periods from the origin, whose image shift
+    is no longer an exact integer.
     """
-    if not (np.isfinite(L) and L > 0 and np.all(np.isfinite(pos))):
-        raise DegenerateGeometryError("positions and period must be finite, with period > 0")
+    if not (np.isfinite(L) and L > 0 and np.all(np.abs(pos) < 2.0**510)):
+        raise DegenerateGeometryError("positions and period must be finite, with period > 0 and coordinates below 2**510")
     if not np.all(np.abs(pos[:, 0]) < 2.0**52 * L):
         raise DegenerateGeometryError(f"axial coordinates must lie within 2**52 periods of the origin, period L={L!r}")
     n = len(pos)
@@ -148,8 +149,9 @@ def _half_edges(pairs: np.ndarray, shifts: np.ndarray):
 def bond_graph(tube: Nanotube) -> BondGraph:
     """Build the bond graph of one n-cell (strict inequality at BOND_CUTOFF).
 
-    Raises DegenerateGeometryError on non-finite positions or period, and on
-    axial coordinates 2**52 or more periods from the origin.
+    Raises DegenerateGeometryError on non-finite positions or period, on
+    coordinates of magnitude 2**510 or more, and on axial coordinates 2**52
+    or more periods from the origin.
     """
     ii, jj, tt, _ = near_pairs(tube.positions, tube.period, BOND_CUTOFF)
     pairs = np.stack([ii, jj], axis=1)

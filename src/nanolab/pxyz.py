@@ -117,15 +117,15 @@ _REFUSED_ASCII = "_\v\f\x1c\x1d\x1e\x1f"
 _REFUSED = re.compile(f"[^\\x00-\\x7f]|[{re.escape(_REFUSED_ASCII)}]")
 
 
-def _ascii_text(path) -> str:
-    """The text of a file that holds only ASCII characters, with no
+def _ascii_lines(path) -> list:
+    """The lines of a text file that holds only ASCII characters, with no
     underscore and no control character that splits lines or fields other
     than newline, carriage return and tab.  The first line that breaks this
     raises PxyzFormatError."""
     with open(path, "rb") as fh:
         text = fh.read().decode("utf-8", errors="replace")
     if text.isascii() and not any(c in text for c in _REFUSED_ASCII):
-        return text
+        return text.splitlines()
     # the lines up to and including the first refused character are split as
     # in a clean file; keepends keeps a refused line break on its line
     pos = _REFUSED.search(text).start()
@@ -143,8 +143,7 @@ def read_pxyz(path, ell: int | None = None, m: int | None = None) -> Nanotube:
     returned with ell = n // 4, m = 1 (labels then carry no geometric meaning).
     Raises InvalidParameterError for an ell or m below 1.
     """
-    text = _ascii_text(path)
-    raw = text.splitlines()
+    raw = _ascii_lines(path)
     if not raw:
         raise PxyzFormatError("empty PXYZ file", line_number=1)
     head = raw[0].split()
@@ -161,29 +160,17 @@ def read_pxyz(path, ell: int | None = None, m: int | None = None) -> Nanotube:
         raise PxyzFormatError(
             f"expected {n} coordinate lines, found {len(raw) - 1}", line_number=len(raw) + 1
         )
-    # each line's fields are counted on a split that is dropped at once; the
-    # tokens come from one split of the whole text (the header's two, then the
-    # body's), so no per-line lists are kept alive
-    if set(map(len, map(str.split, raw[1 : n + 1]))) != {3}:
-        raise _coordinate_error(raw, n)
-    tokens = text.split()[2 : 2 + 3 * n]
-    # as format_table does: when at most half of the tokens are distinct (a
-    # periodic tube repeats its cells), float() each distinct token once.  The
-    # count stops at the first half of the tokens when those are already
-    # more than half of all of them, as when every token is distinct
-    half = len(tokens) // 2
-    distinct = set(tokens[: half + 1])
-    if len(distinct) <= half:
-        distinct.update(tokens[half + 1 :])
-    try:
-        if 2 * len(distinct) <= len(tokens):
-            value = dict(zip(distinct, map(float, distinct)))
-            pos = np.fromiter(map(value.__getitem__, tokens), dtype=float, count=3 * n)
-        else:
-            pos = np.fromiter(map(float, tokens), dtype=float, count=3 * n)
-    except ValueError:
-        pos = None
-    if pos is None or not np.isfinite(pos).all():
+    # numpy's text reader converts each field with the string-to-double
+    # routine float() uses, so the bits are float()'s; it skips blank lines and
+    # warns when no row is left, so a blank first line is refused before it
+    body = raw[1 : n + 1]
+    pos = None
+    if body[0].strip():
+        try:
+            pos = np.loadtxt(body, dtype=float, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if pos is None or pos.shape != (n, 3) or not np.isfinite(pos).all():
         raise _coordinate_error(raw, n)
     extra = next((i for i in range(n + 1, len(raw)) if raw[i].strip()), None)
     if extra is not None:
@@ -196,4 +183,4 @@ def read_pxyz(path, ell: int | None = None, m: int | None = None) -> Nanotube:
         raise InvalidParameterError(f"ell and m must be at least 1, got ell={ell}, m={m}")
     elif 4 * ell * m != n:
         raise PxyzFormatError(f"n={n} inconsistent with ell={ell}, m={m}", line_number=1)
-    return Nanotube(pos.reshape(n, 3), period, ell, m)
+    return Nanotube(pos, period, ell, m)

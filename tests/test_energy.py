@@ -172,6 +172,18 @@ def test_axial_coordinates_far_from_origin_raise():
         with pytest.raises(DegenerateGeometryError, match="2\\*\\*52 periods"):
             near_pairs(np.array([[x, 0.0, 0.0], [0.0, 0.0, 0.0]]), 1.0, 1.1)
     assert near_pairs(np.array([[2.0**52 - 1, 0.0, 0.0], [0.0, 0.0, 0.0]]), 1.0, 1.1)[0].tolist() == [0]
+    # at L = 2**996, x = +-2**1023 are whole periods from the origin, so the
+    # two atoms coincide modulo L, but their difference overflowed to inf and
+    # the pair was dropped; y or z near 1e300 overflowed in the squares
+    for pos, L in (([[2.0**1023, 0, 0], [-(2.0**1023), 0, 0]], 2.0**996),
+                   ([[0, 1e300, 0], [0, 0, 0]], 1.0), ([[0, 0, 0], [0, 0, -(2.0**510)]], 1.0)):
+        with pytest.raises(DegenerateGeometryError, match="below 2\\*\\*510"):
+            near_pairs(np.array(pos), L, 1.1)
+    # below the bound, differences square to finite values; no pair is found
+    # and no overflow warning (an error in this suite) is raised
+    far = np.nextafter(2.0**510, 0)
+    for pos, L in (([[far, 0, 0], [-far, 0, 0]], 2.0**1000), ([[0, far, 0], [0, -far, -far]], 1.0)):
+        assert near_pairs(np.array(pos), L, 1.1)[0].tolist() == []
 
 
 @settings(max_examples=300)

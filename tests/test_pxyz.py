@@ -1,5 +1,6 @@
 import os
 import stat
+import warnings
 
 import numpy as np
 import pytest
@@ -94,12 +95,15 @@ def test_undecodable_bytes_rejected_with_line(tmp_path):
         ("3 6.0\n0 0 x\n1 2\n0 0 0\n", 2),
         ("3 6.0\n0 0 0\n1 2 3 4\n0 nan 0\n", 3),
         ("3 6.0\n0 0 0\n0 inf 0\n1 2\n", 3),
+        ("2 6.0\n\n \t\n", 2),
     ],
 )
 def test_malformed_inputs_carry_line_numbers(tmp_path, content, line):
     path = tmp_path / "bad.pxyz"
     path.write_text(content)
-    with pytest.raises(PxyzFormatError) as err:
+    # a warning (numpy's on a body with no row, say) is an error here
+    with warnings.catch_warnings(), pytest.raises(PxyzFormatError) as err:
+        warnings.simplefilter("error")
         read_pxyz(str(path))
     assert err.value.line_number == line
     with pytest.raises(PxyzFormatError) as want:
@@ -289,11 +293,10 @@ SPELLINGS = ["1", "1.0", "+1.0", "1e0", "-0", "-0.0", "0.0", "0", "0.10000000000
 
 @settings(max_examples=80)
 @given(cells=st.integers(1, 15), pooled=st.booleans(), data=st.data())
-def test_both_reader_paths_parse_like_float_per_token(tmp_path_factory, cells, pooled, data):
-    # tokens drawn from a pool of at most four spellings are mostly repeats,
-    # so each distinct token is parsed once; all-distinct values are parsed
-    # token by token.  Either way the bits are float()'s, and a malformed item
-    # gets the line-by-line oracle's error
+def test_reader_parses_like_float_per_token(tmp_path_factory, cells, pooled, data):
+    # bodies of repeated spellings (as a periodic tube repeats its cells) and
+    # of all-distinct values: the bits are float()'s per token, and a
+    # malformed item gets the line-by-line oracle's error
     n = 4 * cells
     if pooled:
         pool = data.draw(st.lists(st.sampled_from(SPELLINGS), min_size=1, max_size=4, unique=True))
@@ -310,15 +313,22 @@ def test_both_reader_paths_parse_like_float_per_token(tmp_path_factory, cells, p
     assert np.array_equal(read_pxyz(str(path)).positions.ravel().view(np.int64), want.view(np.int64))
 
     row, col = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, 2))
-    item = data.draw(st.sampled_from(["1.0.0", "nan", "inf", None]))
+    item = data.draw(st.sampled_from(["1.0.0", "nan", "inf", "two fields", "four fields", "blank", "#"]))
     parts = lines[row].split()
-    if item is None:  # a line with two fields
+    if item == "two fields":
         del parts[col]
+    elif item == "four fields":
+        parts.insert(col, parts[col])
+    elif item == "blank":
+        parts = [" \t"[: col]]
+    elif item == "#":  # no comment syntax: the field is unparseable
+        parts[col] += "#"
     else:
         parts[col] = item
     lines[row] = " ".join(parts)
     path.write_text(f"{n} 6.0\n" + "\n".join(lines) + "\n")
-    with pytest.raises(PxyzFormatError) as err:
+    with warnings.catch_warnings(), pytest.raises(PxyzFormatError) as err:
+        warnings.simplefilter("error")
         read_pxyz(str(path))
     with pytest.raises(PxyzFormatError) as oracle:
         read_pxyz_lines(str(path))
