@@ -16,7 +16,7 @@ import numpy as np
 
 from .energy import BondGraph, _bond_angles, _bond_lengths, _cos_angle, _cross3, _dot3, _image_shift, _norm3, _sum24
 from .errors import InvalidCellError
-from .geometry import Nanotube, flat_index
+from .geometry import Nanotube, check_positions, flat_index
 from .potentials import PotentialSet
 
 BOND_WEIGHTS = np.array([0.25, 0.25, 0.5, 0.5, 0.5, 0.5, 0.25, 0.25])
@@ -133,8 +133,10 @@ def gather_cells(tube: Nanotube, positions=None) -> np.ndarray:
     Atoms are reconstructed by walking intra-cell bonds with minimal images, so
     no cell straddles the periodic seam.  With positions, a stack (..., n, 3)
     of configurations of tube's atoms at tube's period, the cells of each
-    carry the same leading axes.
+    carry the same leading axes.  Raises DegenerateGeometryError on positions
+    that geometry.check_positions refuses.
     """
+    check_positions(tube.positions if positions is None else positions, tube.period)
     return _cells_last(_gather_slots(tube, positions))
 
 

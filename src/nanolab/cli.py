@@ -11,6 +11,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -230,7 +231,11 @@ def cmd_verify_all(args) -> int:
     return EXIT_OK if passed else EXIT_VERIFICATION
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built on the first call in a process and shared
+    by every later one: parse_args keeps nothing between calls, and each call
+    returns a new namespace."""
     parser = _Parser(prog="nanolab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"nanolab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError
-from .geometry import Nanotube, ZigzagGeometry, axial_rotations
+from .geometry import Nanotube, ZigzagGeometry, axial_rotations, check_positions
 from .potentials import BOND_CUTOFF, PotentialSet
 
 
@@ -69,6 +69,10 @@ def image_distances(d: np.ndarray, L: float):
 # many cells per axis keep the int64 cell keys from overflowing.
 _CELL_SLACK = 1e-6
 _MAX_CELLS = 2**20
+# the 13 cell offsets (ox, oy, oz) after (0, 0, 0) in key order
+_HALF_SHELL = np.array(
+    [(ox, oy, oz) for ox in (0, 1) for oy in (-1, 0, 1) for oz in (-1, 0, 1) if (ox, oy, oz) > (0, 0, 0)]
+)
 
 
 def near_pairs(pos: np.ndarray, L: float, radius: float):
@@ -78,19 +82,13 @@ def near_pairs(pos: np.ndarray, L: float, radius: float):
     radius (x wrapped into [0, L) for the binning only) and sorted by cell
     key; each atom is matched against the atoms after it in its own cell and
     against the 13 neighbouring cells that follow its cell in key order, so
-    each pair of cells is visited once.  Distances and shifts come from
-    image_distances on the raw coordinates, so the result does not depend on
-    which period the atoms were written in.  Returns (i, j, t, dist).
-    Raises DegenerateGeometryError on non-finite input, which the binning
-    would otherwise cast to arbitrary integers, on a coordinate of magnitude
-    2**510 or more, whose differences could square to infinity, and on an
-    axial coordinate 2**52 or more periods from the origin, whose image shift
-    is no longer an exact integer.
+    each pair of cells is visited once.  Those neighbours are looked up once
+    per occupied cell, among the occupied cells.  Distances and shifts come
+    from image_distances on the raw coordinates, so the result does not
+    depend on which period the atoms were written in.  Returns (i, j, t, dist).
+    Raises DegenerateGeometryError on input that check_positions refuses.
     """
-    if not (np.isfinite(L) and L > 0 and np.all(np.abs(pos) < 2.0**510)):
-        raise DegenerateGeometryError("positions and period must be finite, with period > 0 and coordinates below 2**510")
-    if not np.all(np.abs(pos[:, 0]) < 2.0**52 * L):
-        raise DegenerateGeometryError(f"axial coordinates must lie within 2**52 periods of the origin, period L={L!r}")
+    check_positions(pos, L)
     n = len(pos)
     h = radius * (1.0 + _CELL_SLACK)
     # with fewer than three axial cells, the cells at -1 and +1 would be one
@@ -111,18 +109,30 @@ def near_pairs(pos: np.ndarray, L: float, radius: float):
     order = np.argsort(cell, kind="stable")
     sorted_keys = cell[order]
 
-    # the offsets after (0, 0, 0) in key order; queried atom by atom in cell
-    # order, each offset's keys arrive (nearly) sorted
-    offsets = np.array(
-        [(ox, oy, oz) for ox in (0, 1) if ox < nx for oy in (-1, 0, 1) for oz in (-1, 0, 1) if (ox, oy, oz) > (0, 0, 0)]
-    )
-    cx, cy, cz = cx[order], cy[order], cz[order]
-    keys = (((cx + offsets[:, :1]) % nx * ny + cy + offsets[:, 1:2]) * nz + cz + offsets[:, 2:]).ravel()
-    # the atom at sorted place s meets places s + 1 ... of its own cell first
-    lo = np.concatenate([np.arange(1, n + 1), np.searchsorted(sorted_keys, keys, side="left")])
-    hi = np.searchsorted(sorted_keys, np.concatenate([sorted_keys, keys]), side="right")
+    # occupied cell c holds the sorted places first[c] ... first[c] + size[c] - 1
+    first = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
+    size = np.diff(np.append(first, n))
+    occupied = sorted_keys[first]
+    # the keys of the neighbour cells after each occupied cell, one row per
+    # offset, each row (nearly) sorted
+    offsets = _HALF_SHELL if nx > 1 else _HALF_SHELL[_HALF_SHELL[:, 0] == 0]
+    lead = order[first]
+    cx, cy, cz = cx[lead], cy[lead], cz[lead]
+    keys = ((cx + offsets[:, :1]) % nx * ny + cy + offsets[:, 1:2]) * nz + cz + offsets[:, 2:]
+    j = np.minimum(np.searchsorted(occupied, keys), len(occupied) - 1)
+    met = occupied[j] == keys
+    # the cell pairs (c, d) to search: each occupied cell with itself, then
+    # with each occupied neighbour; an atom at sorted place s in c meets the
+    # places lo ... hi - 1 of d, which in its own cell are those after s
+    c = np.concatenate([np.arange(len(first)), np.nonzero(met)[1]])
+    d = np.concatenate([np.arange(len(first)), j[met]])
+    rep = size[c]
+    lo = np.repeat(first[d], rep)
+    hi = lo + np.repeat(size[d], rep)
+    lo[:n] = np.arange(1, n + 1)
+    s = np.repeat(first[c] - np.cumsum(rep) + rep, rep) + np.arange(len(lo))
     count = hi - lo
-    a = np.repeat(np.tile(order, len(offsets) + 1), count)
+    a = np.repeat(order[s], count)
     b = order[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(len(a))]
     a, b = np.minimum(a, b), np.maximum(a, b)
     t, dist = image_distances(pos[a] - pos[b], L)

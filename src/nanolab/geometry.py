@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import DegenerateGeometryError, InvalidParameterError
 
 
 def gamma(ell: int) -> float:
@@ -56,6 +56,19 @@ def flat_index(ell: int, m: int, i, j, k, l):
     """Flat atom index of the label (i, j, k, l), i and j taken cyclically;
     elementwise on integer arrays."""
     return (((j % m) * ell + (i - 1) % ell) * 2 + k) * 2 + l
+
+
+def check_positions(pos: np.ndarray, L: float) -> None:
+    """Refuse positions (..., n, 3) and a period that the pair search and the
+    cell walk cannot take exactly.  Raises DegenerateGeometryError unless the
+    period is finite and positive, every coordinate is finite and below 2**510
+    in magnitude, so that differences square to finite values, and every
+    axial coordinate lies within 2**52 periods of the origin, where the image
+    shift rint(dx / L) is still an exact integer."""
+    if not (np.isfinite(L) and L > 0 and np.all(np.abs(pos) < 2.0**510)):
+        raise DegenerateGeometryError("positions and period must be finite, with period > 0 and coordinates below 2**510")
+    if not np.all(np.abs(pos[..., 0]) < 2.0**52 * L):
+        raise DegenerateGeometryError(f"axial coordinates must lie within 2**52 periods of the origin, period L={L!r}")
 
 
 @dataclass

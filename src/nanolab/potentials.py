@@ -193,12 +193,21 @@ def from_json(source) -> PotentialSet:
 
 
 def load(spec) -> PotentialSet:
-    """Resolve a preset name, JSON path, or dict into a PotentialSet."""
+    """Resolve a preset name, JSON path, or dict into a PotentialSet.
+
+    A set read from JSON must pass validate; otherwise InvalidParameterError
+    names the failed checks.  Presets and PotentialSet instances are returned
+    unchecked.
+    """
     if isinstance(spec, PotentialSet):
         return spec
     if isinstance(spec, str) and spec in _PRESETS:
         return from_name(spec)
-    return from_json(spec)
+    pots = from_json(spec)
+    failed = [c["name"] for c in validate(pots)["checks"] if not c["passed"]]
+    if failed:
+        raise InvalidParameterError(f"potential set {pots.name!r} fails the checks {', '.join(failed)}")
+    return pots
 
 
 def _fd1(f, x, h):

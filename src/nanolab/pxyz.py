@@ -36,9 +36,11 @@ def format_table(blocks, sep: str = " ") -> str:
     Each block is array-like of shape (rows,) or (rows, k): integer blocks are
     written with %d, float blocks with FLOAT_FORMAT.  When the blocks'
     distinct values number at most half of the table's values (a periodic
-    tube repeats its cells), each block's distinct values are formatted once
-    and the cells take their text by bit pattern; otherwise the whole table
-    is one % operation on the values in row order.  Both give the same text.
+    tube repeats its cells), each block's distinct values are formatted once,
+    each text followed by its separator (a newline in the last column), and
+    the table is one join of the texts the cells take by bit pattern, in row
+    order; otherwise the whole table is one % operation on the values in row
+    order.  Both give the same text.
     """
     blocks = [np.asarray(b) for b in blocks]
     blocks = [b if b.ndim == 2 else b.reshape(-1, 1) for b in blocks]
@@ -46,21 +48,28 @@ def format_table(blocks, sep: str = " ") -> str:
     fields = []
     for b in blocks:
         fields += [_FIELD_FORMATS[b.dtype.kind]] * b.shape[1]
-    table = np.empty((rows, len(fields)), dtype=object)
+    width = len(fields)
     keys = [_bits(b) for b in blocks]
     ordered = [np.sort(k, axis=None) for k in keys]
     repeats = [s[1:] == s[:-1] for s in ordered]
-    if 2 * sum(s.size - np.count_nonzero(r) for s, r in zip(ordered, repeats)) > table.size:
-        np.concatenate(blocks, axis=1, out=table)
+    if 2 * sum(s.size - np.count_nonzero(r) for s, r in zip(ordered, repeats)) > rows * width:
+        table = np.concatenate(blocks, axis=1, dtype=object)
         return (sep.join(fields) + "\n") * rows % tuple(table.ravel().tolist())
-    col = 0
+    # pool holds each block's distinct texts with sep, and the last column's
+    # with a newline; place[row, col] indexes the text of that cell
+    pool, place, col = [], np.empty((rows, width), dtype=np.int64), 0
     for b, k, s, r in zip(blocks, keys, ordered, repeats):
         d = np.concatenate((s[:1], s[1:][~r]))
         values = d.view(np.float64) if b.dtype.kind == "f" else d
         text = ("\n".join([_FIELD_FORMATS[b.dtype.kind]] * len(d)) % tuple(values.tolist())).split("\n")
-        table[:, col : col + k.shape[1]] = np.array(text, dtype=object)[np.searchsorted(d, k)]
+        where = np.searchsorted(d, k)
+        place[:, col : col + k.shape[1]] = where + len(pool)
+        pool += [t + sep for t in text]
         col += k.shape[1]
-    return "".join([sep.join(row) + "\n" for row in table.tolist()])
+        if k.shape[1] and col == width:
+            place[:, -1] = where[:, -1] + len(pool)
+            pool += [t + "\n" for t in text]
+    return "".join(np.array(pool, dtype=object)[place].ravel().tolist())
 
 
 def write_text(path, text: str) -> None:

@@ -84,34 +84,32 @@ def _sym_grad_hess(pt: ReducedPoint, pots: PotentialSet):
         *(np.asarray(v, dtype=float) for v in (pt.mu, pt.gamma1, pt.gamma2, pt.lam, pt.alpha1, pt.alpha2))
     )
     v2, v3 = pots.v2, pots.v3
-    # the two (alpha_i, gamma_i) pairs along a leading axis of length 2
-    alpha, gam = np.stack([alpha1, alpha2]), np.stack([gamma1, gamma2])
+    # the two (alpha_i, gamma_i) pairs along a trailing axis of length 2
+    alpha, gam = np.stack([alpha1, alpha2], axis=-1), np.stack([gamma1, gamma2], axis=-1)
+    lam2 = lam[..., None]
     c, s = np.cos(alpha), np.sin(alpha)
-    m = 0.5 * mu + lam * c
+    m = 0.5 * mu[..., None] + lam2 * c
     b = beta(alpha, gam)
     b_a, b_g, b_aa, b_gg, b_ag = beta_derivatives(alpha, gam)
     d1, d2 = v2.deriv(m), v2.deriv2(m)
     e1, e2 = v3.deriv(b), v3.deriv2(b)
 
-    def pairs(v):
-        return np.moveaxis(v, 0, -1)
-
     g = np.zeros(mu.shape + (6,))
     h = np.zeros(mu.shape + (6, 6))
     # dm_i/dmu = 1/2, dm_i/dlambda = cos(alpha_i), dm_i/dalpha_i = -lambda sin(alpha_i)
-    g[..., 0] = 0.25 * d1[0] + 0.25 * d1[1]
-    g[..., 1:3] = pairs(e1 * b_g)
-    g[..., 3] = 2.0 * v2.deriv(lam) + 0.5 * c[0] * d1[0] + 0.5 * c[1] * d1[1]
-    g[..., 4:6] = pairs(-0.5 * lam * s * d1 + e1 * b_a + 2.0 * v3.deriv(alpha))
-    h[..., 0, 0] = 0.125 * d2[0] + 0.125 * d2[1]
-    h[..., 0, 3] = 0.25 * c[0] * d2[0] + 0.25 * c[1] * d2[1]
-    h[..., 0, 4:6] = pairs(-0.25 * lam * s * d2)
-    h[..., [1, 2], [1, 2]] = pairs(e2 * b_g**2 + e1 * b_gg)
-    h[..., [1, 2], [4, 5]] = pairs(e2 * b_a * b_g + e1 * b_ag)
-    h[..., 3, 3] = 2.0 * v2.deriv2(lam) + 0.5 * c[0] ** 2 * d2[0] + 0.5 * c[1] ** 2 * d2[1]
-    h[..., 3, 4:6] = pairs(-0.5 * s * d1 - 0.5 * lam * s * c * d2)
-    h[..., [4, 5], [4, 5]] = pairs(
-        0.5 * lam**2 * s**2 * d2 - 0.5 * lam * c * d1 + 2.0 * v3.deriv2(alpha) + e2 * b_a**2 + e1 * b_aa
+    g[..., 0] = 0.25 * d1[..., 0] + 0.25 * d1[..., 1]
+    g[..., 1:3] = e1 * b_g
+    g[..., 3] = 2.0 * v2.deriv(lam) + 0.5 * c[..., 0] * d1[..., 0] + 0.5 * c[..., 1] * d1[..., 1]
+    g[..., 4:6] = -0.5 * lam2 * s * d1 + e1 * b_a + 2.0 * v3.deriv(alpha)
+    h[..., 0, 0] = 0.125 * d2[..., 0] + 0.125 * d2[..., 1]
+    h[..., 0, 3] = 0.25 * c[..., 0] * d2[..., 0] + 0.25 * c[..., 1] * d2[..., 1]
+    h[..., 0, 4:6] = -0.25 * lam2 * s * d2
+    h[..., [1, 2], [1, 2]] = e2 * b_g**2 + e1 * b_gg
+    h[..., [1, 2], [4, 5]] = e2 * b_a * b_g + e1 * b_ag
+    h[..., 3, 3] = 2.0 * v2.deriv2(lam) + 0.5 * c[..., 0] ** 2 * d2[..., 0] + 0.5 * c[..., 1] ** 2 * d2[..., 1]
+    h[..., 3, 4:6] = -0.5 * s * d1 - 0.5 * lam2 * s * c * d2
+    h[..., [4, 5], [4, 5]] = (
+        0.5 * lam2**2 * s**2 * d2 - 0.5 * lam2 * c * d1 + 2.0 * v3.deriv2(alpha) + e2 * b_a**2 + e1 * b_aa
     )
     # only the upper triangle is filled above
     return g, h + np.swapaxes(np.triu(h, 1), -1, -2)
@@ -252,7 +250,9 @@ def reduced_solve(mu, gamma1, gamma2, pots: PotentialSet):
             c = np.clip(xa[searching] + t * step[searching], _BOX_LO, _BOX_HI)
             cand[searching] = c
             fc[searching] = energy_at(active[searching], c)
-            accept = (fc[searching] <= f[active[searching]] + 1e-18) | np.all(np.isclose(c, xa[searching]), axis=1)
+            # np.isclose(c, x) with its default tolerances, for finite x
+            close = np.abs(c - xa[searching]) <= 1e-8 + 1e-5 * np.abs(xa[searching])
+            accept = (fc[searching] <= f[active[searching]] + 1e-18) | np.all(close, axis=1)
             searching = searching[~accept]
             if len(searching) == 0:
                 break

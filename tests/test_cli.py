@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -509,3 +510,86 @@ def test_energy_rejects_invalid_potential_json(tmp_path, capsys, text, word):
     err = capsys.readouterr().err
     assert err.startswith("nanolab: ") and word in err and len(err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, word",
+    [
+        ("4 5e-324\n0 0 0\n0.5 0.5 0\n1 0 0\n1.5 0.5 0\n", "period L=5e-324"),
+        ("4 3\n0 1e300 0\n0.5 -1e300 0\n1 0 0\n1.5 0.5 0\n", "below 2**510"),
+    ],
+    ids=["tiny-period", "huge-y"],
+)
+def test_cells_and_energy_refuse_out_of_range_positions_alike(tmp_path, capsys, text, word):
+    # cells walked such files into numpy overflow warnings and then blamed the
+    # labels; both commands refuse them with the same line and no warning
+    path = tmp_path / "t.pxyz"
+    path.write_text(text)
+    errs = []
+    for command in ("cells", "energy"):
+        out = tmp_path / f"{command}.out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([command, "--in", str(path), "-o", str(out)]) == 1
+        errs.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("nanolab: ") and word in errs[0] and len(errs[0].splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "doc, failed",
+    [
+        ('{"k2": 400, "k3": 0}', "angle-minimum-points, angle-curvature-at-min"),
+        ('{"k2": -1}', "pair-minimum-unique, pair-curvature-at-one, pair-range"),
+    ],
+    ids=["flat-angle", "negative-k2"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduced", "--ell", "12", "--mu-grid", "2.97:3.0:3"],
+        ["stability", "--ell", "8", "--m", "2", "--count", "10"],
+        ["fracture", "--ell", "12", "--m-list", "4,16"],
+    ],
+    ids=["reduced", "stability", "fracture"],
+)
+def test_potential_files_failing_validation_are_refused(tmp_path, capsys, doc, failed, argv):
+    # with the flat angle potential, reduced wrote an arbitrary alpha and
+    # exited 0; with k2 = -1 the commands failed on unrelated errors
+    (tmp_path / "p.json").write_text(doc)
+    out = tmp_path / "r.out"
+    assert run([*argv, "--pots", str(tmp_path / "p.json"), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"nanolab: potential set 'custom' fails the checks {failed}\n"
+    assert not out.exists()
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # main builds its parser once per process; a second round of the same
+    # commands, in another order, gives what the first round gave
+    tube = str(tmp_path / "t.pxyz")
+    assert run(["generate", "--ell", "6", "--m", "2", "--mu", "2.95", "--lambda1", "1", "--lambda2", "1", "-o", tube]) == 0
+    (tmp_path / "bad.json").write_text('{"k2": -1}')
+    commands = {
+        "usage": ["energy", "--ell", "6"],
+        "version": ["--version"],
+        "help": ["--help"],
+        "bad-pots": ["reduced", "--ell", "12", "--pots", str(tmp_path / "bad.json")],
+        "energy": ["energy", "--in", tube, "--ell", "6", "--m", "2", "-o", "OUT"],
+        "cells": ["cells", "--in", tube, "--ell", "6", "--m", "2", "--pots", "stiff", "-o", "OUT"],
+        "reduced": ["reduced", "--ell", "12", "--mu-grid", "2.97:3.0:3"],
+    }
+    capsys.readouterr()
+    rounds = []
+    for number, names in enumerate([list(commands), ["cells", "help", "reduced", "usage", "energy", "bad-pots", "version"]]):
+        got = {}
+        for name in names:
+            out = tmp_path / f"{name}.{number}"
+            code = run([str(out) if a == "OUT" else a for a in commands[name]])
+            captured = capsys.readouterr()
+            got[name] = (code, captured.out, captured.err, out.read_bytes() if out.exists() else None)
+        rounds.append(got)
+    assert rounds[0] == rounds[1]
+    codes = {name: result[0] for name, result in rounds[0].items()}
+    assert codes == {"usage": 1, "version": 0, "help": 0, "bad-pots": 1, "energy": 0, "cells": 0, "reduced": 0}
+    assert rounds[0]["help"][1].startswith("usage: nanolab") and rounds[0]["reduced"][1].startswith("mu,")

@@ -206,6 +206,32 @@ def test_near_pairs_equal_nearest_image_oracle(n, L, radius, width, seed):
     assert np.array_equal(t, tt) and np.array_equal(dist, full[ii, jj])
 
 
+@settings(max_examples=200)
+@given(
+    n=st.integers(2, 60),
+    clusters=st.integers(1, 6),
+    spread=st.sampled_from([0.0, 1e-3, 0.05, 0.3]),
+    L=st.floats(0.3, 8.0),
+    radius=st.floats(0.3, 2.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_near_pairs_with_crowded_cells_equal_nearest_image_oracle(n, clusters, spread, L, radius, seed):
+    # atoms drawn around a few centres, so that occupied cells hold several
+    # atoms (coincident ones at spread 0), plus three lone atoms 10 apart in
+    # y, farther than three cells of any radius drawn, whose 13 following
+    # cells are empty; each atom sits -2 to 2 periods away
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(0.0, 1.0, (clusters, 3)) * [L, 4.0, 4.0]
+    crowd = centres[rng.integers(0, clusters, n)] + rng.normal(0.0, spread, (n, 3))
+    lone = np.column_stack([rng.uniform(0.0, L, 3), [20.0, 30.0, 40.0], rng.uniform(0.0, 4.0, 3)])
+    pos = rng.permutation(np.concatenate([crowd, lone]))
+    pos[:, 0] += rng.integers(-2, 3, len(pos)) * L
+    i, j, t, dist = near_pairs(pos, L, radius)
+    ii, jj, tt, full = pairs_brute(pos, L, radius)
+    assert np.array_equal(i, ii) and np.array_equal(j, jj)
+    assert np.array_equal(t, tt) and np.array_equal(dist, full[ii, jj])
+
+
 def test_degrees_and_adjacency_match_pairs(tube12):
     g = bond_graph(_moved(tube12, 0.4, jitter=0.05))
     counts = np.zeros(g.n, dtype=int)

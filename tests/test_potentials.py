@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nanolab import potentials
+from nanolab.errors import InvalidParameterError
 from nanolab.potentials import AnglePotential, PairPotential, PotentialSet, validate
 
 TP = 2.0 * np.pi / 3.0
@@ -133,6 +134,17 @@ def test_load_by_name_and_passthrough(pots_soft):
     assert potentials.load(pots_soft) is pots_soft
     with pytest.raises(ValueError):
         potentials.from_name("granite")
+
+
+def test_load_validates_json_sets_only(monkeypatch):
+    with pytest.raises(InvalidParameterError, match="'flat' fails the checks angle-minimum-points, angle-curvature-at-min$"):
+        potentials.load({"name": "flat", "k3": 0.0})
+    # presets and PotentialSet instances are returned unchecked
+    calls = []
+    monkeypatch.setattr(potentials, "validate", lambda p: calls.append(p.name) or {"passed": True, "checks": []})
+    potentials.load("soft"), potentials.load("stiff"), potentials.load(potentials.default_soft())
+    assert calls == []
+    assert potentials.load({"name": "x"}).name == "x" and calls == ["x"]
 
 
 def test_derivatives_match_finite_differences_everywhere(pots_soft):
