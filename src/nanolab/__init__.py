@@ -16,7 +16,7 @@ from .reduced import (
     reference_angles,
     sym_energy,
 )
-from .stability import PerturbationSpec, hessian_spectrum, sample_perturbation, stability_trial
+from .stability import PerturbationSpec, stability_trial
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "gamma",
     "geometry",
     "gradient",
-    "hessian_spectrum",
     "minimize_family",
     "potentials",
     "pxyz",
@@ -48,7 +47,6 @@ __all__ = [
     "reduced",
     "reduced_energy",
     "reference_angles",
-    "sample_perturbation",
     "solve_family",
     "stability",
     "stability_trial",

@@ -214,18 +214,14 @@ def _frame(slots: np.ndarray):
 
 
 def _local_slots(slots: np.ndarray) -> np.ndarray:
-    """to_local on slots (8, ..., 3), returning slots; overwrites slots."""
+    """Cells of slots (8, ..., 3) in their local frames (see _frame), as slots;
+    overwrites slots."""
     origin, rows = _frame(slots)
     y = np.subtract(slots, origin, out=slots)
     local = np.empty_like(y)
     for r, e in enumerate(rows):
         local[..., r] = _dot3(y, e)
     return local
-
-
-def to_local(cells: np.ndarray):
-    """Express cells in their local frames; shape preserved."""
-    return _cells_last(_local_slots(_slots_first(cells)))
 
 
 def _reflection_average(x: np.ndarray, perm: np.ndarray, comp: int) -> np.ndarray:
@@ -243,23 +239,16 @@ def _square_sum(d: np.ndarray) -> np.ndarray:
     return _sum24(np.square(blocks, out=blocks).reshape((24,) + d.shape[1:-1]))
 
 
-def _symmetrize_slots(x: np.ndarray):
-    """symmetrize on slots (8, ..., 3), returning x_prime and s_x as slots; overwrites x."""
+def _symmetry_defect(x: np.ndarray) -> np.ndarray:
+    """Symmetry defect |x-x'|^2 + |x'-S(x)|^2 of local-frame cells x, slots
+    (8, ..., 3), where x' is the first reflection average and S(x) the second
+    one of x'.  The fixed reference cancels because both reflections are
+    linear maps fixing it.  Overwrites x.
+    """
     x_prime = _reflection_average(x, _S1_PERM, 1)
     s_x = _reflection_average(x_prime, _S2_PERM, 0)
     delta = _square_sum(np.subtract(x, x_prime, out=x))
-    return x_prime, s_x, delta + _square_sum(np.subtract(x_prime, s_x, out=x))
-
-
-def symmetrize(cells_local: np.ndarray):
-    """Two-step reflection average in the local frame.
-
-    Returns (x_prime, s_x, delta): the first reflection average, the fully
-    symmetrized cell, and the symmetry defect |x-x'|^2 + |x'-S(x)|^2.  The
-    fixed reference cancels because both reflections are linear maps fixing it.
-    """
-    x_prime, s_x, delta = _symmetrize_slots(_slots_first(cells_local))
-    return _cells_last(x_prime), _cells_last(s_x), delta
+    return delta + _square_sum(np.subtract(x_prime, s_x, out=x))
 
 
 def _tube_sums(per_cell: np.ndarray, positions):
@@ -288,7 +277,7 @@ def angle_sum(tube: Nanotube, positions=None):
 def total_symmetry_defect(tube: Nanotube, positions=None):
     """Sum of the symmetry defects of all cells; with positions, of each
     configuration of the stack, as in gather_cells."""
-    return _tube_sums(_symmetrize_slots(_local_slots(_gather_slots(tube, positions=positions)))[2], positions)
+    return _tube_sums(_symmetry_defect(_local_slots(_gather_slots(tube, positions=positions))), positions)
 
 
 def cell_summary(tube: Nanotube, pots: PotentialSet, cells: np.ndarray | None = None) -> dict:
@@ -304,7 +293,7 @@ def cell_summary(tube: Nanotube, pots: PotentialSet, cells: np.ndarray | None = 
     phi = cell_angles(cells)
     energy = _weighted_energies(b, phi, pots)
     theta = cell_plane_angles(cells)
-    _, _, delta = _symmetrize_slots(_local_slots(_slots_first(cells)))
+    delta = _symmetry_defect(_local_slots(_slots_first(cells)))
     ids = np.indices((tube.ell, tube.m, 2)).reshape(3, -1).T + (1, 0, 0)
     flat = lambda a: a.reshape(-1, *a.shape[3:])
     return {

@@ -186,15 +186,6 @@ def _row(ell: int, m: int, mu_us: float, mu_frac: float) -> dict:
     }
 
 
-def fracture_threshold(ell: int, m: int, pots: PotentialSet, window: float = 0.12) -> dict:
-    """Smallest mu with E(cleaved) < E(optimal family at mu), with the solver
-    diagnostics of its reduced solves.  Raises WindowTooSmallError without a
-    crossing."""
-    mu_us, mu_frac, iterations, residual = _thresholds(ell, [m], pots, window)
-    row = _row(ell, m, mu_us, float(mu_frac[0]))
-    return {**row, "newton_iterations": iterations, "max_kkt_residual": residual}
-
-
 def fracture_scaling(ell: int, m_list, pots: PotentialSet, window: float = 0.12) -> dict:
     """Thresholds across m, all solved together, plus the log-log slope of
     (mu_frac - mu_us) vs m and the solver diagnostics of the reduced solves.

@@ -22,6 +22,15 @@ from .errors import InvalidParameterError
 TWO_THIRDS_PI = 2.0 * np.pi / 3.0
 # pairs closer than this are bonded; the pair potential vanishes beyond it
 BOND_CUTOFF = 1.1
+# Largest curvature at the minima, v2''(1) or v3''(2pi/3), of a set that load
+# reads from JSON.  The reduced Newton stops on the round-off floor of its
+# gradient, which grows as eps times the stiffness.  Measured at ell = 12,
+# mu = 2.97 .. 3.0 and k3 = 400: its KKT residual reads 4e-10 at k2 = 1e6,
+# 4e-4 at 1e12 and 2e2 at 1e18, and the smallest envelope eigenvalue strays
+# from its stiff-bond limit by 3e-8 of itself at k2 = 1e12, 1e-4 at 1e15 and
+# 1 % at 1e18; it is negative at 1e20.  Up to this curvature (k2 = 5e11) that
+# error stays near 1e-8.
+STIFFNESS_MAX = 1e12
 
 
 def _bump(t):
@@ -195,16 +204,23 @@ def from_json(source) -> PotentialSet:
 def load(spec) -> PotentialSet:
     """Resolve a preset name, JSON path, or dict into a PotentialSet.
 
-    A set read from JSON must pass validate; otherwise InvalidParameterError
-    names the failed checks.  Presets and PotentialSet instances are returned
-    unchecked.
+    A set read from JSON must have curvatures at the minima of magnitude at
+    most STIFFNESS_MAX (the check stiffness-scale, made first: beyond it the
+    other checks can overflow) and must pass validate; otherwise
+    InvalidParameterError names the failed checks.  Presets and PotentialSet
+    instances are returned unchecked.
     """
     if isinstance(spec, PotentialSet):
         return spec
     if isinstance(spec, str) and spec in _PRESETS:
         return from_name(spec)
     pots = from_json(spec)
-    failed = [c["name"] for c in validate(pots)["checks"] if not c["passed"]]
+    with np.errstate(all="ignore"):  # a curvature beyond the floats reads inf or NaN, and is refused
+        curvatures = np.abs([pots.v2_curvature_at_min(), pots.v3_curvature_at_min()])
+    if not np.all(curvatures <= STIFFNESS_MAX):
+        failed = ["stiffness-scale"]
+    else:
+        failed = [c["name"] for c in validate(pots)["checks"] if not c["passed"]]
     if failed:
         raise InvalidParameterError(f"potential set {pots.name!r} fails the checks {', '.join(failed)}")
     return pots
@@ -272,22 +288,26 @@ def validate(p: PotentialSet) -> dict:
     add("pair-deriv-fd", max(res1, res2) <= 1e-6, max(res1, res2))
 
     v3 = p.v3.value(a)
-    add("angle-nonnegative", float(np.min(v3)) >= -1e-15, float(np.min(v3)))
+    # The angle tolerances hold for a potential of the bond energy's size and
+    # scale with max|v3| beyond it, as the rounding of v3 does: the symmetry
+    # residual reads 3.1 .. 3.5 eps max|v3| for k3 = 2/3 .. 1e8.
+    scale3 = max(1.0, float(np.max(np.abs(v3))))
+    add("angle-nonnegative", float(np.min(v3)) >= -1e-15 * scale3, float(np.min(v3)))
 
     sym = float(np.max(np.abs(p.v3.value(a) - p.v3.value(2.0 * np.pi - a))))
-    add("angle-symmetry", sym <= 1e-12, sym, "symmetry around pi")
+    add("angle-symmetry", sym <= 1e-12 * scale3, sym, "symmetry around pi")
 
     z1 = abs(float(p.v3.value(TWO_THIRDS_PI)))
     z2 = abs(float(p.v3.value(2.0 * TWO_THIRDS_PI)))
     near = (np.abs(a - TWO_THIRDS_PI) < 0.05) | (np.abs(a - 2.0 * TWO_THIRDS_PI) < 0.05)
     floor_away = float(np.min(v3[~near])) if np.any(~near) else np.inf
-    extra = floor_away <= 1e-12
+    extra = floor_away <= 1e-12 * scale3
     detail = "extra zero detected away from 2pi/3 and 4pi/3" if extra else ""
-    add("angle-minimum-points", max(z1, z2) <= 1e-12 and not extra, max(z1, z2, 0.0 if not extra else 1.0), detail)
+    add("angle-minimum-points", max(z1, z2) <= 1e-12 * scale3 and not extra, max(z1, z2, 0.0 if not extra else 1.0), detail)
 
     add(
         "angle-stationary-at-min",
-        abs(float(p.v3.deriv(TWO_THIRDS_PI))) <= 1e-10,
+        abs(float(p.v3.deriv(TWO_THIRDS_PI))) <= 1e-10 * scale3,
         abs(float(p.v3.deriv(TWO_THIRDS_PI))),
     )
     add("angle-curvature-at-min", float(p.v3.deriv2(TWO_THIRDS_PI)) > 0.0, float(p.v3.deriv2(TWO_THIRDS_PI)))

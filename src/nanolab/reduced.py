@@ -280,11 +280,6 @@ def reduced_energy(mu: float, gamma1: float, gamma2: float, pots: PotentialSet):
     return float(sol.value[0]), tuple(float(v) for v in sol.x[0])
 
 
-def reduced_gradient(mu, gamma1, gamma2, pots):
-    """Envelope first derivatives (d/dmu, d/dgamma1, d/dgamma2) of the reduced energy."""
-    return reduced_solve(mu, gamma1, gamma2, pots).grad[0, :3]
-
-
 def reduced_hessian(mu, gamma1, gamma2, pots) -> np.ndarray:
     """3x3 Hessian of the reduced energy in (mu, gamma1, gamma2); see
     ReducedSolution.envelope_hessian."""

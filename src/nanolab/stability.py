@@ -141,7 +141,7 @@ def sample_perturbations(
     base: Nanotube,
     spec: PerturbationSpec,
     trials,
-    band: BondBand | None = None,
+    band: BondBand,
 ):
     """Displaced copies of base, one per trial index in trials, each with
     base's period and bond graph.
@@ -149,15 +149,12 @@ def sample_perturbations(
     Trial t draws from its own stream _trial_rng(spec.seed, t) and redraws
     from it while a draw breaks the bond graph, so its copy does not depend on
     which trials are drawn with it or in what order.  band is base's BondBand
-    for an eta of at least spec.eta; it is built when omitted, so pass one to
-    reuse it across an ensemble.  Returns (positions, rejections): the
+    for an eta of at least spec.eta.  Returns (positions, rejections): the
     (len(trials), n, 3) stack and the number of redraws.  Raises
     EtaTooLargeError once a trial has made MAX_REJECTIONS consecutive
     bond-graph-breaking draws.
     """
-    if band is None:
-        band = BondBand(base, spec.eta)
-    elif band.eta < spec.eta:
+    if band.eta < spec.eta:
         raise ValueError(f"band built for eta={band.eta} cannot vet draws at eta={spec.eta}")
     rngs = [_trial_rng(spec.seed, int(t)) for t in trials]
     positions = np.empty((len(rngs), base.n, 3))
@@ -172,20 +169,6 @@ def sample_perturbations(
                 f"{MAX_REJECTIONS} consecutive samples broke the bond graph at eta={spec.eta}"
             )
     return positions, int(rejections.sum())
-
-
-def sample_perturbation(
-    base: Nanotube,
-    spec: PerturbationSpec,
-    trial: int = 0,
-    band: BondBand | None = None,
-):
-    """One displaced copy of base with identical period and bond graph: the
-    one-trial call of sample_perturbations.  Returns (tube, graph,
-    rejections), graph being the band's base graph."""
-    band = band or BondBand(base, spec.eta)
-    positions, rejections = sample_perturbations(base, spec, [trial], band)
-    return base.with_positions(positions[0]), band.graph, rejections
 
 
 def _chunks(count: int, n: int) -> list:
@@ -288,7 +271,7 @@ def isometry_directions(tube: Nanotube) -> np.ndarray:
     return q
 
 
-# stationarity guard of hessian_spectrum: |grad| < GRAD_TOL_FACTOR * sqrt(n)
+# stationarity guard of null_space_report: |grad| < GRAD_TOL_FACTOR * sqrt(n)
 GRAD_TOL_FACTOR = 1e-7
 # On a tube without Bloch blocks an eigenvalue is near-null when
 # |lambda| < ZERO_TOL_REL * max|lambda|.  With the analytic Hessian the
@@ -354,14 +337,6 @@ def _bloch_spectrum(tube: Nanotube, pots: PotentialSet, graph):
     return p, q, blocks, np.linalg.eigvalsh(blocks)
 
 
-def _vetted_spectrum(tube: Nanotube, pots: PotentialSet):
-    """The bond graph of a stationary tube (see _stationary_graph) and, on a
-    family tube (see _is_family), its Bloch spectrum (see _bloch_spectrum),
-    None on any other tube."""
-    graph = _stationary_graph(tube, pots)
-    return graph, (_bloch_spectrum(tube, pots, graph) if _is_family(tube, graph) else None)
-
-
 def _block_null_space(tube: Nanotube, p, q, blocks, near_null):
     """(p, q, count) of each Bloch block with near-null eigenvalues, where
     near_null[b] marks block b's, and an orthonormal real basis (3n, k) of the
@@ -397,20 +372,6 @@ def _acoustic_ratio(tube: Nanotube, pots: PotentialSet, graph) -> float:
     return float(w[branch] / ACOUSTIC_Q**2 / (0.5 * stiffness))
 
 
-def hessian_spectrum(tube: Nanotube, pots: PotentialSet) -> np.ndarray:
-    """Eigenvalues (ascending) of the configurational Hessian at fixed period.
-
-    On a family tube (see _is_family) these are the eigenvalues of its ell*m
-    Bloch blocks (energy.bloch_blocks); any other tube takes one dense
-    eigensolve of energy.hessian.  Raises NotStationaryError unless
-    |grad| < GRAD_TOL_FACTOR * sqrt(n).
-    """
-    graph, bloch = _vetted_spectrum(tube, pots)
-    if bloch is not None:
-        return np.sort(bloch[3], axis=None)
-    return np.linalg.eigvalsh(hessian(tube, pots, graph))
-
-
 def null_space_report(tube: Nanotube, pots: PotentialSet, acoustic: bool = False) -> dict:
     """Spectrum partition into near-null and positive parts plus the
     principal angles between the near-null eigenvectors and the isometry
@@ -426,13 +387,15 @@ def null_space_report(tube: Nanotube, pots: PotentialSet, acoustic: bool = False
     ZERO_TOL_REL * lam_max, and null_blocks is None.  max_principal_angle is
     None when there are no near-null modes.  With acoustic, the
     report also holds acoustic_ratio (see _acoustic_ratio) of a family tube,
-    None on any other tube.
+    None on any other tube.  Raises NotStationaryError unless
+    |grad| < GRAD_TOL_FACTOR * sqrt(n).
     """
     from scipy.linalg import subspace_angles
 
-    graph, bloch = _vetted_spectrum(tube, pots)
-    if bloch is not None:
-        p, q, blocks, evals = bloch
+    graph = _stationary_graph(tube, pots)
+    family = _is_family(tube, graph)
+    if family:
+        p, q, blocks, evals = _bloch_spectrum(tube, pots, graph)
         tol = BLOCK_NULL_ULPS * np.finfo(float).eps * np.max(np.abs(evals), axis=1, keepdims=True)
         near_null = np.abs(evals) <= tol
         null_blocks, null_vectors = _block_null_space(tube, p, q, blocks, near_null)
@@ -454,5 +417,5 @@ def null_space_report(tube: Nanotube, pots: PotentialSet, acoustic: bool = False
         "null_blocks": null_blocks,
     }
     if acoustic:
-        report["acoustic_ratio"] = None if bloch is None else _acoustic_ratio(tube, pots, graph)
+        report["acoustic_ratio"] = _acoustic_ratio(tube, pots, graph) if family else None
     return report

@@ -9,9 +9,10 @@ ReducedSolution.minimizer_derivative), the brute-force family minimizer
 (reduced.reduced_solve), the np.clip form of reduced.beta, the reference
 angles with the Newton polish run to its step cap
 (reduced.reference_angles), the one-eigensolve-per-point dual scan
-(cellspec.constrained_rayleigh_min), the scan-plus-bisection fracture threshold
-(fracture.fracture_threshold) and the one-trial-at-a-time stability ensemble
-with a bond graph rebuilt for every draw (stability.stability_trial).  The
+(cellspec.constrained_rayleigh_min), the scan-plus-bisection fracture
+threshold of one m (fracture.fracture_scaling) and the one-trial-at-a-time
+stability ensemble with a bond graph rebuilt for every draw
+(stability.stability_trial).  The
 paper's per-cell lower-bound certificate lives here too: it is a check on a
 tube, run only by the tests.
 
@@ -45,8 +46,6 @@ from nanolab.cells import (
     cell_plane_angles,
     cell_summary,
     gather_cells,
-    symmetrize,
-    to_local,
 )
 from nanolab.energy import _angle_term, _bond_term, _bond_vectors, _image_shift, _leg_vectors, bond_graph
 from nanolab.errors import DegenerateGeometryError, DomainError, InvalidCellError, PxyzFormatError
@@ -200,7 +199,8 @@ def gather_cells_per_vector(tube: Nanotube, positions=None):
 
 
 def to_local_einsum(cells):
-    """cells.to_local as one einsum over local_frames_einsum."""
+    """Cells (..., 8, 3) in their local frames (the frames of cells._frame), as
+    one einsum over local_frames_einsum."""
     origin, frames = local_frames_einsum(cells)
     return np.einsum("...rc,...ac->...ar", frames, cells - origin[..., None, :])
 
@@ -222,7 +222,10 @@ def reflect_s2(cells):
 
 
 def symmetrize_reflect(cells_local):
-    """cells.symmetrize as two reflection averages of the whole cell."""
+    """Two-step reflection average of local-frame cells (..., 8, 3), each of
+    the whole cell: (x_prime, s_x, delta), the first average, the fully
+    symmetrized cell and the symmetry defect that cells.total_symmetry_defect
+    and cell_summary sum and report."""
     x = cells_local
     x_prime = 0.5 * (x + reflect_s1(x))
     s_x = 0.5 * (x_prime + reflect_s2(x_prime))
@@ -338,17 +341,21 @@ def angle_sum_second_fd(cell, v, step: float = 1e-3):
 
 def reduced_hessian_fd(mu, gamma1, gamma2, pots, step: float = 1e-4):
     """Richardson-extrapolated central differences of the envelope gradient
-    reduced.reduced_gradient, symmetrized: 12 reduced Newton solves."""
-    from nanolab.reduced import reduced_gradient
+    (d/dmu, d/dgamma1, d/dgamma2) of reduced.reduced_solve, symmetrized: 12
+    reduced Newton solves."""
+    from nanolab.reduced import reduced_solve
 
     x0 = np.array([mu, gamma1, gamma2], dtype=float)
+
+    def grad(x):
+        return reduced_solve(*x, pots).grad[0, :3]
 
     def fd(h):
         cols = []
         for d in range(3):
             e = np.zeros(3)
             e[d] = h
-            cols.append((reduced_gradient(*(x0 + e), pots) - reduced_gradient(*(x0 - e), pots)) / (2.0 * h))
+            cols.append((grad(x0 + e) - grad(x0 - e)) / (2.0 * h))
         return np.stack(cols, axis=1)
 
     hess = (4.0 * fd(0.5 * step) - fd(step)) / 3.0
@@ -850,12 +857,12 @@ class CellView:
         return float(np.linalg.norm(q - p))
 
     def local_coordinates(self) -> np.ndarray:
-        return to_local(self.positions[None])[0]
+        return to_local_einsum(self.positions)
 
     def symmetrize(self):
         """Returns (x_prime, s_x, delta) in local coordinates."""
-        xp, sx, d = symmetrize(self.local_coordinates()[None])
-        return xp[0], sx[0], float(d[0])
+        xp, sx, d = symmetrize_reflect(self.local_coordinates())
+        return xp, sx, float(d)
 
 
 @dataclass
@@ -941,8 +948,7 @@ def extract_cell(tube: Nanotube, center: tuple, graph=None) -> CellView:
     for slot, anchor in _UNWRAP_CHAIN:
         coords[slot] = coords[anchor] + _nearest_image(pos[idx[slot]] - coords[anchor], tube.period)
     # orient so that x3 sits on the positive second-coordinate side
-    local = to_local(coords[None])[0]
-    if local[2, 1] < 0.0:
+    if to_local_einsum(coords)[2, 1] < 0.0:
         idx = idx[[0, 1, 5, 4, 3, 2, 6, 7]]
         coords = coords[[0, 1, 5, 4, 3, 2, 6, 7]]
     return CellView(center=center, atom_indices=idx, positions=coords)

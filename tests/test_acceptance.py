@@ -68,7 +68,7 @@ def test_criterion_11_fracture_root():
         return reduced.minimize_family(mu, 12, soft, m=4).energy - e0 - 48.0
 
     root = brentq(crossing, mu_us + 1e-6, min(mu_us + 0.12, 3.1 - 1e-9), xtol=1e-10)
-    err = abs(fracture.fracture_threshold(12, 4, soft)["mu_frac"] - root)
+    err = abs(fracture.fracture_scaling(12, [4, 8], soft)["rows"][0]["mu_frac"] - root)
     assert _report(11, err <= 1e-5, f"m=4 threshold matches the brentq root of the crossing ({err:.1e})")
 
 

@@ -28,8 +28,6 @@ from nanolab.cells import (
     cell_plane_angles,
     cell_summary,
     gather_cells,
-    symmetrize,
-    to_local,
     total_cell_energy,
     total_symmetry_defect,
 )
@@ -37,7 +35,7 @@ from nanolab.energy import _bond_vectors, bond_graph, total_energy
 from nanolab.errors import InvalidCellError
 from nanolab.geometry import Nanotube, axial_rotations, build_nanotube, flat_index, solve_family
 from nanolab.reduced import ReducedPoint, beta, minimize_family, reference_angles, sym_energy
-from nanolab.stability import MODES, BondBand, PerturbationSpec, sample_perturbation, sample_perturbations
+from nanolab.stability import MODES, BondBand, PerturbationSpec, sample_perturbations
 
 
 @pytest.fixture(scope="module")
@@ -196,11 +194,10 @@ def test_angle_sum_excess_controlled_by_defect(tube, pots_soft):
     band = BondBand(tube, 1e-3)
     excesses, defects = [], []
     for trial in range(24):
-        sample, _, _ = sample_perturbation(
-            tube, PerturbationSpec(eta=1e-3, seed=5, count=24), trial=trial, band=band
-        )
+        positions, _ = sample_perturbations(tube, PerturbationSpec(eta=1e-3, seed=5, count=24), [trial], band)
+        sample = tube.with_positions(positions[0])
         excesses.append(angle_sum(sample) - target)
-        defects.append(float(np.sum(symmetrize(to_local(gather_cells(sample)))[2])))
+        defects.append(float(np.sum(symmetrize_reflect(to_local_einsum(gather_cells(sample)))[2])))
     excesses = np.array(excesses)
     defects = np.array(defects)
     chat = max(excesses[:12] / defects[:12])
@@ -213,21 +210,21 @@ def test_symmetrize_fixed_point(pots_soft):
     from nanolab.cellspec import kink_cell
 
     kc = kink_cell(16, pots_soft)[None]
-    xp, sx, delta = symmetrize(kc)
+    xp, sx, delta = symmetrize_reflect(kc)
     assert float(delta[0]) <= 1e-28
     assert np.allclose(sx[0], kc[0], atol=1e-14)
 
 
 def test_reflections_preserve_cell_energy(perturbed, pots_soft):
-    loc = to_local(gather_cells(perturbed))
+    loc = to_local_einsum(gather_cells(perturbed))
     e0 = cell_energies(loc, pots_soft)
     assert np.max(np.abs(cell_energies(reflect_s1(loc), pots_soft) - e0)) <= 1e-10
     assert np.max(np.abs(cell_energies(reflect_s2(loc), pots_soft) - e0)) <= 1e-10
 
 
 def test_symmetrized_cell_satisfies_symmetry_classes(perturbed):
-    loc = to_local(gather_cells(perturbed))
-    _, sx, _ = symmetrize(loc)
+    loc = to_local_einsum(gather_cells(perturbed))
+    _, sx, _ = symmetrize_reflect(loc)
     b = cell_bond_lengths(sx)
     phi = cell_angles(sx)
     assert np.max(np.abs(b[..., 0] - b[..., 1])) <= 1e-10
@@ -243,8 +240,8 @@ def test_symmetrized_cell_satisfies_symmetry_classes(perturbed):
 
 
 def test_dual_center_distance_invariant_under_symmetrization(perturbed):
-    loc = to_local(gather_cells(perturbed))
-    _, sx, _ = symmetrize(loc)
+    loc = to_local_einsum(gather_cells(perturbed))
+    _, sx, _ = symmetrize_reflect(loc)
 
     def dual(x):
         return np.linalg.norm(
@@ -255,8 +252,8 @@ def test_dual_center_distance_invariant_under_symmetrization(perturbed):
 
 
 def test_beta_closure_exact_on_symmetric_cells(perturbed):
-    loc = to_local(gather_cells(perturbed))
-    _, sx, _ = symmetrize(loc)
+    loc = to_local_einsum(gather_cells(perturbed))
+    _, sx, _ = symmetrize_reflect(loc)
     sx = sx.reshape(-1, 8, 3)
     phi = cell_angles(sx)
     th = cell_plane_angles(sx)
@@ -280,11 +277,9 @@ def test_symmetric_cell_energy_lower_bound(pots_soft):
     band = BondBand(base, eta)
     margins, gaps = [], []
     for trial in range(10):
-        tube, _, _ = sample_perturbation(
-            base, PerturbationSpec(eta=eta, seed=11, count=10), trial=trial, band=band
-        )
-        loc = to_local(gather_cells(tube))
-        _, sx, _ = symmetrize(loc)
+        positions, _ = sample_perturbations(base, PerturbationSpec(eta=eta, seed=11, count=10), [trial], band)
+        loc = to_local_einsum(gather_cells(base.with_positions(positions[0])))
+        _, sx, _ = symmetrize_reflect(loc)
         sx = sx.reshape(-1, 8, 3)
         b = cell_bond_lengths(sx)
         th = cell_plane_angles(sx)
@@ -388,8 +383,8 @@ def _assert_same_bits(a, b):
     seed=st.integers(0, 2**31 - 1),
 )
 def test_explicit_component_kernels_equal_einsum_oracle(ell, m, moved, eta, shape, preset, mode, seed):
-    # the chunked draws, energies, cell angles, cell frames and symmetry
-    # defects of family tubes, perturbed (eta > 0) or not, as built or moved
+    # the chunked draws, energies, cell angles and symmetry defects (formed
+    # in the cell frames) of family tubes, perturbed (eta > 0) or not, as built or moved
     # (unwrapped, rotated), one at a time and as stacks, equal the per-trial
     # draw and the einsum / np.cross / np.linalg.norm forms to the bit
     pots = potentials.load(preset)
@@ -401,7 +396,7 @@ def test_explicit_component_kernels_equal_einsum_oracle(ell, m, moved, eta, shap
         base = base.with_positions(image)
     count = int(np.prod(shape, dtype=int))
     spec = PerturbationSpec(eta=eta, seed=seed, mode=mode)
-    stack, _ = sample_perturbations(base, spec, range(count))
+    stack, _ = sample_perturbations(base, spec, range(count), BondBand(base, eta))
     _assert_same_bits(stack, [sample_perturbation_rebuild(base, spec, t)[0].positions for t in range(count)])
     graph = bond_graph(base)
     if shape:
@@ -414,10 +409,6 @@ def test_explicit_component_kernels_equal_einsum_oracle(ell, m, moved, eta, shap
     _assert_same_bits(cell_angles(cells_), cell_angles_einsum(cells_))
     _assert_same_bits(cell_plane_angles(cells_), cell_plane_angles_cross(cells_))
     _assert_same_bits(cell_bond_lengths(cells_), np.linalg.norm(_bond_vectors(cells_, cells.CELL_GRAPH), axis=-1))
-    local = to_local(cells_)
-    _assert_same_bits(local, to_local_einsum(cells_))
-    for got, want in zip(symmetrize(local), symmetrize_reflect(local)):
-        _assert_same_bits(got, want)
     delta = symmetrize_reflect(to_local_einsum(cells_))[2]
     want = np.sum(delta.reshape(shape + (-1,)), axis=-1)
     _assert_same_bits(total_symmetry_defect(tube, positions), want if shape else float(want))
@@ -432,7 +423,7 @@ def _moved_ensemble(preset, shift, shape, seed):
     image[:, 0] += shift * base.period
     base = base.with_positions(image)
     count = int(np.prod(shape, dtype=int))
-    stack, _ = sample_perturbations(base, PerturbationSpec(eta=1e-3, seed=seed), range(count))
+    stack, _ = sample_perturbations(base, PerturbationSpec(eta=1e-3, seed=seed), range(count), BondBand(base, 1e-3))
     return pots, base, stack.reshape(shape + (base.n, 3))
 
 
@@ -442,15 +433,11 @@ def _moved_ensemble(preset, shift, shape, seed):
 def test_defect_path_equals_oracle_on_ensemble_stacks(preset, shape, shift):
     # a chunk of the n = 192 ensemble (4096 // 192 = 21 trials) and a stack
     # with two leading axes, of a rotated tube moved by -2 ... 2 periods: the
-    # cells, local coordinates, reflections and defects equal the cells-last
-    # einsum forms to the bit, and cell_summary's defects those of one trial
+    # cells and defects equal the cells-last einsum forms to the bit, and
+    # cell_summary's defects those of one trial
     pots, base, positions = _moved_ensemble(preset, shift, shape, seed=int(10 * shift) % 7)
     cells_ = gather_cells(base, positions=positions)
     _assert_same_bits(cells_, gather_cells_per_vector(base, positions))
-    local = to_local(cells_)
-    _assert_same_bits(local, to_local_einsum(cells_))
-    for got, want in zip(symmetrize(local), symmetrize_reflect(local)):
-        _assert_same_bits(got, want)
     delta = symmetrize_reflect(to_local_einsum(cells_))[2]
     _assert_same_bits(total_symmetry_defect(base, positions), np.sum(delta.reshape(shape + (-1,)), axis=-1))
     one = (0,) * len(shape)
@@ -461,7 +448,7 @@ def test_defect_path_equals_oracle_on_ensemble_stacks(preset, shape, shift):
 def test_degenerate_cell_in_a_stack_raises(defect):
     # one configuration of a stack whose cell (1, 0, 0) has no axis or no
     # normal makes the whole stack raise, with the message of the einsum form
-    _, base, positions = _moved_ensemble("soft", 0.0, (4,), seed=3)
+    pots, base, positions = _moved_ensemble("soft", 0.0, (4,), seed=3)
     atoms = cell_atom_indices(base.ell, base.m)[0, 0, 0]
     x = gather_cells(base, positions=positions)[2, 0, 0, 0]
     if defect == "coincident-dual-centers":
@@ -474,7 +461,11 @@ def test_degenerate_cell_in_a_stack_raises(defect):
         positions[2, atoms[4]] = x[3] - 0.5 * axis
         message = "degenerate cell: x4 - x5 parallel to the axis"
     cells_ = gather_cells(base, positions=positions)
-    for compute in (lambda: to_local(cells_), lambda: total_symmetry_defect(base, positions), lambda: to_local_einsum(cells_)):
+    for compute in (
+        lambda: cell_summary(base.with_positions(positions[2]), pots),
+        lambda: total_symmetry_defect(base, positions),
+        lambda: to_local_einsum(cells_),
+    ):
         with pytest.raises(InvalidCellError, match=f"^{message}$"):
             compute()
 

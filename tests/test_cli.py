@@ -564,6 +564,39 @@ def test_potential_files_failing_validation_are_refused(tmp_path, capsys, doc, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k3", [600, 800, 1000, 2000, 1e5])
+def test_stiffer_angle_potentials_are_accepted(tmp_path, capsys, k3):
+    # the angle checks had absolute tolerances, and the rounding of
+    # v3(a) - v3(2 pi - a) grows with k3: these sets were refused
+    (tmp_path / "p.json").write_text(json.dumps({"k3": k3}))
+    out = tmp_path / "r.csv"
+    assert run(["reduced", "--ell", "12", "--mu-grid", "2.97:3.0:3", "--pots", str(tmp_path / "p.json"), "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert len(rows) == 3 and np.min(rows[:, 6:9]) >= 23.0
+
+
+@pytest.mark.parametrize(
+    "doc, code",
+    [('{"k2": 1e300}', 1), ('{"k2": 1e20}', 1), ('{"k3": -1e300}', 1), ('{"k2": 1e6}', 0), ('{"k3": 1e4}', 0)],
+    ids=["k2-1e300", "k2-1e20", "k3-minus-1e300", "k2-1e6", "k3-1e4"],
+)
+def test_absurd_stiffness_scale_is_refused(tmp_path, capsys, doc, code):
+    # with k2 = 1e300 reduced exited 0 with emin 1.18e270 and a Hessian
+    # eigenvalue of -7.4e283
+    (tmp_path / "p.json").write_text(doc)
+    out = tmp_path / "r.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["reduced", "--ell", "12", "--mu-grid", "2.97:3.0:3", "--pots", str(tmp_path / "p.json"), "-o", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == "nanolab: potential set 'custom' fails the checks stiffness-scale\n"
+        assert not out.exists()
+    else:
+        assert err == "" and np.all(np.loadtxt(out, delimiter=",", skiprows=1)[:, 6:9] > 0.0)
+
+
 def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
     # main builds its parser once per process; a second round of the same
     # commands, in another order, gives what the first round gave

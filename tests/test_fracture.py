@@ -5,7 +5,7 @@ from scipy.optimize import brentq
 
 from nanolab.energy import family_energy
 from nanolab.errors import InvalidParameterError, NotCleavedWarning, WindowTooSmallError
-from nanolab.fracture import build_cleaved, fracture_scaling, fracture_threshold
+from nanolab.fracture import build_cleaved, fracture_scaling
 from nanolab.geometry import build_nanotube, gamma, solve_family
 from nanolab.reduced import minimize_family, reduced_energy, reduced_hessian, reference_angles
 from nanolab.stability import PerturbationSpec, null_space_report, stability_trial
@@ -64,15 +64,15 @@ def test_mu_below_unstretched_rejected(refs12, pots_soft):
 
 def test_threshold_matches_crossing_equation(refs12, pots_soft):
     # the scan must agree with the root of 4*ell = E_min(mu) - E_min(mu_us)
-    for m in (4, 8):
-        rep = fracture_threshold(12, m, pots_soft)
+    for row in fracture_scaling(12, [4, 8], pots_soft)["rows"]:
+        m = row["m"]
         e0 = minimize_family(refs12.mu_us, 12, pots_soft, m=m).energy
 
         def f(mu):
             return minimize_family(mu, 12, pots_soft, m=m).energy - e0 - 48.0
 
         root = brentq(f, refs12.mu_us + 1e-6, min(refs12.mu_us + 0.12, 3.1 - 1e-9), xtol=1e-10)
-        assert abs(rep["mu_frac"] - root) <= 1e-5
+        assert abs(row["mu_frac"] - root) <= 1e-5
 
 
 def test_energy_comparison_identity(refs12, pots_soft):
@@ -102,7 +102,7 @@ def test_scaling_exponent_stable_under_doubling_ell(pots_soft):
 
 def test_window_too_small(pots_soft):
     with pytest.raises(WindowTooSmallError):
-        fracture_threshold(12, 4, pots_soft, window=0.01)
+        fracture_scaling(12, [4, 8], pots_soft, window=0.01)
 
 
 def test_halves_are_stable_tubes(refs12, pots_soft):
@@ -139,8 +139,8 @@ def test_offset_sqrt_m_tends_to_curvature_limit(refs12, pots_soft):
     # e(mu) - e(mu_us) ~ e''(mu_us) (mu - mu_us)^2 / 2 = 2/m near mu_us
     g = gamma(12)
     limit = 2.0 / np.sqrt(reduced_hessian(refs12.mu_us, g, g, pots_soft)[0, 0])
-    rep = fracture_threshold(12, 256, pots_soft)
-    assert abs(rep["offset_sqrt_m"] - limit) <= 1e-4 * limit
+    row = fracture_scaling(12, [128, 256], pots_soft)["rows"][1]
+    assert abs(row["offset_sqrt_m"] - limit) <= 1e-4 * limit
 
 
 @pytest.mark.parametrize("m_list", [[4], [4, 4]])
@@ -151,7 +151,7 @@ def test_scaling_needs_two_distinct_m(pots_soft, m_list):
 
 def test_threshold_rejects_nonpositive_m(pots_soft):
     with pytest.raises(InvalidParameterError):
-        fracture_threshold(12, 0, pots_soft)
+        fracture_scaling(12, [0, 4], pots_soft)
 
 
 def test_scaling_reports_solver_diagnostics(pots_soft):

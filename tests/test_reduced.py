@@ -33,7 +33,6 @@ from nanolab.reduced import (
     family_minima,
     minimize_family,
     reduced_energy,
-    reduced_gradient,
     reduced_hessian,
     reduced_solve,
     reference_angles,
@@ -192,7 +191,7 @@ def test_reduced_energy_increasing_above_mu_us(pots_soft):
 
 def test_reduced_gradient_matches_fd(pots_soft):
     mu, g1, g2 = 2.99, 2.95, 2.97
-    grad = reduced_gradient(mu, g1, g2, pots_soft)
+    grad = reduced_solve(mu, g1, g2, pots_soft).grad[0, :3]
     h = 1e-6
     fd_mu = (reduced_energy(mu + h, g1, g2, pots_soft)[0] - reduced_energy(mu - h, g1, g2, pots_soft)[0]) / (2 * h)
     fd_g1 = (reduced_energy(mu, g1 + h, g2, pots_soft)[0] - reduced_energy(mu, g1 - h, g2, pots_soft)[0]) / (2 * h)

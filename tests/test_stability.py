@@ -21,10 +21,8 @@ from nanolab.stability import (
     MODES,
     BondBand,
     PerturbationSpec,
-    hessian_spectrum,
     isometry_directions,
     null_space_report,
-    sample_perturbation,
     sample_perturbations,
     stability_trial,
 )
@@ -54,8 +52,8 @@ def test_spec_rejects_invalid_eta_and_count(kwargs):
 
 def test_zero_eta_returns_base(base):
     tube0, _, _ = base
-    sample, _, rej = sample_perturbation(tube0, PerturbationSpec(eta=0.0, seed=1, count=1))
-    assert np.array_equal(sample.positions, tube0.positions)
+    positions, rej = sample_perturbations(tube0, PerturbationSpec(eta=0.0, seed=1, count=1), [0], BondBand(tube0, 0.0))
+    assert np.array_equal(positions[0], tube0.positions)
     assert rej == 0
 
 
@@ -65,22 +63,24 @@ def test_samples_respect_cap_and_bond_graph(base, mode):
     graph0 = bond_graph(tube0)
     spec = PerturbationSpec(eta=1e-3, seed=9, count=4, mode=mode)
     band = BondBand(tube0, spec.eta)
+    assert np.array_equal(band.graph.pairs, graph0.pairs)
     for trial in range(4):
-        sample, graph, _ = sample_perturbation(tube0, spec, trial=trial, band=band)
+        positions, _ = sample_perturbations(tube0, spec, [trial], band)
+        sample = tube0.with_positions(positions[0])
         disp = np.linalg.norm(sample.positions - tube0.positions, axis=1)
         assert np.max(disp) <= 1e-3 + 1e-15
-        assert np.array_equal(graph.pairs, graph0.pairs)
+        assert np.array_equal(bond_graph(sample).pairs, graph0.pairs)
         assert sample.period == tube0.period
 
 
 def test_identical_seed_reproduces_ensemble(base):
     tube0, _, _ = base
     spec = PerturbationSpec(eta=1e-3, seed=123, count=3)
-    a, _, _ = sample_perturbation(tube0, spec, trial=2)
-    b, _, _ = sample_perturbation(tube0, spec, trial=2)
-    assert np.array_equal(a.positions, b.positions)
-    c, _, _ = sample_perturbation(tube0, spec, trial=1)
-    assert not np.array_equal(a.positions, c.positions)
+    a, _ = sample_perturbations(tube0, spec, [2], BondBand(tube0, spec.eta))
+    b, _ = sample_perturbations(tube0, spec, [2], BondBand(tube0, spec.eta))
+    assert np.array_equal(a, b)
+    c, _ = sample_perturbations(tube0, spec, [1], BondBand(tube0, spec.eta))
+    assert not np.array_equal(a, c)
 
 
 def _draw(base, spec, trial):
@@ -177,14 +177,14 @@ def test_ensemble_builds_one_graph(base, pots_soft, monkeypatch):
 def test_band_for_smaller_eta_is_refused(base):
     tube0, _, _ = base
     with pytest.raises(ValueError):
-        sample_perturbation(tube0, PerturbationSpec(eta=1e-2), band=BondBand(tube0, 1e-3))
+        sample_perturbations(tube0, PerturbationSpec(eta=1e-2), [0], BondBand(tube0, 1e-3))
 
 
 def test_eta_too_large_raises(base, monkeypatch):
     tube0, _, _ = base
     monkeypatch.setattr(stab, "MAX_REJECTIONS", 20)
     with pytest.raises(EtaTooLargeError, match="^20 consecutive"):
-        sample_perturbation(tube0, PerturbationSpec(eta=0.8, seed=0, count=1))
+        sample_perturbations(tube0, PerturbationSpec(eta=0.8, seed=0, count=1), [0], BondBand(tube0, 0.8))
 
 
 def test_stability_trial_all_gaps_positive(base, pots_soft):
@@ -308,7 +308,7 @@ def test_report_independent_of_chunks_and_order(base, pots_soft, monkeypatch, pe
 def test_samples_never_exceed_eta(base, mode, eta, seed, first):
     tube0, _, _ = base
     spec = PerturbationSpec(eta=eta, seed=seed, mode=mode)
-    positions, _ = sample_perturbations(tube0, spec, range(first, first + 5))
+    positions, _ = sample_perturbations(tube0, spec, range(first, first + 5), BondBand(tube0, eta))
     # displacements are read back from the positions, whose rounding is a few
     # ulps of the coordinates
     slack = 4.0 * np.spacing(np.max(np.abs(tube0.positions)))
@@ -357,15 +357,15 @@ def test_spectrum_calls_gradient_once(base, pots_soft, monkeypatch):
     tube0, _, _ = base
     calls = []
     monkeypatch.setattr(stab, "gradient", lambda *a, **k: calls.append(1) or gradient(*a, **k))
-    hessian_spectrum(tube0, pots_soft)
+    null_space_report(tube0, pots_soft)
     assert len(calls) == 1
 
 
 def test_spectrum_invariant_under_translation(base, pots_soft):
     tube0, _, _ = base
-    ev0 = hessian_spectrum(tube0, pots_soft)
+    ev0 = null_space_report(tube0, pots_soft)["eigenvalues"]
     shifted = tube0.with_positions(tube0.positions + np.array([0.4, 1.3, -0.2]))
-    ev1 = hessian_spectrum(shifted, pots_soft)
+    ev1 = null_space_report(shifted, pots_soft)["eigenvalues"]
     assert np.max(np.abs(ev0 - ev1)) < 1e-6
 
 
@@ -373,7 +373,7 @@ def test_hessian_requires_stationary_point(base, pots_soft, rng):
     tube0, _, _ = base
     bad = tube0.with_positions(tube0.positions + 1e-3 * rng.standard_normal(tube0.positions.shape))
     with pytest.raises(NotStationaryError):
-        hessian_spectrum(bad, pots_soft)
+        null_space_report(bad, pots_soft)
 
 
 def test_isometry_directions_orthonormal(base):
@@ -396,8 +396,9 @@ def test_certificate_positive_on_samples(ell, pots_soft):
     refs = reference_angles(ell, pots_soft)
     fam = minimize_family(refs.mu_us, ell, pots_soft, m=2)
     tube0 = build_nanotube(fam.geometry, 2)
-    sample, _, _ = sample_perturbation(tube0, PerturbationSpec(eta=1e-3, seed=13, count=1))
-    rep = per_cell_certificate(sample, pots_soft)
+    spec = PerturbationSpec(eta=1e-3, seed=13, count=1)
+    positions, _ = sample_perturbations(tube0, spec, [0], BondBand(tube0, spec.eta))
+    rep = per_cell_certificate(tube0.with_positions(positions[0]), pots_soft)
     assert rep["min_margin"] >= 0.0
     assert rep["c_hat"] > 0.0
 
@@ -445,9 +446,7 @@ def test_block_spectrum_equals_dense(pots_soft, pots_stiff, preset, ell, m, offs
     block = null_space_report(tube, pots)
     dense = null_space_report(_unlabelled(tube), pots)
     assert dense["null_blocks"] is None and block["null_blocks"] is not None
-    spectrum = hessian_spectrum(tube, pots)
-    assert np.max(np.abs(spectrum - dense["eigenvalues"])) <= 1e-12 * dense["lam_max"]
-    assert np.array_equal(block["eigenvalues"], spectrum)
+    assert np.max(np.abs(block["eigenvalues"] - dense["eigenvalues"])) <= 1e-12 * dense["lam_max"]
     assert block["n_near_null"] == dense["n_near_null"]
     assert (block["max_principal_angle"] < 1e-3) == (dense["max_principal_angle"] < 1e-3)
 
@@ -473,9 +472,8 @@ def _count_paths(monkeypatch):
 def test_family_tube_takes_block_path(base, pots_soft, monkeypatch):
     tube0, _, _ = base
     calls = _count_paths(monkeypatch)
-    hessian_spectrum(tube0, pots_soft)
     null_space_report(tube0, pots_soft)
-    assert calls == {"hessian": 0, "bloch_blocks": 2}
+    assert calls == {"hessian": 0, "bloch_blocks": 1}
 
 
 @pytest.mark.parametrize("how", ["one-ulp", "no-geometry", "translated"])
@@ -489,7 +487,7 @@ def test_non_family_tubes_take_dense_path(base, pots_soft, monkeypatch, how):
         tube = _unlabelled(tube0)
     else:
         tube = tube0.with_positions(tube0.positions + np.array([0.4, 1.3, -0.2]))
-    reference = hessian_spectrum(tube0, pots_soft)
+    reference = null_space_report(tube0, pots_soft)["eigenvalues"]
     calls = _count_paths(monkeypatch)
     rep = null_space_report(tube, pots_soft)
     assert calls == {"hessian": 1, "bloch_blocks": 0}
