@@ -17,7 +17,7 @@ import numpy as np
 from .energy import BondGraph, _bond_angles, _bond_lengths, _cos_angle, _cross3, _dot3, _image_shift, _norm3, _sum24
 from .errors import InvalidCellError
 from .geometry import Nanotube, check_positions, flat_index
-from .potentials import PotentialSet
+from .potentials import BOND_CUTOFF, PotentialSet
 
 BOND_WEIGHTS = np.array([0.25, 0.25, 0.5, 0.5, 0.5, 0.5, 0.25, 0.25])
 ANGLE_WEIGHTS = np.array([1.0, 1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5])
@@ -134,9 +134,9 @@ def gather_cells(tube: Nanotube, positions=None) -> np.ndarray:
     no cell straddles the periodic seam.  With positions, a stack (..., n, 3)
     of configurations of tube's atoms at tube's period, the cells of each
     carry the same leading axes.  Raises DegenerateGeometryError on positions
-    that geometry.check_positions refuses.
+    that geometry.check_positions refuses at the bond cutoff.
     """
-    check_positions(tube.positions if positions is None else positions, tube.period)
+    check_positions(tube.positions if positions is None else positions, tube.period, BOND_CUTOFF)
     return _cells_last(_gather_slots(tube, positions))
 
 

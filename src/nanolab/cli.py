@@ -115,7 +115,8 @@ def cmd_cells(args) -> int:
         print(
             f"nanolab: cell ({i + 1}, {j}, {k}) bond b{b + 1} has length {bonds[i, j, k, b]:.6g}, at or beyond "
             f"the bond cutoff {potentials.BOND_CUTOFF}: either the labels are inconsistent with the file "
-            "(pass --ell and --m matching it) or atoms are displaced",
+            f"(pass --ell and --m matching it), the period L={tube.period!r} does not match the atoms, "
+            "or atoms are displaced",
             file=sys.stderr,
         )
         return EXIT_USAGE

@@ -69,6 +69,11 @@ def image_distances(d: np.ndarray, L: float):
 # many cells per axis keep the int64 cell keys from overflowing.
 _CELL_SLACK = 1e-6
 _MAX_CELLS = 2**20
+# A bond of at most this many ulps of its coordinate scale max|x| + |t| L, t
+# its image shift, joins atoms that coincide modulo the period: x - (x - k L)
+# - k L rounds to a few ulps of that scale, not to 0, and the legs of such a
+# bond point anywhere.
+_COINCIDENT_ULPS = 64.0
 # the 13 cell offsets (ox, oy, oz) after (0, 0, 0) in key order
 _HALF_SHELL = np.array(
     [(ox, oy, oz) for ox in (0, 1) for oy in (-1, 0, 1) for oz in (-1, 0, 1) if (ox, oy, oz) > (0, 0, 0)]
@@ -160,10 +165,16 @@ def bond_graph(tube: Nanotube) -> BondGraph:
     """Build the bond graph of one n-cell (strict inequality at BOND_CUTOFF).
 
     Raises DegenerateGeometryError on non-finite positions or period, on
-    coordinates of magnitude 2**510 or more, and on axial coordinates 2**52
-    or more periods from the origin.
+    coordinates of magnitude 2**510 or more, on axial coordinates 2**52 or
+    more periods from the origin, on a period below 2 * BOND_CUTOFF (see
+    geometry.check_positions), and on a bond within the round-off of the
+    coordinates of zero length, whose legs have no direction.
     """
-    ii, jj, tt, _ = near_pairs(tube.positions, tube.period, BOND_CUTOFF)
+    check_positions(tube.positions, tube.period, BOND_CUTOFF)
+    ii, jj, tt, dist = near_pairs(tube.positions, tube.period, BOND_CUTOFF)
+    scale = np.max(np.abs(tube.positions)) + np.abs(tt) * tube.period
+    if np.any(dist <= _COINCIDENT_ULPS * np.finfo(float).eps * scale):
+        raise DegenerateGeometryError("zero-length bond leg")
     pairs = np.stack([ii, jj], axis=1)
 
     # every two legs at a vertex make one angle: half-edge e pairs with each

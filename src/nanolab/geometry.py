@@ -58,17 +58,24 @@ def flat_index(ell: int, m: int, i, j, k, l):
     return (((j % m) * ell + (i - 1) % ell) * 2 + k) * 2 + l
 
 
-def check_positions(pos: np.ndarray, L: float) -> None:
+def check_positions(pos: np.ndarray, L: float, radius: float = 0.0) -> None:
     """Refuse positions (..., n, 3) and a period that the pair search and the
     cell walk cannot take exactly.  Raises DegenerateGeometryError unless the
     period is finite and positive, every coordinate is finite and below 2**510
     in magnitude, so that differences square to finite values, and every
     axial coordinate lies within 2**52 periods of the origin, where the image
-    shift rint(dx / L) is still an exact integer."""
+    shift rint(dx / L) is still an exact integer.  For a bond graph or a cell
+    walk, radius is the bond cutoff, and the period must be at least twice
+    it: below, two images of an atom can both lie within the cutoff of
+    another, and a nearest-image search sees only one of the two bonds."""
     if not (np.isfinite(L) and L > 0 and np.all(np.abs(pos) < 2.0**510)):
         raise DegenerateGeometryError("positions and period must be finite, with period > 0 and coordinates below 2**510")
     if not np.all(np.abs(pos[..., 0]) < 2.0**52 * L):
         raise DegenerateGeometryError(f"axial coordinates must lie within 2**52 periods of the origin, period L={L!r}")
+    if L < 2.0 * radius:
+        raise DegenerateGeometryError(
+            f"period L={L!r} is below twice the bond cutoff {radius}, where an atom can bond to two images of another"
+        )
 
 
 @dataclass

@@ -303,7 +303,8 @@ def validate(p: PotentialSet) -> dict:
     floor_away = float(np.min(v3[~near])) if np.any(~near) else np.inf
     extra = floor_away <= 1e-12 * scale3
     detail = "extra zero detected away from 2pi/3 and 4pi/3" if extra else ""
-    add("angle-minimum-points", max(z1, z2) <= 1e-12 * scale3 and not extra, max(z1, z2, 0.0 if not extra else 1.0), detail)
+    points_ok = max(z1, z2) <= 1e-12 * scale3 and not extra
+    add("angle-minimum-points", points_ok, max(z1, z2, 0.0 if not extra else 1.0), detail)
 
     add(
         "angle-stationary-at-min",

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from nanolab import acceptance, cells, cellspec, pxyz
+from nanolab import acceptance, cells, cellspec, potentials, pxyz
 from nanolab.cli import main
 from nanolab.energy import family_energy
-from nanolab.geometry import build_nanotube, solve_family
+from nanolab.geometry import Nanotube, axial_rotations, build_nanotube, solve_family
 
 
 def run(args):
@@ -588,7 +593,8 @@ def test_absurd_stiffness_scale_is_refused(tmp_path, capsys, doc, code):
     out = tmp_path / "r.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run(["reduced", "--ell", "12", "--mu-grid", "2.97:3.0:3", "--pots", str(tmp_path / "p.json"), "-o", str(out)]) == code
+        argv = ["reduced", "--ell", "12", "--mu-grid", "2.97:3.0:3", "--pots", str(tmp_path / "p.json"), "-o", str(out)]
+        assert run(argv) == code
     err = capsys.readouterr().err
     if code:
         assert err == "nanolab: potential set 'custom' fails the checks stiffness-scale\n"
@@ -626,3 +632,124 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
     codes = {name: result[0] for name, result in rounds[0].items()}
     assert codes == {"usage": 1, "version": 0, "help": 0, "bad-pots": 1, "energy": 0, "cells": 0, "reduced": 0}
     assert rounds[0]["help"][1].startswith("usage: nanolab") and rounds[0]["reduced"][1].startswith("mu,")
+
+
+@lru_cache(maxsize=None)
+def _family_tube(preset, ell, m):
+    from nanolab.reduced import minimize_family, reference_angles
+
+    pots = potentials.load(preset)
+    return build_nanotube(minimize_family(reference_angles(ell, pots).mu_us + 0.005, ell, pots, m=m).geometry, m)
+
+
+def _run_quietly(workdir, argv):
+    """main(argv) with warnings as errors: (exit code, stderr, -o text or None)."""
+    out = workdir / "out"
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main([*argv, "-o", str(out)])
+    return code, err.getvalue(), out.read_text() if out.exists() else None
+
+
+def _input_argv(command, path, ell, m, preset):
+    return [command, "--in", str(path), "--ell", str(ell), "--m", str(m), "--pots", preset]
+
+
+def _same_report(command, got, want):
+    """Two energy reports or two cells tables of family tubes, equal to round-off."""
+    if command == "energy":
+        got, want = json.loads(got), json.loads(want)
+        assert abs(got.pop("energy") - want.pop("energy")) <= 1e-12 * abs(want["n_bonds"])
+        assert got == want
+    else:
+        got, want = (np.loadtxt(io.StringIO(t), delimiter=",", skiprows=1, ndmin=2) for t in (got, want))
+        # the cells of a family tube are all alike, so a relabelled tube's
+        # rows match the clean copy's in any order
+        assert got.shape == want.shape and np.max(np.abs(got[:, 3:] - want[:, 3:])) <= 1e-9
+
+
+DEFECTS = ("none", "tiny-period", "huge-period", "huge-coordinate", "coincident-atoms", "wrong-labels")
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    preset=st.sampled_from(["soft", "stiff"]),
+    ell=st.sampled_from([4, 6, 8]),
+    m=st.integers(1, 3),
+    a=st.integers(0, 7),
+    b=st.integers(0, 2),
+    turn=st.floats(0.0, 2.0 * np.pi),
+    shift=st.floats(-2.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+    defect=st.sampled_from(DEFECTS),
+    tiny=st.floats(5e-324, 2.2, exclude_max=True),
+    huge=st.floats(1e3, 1.7e308),
+    big=st.floats(2.0**510, 1.7e308),
+    labels=st.tuples(st.integers(1, 24), st.integers(1, 6)),
+)
+@example(preset="soft", ell=6, m=2, a=1, b=1, turn=1.0, shift=0.5, seed=0, defect="tiny-period",
+         tiny=2.0, huge=1e3, big=2.0**510, labels=(1, 1))
+@example(preset="soft", ell=6, m=2, a=0, b=0, turn=0.0, shift=0.0, seed=0, defect="wrong-labels",
+         tiny=1.0, huge=1e3, big=2.0**510, labels=(12, 1))
+def test_energy_and_cells_give_the_clean_result_or_name_the_defect(
+    tmp_path_factory, preset, ell, m, a, b, turn, shift, seed, defect, tiny, huge, big, labels
+):
+    # a family tube relabelled by the Z_ell x Z_m action, rotated about its
+    # axis and moved by -2 ... 2 periods, rigidly and atom by atom, with one
+    # planted defect: energy --in and cells --in either give the clean copy's
+    # result or exit 1 with one stderr line that names the defect.  A huge
+    # period makes the file an open cluster of the same atoms: cells refuses
+    # it, and energy reports that cluster's energy.
+    from oracle import graph_brute, total_energy_einsum
+
+    from nanolab.energy import BondGraph
+
+    workdir = tmp_path_factory.mktemp("cli-inputs")
+    tube = _family_tube(preset, ell, m)
+    rng = np.random.default_rng(seed)
+    a, b, L = a % ell, b % m, tube.period
+    image = tube.positions.reshape(m, ell, 4, 3) @ axial_rotations(2.0 * np.pi * a / ell).T
+    pos = np.roll(image + [b * tube.geometry.mu, 0.0, 0.0], (b, a), axis=(0, 1)).reshape(-1, 3)
+    pos = pos @ axial_rotations(turn).T
+    pos[:, 0] += (shift + rng.integers(-2, 3, tube.n)) * L
+    e, mm = ell, m
+    if defect == "tiny-period":
+        L = tiny
+    elif defect == "huge-period":
+        L = huge
+    elif defect == "huge-coordinate":
+        pos[rng.integers(tube.n), rng.integers(3)] = big * rng.choice([-1.0, 1.0])
+    elif defect == "coincident-atoms":
+        i, j = rng.choice(tube.n, 2, replace=False)
+        pos[j] = pos[i] + [rng.integers(-2, 3) * L, 0.0, 0.0]
+    elif defect == "wrong-labels":
+        assume(labels != (ell, m))
+        e, mm = labels
+    clean_path, path = workdir / "clean.pxyz", workdir / "t.pxyz"
+    pxyz.write_pxyz(clean_path, tube)
+    pxyz.write_pxyz(path, Nanotube(pos, L, tube.ell, tube.m))
+    for command in ("energy", "cells"):
+        clean = _run_quietly(workdir, _input_argv(command, clean_path, ell, m, preset))
+        assert clean[:2] == (0, "")
+        code, err, report = _run_quietly(workdir, _input_argv(command, path, e, mm, preset))
+        refused = {
+            "tiny-period": "period L=",
+            "huge-coordinate": "coordinates below 2**510",
+            "coincident-atoms": "zero-length bond leg" if command == "energy" else "atoms are displaced",
+            "huge-period": None if command == "energy" else "period L=",
+            "wrong-labels": f"inconsistent with ell={e}, m={mm}" if 4 * e * mm != tube.n else
+            (None if command == "energy" else "pass --ell and --m"),
+        }.get(defect)
+        if refused:
+            assert code == 1 and report is None
+            assert err.startswith("nanolab: ") and len(err.splitlines()) == 1 and refused in err
+        elif defect == "huge-period":
+            assert (code, err) == (0, "")
+            graph = BondGraph(tube.n, L, *graph_brute(Nanotube(pos, L, ell, m)))
+            got = json.loads(report)["energy"]
+            assert abs(got - total_energy_einsum(Nanotube(pos, L, ell, m), potentials.load(preset), graph)) <= 1e-9
+        else:
+            assert (code, err) == (0, "")
+            _same_report(command, report, clean[2])

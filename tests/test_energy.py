@@ -488,3 +488,27 @@ def test_total_energy_raises_on_coincident_bonded_atoms(tube, pots_soft):
         total_energy(tube, pots_soft, graph, stack)
     with pytest.raises(DegenerateGeometryError, match="zero-length bond leg"):
         total_energy(tube.with_positions(stack[1]), pots_soft)
+
+
+@pytest.mark.parametrize("L", [1e-3, 0.5, 1.0, 2.0, float(np.nextafter(2.2, 0.0))])
+def test_periods_below_twice_the_cutoff_are_refused(tube, L):
+    # below 2 * BOND_CUTOFF an atom can bond to two images of another, and
+    # the nearest-image search keeps one: energy and cells exited 0 with
+    # numbers of no configuration
+    from nanolab.cells import gather_cells
+
+    short = Nanotube(tube.positions, L, tube.ell, tube.m)
+    for build in (bond_graph, gather_cells):
+        with pytest.raises(DegenerateGeometryError, match=f"^period L={L!r} is below twice the bond cutoff 1.1"):
+            build(short)
+    bond_graph(Nanotube(tube.positions[:4], 2.2, 1, 1))
+
+
+@pytest.mark.parametrize("k", [-2, -1, 1, 2])
+def test_atoms_coinciding_through_an_image_are_refused(tube, k):
+    # an atom moved onto another's image k periods away sits a few ulps from
+    # it after the image shift, and the angles at that bond were arbitrary
+    pos = tube.positions.copy()
+    pos[9] = pos[8] + [k * tube.period, 0.0, 0.0]
+    with pytest.raises(DegenerateGeometryError, match="^zero-length bond leg$"):
+        bond_graph(tube.with_positions(pos))
