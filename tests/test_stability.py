@@ -76,10 +76,11 @@ def test_samples_respect_cap_and_bond_graph(base, mode):
 def test_identical_seed_reproduces_ensemble(base):
     tube0, _, _ = base
     spec = PerturbationSpec(eta=1e-3, seed=123, count=3)
-    a, _ = sample_perturbations(tube0, spec, [2], BondBand(tube0, spec.eta))
-    b, _ = sample_perturbations(tube0, spec, [2], BondBand(tube0, spec.eta))
+    band = BondBand(tube0, spec.eta)
+    a, _ = sample_perturbations(tube0, spec, [2], band)
+    b, _ = sample_perturbations(tube0, spec, [2], band)
     assert np.array_equal(a, b)
-    c, _ = sample_perturbations(tube0, spec, [1], BondBand(tube0, spec.eta))
+    c, _ = sample_perturbations(tube0, spec, [1], band)
     assert not np.array_equal(a, c)
 
 
