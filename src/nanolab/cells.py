@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .energy import BondGraph, _bond_angles, _bond_lengths, _cos_angle, _cross3, _dot3, _image_shift, _norm3, _sum24
+from .energy import BondGraph, _bond_lengths, _cos_angle, _cross3, _dot3, _image_shift, _lengths_and_angles, _norm3, _sum24
 from .errors import InvalidCellError
 from .geometry import Nanotube, check_positions, flat_index
 from .potentials import BOND_CUTOFF, PotentialSet
@@ -41,9 +41,13 @@ ANGLE_SLOTS = np.array(
         (4, 1, 7),
     ]
 )
+# The legs of each angle as signed bond references: leg a of angle q runs from
+# its vertex along _LEG_SIGNS[q, a] * (x_i - x_j) of bond (i, j) = BOND_SLOTS[_LEG_BONDS[q, a]].
+_LEG_BONDS = np.array([(2, 5), (3, 4), (2, 0), (0, 3), (4, 1), (1, 5), (2, 6), (5, 6), (3, 7), (4, 7)])
+_LEG_SIGNS = np.array([(-1, 1), (1, -1), (1, -1), (1, -1), (1, -1), (1, -1), (-1, -1), (1, -1), (1, -1), (-1, -1)])
 # The cell as a bond graph of eight atoms with no period: its bonds and angles
 # run through the term layer of the tube energy.
-CELL_GRAPH = BondGraph(8, 0.0, BOND_SLOTS, np.zeros(8, dtype=int), ANGLE_SLOTS, np.zeros((10, 2), dtype=int))
+CELL_GRAPH = BondGraph(8, 0.0, BOND_SLOTS, np.zeros(8, dtype=int), ANGLE_SLOTS, _LEG_BONDS, _LEG_SIGNS)
 
 # Reflection S1: swap (x3,x6), (x4,x5) and negate second components.
 _S1_PERM = np.array([0, 1, 5, 4, 3, 2, 6, 7])
@@ -147,7 +151,7 @@ def cell_bond_lengths(cells: np.ndarray) -> np.ndarray:
 
 def cell_angles(cells: np.ndarray) -> np.ndarray:
     """The ten angles of every cell in ANGLE_SLOTS order, shape (..., 10)."""
-    return _bond_angles(cells, CELL_GRAPH)
+    return _lengths_and_angles(cells, CELL_GRAPH)[1]
 
 
 def _weighted_energies(bonds: np.ndarray, angles: np.ndarray, pots: PotentialSet) -> np.ndarray:
@@ -159,7 +163,7 @@ def _weighted_energies(bonds: np.ndarray, angles: np.ndarray, pots: PotentialSet
 
 def cell_energies(cells: np.ndarray, pots: PotentialSet) -> np.ndarray:
     """Weighted cell energy of every cell, shape (...)."""
-    return _weighted_energies(cell_bond_lengths(cells), cell_angles(cells), pots)
+    return _weighted_energies(*_lengths_and_angles(cells, CELL_GRAPH), pots)
 
 
 def _plane_angle(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
@@ -289,8 +293,7 @@ def cell_summary(tube: Nanotube, pots: PotentialSet, cells: np.ndarray | None = 
     """
     if cells is None:
         cells = gather_cells(tube)
-    b = cell_bond_lengths(cells)
-    phi = cell_angles(cells)
+    b, phi = _lengths_and_angles(cells, CELL_GRAPH)
     energy = _weighted_energies(b, phi, pots)
     theta = cell_plane_angles(cells)
     delta = _symmetry_defect(_local_slots(_slots_first(cells)))

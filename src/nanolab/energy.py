@@ -10,6 +10,7 @@ closed-form family energy below.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,9 +24,12 @@ class BondGraph:
     """Unordered bonds plus derived angle triples of one n-cell.
 
     pairs[p] = (i, j) with i < j, in (i, j) order; pair_shifts[p] = t
-    minimizing |x[i] - x[j] + t*L*e1|.  triples[q] = (i, j, k) with vertex j
-    and i < k, in (j, i, k) order; the per-leg shifts give the minimal images
-    of x[i], x[k] seen from x[j].
+    minimizing |x[i] - x[j] + t*L*e1|, which is bond p's vector d_p.
+    triples[q] = (i, j, k) with vertex j and i < k, in (j, i, k) order.  Each
+    leg of an angle is the vector of one of the graph's bonds, up to sign: the
+    leg from x[j] to the minimal image of x[i] is
+    leg_signs[q, 0] * d_(leg_bonds[q, 0]), the leg to x[k] likewise with
+    column 1.
     """
 
     n: int
@@ -33,7 +37,8 @@ class BondGraph:
     pairs: np.ndarray
     pair_shifts: np.ndarray
     triples: np.ndarray
-    triple_shifts: np.ndarray
+    leg_bonds: np.ndarray
+    leg_signs: np.ndarray
 
     @property
     def n_bonds(self) -> int:
@@ -42,6 +47,13 @@ class BondGraph:
     @property
     def n_angles(self) -> int:
         return len(self.triples)
+
+    @cached_property
+    def triple_shifts(self) -> np.ndarray:
+        """Per-leg image shifts (n_angles, 2): the legs of angle q reach
+        x[i] + triple_shifts[q, 0]*L*e1 and x[k] + triple_shifts[q, 1]*L*e1
+        from x[j]."""
+        return self.leg_signs * self.pair_shifts[self.leg_bonds]
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self.pairs.ravel(), minlength=self.n)
@@ -147,18 +159,20 @@ def near_pairs(pos: np.ndarray, L: float, radius: float):
     return a[by_pair], b[by_pair], t[by_pair], dist[by_pair]
 
 
-def _half_edges(pairs: np.ndarray, shifts: np.ndarray):
+def _half_edges(pairs: np.ndarray):
     """Both directions of every bond in (vertex, neighbour) order, with the
-    shift of the leg from vertex to neighbour.
+    bond and the sign under which its vector is the leg from vertex to
+    neighbour.
 
-    pair_shifts[p] minimizes |pos[a] - pos[b] + t*L*e1|, i.e. the leg a-as-seen-
-    from-b; the leg from a toward b therefore uses -t.
+    Bond p = (a, b) has the vector d_p = x[a] - x[b] + t*L*e1, the leg from b
+    to a; the leg from a toward b is -d_p.
     """
     vert = np.concatenate([pairs[:, 0], pairs[:, 1]])
     nbr = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    leg = np.concatenate([-shifts, shifts])
+    bond = np.tile(np.arange(len(pairs)), 2)
+    sign = np.repeat([-1, 1], len(pairs))
     order = np.lexsort((nbr, vert))
-    return vert[order], nbr[order], leg[order]
+    return vert[order], nbr[order], bond[order], sign[order]
 
 
 def bond_graph(tube: Nanotube) -> BondGraph:
@@ -179,13 +193,14 @@ def bond_graph(tube: Nanotube) -> BondGraph:
 
     # every two legs at a vertex make one angle: half-edge e pairs with each
     # later half-edge of its vertex, in order
-    vert, nbr, leg = _half_edges(pairs, tt)
+    vert, nbr, bond, sign = _half_edges(pairs)
     later = np.searchsorted(vert, vert, side="right") - np.arange(len(vert)) - 1
     first = np.repeat(np.arange(len(vert)), later)
     second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
     triples = np.stack([nbr[first], vert[first], nbr[second]], axis=1)
-    triple_shifts = np.stack([leg[first], leg[second]], axis=1)
-    return BondGraph(tube.n, tube.period, pairs, tt, triples, triple_shifts)
+    legs = np.stack([bond[first], bond[second]], axis=1)
+    signs = np.stack([sign[first], sign[second]], axis=1)
+    return BondGraph(tube.n, tube.period, pairs, tt, triples, legs, signs)
 
 
 # Explicit-component arithmetic on 3-vectors stored along the last axis, each
@@ -225,20 +240,25 @@ def _sum24(a):
     return (r[0] + r[4]) + 0.0
 
 
-def _bond_vectors(pos, graph: BondGraph):
+def _bond_vectors(pos, graph: BondGraph, bonds=slice(None)):
+    """Vectors d_p of the bonds graph.pairs[bonds] in each configuration of the
+    stack pos."""
     # take keeps a stack's trial axis outermost in memory, so the per-trial
     # sums below add in the same order as for one configuration
-    d = pos.take(graph.pairs[:, 0], axis=-2) - pos.take(graph.pairs[:, 1], axis=-2)
-    d[..., 0] += graph.L * graph.pair_shifts
+    pairs = graph.pairs[bonds]
+    d = pos.take(pairs[:, 0], axis=-2) - pos.take(pairs[:, 1], axis=-2)
+    d[..., 0] += graph.L * graph.pair_shifts[bonds]
     return d
 
 
-def _leg_vectors(pos, graph: BondGraph):
-    t = graph.triples
+def _leg_vectors(pos, graph: BondGraph, angles=slice(None)):
+    """Legs (u, v) of the angles graph.triples[angles], gathered from the
+    positions: the derivative path, whose signed zeros the Hessians keep."""
+    t, shifts = graph.triples[angles], graph.triple_shifts[angles]
     u = pos.take(t[:, 0], axis=-2) - pos.take(t[:, 1], axis=-2)
     v = pos.take(t[:, 2], axis=-2) - pos.take(t[:, 1], axis=-2)
-    u[..., 0] += graph.L * graph.triple_shifts[:, 0]
-    v[..., 0] += graph.L * graph.triple_shifts[:, 1]
+    u[..., 0] += graph.L * shifts[:, 0]
+    v[..., 0] += graph.L * shifts[:, 1]
     return u, v
 
 
@@ -247,21 +267,34 @@ def _bond_lengths(pos, graph: BondGraph):
     return _norm3(_bond_vectors(pos, graph))
 
 
-def _cos_angle(u, v, floor: float = 0.0, what: str = "zero-length bond leg"):
-    """(cos(theta), |u|, |v|) over the last axis, theta the angle between u and
-    v: the one angle formula, of bond angles, angle terms and cell plane
-    angles.  Raises DegenerateGeometryError(what) when a norm is <= floor."""
-    nu = _norm3(u)
-    nv = _norm3(v)
+def _cos_angle(u, v, floor: float = 0.0, what: str = "zero-length bond leg", norms=None, sign=1.0):
+    """(cos(theta), |u|, |v|) over the last axis, theta the angle between
+    sign*u and v: the one angle formula, of bond angles, angle terms and cell
+    plane angles.  norms, when the caller has them, are (|u|, |v|); sign is
+    +-1, per angle or for all.  Raises DegenerateGeometryError(what) when a
+    norm is <= floor."""
+    nu, nv = (_norm3(u), _norm3(v)) if norms is None else norms
     if np.any(np.minimum(nu, nv) <= floor):
         raise DegenerateGeometryError(what)
-    return np.clip(_dot3(u, v) / (nu * nv), -1.0, 1.0), nu, nv
+    return np.clip(sign * _dot3(u, v) / (nu * nv), -1.0, 1.0), nu, nv
 
 
-def _bond_angles(pos, graph: BondGraph):
-    """Angle of every triple of graph in each configuration of the stack pos;
-    raises DegenerateGeometryError on a zero-length leg."""
-    return np.arccos(_cos_angle(*_leg_vectors(pos, graph))[0])
+def _lengths_and_angles(pos, graph: BondGraph):
+    """Bond lengths and angles of graph in each configuration of the stack pos;
+    raises DegenerateGeometryError on a zero-length leg.
+
+    The angles read their legs from the bond vectors d and lengths r: angle q
+    is the angle between s0*d[b0] and s1*d[b1], (b0, b1) = leg_bonds[q] and
+    (s0, s1) = leg_signs[q].  This is the angle between the legs _leg_vectors
+    gathers, to the bit: fl(x - y) = -fl(y - x), the image shift is odd, and
+    a sign flip only turns a zero cosine's sign, which arccos does not see.
+    """
+    d = _bond_vectors(pos, graph)
+    r = _norm3(d)
+    b, s = graph.leg_bonds, graph.leg_signs
+    norms = (r.take(b[:, 0], axis=-1), r.take(b[:, 1], axis=-1))
+    c = _cos_angle(d.take(b[:, 0], axis=-2), d.take(b[:, 1], axis=-2), norms=norms, sign=s[:, 0] * s[:, 1])[0]
+    return r, np.arccos(c)
 
 
 def total_energy(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = None, positions=None):
@@ -278,9 +311,10 @@ def total_energy(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = N
     pos = tube.positions if positions is None else positions
     e = np.zeros(pos.shape[:-2])
     if graph.n_bonds:
-        e += np.sum(pots.v2.value(_bond_lengths(pos, graph)), axis=-1)
-    if graph.n_angles:
-        e += np.sum(pots.v3.value(_bond_angles(pos, graph)), axis=-1)
+        r, theta = _lengths_and_angles(pos, graph)
+        e += np.sum(pots.v2.value(r), axis=-1)
+        if graph.n_angles:
+            e += np.sum(pots.v3.value(theta), axis=-1)
     return float(e) if positions is None else e
 
 
@@ -436,14 +470,13 @@ def bloch_blocks(tube: Nanotube, pots: PotentialSet, p, q, graph: BondGraph | No
     ell, L, pos = tube.ell, tube.period, tube.positions
     bonds = np.any(graph.pairs < 4, axis=1)
     angles = np.any(graph.triples < 4, axis=1)
-    motif = BondGraph(graph.n, L, graph.pairs[bonds], graph.pair_shifts[bonds],
-                      graph.triples[angles], graph.triple_shifts[angles])
+    bond_shifts = graph.pair_shifts[bonds]
     # atoms, image shifts and Hessian blocks of the terms, one row per term
     terms = (
-        (motif.pairs, np.stack([motif.pair_shifts, np.zeros_like(motif.pair_shifts)], axis=1),
-         _bond_term(_bond_vectors(pos, motif), pots.v2, second=True)[1]),
-        (motif.triples, np.insert(motif.triple_shifts, 1, 0, axis=1),
-         _angle_term(*_leg_vectors(pos, motif), pots.v3, second=True)[1]),
+        (graph.pairs[bonds], np.stack([bond_shifts, np.zeros_like(bond_shifts)], axis=1),
+         _bond_term(_bond_vectors(pos, graph, bonds), pots.v2, second=True)[1]),
+        (graph.triples[angles], np.insert(graph.triple_shifts[angles], 1, 0, axis=1),
+         _angle_term(*_leg_vectors(pos, graph, angles), pots.v3, second=True)[1]),
     )
     offsets, rows, cols, parts = [], [], [], []
     for atoms, shifts, blocks in terms:

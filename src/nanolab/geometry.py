@@ -71,10 +71,10 @@ def check_positions(pos: np.ndarray, L: float, radius: float = 0.0) -> None:
     if not (np.isfinite(L) and L > 0 and np.all(np.abs(pos) < 2.0**510)):
         raise DegenerateGeometryError("positions and period must be finite, with period > 0 and coordinates below 2**510")
     if not np.all(np.abs(pos[..., 0]) < 2.0**52 * L):
-        raise DegenerateGeometryError(f"axial coordinates must lie within 2**52 periods of the origin, period L={L!r}")
+        raise DegenerateGeometryError(f"axial coordinates must lie within 2**52 periods of the origin, period L={float(L)!r}")
     if L < 2.0 * radius:
         raise DegenerateGeometryError(
-            f"period L={L!r} is below twice the bond cutoff {radius}, where an atom can bond to two images of another"
+            f"period L={float(L)!r} is below twice the bond cutoff {radius}, where an atom can bond to two images of another"
         )
 
 

@@ -64,13 +64,17 @@ def _displacements(rngs, n: int, eta: float, mode: str) -> np.ndarray:
         d = np.empty((len(rngs), n, 3))
         u = np.empty((len(rngs), n, 1))
         for k, rng in enumerate(rngs):
-            d[k] = rng.standard_normal((n, 3))
-            u[k] = rng.uniform(size=(n, 1))
+            rng.standard_normal(out=d[k])
+            # the doubles uniform(size=) would give: it draws 0 + 1 * random()
+            rng.random(out=u[k])
         norms = _norm3(d)[..., None]
         norms[norms == 0.0] = 1.0
         return d / norms * (eta * u ** (1.0 / 3.0))
     if mode == "gaussian-clipped":
-        d = np.stack([rng.standard_normal((n, 3)) for rng in rngs]) * (eta / 3.0)
+        d = np.empty((len(rngs), n, 3))
+        for k, rng in enumerate(rngs):
+            rng.standard_normal(out=d[k])
+        d *= eta / 3.0
         norms = _norm3(d)[..., None]
         # shave a few ulps off the clip so rounding never exceeds eta
         return d * np.minimum(1.0, (1.0 - 1e-14) * eta / np.maximum(norms, 1e-300))

@@ -1,5 +1,7 @@
 """Independent references the fast paths are tested against: the brute-force
-bond graph (pair search and perturbation sampler), the weighted cell-energy
+bond graph (pair search and perturbation sampler) with its angle legs looked
+up among its bonds, the angles of legs gathered from the positions (the value
+path without bond references), the weighted cell-energy
 gradient and the tilde energy (the weighted sum over the values of
 cellspec.t_map), the finite-difference stencils of the analytic derivatives
 (energy.hessian, cellspec.cell_hessian, cellspec.t_jacobian, the angle-sum
@@ -47,7 +49,17 @@ from nanolab.cells import (
     cell_summary,
     gather_cells,
 )
-from nanolab.energy import _angle_term, _bond_term, _bond_vectors, _image_shift, _leg_vectors, bond_graph
+from nanolab.energy import (
+    BondGraph,
+    _angle_term,
+    _bond_lengths,
+    _bond_term,
+    _bond_vectors,
+    _cos_angle,
+    _image_shift,
+    _leg_vectors,
+    bond_graph,
+)
 from nanolab.errors import DegenerateGeometryError, DomainError, InvalidCellError, PxyzFormatError
 from nanolab.geometry import Nanotube, flat_index
 
@@ -101,12 +113,54 @@ def graph_brute(tube, cutoff: float = 1.1):
     return pairs, np.asarray(tt, dtype=int), triples, triple_shifts
 
 
+def leg_references(pairs, pair_shifts, triples, triple_shifts):
+    """(leg_bonds, leg_signs) of the angle legs, each looked up among the
+    bonds: the leg from vertex j to tip i at shift s is +d_p of the bond
+    p = (i, j) at shift s, or -d_p of the bond p = (j, i) at shift -s."""
+    index = {(a, b, t): p for p, ((a, b), t) in enumerate(zip(np.asarray(pairs).tolist(), np.asarray(pair_shifts).tolist()))}
+    bonds, signs = [], []
+    for (i, j, k), (si, sk) in zip(np.asarray(triples).tolist(), np.asarray(triple_shifts).tolist()):
+        refs = [(index[(tip, j, s)], 1) if (tip, j, s) in index else (index[(j, tip, -s)], -1) for tip, s in ((i, si), (k, sk))]
+        bonds.append([p for p, _ in refs])
+        signs.append([sign for _, sign in refs])
+    return np.array(bonds, dtype=int).reshape(-1, 2), np.array(signs, dtype=int).reshape(-1, 2)
+
+
+def bond_graph_brute(tube, cutoff: float = 1.1) -> BondGraph:
+    """The BondGraph of graph_brute, with leg_references' legs."""
+    pairs, shifts, triples, triple_shifts = graph_brute(tube, cutoff)
+    return BondGraph(tube.n, tube.period, pairs, shifts, triples, *leg_references(pairs, shifts, triples, triple_shifts))
+
+
 def assert_graph_equals_brute(graph, tube, cutoff: float = 1.1):
     pairs, shifts, triples, triple_shifts = graph_brute(tube, cutoff)
     assert np.array_equal(graph.pairs, pairs)
     assert np.array_equal(graph.pair_shifts, shifts)
     assert np.array_equal(graph.triples, triples)
     assert np.array_equal(graph.triple_shifts, triple_shifts)
+    bonds, signs = leg_references(pairs, shifts, triples, triple_shifts)
+    assert np.array_equal(graph.leg_bonds, bonds)
+    assert np.array_equal(graph.leg_signs, signs)
+
+
+def bond_angles_gathered(pos, graph):
+    """The angles of graph with both legs gathered from the positions
+    (energy._leg_vectors), then energy._cos_angle: the value path without the
+    bond references."""
+    return np.arccos(_cos_angle(*_leg_vectors(pos, graph))[0])
+
+
+def total_energy_gathered(tube, pots, graph=None, positions=None):
+    """energy.total_energy with bond_angles_gathered for its angles."""
+    if graph is None:
+        graph = bond_graph(tube)
+    pos = tube.positions if positions is None else positions
+    e = np.zeros(pos.shape[:-2])
+    if graph.n_bonds:
+        e += np.sum(pots.v2.value(_bond_lengths(pos, graph)), axis=-1)
+    if graph.n_angles:
+        e += np.sum(pots.v3.value(bond_angles_gathered(pos, graph)), axis=-1)
+    return float(e) if positions is None else e
 
 
 def total_energy_einsum(tube, pots, graph=None, positions=None):

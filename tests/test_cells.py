@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import (
+    bond_angles_gathered,
     cell_angles_einsum,
     cell_energy_gradient,
     cell_plane_angles_cross,
     centers,
     extract_cell,
     gather_cells_per_vector,
+    leg_references,
     plane_angle_theta,
     reflect_s1,
     reflect_s2,
@@ -31,7 +33,7 @@ from nanolab.cells import (
     total_cell_energy,
     total_symmetry_defect,
 )
-from nanolab.energy import _bond_vectors, bond_graph, total_energy
+from nanolab.energy import _bond_lengths, _bond_vectors, bond_graph, total_energy
 from nanolab.errors import InvalidCellError
 from nanolab.geometry import Nanotube, axial_rotations, build_nanotube, flat_index, solve_family
 from nanolab.reduced import ReducedPoint, beta, minimize_family, reference_angles, sym_energy
@@ -485,3 +487,50 @@ def test_cell_graph_is_the_bond_graph_of_a_family_cell(preset, ell):
     want = unordered(cells.CELL_GRAPH)
     for cell in gather_cells(build_nanotube(fam.geometry, 2)).reshape(-1, 8, 3):
         assert unordered(bond_graph(Nanotube(cell, 1e3, 1, 1))) == want
+
+
+def test_cell_graph_leg_references_equal_lookup_oracle():
+    bonds, signs = leg_references(cells.BOND_SLOTS, np.zeros(8, dtype=int), cells.ANGLE_SLOTS, np.zeros((10, 2), dtype=int))
+    assert np.array_equal(cells.CELL_GRAPH.leg_bonds, bonds)
+    assert np.array_equal(cells.CELL_GRAPH.leg_signs, signs)
+    assert np.array_equal(cells.CELL_GRAPH.triple_shifts, np.zeros((10, 2), dtype=int))
+
+
+@settings(max_examples=40)
+@given(
+    preset=st.sampled_from(["soft", "stiff"]),
+    ell=st.sampled_from([4, 6, 12]),
+    m=st.integers(1, 3),
+    moved=st.booleans(),
+    eta=st.sampled_from([0.0, 1e-3, 0.02]),
+    batch=st.sampled_from([None, 1, 5, 21]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cell_angles_from_bond_references_equal_gathered_legs(preset, ell, m, moved, eta, batch, seed):
+    # cell_angles, cell_energies and cell_summary's bonds and angles of family
+    # tubes as built, rotated and moved by -2 ... 2 periods rigidly and atom
+    # by atom, and perturbed, alone and as stacks, equal the legs gathered
+    # from the cells' positions to the bit
+    pots = potentials.load(preset)
+    tube = build_nanotube(minimize_family(reference_angles(ell, pots).mu_us + 0.005, ell, pots, m=m).geometry, m)
+    rng = np.random.default_rng(seed)
+    pos = tube.positions
+    if moved:
+        pos = pos @ axial_rotations(rng.uniform(0.0, 2.0 * np.pi)).T
+        pos[:, 0] += (rng.uniform(-2.0, 2.0) + rng.integers(-2, 3, tube.n)) * tube.period
+    stack = np.repeat(pos[None], 1 if batch is None else batch, axis=0)
+    if eta:
+        stack += rng.uniform(-eta, eta, stack.shape)
+    if batch is None:
+        tube, positions = tube.with_positions(stack[0]), None
+    else:
+        tube, positions = tube.with_positions(pos), stack
+    cells_ = gather_cells(tube, positions=positions)
+    angles = bond_angles_gathered(cells_, cells.CELL_GRAPH)
+    bonds = np.linalg.norm(_bond_vectors(cells_, cells.CELL_GRAPH), axis=-1)
+    _assert_same_bits(cell_angles(cells_), angles)
+    _assert_same_bits(cell_energies(cells_, pots), cells._weighted_energies(_bond_lengths(cells_, cells.CELL_GRAPH), angles, pots))
+    if batch is None:
+        summary = cell_summary(tube, pots)
+        _assert_same_bits(summary["angles"], angles.reshape(-1, 10))
+        _assert_same_bits(summary["bonds"], bonds.reshape(-1, 8))

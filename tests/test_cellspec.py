@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -17,8 +18,6 @@ from oracle import (
 
 from nanolab import cells
 from nanolab.cells import (
-    ANGLE_SLOTS,
-    BOND_SLOTS,
     CELL_GRAPH,
     cell_energies,
     cell_plane_angles,
@@ -40,7 +39,7 @@ from nanolab.cellspec import (
     tilde_gradient,
     tilde_hessian_diag,
 )
-from nanolab.energy import BondGraph, gradient, term_hessian
+from nanolab.energy import gradient, term_hessian
 from nanolab.errors import InvalidParameterError, VerificationFailureError
 from nanolab.geometry import Nanotube, gamma
 from nanolab.reduced import reference_angles
@@ -300,7 +299,7 @@ def test_cell_derivatives_match_oracles(pots_soft, ell, jitter, seed, axis, angl
 
     # the cell gradient is energy.gradient on the same terms once the cell
     # weights are set to one
-    graph = BondGraph(8, 1e3, BOND_SLOTS, np.zeros(8, dtype=int), ANGLE_SLOTS, np.zeros((10, 2), dtype=int))
+    graph = dataclasses.replace(CELL_GRAPH, L=1e3)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cells, "BOND_WEIGHTS", np.ones(8))
         mp.setattr(cells, "ANGLE_WEIGHTS", np.ones(10))

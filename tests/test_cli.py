@@ -702,9 +702,7 @@ def test_energy_and_cells_give_the_clean_result_or_name_the_defect(
     # result or exit 1 with one stderr line that names the defect.  A huge
     # period makes the file an open cluster of the same atoms: cells refuses
     # it, and energy reports that cluster's energy.
-    from oracle import graph_brute, total_energy_einsum
-
-    from nanolab.energy import BondGraph
+    from oracle import bond_graph_brute, total_energy_einsum
 
     workdir = tmp_path_factory.mktemp("cli-inputs")
     tube = _family_tube(preset, ell, m)
@@ -747,7 +745,7 @@ def test_energy_and_cells_give_the_clean_result_or_name_the_defect(
             assert err.startswith("nanolab: ") and len(err.splitlines()) == 1 and refused in err
         elif defect == "huge-period":
             assert (code, err) == (0, "")
-            graph = BondGraph(tube.n, L, *graph_brute(Nanotube(pos, L, ell, m)))
+            graph = bond_graph_brute(Nanotube(pos, L, ell, m))
             got = json.loads(report)["energy"]
             assert abs(got - total_energy_einsum(Nanotube(pos, L, ell, m), potentials.load(preset), graph)) <= 1e-9
         else:

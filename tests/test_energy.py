@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,15 @@ from oracle import (
     adjacency,
     assert_graph_equals_brute,
     bond_angle,
+    bond_angles_gathered,
     expected_neighbors,
     hessian_fd,
     index_to_id,
     pairs_brute,
+    total_energy_gathered,
 )
 
-from nanolab import energy, geometry
+from nanolab import energy, geometry, potentials
 from nanolab.energy import (
     bloch_blocks,
     bloch_modes,
@@ -26,7 +30,7 @@ from nanolab.energy import (
     total_energy,
 )
 from nanolab.errors import DegenerateGeometryError
-from nanolab.geometry import Nanotube, build_nanotube, flat_index, solve_family
+from nanolab.geometry import Nanotube, axial_rotations, build_nanotube, flat_index, solve_family
 
 
 @pytest.fixture(scope="module")
@@ -504,6 +508,19 @@ def test_periods_below_twice_the_cutoff_are_refused(tube, L):
     bond_graph(Nanotube(tube.positions[:4], 2.2, 1, 1))
 
 
+def test_numpy_period_is_named_as_a_float(tube):
+    # a period held as np.float64 was named as "np.float64(2.1999999999999997)"
+    from nanolab.cells import gather_cells
+
+    short = Nanotube(tube.positions, np.nextafter(np.float64(2.2), 0.0), tube.ell, tube.m)
+    for build in (bond_graph, gather_cells):
+        with pytest.raises(DegenerateGeometryError, match=r"^period L=2\.1999999999999997 is below twice"):
+            build(short)
+    far = Nanotube(np.array([[2.0**60, 0.0, 0.0], [0.0, 0.0, 0.0]]), np.float64(3.0), 1, 1)
+    with pytest.raises(DegenerateGeometryError, match=r"2\*\*52 periods of the origin, period L=3\.0$"):
+        bond_graph(far)
+
+
 @pytest.mark.parametrize("k", [-2, -1, 1, 2])
 def test_atoms_coinciding_through_an_image_are_refused(tube, k):
     # an atom moved onto another's image k periods away sits a few ulps from
@@ -512,3 +529,86 @@ def test_atoms_coinciding_through_an_image_are_refused(tube, k):
     pos[9] = pos[8] + [k * tube.period, 0.0, 0.0]
     with pytest.raises(DegenerateGeometryError, match="^zero-length bond leg$"):
         bond_graph(tube.with_positions(pos))
+
+
+@lru_cache(maxsize=None)
+def _family(preset, ell, m):
+    from nanolab.reduced import minimize_family, reference_angles
+
+    pots = potentials.load(preset)
+    return build_nanotube(minimize_family(reference_angles(ell, pots).mu_us + 0.005, ell, pots, m=m).geometry, m)
+
+
+def _assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def _assert_value_path_equals_gathered_legs(tube, pots, graph, stack, batch):
+    """The angles and energies of the configurations stack (count, n, 3) of
+    tube's atoms equal those of legs gathered from the positions, to the bit:
+    one tube at a time when batch is None, else the stack as a batch."""
+    positions = stack[0] if batch is None else stack
+    _assert_same_bits(energy._lengths_and_angles(positions, graph)[1], bond_angles_gathered(positions, graph))
+    if batch is None:
+        one = tube.with_positions(stack[0])
+        _assert_same_bits(total_energy(one, pots, graph), total_energy_gathered(one, pots, graph))
+        _assert_same_bits(total_energy(one, pots), total_energy_gathered(one, pots))
+    else:
+        _assert_same_bits(total_energy(tube, pots, graph, stack), total_energy_gathered(tube, pots, graph, stack))
+
+
+@settings(max_examples=60)
+@given(
+    preset=st.sampled_from(["soft", "stiff"]),
+    ell=st.sampled_from([4, 6, 12]),
+    m=st.integers(1, 3),
+    moved=st.booleans(),
+    relabelled=st.booleans(),
+    eta=st.sampled_from([0.0, 1e-3, 0.02]),
+    batch=st.sampled_from([None, 1, 5, 21]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_angles_from_bond_references_equal_gathered_legs_on_tubes(preset, ell, m, moved, relabelled, eta, batch, seed):
+    # family tubes as built (their legs have exactly-zero components), rotated
+    # and moved by -2 ... 2 periods rigidly and atom by atom, relabelled and
+    # perturbed, alone and as stacks
+    pots = potentials.load(preset)
+    tube = _family(preset, ell, m)
+    rng = np.random.default_rng(seed)
+    pos = tube.positions
+    if moved:
+        pos = pos @ axial_rotations(rng.uniform(0.0, 2.0 * np.pi)).T
+        pos[:, 0] += (rng.uniform(-2.0, 2.0) + rng.integers(-2, 3, tube.n)) * tube.period
+    if relabelled:
+        pos = pos[rng.permutation(tube.n)]
+    tube = tube.with_positions(pos)
+    graph = bond_graph(tube)
+    stack = np.repeat(pos[None], 1 if batch is None else batch, axis=0)
+    if eta:
+        stack += rng.uniform(-eta, eta, stack.shape)
+    _assert_value_path_equals_gathered_legs(tube, pots, graph, stack, batch)
+
+
+@settings(max_examples=60)
+@given(
+    preset=st.sampled_from(["soft", "stiff"]),
+    n=st.integers(3, 60),
+    L=st.floats(2.2, 8.0),
+    width=st.floats(0.5, 2.5),
+    batch=st.sampled_from([None, 1, 5, 21]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_angles_from_bond_references_equal_gathered_legs_on_clouds(preset, n, L, width, batch, seed):
+    # random clouds with each atom written -1 ... 1 periods away, so that
+    # bonds carry image shifts of up to +-3: the leg references equal the
+    # lookup oracle, the derived triple shifts graph_brute's
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(0.0, 1.0, (n, 3)) * [L, width, width]
+    pos[:, 0] += rng.integers(-1, 2, n) * L
+    cloud = Nanotube(pos, L, 1, 1)
+    graph = bond_graph(cloud)
+    assert_graph_equals_brute(graph, cloud)
+    stack = pos + rng.uniform(-1e-3, 1e-3, (1 if batch is None else batch, n, 3))
+    _assert_value_path_equals_gathered_legs(cloud, potentials.load(preset), graph, stack, batch)
