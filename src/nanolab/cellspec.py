@@ -189,8 +189,9 @@ def t_jacobian(cell: np.ndarray) -> np.ndarray:
     -(1/sin(theta)) dc/dx, a bond row +-rh on its two atoms."""
     cell = np.asarray(cell, dtype=float)
     jac = np.zeros((18, 8, 3))
-    angles, _ = _angle_term(*_leg_vectors(cell, CELL_GRAPH), _Identity)
-    bonds, _ = _bond_term(_bond_vectors(cell, CELL_GRAPH), _Identity)
+    d = _bond_vectors(cell, CELL_GRAPH)
+    angles, _ = _angle_term(*_leg_vectors(d, CELL_GRAPH), _Identity)
+    bonds, _ = _bond_term(d, _Identity)
     jac[np.arange(10)[:, None], ANGLE_SLOTS] = angles
     jac[10 + np.arange(8)[:, None], BOND_SLOTS] = bonds
     return jac.reshape(18, 24)

@@ -223,6 +223,8 @@ def cmd_verify_cell(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    if args.seed < 0:
+        raise InvalidParameterError(f"--seed must be nonnegative, got {args.seed}")
     checks = {
         key: check(quick if args.quick else full, args.seed) for _, key, check, quick, full in acceptance.CHECKS
     }

@@ -10,7 +10,6 @@ closed-form family energy below.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +28,7 @@ class BondGraph:
     leg of an angle is the vector of one of the graph's bonds, up to sign: the
     leg from x[j] to the minimal image of x[i] is
     leg_signs[q, 0] * d_(leg_bonds[q, 0]), the leg to x[k] likewise with
-    column 1.
+    column 1: the only source of angle legs, values and derivatives alike.
     """
 
     n: int
@@ -47,13 +46,6 @@ class BondGraph:
     @property
     def n_angles(self) -> int:
         return len(self.triples)
-
-    @cached_property
-    def triple_shifts(self) -> np.ndarray:
-        """Per-leg image shifts (n_angles, 2): the legs of angle q reach
-        x[i] + triple_shifts[q, 0]*L*e1 and x[k] + triple_shifts[q, 1]*L*e1
-        from x[j]."""
-        return self.leg_signs * self.pair_shifts[self.leg_bonds]
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self.pairs.ravel(), minlength=self.n)
@@ -240,26 +232,22 @@ def _sum24(a):
     return (r[0] + r[4]) + 0.0
 
 
-def _bond_vectors(pos, graph: BondGraph, bonds=slice(None)):
-    """Vectors d_p of the bonds graph.pairs[bonds] in each configuration of the
-    stack pos."""
+def _bond_vectors(pos, graph: BondGraph):
+    """Vectors d_p of graph's bonds in each configuration of the stack pos."""
     # take keeps a stack's trial axis outermost in memory, so the per-trial
     # sums below add in the same order as for one configuration
-    pairs = graph.pairs[bonds]
-    d = pos.take(pairs[:, 0], axis=-2) - pos.take(pairs[:, 1], axis=-2)
-    d[..., 0] += graph.L * graph.pair_shifts[bonds]
+    d = pos.take(graph.pairs[:, 0], axis=-2) - pos.take(graph.pairs[:, 1], axis=-2)
+    d[..., 0] += graph.L * graph.pair_shifts
     return d
 
 
-def _leg_vectors(pos, graph: BondGraph, angles=slice(None)):
-    """Legs (u, v) of the angles graph.triples[angles], gathered from the
-    positions: the derivative path, whose signed zeros the Hessians keep."""
-    t, shifts = graph.triples[angles], graph.triple_shifts[angles]
-    u = pos.take(t[:, 0], axis=-2) - pos.take(t[:, 1], axis=-2)
-    v = pos.take(t[:, 2], axis=-2) - pos.take(t[:, 1], axis=-2)
-    u[..., 0] += graph.L * shifts[:, 0]
-    v[..., 0] += graph.L * shifts[:, 1]
-    return u, v
+def _leg_vectors(d, graph: BondGraph, angles=slice(None)):
+    """Legs (u, v) of the angles graph.triples[angles] from graph's bond
+    vectors d: u = s0*d[b0], v = s1*d[b1], (b0, b1) = leg_bonds[q], (s0, s1)
+    = leg_signs[q].  They are the legs x_i - x_j, x_k - x_j at their images
+    but for the sign of an exact zero, which the term kernels' sums drop."""
+    b, s = graph.leg_bonds[angles], graph.leg_signs[angles]
+    return s[:, 0, None] * d.take(b[:, 0], axis=-2), s[:, 1, None] * d.take(b[:, 1], axis=-2)
 
 
 def _bond_lengths(pos, graph: BondGraph):
@@ -283,11 +271,11 @@ def _lengths_and_angles(pos, graph: BondGraph):
     """Bond lengths and angles of graph in each configuration of the stack pos;
     raises DegenerateGeometryError on a zero-length leg.
 
-    The angles read their legs from the bond vectors d and lengths r: angle q
-    is the angle between s0*d[b0] and s1*d[b1], (b0, b1) = leg_bonds[q] and
-    (s0, s1) = leg_signs[q].  This is the angle between the legs _leg_vectors
-    gathers, to the bit: fl(x - y) = -fl(y - x), the image shift is odd, and
-    a sign flip only turns a zero cosine's sign, which arccos does not see.
+    The legs of _leg_vectors, with their signs put on the cosine instead of
+    on every leg of the stack: angle q is the angle between s0*s1*d[b0] and
+    d[b1], d the bond vectors, (b0, b1) = leg_bonds[q], (s0, s1) =
+    leg_signs[q].  The angles are _leg_vectors' to the bit: a +-1 factor and
+    the clip are exact, and arccos does not see the sign of a zero cosine.
     """
     d = _bond_vectors(pos, graph)
     r = _norm3(d)
@@ -412,10 +400,11 @@ def term_hessian(pos, graph: BondGraph, v2, v3, bond_weights=1.0, angle_weights=
     angle_weights[q] v3(theta_q) over graph at pos (n, 3), atom a in rows
     3a..3a+2: the blocks of _bond_term and _angle_term scatter-added."""
     hess = np.zeros((3 * graph.n, 3 * graph.n))
+    d = _bond_vectors(pos, graph)
     if graph.n_bonds:
-        _add_blocks(hess, graph.pairs, _bond_term(_bond_vectors(pos, graph), v2, bond_weights, second=True)[1])
+        _add_blocks(hess, graph.pairs, _bond_term(d, v2, bond_weights, second=True)[1])
     if graph.n_angles:
-        _add_blocks(hess, graph.triples, _angle_term(*_leg_vectors(pos, graph), v3, angle_weights, second=True)[1])
+        _add_blocks(hess, graph.triples, _angle_term(*_leg_vectors(d, graph), v3, angle_weights, second=True)[1])
     return hess
 
 
@@ -425,10 +414,11 @@ def gradient(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = None)
         graph = bond_graph(tube)
     pos = tube.positions
     grad = np.zeros_like(pos)
+    d = _bond_vectors(pos, graph)
     if graph.n_bonds:
-        np.add.at(grad, graph.pairs, _bond_term(_bond_vectors(pos, graph), pots.v2)[0])
+        np.add.at(grad, graph.pairs, _bond_term(d, pots.v2)[0])
     if graph.n_angles:
-        np.add.at(grad, graph.triples, _angle_term(*_leg_vectors(pos, graph), pots.v3)[0])
+        np.add.at(grad, graph.triples, _angle_term(*_leg_vectors(d, graph), pots.v3)[0])
     return grad
 
 
@@ -468,15 +458,17 @@ def bloch_blocks(tube: Nanotube, pots: PotentialSet, p, q, graph: BondGraph | No
     if graph is None:
         graph = bond_graph(tube)
     ell, L, pos = tube.ell, tube.period, tube.positions
+    d = _bond_vectors(pos, graph)
     bonds = np.any(graph.pairs < 4, axis=1)
     angles = np.any(graph.triples < 4, axis=1)
     bond_shifts = graph.pair_shifts[bonds]
+    leg_shifts = graph.leg_signs[angles] * graph.pair_shifts[graph.leg_bonds[angles]]
     # atoms, image shifts and Hessian blocks of the terms, one row per term
     terms = (
         (graph.pairs[bonds], np.stack([bond_shifts, np.zeros_like(bond_shifts)], axis=1),
-         _bond_term(_bond_vectors(pos, graph, bonds), pots.v2, second=True)[1]),
-        (graph.triples[angles], np.insert(graph.triple_shifts[angles], 1, 0, axis=1),
-         _angle_term(*_leg_vectors(pos, graph, angles), pots.v3, second=True)[1]),
+         _bond_term(d[bonds], pots.v2, second=True)[1]),
+        (graph.triples[angles], np.insert(leg_shifts, 1, 0, axis=1),
+         _angle_term(*_leg_vectors(d, graph, angles), pots.v3, second=True)[1]),
     )
     offsets, rows, cols, parts = [], [], [], []
     for atoms, shifts, blocks in terms:

@@ -150,7 +150,7 @@ def read_pxyz(path, ell: int | None = None, m: int | None = None) -> Nanotube:
 
     ell and m restore the label structure when known; otherwise the tube is
     returned with ell = n // 4, m = 1 (labels then carry no geometric meaning).
-    Raises InvalidParameterError for an ell or m below 1.
+    Raises InvalidParameterError for an ell or m below 1 or given alone.
     """
     raw = _ascii_lines(path)
     if not raw:
@@ -184,10 +184,12 @@ def read_pxyz(path, ell: int | None = None, m: int | None = None) -> Nanotube:
     extra = next((i for i in range(n + 1, len(raw)) if raw[i].strip()), None)
     if extra is not None:
         raise PxyzFormatError(f"unexpected line after {n} coordinate lines: {raw[extra]!r}", line_number=extra + 1)
-    if ell is None or m is None:
+    if ell is None and m is None:
         if n % 4 != 0:
             raise PxyzFormatError(f"atom count {n} is not a multiple of 4", line_number=1)
         ell, m = n // 4, 1
+    elif ell is None or m is None:
+        raise InvalidParameterError(f"--ell and --m must be given together, got ell={ell}, m={m}")
     elif ell < 1 or m < 1:
         raise InvalidParameterError(f"ell and m must be at least 1, got ell={ell}, m={m}")
     elif 4 * ell * m != n:

@@ -42,6 +42,8 @@ class PerturbationSpec:
     def __post_init__(self):
         if not (np.isfinite(self.eta) and self.eta >= 0):
             raise InvalidParameterError(f"eta must be finite and nonnegative, got {self.eta}")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be nonnegative, got {self.seed}")
         if self.count < 1:
             raise InvalidParameterError(f"count must be at least 1, got {self.count}")
         if self.mode not in MODES:

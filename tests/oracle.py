@@ -1,7 +1,8 @@
 """Independent references the fast paths are tested against: the brute-force
 bond graph (pair search and perturbation sampler) with its angle legs looked
-up among its bonds, the angles of legs gathered from the positions (the value
-path without bond references), the weighted cell-energy
+up among its bonds, the angle legs gathered from the positions instead of
+read from the bond references (the angles, gradient, Hessian, Bloch blocks
+and cellspec.t_jacobian on them), the weighted cell-energy
 gradient and the tilde energy (the weighted sum over the values of
 cellspec.t_map), the finite-difference stencils of the analytic derivatives
 (energy.hessian, cellspec.cell_hessian, cellspec.t_jacobian, the angle-sum
@@ -51,17 +52,17 @@ from nanolab.cells import (
 )
 from nanolab.energy import (
     BondGraph,
+    _add_blocks,
     _angle_term,
     _bond_lengths,
     _bond_term,
     _bond_vectors,
     _cos_angle,
     _image_shift,
-    _leg_vectors,
     bond_graph,
 )
 from nanolab.errors import DegenerateGeometryError, DomainError, InvalidCellError, PxyzFormatError
-from nanolab.geometry import Nanotube, flat_index
+from nanolab.geometry import Nanotube, axial_rotations, flat_index
 
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -132,22 +133,96 @@ def bond_graph_brute(tube, cutoff: float = 1.1) -> BondGraph:
     return BondGraph(tube.n, tube.period, pairs, shifts, triples, *leg_references(pairs, shifts, triples, triple_shifts))
 
 
+def triple_shifts(graph):
+    """Per-leg image shifts (n_angles, 2) of graph's angles, read from its leg
+    references: the legs of angle q reach x[i] + shifts[q, 0]*L*e1 and
+    x[k] + shifts[q, 1]*L*e1 from x[j]."""
+    return graph.leg_signs * graph.pair_shifts[graph.leg_bonds]
+
+
 def assert_graph_equals_brute(graph, tube, cutoff: float = 1.1):
-    pairs, shifts, triples, triple_shifts = graph_brute(tube, cutoff)
+    pairs, shifts, triples, brute_triple_shifts = graph_brute(tube, cutoff)
     assert np.array_equal(graph.pairs, pairs)
     assert np.array_equal(graph.pair_shifts, shifts)
     assert np.array_equal(graph.triples, triples)
-    assert np.array_equal(graph.triple_shifts, triple_shifts)
-    bonds, signs = leg_references(pairs, shifts, triples, triple_shifts)
+    assert np.array_equal(triple_shifts(graph), brute_triple_shifts)
+    bonds, signs = leg_references(pairs, shifts, triples, brute_triple_shifts)
     assert np.array_equal(graph.leg_bonds, bonds)
     assert np.array_equal(graph.leg_signs, signs)
 
 
+def leg_vectors_gathered(pos, graph):
+    """Legs (u, v) of graph's angles gathered from the positions, u = x_i - x_j
+    and v = x_k - x_j at the triple shifts, not read from the bond vectors
+    as energy._leg_vectors reads them."""
+    t, shifts = graph.triples, triple_shifts(graph)
+    u = pos.take(t[:, 0], axis=-2) - pos.take(t[:, 1], axis=-2)
+    v = pos.take(t[:, 2], axis=-2) - pos.take(t[:, 1], axis=-2)
+    u[..., 0] += graph.L * shifts[:, 0]
+    v[..., 0] += graph.L * shifts[:, 1]
+    return u, v
+
+
 def bond_angles_gathered(pos, graph):
     """The angles of graph with both legs gathered from the positions
-    (energy._leg_vectors), then energy._cos_angle: the value path without the
-    bond references."""
-    return np.arccos(_cos_angle(*_leg_vectors(pos, graph))[0])
+    (leg_vectors_gathered), then energy._cos_angle: the value path without
+    the bond references."""
+    return np.arccos(_cos_angle(*leg_vectors_gathered(pos, graph))[0])
+
+
+def gradient_gathered(tube, pots, graph):
+    """energy.gradient with the angle legs gathered from the positions."""
+    pos = tube.positions
+    grad = np.zeros_like(pos)
+    if graph.n_bonds:
+        np.add.at(grad, graph.pairs, _bond_term(_bond_vectors(pos, graph), pots.v2)[0])
+    if graph.n_angles:
+        np.add.at(grad, graph.triples, _angle_term(*leg_vectors_gathered(pos, graph), pots.v3)[0])
+    return grad
+
+
+def term_hessian_gathered(pos, graph, v2, v3, bond_weights=1.0, angle_weights=1.0):
+    """energy.term_hessian with the angle legs gathered from the positions."""
+    hess = np.zeros((3 * graph.n, 3 * graph.n))
+    if graph.n_bonds:
+        _add_blocks(hess, graph.pairs, _bond_term(_bond_vectors(pos, graph), v2, bond_weights, second=True)[1])
+    if graph.n_angles:
+        _add_blocks(hess, graph.triples, _angle_term(*leg_vectors_gathered(pos, graph), v3, angle_weights, second=True)[1])
+    return hess
+
+
+def bloch_blocks_gathered(tube, pots, p, q, graph):
+    """energy.bloch_blocks with the angle legs gathered from the positions and
+    their image shifts from triple_shifts."""
+    ell, L, pos = tube.ell, tube.period, tube.positions
+    bonds = np.any(graph.pairs < 4, axis=1)
+    angles = np.any(graph.triples < 4, axis=1)
+    bond_shifts = graph.pair_shifts[bonds]
+    u, v = leg_vectors_gathered(pos, graph)
+    terms = (
+        (graph.pairs[bonds], np.stack([bond_shifts, np.zeros_like(bond_shifts)], axis=1),
+         _bond_term(_bond_vectors(pos, graph)[bonds], pots.v2, second=True)[1]),
+        (graph.triples[angles], np.insert(triple_shifts(graph)[angles], 1, 0, axis=1),
+         _angle_term(u[angles], v[angles], pots.v3, second=True)[1]),
+    )
+    offsets, rows, cols, parts = [], [], [], []
+    for atoms, shifts, blocks in terms:
+        kappa = atoms % 4
+        turn = (atoms // 4) % ell
+        cell = np.rint((pos[atoms, 0] + shifts * L - pos[kappa, 0]) / (L / tube.m)).astype(np.int64)
+        rot = axial_rotations(2.0 * np.pi * turn / ell)
+        local = np.einsum("tsxa,tsxuy,tuyb->tsuab", rot, blocks, rot)
+        t, s = np.nonzero(atoms < 4)
+        offsets.append(np.stack([(turn[t] - turn[t, s, None]) % ell, cell[t] - cell[t, s, None]], axis=-1).reshape(-1, 2))
+        rows.append(np.broadcast_to(kappa[t, s, None], kappa[t].shape).ravel())
+        cols.append(kappa[t].ravel())
+        parts.append(local[t, s].reshape(-1, 3, 3))
+    offsets, inverse = np.unique(np.concatenate(offsets), axis=0, return_inverse=True)
+    coupling = np.zeros((len(offsets), 4, 4, 3, 3))
+    np.add.at(coupling, (inverse.ravel(), np.concatenate(rows), np.concatenate(cols)), np.concatenate(parts))
+    coupling = coupling.transpose(0, 1, 3, 2, 4).reshape(len(offsets), 144)
+    phase = np.exp(1j * (2.0 * np.pi / ell * np.outer(p, offsets[:, 0]) + np.outer(q, offsets[:, 1])))
+    return (phase @ coupling).reshape(-1, 12, 12)
 
 
 def total_energy_gathered(tube, pots, graph=None, positions=None):
@@ -174,7 +249,7 @@ def total_energy_einsum(tube, pots, graph=None, positions=None):
         d = np.linalg.norm(_bond_vectors(pos, graph), axis=-1)
         e += np.sum(pots.v2.value(d), axis=-1)
     if graph.n_angles:
-        u, v = _leg_vectors(pos, graph)
+        u, v = leg_vectors_gathered(pos, graph)
         nu = np.linalg.norm(u, axis=-1)
         nv = np.linalg.norm(v, axis=-1)
         c = np.clip(np.einsum("...ij,...ij->...i", u, v) / (nu * nv), -1.0, 1.0)
@@ -184,7 +259,7 @@ def total_energy_einsum(tube, pots, graph=None, positions=None):
 
 def cell_angles_einsum(cells):
     """cells.cell_angles with np.linalg.norm and an einsum dot product."""
-    u, v = _leg_vectors(cells, CELL_GRAPH)
+    u, v = leg_vectors_gathered(cells, CELL_GRAPH)
     nu = np.linalg.norm(u, axis=-1)
     nv = np.linalg.norm(v, axis=-1)
     if np.any(nu == 0.0) or np.any(nv == 0.0):
@@ -330,8 +405,19 @@ def cell_energy_gradient(cell, pots):
     are read from nanolab.cells at call time."""
     grad = np.zeros((8, 3))
     np.add.at(grad, BOND_SLOTS, _bond_term(_bond_vectors(cell, CELL_GRAPH), pots.v2, _cells.BOND_WEIGHTS)[0])
-    np.add.at(grad, ANGLE_SLOTS, _angle_term(*_leg_vectors(cell, CELL_GRAPH), pots.v3, _cells.ANGLE_WEIGHTS)[0])
+    np.add.at(grad, ANGLE_SLOTS, _angle_term(*leg_vectors_gathered(cell, CELL_GRAPH), pots.v3, _cells.ANGLE_WEIGHTS)[0])
     return grad
+
+
+def t_jacobian_gathered(cell):
+    """cellspec.t_jacobian with the angle legs gathered from the cell's
+    positions."""
+    from nanolab.cellspec import _Identity
+
+    jac = np.zeros((18, 8, 3))
+    jac[np.arange(10)[:, None], ANGLE_SLOTS] = _angle_term(*leg_vectors_gathered(cell, CELL_GRAPH), _Identity)[0]
+    jac[10 + np.arange(8)[:, None], BOND_SLOTS] = _bond_term(_bond_vectors(cell, CELL_GRAPH), _Identity)[0]
+    return jac.reshape(18, 24)
 
 
 def tilde_energy(y, pots):

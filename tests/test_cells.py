@@ -16,8 +16,11 @@ from oracle import (
     reflect_s2,
     sample_perturbation_rebuild,
     symmetrize_reflect,
+    t_jacobian_gathered,
+    term_hessian_gathered,
     to_local_einsum,
     total_energy_einsum,
+    triple_shifts,
 )
 
 from nanolab import cells, potentials
@@ -33,6 +36,7 @@ from nanolab.cells import (
     total_cell_energy,
     total_symmetry_defect,
 )
+from nanolab.cellspec import cell_hessian, t_jacobian
 from nanolab.energy import _bond_lengths, _bond_vectors, bond_graph, total_energy
 from nanolab.errors import InvalidCellError
 from nanolab.geometry import Nanotube, axial_rotations, build_nanotube, flat_index, solve_family
@@ -493,7 +497,7 @@ def test_cell_graph_leg_references_equal_lookup_oracle():
     bonds, signs = leg_references(cells.BOND_SLOTS, np.zeros(8, dtype=int), cells.ANGLE_SLOTS, np.zeros((10, 2), dtype=int))
     assert np.array_equal(cells.CELL_GRAPH.leg_bonds, bonds)
     assert np.array_equal(cells.CELL_GRAPH.leg_signs, signs)
-    assert np.array_equal(cells.CELL_GRAPH.triple_shifts, np.zeros((10, 2), dtype=int))
+    assert np.array_equal(triple_shifts(cells.CELL_GRAPH), np.zeros((10, 2), dtype=int))
 
 
 @settings(max_examples=40)
@@ -509,8 +513,9 @@ def test_cell_graph_leg_references_equal_lookup_oracle():
 def test_cell_angles_from_bond_references_equal_gathered_legs(preset, ell, m, moved, eta, batch, seed):
     # cell_angles, cell_energies and cell_summary's bonds and angles of family
     # tubes as built, rotated and moved by -2 ... 2 periods rigidly and atom
-    # by atom, and perturbed, alone and as stacks, equal the legs gathered
-    # from the cells' positions to the bit
+    # by atom, and perturbed, alone and as stacks, and t_jacobian and
+    # cell_hessian of the first configuration's cells, equal the legs
+    # gathered from the cells' positions to the bit
     pots = potentials.load(preset)
     tube = build_nanotube(minimize_family(reference_angles(ell, pots).mu_us + 0.005, ell, pots, m=m).geometry, m)
     rng = np.random.default_rng(seed)
@@ -534,3 +539,7 @@ def test_cell_angles_from_bond_references_equal_gathered_legs(preset, ell, m, mo
         summary = cell_summary(tube, pots)
         _assert_same_bits(summary["angles"], angles.reshape(-1, 10))
         _assert_same_bits(summary["bonds"], bonds.reshape(-1, 8))
+    for cell in cells_.reshape(-1, 8, 3)[: 2 * ell * m]:
+        _assert_same_bits(t_jacobian(cell), t_jacobian_gathered(cell))
+        want = term_hessian_gathered(cell, cells.CELL_GRAPH, pots.v2, pots.v3, cells.BOND_WEIGHTS, cells.ANGLE_WEIGHTS)
+        _assert_same_bits(cell_hessian(cell, pots), want)

@@ -302,6 +302,22 @@ def test_stability_rejects_invalid_spec(tmp_path, capsys, flags, word):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["stability", "--ell", "12", "--m", "2", "--count", "5", "--seed", "-1"], "seed"),
+        (["verify-all", "--quick", "--seed", "-1"], "--seed"),
+    ],
+    ids=["stability", "verify-all"],
+)
+def test_negative_seed_is_refused_in_one_line(tmp_path, capsys, argv, option):
+    # numpy's seeding refused it with a ValueError and a traceback
+    out = tmp_path / "out.json"
+    assert run([*argv, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"nanolab: {option} must be nonnegative, got -1\n"
+    assert not out.exists()
+
+
 def test_stability_rejects_zero_eta(tmp_path, capsys):
     # every sample would be the base tube: no gap to report
     out = tmp_path / "s.json"
@@ -423,6 +439,20 @@ def test_labels_below_one_exit_one(tmp_path, capsys, command):
     out = tmp_path / "out"
     assert run([command, "--in", tube_path, "--ell", "-12", "--m", "-4", "-o", str(out)]) == 1
     assert capsys.readouterr().err == "nanolab: ell and m must be at least 1, got ell=-12, m=-4\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cells", "energy"])
+@pytest.mark.parametrize("given", [["--ell", "12"], ["--m", "4"]], ids=["ell-only", "m-only"])
+def test_half_given_labels_are_refused(tmp_path, capsys, command, given):
+    # the reader dropped a lone --ell or --m and labelled the tube (n/4, 1):
+    # cells then blamed a right --ell, energy ignored it
+    tube_path = str(tmp_path / "t.pxyz")
+    run(["generate", "--ell", "12", "--m", "4", "--mu", "2.95", "--lambda1", "1", "--lambda2", "1", "-o", tube_path])
+    out = tmp_path / "out"
+    assert run([command, "--in", tube_path, *given, "-o", str(out)]) == 1
+    ell, m = ("12", "None") if given[0] == "--ell" else ("None", "4")
+    assert capsys.readouterr().err == f"nanolab: --ell and --m must be given together, got ell={ell}, m={m}\n"
     assert not out.exists()
 
 

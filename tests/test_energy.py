@@ -8,12 +8,16 @@ from oracle import (
     E1,
     adjacency,
     assert_graph_equals_brute,
+    bloch_blocks_gathered,
     bond_angle,
     bond_angles_gathered,
     expected_neighbors,
+    gradient_gathered,
     hessian_fd,
     index_to_id,
+    leg_vectors_gathered,
     pairs_brute,
+    term_hessian_gathered,
     total_energy_gathered,
 )
 
@@ -271,7 +275,7 @@ def test_bond_angle_values():
 def test_family_tube_angle_multiset(tube):
     g = tube.geometry
     graph = bond_graph(tube)
-    u, v = energy._leg_vectors(tube.positions, graph)
+    u, v = leg_vectors_gathered(tube.positions, graph)
     cosangles = np.einsum("ij,ij->i", u, v) / (
         np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
     )
@@ -559,6 +563,13 @@ def _assert_value_path_equals_gathered_legs(tube, pots, graph, stack, batch):
         _assert_same_bits(total_energy(tube, pots, graph, stack), total_energy_gathered(tube, pots, graph, stack))
 
 
+def _assert_derivatives_equal_gathered_legs(tube, pots, graph):
+    """The gradient and Hessian of tube equal those of legs gathered from the
+    positions, to the bit."""
+    _assert_same_bits(gradient(tube, pots, graph), gradient_gathered(tube, pots, graph))
+    _assert_same_bits(hessian(tube, pots, graph), term_hessian_gathered(tube.positions, graph, pots.v2, pots.v3))
+
+
 @settings(max_examples=60)
 @given(
     preset=st.sampled_from(["soft", "stiff"]),
@@ -573,7 +584,8 @@ def _assert_value_path_equals_gathered_legs(tube, pots, graph, stack, batch):
 def test_angles_from_bond_references_equal_gathered_legs_on_tubes(preset, ell, m, moved, relabelled, eta, batch, seed):
     # family tubes as built (their legs have exactly-zero components), rotated
     # and moved by -2 ... 2 periods rigidly and atom by atom, relabelled and
-    # perturbed, alone and as stacks
+    # perturbed, alone and as stacks; the derivatives of the first
+    # configuration, and the Bloch blocks of a tube as built
     pots = potentials.load(preset)
     tube = _family(preset, ell, m)
     rng = np.random.default_rng(seed)
@@ -589,6 +601,11 @@ def test_angles_from_bond_references_equal_gathered_legs_on_tubes(preset, ell, m
     if eta:
         stack += rng.uniform(-eta, eta, stack.shape)
     _assert_value_path_equals_gathered_legs(tube, pots, graph, stack, batch)
+    _assert_derivatives_equal_gathered_legs(tube.with_positions(stack[0]), pots, graph)
+    if not (moved or relabelled):
+        p = np.repeat(np.arange(ell), m)
+        q = np.tile(2.0 * np.pi * np.arange(m) / m, ell)
+        _assert_same_bits(bloch_blocks(tube, pots, p, q, graph), bloch_blocks_gathered(tube, pots, p, q, graph))
 
 
 @settings(max_examples=60)
@@ -603,7 +620,8 @@ def test_angles_from_bond_references_equal_gathered_legs_on_tubes(preset, ell, m
 def test_angles_from_bond_references_equal_gathered_legs_on_clouds(preset, n, L, width, batch, seed):
     # random clouds with each atom written -1 ... 1 periods away, so that
     # bonds carry image shifts of up to +-3: the leg references equal the
-    # lookup oracle, the derived triple shifts graph_brute's
+    # lookup oracle, the derived triple shifts graph_brute's; the derivatives
+    # of the first configuration
     rng = np.random.default_rng(seed)
     pos = rng.uniform(0.0, 1.0, (n, 3)) * [L, width, width]
     pos[:, 0] += rng.integers(-1, 2, n) * L
@@ -611,4 +629,6 @@ def test_angles_from_bond_references_equal_gathered_legs_on_clouds(preset, n, L,
     graph = bond_graph(cloud)
     assert_graph_equals_brute(graph, cloud)
     stack = pos + rng.uniform(-1e-3, 1e-3, (1 if batch is None else batch, n, 3))
-    _assert_value_path_equals_gathered_legs(cloud, potentials.load(preset), graph, stack, batch)
+    pots = potentials.load(preset)
+    _assert_value_path_equals_gathered_legs(cloud, pots, graph, stack, batch)
+    _assert_derivatives_equal_gathered_legs(cloud.with_positions(stack[0]), pots, graph)

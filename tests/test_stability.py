@@ -141,7 +141,7 @@ def test_band_verdict_equals_rebuild_on_random_bases():
             same = np.array_equal(graph.pairs, band.graph.pairs)
             assert band.keeps(tube.positions[None])[0] == same
             if same:
-                for field in ("pair_shifts", "triples", "triple_shifts"):
+                for field in ("pair_shifts", "triples", "leg_bonds", "leg_signs"):
                     assert np.array_equal(getattr(graph, field), getattr(band.graph, field))
             kept += same
             broken += not same
