@@ -114,10 +114,12 @@ def cell_atom_indices(ell: int, m: int) -> np.ndarray:
 
 
 def _gather_slots(tube: Nanotube, positions=None) -> np.ndarray:
-    """gather_cells' unwrapped cells as slots (8, ..., 3), stored component first."""
+    """gather_cells' unwrapped cells as slots (8, ..., 3), stored component
+    first, with gather_cells' check of the positions."""
     table = cell_atom_indices(tube.ell, tube.m)
     pos = tube.positions if positions is None else positions
     L = tube.period
+    check_positions(pos, L, BOND_CUTOFF)
     comps = np.moveaxis(pos, -1, 0).copy()
     x = np.empty((8, 3) + pos.shape[:-2] + table.shape[:-1])
     for a in range(8):
@@ -140,7 +142,6 @@ def gather_cells(tube: Nanotube, positions=None) -> np.ndarray:
     carry the same leading axes.  Raises DegenerateGeometryError on positions
     that geometry.check_positions refuses at the bond cutoff.
     """
-    check_positions(tube.positions if positions is None else positions, tube.period, BOND_CUTOFF)
     return _cells_last(_gather_slots(tube, positions))
 
 
@@ -280,7 +281,8 @@ def angle_sum(tube: Nanotube, positions=None):
 
 def total_symmetry_defect(tube: Nanotube, positions=None):
     """Sum of the symmetry defects of all cells; with positions, of each
-    configuration of the stack, as in gather_cells."""
+    configuration of the stack, as in gather_cells, and refuses the same
+    positions."""
     return _tube_sums(_symmetry_defect(_local_slots(_gather_slots(tube, positions=positions))), positions)
 
 

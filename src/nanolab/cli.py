@@ -317,7 +317,37 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _keep_freed_memory_mapped() -> None:
+    """Keep the memory the process frees mapped instead of handing it back to
+    the kernel, where libc has mallopt (glibc).
+
+    A stability ensemble allocates and frees its chunk-sized temporaries on
+    every chunk; with glibc's default thresholds each one is unmapped or
+    trimmed on free and faulted in again on the next allocation, about 24 000
+    minor page faults per 1000 samples at n = 192.  The settings are those of
+    the MALLOC_MMAP_THRESHOLD_, MALLOC_TRIM_THRESHOLD_ and MALLOC_TOP_PAD_
+    tunables: 1 GiB, 1 GiB and 64 MiB.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return  # no mallopt: the allocator keeps its defaults
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    m_trim_threshold, m_top_pad, m_mmap_threshold = -1, -2, -3
+    mallopt(m_mmap_threshold, 1 << 30)
+    mallopt(m_trim_threshold, 1 << 30)
+    mallopt(m_top_pad, 64 << 20)
+
+
 def main(argv=None) -> int:
+    """Run the command line argv, or sys.argv[1:] when argv is None.  Only a
+    call with argv None, the process entry (the nanolab script, python -m
+    nanolab.cli), sets the process's allocator (_keep_freed_memory_mapped);
+    an in-process main([...]) leaves the caller's as it is."""
+    if argv is None:
+        _keep_freed_memory_mapped()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

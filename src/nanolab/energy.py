@@ -291,12 +291,15 @@ def total_energy(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = N
     With positions, a stack (..., n, 3) of configurations of tube's atoms at
     tube's period, all with bond graph graph, returns their energies as an
     array over the leading axes; each equals the float the tube of that
-    configuration gives, to the bit.  Raises DegenerateGeometryError when
-    two bonded atoms coincide.
+    configuration gives, to the bit.  Raises DegenerateGeometryError on
+    configurations that geometry.check_positions refuses and when two bonded
+    atoms coincide.
     """
-    if graph is None:
-        graph = bond_graph(tube)
     pos = tube.positions if positions is None else positions
+    if graph is not None or positions is not None:
+        check_positions(pos, tube.period)
+    if graph is None:
+        graph = bond_graph(tube)  # which checks tube.positions
     e = np.zeros(pos.shape[:-2])
     if graph.n_bonds:
         r, theta = _lengths_and_angles(pos, graph)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .energy import bond_graph, family_energy, total_energy
 from .errors import InvalidParameterError, NotCleavedWarning, OptimizationFailureError, WindowTooSmallError
-from .geometry import Nanotube, gamma, solve_family, unwrapped_positions
+from .geometry import MU_BOUNDS, Nanotube, gamma, solve_family, unwrapped_positions
 from .potentials import PotentialSet
 from .reduced import reduced_solve, reference_angles
 
@@ -113,7 +113,7 @@ def _thresholds(ell: int, ms, pots: PotentialSet, window: float):
 
     E(cleaved) - E_min(mu) = 4 ell - 2 m ell (e(mu) - e(mu_us)), so mu_frac
     is the root of e(mu) - e(mu_us) = 2/m in (mu_us, min(mu_us + window,
-    3.1 - 1e-9)].  Safeguarded Newton with slope e'(mu) from the envelope
+    MU_BOUNDS[1] - 1e-9)].  Safeguarded Newton with slope e'(mu) from the envelope
     gradient, bisecting whenever a step leaves the bracket, started at
     mu_us + 2/sqrt(m e''(mu_us)); each iteration is one batched reduced solve
     over the m not yet converged.  Raises WindowTooSmallError for the first m
@@ -130,7 +130,7 @@ def _thresholds(ell: int, ms, pots: PotentialSet, window: float):
         raise InvalidParameterError(f"window must be finite and positive, got {window}")
     mu_us = reference_angles(ell, pots).mu_us
     g = gamma(ell)
-    hi_limit = min(mu_us + window, 3.1 - 1e-9)
+    hi_limit = min(mu_us + window, MU_BOUNDS[1] - 1e-9)
     target = 2.0 / ms
     solves = []
 

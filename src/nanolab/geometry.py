@@ -96,17 +96,27 @@ class Nanotube:
         return Nanotube(np.array(positions, dtype=float), self.period, self.ell, self.m, self.geometry)
 
 
+# The open interval of periods mu a family member may have.
+MU_BOUNDS = (2.6, 3.1)
+
+
+def check_mu(mu: float) -> None:
+    """Raise InvalidParameterError unless mu lies in the open interval MU_BOUNDS."""
+    lo, hi = MU_BOUNDS
+    if not (lo < mu < hi):
+        raise InvalidParameterError(f"mu={mu} outside ({lo}, {hi})")
+
+
 def solve_family(ell: int, mu: float, lambda1: float, lambda2: float) -> ZigzagGeometry:
     """Resolve (ell, mu, lambda1, lambda2) into the full geometric parameter set.
 
     Raises InvalidParameterError naming the first violated validity gate:
-    lambda1, lambda2 in (0.9, 1.1); mu in (2.6, 3.1); sigma > 0.2;
+    lambda1, lambda2 in (0.9, 1.1); mu in MU_BOUNDS (check_mu); sigma > 0.2;
     rho > 0.55/sin(gamma_ell).
     """
     if ell <= 3:
         raise InvalidParameterError(f"ell must exceed 3, got {ell}")
-    if not (2.6 < mu < 3.1):
-        raise InvalidParameterError(f"mu={mu} outside (2.6, 3.1)")
+    check_mu(mu)
     if not (0.9 < lambda1 < 1.1):
         raise InvalidParameterError(f"lambda1={lambda1} outside (0.9, 1.1)")
     if not (0.9 < lambda2 < 1.1):

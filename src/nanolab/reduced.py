@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryWarning, DomainError, InvalidParameterError, OptimizationFailureError
-from .geometry import ZigzagGeometry, beta, gamma, solve_family
+from .geometry import ZigzagGeometry, beta, check_mu, gamma, solve_family
 from .potentials import TWO_THIRDS_PI, PotentialSet
 
 ALPHA_LO = float(np.arccos(-0.4))
@@ -389,12 +389,15 @@ def family_minima(mus, ell: int, pots: PotentialSet, m: int = 1):
 
     The total energy of each minimizer is 2*m*ell times its per-cell reduced
     value.  Returns (list of FamilyMinimum, the ReducedSolution).  Raises
-    InvalidParameterError for m < 1.
+    InvalidParameterError for m < 1 and, before any solve, for a finite mu
+    that geometry.check_mu refuses (reduced_solve refuses a non-finite one).
     """
     if m < 1:
         raise InvalidParameterError(f"m must be at least 1, got {m}")
     g = gamma(ell)
     mus = np.ravel(np.asarray(mus, dtype=float))
+    for mu in mus[np.isfinite(mus)].tolist():
+        check_mu(mu)
     sol = reduced_solve(mus, g, g, pots)
     fams = []
     for mu, value, (lam, a1, _) in zip(mus.tolist(), sol.value.tolist(), sol.x.tolist()):

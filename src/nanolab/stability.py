@@ -88,10 +88,16 @@ def _displacements(rngs, n: int, eta: float, mode: str) -> np.ndarray:
 _ROUNDING = 1e-9
 # Atoms per chunk of an ensemble: stability_trial draws, vets and scores
 # max(1, _CHUNK_ATOMS // n) trials at a time as one (B, n, 3) stack, which
-# bounds its memory at any n.  Of 2**10 .. 2**14, 2**12 gave the fastest
-# ensembles at n = 192 and 768 with the allocator's default settings, and
-# within 6 % of the fastest when freed memory stays mapped.
-_CHUNK_ATOMS = 2**12
+# bounds its memory at any n.  Each chunk also pays a fixed ~0.5 ms of numpy
+# call overhead.  Medians of in-process ensembles, 2**12 -> 2**13 atoms, with
+# freed memory kept mapped as the nanolab process keeps it
+# (cli._keep_freed_memory_mapped): 168 -> 147 ms at n = 192 (1000 samples),
+# 191 -> 136 ms at 768 (300) and 272 -> 159 ms at 3072 (100), with no page
+# faults.  With glibc's default settings: 219 -> 208, 262 -> 227 and
+# 236 -> 306 ms, with 25 000 .. 34 000 minor faults, except 900 for 2**12 at
+# 3072.  2**14 was faster still with freed memory mapped, at a higher peak
+# memory, and faulted more under the defaults.
+_CHUNK_ATOMS = 2**13
 # stability_trial refuses an eta whose energy gaps come within
 # _GAP_ROUNDOFF * eps * |E_base| of zero, where round-off can flip their sign.
 # Both |E_base| and the floor are extensive, while the rounding of the energy

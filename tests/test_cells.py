@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from oracle import (
     triple_shifts,
 )
 
-from nanolab import cells, potentials
+from nanolab import cells, potentials, stability
 from nanolab.cells import (
     angle_sum,
     cell_angles,
@@ -38,7 +40,7 @@ from nanolab.cells import (
 )
 from nanolab.cellspec import cell_hessian, t_jacobian
 from nanolab.energy import _bond_lengths, _bond_vectors, bond_graph, total_energy
-from nanolab.errors import InvalidCellError
+from nanolab.errors import DegenerateGeometryError, InvalidCellError
 from nanolab.geometry import Nanotube, axial_rotations, build_nanotube, flat_index, solve_family
 from nanolab.reduced import ReducedPoint, beta, minimize_family, reference_angles, sym_energy
 from nanolab.stability import MODES, BondBand, PerturbationSpec, sample_perturbations
@@ -434,13 +436,18 @@ def _moved_ensemble(preset, shift, shape, seed):
 
 
 @pytest.mark.parametrize("preset", ["soft", "stiff"])
-@pytest.mark.parametrize("shape", [(21,), (3, 7)], ids=["ensemble-chunk", "two-axes"])
+@pytest.mark.parametrize(
+    "shape",
+    [(21,), (stability._CHUNK_ATOMS // 192,), (3, 7)],
+    ids=["ensemble-chunk", "ensemble-chunk-now", "two-axes"],
+)
 @pytest.mark.parametrize("shift", [-2.0, -1.37, 0.0, 0.63, 2.0])
 def test_defect_path_equals_oracle_on_ensemble_stacks(preset, shape, shift):
-    # a chunk of the n = 192 ensemble (4096 // 192 = 21 trials) and a stack
-    # with two leading axes, of a rotated tube moved by -2 ... 2 periods: the
-    # cells and defects equal the cells-last einsum forms to the bit, and
-    # cell_summary's defects those of one trial
+    # a chunk of the n = 192 ensemble at 4096 atoms per chunk (21 trials), one
+    # at today's chunk size (_CHUNK_ATOMS // 192 trials) and a stack with two
+    # leading axes, of a rotated tube moved by -2 ... 2 periods: the cells and
+    # defects equal the cells-last einsum forms to the bit, and cell_summary's
+    # defects those of one trial
     pots, base, positions = _moved_ensemble(preset, shift, shape, seed=int(10 * shift) % 7)
     cells_ = gather_cells(base, positions=positions)
     _assert_same_bits(cells_, gather_cells_per_vector(base, positions))
@@ -473,6 +480,32 @@ def test_degenerate_cell_in_a_stack_raises(defect):
         lambda: to_local_einsum(cells_),
     ):
         with pytest.raises(InvalidCellError, match=f"^{message}$"):
+            compute()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300], ids=["nan", "inf", "1e300"])
+@pytest.mark.parametrize(
+    "entry", ["total_energy", "total_energy-own-graph", "total_symmetry_defect", "total_cell_energy", "angle_sum"]
+)
+def test_stack_entries_refuse_out_of_range_positions(pots_soft, bad, entry):
+    # a 2-stack of an (8, 2) family tube whose second configuration holds one
+    # bad coordinate: total_energy and total_symmetry_defect gave nan for it,
+    # or numbers with numpy warnings; every stack entry refuses it in one line
+    fam = minimize_family(reference_angles(8, pots_soft).mu_us + 0.01, 8, pots_soft, m=2)
+    base = build_nanotube(fam.geometry, 2)
+    stack = np.stack([base.positions, base.positions])
+    stack[1, 5, 1] = bad
+    compute = {
+        "total_energy": lambda: total_energy(base, pots_soft, bond_graph(base), positions=stack),
+        "total_energy-own-graph": lambda: total_energy(base, pots_soft, positions=stack),
+        "total_symmetry_defect": lambda: total_symmetry_defect(base, positions=stack),
+        "total_cell_energy": lambda: total_cell_energy(base, pots_soft, positions=stack),
+        "angle_sum": lambda: angle_sum(base, positions=stack),
+    }[entry]
+    message = r"^positions and period must be finite, with period > 0 and coordinates below 2\*\*510$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateGeometryError, match=message):
             compute()
 
 

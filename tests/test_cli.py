@@ -1,6 +1,11 @@
 import contextlib
+import ctypes
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import warnings
 from functools import lru_cache
 
@@ -9,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nanolab import acceptance, cells, cellspec, potentials, pxyz
+from nanolab import acceptance, cells, cellspec, cli, potentials, pxyz
 from nanolab.cli import main
 from nanolab.energy import family_energy
 from nanolab.geometry import Nanotube, axial_rotations, build_nanotube, solve_family
@@ -161,6 +166,18 @@ def test_reduced_rejects_invalid_mu_grid(tmp_path, capsys, grid):
     out = tmp_path / "r.csv"
     assert run(["reduced", "--ell", "12", "--mu-grid", grid, "-o", str(out)]) == 1
     assert "--mu-grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reduced_refuses_a_grid_outside_the_family_domain_in_one_line(tmp_path, capsys):
+    # the batched solve ran first and printed a BoundaryWarning before
+    # solve_family refused mu
+    out = tmp_path / "r.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["reduced", "--ell", "12", "--mu-grid", "1:2:3", "-o", str(out)]) == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "nanolab: mu=1.0 outside (2.6, 3.1)\n"
     assert not out.exists()
 
 
@@ -781,3 +798,32 @@ def test_energy_and_cells_give_the_clean_result_or_name_the_defect(
         else:
             assert (code, err) == (0, "")
             _same_report(command, report, clean[2])
+
+
+def _minor_faults_of_a_fresh_process(argv) -> int:
+    """Minor page faults of `python -m nanolab.cli argv` run as a child."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    subprocess.run([sys.executable, "-m", "nanolab.cli", *argv], env=env, check=True, capture_output=True)
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="libc has no mallopt")
+def test_fresh_ensemble_process_keeps_freed_memory_mapped():
+    # 990 more samples of a fresh nanolab stability process cost about 660
+    # minor faults; with the allocator's default thresholds every chunk's
+    # temporaries were unmapped and faulted in again, about 24 400 faults
+    argv = ["stability", "--ell", "12", "--m", "4", "--mu-offset", "0.01"]
+    many = _minor_faults_of_a_fresh_process([*argv, "--count", "1000"])
+    few = _minor_faults_of_a_fresh_process([*argv, "--count", "10"])
+    assert many - few < 5000
+
+
+def test_only_the_process_entry_sets_the_allocator(monkeypatch, capsys):
+    # main() with argv None runs as the process entry and keeps freed memory
+    # mapped; an in-process main([...]) leaves the caller's allocator alone
+    calls = []
+    monkeypatch.setattr(cli, "_keep_freed_memory_mapped", lambda: calls.append(1))
+    assert run(["--version"]) == 0 and calls == []
+    monkeypatch.setattr(sys, "argv", ["nanolab", "--version"])
+    assert main() == 0 and calls == [1]
