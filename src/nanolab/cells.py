@@ -286,17 +286,16 @@ def total_symmetry_defect(tube: Nanotube, positions=None):
     return _tube_sums(_symmetry_defect(_local_slots(_gather_slots(tube, positions=positions))), positions)
 
 
-def cell_summary(tube: Nanotube, pots: PotentialSet, cells: np.ndarray | None = None) -> dict:
-    """Vectorized per-cell quantities for a whole tube; cells is
+def cell_summary(tube: Nanotube, cells: np.ndarray | None = None) -> dict:
+    """Vectorized per-cell geometry of a whole tube; cells is
     gather_cells(tube) when the caller already has it.
 
-    Keys: bonds (C,8), angles (C,10), energy (C,), theta (C,4), delta (C,),
-    centers (C,3) label triples.
+    Keys: bonds (C,8), angles (C,10), theta (C,4), delta (C,), centers (C,3)
+    label triples; cell_energies gives the cells' energies.
     """
     if cells is None:
         cells = gather_cells(tube)
     b, phi = _lengths_and_angles(cells, CELL_GRAPH)
-    energy = _weighted_energies(b, phi, pots)
     theta = cell_plane_angles(cells)
     delta = _symmetry_defect(_local_slots(_slots_first(cells)))
     ids = np.indices((tube.ell, tube.m, 2)).reshape(3, -1).T + (1, 0, 0)
@@ -305,7 +304,6 @@ def cell_summary(tube: Nanotube, pots: PotentialSet, cells: np.ndarray | None = 
         "centers": ids,
         "bonds": flat(b),
         "angles": flat(phi),
-        "energy": flat(energy),
         "theta": flat(theta),
         "delta": flat(delta),
     }

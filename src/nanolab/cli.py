@@ -35,18 +35,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         pxyz.write_text(out, text)
@@ -57,7 +45,7 @@ def _emit(text: str, out: str | None) -> None:
 def _emit_json(payload: dict, out: str | None) -> None:
     payload = dict(payload)
     payload["schema_version"] = SCHEMA_VERSION
-    _emit(json.dumps(_sanitize(payload), sort_keys=True, indent=2, allow_nan=False) + "\n", out)
+    _emit(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False, default=lambda o: o.tolist()) + "\n", out)
 
 
 def _emit_csv(header, columns, out: str | None) -> None:
@@ -105,7 +93,6 @@ def cmd_energy(args) -> int:
 
 
 def cmd_cells(args) -> int:
-    pots = potentials.load(args.pots)
     tube = _read_tube(args)
     unwrapped = cells.gather_cells(tube)
     bonds = cells.cell_bond_lengths(unwrapped)
@@ -120,7 +107,7 @@ def cmd_cells(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    summ = cells.cell_summary(tube, pots, unwrapped)
+    summ = cells.cell_summary(tube, unwrapped)
     header = (
         ["i", "j", "k"]
         + [f"b{t}" for t in range(1, 9)]
@@ -267,7 +254,6 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--ell", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
-    add_pots(p)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_cells)
 

@@ -952,11 +952,11 @@ def per_cell_certificate(tube, pots) -> dict:
     """
     from nanolab.reduced import reduced_solve
 
-    summ = cell_summary(tube, pots)
+    summ = cell_summary(tube)
     x = gather_cells(tube).reshape(-1, 8, 3)
     mu_tilde = np.linalg.norm(0.5 * (x[:, 1] + x[:, 7]) - 0.5 * (x[:, 0] + x[:, 6]), axis=-1)
     theta_bar = summ["theta"].mean(axis=-1)
-    margins = summ["energy"] - reduced_solve(mu_tilde, theta_bar, theta_bar, pots).value
+    margins = cell_energies(x, pots) - reduced_solve(mu_tilde, theta_bar, theta_bar, pots).value
     delta = summ["delta"]
     mask = delta > 1e-14
     scaled = margins[mask] / (delta[mask] / tube.ell**2)

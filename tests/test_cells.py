@@ -368,8 +368,8 @@ def test_energy_and_cells_invariant_under_relabelling(pots_soft, ell, m, a, b, s
     tube = tube.with_positions(moved)
     e0 = total_energy(tube, pots_soft)
     assert abs(total_energy(relabelled, pots_soft) - e0) <= 1e-12 * abs(e0)
-    cells0 = cell_summary(tube, pots_soft)["energy"].reshape(ell, m, 2)
-    cells1 = cell_summary(relabelled, pots_soft)["energy"].reshape(ell, m, 2)
+    cells0 = cell_energies(gather_cells(tube), pots_soft)
+    cells1 = cell_energies(gather_cells(relabelled), pots_soft)
     assert np.max(np.abs(cells1 - np.roll(cells0, (a, b), axis=(0, 1)))) <= 1e-12
 
 
@@ -432,7 +432,7 @@ def _moved_ensemble(preset, shift, shape, seed):
     base = base.with_positions(image)
     count = int(np.prod(shape, dtype=int))
     stack, _ = sample_perturbations(base, PerturbationSpec(eta=1e-3, seed=seed), range(count), BondBand(base, 1e-3))
-    return pots, base, stack.reshape(shape + (base.n, 3))
+    return base, stack.reshape(shape + (base.n, 3))
 
 
 @pytest.mark.parametrize("preset", ["soft", "stiff"])
@@ -448,20 +448,20 @@ def test_defect_path_equals_oracle_on_ensemble_stacks(preset, shape, shift):
     # leading axes, of a rotated tube moved by -2 ... 2 periods: the cells and
     # defects equal the cells-last einsum forms to the bit, and cell_summary's
     # defects those of one trial
-    pots, base, positions = _moved_ensemble(preset, shift, shape, seed=int(10 * shift) % 7)
+    base, positions = _moved_ensemble(preset, shift, shape, seed=int(10 * shift) % 7)
     cells_ = gather_cells(base, positions=positions)
     _assert_same_bits(cells_, gather_cells_per_vector(base, positions))
     delta = symmetrize_reflect(to_local_einsum(cells_))[2]
     _assert_same_bits(total_symmetry_defect(base, positions), np.sum(delta.reshape(shape + (-1,)), axis=-1))
     one = (0,) * len(shape)
-    _assert_same_bits(cell_summary(base.with_positions(positions[one]), pots)["delta"], delta[one].reshape(-1))
+    _assert_same_bits(cell_summary(base.with_positions(positions[one]))["delta"], delta[one].reshape(-1))
 
 
 @pytest.mark.parametrize("defect", ["coincident-dual-centers", "x4-x5-axial"])
 def test_degenerate_cell_in_a_stack_raises(defect):
     # one configuration of a stack whose cell (1, 0, 0) has no axis or no
     # normal makes the whole stack raise, with the message of the einsum form
-    pots, base, positions = _moved_ensemble("soft", 0.0, (4,), seed=3)
+    base, positions = _moved_ensemble("soft", 0.0, (4,), seed=3)
     atoms = cell_atom_indices(base.ell, base.m)[0, 0, 0]
     x = gather_cells(base, positions=positions)[2, 0, 0, 0]
     if defect == "coincident-dual-centers":
@@ -475,7 +475,7 @@ def test_degenerate_cell_in_a_stack_raises(defect):
         message = "degenerate cell: x4 - x5 parallel to the axis"
     cells_ = gather_cells(base, positions=positions)
     for compute in (
-        lambda: cell_summary(base.with_positions(positions[2]), pots),
+        lambda: cell_summary(base.with_positions(positions[2])),
         lambda: total_symmetry_defect(base, positions),
         lambda: to_local_einsum(cells_),
     ):
@@ -569,7 +569,7 @@ def test_cell_angles_from_bond_references_equal_gathered_legs(preset, ell, m, mo
     _assert_same_bits(cell_angles(cells_), angles)
     _assert_same_bits(cell_energies(cells_, pots), cells._weighted_energies(_bond_lengths(cells_, cells.CELL_GRAPH), angles, pots))
     if batch is None:
-        summary = cell_summary(tube, pots)
+        summary = cell_summary(tube)
         _assert_same_bits(summary["angles"], angles.reshape(-1, 10))
         _assert_same_bits(summary["bonds"], bonds.reshape(-1, 8))
     for cell in cells_.reshape(-1, 8, 3)[: 2 * ell * m]:

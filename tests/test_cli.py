@@ -661,8 +661,8 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
         "version": ["--version"],
         "help": ["--help"],
         "bad-pots": ["reduced", "--ell", "12", "--pots", str(tmp_path / "bad.json")],
-        "energy": ["energy", "--in", tube, "--ell", "6", "--m", "2", "-o", "OUT"],
-        "cells": ["cells", "--in", tube, "--ell", "6", "--m", "2", "--pots", "stiff", "-o", "OUT"],
+        "energy": ["energy", "--in", tube, "--ell", "6", "--m", "2", "--pots", "stiff", "-o", "OUT"],
+        "cells": ["cells", "--in", tube, "--ell", "6", "--m", "2", "-o", "OUT"],
         "reduced": ["reduced", "--ell", "12", "--mu-grid", "2.97:3.0:3"],
     }
     capsys.readouterr()
@@ -701,7 +701,9 @@ def _run_quietly(workdir, argv):
 
 
 def _input_argv(command, path, ell, m, preset):
-    return [command, "--in", str(path), "--ell", str(ell), "--m", str(m), "--pots", preset]
+    """energy's or cells' argv; only energy takes a potential."""
+    argv = [command, "--in", str(path), "--ell", str(ell), "--m", str(m)]
+    return argv + ["--pots", preset] if command == "energy" else argv
 
 
 def _same_report(command, got, want):

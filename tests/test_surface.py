@@ -1,5 +1,6 @@
-"""Every public function, class and method in src/nanolab is reached by the
-library itself or by the benchmark's own calls into it, bench/workloads.py.
+"""No dead surface: every public function, class and method in src/nanolab is
+reached by the library itself or by the benchmark's own calls into it,
+bench/workloads.py, and every command-line option reaches an output.
 
 A name counts as reached when it occurs as an identifier (an ast.Name or the
 attribute of an ast.Attribute) anywhere in src/nanolab or bench/workloads.py.
@@ -11,9 +12,12 @@ name that also occurs as some other identifier escapes the check, so it
 guards against regrowth without proving every name is needed.
 """
 
+import argparse
 import ast
 import importlib
 from pathlib import Path
+
+from nanolab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "nanolab"
@@ -52,3 +56,100 @@ def _unreached() -> list:
 
 def test_every_public_name_is_reached():
     assert _unreached() == []
+
+
+# Options that only choose where an output goes, and those that print and exit.
+_NO_WITNESS = {"-h", "--version", "-o", "--out-csv", "--dump-counterexample"}
+
+
+def _cli_options() -> list:
+    """(command, option) of every option of cli.build_parser() but _NO_WITNESS,
+    the command empty for the top-level parser's own options."""
+    parser = cli.build_parser()
+    commands = {"": parser}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            commands.update(action.choices)
+    return sorted(
+        (name, max(action.option_strings, key=len))
+        for name, command in commands.items()
+        for action in command._actions
+        if action.option_strings and not _NO_WITNESS.intersection(action.option_strings)
+    )
+
+
+def test_every_cli_option_reaches_an_output(tmp_path, capsys):
+    # each option has a witness run on top of its command's base run: a
+    # "changes" witness exits 0 and writes other bytes than the base run, a
+    # "refuses" witness (labels and search bounds only) exits 1, so an option
+    # the command reads but nothing depends on fails here
+    tube, other = str(tmp_path / "a.pxyz"), str(tmp_path / "b.pxyz")
+    base = {
+        "generate": ["generate", "--ell", "8", "--m", "2", "--mu", "2.95", "--lambda1", "1", "--lambda2", "1"],
+        "energy": ["energy", "--in", tube, "--ell", "8", "--m", "2"],
+        "cells": ["cells", "--in", tube, "--ell", "8", "--m", "2"],
+        "reduced": ["reduced", "--ell", "12", "--mu-grid", "2.97:3.0:3"],
+        "stability": ["stability", "--ell", "8", "--m", "2", "--mu-offset", "0.01", "--count", "10"],
+        # with the stiff preset, m = 8 has no fracture crossing below mu = 3.1
+        "fracture": ["fracture", "--ell", "12", "--m-list", "128,256"],
+        "verify-cell": ["verify-cell", "--ell", "16"],
+        "verify-all": ["verify-all"],
+    }
+    witnesses = {
+        ("generate", "--ell"): ("changes", "6"),
+        ("generate", "--m"): ("changes", "1"),
+        ("generate", "--mu"): ("changes", "3.0"),
+        ("generate", "--lambda1"): ("changes", "0.99"),
+        ("generate", "--lambda2"): ("changes", "0.99"),
+        ("energy", "--in"): ("changes", other),
+        ("energy", "--ell"): ("refuses", "6"),
+        ("energy", "--m"): ("refuses", "1"),
+        ("energy", "--pots"): ("changes", "stiff"),
+        ("cells", "--in"): ("changes", other),
+        ("cells", "--ell"): ("refuses", "6"),
+        ("cells", "--m"): ("refuses", "1"),
+        ("reduced", "--ell"): ("changes", "8"),
+        ("reduced", "--m"): ("changes", "2"),
+        ("reduced", "--mu-grid"): ("changes", "2.97:3.0:2"),
+        ("reduced", "--pots"): ("changes", "stiff"),
+        ("stability", "--ell"): ("changes", "12"),
+        ("stability", "--m"): ("changes", "3"),
+        ("stability", "--mu-offset"): ("changes", "0.02"),
+        ("stability", "--eta"): ("changes", "2e-3"),
+        ("stability", "--count"): ("changes", "11"),
+        ("stability", "--seed"): ("changes", "1"),
+        ("stability", "--mode"): ("changes", "gaussian-clipped"),
+        ("stability", "--pots"): ("changes", "stiff"),
+        ("fracture", "--ell"): ("changes", "16"),
+        ("fracture", "--m-list"): ("changes", "128,512"),
+        # 0.2 writes the bytes 0.12 writes: the window bounds the search
+        ("fracture", "--window"): ("refuses", "0.01"),
+        ("fracture", "--pots"): ("changes", "stiff"),
+        ("verify-cell", "--ell"): ("changes", "32"),
+        ("verify-cell", "--r"): ("changes", "0.8"),
+        ("verify-cell", "--pots"): ("changes", "stiff"),
+        ("verify-all", "--quick"): ("changes", None),
+        ("verify-all", "--seed"): ("changes", "1"),
+    }
+
+    def outcome(argv):
+        """(exit code, (stdout, -o bytes or None)) of main(argv -o out)."""
+        out = tmp_path / "out"
+        out.unlink(missing_ok=True)
+        code = cli.main([*argv, "-o", str(out)])
+        return code, (capsys.readouterr().out, out.read_bytes() if out.exists() else None)
+
+    def reaches(command, option):
+        kind, value = witnesses.get((command, option), (None, None))
+        if kind is None:
+            return False
+        code, written = outcome([*base[command], option] + ([value] if value else []))
+        return code == 1 if kind == "refuses" else code == 0 and written != first[command][1]
+
+    assert cli.main([*base["generate"], "-o", tube]) == 0
+    assert cli.main([*base["generate"], "--mu", "3.0", "-o", other]) == 0
+    options = _cli_options()
+    assert set(witnesses) <= set(options), "a witness names an option the parser lacks"
+    first = {command: outcome(argv) for command, argv in base.items()}
+    assert [command for command, (code, _) in first.items() if code != 0] == []
+    assert [(command, option) for command, option in options if not reaches(command, option)] == []
