@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, acceptance, cells, cellspec, fracture, geometry, potentials, pxyz, reduced, stability
 from .energy import bond_graph, total_energy
-from .errors import InvalidParameterError, NanolabError, PxyzFormatError, VerificationFailureError
+from .errors import InvalidParameterError, NanolabError, PxyzFormatError
 
 SCHEMA_VERSION = 1
 
@@ -191,18 +191,12 @@ def cmd_fracture(args) -> int:
 def cmd_verify_cell(args) -> int:
     pots = potentials.load(args.pots)
     ells = _int_list("--ell", args.ell)
-    # one kink cell per ell for both checks; an ell below 16 makes
-    # cell_convexity raise before tilde_derivative_signs runs
-    cells = [cellspec.kink_cell(ell, pots) if ell >= 16 else None for ell in ells]
+    # one kink cell per ell for both cell checks; kink_cell refuses an ell below 16
+    cells = [cellspec.kink_cell(ell, pots) for ell in ells]
     checks = {
         "kernel": acceptance.kernel_dimensions(None, 0),
         "convexity": acceptance.cell_convexity(ells, 0, r=args.r, pots=pots, cells=cells),
-    }
-    signs = cellspec.tilde_derivative_signs(ells, pots, cells)
-    checks["tilde_derivatives"] = {
-        "passed": all(r["bond_grad_residual"] <= 1e-10 for r in signs["rows"]),
-        "scaling_slope": signs["scaling_slope"],
-        "rows": [{k: v for k, v in r.items() if k != "angle_grad"} for r in signs["rows"]],
+        "tilde_derivatives": acceptance.tilde_derivatives(ells, pots, cells),
     }
     passed = all(c["passed"] for c in checks.values())
     _emit_json({"checks": checks, "passed": passed}, args.out)
@@ -345,9 +339,6 @@ def main(argv=None) -> int:
         line = f" (line {exc.line_number})" if exc.line_number else ""
         print(f"nanolab: malformed PXYZ{line}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except VerificationFailureError as exc:
-        print(f"nanolab: verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
     except NanolabError as exc:
         print(f"nanolab: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -25,10 +25,6 @@ class OptimizationFailureError(NanolabError, RuntimeError):
     """An inner minimization did not converge within its iteration budget."""
 
 
-class VerificationFailureError(NanolabError, RuntimeError):
-    """A numerical verification report found a violated property."""
-
-
 class NotStationaryError(NanolabError, ValueError):
     """Hessian analysis requested at a point with a non-negligible gradient."""
 

@@ -390,7 +390,8 @@ def family_minima(mus, ell: int, pots: PotentialSet, m: int = 1):
     The total energy of each minimizer is 2*m*ell times its per-cell reduced
     value.  Returns (list of FamilyMinimum, the ReducedSolution).  Raises
     InvalidParameterError for m < 1 and, before any solve, for a finite mu
-    that geometry.check_mu refuses (reduced_solve refuses a non-finite one).
+    that geometry.check_mu refuses (reduced_solve refuses a non-finite one),
+    and for a minimizer that solve_family refuses, naming its period.
     """
     if m < 1:
         raise InvalidParameterError(f"m must be at least 1, got {m}")
@@ -402,6 +403,10 @@ def family_minima(mus, ell: int, pots: PotentialSet, m: int = 1):
     fams = []
     for mu, value, (lam, a1, _) in zip(mus.tolist(), sol.value.tolist(), sol.x.tolist()):
         lambda1 = float(0.5 * mu + lam * np.cos(a1))
+        try:
+            geom = solve_family(ell, mu, lambda1, lam)
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(f"mu={mu!r}: {exc}") from exc
         fams.append(
             FamilyMinimum(
                 mu=mu,
@@ -412,7 +417,7 @@ def family_minima(mus, ell: int, pots: PotentialSet, m: int = 1):
                 alpha=a1,
                 energy_per_cell=value,
                 energy=float(2 * m * ell * value),
-                geometry=solve_family(ell, mu, lambda1, lam),
+                geometry=geom,
             )
         )
     return fams, sol

@@ -40,7 +40,7 @@ from nanolab.cellspec import (
     tilde_hessian_diag,
 )
 from nanolab.energy import gradient, term_hessian
-from nanolab.errors import InvalidParameterError, VerificationFailureError
+from nanolab.errors import InvalidParameterError
 from nanolab.geometry import Nanotube, gamma
 from nanolab.reduced import reference_angles
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nanolab import acceptance, cells, cellspec, cli, potentials, pxyz
+from nanolab import acceptance, cells, cellspec, cli, potentials, pxyz, reduced
 from nanolab.cli import main
 from nanolab.energy import family_energy
 from nanolab.geometry import Nanotube, axial_rotations, build_nanotube, solve_family
@@ -153,6 +153,36 @@ def test_verify_cell_repeated_ell_fits_no_slope(tmp_path):
     assert [r["ell"] for r in rep["checks"]["convexity"]["rows"]] == [16, 16]
 
 
+def test_verify_cell_reports_every_failing_convexity_row(tmp_path, capsys):
+    # a pair potential this weak leaves both bounds negative at every ell: the
+    # report lists each row and fits no slope over the negative c_weak
+    pots, out = tmp_path / "weak.json", tmp_path / "vc.json"
+    pots.write_text('{"k2": 1e-3}')
+    assert run(["verify-cell", "--ell", "16,32", "--pots", str(pots), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    rep = json.loads(out.read_text(), parse_constant=_refuse_constant)
+    convexity = rep["checks"]["convexity"]
+    assert not rep["passed"] and not convexity["passed"]
+    assert [row["ell"] for row in convexity["rows"]] == [16, 32]
+    assert all(row["c_good"] < 0 and row["c_weak"] < 0 for row in convexity["rows"])
+    assert convexity["c_weak_scaling_slope"] is None
+
+
+def test_verify_cell_reports_every_failing_tilde_row(tmp_path, capsys, monkeypatch):
+    # angle entries of the wrong sign fail the check row by row, and the mean
+    # angle entry, no longer negative, gives no slope
+    real = cellspec.tilde_gradient
+    monkeypatch.setattr(cellspec, "tilde_gradient", lambda y, pots: np.abs(real(y, pots)))
+    out = tmp_path / "vc.json"
+    assert run(["verify-cell", "--ell", "16,32", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    rep = json.loads(out.read_text(), parse_constant=_refuse_constant)
+    tilde = rep["checks"]["tilde_derivatives"]
+    assert not rep["passed"] and not tilde["passed"]
+    assert tilde["scaling_slope"] is None
+    assert [row["ell"] for row in tilde["rows"]] == [16, 32]
+
+
 def test_malformed_pxyz_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.pxyz"
     bad.write_text("2 6.0\n0 0 0\n1 2\n")
@@ -178,6 +208,22 @@ def test_reduced_refuses_a_grid_outside_the_family_domain_in_one_line(tmp_path, 
         assert run(["reduced", "--ell", "12", "--mu-grid", "1:2:3", "-o", str(out)]) == 1
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == "nanolab: mu=1.0 outside (2.6, 3.1)\n"
+    assert not out.exists()
+
+
+def test_a_refused_family_member_names_its_period(tmp_path, capsys):
+    # the minimizer at a period well below mu_us has lambda1 below 0.9; the
+    # one-line refusal names that period, for a grid point and for an offset
+    out = tmp_path / "o"
+    assert run(["reduced", "--ell", "12", "--mu-grid", "2.62:2.7:3", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nanolab: mu=2.62: lambda1=") and err.endswith(" outside (0.9, 1.1)\n")
+    assert err.count("\n") == 1
+    mu = reduced.reference_angles(12, potentials.load("soft")).mu_us + -0.3
+    assert run(["stability", "--ell", "12", "--m", "2", "--mu-offset", "-0.3", "--count", "3", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"nanolab: mu={mu!r}: lambda1=") and err.endswith(" outside (0.9, 1.1)\n")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """No dead surface: every public function, class and method in src/nanolab is
 reached by the library itself or by the benchmark's own calls into it,
-bench/workloads.py, and every command-line option reaches an output.
+bench/workloads.py, every error class of nanolab.errors is raised or warned
+with in src/nanolab, and every command-line option reaches an output.
 
 A name counts as reached when it occurs as an identifier (an ast.Name or the
 attribute of an ast.Attribute) anywhere in src/nanolab or bench/workloads.py.
@@ -56,6 +57,27 @@ def _unreached() -> list:
 
 def test_every_public_name_is_reached():
     assert _unreached() == []
+
+
+def _identifier(node):
+    """The name an ast.Name or ast.Attribute ends in, else None."""
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_every_error_class_is_raised_or_warned():
+    # as for functions above: an error class that no raise X(...) in
+    # src/nanolab builds, or a warning class no warnings.warn issues, is dead
+    used = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                used.add(_identifier(node.exc.func))
+            elif isinstance(node, ast.Call) and _identifier(node.func) == "warn":
+                categories = node.args[1:2] + [k.value for k in node.keywords if k.arg == "category"]
+                used.update(_identifier(c) for c in categories)
+    errors = ast.parse((SRC / "errors.py").read_text())
+    defined = [node.name for node in errors.body if isinstance(node, ast.ClassDef)]
+    assert [name for name in defined if name not in used and name != "NanolabError"] == []
 
 
 # Options that only choose where an output goes, and those that print and exit.
