@@ -42,10 +42,13 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
+def _emit_json(payload: dict, out: str | None) -> int:
+    """Write the report payload; the exit code is EXIT_VERIFICATION when its
+    passed is False, and EXIT_OK otherwise."""
     payload = dict(payload)
     payload["schema_version"] = SCHEMA_VERSION
     _emit(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False, default=lambda o: o.tolist()) + "\n", out)
+    return EXIT_OK if payload.get("passed", True) else EXIT_VERIFICATION
 
 
 def _emit_csv(header, columns, out: str | None) -> None:
@@ -77,7 +80,7 @@ def cmd_energy(args) -> int:
     tube = _read_tube(args)
     graph = bond_graph(tube)
     degrees = graph.degrees()
-    _emit_json(
+    return _emit_json(
         {
             "energy": total_energy(tube, pots, graph),
             "n_bonds": graph.n_bonds,
@@ -89,7 +92,6 @@ def cmd_energy(args) -> int:
         },
         args.out,
     )
-    return EXIT_OK
 
 
 def cmd_cells(args) -> int:
@@ -143,10 +145,8 @@ def cmd_reduced(args) -> int:
     fams, sol = reduced.family_minima(grid, args.ell, pots, m=args.m)
     evals = np.linalg.eigvalsh(sol.envelope_hessian())
     minima = [[fam.mu, fam.lambda1, fam.lambda2, fam.alpha, fam.geometry.rho, fam.energy] for fam in fams]
-    # inner variables (lambda, alpha1, alpha2) pinned at a bound of the search box
-    n_pinned = 3 - np.sum(sol.free, axis=1)
     header = ["mu", "lambda1", "lambda2", "alpha", "rho", "emin", "hess_eig1", "hess_eig2", "hess_eig3", "n_pinned"]
-    _emit_csv(header, [np.array(minima, dtype=float), evals, n_pinned], args.out)
+    _emit_csv(header, [np.array(minima, dtype=float), evals, [fam.n_pinned for fam in fams]], args.out)
     return EXIT_OK
 
 
@@ -162,8 +162,7 @@ def cmd_stability(args) -> int:
             tube = geometry.Nanotube(f["positions"], (refs.mu_us + args.mu_offset) * args.m, args.ell, args.m)
             pxyz.write_pxyz(f"{args.dump_counterexample}.trial{f['trial']}.pxyz", tube)
     rep["mu_us"] = refs.mu_us
-    _emit_json(rep, args.out)
-    return EXIT_OK if rep["n_failures"] == 0 else EXIT_VERIFICATION
+    return _emit_json(rep, args.out)
 
 
 def cmd_fracture(args) -> int:
@@ -173,19 +172,7 @@ def cmd_fracture(args) -> int:
         rows = scaling["rows"]
         columns = [[r["m"] for r in rows], [[r["mu_frac"], r["offset_sqrt_m"]] for r in rows]]
         _emit_csv(["m", "mu_frac", "offset_sqrt_m"], columns, args.out_csv)
-    payload = {
-        "ell": scaling["ell"],
-        "slope": scaling["slope"],
-        "prefactor": scaling["prefactor"],
-        "mu_us": scaling["rows"][0]["mu_us"],
-        "rows": [
-            {k: r[k] for k in ("m", "mu_frac", "offset", "offset_sqrt_m")} for r in scaling["rows"]
-        ],
-        "newton_iterations": scaling["newton_iterations"],
-        "max_kkt_residual": scaling["max_kkt_residual"],
-    }
-    _emit_json(payload, args.out)
-    return EXIT_OK
+    return _emit_json(scaling, args.out)
 
 
 def cmd_verify_cell(args) -> int:
@@ -198,9 +185,7 @@ def cmd_verify_cell(args) -> int:
         "convexity": acceptance.cell_convexity(ells, 0, r=args.r, pots=pots, cells=cells),
         "tilde_derivatives": acceptance.tilde_derivatives(ells, pots, cells),
     }
-    passed = all(c["passed"] for c in checks.values())
-    _emit_json({"checks": checks, "passed": passed}, args.out)
-    return EXIT_OK if passed else EXIT_VERIFICATION
+    return _emit_json({"checks": checks, "passed": all(c["passed"] for c in checks.values())}, args.out)
 
 
 def cmd_verify_all(args) -> int:
@@ -211,8 +196,7 @@ def cmd_verify_all(args) -> int:
     }
     passed = all(c["passed"] for c in checks.values())
     report = {"passed": passed, "quick": args.quick, "seed": args.seed, "version": __version__, "checks": checks}
-    _emit_json(report, args.out)
-    return EXIT_OK if passed else EXIT_VERIFICATION
+    return _emit_json(report, args.out)
 
 
 @functools.cache

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class NanolabError(Exception):
@@ -44,10 +44,3 @@ class PxyzFormatError(NanolabError, ValueError):
         super().__init__(message)
         self.line_number = line_number
 
-
-class BoundaryWarning(UserWarning):
-    """A minimizer landed on (or hugged) the boundary of its search box."""
-
-
-class NotCleavedWarning(UserWarning):
-    """Cleaved construction whose gap does not yet clear the bond cutoff."""

@@ -19,13 +19,12 @@ together by a safeguarded Newton iteration on it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import bond_graph, family_energy, total_energy
-from .errors import InvalidParameterError, NotCleavedWarning, OptimizationFailureError, WindowTooSmallError
+from .errors import InvalidParameterError, OptimizationFailureError, WindowTooSmallError
 from .geometry import MU_BOUNDS, Nanotube, gamma, solve_family, unwrapped_positions
 from .potentials import PotentialSet
 from .reduced import reduced_solve, reference_angles
@@ -54,8 +53,9 @@ def build_cleaved(ell: int, m: int, mu: float, pots: PotentialSet) -> CleavedTub
     """Displace the upper half (labels j >= m/2) of the unstretched unit-bond
     tube by m*(mu - mu_us) along the axis, with period L = m*mu.
 
-    m must be even.  Emits NotCleavedWarning while the gap is too small to
-    sever all 4*ell cross-section bonds.
+    m must be even.  While the gap is too small to sever all 4*ell
+    cross-section bonds, fully_cleaved is False and bond_deficit says how many
+    it severs.
     """
     if m % 2 != 0:
         raise InvalidParameterError(f"m must be even for a clean half split, got {m}")
@@ -75,12 +75,6 @@ def build_cleaved(ell: int, m: int, mu: float, pots: PotentialSet) -> CleavedTub
     graph = bond_graph(tube)
     intact = 6 * m * ell
     deficit = intact - graph.n_bonds
-    fully = deficit == 4 * ell
-    if not fully:
-        warnings.warn(
-            f"gap {gap:.4f} severs {deficit} bonds, expected {4 * ell}; increase m*(mu - mu_us)",
-            NotCleavedWarning,
-        )
     deg = graph.degrees()
     hist = {int(d): int(c) for d, c in zip(*np.unique(deg, return_counts=True))}
     base_energy = family_energy(geom, m, pots)
@@ -93,7 +87,7 @@ def build_cleaved(ell: int, m: int, mu: float, pots: PotentialSet) -> CleavedTub
         gap=gap,
         n_bonds=graph.n_bonds,
         bond_deficit=int(deficit),
-        fully_cleaved=fully,
+        fully_cleaved=deficit == 4 * ell,
         base_energy=base_energy,
         energy=base_energy + 4.0 * ell,
         measured_energy=total_energy(tube, pots, graph),
@@ -175,11 +169,9 @@ def _thresholds(ell: int, ms, pots: PotentialSet, window: float):
     return mu_us, mu, iterations, residual
 
 
-def _row(ell: int, m: int, mu_us: float, mu_frac: float) -> dict:
+def _row(m: int, mu_us: float, mu_frac: float) -> dict:
     return {
-        "ell": ell,
         "m": m,
-        "mu_us": mu_us,
         "mu_frac": mu_frac,
         "offset": mu_frac - mu_us,
         "offset_sqrt_m": (mu_frac - mu_us) * np.sqrt(m),
@@ -194,15 +186,15 @@ def fracture_scaling(ell: int, m_list, pots: PotentialSet, window: float = 0.12)
     if len(set(ms)) < 2:
         raise InvalidParameterError(f"the m-scaling needs at least two distinct m, got {ms}")
     mu_us, mu_frac, iterations, residual = _thresholds(ell, ms, pots, window)
-    rows = [_row(ell, m, mu_us, float(mf)) for m, mf in zip(ms, mu_frac)]
+    rows = [_row(m, mu_us, float(mf)) for m, mf in zip(ms, mu_frac)]
     offs = np.array([r["offset"] for r in rows])
     slope, intercept = np.polyfit(np.log(np.array(ms, dtype=float)), np.log(offs), 1)
     return {
         "ell": ell,
+        "mu_us": mu_us,
         "rows": rows,
         "slope": float(slope),
         "prefactor": float(np.exp(intercept)),
-        "offset_sqrt_m": [r["offset_sqrt_m"] for r in rows],
         "newton_iterations": iterations,
         "max_kkt_residual": residual,
     }

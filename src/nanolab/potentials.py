@@ -34,33 +34,21 @@ STIFFNESS_MAX = 1e12
 
 
 def _bump(t):
-    """exp(-1/t) for t > 0, extended by 0, with first and second derivatives."""
-    t = np.asarray(t, dtype=float)
-    pos = t > 0.0
-    safe = np.where(pos, t, 1.0)
-    e = np.where(pos, np.exp(-1.0 / safe), 0.0)
-    d1 = e / safe**2
-    d2 = e * (1.0 / safe**4 - 2.0 / safe**3)
-    return e, np.where(pos, d1, 0.0), np.where(pos, d2, 0.0)
+    """exp(-1/t) for an array t > 0, with first and second derivatives."""
+    e = np.exp(-1.0 / t)
+    return e, e / t**2, e * (1.0 / t**4 - 2.0 / t**3)
 
 
 def _smoothstep(t):
-    """C-infinity step s with s=0 for t<=0 and s=1 for t>=1; returns (s, s', s'')."""
-    t = np.asarray(t, dtype=float)
+    """C-infinity step s rising from 0 at t = 0 to 1 at t = 1, for an array
+    0 < t < 1; returns (s, s', s'')."""
     a, a1, a2 = _bump(t)
     b, nb1, b2 = _bump(1.0 - t)
     b1 = -nb1
     den = a + b
-    inner = (t > 0.0) & (t < 1.0)
-    den = np.where(inner, den, 1.0)
-    s = np.where(t >= 1.0, 1.0, np.where(inner, a / den, 0.0))
-    s1 = np.where(inner, (a1 * b - a * b1) / den**2, 0.0)
-    s2 = np.where(
-        inner,
-        ((a2 * b - a * b2) * den - 2.0 * (a1 * b - a * b1) * (a1 + b1)) / den**3,
-        0.0,
-    )
-    return s, s1, s2
+    s1 = (a1 * b - a * b1) / den**2
+    s2 = ((a2 * b - a * b2) * den - 2.0 * (a1 * b - a * b1) * (a1 + b1)) / den**3
+    return a / den, s1, s2
 
 
 class PairPotential:

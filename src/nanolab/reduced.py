@@ -10,12 +10,11 @@ the whole periodic tube.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryWarning, DomainError, InvalidParameterError, OptimizationFailureError
+from .errors import DomainError, InvalidParameterError, OptimizationFailureError
 from .geometry import ZigzagGeometry, beta, check_mu, gamma, solve_family
 from .potentials import TWO_THIRDS_PI, PotentialSet
 
@@ -202,9 +201,9 @@ def reduced_solve(mu, gamma1, gamma2, pots: PotentialSet):
     residual is within the round-off floor max_i sum_j |H_ij| ulp(x_j) of the
     free variables, which is what one ulp of each variable moves the gradient
     by.  Raises OptimizationFailureError when a point does neither within
-    MAX_ITER iterations, and warns (BoundaryWarning) when a minimizer sits on
-    the box boundary.  Returns a ReducedSolution over the flattened points.
-    Raises InvalidParameterError on a non-finite mu, gamma1 or gamma2.
+    MAX_ITER iterations.  Returns a ReducedSolution over the flattened points,
+    whose free marks the variables a box bound did not pin.  Raises
+    InvalidParameterError on a non-finite mu, gamma1 or gamma2.
     """
     mu, gamma1, gamma2 = (np.ravel(v).astype(float) for v in np.broadcast_arrays(mu, gamma1, gamma2))
     for name, v in (("mu", mu), ("gamma1", gamma1), ("gamma2", gamma2)):
@@ -269,8 +268,6 @@ def reduced_solve(mu, gamma1, gamma2, pots: PotentialSet):
             f"reduced-energy Newton did not reach |grad| <= {GRAD_TOL} in {MAX_ITER} iterations"
             f" at {len(active)} of {n} points"
         )
-    if np.any(x - _BOX_LO < 1e-9) or np.any(_BOX_HI - x < 1e-9):
-        warnings.warn("reduced-energy minimizer on the search box boundary", BoundaryWarning)
     return ReducedSolution(f, x, grad, hess, free, iterations, residual)
 
 
@@ -370,7 +367,9 @@ def reference_angles(ell: int, pots: PotentialSet) -> ReferenceAngles:
 
 @dataclass(frozen=True)
 class FamilyMinimum:
-    """Energy-optimal family member at fixed period mu."""
+    """Energy-optimal family member at fixed period mu; n_pinned counts the
+    inner variables (lambda, alpha1, alpha2) pinned at a bound of the search
+    box."""
 
     mu: float
     ell: int
@@ -381,6 +380,7 @@ class FamilyMinimum:
     energy_per_cell: float
     energy: float
     geometry: ZigzagGeometry
+    n_pinned: int
 
 
 def family_minima(mus, ell: int, pots: PotentialSet, m: int = 1):
@@ -400,8 +400,9 @@ def family_minima(mus, ell: int, pots: PotentialSet, m: int = 1):
     for mu in mus[np.isfinite(mus)].tolist():
         check_mu(mu)
     sol = reduced_solve(mus, g, g, pots)
+    n_pinned = 3 - np.sum(sol.free, axis=1)
     fams = []
-    for mu, value, (lam, a1, _) in zip(mus.tolist(), sol.value.tolist(), sol.x.tolist()):
+    for mu, value, (lam, a1, _), pinned in zip(mus.tolist(), sol.value.tolist(), sol.x.tolist(), n_pinned.tolist()):
         lambda1 = float(0.5 * mu + lam * np.cos(a1))
         try:
             geom = solve_family(ell, mu, lambda1, lam)
@@ -418,6 +419,7 @@ def family_minima(mus, ell: int, pots: PotentialSet, m: int = 1):
                 energy_per_cell=value,
                 energy=float(2 * m * ell * value),
                 geometry=geom,
+                n_pinned=pinned,
             )
         )
     return fams, sol

@@ -201,7 +201,9 @@ def stability_trial(
     """Energy-gap ensemble against the optimal family tube at period mu.
 
     Every sampled perturbation must raise the energy; samples at or below the
-    base energy are recorded as counterexamples (with positions), not raised.
+    base energy are recorded as counterexamples (with positions), not raised,
+    and passed is True when there is none.  n_pinned counts the inner
+    variables of the base tube's reduced solve pinned at a box bound.
     Trials are drawn, vetted and scored a chunk at a time (_chunks); each
     trial's result depends only on its index, and the report lists them in
     trial order.  The gap_ratio statistics are None when no sample has a
@@ -262,6 +264,8 @@ def stability_trial(
         "gap_ratio_max": float(np.max(ratios)) if len(ratios) else None,
         "n_failures": len(failures),
         "failures": failures,
+        "n_pinned": fam.n_pinned,
+        "passed": not failures,
     }
     return report
 

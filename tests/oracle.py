@@ -818,7 +818,8 @@ def stability_trial_loop(mu, ell, m, spec, pots, collect_ratios: bool = True) ->
     from nanolab.geometry import build_nanotube
     from nanolab.reduced import minimize_family
 
-    base = build_nanotube(minimize_family(mu, ell, pots, m=m).geometry, m)
+    fam = minimize_family(mu, ell, pots, m=m)
+    base = build_nanotube(fam.geometry, m)
     e_base = total_energy_einsum(base, pots)
     gaps, ratios, failures = [], [], []
     rejections = 0
@@ -854,6 +855,8 @@ def stability_trial_loop(mu, ell, m, spec, pots, collect_ratios: bool = True) ->
         "gap_ratio_max": stat(np.max, ratios),
         "n_failures": len(failures),
         "failures": failures,
+        "n_pinned": fam.n_pinned,
+        "passed": not failures,
     }
 
 

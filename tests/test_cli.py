@@ -72,7 +72,6 @@ def test_reduced_csv(tmp_path):
     assert lines[1].split(",")[9] == "0"  # no inner variable pinned at the box
 
 
-@pytest.mark.filterwarnings("ignore::nanolab.errors.BoundaryWarning")
 @pytest.mark.parametrize(
     "args, counts",
     [
@@ -82,10 +81,11 @@ def test_reduced_csv(tmp_path):
     ids=["stiff-12", "soft-64"],
 )
 def test_reduced_marks_pinned_rows(tmp_path, args, counts):
-    # stiff ell = 12 far below mu_us puts both alphas on ALPHA_LO
-    out = tmp_path / "r.csv"
-    assert run(["reduced", *args, "-o", str(out)]) == 0
-    lines = out.read_text().splitlines()
+    # stiff ell = 12 far below mu_us puts both alphas on ALPHA_LO; the CSV,
+    # not stderr, says so
+    code, err, text = _run_quietly(tmp_path, ["reduced", *args])
+    assert (code, err) == (0, "")
+    lines = text.splitlines()
     assert lines[0].split(",")[-1] == "n_pinned"
     pinned = [line.split(",")[-1] for line in lines[1:]]
     assert {v: pinned.count(v) for v in set(pinned)} == counts
@@ -109,6 +109,21 @@ def test_stability_command(tmp_path):
     assert rep["n_failures"] == 0
     assert rep["min_gap"] > 0.0
     assert "failure_trials" in rep
+
+
+def test_stability_report_says_passed_and_pinned(tmp_path):
+    # far below mu_us the stiff base tube's two alphas sit on the box bound
+    # ALPHA_LO and two samples lower the energy: the report says both, stderr
+    # stays empty, and the exit code follows passed
+    argv = ["stability", "--ell", "12", "--m", "2", "--count", "20", "--pots", "stiff", "--mu-offset"]
+    code, err, text = _run_quietly(tmp_path, [*argv, "-0.2"])
+    rep = json.loads(text)
+    assert (code, err) == (2, "")
+    assert (rep["passed"], rep["n_pinned"], rep["n_failures"]) == (False, 2, 2)
+    code, err, text = _run_quietly(tmp_path, [*argv, "0.01"])
+    rep = json.loads(text)
+    assert (code, err) == (0, "")
+    assert (rep["passed"], rep["n_pinned"], rep["n_failures"]) == (True, 0, 0)
 
 
 def test_stability_deterministic_bytes(tmp_path):
@@ -200,8 +215,8 @@ def test_reduced_rejects_invalid_mu_grid(tmp_path, capsys, grid):
 
 
 def test_reduced_refuses_a_grid_outside_the_family_domain_in_one_line(tmp_path, capsys):
-    # the batched solve ran first and printed a BoundaryWarning before
-    # solve_family refused mu
+    # the batched solve runs before solve_family refuses mu, and adds
+    # nothing to the one-line refusal
     out = tmp_path / "r.csv"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

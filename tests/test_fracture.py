@@ -4,7 +4,7 @@ from oracle import fracture_threshold_scan
 from scipy.optimize import brentq
 
 from nanolab.energy import family_energy
-from nanolab.errors import InvalidParameterError, NotCleavedWarning, WindowTooSmallError
+from nanolab.errors import InvalidParameterError, WindowTooSmallError
 from nanolab.fracture import build_cleaved, fracture_scaling
 from nanolab.geometry import build_nanotube, gamma, solve_family
 from nanolab.reduced import minimize_family, reduced_energy, reduced_hessian, reference_angles
@@ -36,16 +36,15 @@ def test_cleft_degree_structure(refs12, pots_soft):
     assert set(hist) == {0, 2, 3}
 
 
-def test_small_gap_warns_not_cleaved(refs12, pots_soft):
-    with pytest.warns(NotCleavedWarning):
-        ct = build_cleaved(12, 4, refs12.mu_us + 0.004, pots_soft)
+def test_small_gap_is_not_fully_cleaved(refs12, pots_soft):
+    ct = build_cleaved(12, 4, refs12.mu_us + 0.004, pots_soft)
     assert not ct.fully_cleaved
     assert ct.bond_deficit < 4 * 12
 
 
 def test_zero_shift_reproduces_unstretched_tube(refs12, pots_soft):
-    with pytest.warns(NotCleavedWarning):
-        ct = build_cleaved(12, 4, refs12.mu_us, pots_soft)
+    ct = build_cleaved(12, 4, refs12.mu_us, pots_soft)
+    assert not ct.fully_cleaved
     base = build_nanotube(solve_family(12, refs12.mu_us, 1.0, 1.0), 4)
     assert np.allclose(np.sort(ct.tube.positions, axis=0), np.sort(base.positions, axis=0), atol=1e-12)
     assert ct.bond_deficit == 0
@@ -91,8 +90,8 @@ def test_energy_comparison_identity(refs12, pots_soft):
 def test_scaling_exponent(pots_soft):
     rep = fracture_scaling(12, [4, 8, 16, 32, 64], pots_soft)
     assert rep["slope"] == pytest.approx(-0.5, abs=0.1)
-    spread = np.ptp(rep["offset_sqrt_m"])
-    assert spread < 0.05 * np.mean(rep["offset_sqrt_m"])
+    offset_sqrt_m = [r["offset_sqrt_m"] for r in rep["rows"]]
+    assert np.ptp(offset_sqrt_m) < 0.05 * np.mean(offset_sqrt_m)
 
 
 def test_scaling_exponent_stable_under_doubling_ell(pots_soft):
@@ -166,8 +165,8 @@ def test_scaling_reports_solver_diagnostics(pots_soft):
 def test_uncleaved_tube_is_the_family_tube(pots_soft, refs12):
     # at mu = mu_us the gap is 0, and the cleaved tube's positions are those
     # of build_nanotube from the one position formula, to the bit
-    with pytest.warns(NotCleavedWarning):
-        ct = build_cleaved(12, 4, refs12.mu_us, pots_soft)
+    ct = build_cleaved(12, 4, refs12.mu_us, pots_soft)
+    assert not ct.fully_cleaved and ct.bond_deficit < 4 * 12
     tube = build_nanotube(solve_family(12, refs12.mu_us, 1.0, 1.0), 4)
     assert ct.gap == 0.0 and ct.tube.period == tube.period
     assert np.array_equal(ct.tube.positions, tube.positions)

@@ -1,5 +1,4 @@
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from oracle import (
     reference_angles_capped,
 )
 
-from nanolab.errors import BoundaryWarning, DomainError, InvalidParameterError, OptimizationFailureError
+from nanolab.errors import DomainError, InvalidParameterError, OptimizationFailureError
 from nanolab.geometry import build_nanotube, gamma
 from nanolab.energy import total_energy
 from nanolab import potentials
@@ -310,13 +309,13 @@ class _FarPair:
         return 800.0 * np.ones_like(np.asarray(r, dtype=float))
 
 
-def test_boundary_warning_when_minimizer_leaves_box(pots_soft):
+def test_minimizer_leaving_the_box_is_pinned_at_its_bound(pots_soft):
     # a pair potential preferring bond length 1.2 pulls lambda beyond the box,
-    # so the solver pins it at the upper edge and warns
+    # so the solver pins it at the upper edge and marks it not free
     pots = PotentialSet(_FarPair(), pots_soft.v3)
-    with pytest.warns(BoundaryWarning):
-        _, (lam, a1, a2) = reduced_energy(2.9, np.pi, np.pi, pots)
-    assert lam == pytest.approx(1.1, abs=1e-9)
+    sol = reduced_solve(2.9, np.pi, np.pi, pots)
+    assert not sol.free[0, 0]
+    assert sol.x[0, 0] == pytest.approx(1.1, abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -333,12 +332,10 @@ def test_reduced_hessian_matches_fd_oracle(pots_soft, ell, mu_offset, d1, d2):
 def test_reduced_hessian_with_lambda_pinned(pots_soft):
     # lambda sits at the box bound, so the envelope runs over the alphas only
     pots = PotentialSet(_FarPair(), pots_soft.v3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundaryWarning)
-        for pt in [(2.9, np.pi, np.pi), (2.92, np.pi - 0.01, np.pi - 0.02)]:
-            assert reduced_energy(*pt, pots)[1][0] == 1.1
-            h = reduced_hessian(*pt, pots)
-            assert np.max(np.abs(h - reduced_hessian_fd(*pt, pots))) <= 1e-8 * np.max(np.abs(h))
+    for pt in [(2.9, np.pi, np.pi), (2.92, np.pi - 0.01, np.pi - 0.02)]:
+        assert reduced_energy(*pt, pots)[1][0] == 1.1
+        h = reduced_hessian(*pt, pots)
+        assert np.max(np.abs(h - reduced_hessian_fd(*pt, pots))) <= 1e-8 * np.max(np.abs(h))
 
 
 @settings(max_examples=20)
@@ -368,14 +365,12 @@ def test_minimizer_derivative_pinned_rows_are_zero(pots_soft, pots_stiff):
         (PotentialSet(_FarPair(), pots_soft.v3), (2.92, np.pi - 0.01, np.pi - 0.02), [False, True, True]),
         (pots_stiff, (2.70, g + 0.01, g - 0.005), [True, False, False]),
     ]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundaryWarning)
-        for pots, pt, free in cases:
-            sol = reduced_solve(*pt, pots)
-            assert sol.free[0].tolist() == free
-            deriv = sol.minimizer_derivative()[0]
-            assert np.all(deriv[~sol.free[0]] == 0.0)
-            assert np.max(np.abs(deriv - minimizer_derivative_fd(*pt, pots))) <= 1e-8 * np.max(np.abs(deriv))
+    for pots, pt, free in cases:
+        sol = reduced_solve(*pt, pots)
+        assert sol.free[0].tolist() == free
+        deriv = sol.minimizer_derivative()[0]
+        assert np.all(deriv[~sol.free[0]] == 0.0)
+        assert np.max(np.abs(deriv - minimizer_derivative_fd(*pt, pots))) <= 1e-8 * np.max(np.abs(deriv))
 
 
 def test_newton_stops_at_round_off_floor(pots_soft, monkeypatch):
@@ -425,9 +420,7 @@ def test_batched_solve_matches_scalar_oracle(pots_soft, ell, draws, pinned):
     g = gamma(ell)
     points = np.array([(mu, g + d1, g + (d2 if split else d1)) for mu, d1, d2, split in draws])
     pots = PotentialSet(_FarPair(), pots_soft.v3) if pinned else pots_soft
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundaryWarning)
-        _assert_matches_scalar_oracle(points, pots)
+    _assert_matches_scalar_oracle(points, pots)
 
 
 def test_batched_solve_reports_per_point_diagnostics(pots_soft):
@@ -458,10 +451,8 @@ def test_batched_envelope_hessian_matches_one_point_calls(pots_soft, pots_stiff)
     mus = np.linspace(2.62, 3.09, 12)
     split = [(2.70, g + 0.01, g - 0.005), (2.75, g - 0.004, g + 0.002), (3.0, g - 0.004, g + 0.002)]
     pts = np.concatenate([np.stack([mus, np.full(12, g), np.full(12, g)], axis=1), split])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundaryWarning)
-        sol = reduced_solve(pts[:, 0], pts[:, 1], pts[:, 2], pots_stiff)
-        ones = [reduced_solve(*pt, pots_stiff) for pt in pts]
+    sol = reduced_solve(pts[:, 0], pts[:, 1], pts[:, 2], pots_stiff)
+    ones = [reduced_solve(*pt, pots_stiff) for pt in pts]
     assert {tuple(f) for f in sol.free.tolist()} == {(True, False, False), (True, True, True)}
     hess = sol.envelope_hessian()
     for i, one in enumerate(ones):

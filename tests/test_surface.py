@@ -1,7 +1,8 @@
 """No dead surface: every public function, class and method in src/nanolab is
 reached by the library itself or by the benchmark's own calls into it,
 bench/workloads.py, every error class of nanolab.errors is raised or warned
-with in src/nanolab, and every command-line option reaches an output.
+with in src/nanolab, no module warns, and every command-line option reaches
+an output.
 
 A name counts as reached when it occurs as an identifier (an ast.Name or the
 attribute of an ast.Attribute) anywhere in src/nanolab or bench/workloads.py.
@@ -78,6 +79,18 @@ def test_every_error_class_is_raised_or_warned():
     errors = ast.parse((SRC / "errors.py").read_text())
     defined = [node.name for node in errors.body if isinstance(node, ast.ClassDef)]
     assert [name for name in defined if name not in used and name != "NanolabError"] == []
+
+
+def test_no_module_warns():
+    # a condition a command should report is a field of its report; a
+    # warnings.warn line reaches only stderr, with the checkout's path in it
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and _identifier(node.func) == "warn"
+    ]
+    assert calls == []
 
 
 # Options that only choose where an output goes, and those that print and exit.
