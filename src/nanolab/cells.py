@@ -66,13 +66,8 @@ _UNWRAP_CHAIN = [(2, 0), (3, 2), (1, 3), (4, 1), (5, 4), (6, 0), (7, 1)]
 # order, so the layout carries through the arithmetic; energy._cross3 keeps it.
 
 
-def _slots_first(cells: np.ndarray) -> np.ndarray:
-    """cells (..., 8, 3) copied into slots (8, ..., 3), stored component first."""
-    return np.moveaxis(np.moveaxis(cells, (-2, -1), (0, 1)).copy(), 1, -1)
-
-
 def _cells_last(slots: np.ndarray) -> np.ndarray:
-    """slots (8, ..., 3) copied back into C-contiguous cells (..., 8, 3)."""
+    """slots (8, ..., 3) copied into C-contiguous cells (..., 8, 3)."""
     return np.ascontiguousarray(np.moveaxis(slots, 0, -2))
 
 
@@ -83,32 +78,26 @@ def _reflect(slots: np.ndarray, perm: np.ndarray, comp: int) -> np.ndarray:
     return np.moveaxis(out, 1, -1)
 
 
+# Labels of the cell atoms as offsets (di, dj, k, l) from the cell's center:
+# atom a of the cell centered on (i, j, c) is (i + di, j + dj, k, l) of row c.
+_CELL_LABELS = np.array(
+    [
+        [(0, 0, 0, 0), (0, 0, 0, 1), (0, -1, 1, 1), (0, 0, 1, 0), (-1, 0, 1, 0), (-1, -1, 1, 1), (0, -1, 0, 1), (0, 1, 0, 0)],
+        [(0, 0, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1), (1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, -1, 1, 1), (0, 1, 1, 0)],
+    ]
+)
+
+
 @lru_cache(maxsize=32)
 def cell_atom_indices(ell: int, m: int) -> np.ndarray:
     """Flat atom indices of every cell, shape (ell, m, 2, 8), centers (i,j,k).
 
     Cached per (ell, m) and shared between callers, so the array is read-only.
     """
-    i = np.arange(1, ell + 1)[:, None]
-    j = np.arange(m)[None, :]
-    table = np.empty((ell, m, 2, 8), dtype=int)
-    f = lambda ii, jj, kk, ll: flat_index(ell, m, ii, jj, kk, ll)
-    table[:, :, 0, 0] = f(i, j, 0, 0)
-    table[:, :, 0, 1] = f(i, j, 0, 1)
-    table[:, :, 0, 2] = f(i, j - 1, 1, 1)
-    table[:, :, 0, 3] = f(i, j, 1, 0)
-    table[:, :, 0, 4] = f(i - 1, j, 1, 0)
-    table[:, :, 0, 5] = f(i - 1, j - 1, 1, 1)
-    table[:, :, 0, 6] = f(i, j - 1, 0, 1)
-    table[:, :, 0, 7] = f(i, j + 1, 0, 0)
-    table[:, :, 1, 0] = f(i, j, 1, 0)
-    table[:, :, 1, 1] = f(i, j, 1, 1)
-    table[:, :, 1, 2] = f(i + 1, j, 0, 1)
-    table[:, :, 1, 3] = f(i + 1, j + 1, 0, 0)
-    table[:, :, 1, 4] = f(i, j + 1, 0, 0)
-    table[:, :, 1, 5] = f(i, j, 0, 1)
-    table[:, :, 1, 6] = f(i, j - 1, 1, 1)
-    table[:, :, 1, 7] = f(i, j + 1, 1, 0)
+    i = np.arange(1, ell + 1)[:, None, None, None]
+    j = np.arange(m)[None, :, None, None]
+    di, dj, k, l = np.moveaxis(_CELL_LABELS, -1, 0)
+    table = flat_index(ell, m, i + di, j + dj, k, l)
     table.setflags(write=False)
     return table
 
@@ -286,23 +275,35 @@ def total_symmetry_defect(tube: Nanotube, positions=None):
     return _tube_sums(_symmetry_defect(_local_slots(_gather_slots(tube, positions=positions))), positions)
 
 
-def cell_summary(tube: Nanotube, cells: np.ndarray | None = None) -> dict:
-    """Vectorized per-cell geometry of a whole tube; cells is
-    gather_cells(tube) when the caller already has it.
+def cell_summary(tube: Nanotube) -> dict:
+    """Vectorized per-cell geometry of a whole tube, from one gather of its cells.
 
     Keys: bonds (C,8), angles (C,10), theta (C,4), delta (C,), centers (C,3)
-    label triples; cell_energies gives the cells' energies.
+    label triples; cell_energies gives the cells' energies.  Raises
+    InvalidCellError on the first cell bond, in (i, j, k, bond) order, at or
+    beyond BOND_CUTOFF: such a cell is not bonded as the family's cells are,
+    and its geometry means nothing.
     """
-    if cells is None:
-        cells = gather_cells(tube)
-    b, phi = _lengths_and_angles(cells, CELL_GRAPH)
+    slots = _gather_slots(tube)
+    cells = _cells_last(slots)
+    bonds = cell_bond_lengths(cells)
+    broken = np.argwhere(bonds >= BOND_CUTOFF)
+    if len(broken):
+        i, j, k, b = broken[0]
+        raise InvalidCellError(
+            f"cell ({i + 1}, {j}, {k}) bond b{b + 1} has length {bonds[i, j, k, b]:.6g}, at or beyond "
+            f"the bond cutoff {BOND_CUTOFF}: either the labels are inconsistent with the file "
+            f"(pass --ell and --m matching it), the period L={tube.period!r} does not match the atoms, "
+            "or atoms are displaced"
+        )
+    phi = cell_angles(cells)
     theta = cell_plane_angles(cells)
-    delta = _symmetry_defect(_local_slots(_slots_first(cells)))
+    delta = _symmetry_defect(_local_slots(slots))
     ids = np.indices((tube.ell, tube.m, 2)).reshape(3, -1).T + (1, 0, 0)
     flat = lambda a: a.reshape(-1, *a.shape[3:])
     return {
         "centers": ids,
-        "bonds": flat(b),
+        "bonds": flat(bonds),
         "angles": flat(phi),
         "theta": flat(theta),
         "delta": flat(delta),

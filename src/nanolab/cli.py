@@ -95,21 +95,7 @@ def cmd_energy(args) -> int:
 
 
 def cmd_cells(args) -> int:
-    tube = _read_tube(args)
-    unwrapped = cells.gather_cells(tube)
-    bonds = cells.cell_bond_lengths(unwrapped)
-    broken = np.argwhere(bonds >= potentials.BOND_CUTOFF)
-    if len(broken):
-        i, j, k, b = broken[0]
-        print(
-            f"nanolab: cell ({i + 1}, {j}, {k}) bond b{b + 1} has length {bonds[i, j, k, b]:.6g}, at or beyond "
-            f"the bond cutoff {potentials.BOND_CUTOFF}: either the labels are inconsistent with the file "
-            f"(pass --ell and --m matching it), the period L={tube.period!r} does not match the atoms, "
-            "or atoms are displaced",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    summ = cells.cell_summary(tube, unwrapped)
+    summ = cells.cell_summary(_read_tube(args))
     header = (
         ["i", "j", "k"]
         + [f"b{t}" for t in range(1, 9)]

@@ -289,22 +289,22 @@ def isometry_directions(tube: Nanotube) -> np.ndarray:
 
 # stationarity guard of null_space_report: |grad| < GRAD_TOL_FACTOR * sqrt(n)
 GRAD_TOL_FACTOR = 1e-7
-# On a tube without Bloch blocks an eigenvalue is near-null when
-# |lambda| < ZERO_TOL_REL * max|lambda|.  With the analytic Hessian the
-# isometry modes of family tubes come out at or below about 2e-16 of the
-# largest eigenvalue, while genuine soft modes go down to about 1e-8 of it
-# (the softest pair of (24,4) just above the unstretched period sits near
-# 9e-7), so the threshold sits between the two up to about ell = 180.  Beyond,
-# the ring's flexural modes (Bloch blocks p = +-2, +-3 at q = 0) fall below it
-# as well: 7e-12 and 6e-11 of it at ell = 256.
-ZERO_TOL_REL = 1e-10
-# On a family tube each Bloch block B is measured against its own round-off:
-# an eigenvalue of B is null when |lambda| <= BLOCK_NULL_ULPS * eps * max|lambda(B)|.
+# An eigenvalue is near-null when |lambda| <= BLOCK_NULL_ULPS * eps * lam_max,
+# with lam_max the largest |lambda| of its own Bloch block on a family tube and
+# of the whole Hessian on any other tube.
 # The flexural modes shrink like ell^-4 relative to the largest eigenvalue of
 # the tube, but not relative to their own block.  At mu_us + 0.01, ell = 4 ..
 # 512, m = 1 and 4 and both presets, the isometries measured at most
 # 52 eps ||B|| (stiff, ell = 384) and the softest non-null mode at least
 # 290 eps ||B|| (stiff, ell = 512).
+# On the dense path the threshold also takes ||H Q||_2, Q the isometry
+# directions: a tube that is stationary only to GRAD_TOL_FACTOR has four
+# eigenvalues within ||H Q||_2 of zero (Courant-Fischer).  On family tubes
+# (m = 1) moved by 0.37 L, n up to 1536, the isometries measured at most
+# 1.73 eps lam_max, ||H Q||_2 at most 1.37 eps lam_max, and the softest other
+# mode at least 232 eps lam_max up to stiff (200, 1) at mu_us and 52.8 at
+# (256, 1): the dense path miscounts stiff tubes at mu_us from ell of about
+# 230 on, which only the Bloch path of a family tube avoids.
 BLOCK_NULL_ULPS = 100.0
 # Axial Bloch phase (radians per period mu) at which acoustic_ratio reads the
 # long-wave curvature; the ratio's error from q > 0 is of order q^2.
@@ -400,7 +400,8 @@ def null_space_report(tube: Nanotube, pots: PotentialSet, acoustic: bool = False
     eigenvalues, and only those blocks are solved for eigenvectors, which are
     lifted to an orthonormal real basis of the near-null space.  Any other
     tube takes one dense eigensolve with the threshold zero_tol =
-    ZERO_TOL_REL * lam_max, and null_blocks is None.  max_principal_angle is
+    max(BLOCK_NULL_ULPS * eps * lam_max, ||H Q||_2), Q the isometry
+    directions, and null_blocks is None.  max_principal_angle is
     None when there are no near-null modes.  With acoustic, the
     report also holds acoustic_ratio (see _acoustic_ratio) of a family tube,
     None on any other tube.  Raises NotStationaryError unless
@@ -410,18 +411,21 @@ def null_space_report(tube: Nanotube, pots: PotentialSet, acoustic: bool = False
 
     graph = _stationary_graph(tube, pots)
     family = _is_family(tube, graph)
+    isometries = isometry_directions(tube)
     if family:
         p, q, blocks, evals = _bloch_spectrum(tube, pots, graph)
         tol = BLOCK_NULL_ULPS * np.finfo(float).eps * np.max(np.abs(evals), axis=1, keepdims=True)
         near_null = np.abs(evals) <= tol
         null_blocks, null_vectors = _block_null_space(tube, p, q, blocks, near_null)
     else:
-        evals, evecs = np.linalg.eigh(hessian(tube, pots, graph))
-        tol = ZERO_TOL_REL * float(np.max(np.abs(evals)))
-        near_null = np.abs(evals) < tol
+        hess = hessian(tube, pots, graph)
+        evals, evecs = np.linalg.eigh(hess)
+        drift = np.linalg.norm(hess @ isometries, 2)
+        tol = max(BLOCK_NULL_ULPS * np.finfo(float).eps * float(np.max(np.abs(evals))), drift)
+        near_null = np.abs(evals) <= tol
         null_blocks, null_vectors = None, evecs[:, near_null]
     n_null = int(np.sum(near_null))
-    max_angle = float(np.max(subspace_angles(isometry_directions(tube), null_vectors))) if n_null else None
+    max_angle = float(np.max(subspace_angles(isometries, null_vectors))) if n_null else None
     report = {
         "eigenvalues": np.sort(evals, axis=None),
         "lam_max": float(np.max(np.abs(evals))),

@@ -460,7 +460,9 @@ def test_defect_path_equals_oracle_on_ensemble_stacks(preset, shape, shift):
 @pytest.mark.parametrize("defect", ["coincident-dual-centers", "x4-x5-axial"])
 def test_degenerate_cell_in_a_stack_raises(defect):
     # one configuration of a stack whose cell (1, 0, 0) has no axis or no
-    # normal makes the whole stack raise, with the message of the einsum form
+    # normal makes the whole stack raise, with the message of the einsum form;
+    # the planted atoms also stretch bonds of that cell and of its neighbours
+    # past the cutoff, which cell_summary refuses before it frames a cell
     base, positions = _moved_ensemble("soft", 0.0, (4,), seed=3)
     atoms = cell_atom_indices(base.ell, base.m)[0, 0, 0]
     x = gather_cells(base, positions=positions)[2, 0, 0, 0]
@@ -469,18 +471,41 @@ def test_degenerate_cell_in_a_stack_raises(defect):
         positions[2, atoms[6]] = positions[2, atoms[1]]
         positions[2, atoms[7]] = positions[2, atoms[0]]
         message = "coincident dual centers: no cell axis"
+        bond = "b7 has length 1.98888"
     else:
         axis = 0.5 * (x[1] + x[7]) - 0.5 * (x[0] + x[6])
         positions[2, atoms[4]] = x[3] - 0.5 * axis
         message = "degenerate cell: x4 - x5 parallel to the axis"
+        bond = "b2 has length 1.79727"
     cells_ = gather_cells(base, positions=positions)
-    for compute in (
-        lambda: cell_summary(base.with_positions(positions[2])),
-        lambda: total_symmetry_defect(base, positions),
-        lambda: to_local_einsum(cells_),
-    ):
+    for compute in (lambda: total_symmetry_defect(base, positions), lambda: to_local_einsum(cells_)):
         with pytest.raises(InvalidCellError, match=f"^{message}$"):
             compute()
+    with pytest.raises(InvalidCellError, match=rf"^cell \(1, 0, 0\) bond {bond}, at or beyond the bond cutoff 1.1: "):
+        cell_summary(base.with_positions(positions[2]))
+
+
+@pytest.mark.parametrize(
+    "labels, want",
+    [((36, 1), "b1 has length 1.976"), ((6, 6), "b1 has length 6.7445"), (None, "b4 has length 1.72566")],
+    ids=["ell-36-m-1", "ell-6-m-6", "atom-1-on-atom-0"],
+)
+def test_cell_summary_refuses_a_broken_cell_bond(tube, labels, want):
+    # labels that do not match the atoms gave a table of "bonds" up to 2.98
+    # long and no error; an atom on top of another broke the frame of its cell
+    if labels is None:
+        pos = tube.positions.copy()
+        pos[1] = pos[0]
+        bad = tube.with_positions(pos)
+    else:
+        bad = Nanotube(tube.positions, tube.period, *labels)
+    with pytest.raises(InvalidCellError) as err:
+        cell_summary(bad)
+    assert str(err.value) == (
+        f"cell (1, 0, 0) bond {want}, at or beyond the bond cutoff 1.1: either the labels are inconsistent "
+        "with the file (pass --ell and --m matching it), the period L=8.94 does not match the atoms, "
+        "or atoms are displaced"
+    )
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300], ids=["nan", "inf", "1e300"])

@@ -40,7 +40,7 @@ from nanolab.cellspec import (
     tilde_hessian_diag,
 )
 from nanolab.energy import gradient, term_hessian
-from nanolab.errors import InvalidParameterError
+from nanolab.errors import DegenerateGeometryError, InvalidParameterError
 from nanolab.geometry import Nanotube, gamma
 from nanolab.reduced import reference_angles
 
@@ -180,6 +180,19 @@ def test_tilde_derivative_scaling(pots_soft):
 def test_tilde_derivative_rejects_small_ell(pots_soft):
     with pytest.raises(InvalidParameterError):
         tilde_derivative_signs([8], pots_soft)
+
+
+def test_t_map_rejects_a_cell_of_another_shape():
+    with pytest.raises(InvalidParameterError, match=r"^cell must have shape \(8, 3\), got \(7, 3\)$"):
+        t_map(planar_reference()[:7])
+
+
+def test_cell_hessian_rejects_a_zero_length_bond(pots_soft):
+    # x3 on x1: bond b3 has no direction to differentiate along
+    cell = planar_reference()
+    cell[2] = cell[0]
+    with pytest.raises(DegenerateGeometryError, match="^zero-length bond$"):
+        cell_hessian(cell, pots_soft)
 
 
 def test_cell_hessian_symmetry_and_null_modes(pots_soft):

@@ -91,6 +91,15 @@ def test_reduced_marks_pinned_rows(tmp_path, args, counts):
     assert {v: pinned.count(v) for v in set(pinned)} == counts
 
 
+def test_reduced_default_grid_spans_mu_us(tmp_path):
+    # without --mu-grid the sweep takes nine points from mu_us - 0.02 to mu_us + 0.02
+    out = tmp_path / "r.csv"
+    assert run(["reduced", "--ell", "12", "-o", str(out)]) == 0
+    mu = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+    mu_us = reduced.reference_angles(12, potentials.load("soft")).mu_us
+    assert mu == np.linspace(mu_us - 0.02, mu_us + 0.02, 9).tolist()
+
+
 @pytest.mark.parametrize("m", ["0", "-2"])
 def test_reduced_rejects_m_below_one(tmp_path, capsys, m):
     out = tmp_path / "r.csv"
@@ -124,6 +133,27 @@ def test_stability_report_says_passed_and_pinned(tmp_path):
     rep = json.loads(text)
     assert (code, err) == (0, "")
     assert (rep["passed"], rep["n_pinned"], rep["n_failures"]) == (True, 0, 0)
+
+
+def test_stability_dumps_each_counterexample(tmp_path):
+    # the two failing samples of the stiff (12, 2) tube far below mu_us are
+    # written one file each, at the report's period; energy reads each back
+    # below the base energy, the lower one by the report's min_gap
+    prefix = tmp_path / "ce"
+    out = tmp_path / "s.json"
+    argv = ["stability", "--ell", "12", "--m", "2", "--pots", "stiff", "--mu-offset", "-0.2", "--count", "20"]
+    assert run([*argv, "--dump-counterexample", str(prefix), "-o", str(out)]) == 2
+    rep = json.loads(out.read_text())
+    assert rep["failure_trials"] == [8, 19]
+    assert {p.name for p in tmp_path.iterdir()} == {"s.json"} | {f"ce.trial{t}.pxyz" for t in rep["failure_trials"]}
+    gaps = []
+    for trial in rep["failure_trials"]:
+        path = tmp_path / f"ce.trial{trial}.pxyz"
+        assert float(path.read_text().split("\n", 1)[0].split()[1]) == rep["mu"] * rep["m"]
+        energy_out = tmp_path / "e.json"
+        assert run(["energy", "--in", str(path), "--ell", "12", "--m", "2", "--pots", "stiff", "-o", str(energy_out)]) == 0
+        gaps.append(json.loads(energy_out.read_text())["energy"] - rep["base_energy"])
+    assert max(gaps) <= 0.0 and min(gaps) == rep["min_gap"]
 
 
 def test_stability_deterministic_bytes(tmp_path):
@@ -509,6 +539,16 @@ def test_fracture_rejects_window_not_finite_and_positive(tmp_path, capsys, windo
 
 
 @pytest.mark.parametrize("command", ["cells", "energy"])
+def test_unlabelled_atom_count_must_be_a_multiple_of_four(tmp_path, capsys, command):
+    path = tmp_path / "t.pxyz"
+    path.write_text("6 3.0\n" + "".join(f"{0.5 * a} {a % 2} 0\n" for a in range(6)))
+    out = tmp_path / "out"
+    assert run([command, "--in", str(path), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "nanolab: malformed PXYZ (line 1): atom count 6 is not a multiple of 4\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cells", "energy"])
 def test_labels_below_one_exit_one(tmp_path, capsys, command):
     # 4 * (-12) * (-4) is the atom count of the file, so only the sign of the
     # labels is wrong
@@ -570,8 +610,8 @@ def test_cells_gathers_once(tmp_path, monkeypatch):
     tube_path = str(tmp_path / "t.pxyz")
     run(["generate", "--ell", "6", "--m", "2", "--mu", "2.95", "--lambda1", "1", "--lambda2", "1", "-o", tube_path])
     calls = []
-    real = cells.gather_cells
-    monkeypatch.setattr(cells, "gather_cells", lambda *a, **k: calls.append(1) or real(*a, **k))
+    real = cells._gather_slots
+    monkeypatch.setattr(cells, "_gather_slots", lambda *a, **k: calls.append(1) or real(*a, **k))
     assert run(["cells", "--in", tube_path, "--ell", "6", "--m", "2", "-o", str(tmp_path / "c.csv")]) == 0
     assert len(calls) == 1
 

@@ -496,6 +496,19 @@ def test_non_family_tubes_take_dense_path(base, pots_soft, monkeypatch, how):
     assert np.max(np.abs(rep["eigenvalues"] - reference)) <= 1e-10 * rep["lam_max"]
 
 
+@pytest.mark.parametrize("preset, ell", [("stiff", 64), ("soft", 112)])
+def test_moved_long_tube_counts_four_null_modes_on_the_dense_path(pots_soft, pots_stiff, preset, ell):
+    # a family tube moved by 0.37 L takes the dense path; a threshold of 1e-10
+    # of the largest eigenvalue counted its two softest flexural modes as null
+    pots = pots_soft if preset == "soft" else pots_stiff
+    tube = _family_tube(ell, 1, 0.0, pots)
+    moved = tube.with_positions(tube.positions + np.array([0.37 * tube.period, 0.0, 0.0]))
+    rep = null_space_report(moved, pots)
+    assert rep["null_blocks"] is None
+    assert rep["n_near_null"] == 4 and rep["n_negative"] == 0 and rep["rest_positive"]
+    assert rep["max_principal_angle"] < 1e-3
+
+
 @pytest.mark.parametrize("ell", [12, 24, 48])
 def test_acoustic_ratio_is_cauchy_born(pots_soft, ell):
     # the long-wave stretching stiffness of the atomistic Hessian is that of
