@@ -1,5 +1,6 @@
 """Bond graph under the axial periodic metric, configurational energy, gradient,
-Hessian, and the Bloch blocks of the Hessian of a family tube.
+Hessian, and a family tube's Bloch table: its motif couplings, which give every
+Bloch block, and its motif gradient, from one pass over the motif's terms.
 
 Bonds are pairs at modulo-L distance strictly below BOND_CUTOFF; triples
 share a vertex.  Sums run over unordered bonds and unordered angles: each bond
@@ -436,12 +437,12 @@ def hessian(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = None) 
     return term_hessian(tube.positions, graph, pots.v2, pots.v3)
 
 
-def bloch_blocks(tube: Nanotube, pots: PotentialSet, p, q, graph: BondGraph | None = None) -> np.ndarray:
-    """Bloch blocks B(p, q) of the Hessian of a family tube: a (len(p), 12, 12)
-    complex Hermitian stack over the coordinates of the motif atoms 0..3.
+@dataclass(frozen=True)
+class BlochTable:
+    """The Hessian of a family tube as couplings between its motif atoms 0..3,
+    and the motif atoms' gradient, from one pass over the terms that touch them.
 
-    tube must be laid out as build_nanotube lays out a family tube, with graph
-    its bond graph: atom (i, j, k, l) is motif atom 2k + l rotated by
+    Atom (i, j, k, l) of a family tube is motif atom 2k + l rotated by
     2*pi*(i-1)/ell about the axis and translated by j*mu, mu = L/m.  Written
     in each atom's motif frame (its 3-vector rotated by -2*pi*(i-1)/ell) the
     Hessian commutes with this Z_ell x Z_m action, so it is block diagonal in
@@ -453,11 +454,43 @@ def bloch_blocks(tube: Nanotube, pots: PotentialSet, p, q, graph: BondGraph | No
 
     over every atom u of the term, with H_t the term's Hessian block, R the
     rotation into the motif frame and J the axial cell of the atom's image
-    counted in periods mu, image shifts included.  q = 2*pi*k/m, k = 0..m-1,
-    give the tube's own blocks, whose eigenvalues together are those of
-    hessian(tube); any real q is the Bloch phase of a longer tube.  Only the
-    terms that touch the motif are evaluated, so there is no n x n array.
+    counted in periods mu, image shifts included.  coupling[o] (144 entries,
+    row-major over the block) sums the terms of offsets[o] = ((i_u - i_s) mod
+    ell, J_u - J_s).  q = 2*pi*k/m, k = 0..m-1, give the tube's own blocks,
+    whose eigenvalues together are those of hessian(tube); any real q is the
+    Bloch phase of a longer tube.  The Hessian is real, so B(-p, -q) = conj
+    B(p, q).  gradient (4, 3) is that of the motif atoms; each of their ell*m
+    images has a rotated copy of it, so sqrt(ell*m) |gradient| is the tube's
+    gradient norm.
     """
+
+    ell: int
+    m: int
+    offsets: np.ndarray
+    coupling: np.ndarray
+    gradient: np.ndarray
+
+    def blocks(self, p, q) -> np.ndarray:
+        """The (len(p), 12, 12) complex Hermitian stack B(p[b], q[b])."""
+        phase = np.exp(1j * (2.0 * np.pi / self.ell * np.outer(p, self.offsets[:, 0]) + np.outer(q, self.offsets[:, 1])))
+        return (phase @ self.coupling).reshape(-1, 12, 12)
+
+    def modes(self, p: int, q: float, amplitudes: np.ndarray) -> np.ndarray:
+        """The complex 3n-vectors of the Bloch modes of block B(p, q) whose
+        motif-frame amplitudes are the columns of amplitudes (12, k): atom
+        (i, j, k, l) moves by R_i a_(2k+l) exp(i (2 pi p (i-1)/ell + q j)),
+        with R_i the rotation by 2*pi*(i-1)/ell about the axis."""
+        turn, cell = np.arange(self.ell), np.arange(self.m)
+        phase = np.exp(1j * (2.0 * np.pi / self.ell * p * turn[None, :] + q * cell[:, None]))
+        rot = axial_rotations(2.0 * np.pi * turn / self.ell)
+        modes = np.einsum("ji,ixy,cyk->jicxk", phase, rot, amplitudes.reshape(4, 3, -1))
+        return modes.reshape(12 * self.ell * self.m, -1)
+
+
+def bloch_table(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = None) -> BlochTable:
+    """The BlochTable of a family tube, laid out as build_nanotube lays it
+    out, with graph its bond graph.  Only the terms that touch the motif are
+    evaluated, so there is no n x n array."""
     if graph is None:
         graph = bond_graph(tube)
     ell, L, pos = tube.ell, tube.period, tube.positions
@@ -466,21 +499,23 @@ def bloch_blocks(tube: Nanotube, pots: PotentialSet, p, q, graph: BondGraph | No
     angles = np.any(graph.triples < 4, axis=1)
     bond_shifts = graph.pair_shifts[bonds]
     leg_shifts = graph.leg_signs[angles] * graph.pair_shifts[graph.leg_bonds[angles]]
-    # atoms, image shifts and Hessian blocks of the terms, one row per term
+    # atoms, image shifts and (gradients, Hessian blocks) of the terms, one row per term
     terms = (
         (graph.pairs[bonds], np.stack([bond_shifts, np.zeros_like(bond_shifts)], axis=1),
-         _bond_term(d[bonds], pots.v2, second=True)[1]),
+         _bond_term(d[bonds], pots.v2, second=True)),
         (graph.triples[angles], np.insert(leg_shifts, 1, 0, axis=1),
-         _angle_term(*_leg_vectors(d, graph, angles), pots.v3, second=True)[1]),
+         _angle_term(*_leg_vectors(d, graph, angles), pots.v3, second=True)),
     )
+    grad = np.zeros((4, 3))
     offsets, rows, cols, parts = [], [], [], []
-    for atoms, shifts, blocks in terms:
+    for atoms, shifts, (grads, blocks) in terms:
         kappa = atoms % 4
         turn = (atoms // 4) % ell
         cell = np.rint((pos[atoms, 0] + shifts * L - pos[kappa, 0]) / (L / tube.m)).astype(np.int64)
         rot = axial_rotations(2.0 * np.pi * turn / ell)
         local = np.einsum("tsxa,tsxuy,tuyb->tsuab", rot, blocks, rot)
         t, s = np.nonzero(atoms < 4)
+        np.add.at(grad, atoms[t, s], grads[t, s])
         offsets.append(np.stack([(turn[t] - turn[t, s, None]) % ell, cell[t] - cell[t, s, None]], axis=-1).reshape(-1, 2))
         rows.append(np.broadcast_to(kappa[t, s, None], kappa[t].shape).ravel())
         cols.append(kappa[t].ravel())
@@ -489,18 +524,4 @@ def bloch_blocks(tube: Nanotube, pots: PotentialSet, p, q, graph: BondGraph | No
     coupling = np.zeros((len(offsets), 4, 4, 3, 3))
     np.add.at(coupling, (inverse.ravel(), np.concatenate(rows), np.concatenate(cols)), np.concatenate(parts))
     coupling = coupling.transpose(0, 1, 3, 2, 4).reshape(len(offsets), 144)
-    phase = np.exp(1j * (2.0 * np.pi / ell * np.outer(p, offsets[:, 0]) + np.outer(q, offsets[:, 1])))
-    return (phase @ coupling).reshape(-1, 12, 12)
-
-
-def bloch_modes(tube: Nanotube, p: int, q: float, amplitudes: np.ndarray) -> np.ndarray:
-    """The complex 3n-vectors of the Bloch modes of block B(p, q) (see
-    bloch_blocks) whose motif-frame amplitudes are the columns of amplitudes
-    (12, k): atom (i, j, k, l) moves by R_i a_(2k+l) exp(i (2 pi p (i-1)/ell
-    + q j)), with R_i the rotation by 2*pi*(i-1)/ell about the axis."""
-    ell, m = tube.ell, tube.m
-    turn, cell = np.arange(ell), np.arange(m)
-    phase = np.exp(1j * (2.0 * np.pi / ell * p * turn[None, :] + q * cell[:, None]))
-    rot = axial_rotations(2.0 * np.pi * turn / ell)
-    modes = np.einsum("ji,ixy,cyk->jicxk", phase, rot, amplitudes.reshape(4, 3, -1))
-    return modes.reshape(3 * tube.n, -1)
+    return BlochTable(ell, tube.m, offsets, coupling, grad)

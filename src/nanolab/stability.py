@@ -13,8 +13,7 @@ import numpy as np
 from .cells import total_symmetry_defect
 from .energy import (
     _norm3,
-    bloch_blocks,
-    bloch_modes,
+    bloch_table,
     bond_graph,
     gradient,
     hessian,
@@ -296,7 +295,9 @@ GRAD_TOL_FACTOR = 1e-7
 # the tube, but not relative to their own block.  At mu_us + 0.01, ell = 4 ..
 # 512, m = 1 and 4 and both presets, the isometries measured at most
 # 52 eps ||B|| (stiff, ell = 384) and the softest non-null mode at least
-# 290 eps ||B|| (stiff, ell = 512).
+# 290 eps ||B|| (stiff, ell = 512).  At mu_us the Bloch path miscounts too:
+# built stiff (240, 1) and (256, 1) report 6 near-null modes, the ring blocks
+# (+-2, 0) falling below the threshold, and (320, 1) reports 8 (ROADMAP item 17).
 # On the dense path the threshold also takes ||H Q||_2, Q the isometry
 # directions: a tube that is stationary only to GRAD_TOL_FACTOR has four
 # eigenvalues within ||H Q||_2 of zero (Courant-Fischer).  On family tubes
@@ -304,29 +305,17 @@ GRAD_TOL_FACTOR = 1e-7
 # 1.73 eps lam_max, ||H Q||_2 at most 1.37 eps lam_max, and the softest other
 # mode at least 232 eps lam_max up to stiff (200, 1) at mu_us and 52.8 at
 # (256, 1): the dense path miscounts stiff tubes at mu_us from ell of about
-# 230 on, which only the Bloch path of a family tube avoids.
+# 230 on, as the Bloch path does.
 BLOCK_NULL_ULPS = 100.0
 # Axial Bloch phase (radians per period mu) at which acoustic_ratio reads the
 # long-wave curvature; the ratio's error from q > 0 is of order q^2.
 ACOUSTIC_Q = 1e-3
 
 
-def _stationary_graph(tube: Nanotube, pots: PotentialSet):
-    """The tube's bond graph; raises NotStationaryError unless
-    |grad| < GRAD_TOL_FACTOR * sqrt(n)."""
-    graph = bond_graph(tube)
-    g0 = gradient(tube, pots, graph)
-    if np.linalg.norm(g0) >= GRAD_TOL_FACTOR * np.sqrt(tube.n):
-        raise NotStationaryError(
-            f"gradient norm {np.linalg.norm(g0):.3e} exceeds {GRAD_TOL_FACTOR * np.sqrt(tube.n):.3e}"
-        )
-    return graph
-
-
 def _is_family(tube: Nanotube, graph) -> bool:
     """Whether the tube is its family geometry as build_nanotube lays it out,
     to the bit, with the family bond graph (6*ell*m bonds, every atom of
-    degree 3): the tubes whose Hessian bloch_blocks splits."""
+    degree 3): the tubes whose Hessian bloch_table splits."""
     geom = tube.geometry
     if geom is None or geom.ell != tube.ell:
         return False
@@ -344,16 +333,27 @@ def _signed_labels(n: int) -> np.ndarray:
     return np.arange(-((n - 1) // 2), n // 2 + 1)
 
 
-def _bloch_spectrum(tube: Nanotube, pots: PotentialSet, graph):
+def _bloch_spectrum(table):
     """Labels p, q, the blocks B(p, 2*pi*q/m) of every irrep of a family tube
-    and each block's ascending eigenvalues, one row per block in (p, q) order."""
-    p, q = np.meshgrid(_signed_labels(tube.ell), _signed_labels(tube.m), indexing="ij")
+    and each block's ascending eigenvalues, one row per block in (p, q) order.
+    Of each pair (p, q), (-p, -q) inside the label range one block is solved;
+    the other is its conjugate, with its eigenvalues (see energy.BlochTable)."""
+    p, q = np.meshgrid(_signed_labels(table.ell), _signed_labels(table.m), indexing="ij")
     p, q = p.ravel(), q.ravel()
-    blocks = bloch_blocks(tube, pots, p, 2.0 * np.pi * q / tube.m, graph)
-    return p, q, blocks, np.linalg.eigvalsh(blocks)
+    hp, hq = (table.ell - 1) // 2, (table.m - 1) // 2
+    partner = (hp - p) * table.m + hq - q
+    copied = (np.abs(p) <= hp) & (np.abs(q) <= hq) & (partner < np.arange(len(p)))
+    blocks = np.empty((len(p), 12, 12), complex)
+    evals = np.empty((len(p), 12))
+    blocks[~copied] = table.blocks(p[~copied], 2.0 * np.pi * q[~copied] / table.m)
+    evals[~copied] = np.linalg.eigvalsh(blocks[~copied])
+    # + 0.0 gives an imaginary part that is exactly zero the evaluation's +0.0
+    blocks[copied] = blocks[partner[copied]].conj() + 0.0
+    evals[copied] = evals[partner[copied]]
+    return p, q, blocks, evals
 
 
-def _block_null_space(tube: Nanotube, p, q, blocks, near_null):
+def _block_null_space(table, p, q, blocks, near_null):
     """(p, q, count) of each Bloch block with near-null eigenvalues, where
     near_null[b] marks block b's, and an orthonormal real basis (3n, k) of the
     k near-null modes.  Only those blocks are solved for eigenvectors."""
@@ -362,7 +362,7 @@ def _block_null_space(tube: Nanotube, p, q, blocks, near_null):
     lifted = []
     for b in hit:
         w, v = np.linalg.eigh(blocks[b])
-        modes = bloch_modes(tube, p[b], 2.0 * np.pi * q[b] / tube.m, v[:, np.argsort(np.abs(w))[: counts[b]]])
+        modes = table.modes(p[b], 2.0 * np.pi * q[b] / table.m, v[:, np.argsort(np.abs(w))[: counts[b]]])
         lifted += [modes.real, modes.imag]
     # the real and imaginary parts span the real near-null space, twice over
     # where a block and its conjugate block both hold modes
@@ -370,7 +370,7 @@ def _block_null_space(tube: Nanotube, p, q, blocks, near_null):
     return [(int(p[b]), int(q[b]), int(counts[b])) for b in hit], basis
 
 
-def _acoustic_ratio(tube: Nanotube, pots: PotentialSet, graph) -> float:
+def _acoustic_ratio(tube: Nanotube, pots: PotentialSet, table) -> float:
     """Cauchy-Born check on a family tube: the longitudinal acoustic curvature
     lambda(q)/q^2 of the block B(0, q) at the axial phase q = ACOUSTIC_Q,
     divided by e''(mu)/2, where e'' = reduced_hessian(mu, gamma, gamma)[0, 0]
@@ -380,7 +380,7 @@ def _acoustic_ratio(tube: Nanotube, pots: PotentialSet, graph) -> float:
     uniform axial translation.  The ratio tends to 1 as q -> 0 when the
     long-wave stiffness of the atomistic Hessian is the reduced one.
     """
-    w, v = np.linalg.eigh(bloch_blocks(tube, pots, [0], [ACOUSTIC_Q], graph)[0])
+    w, v = np.linalg.eigh(table.blocks([0], [ACOUSTIC_Q])[0])
     axial = np.tile([0.5, 0.0, 0.0], 4)
     branch = np.argmax(np.abs(axial @ v))
     geom = tube.geometry
@@ -405,18 +405,26 @@ def null_space_report(tube: Nanotube, pots: PotentialSet, acoustic: bool = False
     None when there are no near-null modes.  With acoustic, the
     report also holds acoustic_ratio (see _acoustic_ratio) of a family tube,
     None on any other tube.  Raises NotStationaryError unless
-    |grad| < GRAD_TOL_FACTOR * sqrt(n).
+    |grad| < GRAD_TOL_FACTOR * sqrt(n), |grad| of a family tube read as
+    sqrt(ell * m) times that of its motif (see energy.BlochTable).
     """
     from scipy.linalg import subspace_angles
 
-    graph = _stationary_graph(tube, pots)
+    graph = bond_graph(tube)
     family = _is_family(tube, graph)
+    if family:
+        table = bloch_table(tube, pots, graph)
+        grad_norm = np.sqrt(tube.ell * tube.m) * np.linalg.norm(table.gradient)
+    else:
+        grad_norm = np.linalg.norm(gradient(tube, pots, graph))
+    if grad_norm >= GRAD_TOL_FACTOR * np.sqrt(tube.n):
+        raise NotStationaryError(f"gradient norm {grad_norm:.3e} exceeds {GRAD_TOL_FACTOR * np.sqrt(tube.n):.3e}")
     isometries = isometry_directions(tube)
     if family:
-        p, q, blocks, evals = _bloch_spectrum(tube, pots, graph)
+        p, q, blocks, evals = _bloch_spectrum(table)
         tol = BLOCK_NULL_ULPS * np.finfo(float).eps * np.max(np.abs(evals), axis=1, keepdims=True)
         near_null = np.abs(evals) <= tol
-        null_blocks, null_vectors = _block_null_space(tube, p, q, blocks, near_null)
+        null_blocks, null_vectors = _block_null_space(table, p, q, blocks, near_null)
     else:
         hess = hessian(tube, pots, graph)
         evals, evecs = np.linalg.eigh(hess)
@@ -437,5 +445,5 @@ def null_space_report(tube: Nanotube, pots: PotentialSet, acoustic: bool = False
         "null_blocks": null_blocks,
     }
     if acoustic:
-        report["acoustic_ratio"] = _acoustic_ratio(tube, pots, graph) if family else None
+        report["acoustic_ratio"] = _acoustic_ratio(tube, pots, table) if family else None
     return report

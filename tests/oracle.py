@@ -192,8 +192,8 @@ def term_hessian_gathered(pos, graph, v2, v3, bond_weights=1.0, angle_weights=1.
 
 
 def bloch_blocks_gathered(tube, pots, p, q, graph):
-    """energy.bloch_blocks with the angle legs gathered from the positions and
-    their image shifts from triple_shifts."""
+    """The blocks B(p, q) of energy.bloch_table, with the angle legs gathered
+    from the positions and their image shifts from triple_shifts."""
     ell, L, pos = tube.ell, tube.period, tube.positions
     bonds = np.any(graph.pairs < 4, axis=1)
     angles = np.any(graph.triples < 4, axis=1)

@@ -23,8 +23,7 @@ from oracle import (
 
 from nanolab import energy, geometry, potentials
 from nanolab.energy import (
-    bloch_blocks,
-    bloch_modes,
+    bloch_table,
     bond_graph,
     family_energy,
     gradient,
@@ -454,7 +453,7 @@ def test_bloch_blocks_at_continuous_phase_give_longer_tube_spectrum(pots_soft, e
     geom = solve_family(ell, 2.95, 1.02, 0.98)
     short, long_ = build_nanotube(geom, m), build_nanotube(geom, longer * m)
     p, k = np.meshgrid(np.arange(ell), np.arange(longer * m), indexing="ij")
-    blocks = bloch_blocks(short, pots_soft, p.ravel(), 2.0 * np.pi * k.ravel() / (longer * m))
+    blocks = bloch_table(short, pots_soft).blocks(p.ravel(), 2.0 * np.pi * k.ravel() / (longer * m))
     dense = np.linalg.eigvalsh(hessian(long_, pots_soft))
     spectrum = np.sort(np.linalg.eigvalsh(blocks), axis=None)
     assert np.max(np.abs(spectrum - dense)) <= 1e-12 * np.max(np.abs(dense))
@@ -464,7 +463,7 @@ def test_bloch_blocks_hermitian_and_conjugate_pairs(pots_soft):
     tube = build_nanotube(solve_family(10, 2.9, 1.0, 1.0), 3)
     p = np.array([0, 3, -3, 2])
     q = np.array([0.0, 0.7, -0.7, np.pi])
-    b = bloch_blocks(tube, pots_soft, p, q)
+    b = bloch_table(tube, pots_soft).blocks(p, q)
     scale = np.max(np.abs(b))
     assert np.max(np.abs(b - b.conj().transpose(0, 2, 1))) <= 1e-13 * scale
     assert np.max(np.abs(b[1] - b[2].conj())) <= 1e-13 * scale
@@ -472,14 +471,15 @@ def test_bloch_blocks_hermitian_and_conjugate_pairs(pots_soft):
 
 
 def test_bloch_modes_are_eigenvectors_of_the_dense_hessian(pots_soft):
-    # bloch_modes lifts a block's eigenvectors with bloch_blocks' convention:
-    # the lifted vectors are eigenvectors of hessian(tube) with the same values
+    # modes lifts a block's eigenvectors with the blocks' convention: the
+    # lifted vectors are eigenvectors of hessian(tube) with the same values
     tube = build_nanotube(solve_family(7, 2.95, 1.02, 0.98), 3)
     dense = hessian(tube, pots_soft)
+    table = bloch_table(tube, pots_soft)
     for p, k in [(0, 0), (2, 1), (-3, 2)]:
         q = 2.0 * np.pi * k / tube.m
-        w, v = np.linalg.eigh(bloch_blocks(tube, pots_soft, [p], [q])[0])
-        modes = bloch_modes(tube, p, q, v)
+        w, v = np.linalg.eigh(table.blocks([p], [q])[0])
+        modes = table.modes(p, q, v)
         assert modes.shape == (3 * tube.n, 12)
         residual = dense @ modes - modes * w
         assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(dense)) * np.sqrt(tube.n)
@@ -605,7 +605,7 @@ def test_angles_from_bond_references_equal_gathered_legs_on_tubes(preset, ell, m
     if not (moved or relabelled):
         p = np.repeat(np.arange(ell), m)
         q = np.tile(2.0 * np.pi * np.arange(m) / m, ell)
-        _assert_same_bits(bloch_blocks(tube, pots, p, q, graph), bloch_blocks_gathered(tube, pots, p, q, graph))
+        _assert_same_bits(bloch_table(tube, pots, graph).blocks(p, q), bloch_blocks_gathered(tube, pots, p, q, graph))
 
 
 @settings(max_examples=60)

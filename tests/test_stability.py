@@ -12,9 +12,10 @@ from oracle import (
 )
 
 import nanolab.stability as stab
-from nanolab.energy import bond_graph, gradient, near_pairs
+from nanolab import potentials
+from nanolab.energy import bloch_table, bond_graph, gradient, near_pairs
 from nanolab.errors import EtaTooLargeError, InvalidParameterError, NotStationaryError
-from nanolab.geometry import Nanotube, build_nanotube
+from nanolab.geometry import Nanotube, build_nanotube, solve_family
 from nanolab.potentials import BOND_CUTOFF
 from nanolab.reduced import minimize_family, reference_angles
 from nanolab.stability import (
@@ -355,11 +356,43 @@ def test_soft_modes_are_not_null(pots_soft, ell, offset):
 
 
 def test_spectrum_calls_gradient_once(base, pots_soft, monkeypatch):
+    # only the dense path builds the tube's gradient; a family tube's
+    # stationarity guard reads the motif gradient of its Bloch table
     tube0, _, _ = base
     calls = []
     monkeypatch.setattr(stab, "gradient", lambda *a, **k: calls.append(1) or gradient(*a, **k))
     null_space_report(tube0, pots_soft)
+    assert len(calls) == 0
+    null_space_report(_unlabelled(tube0), pots_soft)
     assert len(calls) == 1
+
+
+def _unstationary_member(ell, m):
+    """A built family member with bond lengths (1.02, 0.98) at mu = 2.95,
+    not the minimizer of its period: not stationary."""
+    return build_nanotube(solve_family(ell, 2.95, 1.02, 0.98), m)
+
+
+def test_non_stationary_family_member_is_refused_on_the_bloch_path(pots_soft, monkeypatch):
+    tube = _unstationary_member(12, 2)
+    assert stab._is_family(tube, bond_graph(tube))
+    calls = _count_paths(monkeypatch)
+    with pytest.raises(NotStationaryError, match="gradient norm"):
+        null_space_report(tube, pots_soft)
+    assert calls == {"hessian": 0, "bloch_table": 1}
+
+
+@pytest.mark.parametrize("preset", ["soft", "stiff"])
+@pytest.mark.parametrize("ell, m", [(5, 1), (12, 2), (24, 3), (48, 16), (96, 1)])
+def test_motif_gradient_norm_is_the_tube_gradient_norm(preset, ell, m):
+    # every atom's gradient is a rotated copy of its motif atom's, so the
+    # guard's sqrt(ell m) |motif gradient| is the tube's gradient norm
+    pots = potentials.load(preset)
+    tube = _unstationary_member(ell, m)
+    full = np.linalg.norm(gradient(tube, pots))
+    motif = np.sqrt(ell * m) * np.linalg.norm(bloch_table(tube, pots).gradient)
+    assert full > 1e3 * stab.GRAD_TOL_FACTOR * np.sqrt(tube.n)
+    assert abs(motif - full) <= 1e-9 * full
 
 
 def test_spectrum_invariant_under_translation(base, pots_soft):
@@ -458,8 +491,8 @@ def test_null_modes_sit_in_three_blocks(base, pots_soft):
 
 
 def _count_paths(monkeypatch):
-    """Count the calls of the dense Hessian and of the block builder."""
-    calls = {"hessian": 0, "bloch_blocks": 0}
+    """Count the calls of the dense Hessian and of the Bloch table."""
+    calls = {"hessian": 0, "bloch_table": 0}
     for name in calls:
 
         def counted(*args, _name=name, _real=getattr(stab, name), **kwargs):
@@ -474,7 +507,14 @@ def test_family_tube_takes_block_path(base, pots_soft, monkeypatch):
     tube0, _, _ = base
     calls = _count_paths(monkeypatch)
     null_space_report(tube0, pots_soft)
-    assert calls == {"hessian": 0, "bloch_blocks": 1}
+    assert calls == {"hessian": 0, "bloch_table": 1}
+
+
+def test_acoustic_report_builds_one_table(base, pots_soft, monkeypatch):
+    tube0, _, _ = base
+    calls = _count_paths(monkeypatch)
+    assert null_space_report(tube0, pots_soft, acoustic=True)["acoustic_ratio"] is not None
+    assert calls == {"hessian": 0, "bloch_table": 1}
 
 
 @pytest.mark.parametrize("how", ["one-ulp", "no-geometry", "translated"])
@@ -491,7 +531,7 @@ def test_non_family_tubes_take_dense_path(base, pots_soft, monkeypatch, how):
     reference = null_space_report(tube0, pots_soft)["eigenvalues"]
     calls = _count_paths(monkeypatch)
     rep = null_space_report(tube, pots_soft)
-    assert calls == {"hessian": 1, "bloch_blocks": 0}
+    assert calls == {"hessian": 1, "bloch_table": 0}
     assert rep["null_blocks"] is None and rep["n_near_null"] == 4
     assert np.max(np.abs(rep["eigenvalues"] - reference)) <= 1e-10 * rep["lam_max"]
 
@@ -507,6 +547,36 @@ def test_moved_long_tube_counts_four_null_modes_on_the_dense_path(pots_soft, pot
     assert rep["null_blocks"] is None
     assert rep["n_near_null"] == 4 and rep["n_negative"] == 0 and rep["rest_positive"]
     assert rep["max_principal_angle"] < 1e-3
+
+
+@settings(max_examples=30)
+@given(
+    preset=st.sampled_from(["soft", "stiff"]),
+    ell=st.integers(4, 48),
+    m=st.integers(1, 8),
+    offset=st.floats(0.0, 0.02, exclude_max=True),
+)
+@example(preset="stiff", ell=48, m=8, offset=0.0)
+@example(preset="soft", ell=5, m=1, offset=0.01)
+def test_halved_bloch_spectrum_equals_every_block_solved(pots_soft, pots_stiff, preset, ell, m, offset):
+    # B(-p, -q) is solved as conj B(p, q): the stack and its eigenvalues are
+    # the table's blocks at every label and their eigvalsh, to the bit, which
+    # keeps the bytes of every report
+    pots = pots_soft if preset == "soft" else pots_stiff
+    table = bloch_table(_family_tube(ell, m, offset, pots), pots)
+    p, q, blocks, evals = stab._bloch_spectrum(table)
+    full = table.blocks(p, 2.0 * np.pi * q / m)
+    assert len(p) == ell * m and len(set(zip(p, q))) == ell * m
+    assert blocks.tobytes() == full.tobytes()
+    assert evals.tobytes() == np.linalg.eigvalsh(full).tobytes()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 17")
+def test_wide_stiff_tube_at_mu_us_counts_four_null_modes(pots_stiff):
+    # the ring blocks (+-2, 0) fall below BLOCK_NULL_ULPS: the report counts 6
+    rep = null_space_report(_family_tube(256, 1, 0.0, pots_stiff), pots_stiff)
+    assert rep["null_blocks"] is not None
+    assert rep["n_near_null"] == 4
 
 
 @pytest.mark.parametrize("ell", [12, 24, 48])
