@@ -1,6 +1,7 @@
 """Bond graph under the axial periodic metric, configurational energy, gradient,
-Hessian, and a family tube's Bloch table: its motif couplings, which give every
-Bloch block, and its motif gradient, from one pass over the motif's terms.
+the dense term Hessian, and a family tube's Bloch table: its motif couplings,
+which give every Bloch block, and its motif gradient, from one pass over the
+motif's terms.
 
 Bonds are pairs at modulo-L distance strictly below BOND_CUTOFF; triples
 share a vertex.  Sums run over unordered bonds and unordered angles: each bond
@@ -426,24 +427,15 @@ def gradient(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = None)
     return grad
 
 
-def hessian(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = None) -> np.ndarray:
-    """Analytic Hessian of total_energy with respect to all positions at fixed
-    L, as one dense (3n, 3n) term_hessian with unit weights.  It holds the
-    gradient terms too, so it is the Hessian at any configuration with this
-    bond graph, stationary or not.  Symmetric to round-off.
-    """
-    if graph is None:
-        graph = bond_graph(tube)
-    return term_hessian(tube.positions, graph, pots.v2, pots.v3)
-
-
 @dataclass(frozen=True)
 class BlochTable:
     """The Hessian of a family tube as couplings between its motif atoms 0..3,
     and the motif atoms' gradient, from one pass over the terms that touch them.
 
     Atom (i, j, k, l) of a family tube is motif atom 2k + l rotated by
-    2*pi*(i-1)/ell about the axis and translated by j*mu, mu = L/m.  Written
+    2*pi*(i-1)/ell about the tube's axis and translated by j*mu, mu = L/m;
+    the axis may be any line parallel to e1, as the couplings below rotate
+    only Hessian blocks and bond vectors, not positions.  Written
     in each atom's motif frame (its 3-vector rotated by -2*pi*(i-1)/ell) the
     Hessian commutes with this Z_ell x Z_m action, so it is block diagonal in
     the Bloch basis, one 12x12 block per rotation index p (an integer) and
@@ -457,11 +449,11 @@ class BlochTable:
     counted in periods mu, image shifts included.  coupling[o] (144 entries,
     row-major over the block) sums the terms of offsets[o] = ((i_u - i_s) mod
     ell, J_u - J_s).  q = 2*pi*k/m, k = 0..m-1, give the tube's own blocks,
-    whose eigenvalues together are those of hessian(tube); any real q is the
-    Bloch phase of a longer tube.  The Hessian is real, so B(-p, -q) = conj
-    B(p, q).  gradient (4, 3) is that of the motif atoms; each of their ell*m
-    images has a rotated copy of it, so sqrt(ell*m) |gradient| is the tube's
-    gradient norm.
+    whose eigenvalues together are those of the tube's term_hessian; any real
+    q is the Bloch phase of a longer tube.  The Hessian is real, so B(-p, -q)
+    = conj B(p, q).  gradient (4, 3) is that of the motif atoms; each of
+    their ell*m images has a rotated copy of it, so sqrt(ell*m) |gradient| is
+    the tube's gradient norm.
     """
 
     ell: int
@@ -488,9 +480,11 @@ class BlochTable:
 
 
 def bloch_table(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = None) -> BlochTable:
-    """The BlochTable of a family tube, laid out as build_nanotube lays it
-    out, with graph its bond graph.  Only the terms that touch the motif are
-    evaluated, so there is no n x n array."""
+    """The BlochTable of a family tube, with graph its bond graph: atom
+    flat_index(i, j, k, l) is motif atom 2k + l moved by the line-group
+    element (i, j), as build_nanotube lays it out, though each atom may be
+    written in any period and the tube moved or turned as a whole.  Only the
+    terms that touch the motif are evaluated, so there is no n x n array."""
     if graph is None:
         graph = bond_graph(tube)
     ell, L, pos = tube.ell, tube.period, tube.positions

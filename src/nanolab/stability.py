@@ -1,7 +1,8 @@
 """Monte-Carlo verification that the optimal periodic tube is a strict local
-minimizer: seeded perturbation ensembles with a preserved bond graph, the full
-configurational Hessian spectrum (from the line-group Bloch blocks on family
-tubes, one dense eigensolve on any other tube).
+minimizer: seeded perturbation ensembles with a preserved bond graph, and the
+full configurational Hessian spectrum of a family tube from its line-group
+Bloch blocks.  A tube's line-group symmetry, checked on its positions and
+labels, admits it to the spectrum; any other tube is refused.
 """
 
 from __future__ import annotations
@@ -11,18 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import total_symmetry_defect
-from .energy import (
-    _norm3,
-    bloch_table,
-    bond_graph,
-    gradient,
-    hessian,
-    image_distances,
-    near_pairs,
-    total_energy,
-)
+from .energy import _norm3, bloch_table, bond_graph, image_distances, near_pairs, total_energy
 from .errors import EtaTooLargeError, InvalidParameterError, NotStationaryError
-from .geometry import Nanotube, build_nanotube
+from .geometry import Nanotube, axial_rotations, build_nanotube
 from .potentials import BOND_CUTOFF, PotentialSet
 from .reduced import minimize_family, reduced_hessian
 
@@ -288,44 +280,45 @@ def isometry_directions(tube: Nanotube) -> np.ndarray:
 
 # stationarity guard of null_space_report: |grad| < GRAD_TOL_FACTOR * sqrt(n)
 GRAD_TOL_FACTOR = 1e-7
+# A tube takes the Bloch blocks when its _symmetry_residual is at most
+# SYMMETRY_ULPS * eps * max(max|x|, L).  The residual is round-off of the
+# angles pi*(2i + k)/ell and of their rotations, a few eps of the radius.
+# Soft and stiff family tubes at (8, 1), (12, 4), (16, 2), (24, 4), (24, 16),
+# (48, 16), (96, 32), (112, 1), (200, 1), (384, 1) and (512, 1), built, moved
+# by 0.37 L, by -2, -1.3 and 2 periods, and by -1.6 L and wrapped, rotated by
+# 0.9 rad, shifted by (0.4, 1.3, -0.2) and relabelled by (i, j) ->
+# (i + 3, j + 1), measured at most 12.2 eps * max(max|x|, L) (stiff (512, 1)
+# rotated).  A Gaussian 1e-9 perturbation of each gives 2.0e5 .. 5.7e6.
+SYMMETRY_ULPS = 64.0
 # An eigenvalue is near-null when |lambda| <= BLOCK_NULL_ULPS * eps * lam_max,
-# with lam_max the largest |lambda| of its own Bloch block on a family tube and
-# of the whole Hessian on any other tube.
+# with lam_max the largest |lambda| of its own Bloch block.
 # The flexural modes shrink like ell^-4 relative to the largest eigenvalue of
 # the tube, but not relative to their own block.  At mu_us + 0.01, ell = 4 ..
 # 512, m = 1 and 4 and both presets, the isometries measured at most
 # 52 eps ||B|| (stiff, ell = 384) and the softest non-null mode at least
-# 290 eps ||B|| (stiff, ell = 512).  At mu_us the Bloch path miscounts too:
-# built stiff (240, 1) and (256, 1) report 6 near-null modes, the ring blocks
-# (+-2, 0) falling below the threshold, and (320, 1) reports 8 (ROADMAP item 17).
-# On the dense path the threshold also takes ||H Q||_2, Q the isometry
-# directions: a tube that is stationary only to GRAD_TOL_FACTOR has four
-# eigenvalues within ||H Q||_2 of zero (Courant-Fischer).  On family tubes
-# (m = 1) moved by 0.37 L, n up to 1536, the isometries measured at most
-# 1.73 eps lam_max, ||H Q||_2 at most 1.37 eps lam_max, and the softest other
-# mode at least 232 eps lam_max up to stiff (200, 1) at mu_us and 52.8 at
-# (256, 1): the dense path miscounts stiff tubes at mu_us from ell of about
-# 230 on, as the Bloch path does.
+# 290 eps ||B|| (stiff, ell = 512).  At mu_us the rule miscounts: built stiff
+# (240, 1) and (256, 1) report 6 near-null modes, the ring blocks (+-2, 0)
+# falling below the threshold, and (320, 1) reports 8 (ROADMAP item 17).
 BLOCK_NULL_ULPS = 100.0
 # Axial Bloch phase (radians per period mu) at which acoustic_ratio reads the
 # long-wave curvature; the ratio's error from q > 0 is of order q^2.
 ACOUSTIC_Q = 1e-3
 
 
-def _is_family(tube: Nanotube, graph) -> bool:
-    """Whether the tube is its family geometry as build_nanotube lays it out,
-    to the bit, with the family bond graph (6*ell*m bonds, every atom of
-    degree 3): the tubes whose Hessian bloch_table splits."""
-    geom = tube.geometry
-    if geom is None or geom.ell != tube.ell:
-        return False
-    built = build_nanotube(geom, tube.m)
-    return (
-        built.period == tube.period
-        and np.array_equal(built.positions, tube.positions)
-        and graph.n_bonds == 6 * tube.ell * tube.m
-        and bool(np.all(graph.degrees() == 3))
-    )
+def _symmetry_residual(tube: Nanotube) -> float:
+    """Largest |x(i, j, k, l) - c - T_j R_(i-1) (x(1, 0, k, l) - c)| over the
+    atoms, read at their flat_index labels, with the axial part taken modulo
+    L: T_j the translation by j*L/m, R_(i-1) the rotation by 2*pi*(i-1)/ell
+    about e1 and c the transverse centroid.  inf when n is not 4*ell*m."""
+    ell, m, L = tube.ell, tube.m, tube.period
+    if tube.n != 4 * ell * m:
+        return np.inf
+    rel = tube.positions - np.array([0.0, *np.mean(tube.positions[:, 1:], axis=0)])
+    rel = rel.reshape(m, ell, 4, 3)
+    dev = rel - np.einsum("ixy,ky->ikx", axial_rotations(2.0 * np.pi * np.arange(ell) / ell), rel[0, 0])
+    dev[..., 0] -= (L / m * np.arange(m))[:, None, None]
+    dev[..., 0] -= L * np.rint(dev[..., 0] / L)
+    return float(np.max(_norm3(dev)))
 
 
 def _signed_labels(n: int) -> np.ndarray:
@@ -391,47 +384,44 @@ def _acoustic_ratio(tube: Nanotube, pots: PotentialSet, table) -> float:
 def null_space_report(tube: Nanotube, pots: PotentialSet, acoustic: bool = False) -> dict:
     """Spectrum partition into near-null and positive parts plus the
     principal angles between the near-null eigenvectors and the isometry
-    directions.
+    directions, from the line-group Bloch blocks of one energy.bloch_table.
 
-    On a family tube the spectrum is that of the Bloch blocks, each block's
-    eigenvalues are near-null against that block's round-off (see
-    BLOCK_NULL_ULPS), zero_tol is the largest of the blocks' thresholds,
-    null_blocks lists (p, q, count) for each block with near-null
-    eigenvalues, and only those blocks are solved for eigenvectors, which are
-    lifted to an orthonormal real basis of the near-null space.  Any other
-    tube takes one dense eigensolve with the threshold zero_tol =
-    max(BLOCK_NULL_ULPS * eps * lam_max, ||H Q||_2), Q the isometry
-    directions, and null_blocks is None.  max_principal_angle is
-    None when there are no near-null modes.  With acoustic, the
-    report also holds acoustic_ratio (see _acoustic_ratio) of a family tube,
-    None on any other tube.  Raises NotStationaryError unless
-    |grad| < GRAD_TOL_FACTOR * sqrt(n), |grad| of a family tube read as
-    sqrt(ell * m) times that of its motif (see energy.BlochTable).
+    The tube must be a family tube of its labels: its _symmetry_residual at
+    most SYMMETRY_ULPS * eps * max(max|x|, L) and every atom of degree 3 (so
+    6*ell*m bonds).  Moved, rotated, shifted and relabelled copies of a built
+    tube pass; anything else raises InvalidParameterError, naming the
+    residual, its bound and the degrees.  Each block's eigenvalues are
+    near-null against that block's round-off (see BLOCK_NULL_ULPS), zero_tol
+    is the largest of the blocks' thresholds, null_blocks lists (p, q, count)
+    for each block with near-null eigenvalues, and only those blocks are
+    solved for eigenvectors, which are lifted to an orthonormal real basis of
+    the near-null space.  max_principal_angle is None when there are no
+    near-null modes.  With acoustic, the report also holds acoustic_ratio
+    (see _acoustic_ratio), None unless the tube carries a geometry of its
+    ell and period, whose mu the ratio reads.  Raises NotStationaryError
+    unless |grad| < GRAD_TOL_FACTOR * sqrt(n), |grad| read as sqrt(ell * m)
+    times that of the motif (see energy.BlochTable).
     """
     from scipy.linalg import subspace_angles
 
     graph = bond_graph(tube)
-    family = _is_family(tube, graph)
-    if family:
-        table = bloch_table(tube, pots, graph)
-        grad_norm = np.sqrt(tube.ell * tube.m) * np.linalg.norm(table.gradient)
-    else:
-        grad_norm = np.linalg.norm(gradient(tube, pots, graph))
+    residual = _symmetry_residual(tube)
+    bound = SYMMETRY_ULPS * np.finfo(float).eps * max(float(np.max(np.abs(tube.positions))), tube.period)
+    degrees = graph.degrees()
+    if not (residual <= bound and np.all(degrees == 3)):
+        raise InvalidParameterError(
+            f"not a family tube of its labels (ell, m) = ({tube.ell}, {tube.m}): symmetry residual "
+            f"{residual:.3e} (bound {bound:.3e}), atom degrees {degrees.min()} .. {degrees.max()} (family: 3)"
+        )
+    table = bloch_table(tube, pots, graph)
+    grad_norm = np.sqrt(tube.ell * tube.m) * np.linalg.norm(table.gradient)
     if grad_norm >= GRAD_TOL_FACTOR * np.sqrt(tube.n):
         raise NotStationaryError(f"gradient norm {grad_norm:.3e} exceeds {GRAD_TOL_FACTOR * np.sqrt(tube.n):.3e}")
     isometries = isometry_directions(tube)
-    if family:
-        p, q, blocks, evals = _bloch_spectrum(table)
-        tol = BLOCK_NULL_ULPS * np.finfo(float).eps * np.max(np.abs(evals), axis=1, keepdims=True)
-        near_null = np.abs(evals) <= tol
-        null_blocks, null_vectors = _block_null_space(table, p, q, blocks, near_null)
-    else:
-        hess = hessian(tube, pots, graph)
-        evals, evecs = np.linalg.eigh(hess)
-        drift = np.linalg.norm(hess @ isometries, 2)
-        tol = max(BLOCK_NULL_ULPS * np.finfo(float).eps * float(np.max(np.abs(evals))), drift)
-        near_null = np.abs(evals) <= tol
-        null_blocks, null_vectors = None, evecs[:, near_null]
+    p, q, blocks, evals = _bloch_spectrum(table)
+    tol = BLOCK_NULL_ULPS * np.finfo(float).eps * np.max(np.abs(evals), axis=1, keepdims=True)
+    near_null = np.abs(evals) <= tol
+    null_blocks, null_vectors = _block_null_space(table, p, q, blocks, near_null)
     n_null = int(np.sum(near_null))
     max_angle = float(np.max(subspace_angles(isometries, null_vectors))) if n_null else None
     report = {
@@ -445,5 +435,7 @@ def null_space_report(tube: Nanotube, pots: PotentialSet, acoustic: bool = False
         "null_blocks": null_blocks,
     }
     if acoustic:
-        report["acoustic_ratio"] = _acoustic_ratio(tube, pots, table) if family else None
+        geom = tube.geometry
+        fits = geom is not None and geom.ell == tube.ell and geom.mu * tube.m == tube.period
+        report["acoustic_ratio"] = _acoustic_ratio(tube, pots, table) if fits else None
     return report

@@ -4,9 +4,11 @@ up among its bonds, the angle legs gathered from the positions instead of
 read from the bond references (the angles, gradient, Hessian, Bloch blocks
 and cellspec.t_jacobian on them), the weighted cell-energy
 gradient and the tilde energy (the weighted sum over the values of
-cellspec.t_map), the finite-difference stencils of the analytic derivatives
-(energy.hessian, cellspec.cell_hessian, cellspec.t_jacobian, the angle-sum
-Hessian in cellspec.angle_sum_concavity, reduced.reduced_hessian,
+cellspec.t_map), the dense Hessian (energy.term_hessian with unit weights)
+and the dense null-space report that stability.null_space_report's Bloch
+blocks are compared against, the finite-difference stencils of the analytic
+derivatives (the dense Hessian, cellspec.cell_hessian, cellspec.t_jacobian,
+the angle-sum Hessian in cellspec.angle_sum_concavity, reduced.reduced_hessian,
 ReducedSolution.minimizer_derivative), the brute-force family minimizer
 (reduced.minimize_family), the one-point-at-a-time inner Newton solve
 (reduced.reduced_solve), the np.clip form of reduced.beta, the reference
@@ -60,6 +62,8 @@ from nanolab.energy import (
     _cos_angle,
     _image_shift,
     bond_graph,
+    gradient,
+    term_hessian,
 )
 from nanolab.errors import DegenerateGeometryError, DomainError, InvalidCellError, PxyzFormatError
 from nanolab.geometry import Nanotube, axial_rotations, flat_index
@@ -384,8 +388,6 @@ def displacement(rng, n: int, eta: float, mode: str):
 def hessian_fd(tube, pots, graph, step: float = 1e-5):
     """Central differences of the analytic gradient on a frozen bond graph,
     symmetrized: 6n gradient calls for the (3n, 3n) Hessian."""
-    from nanolab.energy import gradient
-
     n3 = 3 * tube.n
     hess = np.empty((n3, n3))
     flat = tube.positions.ravel().copy()
@@ -397,6 +399,55 @@ def hessian_fd(tube, pots, graph, step: float = 1e-5):
         gm = gradient(tube.with_positions(x.reshape(-1, 3)), pots, graph).ravel()
         hess[:, col] = (gp - gm) / (2.0 * step)
     return 0.5 * (hess + hess.T)
+
+
+def hessian(tube, pots, graph=None):
+    """Dense (3n, 3n) Hessian of total_energy at fixed L: term_hessian with unit
+    weights.  It holds the gradient terms too, so it is the Hessian at any
+    configuration with this bond graph, stationary or not."""
+    return term_hessian(tube.positions, bond_graph(tube) if graph is None else graph, pots.v2, pots.v3)
+
+
+def null_space_report_dense(tube, pots) -> dict:
+    """stability.null_space_report from one dense eigh of hessian(tube), for
+    any stationary tube, with or without symmetry; null_blocks is None.
+
+    An eigenvalue is near-null when |lambda| <= max(BLOCK_NULL_ULPS * eps *
+    lam_max, ||H Q||_2), Q the isometry directions: a tube that is stationary
+    only to GRAD_TOL_FACTOR has four eigenvalues within ||H Q||_2 of zero
+    (Courant-Fischer).  On family tubes (m = 1) moved by 0.37 L, n up to
+    1536, the isometries measured at most 1.73 eps lam_max, ||H Q||_2 at
+    most 1.37 eps lam_max, and the softest other mode at least 232 eps
+    lam_max up to stiff (200, 1) at mu_us and 52.8 at (256, 1): like the
+    Bloch blocks, this rule miscounts stiff tubes at mu_us from ell of about
+    230 on.  O(n^2) memory and O(n^3) time: 13 s and 880 MB at n = 1536.
+    """
+    from scipy.linalg import subspace_angles
+
+    from nanolab.errors import NotStationaryError
+    from nanolab.stability import BLOCK_NULL_ULPS, GRAD_TOL_FACTOR, isometry_directions
+
+    graph = bond_graph(tube)
+    grad_norm = np.linalg.norm(gradient(tube, pots, graph))
+    if grad_norm >= GRAD_TOL_FACTOR * np.sqrt(tube.n):
+        raise NotStationaryError(f"gradient norm {grad_norm:.3e} exceeds {GRAD_TOL_FACTOR * np.sqrt(tube.n):.3e}")
+    isometries = isometry_directions(tube)
+    hess = hessian(tube, pots, graph)
+    evals, evecs = np.linalg.eigh(hess)
+    drift = np.linalg.norm(hess @ isometries, 2)
+    tol = max(BLOCK_NULL_ULPS * np.finfo(float).eps * float(np.max(np.abs(evals))), drift)
+    near_null = np.abs(evals) <= tol
+    n_null = int(np.sum(near_null))
+    return {
+        "eigenvalues": evals,
+        "lam_max": float(np.max(np.abs(evals))),
+        "zero_tol": float(tol),
+        "n_near_null": n_null,
+        "n_negative": int(np.sum(evals < -tol)),
+        "rest_positive": bool(np.all(evals[~near_null] > 0.0)),
+        "max_principal_angle": float(np.max(subspace_angles(isometries, evecs[:, near_null]))) if n_null else None,
+        "null_blocks": None,
+    }
 
 
 def cell_energy_gradient(cell, pots):

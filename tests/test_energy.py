@@ -13,6 +13,7 @@ from oracle import (
     bond_angles_gathered,
     expected_neighbors,
     gradient_gathered,
+    hessian,
     hessian_fd,
     index_to_id,
     leg_vectors_gathered,
@@ -27,7 +28,6 @@ from nanolab.energy import (
     bond_graph,
     family_energy,
     gradient,
-    hessian,
     image_distances,
     near_pairs,
     total_energy,

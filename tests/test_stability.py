@@ -7,15 +7,17 @@ from oracle import (
     displacement,
     graph_brute,
     hessian_fd,
+    null_space_report_dense,
     per_cell_certificate,
     stability_trial_loop,
 )
 
 import nanolab.stability as stab
-from nanolab import potentials
+from nanolab import energy, potentials
 from nanolab.energy import bloch_table, bond_graph, gradient, near_pairs
 from nanolab.errors import EtaTooLargeError, InvalidParameterError, NotStationaryError
-from nanolab.geometry import Nanotube, build_nanotube, solve_family
+from nanolab.geometry import Nanotube, axial_rotations, build_nanotube, flat_index, solve_family
+from nanolab.pxyz import read_pxyz, write_pxyz
 from nanolab.potentials import BOND_CUTOFF
 from nanolab.reduced import minimize_family, reference_angles
 from nanolab.stability import (
@@ -356,15 +358,20 @@ def test_soft_modes_are_not_null(pots_soft, ell, offset):
 
 
 def test_spectrum_calls_gradient_once(base, pots_soft, monkeypatch):
-    # only the dense path builds the tube's gradient; a family tube's
-    # stationarity guard reads the motif gradient of its Bloch table
+    # no accepted tube builds the tube's gradient: the stationarity guard
+    # reads the motif gradient of the Bloch table
     tube0, _, _ = base
     calls = []
-    monkeypatch.setattr(stab, "gradient", lambda *a, **k: calls.append(1) or gradient(*a, **k))
-    null_space_report(tube0, pots_soft)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return gradient(*args, **kwargs)
+
+    monkeypatch.setattr(energy, "gradient", counted)
+    monkeypatch.setattr(stab, "gradient", counted, raising=False)
+    for tube in _copies(tube0).values():
+        null_space_report(tube, pots_soft, acoustic=True)
     assert len(calls) == 0
-    null_space_report(_unlabelled(tube0), pots_soft)
-    assert len(calls) == 1
 
 
 def _unstationary_member(ell, m):
@@ -375,11 +382,10 @@ def _unstationary_member(ell, m):
 
 def test_non_stationary_family_member_is_refused_on_the_bloch_path(pots_soft, monkeypatch):
     tube = _unstationary_member(12, 2)
-    assert stab._is_family(tube, bond_graph(tube))
     calls = _count_paths(monkeypatch)
     with pytest.raises(NotStationaryError, match="gradient norm"):
         null_space_report(tube, pots_soft)
-    assert calls == {"hessian": 0, "bloch_table": 1}
+    assert calls == {"bloch_table": 1}
 
 
 @pytest.mark.parametrize("preset", ["soft", "stiff"])
@@ -404,9 +410,11 @@ def test_spectrum_invariant_under_translation(base, pots_soft):
 
 
 def test_hessian_requires_stationary_point(base, pots_soft, rng):
+    # a randomly perturbed tube has lost its line group, and the symmetry
+    # test refuses it before the stationarity guard
     tube0, _, _ = base
     bad = tube0.with_positions(tube0.positions + 1e-3 * rng.standard_normal(tube0.positions.shape))
-    with pytest.raises(NotStationaryError):
+    with pytest.raises(InvalidParameterError, match="symmetry residual"):
         null_space_report(bad, pots_soft)
 
 
@@ -460,8 +468,32 @@ def _family_tube(ell, m, offset, pots):
 
 
 def _unlabelled(tube):
-    """The same configuration without its family geometry: the dense path."""
+    """The same configuration without its family geometry."""
     return Nanotube(tube.positions, tube.period, tube.ell, tube.m)
+
+
+def _relabelled(tube, a, b):
+    """The same atoms with label (i, j) moved to the atom of (i + a, j + b)."""
+    j, i, k, l = np.meshgrid(np.arange(tube.m), np.arange(1, tube.ell + 1), [0, 1], [0, 1], indexing="ij")
+    return tube.with_positions(tube.positions[flat_index(tube.ell, tube.m, i + a, j + b, k, l).ravel()])
+
+
+def _copies(tube):
+    """Copies of a family tube that keep its line group: built, moved by 0.37
+    L, moved by -1.6 L and wrapped, rotated by 0.9 rad, shifted, unlabelled
+    and relabelled by (i, j) -> (i + 3, j + 1)."""
+    L = tube.period
+    wrapped = tube.positions - [1.6 * L, 0.0, 0.0]
+    wrapped[:, 0] = np.mod(wrapped[:, 0], L)
+    return {
+        "built": tube,
+        "moved": tube.with_positions(tube.positions + [0.37 * L, 0.0, 0.0]),
+        "wrapped": tube.with_positions(wrapped),
+        "rotated": tube.with_positions(tube.positions @ axial_rotations(0.9).T),
+        "shifted": tube.with_positions(tube.positions + [0.4, 1.3, -0.2]),
+        "unlabelled": _unlabelled(tube),
+        "relabelled": _relabelled(tube, 3, 1),
+    }
 
 
 @settings(max_examples=12)
@@ -476,10 +508,9 @@ def _unlabelled(tube):
 def test_block_spectrum_equals_dense(pots_soft, pots_stiff, preset, ell, m, offset):
     pots = pots_soft if preset == "soft" else pots_stiff
     tube = _family_tube(ell, m, offset, pots)
-    assert stab._is_family(tube, bond_graph(tube))
     block = null_space_report(tube, pots)
-    dense = null_space_report(_unlabelled(tube), pots)
-    assert dense["null_blocks"] is None and block["null_blocks"] is not None
+    dense = null_space_report_dense(tube, pots)
+    assert block["null_blocks"] is not None
     assert np.max(np.abs(block["eigenvalues"] - dense["eigenvalues"])) <= 1e-12 * dense["lam_max"]
     assert block["n_near_null"] == dense["n_near_null"]
     assert (block["max_principal_angle"] < 1e-3) == (dense["max_principal_angle"] < 1e-3)
@@ -491,15 +522,14 @@ def test_null_modes_sit_in_three_blocks(base, pots_soft):
 
 
 def _count_paths(monkeypatch):
-    """Count the calls of the dense Hessian and of the Bloch table."""
-    calls = {"hessian": 0, "bloch_table": 0}
-    for name in calls:
+    """Count the calls of the Bloch table."""
+    calls = {"bloch_table": 0}
 
-        def counted(*args, _name=name, _real=getattr(stab, name), **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls["bloch_table"] += 1
+        return bloch_table(*args, **kwargs)
 
-        monkeypatch.setattr(stab, name, counted)
+    monkeypatch.setattr(stab, "bloch_table", counted)
     return calls
 
 
@@ -507,14 +537,14 @@ def test_family_tube_takes_block_path(base, pots_soft, monkeypatch):
     tube0, _, _ = base
     calls = _count_paths(monkeypatch)
     null_space_report(tube0, pots_soft)
-    assert calls == {"hessian": 0, "bloch_table": 1}
+    assert calls == {"bloch_table": 1}
 
 
 def test_acoustic_report_builds_one_table(base, pots_soft, monkeypatch):
     tube0, _, _ = base
     calls = _count_paths(monkeypatch)
     assert null_space_report(tube0, pots_soft, acoustic=True)["acoustic_ratio"] is not None
-    assert calls == {"hessian": 0, "bloch_table": 1}
+    assert calls == {"bloch_table": 1}
 
 
 @pytest.mark.parametrize("how", ["one-ulp", "no-geometry", "translated"])
@@ -528,25 +558,26 @@ def test_non_family_tubes_take_dense_path(base, pots_soft, monkeypatch, how):
         tube = _unlabelled(tube0)
     else:
         tube = tube0.with_positions(tube0.positions + np.array([0.4, 1.3, -0.2]))
-    reference = null_space_report(tube0, pots_soft)["eigenvalues"]
+    # none of these is build_nanotube's bytes, and each keeps the line group
+    reference = null_space_report(tube0, pots_soft)
     calls = _count_paths(monkeypatch)
     rep = null_space_report(tube, pots_soft)
-    assert calls == {"hessian": 1, "bloch_table": 0}
-    assert rep["null_blocks"] is None and rep["n_near_null"] == 4
-    assert np.max(np.abs(rep["eigenvalues"] - reference)) <= 1e-10 * rep["lam_max"]
+    assert calls == {"bloch_table": 1}
+    assert rep["null_blocks"] == reference["null_blocks"] and rep["n_near_null"] == 4
+    assert np.max(np.abs(rep["eigenvalues"] - reference["eigenvalues"])) <= 1e-10 * rep["lam_max"]
 
 
 @pytest.mark.parametrize("preset, ell", [("stiff", 64), ("soft", 112)])
 def test_moved_long_tube_counts_four_null_modes_on_the_dense_path(pots_soft, pots_stiff, preset, ell):
-    # a family tube moved by 0.37 L takes the dense path; a threshold of 1e-10
-    # of the largest eigenvalue counted its two softest flexural modes as null
+    # a family tube moved by 0.37 L, on the Bloch blocks and in the dense
+    # oracle; a threshold of 1e-10 of the largest eigenvalue counted its two
+    # softest flexural modes as null
     pots = pots_soft if preset == "soft" else pots_stiff
     tube = _family_tube(ell, 1, 0.0, pots)
     moved = tube.with_positions(tube.positions + np.array([0.37 * tube.period, 0.0, 0.0]))
-    rep = null_space_report(moved, pots)
-    assert rep["null_blocks"] is None
-    assert rep["n_near_null"] == 4 and rep["n_negative"] == 0 and rep["rest_positive"]
-    assert rep["max_principal_angle"] < 1e-3
+    for rep in (null_space_report(moved, pots), null_space_report_dense(moved, pots)):
+        assert rep["n_near_null"] == 4 and rep["n_negative"] == 0 and rep["rest_positive"]
+        assert rep["max_principal_angle"] < 1e-3
 
 
 @settings(max_examples=30)
@@ -588,9 +619,13 @@ def test_acoustic_ratio_is_cauchy_born(pots_soft, ell):
 
 
 def test_acoustic_ratio_only_on_family_tubes(base, pots_soft):
-    tube0, _, _ = base
+    # the ratio reads mu from the geometry, which must be the tube's own
+    tube0, _, refs = base
     assert "acoustic_ratio" not in null_space_report(tube0, pots_soft)
     assert null_space_report(_unlabelled(tube0), pots_soft, acoustic=True)["acoustic_ratio"] is None
+    other = minimize_family(refs.mu_us + 0.02, 12, pots_soft, m=2).geometry
+    mislabelled = Nanotube(tube0.positions, tube0.period, 12, 2, other)
+    assert null_space_report(mislabelled, pots_soft, acoustic=True)["acoustic_ratio"] is None
 
 
 @pytest.mark.parametrize("preset", ["soft", "stiff"])
@@ -615,3 +650,94 @@ def test_compressed_long_tube_negative_per_block(pots_soft, pots_stiff, preset):
     assert rep["n_negative"] == 4 and rep["n_near_null"] == 4
     assert rep["null_blocks"] == [(-1, 0, 1), (0, 0, 2), (1, 0, 1)]
     assert not rep["rest_positive"]
+
+
+_COUNTS = ("n_near_null", "n_negative", "rest_positive", "null_blocks")
+
+
+@settings(max_examples=10)
+@given(
+    preset=st.sampled_from(["soft", "stiff"]),
+    ell=st.integers(4, 48),
+    m=st.integers(1, 8),
+    offset=st.floats(0.0, 0.02, exclude_max=True),
+    periods=st.floats(-2.0, 2.0),
+    wrap=st.booleans(),
+    angle=st.floats(0.0, 2.0 * np.pi),
+    shift=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    turn=st.integers(0, 47),
+    cell=st.integers(0, 7),
+)
+@example(preset="soft", ell=24, m=8, offset=0.0, periods=-2.0, wrap=False, angle=0.9, shift=(1.3, -0.2), turn=3, cell=1)
+@example(preset="stiff", ell=48, m=8, offset=0.019, periods=1.63, wrap=True, angle=5.0, shift=(0.0, 0.0), turn=47, cell=7)
+def test_line_group_copies_give_the_built_spectrum(pots_soft, pots_stiff, preset, ell, m, offset, periods, wrap, angle,
+                                                   shift, turn, cell):
+    # moved by -2 .. 2 periods, wrapped or not, rotated about the axis,
+    # shifted across it and relabelled by the Z_ell x Z_m action: the same
+    # counts and null blocks as the built tube, eigenvalues within 64 eps of
+    # its largest, and of the dense oracle's up to n = 384
+    pots = pots_soft if preset == "soft" else pots_stiff
+    tube = _family_tube(ell, m, offset, pots)
+    pos = tube.positions @ axial_rotations(angle).T + [periods * tube.period, *shift]
+    if wrap:
+        pos[:, 0] = np.mod(pos[:, 0], tube.period)
+    copy = _relabelled(tube.with_positions(pos), turn, cell)
+    built, rep = null_space_report(tube, pots), null_space_report(copy, pots)
+    assert {k: rep[k] for k in _COUNTS} == {k: built[k] for k in _COUNTS}
+    bound = 64.0 * np.finfo(float).eps * built["lam_max"]
+    assert np.max(np.abs(rep["eigenvalues"] - built["eigenvalues"])) <= bound
+    if tube.n <= 384:
+        assert np.max(np.abs(rep["eigenvalues"] - null_space_report_dense(copy, pots)["eigenvalues"])) <= bound
+
+
+def test_tube_read_back_from_its_file_gives_the_built_counts(pots_soft, tmp_path):
+    tube = _family_tube(24, 4, 0.01, pots_soft)
+    moved = tube.with_positions(tube.positions + [0.37 * tube.period, 0.0, 0.0])
+    write_pxyz(tmp_path / "moved.pxyz", moved)
+    read = read_pxyz(tmp_path / "moved.pxyz", 24, 4)
+    built, rep = null_space_report(tube, pots_soft), null_space_report(read, pots_soft)
+    assert {k: rep[k] for k in _COUNTS} == {k: built[k] for k in _COUNTS}
+
+
+def _broken(tube, how):
+    """tube with a planted 1e-9 perturbation, with atoms 5 and 17 trading rows
+    (the same point set under other labels), with labels that do not fit n,
+    or widened 1.3 times across the axis, which keeps the line group and
+    breaks the ring bonds."""
+    if how == "perturbed":
+        return tube.with_positions(tube.positions + 1e-9 * np.random.default_rng(3).standard_normal((tube.n, 3)))
+    if how == "swapped":
+        return tube.with_positions(tube.positions[[*range(5), 17, *range(6, 17), 5, *range(18, tube.n)]])
+    if how == "labels":
+        return Nanotube(tube.positions, tube.period, tube.ell, tube.m + 1)
+    return tube.with_positions(tube.positions * [1.0, 1.3, 1.3])
+
+
+@pytest.mark.parametrize(
+    "how, degrees", [("perturbed", "3 .. 3"), ("swapped", "3 .. 3"), ("labels", "3 .. 3"), ("widened", "1 .. 1")]
+)
+def test_tube_without_its_line_group_is_refused(base, pots_soft, monkeypatch, how, degrees):
+    # refused before any table or gradient is built
+    tube0, _, _ = base
+    calls = _count_paths(monkeypatch)
+    with pytest.raises(InvalidParameterError, match=rf"symmetry residual \S+ \(bound \S+\), atom degrees {degrees} "):
+        null_space_report(_broken(tube0, how), pots_soft)
+    assert calls == {"bloch_table": 0}
+
+
+def test_spectrum_eigensolves_only_bloch_blocks(base, pots_soft, monkeypatch):
+    # the 3n x 3n eigensolve does not grow back: every matrix the report
+    # hands an eigensolver is at most 12 x 12, a Bloch block or smaller
+    tube0, _, _ = base
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+
+        def recorded(a, *args, _real=getattr(np.linalg, name), **kwargs):
+            sizes.append(np.shape(a)[-2:])
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    for tube in _copies(tube0).values():
+        for acoustic in (False, True):
+            null_space_report(tube, pots_soft, acoustic=acoustic)
+    assert (12, 12) in sizes and max(max(size) for size in sizes) <= 12
