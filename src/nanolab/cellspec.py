@@ -30,6 +30,7 @@ from .errors import InvalidParameterError
 from .geometry import gamma
 from .potentials import PotentialSet
 from .reduced import golden_section_min, reference_angles
+from .stability import _largest_principal_angle
 
 SQ3 = np.sqrt(3.0)
 
@@ -207,8 +208,6 @@ def t_jacobian_kernel() -> dict:
     Also reports the largest principal angle between the computed kernel of DT
     and the span of the degenerate-plus-bad basis directions.
     """
-    from scipy.linalg import subspace_angles
-
     jac = t_jacobian(planar_reference())
     u, s, vt = np.linalg.svd(jac)
     rank = int(np.sum(s > 1e-8 * s[0]))
@@ -218,8 +217,7 @@ def t_jacobian_kernel() -> dict:
 
     basis = cell_basis()
     span = np.concatenate([basis.degenerate, basis.bad], axis=0).reshape(-1, 24).T
-    qspan, _ = np.linalg.qr(span)
-    max_angle = float(np.max(subspace_angles(qspan, kernel))) if kernel.size else float("nan")
+    max_angle = _largest_principal_angle(np.linalg.qr(span)[0], kernel) if kernel.size else float("nan")
     return {
         "rank": rank,
         "kernel_dim": 24 - rank,

@@ -467,17 +467,6 @@ class BlochTable:
         phase = np.exp(1j * (2.0 * np.pi / self.ell * np.outer(p, self.offsets[:, 0]) + np.outer(q, self.offsets[:, 1])))
         return (phase @ self.coupling).reshape(-1, 12, 12)
 
-    def modes(self, p: int, q: float, amplitudes: np.ndarray) -> np.ndarray:
-        """The complex 3n-vectors of the Bloch modes of block B(p, q) whose
-        motif-frame amplitudes are the columns of amplitudes (12, k): atom
-        (i, j, k, l) moves by R_i a_(2k+l) exp(i (2 pi p (i-1)/ell + q j)),
-        with R_i the rotation by 2*pi*(i-1)/ell about the axis."""
-        turn, cell = np.arange(self.ell), np.arange(self.m)
-        phase = np.exp(1j * (2.0 * np.pi / self.ell * p * turn[None, :] + q * cell[:, None]))
-        rot = axial_rotations(2.0 * np.pi * turn / self.ell)
-        modes = np.einsum("ji,ixy,cyk->jicxk", phase, rot, amplitudes.reshape(4, 3, -1))
-        return modes.reshape(12 * self.ell * self.m, -1)
-
 
 def bloch_table(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = None) -> BlochTable:
     """The BlochTable of a family tube, with graph its bond graph: atom
@@ -507,15 +496,17 @@ def bloch_table(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = No
         turn = (atoms // 4) % ell
         cell = np.rint((pos[atoms, 0] + shifts * L - pos[kappa, 0]) / (L / tube.m)).astype(np.int64)
         rot = axial_rotations(2.0 * np.pi * turn / ell)
-        local = np.einsum("tsxa,tsxuy,tuyb->tsuab", rot, blocks, rot)
         t, s = np.nonzero(atoms < 4)
         np.add.at(grad, atoms[t, s], grads[t, s])
-        offsets.append(np.stack([(turn[t] - turn[t, s, None]) % ell, cell[t] - cell[t, s, None]], axis=-1).reshape(-1, 2))
+        offsets.append(np.stack([(turn[t] - turn[t, s, None]) % ell, cell[t] - cell[t, s, None]]).reshape(2, -1))
         rows.append(np.broadcast_to(kappa[t, s, None], kappa[t].shape).ravel())
         cols.append(kappa[t].ravel())
-        parts.append(local[t, s].reshape(-1, 3, 3))
-    offsets, inverse = np.unique(np.concatenate(offsets), axis=0, return_inverse=True)
+        parts.append(np.einsum("txa,txuy,tuyb->tuab", rot[t, s], blocks[t, s], rot[t]).reshape(-1, 3, 3))
+    turns, cells = np.concatenate(offsets, axis=1)  # one integer key each, in (turn, cell) order
+    low, width = cells.min(), cells.max() - cells.min() + 1
+    keys, inverse = np.unique(turns * width + cells - low, return_inverse=True)
+    offsets = np.stack([keys // width, keys % width + low], axis=1)
     coupling = np.zeros((len(offsets), 4, 4, 3, 3))
-    np.add.at(coupling, (inverse.ravel(), np.concatenate(rows), np.concatenate(cols)), np.concatenate(parts))
+    np.add.at(coupling, (inverse, np.concatenate(rows), np.concatenate(cols)), np.concatenate(parts))
     coupling = coupling.transpose(0, 1, 3, 2, 4).reshape(len(offsets), 144)
     return BlochTable(ell, tube.m, offsets, coupling, grad)

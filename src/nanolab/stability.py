@@ -261,23 +261,6 @@ def stability_trial(
     return report
 
 
-def isometry_directions(tube: Nanotube) -> np.ndarray:
-    """Orthonormal basis of the four energy-invariant directions at fixed L:
-    three rigid translations and the rotation about the tube axis."""
-    n = tube.n
-    dirs = np.zeros((3 * n, 4))
-    for d in range(3):
-        v = np.zeros((n, 3))
-        v[:, d] = 1.0
-        dirs[:, d] = v.ravel()
-    rot = np.zeros((n, 3))
-    rot[:, 1] = -tube.positions[:, 2]
-    rot[:, 2] = tube.positions[:, 1]
-    dirs[:, 3] = rot.ravel()
-    q, _ = np.linalg.qr(dirs)
-    return q
-
-
 # stationarity guard of null_space_report: |grad| < GRAD_TOL_FACTOR * sqrt(n)
 GRAD_TOL_FACTOR = 1e-7
 # A tube takes the Bloch blocks when its _symmetry_residual is at most
@@ -346,21 +329,52 @@ def _bloch_spectrum(table):
     return p, q, blocks, evals
 
 
-def _block_null_space(table, p, q, blocks, near_null):
-    """(p, q, count) of each Bloch block with near-null eigenvalues, where
-    near_null[b] marks block b's, and an orthonormal real basis (3n, k) of the
-    k near-null modes.  Only those blocks are solved for eigenvectors."""
+def _isometry_amplitudes(tube: Nanotube):
+    """(labels, amplitudes): the four isometries at fixed L as unit amplitudes
+    (12, 4) of the Bloch blocks B(labels[k], 0), as in energy.BlochTable, those
+    of one block orthonormal: the axial translation (1, 0, 0) and the rotation
+    e1 x (x_s - c) of motif atom s about the transverse centroid c in B(0, 0),
+    the transverse translations (0, 1, +-i) in B(+-1, 0), p in label range."""
+    rel = tube.positions[:4, 1:] - np.mean(tube.positions[:, 1:], axis=0)
+    spin = np.stack([np.zeros(4), -rel[:, 1], rel[:, 0]], axis=1).ravel()
+    shift = np.tile([0.0, 1.0, 1j], 4) / np.sqrt(8.0)
+    half = (tube.ell - 1) // 2
+    labels = (np.array([0, 0, 1, -1]) + half) % tube.ell - half
+    return labels, np.stack([np.tile([0.5, 0.0, 0.0], 4), spin / np.linalg.norm(spin), shift, shift.conj()], axis=1)
+
+
+def _largest_principal_angle(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest principal angle between the spans of orthonormal columns a and
+    b, real or complex: the arcsine of ||(I - L L^H) S||_2, S the smaller set
+    and L the other, or above pi/4 the arccos of the smallest singular value
+    of L^H S, which resolves angles near pi/2 (A. V. Knyazev and M. E.
+    Argentati, SIAM J. Sci. Comput. 23, 2002)."""
+    small, large = (a, b) if a.shape[1] <= b.shape[1] else (b, a)
+    cosines = large.conj().T @ small
+    sine = np.linalg.svd(small - large @ cosines, compute_uv=False)[0]
+    if sine**2 <= 0.5:
+        return float(np.arcsin(min(sine, 1.0)))
+    return float(np.arccos(min(np.linalg.svd(cosines, compute_uv=False)[-1], 1.0)))
+
+
+def _block_null_space(tube: Nanotube, p, q, blocks, near_null):
+    """(p, q, count) of each Bloch block with near-null eigenvalues, marked
+    by near_null[b], and the largest principal angle between the near-null
+    space and the isometries: the largest of those blocks' angles, the Bloch
+    basis being unitary (A. Bjorck and G. H. Golub, Math. Comp. 27, 1973),
+    or pi/2 when the blocks pair fewer than min(4, count) directions."""
     counts = np.sum(near_null, axis=1)
     hit = np.flatnonzero(counts)
-    lifted = []
-    for b in hit:
-        w, v = np.linalg.eigh(blocks[b])
-        modes = table.modes(p[b], 2.0 * np.pi * q[b] / table.m, v[:, np.argsort(np.abs(w))[: counts[b]]])
-        lifted += [modes.real, modes.imag]
-    # the real and imaginary parts span the real near-null space, twice over
-    # where a block and its conjugate block both hold modes
-    basis = np.linalg.svd(np.hstack(lifted), full_matrices=False)[0][:, : np.sum(counts)] if len(hit) else None
-    return [(int(p[b]), int(q[b]), int(counts[b])) for b in hit], basis
+    w, v = np.linalg.eigh(blocks[hit])
+    labels, amplitudes = _isometry_amplitudes(tube)
+    paired, angle = 0, 0.0
+    for k, b in enumerate(hit):
+        isometries = amplitudes[:, labels == p[b]]
+        if q[b] == 0 and isometries.shape[1]:
+            paired += min(isometries.shape[1], counts[b])
+            angle = max(angle, _largest_principal_angle(isometries, v[k][:, np.argsort(np.abs(w[k]))[: counts[b]]]))
+    angle = angle if paired == min(4, np.sum(counts)) else np.pi / 2
+    return [(int(p[b]), int(q[b]), int(counts[b])) for b in hit], angle
 
 
 def _acoustic_ratio(tube: Nanotube, pots: PotentialSet, table) -> float:
@@ -394,16 +408,15 @@ def null_space_report(tube: Nanotube, pots: PotentialSet, acoustic: bool = False
     near-null against that block's round-off (see BLOCK_NULL_ULPS), zero_tol
     is the largest of the blocks' thresholds, null_blocks lists (p, q, count)
     for each block with near-null eigenvalues, and only those blocks are
-    solved for eigenvectors, which are lifted to an orthonormal real basis of
-    the near-null space.  max_principal_angle is None when there are no
-    near-null modes.  With acoustic, the report also holds acoustic_ratio
-    (see _acoustic_ratio), None unless the tube carries a geometry of its
-    ell and period, whose mu the ratio reads.  Raises NotStationaryError
+    solved for eigenvectors, and the principal angles against the isometry
+    directions are measured inside them, with no 3n-vector built.
+    max_principal_angle is None when there are no near-null modes.  With
+    acoustic, the report also holds acoustic_ratio (see _acoustic_ratio),
+    None unless the tube carries a geometry of its ell and period, whose mu
+    the ratio reads.  Raises NotStationaryError
     unless |grad| < GRAD_TOL_FACTOR * sqrt(n), |grad| read as sqrt(ell * m)
     times that of the motif (see energy.BlochTable).
     """
-    from scipy.linalg import subspace_angles
-
     graph = bond_graph(tube)
     residual = _symmetry_residual(tube)
     bound = SYMMETRY_ULPS * np.finfo(float).eps * max(float(np.max(np.abs(tube.positions))), tube.period)
@@ -417,13 +430,11 @@ def null_space_report(tube: Nanotube, pots: PotentialSet, acoustic: bool = False
     grad_norm = np.sqrt(tube.ell * tube.m) * np.linalg.norm(table.gradient)
     if grad_norm >= GRAD_TOL_FACTOR * np.sqrt(tube.n):
         raise NotStationaryError(f"gradient norm {grad_norm:.3e} exceeds {GRAD_TOL_FACTOR * np.sqrt(tube.n):.3e}")
-    isometries = isometry_directions(tube)
     p, q, blocks, evals = _bloch_spectrum(table)
     tol = BLOCK_NULL_ULPS * np.finfo(float).eps * np.max(np.abs(evals), axis=1, keepdims=True)
     near_null = np.abs(evals) <= tol
-    null_blocks, null_vectors = _block_null_space(table, p, q, blocks, near_null)
+    null_blocks, angle = _block_null_space(tube, p, q, blocks, near_null)
     n_null = int(np.sum(near_null))
-    max_angle = float(np.max(subspace_angles(isometries, null_vectors))) if n_null else None
     report = {
         "eigenvalues": np.sort(evals, axis=None),
         "lam_max": float(np.max(np.abs(evals))),
@@ -431,7 +442,7 @@ def null_space_report(tube: Nanotube, pots: PotentialSet, acoustic: bool = False
         "n_near_null": n_null,
         "n_negative": int(np.sum(evals < -tol)),
         "rest_positive": bool(np.all(evals[~near_null] > 0.0)),
-        "max_principal_angle": max_angle,
+        "max_principal_angle": angle if n_null else None,
         "null_blocks": null_blocks,
     }
     if acoustic:

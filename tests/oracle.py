@@ -6,7 +6,10 @@ and cellspec.t_jacobian on them), the weighted cell-energy
 gradient and the tilde energy (the weighted sum over the values of
 cellspec.t_map), the dense Hessian (energy.term_hessian with unit weights)
 and the dense null-space report that stability.null_space_report's Bloch
-blocks are compared against, the finite-difference stencils of the analytic
+blocks are compared against, the lifted principal angle (the near-null Bloch
+modes and the isometry directions as 3n-vectors, measured by scipy's
+subspace_angles) that the report's angle inside the blocks is compared
+against, the finite-difference stencils of the analytic
 derivatives (the dense Hessian, cellspec.cell_hessian, cellspec.t_jacobian,
 the angle-sum Hessian in cellspec.angle_sum_concavity, reduced.reduced_hessian,
 ReducedSolution.minimizer_derivative), the brute-force family minimizer
@@ -61,6 +64,7 @@ from nanolab.energy import (
     _bond_vectors,
     _cos_angle,
     _image_shift,
+    bloch_table,
     bond_graph,
     gradient,
     term_hessian,
@@ -408,6 +412,64 @@ def hessian(tube, pots, graph=None):
     return term_hessian(tube.positions, bond_graph(tube) if graph is None else graph, pots.v2, pots.v3)
 
 
+def isometry_directions(tube: Nanotube) -> np.ndarray:
+    """Orthonormal basis (3n, 4) of the four energy-invariant directions at
+    fixed L: three rigid translations and the rotation about the tube axis."""
+    n = tube.n
+    dirs = np.zeros((3 * n, 4))
+    for d in range(3):
+        v = np.zeros((n, 3))
+        v[:, d] = 1.0
+        dirs[:, d] = v.ravel()
+    rot = np.zeros((n, 3))
+    rot[:, 1] = -tube.positions[:, 2]
+    rot[:, 2] = tube.positions[:, 1]
+    dirs[:, 3] = rot.ravel()
+    q, _ = np.linalg.qr(dirs)
+    return q
+
+
+def bloch_modes(table, p: int, q: float, amplitudes: np.ndarray) -> np.ndarray:
+    """The complex 3n-vectors of the Bloch modes of block B(p, q) of the
+    energy.BlochTable table whose motif-frame amplitudes are the columns of
+    amplitudes (12, k): atom (i, j, k, l) moves by
+    R_i a_(2k+l) exp(i (2 pi p (i-1)/ell + q j)), with R_i the rotation by
+    2*pi*(i-1)/ell about the axis."""
+    turn, cell = np.arange(table.ell), np.arange(table.m)
+    phase = np.exp(1j * (2.0 * np.pi / table.ell * p * turn[None, :] + q * cell[:, None]))
+    rot = axial_rotations(2.0 * np.pi * turn / table.ell)
+    modes = np.einsum("ji,ixy,cyk->jicxk", phase, rot, amplitudes.reshape(4, 3, -1))
+    return modes.reshape(12 * table.ell * table.m, -1)
+
+
+def null_space_angle_lifted(tube, pots):
+    """stability.null_space_report's max_principal_angle from 3n-vectors:
+    the near-null eigenvectors of each Bloch block lifted by bloch_modes, an
+    orthonormal real basis of their real and imaginary parts (which span the
+    near-null space twice over where a block and its conjugate both hold
+    modes), and scipy's subspace_angles against isometry_directions.  The
+    blocks and the near-null rule are the report's, read from
+    nanolab.stability at call time, so a test that replaces them there
+    replaces them here too.  None when there are no near-null modes."""
+    from scipy.linalg import subspace_angles
+
+    from nanolab import stability as stab
+
+    table = bloch_table(tube, pots)
+    p, q, blocks, evals = stab._bloch_spectrum(table)
+    tol = stab.BLOCK_NULL_ULPS * np.finfo(float).eps * np.max(np.abs(evals), axis=1, keepdims=True)
+    counts = np.sum(np.abs(evals) <= tol, axis=1)
+    lifted = []
+    for b in np.flatnonzero(counts):
+        w, v = np.linalg.eigh(blocks[b])
+        modes = bloch_modes(table, p[b], 2.0 * np.pi * q[b] / table.m, v[:, np.argsort(np.abs(w))[: counts[b]]])
+        lifted += [modes.real, modes.imag]
+    if not lifted:
+        return None
+    basis = np.linalg.svd(np.hstack(lifted), full_matrices=False)[0][:, : np.sum(counts)]
+    return float(np.max(subspace_angles(isometry_directions(tube), basis)))
+
+
 def null_space_report_dense(tube, pots) -> dict:
     """stability.null_space_report from one dense eigh of hessian(tube), for
     any stationary tube, with or without symmetry; null_blocks is None.
@@ -425,7 +487,7 @@ def null_space_report_dense(tube, pots) -> dict:
     from scipy.linalg import subspace_angles
 
     from nanolab.errors import NotStationaryError
-    from nanolab.stability import BLOCK_NULL_ULPS, GRAD_TOL_FACTOR, isometry_directions
+    from nanolab.stability import BLOCK_NULL_ULPS, GRAD_TOL_FACTOR
 
     graph = bond_graph(tube)
     grad_norm = np.linalg.norm(gradient(tube, pots, graph))

@@ -139,6 +139,16 @@ def test_kernel_dimensions_and_span():
     assert rep["max_principal_angle"] < 1e-4
 
 
+def test_kernel_angle_is_scipys():
+    # the angle helper of the spectrum against scipy's subspace_angles
+    from scipy.linalg import subspace_angles
+
+    rep = t_jacobian_kernel()
+    basis = cell_basis()
+    span = np.linalg.qr(np.concatenate([basis.degenerate, basis.bad], axis=0).reshape(-1, 24).T)[0]
+    assert abs(rep["max_principal_angle"] - np.max(subspace_angles(span, rep["kernel"]))) <= 1e-13
+
+
 def test_good_directions_act_to_first_order():
     jac = t_jacobian(planar_reference())
     basis = cell_basis()

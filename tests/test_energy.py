@@ -9,6 +9,7 @@ from oracle import (
     adjacency,
     assert_graph_equals_brute,
     bloch_blocks_gathered,
+    bloch_modes,
     bond_angle,
     bond_angles_gathered,
     expected_neighbors,
@@ -471,15 +472,15 @@ def test_bloch_blocks_hermitian_and_conjugate_pairs(pots_soft):
 
 
 def test_bloch_modes_are_eigenvectors_of_the_dense_hessian(pots_soft):
-    # modes lifts a block's eigenvectors with the blocks' convention: the
-    # lifted vectors are eigenvectors of hessian(tube) with the same values
+    # bloch_modes lifts a block's eigenvectors with the blocks' convention:
+    # the lifted vectors are eigenvectors of hessian(tube) with the same values
     tube = build_nanotube(solve_family(7, 2.95, 1.02, 0.98), 3)
     dense = hessian(tube, pots_soft)
     table = bloch_table(tube, pots_soft)
     for p, k in [(0, 0), (2, 1), (-3, 2)]:
         q = 2.0 * np.pi * k / tube.m
         w, v = np.linalg.eigh(table.blocks([p], [q])[0])
-        modes = table.modes(p, q, v)
+        modes = bloch_modes(table, p, q, v)
         assert modes.shape == (3 * tube.n, 12)
         residual = dense @ modes - modes * w
         assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(dense)) * np.sqrt(tube.n)

@@ -7,6 +7,8 @@ from oracle import (
     displacement,
     graph_brute,
     hessian_fd,
+    isometry_directions,
+    null_space_angle_lifted,
     null_space_report_dense,
     per_cell_certificate,
     stability_trial_loop,
@@ -24,7 +26,6 @@ from nanolab.stability import (
     MODES,
     BondBand,
     PerturbationSpec,
-    isometry_directions,
     null_space_report,
     sample_perturbations,
     stability_trial,
@@ -357,7 +358,7 @@ def test_soft_modes_are_not_null(pots_soft, ell, offset):
     assert rep["rest_positive"]
 
 
-def test_spectrum_calls_gradient_once(base, pots_soft, monkeypatch):
+def test_spectrum_builds_no_tube_gradient(base, pots_soft, monkeypatch):
     # no accepted tube builds the tube's gradient: the stationarity guard
     # reads the motif gradient of the Bloch table
     tube0, _, _ = base
@@ -548,7 +549,7 @@ def test_acoustic_report_builds_one_table(base, pots_soft, monkeypatch):
 
 
 @pytest.mark.parametrize("how", ["one-ulp", "no-geometry", "translated"])
-def test_non_family_tubes_take_dense_path(base, pots_soft, monkeypatch, how):
+def test_copies_other_than_the_built_bytes_take_the_bloch_blocks(base, pots_soft, monkeypatch, how):
     tube0, _, _ = base
     if how == "one-ulp":
         pos = tube0.positions.copy()
@@ -568,7 +569,7 @@ def test_non_family_tubes_take_dense_path(base, pots_soft, monkeypatch, how):
 
 
 @pytest.mark.parametrize("preset, ell", [("stiff", 64), ("soft", 112)])
-def test_moved_long_tube_counts_four_null_modes_on_the_dense_path(pots_soft, pots_stiff, preset, ell):
+def test_moved_long_tube_counts_four_null_modes_like_the_dense_oracle(pots_soft, pots_stiff, preset, ell):
     # a family tube moved by 0.37 L, on the Bloch blocks and in the dense
     # oracle; a threshold of 1e-10 of the largest eigenvalue counted its two
     # softest flexural modes as null
@@ -675,7 +676,8 @@ def test_line_group_copies_give_the_built_spectrum(pots_soft, pots_stiff, preset
     # moved by -2 .. 2 periods, wrapped or not, rotated about the axis,
     # shifted across it and relabelled by the Z_ell x Z_m action: the same
     # counts and null blocks as the built tube, eigenvalues within 64 eps of
-    # its largest, and of the dense oracle's up to n = 384
+    # its largest, and of the dense oracle's up to n = 384; the principal
+    # angle measured inside the blocks is the lifted oracle's within 1e-13
     pots = pots_soft if preset == "soft" else pots_stiff
     tube = _family_tube(ell, m, offset, pots)
     pos = tube.positions @ axial_rotations(angle).T + [periods * tube.period, *shift]
@@ -686,6 +688,8 @@ def test_line_group_copies_give_the_built_spectrum(pots_soft, pots_stiff, preset
     assert {k: rep[k] for k in _COUNTS} == {k: built[k] for k in _COUNTS}
     bound = 64.0 * np.finfo(float).eps * built["lam_max"]
     assert np.max(np.abs(rep["eigenvalues"] - built["eigenvalues"])) <= bound
+    for t, r in ((tube, built), (copy, rep)):
+        assert abs(r["max_principal_angle"] - null_space_angle_lifted(t, pots)) <= 1e-13
     if tube.n <= 384:
         assert np.max(np.abs(rep["eigenvalues"] - null_space_report_dense(copy, pots)["eigenvalues"])) <= bound
 
@@ -702,19 +706,25 @@ def test_tube_read_back_from_its_file_gives_the_built_counts(pots_soft, tmp_path
 def _broken(tube, how):
     """tube with a planted 1e-9 perturbation, with atoms 5 and 17 trading rows
     (the same point set under other labels), with labels that do not fit n,
-    or widened 1.3 times across the axis, which keeps the line group and
-    breaks the ring bonds."""
+    with labels ell = 1 or 2 (where the transverse translations would share
+    one Bloch block, p = 1 and -1 being one label), or widened 1.3 times
+    across the axis, which keeps the line group and breaks the ring bonds."""
     if how == "perturbed":
         return tube.with_positions(tube.positions + 1e-9 * np.random.default_rng(3).standard_normal((tube.n, 3)))
     if how == "swapped":
         return tube.with_positions(tube.positions[[*range(5), 17, *range(6, 17), 5, *range(18, tube.n)]])
     if how == "labels":
         return Nanotube(tube.positions, tube.period, tube.ell, tube.m + 1)
+    if how in ("ell-one", "ell-two"):
+        ell = 1 if how == "ell-one" else 2
+        return Nanotube(tube.positions, tube.period, ell, tube.n // (4 * ell))
     return tube.with_positions(tube.positions * [1.0, 1.3, 1.3])
 
 
 @pytest.mark.parametrize(
-    "how, degrees", [("perturbed", "3 .. 3"), ("swapped", "3 .. 3"), ("labels", "3 .. 3"), ("widened", "1 .. 1")]
+    "how, degrees",
+    [("perturbed", "3 .. 3"), ("swapped", "3 .. 3"), ("labels", "3 .. 3"), ("ell-one", "3 .. 3"), ("ell-two", "3 .. 3"),
+     ("widened", "1 .. 1")],
 )
 def test_tube_without_its_line_group_is_refused(base, pots_soft, monkeypatch, how, degrees):
     # refused before any table or gradient is built
@@ -726,11 +736,12 @@ def test_tube_without_its_line_group_is_refused(base, pots_soft, monkeypatch, ho
 
 
 def test_spectrum_eigensolves_only_bloch_blocks(base, pots_soft, monkeypatch):
-    # the 3n x 3n eigensolve does not grow back: every matrix the report
-    # hands an eigensolver is at most 12 x 12, a Bloch block or smaller
+    # the 3n x 3n eigensolve and the lift of the null modes to 3n-vectors do
+    # not grow back: every matrix the report hands an eigensolver, an SVD or
+    # a QR factorisation is at most 12 x 12, a Bloch block or smaller
     tube0, _, _ = base
     sizes = []
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "svd", "qr"):
 
         def recorded(a, *args, _real=getattr(np.linalg, name), **kwargs):
             sizes.append(np.shape(a)[-2:])
@@ -741,3 +752,59 @@ def test_spectrum_eigensolves_only_bloch_blocks(base, pots_soft, monkeypatch):
         for acoustic in (False, True):
             null_space_report(tube, pots_soft, acoustic=acoustic)
     assert (12, 12) in sizes and max(max(size) for size in sizes) <= 12
+
+
+def test_null_block_without_isometry_amplitudes_reads_a_right_angle(base, pots_soft, monkeypatch):
+    # near-null modes only in the ring blocks (+-2, 0), which hold none of
+    # the isometries: the two spaces are orthogonal, in the blocks and in
+    # the lifted oracle
+    tube0, _, _ = base
+    real = stab._bloch_spectrum
+
+    def ring_null(table):
+        p, q, blocks, evals = real(table)
+        evals = evals.copy()
+        evals[(np.abs(p) <= 1) & (q == 0), :4] = 1.0
+        evals[(np.abs(p) == 2) & (q == 0), 0] = 0.0
+        return p, q, blocks, evals
+
+    monkeypatch.setattr(stab, "_bloch_spectrum", ring_null)
+    rep = null_space_report(tube0, pots_soft)
+    assert rep["null_blocks"] == [(-2, 0, 1), (2, 0, 1)]
+    assert rep["max_principal_angle"] == np.pi / 2
+    assert abs(null_space_angle_lifted(tube0, pots_soft) - np.pi / 2) <= 1e-13
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 12])
+def test_isometry_amplitudes_fold_into_the_label_range(base, ell):
+    # each amplitude sits at a label of Z_ell; on the tube's own labels
+    # those of one block are orthonormal
+    tube0, _, _ = base
+    labels, amplitudes = stab._isometry_amplitudes(Nanotube(tube0.positions, tube0.period, ell, tube0.n // (4 * ell)))
+    assert list(labels) == [0, 0, *{1: [0, 0], 2: [1, 1]}.get(ell, [1, -1])]
+    assert set(labels) <= set(stab._signed_labels(ell))
+    if ell == tube0.ell:
+        for p in (-1, 0, 1):
+            a = amplitudes[:, labels == p]
+            assert np.max(np.abs(a.conj().T @ a - np.eye(a.shape[1]))) <= 1e-15
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("k_a, k_b", [(1, 1), (2, 3), (4, 2), (4, 12)])
+def test_largest_principal_angle_is_scipys(dtype, k_a, k_b):
+    # random subspaces of a 12-space, and a subspace and a copy turned by
+    # about 1e-9: large angles on the arccos form, small ones on the arcsine
+    from scipy.linalg import subspace_angles
+
+    rng = np.random.default_rng(k_a * 13 + k_b)
+
+    def draw(k):
+        x = rng.standard_normal((12, k))
+        return x + 1j * rng.standard_normal((12, k)) if dtype is complex else x
+
+    for _ in range(20):
+        a, b = np.linalg.qr(draw(k_a))[0], np.linalg.qr(draw(k_b))[0]
+        near = np.linalg.qr(a + 1e-9 * draw(k_a))[0]
+        for x, y in ((a, b), (a, near)):
+            assert abs(stab._largest_principal_angle(x, y) - np.max(subspace_angles(x, y))) <= 1e-12
+    assert stab._largest_principal_angle(np.eye(12)[:, :3], np.eye(12)[:, 3:5]) == np.pi / 2

@@ -1,8 +1,8 @@
 """No dead surface: every public function, class and method in src/nanolab is
 reached by the library itself or by the benchmark's own calls into it,
 bench/workloads.py, every error class of nanolab.errors is raised or warned
-with in src/nanolab, no module warns, and every command-line option reaches
-an output.
+with in src/nanolab, no module warns, every command-line option reaches
+an output, and the library runs on numpy alone: scipy is the tests' oracle.
 
 A name counts as reached when it occurs as an identifier (an ast.Name or the
 attribute of an ast.Attribute) anywhere in src/nanolab or bench/workloads.py.
@@ -17,6 +17,9 @@ guards against regrowth without proving every name is needed.
 import argparse
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from nanolab import cli
@@ -188,3 +191,18 @@ def test_every_cli_option_reaches_an_output(tmp_path, capsys):
     first = {command: outcome(argv) for command, argv in base.items()}
     assert [command for command, (code, _) in first.items() if code != 0] == []
     assert [(command, option) for command, option in options if not reaches(command, option)] == []
+
+
+def test_verify_all_imports_no_scipy():
+    # a fresh interpreter that runs the quick battery has imported numpy
+    # and nanolab, and no scipy module
+    code = (
+        "import sys\n"
+        "from nanolab import cli\n"
+        "assert cli.main(['verify-all', '--quick']) == 0\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines()[-1] == "[]"
