@@ -1,7 +1,6 @@
 """Bond graph under the axial periodic metric, configurational energy, gradient,
-the dense term Hessian, and a family tube's Bloch table: its motif couplings,
-which give every Bloch block, and its motif gradient, from one pass over the
-motif's terms.
+the dense term Hessian, and a family tube's Bloch table: the motif couplings,
+which give every Bloch block, and gradient from the terms anchored at its motif.
 
 Bonds are pairs at modulo-L distance strictly below BOND_CUTOFF; triples
 share a vertex.  Sums run over unordered bonds and unordered angles: each bond
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError
+from .errors import DegenerateGeometryError, InvalidParameterError
 from .geometry import Nanotube, ZigzagGeometry, axial_rotations, check_positions
 from .potentials import BOND_CUTOFF, PotentialSet
 
@@ -153,6 +152,12 @@ def near_pairs(pos: np.ndarray, L: float, radius: float):
     return a[by_pair], b[by_pair], t[by_pair], dist[by_pair]
 
 
+def _check_bond_lengths(dist, shifts, pos, L: float) -> None:
+    """Refuse bonds within _COINCIDENT_ULPS of their coordinate scale of zero length."""
+    if np.any(dist <= _COINCIDENT_ULPS * np.finfo(float).eps * (np.max(np.abs(pos)) + np.abs(shifts) * L)):
+        raise DegenerateGeometryError("zero-length bond leg")
+
+
 def _half_edges(pairs: np.ndarray):
     """Both directions of every bond in (vertex, neighbour) order, with the
     bond and the sign under which its vector is the leg from vertex to
@@ -180,9 +185,7 @@ def bond_graph(tube: Nanotube) -> BondGraph:
     """
     check_positions(tube.positions, tube.period, BOND_CUTOFF)
     ii, jj, tt, dist = near_pairs(tube.positions, tube.period, BOND_CUTOFF)
-    scale = np.max(np.abs(tube.positions)) + np.abs(tt) * tube.period
-    if np.any(dist <= _COINCIDENT_ULPS * np.finfo(float).eps * scale):
-        raise DegenerateGeometryError("zero-length bond leg")
+    _check_bond_lengths(dist, tt, tube.positions, tube.period)
     pairs = np.stack([ii, jj], axis=1)
 
     # every two legs at a vertex make one angle: half-edge e pairs with each
@@ -243,12 +246,12 @@ def _bond_vectors(pos, graph: BondGraph):
     return d
 
 
-def _leg_vectors(d, graph: BondGraph, angles=slice(None)):
-    """Legs (u, v) of the angles graph.triples[angles] from graph's bond
-    vectors d: u = s0*d[b0], v = s1*d[b1], (b0, b1) = leg_bonds[q], (s0, s1)
-    = leg_signs[q].  They are the legs x_i - x_j, x_k - x_j at their images
-    but for the sign of an exact zero, which the term kernels' sums drop."""
-    b, s = graph.leg_bonds[angles], graph.leg_signs[angles]
+def _leg_vectors(d, graph: BondGraph):
+    """Legs (u, v) of graph's angles from its bond vectors d: u = s0*d[b0],
+    v = s1*d[b1], (b0, b1) = leg_bonds[q], (s0, s1) = leg_signs[q].  They
+    are the legs x_i - x_j, x_k - x_j at their images but for the sign of an
+    exact zero, which the term kernels' sums drop."""
+    b, s = graph.leg_bonds, graph.leg_signs
     return s[:, 0, None] * d.take(b[:, 0], axis=-2), s[:, 1, None] * d.take(b[:, 1], axis=-2)
 
 
@@ -430,30 +433,31 @@ def gradient(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = None)
 @dataclass(frozen=True)
 class BlochTable:
     """The Hessian of a family tube as couplings between its motif atoms 0..3,
-    and the motif atoms' gradient, from one pass over the terms that touch them.
+    and the motif atoms' gradient, from the 24 terms anchored at the motif.
 
     Atom (i, j, k, l) of a family tube is motif atom 2k + l rotated by
     2*pi*(i-1)/ell about the tube's axis and translated by j*mu, mu = L/m;
     the axis may be any line parallel to e1, as the couplings below rotate
-    only Hessian blocks and bond vectors, not positions.  Written
-    in each atom's motif frame (its 3-vector rotated by -2*pi*(i-1)/ell) the
-    Hessian commutes with this Z_ell x Z_m action, so it is block diagonal in
-    the Bloch basis, one 12x12 block per rotation index p (an integer) and
-    axial phase q (radians per mu):
+    only Hessian blocks and bond vectors, not positions.  Written in each
+    atom's motif frame (its 3-vector rotated by -2*pi*(i-1)/ell) the Hessian
+    commutes with this Z_ell x Z_m action, so it is block diagonal in the
+    Bloch basis, one 12x12 block per rotation index p (an integer) and axial
+    phase q (radians per mu).  Every term is the image of one anchored at the
+    motif: the 12 bonds of its atoms at weight w = 1/2, a bond being anchored
+    at both ends, and the 12 angles with a vertex among them at w = 1.  So
 
-        B(p, q) = sum over the bonds and angles with a motif atom s of
-                  R_s^T H_t[s, u] R_u exp(i (2 pi p (i_u - i_s)/ell + q (J_u - J_s)))
+        B(p, q)[s_a, s_b] = sum over the anchored terms t and slot pairs (a, b) of
+                  w R_a^T H_t[a, b] R_b exp(i (2 pi p (i_b - i_a)/ell + q (J_b - J_a)))
 
-    over every atom u of the term, with H_t the term's Hessian block, R the
-    rotation into the motif frame and J the axial cell of the atom's image
-    counted in periods mu, image shifts included.  coupling[o] (144 entries,
-    row-major over the block) sums the terms of offsets[o] = ((i_u - i_s) mod
-    ell, J_u - J_s).  q = 2*pi*k/m, k = 0..m-1, give the tube's own blocks,
-    whose eigenvalues together are those of the tube's term_hessian; any real
-    q is the Bloch phase of a longer tube.  The Hessian is real, so B(-p, -q)
-    = conj B(p, q).  gradient (4, 3) is that of the motif atoms; each of
-    their ell*m images has a rotated copy of it, so sqrt(ell*m) |gradient| is
-    the tube's gradient norm.
+    with H_t the term's Hessian block, s_a the motif atom of slot a, R the
+    rotation into the motif frame and J the axial cell of the slot's image in
+    periods mu.  coupling[o] (144 entries, row-major over the block) sums the
+    pairs of offsets[o] = ((i_b - i_a) mod ell, J_b - J_a).  q = 2*pi*k/m,
+    k = 0..m-1, give the tube's own blocks, whose eigenvalues together are
+    those of its term_hessian; any real q is the Bloch phase of a longer tube.
+    B(-p, -q) = conj B(p, q), the Hessian being real.  gradient (4, 3) sums w
+    R_a^T g_t[a] into row s_a: the motif atoms' gradient, which each of their
+    ell*m images copies rotated, so sqrt(ell*m) |gradient| is the tube's.
     """
 
     ell: int
@@ -468,45 +472,43 @@ class BlochTable:
         return (phase @ self.coupling).reshape(-1, 12, 12)
 
 
-def bloch_table(tube: Nanotube, pots: PotentialSet, graph: BondGraph | None = None) -> BlochTable:
-    """The BlochTable of a family tube, with graph its bond graph: atom
-    flat_index(i, j, k, l) is motif atom 2k + l moved by the line-group
-    element (i, j), as build_nanotube lays it out, though each atom may be
-    written in any period and the tube moved or turned as a whole.  Only the
-    terms that touch the motif are evaluated, so there is no n x n array."""
-    if graph is None:
-        graph = bond_graph(tube)
+def bloch_table(tube: Nanotube, pots: PotentialSet) -> BlochTable:
+    """The BlochTable of a family tube whose positions check_positions takes at
+    the bond cutoff: atom flat_index(i, j, k, l) is motif atom 2k + l moved by
+    the element (i, j), in any period, the tube moved or turned as a whole.
+    Raises InvalidParameterError, naming the motif degrees, unless each is 3."""
     ell, L, pos = tube.ell, tube.period, tube.positions
-    d = _bond_vectors(pos, graph)
-    bonds = np.any(graph.pairs < 4, axis=1)
-    angles = np.any(graph.triples < 4, axis=1)
-    bond_shifts = graph.pair_shifts[bonds]
-    leg_shifts = graph.leg_signs[angles] * graph.pair_shifts[graph.leg_bonds[angles]]
-    # atoms, image shifts and (gradients, Hessian blocks) of the terms, one row per term
-    terms = (
-        (graph.pairs[bonds], np.stack([bond_shifts, np.zeros_like(bond_shifts)], axis=1),
-         _bond_term(d[bonds], pots.v2, second=True)),
-        (graph.triples[angles], np.insert(leg_shifts, 1, 0, axis=1),
-         _angle_term(*_leg_vectors(d, graph, angles), pots.v3, second=True)),
-    )
-    grad = np.zeros((4, 3))
-    offsets, rows, cols, parts = [], [], [], []
-    for atoms, shifts, (grads, blocks) in terms:
-        kappa = atoms % 4
-        turn = (atoms // 4) % ell
-        cell = np.rint((pos[atoms, 0] + shifts * L - pos[kappa, 0]) / (L / tube.m)).astype(np.int64)
-        rot = axial_rotations(2.0 * np.pi * turn / ell)
-        t, s = np.nonzero(atoms < 4)
-        np.add.at(grad, atoms[t, s], grads[t, s])
-        offsets.append(np.stack([(turn[t] - turn[t, s, None]) % ell, cell[t] - cell[t, s, None]]).reshape(2, -1))
-        rows.append(np.broadcast_to(kappa[t, s, None], kappa[t].shape).ravel())
-        cols.append(kappa[t].ravel())
-        parts.append(np.einsum("txa,txuy,tuyb->tuab", rot[t, s], blocks[t, s], rot[t]).reshape(-1, 3, 3))
-    turns, cells = np.concatenate(offsets, axis=1)  # one integer key each, in (turn, cell) order
+    image, dist = image_distances(pos - pos[:4, None], L)
+    dist[np.arange(4), np.arange(4)] = np.inf
+    degrees = np.sum(dist < BOND_CUTOFF, axis=1)
+    if np.any(degrees != 3):
+        raise InvalidParameterError(
+            f"not a family tube of its labels (ell, m) = ({ell}, {tube.m}): motif atom degrees {degrees.tolist()} (family: 3)"
+        )
+    # star[s]: motif atom s, then the images x[u] + t L e1 of its 3 neighbours u
+    star = np.column_stack([np.arange(4), np.nonzero(dist < BOND_CUTOFF)[1].reshape(4, 3)])
+    t = np.take_along_axis(image, star, axis=1)
+    _check_bond_lengths(np.take_along_axis(dist, star[:, 1:], axis=1), t[:, 1:], pos, L)
+    legs = pos[star] - pos[:4, None] + np.multiply.outer(t * L, [1.0, 0.0, 0.0])
+    kappa, turn = star % 4, (star // 4) % ell
+    cell = np.rint((pos[star, 0] + t * L - pos[kappa, 0]) / (L / tube.m)).astype(np.int64)
+    rot = axial_rotations(2.0 * np.pi * turn / ell)
+    bonds = _bond_term(legs[:, 1:].reshape(12, 3), pots.v2, 0.5, second=True)
+    angles = _angle_term(legs[:, [1, 1, 2]].reshape(12, 3), legs[:, [2, 3, 3]].reshape(12, 3), pots.v3, second=True)
+    grad, pairs, parts = np.zeros((4, 3)), [], []
+    # the star slots of the bonds (u, s) and the angles (u, s, u'), and their (gradients, Hessian blocks)
+    for slots, (grads, blocks) in (([[1, 0], [2, 0], [3, 0]], bonds), ([[1, 0, 2], [1, 0, 3], [2, 0, 3]], angles)):
+        k, r, i, j = (x[:, slots].reshape(12, len(slots[0]), *x.shape[2:]) for x in (kappa, rot, turn, cell))
+        np.add.at(grad, k, np.einsum("taxy,tax->tay", r, grads))
+        # (turn offset, cell offset, row, column) of each slot pair (a, b)
+        pair = ((i[:, None] - i[:, :, None]) % ell, j[:, None] - j[:, :, None], k[:, :, None], k[:, None])
+        pairs.append(np.stack(np.broadcast_arrays(*pair)).reshape(4, -1))
+        parts.append(np.einsum("taxc,taxbz,tbzd->tabcd", r, blocks, r).reshape(-1, 3, 3))
+    turns, cells, rows, cols = np.concatenate(pairs, axis=1)  # one integer offset key each, in (turn, cell) order
     low, width = cells.min(), cells.max() - cells.min() + 1
     keys, inverse = np.unique(turns * width + cells - low, return_inverse=True)
     offsets = np.stack([keys // width, keys % width + low], axis=1)
     coupling = np.zeros((len(offsets), 4, 4, 3, 3))
-    np.add.at(coupling, (inverse, np.concatenate(rows), np.concatenate(cols)), np.concatenate(parts))
+    np.add.at(coupling, (inverse, rows, cols), np.concatenate(parts))
     coupling = coupling.transpose(0, 1, 3, 2, 4).reshape(len(offsets), 144)
     return BlochTable(ell, tube.m, offsets, coupling, grad)

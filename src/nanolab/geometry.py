@@ -114,8 +114,7 @@ def solve_family(ell: int, mu: float, lambda1: float, lambda2: float) -> ZigzagG
     lambda1, lambda2 in (0.9, 1.1); mu in MU_BOUNDS (check_mu); sigma > 0.2;
     rho > 0.55/sin(gamma_ell).
     """
-    if ell <= 3:
-        raise InvalidParameterError(f"ell must exceed 3, got {ell}")
+    g = gamma(ell)
     check_mu(mu)
     if not (0.9 < lambda1 < 1.1):
         raise InvalidParameterError(f"lambda1={lambda1} outside (0.9, 1.1)")
@@ -126,7 +125,6 @@ def solve_family(ell: int, mu: float, lambda1: float, lambda2: float) -> ZigzagG
         raise InvalidParameterError(f"sigma={sigma} must exceed 0.2 (mu/2 - lambda1)")
     if sigma >= lambda2:
         raise InvalidParameterError(f"sigma={sigma} must stay below lambda2={lambda2}")
-    g = gamma(ell)
     rho = np.sqrt(lambda2**2 - sigma**2) / (2.0 * np.sin(np.pi / (2.0 * ell)))
     if rho <= 0.55 / np.sin(g):
         raise InvalidParameterError(f"rho={rho} must exceed 0.55/sin(gamma_ell)={0.55 / np.sin(g)}")

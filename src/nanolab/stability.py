@@ -14,7 +14,7 @@ import numpy as np
 from .cells import total_symmetry_defect
 from .energy import _norm3, bloch_table, bond_graph, image_distances, near_pairs, total_energy
 from .errors import EtaTooLargeError, InvalidParameterError, NotStationaryError
-from .geometry import Nanotube, axial_rotations, build_nanotube
+from .geometry import Nanotube, axial_rotations, build_nanotube, check_positions
 from .potentials import BOND_CUTOFF, PotentialSet
 from .reduced import minimize_family, reduced_hessian
 
@@ -400,33 +400,33 @@ def null_space_report(tube: Nanotube, pots: PotentialSet, acoustic: bool = False
     principal angles between the near-null eigenvectors and the isometry
     directions, from the line-group Bloch blocks of one energy.bloch_table.
 
-    The tube must be a family tube of its labels: its _symmetry_residual at
-    most SYMMETRY_ULPS * eps * max(max|x|, L) and every atom of degree 3 (so
-    6*ell*m bonds).  Moved, rotated, shifted and relabelled copies of a built
-    tube pass; anything else raises InvalidParameterError, naming the
-    residual, its bound and the degrees.  Each block's eigenvalues are
-    near-null against that block's round-off (see BLOCK_NULL_ULPS), zero_tol
-    is the largest of the blocks' thresholds, null_blocks lists (p, q, count)
-    for each block with near-null eigenvalues, and only those blocks are
-    solved for eigenvectors, and the principal angles against the isometry
-    directions are measured inside them, with no 3n-vector built.
-    max_principal_angle is None when there are no near-null modes.  With
-    acoustic, the report also holds acoustic_ratio (see _acoustic_ratio),
-    None unless the tube carries a geometry of its ell and period, whose mu
-    the ratio reads.  Raises NotStationaryError
-    unless |grad| < GRAD_TOL_FACTOR * sqrt(n), |grad| read as sqrt(ell * m)
-    times that of the motif (see energy.BlochTable).
+    The tube must pass geometry.check_positions with the bond cutoff (else
+    DegenerateGeometryError) and be a family tube of its labels: its
+    _symmetry_residual at most SYMMETRY_ULPS * eps * max(max|x|, L), and
+    each motif atom of degree 3 (energy.bloch_table).  Moved, rotated,
+    shifted and relabelled copies of a built tube pass; anything else raises
+    InvalidParameterError, naming the residual and its bound, or the motif
+    degrees.  Each block's eigenvalues are near-null against that block's
+    round-off (see BLOCK_NULL_ULPS), zero_tol is the largest of the blocks'
+    thresholds, null_blocks lists (p, q, count) for each block with near-null
+    eigenvalues, and only those blocks are solved for eigenvectors, and the
+    principal angles against the isometry directions are measured inside
+    them, with no 3n-vector built.  max_principal_angle is None when there
+    are no near-null modes.  With acoustic, the report also holds
+    acoustic_ratio (see _acoustic_ratio), None unless the tube carries a
+    geometry of its ell and period, whose mu the ratio reads.  Raises
+    NotStationaryError unless |grad| < GRAD_TOL_FACTOR * sqrt(n), |grad|
+    read as sqrt(ell * m) times that of the motif (see energy.BlochTable).
     """
-    graph = bond_graph(tube)
+    check_positions(tube.positions, tube.period, BOND_CUTOFF)
     residual = _symmetry_residual(tube)
     bound = SYMMETRY_ULPS * np.finfo(float).eps * max(float(np.max(np.abs(tube.positions))), tube.period)
-    degrees = graph.degrees()
-    if not (residual <= bound and np.all(degrees == 3)):
+    if not residual <= bound:
         raise InvalidParameterError(
             f"not a family tube of its labels (ell, m) = ({tube.ell}, {tube.m}): symmetry residual "
-            f"{residual:.3e} (bound {bound:.3e}), atom degrees {degrees.min()} .. {degrees.max()} (family: 3)"
+            f"{residual:.3e} (bound {bound:.3e})"
         )
-    table = bloch_table(tube, pots, graph)
+    table = bloch_table(tube, pots)
     grad_norm = np.sqrt(tube.ell * tube.m) * np.linalg.norm(table.gradient)
     if grad_norm >= GRAD_TOL_FACTOR * np.sqrt(tube.n):
         raise NotStationaryError(f"gradient norm {grad_norm:.3e} exceeds {GRAD_TOL_FACTOR * np.sqrt(tube.n):.3e}")

@@ -200,8 +200,10 @@ def term_hessian_gathered(pos, graph, v2, v3, bond_weights=1.0, angle_weights=1.
 
 
 def bloch_blocks_gathered(tube, pots, p, q, graph):
-    """The blocks B(p, q) of energy.bloch_table, with the angle legs gathered
-    from the positions and their image shifts from triple_shifts."""
+    """The blocks B(p, q) of energy.bloch_table from the tube's bond graph:
+    every bond and angle that touches a motif atom s adds R_s^T H_t[s, u] R_u
+    for each of its atoms u, with the angle legs gathered from the positions
+    and their image shifts from triple_shifts."""
     ell, L, pos = tube.ell, tube.period, tube.positions
     bonds = np.any(graph.pairs < 4, axis=1)
     angles = np.any(graph.triples < 4, axis=1)

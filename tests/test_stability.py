@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +19,7 @@ from oracle import (
 import nanolab.stability as stab
 from nanolab import energy, potentials
 from nanolab.energy import bloch_table, bond_graph, gradient, near_pairs
-from nanolab.errors import EtaTooLargeError, InvalidParameterError, NotStationaryError
+from nanolab.errors import DegenerateGeometryError, EtaTooLargeError, InvalidParameterError, NotStationaryError
 from nanolab.geometry import Nanotube, axial_rotations, build_nanotube, flat_index, solve_family
 from nanolab.pxyz import read_pxyz, write_pxyz
 from nanolab.potentials import BOND_CUTOFF
@@ -375,6 +377,62 @@ def test_spectrum_builds_no_tube_gradient(base, pots_soft, monkeypatch):
     assert len(calls) == 0
 
 
+def _count_terms(monkeypatch):
+    """Record (kernel, terms) for each call of the bond and angle term
+    kernels."""
+    calls = []
+    for name in ("_bond_term", "_angle_term"):
+
+        def recorded(legs, *args, _name=name, _real=getattr(energy, name), **kwargs):
+            calls.append((_name, len(legs)))
+            return _real(legs, *args, **kwargs)
+
+        monkeypatch.setattr(energy, name, recorded)
+    return calls
+
+
+def test_spectrum_builds_no_bond_graph(base, pots_soft, monkeypatch):
+    # the table reads the motif atoms' bonds from their distances to every
+    # atom: no report builds the tube's bond graph or runs its pair search,
+    # and each table evaluates the 12 bonds and 12 angles anchored at the motif
+    tube0, _, _ = base
+    calls = {"bond_graph": 0, "near_pairs": 0}
+    for name, real in (("bond_graph", bond_graph), ("near_pairs", near_pairs)):
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(energy, name, counted)
+        monkeypatch.setattr(stab, name, counted)
+    terms = _count_terms(monkeypatch)
+    copies = _copies(tube0)
+    for tube in copies.values():
+        for acoustic in (False, True):
+            null_space_report(tube, pots_soft, acoustic=acoustic)
+    assert calls == {"bond_graph": 0, "near_pairs": 0}
+    assert terms == [("_bond_term", 12), ("_angle_term", 12)] * 2 * len(copies)
+
+
+@pytest.mark.parametrize("how", ["nan", "huge", "short-period"])
+def test_degenerate_tube_is_refused_before_any_table(base, pots_soft, monkeypatch, how):
+    # geometry.check_positions with the bond cutoff runs first: no warning
+    # and no table
+    tube0, _, _ = base
+    pos = tube0.positions.copy()
+    if how == "short-period":
+        tube, message = Nanotube(pos, np.nextafter(2.0 * BOND_CUTOFF, 0.0), tube0.ell, tube0.m), "twice the bond cutoff"
+    else:
+        pos[5, 1] = np.nan if how == "nan" else -(2.0**510)
+        tube, message = tube0.with_positions(pos), r"below 2\*\*510"
+    calls = _count_paths(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateGeometryError, match=message):
+            null_space_report(tube, pots_soft, acoustic=True)
+    assert calls == {"bloch_table": 0}
+
+
 def _unstationary_member(ell, m):
     """A built family member with bond lengths (1.02, 0.98) at mu = 2.95,
     not the minimizer of its period: not stationary."""
@@ -396,10 +454,15 @@ def test_motif_gradient_norm_is_the_tube_gradient_norm(preset, ell, m):
     # guard's sqrt(ell m) |motif gradient| is the tube's gradient norm
     pots = potentials.load(preset)
     tube = _unstationary_member(ell, m)
-    full = np.linalg.norm(gradient(tube, pots))
-    motif = np.sqrt(ell * m) * np.linalg.norm(bloch_table(tube, pots).gradient)
+    rows = gradient(tube, pots)
+    table = bloch_table(tube, pots).gradient
+    full = np.linalg.norm(rows)
+    motif = np.sqrt(ell * m) * np.linalg.norm(table)
     assert full > 1e3 * stab.GRAD_TOL_FACTOR * np.sqrt(tube.n)
     assert abs(motif - full) <= 1e-9 * full
+    # the motif atoms sit at turn 0, where the motif frame is the tube's: the
+    # table's gradient is rows 0..3 of the tube's
+    assert np.max(np.abs(table - rows[:4])) <= 1e-9 * np.linalg.norm(table)
 
 
 def test_spectrum_invariant_under_translation(base, pots_soft):
@@ -708,7 +771,8 @@ def _broken(tube, how):
     (the same point set under other labels), with labels that do not fit n,
     with labels ell = 1 or 2 (where the transverse translations would share
     one Bloch block, p = 1 and -1 being one label), or widened 1.3 times
-    across the axis, which keeps the line group and breaks the ring bonds."""
+    or squeezed 0.6 times across the axis, which keeps the line group and
+    breaks the ring bonds or bonds each atom to two more."""
     if how == "perturbed":
         return tube.with_positions(tube.positions + 1e-9 * np.random.default_rng(3).standard_normal((tube.n, 3)))
     if how == "swapped":
@@ -718,21 +782,32 @@ def _broken(tube, how):
     if how in ("ell-one", "ell-two"):
         ell = 1 if how == "ell-one" else 2
         return Nanotube(tube.positions, tube.period, ell, tube.n // (4 * ell))
-    return tube.with_positions(tube.positions * [1.0, 1.3, 1.3])
+    scale = 1.3 if how == "widened" else 0.6
+    return tube.with_positions(tube.positions * [1.0, scale, scale])
 
 
 @pytest.mark.parametrize(
     "how, degrees",
     [("perturbed", "3 .. 3"), ("swapped", "3 .. 3"), ("labels", "3 .. 3"), ("ell-one", "3 .. 3"), ("ell-two", "3 .. 3"),
-     ("widened", "1 .. 1")],
+     ("widened", "1 .. 1"), ("squeezed", "5 .. 5")],
 )
 def test_tube_without_its_line_group_is_refused(base, pots_soft, monkeypatch, how, degrees):
-    # refused before any table or gradient is built
-    tube0, _, _ = base
-    calls = _count_paths(monkeypatch)
-    with pytest.raises(InvalidParameterError, match=rf"symmetry residual \S+ \(bound \S+\), atom degrees {degrees} "):
-        null_space_report(_broken(tube0, how), pots_soft)
-    assert calls == {"bloch_table": 0}
+    # degrees is the range the bond graph counts: the inputs of degree 3
+    # lack the line group of their labels, and the symmetry residual refuses
+    # them before any table is built; widened and squeezed keep it, and
+    # their table refuses the motif degrees before it evaluates any term
+    tube = _broken(base[0], how)
+    graph_degrees = bond_graph(tube).degrees()
+    assert f"{graph_degrees.min()} .. {graph_degrees.max()}" == degrees
+    if degrees == "3 .. 3":
+        message, tables = r"symmetry residual \S+ \(bound \S+\)$", 0
+    else:
+        d = degrees.split()[0]
+        message, tables = rf"motif atom degrees \[{d}, {d}, {d}, {d}\] \(family: 3\)$", 1
+    calls, terms = _count_paths(monkeypatch), _count_terms(monkeypatch)
+    with pytest.raises(InvalidParameterError, match=message):
+        null_space_report(tube, pots_soft)
+    assert calls == {"bloch_table": tables} and terms == []
 
 
 def test_spectrum_eigensolves_only_bloch_blocks(base, pots_soft, monkeypatch):
