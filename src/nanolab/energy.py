@@ -322,15 +322,20 @@ def family_energy(geom: ZigzagGeometry, m: int, pots: PotentialSet) -> float:
     return float(pair + angle)
 
 
-# Legs of a term as rows over its atoms: a bond's d = x_i - x_j over (i, j);
-# an angle's u = x_i - x_j and v = x_k - x_j over the triple's (i, j, k).
-_BOND_LEGS = np.array([[1.0, -1.0]])
-_ANGLE_LEGS = np.array([[1.0, -1.0, 0.0], [0.0, -1.0, 1.0]])
+# Signs of a bond's two atoms (i, j) in its leg d = x_i - x_j, shaped to
+# broadcast over the gradient (t, 2, 3) and the Hessian block (t, 2, 3, 2, 3).
+_BOND_SIGNS = np.array([1.0, -1.0])[:, None]
+_BOND_BLOCK_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :, None]
 # d2v3/dc2 divides by sin(theta)^2; below this sin^2 its round-off error
 # exceeds about 1e-6 of v3''.
 _STRAIGHT_SIN2 = 1e-10
 
 
+# The term kernels spell out the contractions of a term's leg derivatives
+# with the legs' atom rows, d = x_i - x_j and u = x_i - x_j, v = x_k - x_j:
+# each atom's entry is a sum of +-1 times leg entries, added as einsum adds
+# them, and the final + 0.0 turns a -0.0 into einsum's +0.0 and changes
+# nothing else (the einsum forms are in tests/oracle.py).
 def _bond_term(d, v2, w=1.0, second=False):
     """Derivatives of the pair terms w*v2(|d|), one per leg d[t] = x_i - x_j.
 
@@ -343,12 +348,12 @@ def _bond_term(d, v2, w=1.0, second=False):
     if np.any(r == 0.0):
         raise DegenerateGeometryError("zero-length bond")
     d1 = w * v2.deriv(r)
-    grad = np.einsum("ap,tx->tpx", _BOND_LEGS, (d1 / r)[:, None] * d)
+    grad = _BOND_SIGNS * ((d1 / r)[:, None] * d)[:, None] + 0.0
     if not second:
         return grad, None
-    rr = np.einsum("ti,tj->tij", d, d) / (r**2)[:, None, None]
+    rr = d[:, :, None] * d[:, None, :] / (r**2)[:, None, None]
     k = (w * v2.deriv2(r))[:, None, None] * rr + (d1 / r)[:, None, None] * (np.eye(3) - rr)
-    return grad, np.einsum("ap,txy,aq->tpxqy", _BOND_LEGS, k, _BOND_LEGS)
+    return grad, _BOND_BLOCK_SIGNS * k[:, None, :, None] + 0.0
 
 
 def _angle_term(u, v, v3, w=1.0, second=False):
@@ -366,33 +371,39 @@ def _angle_term(u, v, v3, w=1.0, second=False):
     an angle within 1e-5 rad of 0 or pi.
     """
     c, nu, nv = _cos_angle(u, v)
-    uh = u / nu[:, None]
-    vh = v / nv[:, None]
+    # the two legs stacked on axis 1: unit vectors, norms, dc/d(leg)
+    h = np.stack([u / nu[:, None], v / nv[:, None]], axis=1)
+    norms = np.stack([nu, nv], axis=1)
     s = np.sqrt(np.maximum(1.0 - c**2, 1e-30))
     theta = np.arccos(c)
     e_c = -(w * v3.deriv(theta)) / s
-    gu = (vh - c[:, None] * uh) / nu[:, None]
-    gv = (uh - c[:, None] * vh) / nv[:, None]
-    g = np.stack([gu, gv], axis=1)
-    grad = np.einsum("ap,tax->tpx", _ANGLE_LEGS, e_c[:, None, None] * g)
+    g = (h[:, ::-1] - c[:, None, None] * h) / norms[:, :, None]
+    eg = e_c[:, None, None] * g
+    grad = np.stack([eg[:, 0], -(eg[:, 0] + eg[:, 1]), eg[:, 1]], axis=1) + 0.0
     if not second:
         return grad, None
     if np.any(1.0 - c**2 < _STRAIGHT_SIN2):
         raise DegenerateGeometryError("angle within 1e-5 rad of 0 or pi: its curvature is lost to round-off")
     e_cc = (w * v3.deriv2(theta) + e_c * c) / s**2
-    blocks = e_cc[:, None, None, None, None] * np.einsum("tax,tby->taxby", g, g)
-    eye = np.eye(3)
-    p_u = eye - np.einsum("ti,tj->tij", uh, uh)
-    p_v = eye - np.einsum("ti,tj->tij", vh, vh)
+    # b[t, a, x, b, y]: the Hessian over the legs (u, v); block: over the atoms (i, j, k)
+    b = e_cc[:, None, None, None, None] * (g[:, :, :, None, None] * g[:, None, None])
+    p = np.eye(3) - h[..., :, None] * h[..., None, :]
+    outer = g[..., :, None] * h[..., None, :]
     we = e_c[:, None, None]
-    for a, (gl, hl, nl, pl) in enumerate(((gu, uh, nu, p_u), (gv, vh, nv, p_v))):
-        outer = np.einsum("ti,tj->tij", gl, hl)
-        d2c = -(outer + outer.transpose(0, 2, 1)) / nl[:, None, None] - (c / nl**2)[:, None, None] * pl
-        blocks[:, a, :, a, :] += we * d2c
-    cross = we * (p_u @ p_v) / (nu * nv)[:, None, None]
-    blocks[:, 0, :, 1, :] += cross
-    blocks[:, 1, :, 0, :] += cross.transpose(0, 2, 1)
-    return grad, np.einsum("ap,taxby,bq->tpxqy", _ANGLE_LEGS, blocks, _ANGLE_LEGS)
+    d2c = -(outer + outer.swapaxes(-1, -2)) / norms[..., None, None] - (c[:, None] / norms**2)[..., None, None] * p
+    b[:, 0, :, 0] += we * d2c[:, 0]
+    b[:, 1, :, 1] += we * d2c[:, 1]
+    cross = we * (p[:, 0] @ p[:, 1]) / (nu * nv)[:, None, None]
+    b[:, 0, :, 1] += cross
+    b[:, 1, :, 0] += cross.transpose(0, 2, 1)
+    rows = b[:, :, :, 0] + b[:, :, :, 1]
+    block = np.empty((len(c), 3, 3, 3, 3))
+    block[:, ::2, :, ::2] = b
+    block[:, ::2, :, 1] = -rows
+    block[:, 1, :, ::2] = -(b[:, 0] + b[:, 1])
+    block[:, 1, :, 1] = (rows[:, 0] + b[:, 1, :, 0]) + b[:, 1, :, 1]
+    block += 0.0
+    return grad, block
 
 
 def _add_blocks(hess, atoms, blocks):
@@ -472,43 +483,62 @@ class BlochTable:
         return (phase @ self.coupling).reshape(-1, 12, 12)
 
 
+# The star of motif atom s is s and its three neighbours, the flat slots
+# 4s .. 4s + 3 of the table's (4, 4) star.  Anchored at the motif are the
+# bonds (u, s) and the angles (u, s, u') of each star, as rows of flat slots;
+# every slot of a term, bonds first, and the slots (a, b) of every slot pair
+# of a term, in (term, a, b) order.
+_STAR_BONDS = (4 * np.arange(4)[:, None, None] + np.array([[1, 0], [2, 0], [3, 0]])).reshape(12, 2)
+_STAR_ANGLES = (4 * np.arange(4)[:, None, None] + np.array([[1, 0, 2], [1, 0, 3], [2, 0, 3]])).reshape(12, 3)
+_TERM_SLOTS = np.concatenate([_STAR_BONDS.ravel(), _STAR_ANGLES.ravel()])
+_PAIR_ROWS = np.concatenate([np.repeat(_STAR_BONDS, 2, axis=1).ravel(), np.repeat(_STAR_ANGLES, 3, axis=1).ravel()])
+_PAIR_COLS = np.concatenate([np.tile(_STAR_BONDS, 2).ravel(), np.tile(_STAR_ANGLES, 3).ravel()])
+
+
 def bloch_table(tube: Nanotube, pots: PotentialSet) -> BlochTable:
-    """The BlochTable of a family tube whose positions check_positions takes at
-    the bond cutoff: atom flat_index(i, j, k, l) is motif atom 2k + l moved by
-    the element (i, j), in any period, the tube moved or turned as a whole.
-    Raises InvalidParameterError, naming the motif degrees, unless each is 3."""
+    """The BlochTable of a family tube: atom flat_index(i, j, k, l) is motif
+    atom 2k + l moved by the element (i, j), in any period, the tube moved or
+    turned as a whole.  Raises DegenerateGeometryError on positions that
+    geometry.check_positions refuses at the bond cutoff, and
+    InvalidParameterError, naming the motif degrees, unless each is 3."""
     ell, L, pos = tube.ell, tube.period, tube.positions
+    check_positions(pos, L, BOND_CUTOFF)
     image, dist = image_distances(pos - pos[:4, None], L)
     dist[np.arange(4), np.arange(4)] = np.inf
-    degrees = np.sum(dist < BOND_CUTOFF, axis=1)
+    bonded = dist < BOND_CUTOFF
+    degrees = np.sum(bonded, axis=1)
     if np.any(degrees != 3):
         raise InvalidParameterError(
             f"not a family tube of its labels (ell, m) = ({ell}, {tube.m}): motif atom degrees {degrees.tolist()} (family: 3)"
         )
     # star[s]: motif atom s, then the images x[u] + t L e1 of its 3 neighbours u
-    star = np.column_stack([np.arange(4), np.nonzero(dist < BOND_CUTOFF)[1].reshape(4, 3)])
+    star = np.column_stack([np.arange(4), np.nonzero(bonded)[1].reshape(4, 3)])
     t = np.take_along_axis(image, star, axis=1)
     _check_bond_lengths(np.take_along_axis(dist, star[:, 1:], axis=1), t[:, 1:], pos, L)
-    legs = pos[star] - pos[:4, None] + np.multiply.outer(t * L, [1.0, 0.0, 0.0])
+    legs = (pos[star] - pos[:4, None] + np.multiply.outer(t * L, [1.0, 0.0, 0.0])).reshape(16, 3)
+    star, t = star.ravel(), t.ravel()
     kappa, turn = star % 4, (star // 4) % ell
     cell = np.rint((pos[star, 0] + t * L - pos[kappa, 0]) / (L / tube.m)).astype(np.int64)
     rot = axial_rotations(2.0 * np.pi * turn / ell)
-    bonds = _bond_term(legs[:, 1:].reshape(12, 3), pots.v2, 0.5, second=True)
-    angles = _angle_term(legs[:, [1, 1, 2]].reshape(12, 3), legs[:, [2, 3, 3]].reshape(12, 3), pots.v3, second=True)
-    grad, pairs, parts = np.zeros((4, 3)), [], []
-    # the star slots of the bonds (u, s) and the angles (u, s, u'), and their (gradients, Hessian blocks)
-    for slots, (grads, blocks) in (([[1, 0], [2, 0], [3, 0]], bonds), ([[1, 0, 2], [1, 0, 3], [2, 0, 3]], angles)):
-        k, r, i, j = (x[:, slots].reshape(12, len(slots[0]), *x.shape[2:]) for x in (kappa, rot, turn, cell))
-        np.add.at(grad, k, np.einsum("taxy,tax->tay", r, grads))
-        # (turn offset, cell offset, row, column) of each slot pair (a, b)
-        pair = ((i[:, None] - i[:, :, None]) % ell, j[:, None] - j[:, :, None], k[:, :, None], k[:, None])
-        pairs.append(np.stack(np.broadcast_arrays(*pair)).reshape(4, -1))
-        parts.append(np.einsum("taxc,taxbz,tbzd->tabcd", r, blocks, r).reshape(-1, 3, 3))
-    turns, cells, rows, cols = np.concatenate(pairs, axis=1)  # one integer offset key each, in (turn, cell) order
+    bonds = _bond_term(legs[_STAR_BONDS[:, 0]], pots.v2, 0.5, second=True)
+    angles = _angle_term(legs[_STAR_ANGLES[:, 0]], legs[_STAR_ANGLES[:, 2]], pots.v3, second=True)
+    # each slot's gradient in its motif frame, R^T g written out (the bits
+    # of an einsum over R's zeros), and each slot pair's Hessian block R_a^T H R_b
+    g = np.concatenate([bonds[0].reshape(24, 3), angles[0].reshape(36, 3)])
+    cos, sin = rot[_TERM_SLOTS, 1, 1], rot[_TERM_SLOTS, 2, 1]
+    local = np.stack([g[:, 0], cos * g[:, 1] + sin * g[:, 2], cos * g[:, 2] - sin * g[:, 1]], axis=1)
+    grad = np.zeros((4, 3))
+    np.add.at(grad, kappa[_TERM_SLOTS], local)
+    blocks = np.concatenate(
+        [bonds[1].transpose(0, 1, 3, 2, 4).reshape(48, 3, 3), angles[1].transpose(0, 1, 3, 2, 4).reshape(108, 3, 3)]
+    )
+    parts = rot[_PAIR_ROWS].transpose(0, 2, 1) @ blocks @ rot[_PAIR_COLS]
+    # one integer key per slot pair, in (turn offset, cell offset) order
+    turns, cells = (turn[_PAIR_COLS] - turn[_PAIR_ROWS]) % ell, cell[_PAIR_COLS] - cell[_PAIR_ROWS]
     low, width = cells.min(), cells.max() - cells.min() + 1
     keys, inverse = np.unique(turns * width + cells - low, return_inverse=True)
     offsets = np.stack([keys // width, keys % width + low], axis=1)
-    coupling = np.zeros((len(offsets), 4, 4, 3, 3))
-    np.add.at(coupling, (inverse, rows, cols), np.concatenate(parts))
-    coupling = coupling.transpose(0, 1, 3, 2, 4).reshape(len(offsets), 144)
+    coupling = np.zeros((16 * len(offsets), 3, 3))
+    np.add.at(coupling, 16 * inverse + 4 * kappa[_PAIR_ROWS] + kappa[_PAIR_COLS], parts)
+    coupling = coupling.reshape(-1, 4, 4, 3, 3).transpose(0, 1, 3, 2, 4).reshape(len(offsets), 144)
     return BlochTable(ell, tube.m, offsets, coupling, grad)

@@ -14,7 +14,7 @@ import numpy as np
 from .cells import total_symmetry_defect
 from .energy import _norm3, bloch_table, bond_graph, image_distances, near_pairs, total_energy
 from .errors import EtaTooLargeError, InvalidParameterError, NotStationaryError
-from .geometry import Nanotube, axial_rotations, build_nanotube, check_positions
+from .geometry import Nanotube, build_nanotube, check_positions
 from .potentials import BOND_CUTOFF, PotentialSet
 from .reduced import minimize_family, reduced_hessian
 
@@ -288,17 +288,25 @@ BLOCK_NULL_ULPS = 100.0
 ACOUSTIC_Q = 1e-3
 
 
-def _symmetry_residual(tube: Nanotube) -> float:
+def _symmetry_residual(tube: Nanotube, centroid) -> float:
     """Largest |x(i, j, k, l) - c - T_j R_(i-1) (x(1, 0, k, l) - c)| over the
     atoms, read at their flat_index labels, with the axial part taken modulo
     L: T_j the translation by j*L/m, R_(i-1) the rotation by 2*pi*(i-1)/ell
-    about e1 and c the transverse centroid.  inf when n is not 4*ell*m."""
+    about e1 and c = (0, *centroid), centroid the transverse centroid of the
+    positions.  inf when n is not 4*ell*m."""
     ell, m, L = tube.ell, tube.m, tube.period
     if tube.n != 4 * ell * m:
         return np.inf
-    rel = tube.positions - np.array([0.0, *np.mean(tube.positions[:, 1:], axis=0)])
-    rel = rel.reshape(m, ell, 4, 3)
-    dev = rel - np.einsum("ixy,ky->ikx", axial_rotations(2.0 * np.pi * np.arange(ell) / ell), rel[0, 0])
+    rel = (tube.positions - np.array([0.0, *centroid])).reshape(m, ell, 4, 3)
+    angles = 2.0 * np.pi * np.arange(ell) / ell
+    cos, sin = np.cos(angles)[:, None], np.sin(angles)[:, None]
+    # the motif rotated to each turn, in closed form
+    x, y, z = rel[0, 0].T
+    turned = np.empty((ell, 4, 3))
+    turned[..., 0] = x
+    turned[..., 1] = cos * y - sin * z
+    turned[..., 2] = sin * y + cos * z
+    dev = rel - turned
     dev[..., 0] -= (L / m * np.arange(m))[:, None, None]
     dev[..., 0] -= L * np.rint(dev[..., 0] / L)
     return float(np.max(_norm3(dev)))
@@ -329,18 +337,29 @@ def _bloch_spectrum(table):
     return p, q, blocks, evals
 
 
-def _isometry_amplitudes(tube: Nanotube):
+# The isometry amplitudes that do not depend on the tube (see
+# _isometry_amplitudes): the axial translation in column 0, the transverse
+# translations (0, 1, +-i) in columns 2 and 3, and the label p of each
+# column's block before it is folded into the label range.
+_AXIAL = np.tile([0.5, 0.0, 0.0], 4)
+_SHIFT = np.tile([0.0, 1.0, 1j], 4) / np.sqrt(8.0)
+_AMPLITUDES = np.stack([_AXIAL, np.zeros(12), _SHIFT, _SHIFT.conj()], axis=1)
+_AMPLITUDE_LABELS = np.array([0, 0, 1, -1])
+
+
+def _isometry_amplitudes(tube: Nanotube, centroid):
     """(labels, amplitudes): the four isometries at fixed L as unit amplitudes
     (12, 4) of the Bloch blocks B(labels[k], 0), as in energy.BlochTable, those
     of one block orthonormal: the axial translation (1, 0, 0) and the rotation
-    e1 x (x_s - c) of motif atom s about the transverse centroid c in B(0, 0),
-    the transverse translations (0, 1, +-i) in B(+-1, 0), p in label range."""
-    rel = tube.positions[:4, 1:] - np.mean(tube.positions[:, 1:], axis=0)
+    e1 x (x_s - c) of motif atom s about c = (0, *centroid), the transverse
+    centroid, in B(0, 0), the transverse translations (0, 1, +-i) in
+    B(+-1, 0), p in label range."""
+    rel = tube.positions[:4, 1:] - centroid
     spin = np.stack([np.zeros(4), -rel[:, 1], rel[:, 0]], axis=1).ravel()
-    shift = np.tile([0.0, 1.0, 1j], 4) / np.sqrt(8.0)
+    amplitudes = _AMPLITUDES.copy()
+    amplitudes[:, 1] = spin / np.linalg.norm(spin)
     half = (tube.ell - 1) // 2
-    labels = (np.array([0, 0, 1, -1]) + half) % tube.ell - half
-    return labels, np.stack([np.tile([0.5, 0.0, 0.0], 4), spin / np.linalg.norm(spin), shift, shift.conj()], axis=1)
+    return (_AMPLITUDE_LABELS + half) % tube.ell - half, amplitudes
 
 
 def _largest_principal_angle(a: np.ndarray, b: np.ndarray) -> float:
@@ -357,16 +376,17 @@ def _largest_principal_angle(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.arccos(min(np.linalg.svd(cosines, compute_uv=False)[-1], 1.0)))
 
 
-def _block_null_space(tube: Nanotube, p, q, blocks, near_null):
+def _block_null_space(tube: Nanotube, centroid, p, q, blocks, near_null):
     """(p, q, count) of each Bloch block with near-null eigenvalues, marked
     by near_null[b], and the largest principal angle between the near-null
-    space and the isometries: the largest of those blocks' angles, the Bloch
+    space and the isometries about the transverse centroid centroid
+    (_isometry_amplitudes): the largest of those blocks' angles, the Bloch
     basis being unitary (A. Bjorck and G. H. Golub, Math. Comp. 27, 1973),
     or pi/2 when the blocks pair fewer than min(4, count) directions."""
     counts = np.sum(near_null, axis=1)
     hit = np.flatnonzero(counts)
     w, v = np.linalg.eigh(blocks[hit])
-    labels, amplitudes = _isometry_amplitudes(tube)
+    labels, amplitudes = _isometry_amplitudes(tube, centroid)
     paired, angle = 0, 0.0
     for k, b in enumerate(hit):
         isometries = amplitudes[:, labels == p[b]]
@@ -388,8 +408,7 @@ def _acoustic_ratio(tube: Nanotube, pots: PotentialSet, table) -> float:
     long-wave stiffness of the atomistic Hessian is the reduced one.
     """
     w, v = np.linalg.eigh(table.blocks([0], [ACOUSTIC_Q])[0])
-    axial = np.tile([0.5, 0.0, 0.0], 4)
-    branch = np.argmax(np.abs(axial @ v))
+    branch = np.argmax(np.abs(_AXIAL @ v))
     geom = tube.geometry
     stiffness = reduced_hessian(geom.mu, geom.gamma_ell, geom.gamma_ell, pots)[0, 0]
     return float(w[branch] / ACOUSTIC_Q**2 / (0.5 * stiffness))
@@ -419,7 +438,8 @@ def null_space_report(tube: Nanotube, pots: PotentialSet, acoustic: bool = False
     read as sqrt(ell * m) times that of the motif (see energy.BlochTable).
     """
     check_positions(tube.positions, tube.period, BOND_CUTOFF)
-    residual = _symmetry_residual(tube)
+    centroid = np.mean(tube.positions[:, 1:], axis=0)
+    residual = _symmetry_residual(tube, centroid)
     bound = SYMMETRY_ULPS * np.finfo(float).eps * max(float(np.max(np.abs(tube.positions))), tube.period)
     if not residual <= bound:
         raise InvalidParameterError(
@@ -433,7 +453,7 @@ def null_space_report(tube: Nanotube, pots: PotentialSet, acoustic: bool = False
     p, q, blocks, evals = _bloch_spectrum(table)
     tol = BLOCK_NULL_ULPS * np.finfo(float).eps * np.max(np.abs(evals), axis=1, keepdims=True)
     near_null = np.abs(evals) <= tol
-    null_blocks, angle = _block_null_space(tube, p, q, blocks, near_null)
+    null_blocks, angle = _block_null_space(tube, centroid, p, q, blocks, near_null)
     n_null = int(np.sum(near_null))
     report = {
         "eigenvalues": np.sort(evals, axis=None),

@@ -30,9 +30,10 @@ pxyz.read_pxyz replace, the bond-graph walk that finds one cell's atoms
 neighbor table (on atom labels, with the inverse of geometry.flat_index)
 behind the vectorised cell and graph formulas, the two cell
 reflections, and the einsum, np.cross and np.linalg.norm forms of the energy,
-cell-angle, cell-frame and symmetry-defect kernels and the per-trial
-displacement draw that the explicit-component kernels and the chunked sampler
-must equal to the bit."""
+cell-angle, cell-frame and symmetry-defect kernels, of the bond and angle term
+kernels and of the Bloch table's assembly, and the per-trial displacement
+draw that the explicit-component kernels and the chunked sampler must equal
+to the bit (the Bloch table's couplings to round-off)."""
 
 import math
 from dataclasses import dataclass
@@ -56,6 +57,8 @@ from nanolab.cells import (
     gather_cells,
 )
 from nanolab.energy import (
+    _STRAIGHT_SIN2,
+    BlochTable,
     BondGraph,
     _add_blocks,
     _angle_term,
@@ -67,10 +70,12 @@ from nanolab.energy import (
     bloch_table,
     bond_graph,
     gradient,
+    image_distances,
     term_hessian,
 )
 from nanolab.errors import DegenerateGeometryError, DomainError, InvalidCellError, PxyzFormatError
 from nanolab.geometry import Nanotube, axial_rotations, flat_index
+from nanolab.potentials import BOND_CUTOFF
 
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -233,6 +238,92 @@ def bloch_blocks_gathered(tube, pots, p, q, graph):
     coupling = coupling.transpose(0, 1, 3, 2, 4).reshape(len(offsets), 144)
     phase = np.exp(1j * (2.0 * np.pi / ell * np.outer(p, offsets[:, 0]) + np.outer(q, offsets[:, 1])))
     return (phase @ coupling).reshape(-1, 12, 12)
+
+
+# Legs of a term as rows over its atoms: a bond's d = x_i - x_j over (i, j);
+# an angle's u = x_i - x_j and v = x_k - x_j over the triple's (i, j, k).
+_BOND_LEGS = np.array([[1.0, -1.0]])
+_ANGLE_LEGS = np.array([[1.0, -1.0, 0.0], [0.0, -1.0, 1.0]])
+
+
+def bond_term_einsum(d, v2, w=1.0, second=False):
+    """energy._bond_term with einsum contractions of the leg rows and outer
+    products."""
+    r = np.linalg.norm(d, axis=-1)
+    if np.any(r == 0.0):
+        raise DegenerateGeometryError("zero-length bond")
+    d1 = w * v2.deriv(r)
+    grad = np.einsum("ap,tx->tpx", _BOND_LEGS, (d1 / r)[:, None] * d)
+    if not second:
+        return grad, None
+    rr = np.einsum("ti,tj->tij", d, d) / (r**2)[:, None, None]
+    k = (w * v2.deriv2(r))[:, None, None] * rr + (d1 / r)[:, None, None] * (np.eye(3) - rr)
+    return grad, np.einsum("ap,txy,aq->tpxqy", _BOND_LEGS, k, _BOND_LEGS)
+
+
+def angle_term_einsum(u, v, v3, w=1.0, second=False):
+    """energy._angle_term with einsum contractions of the leg rows and outer
+    products, one leg at a time."""
+    c, nu, nv = _cos_angle(u, v)
+    uh = u / nu[:, None]
+    vh = v / nv[:, None]
+    s = np.sqrt(np.maximum(1.0 - c**2, 1e-30))
+    theta = np.arccos(c)
+    e_c = -(w * v3.deriv(theta)) / s
+    gu = (vh - c[:, None] * uh) / nu[:, None]
+    gv = (uh - c[:, None] * vh) / nv[:, None]
+    g = np.stack([gu, gv], axis=1)
+    grad = np.einsum("ap,tax->tpx", _ANGLE_LEGS, e_c[:, None, None] * g)
+    if not second:
+        return grad, None
+    if np.any(1.0 - c**2 < _STRAIGHT_SIN2):
+        raise DegenerateGeometryError("angle within 1e-5 rad of 0 or pi: its curvature is lost to round-off")
+    e_cc = (w * v3.deriv2(theta) + e_c * c) / s**2
+    blocks = e_cc[:, None, None, None, None] * np.einsum("tax,tby->taxby", g, g)
+    eye = np.eye(3)
+    p_u = eye - np.einsum("ti,tj->tij", uh, uh)
+    p_v = eye - np.einsum("ti,tj->tij", vh, vh)
+    we = e_c[:, None, None]
+    for a, (gl, hl, nl, pl) in enumerate(((gu, uh, nu, p_u), (gv, vh, nv, p_v))):
+        outer = np.einsum("ti,tj->tij", gl, hl)
+        d2c = -(outer + outer.transpose(0, 2, 1)) / nl[:, None, None] - (c / nl**2)[:, None, None] * pl
+        blocks[:, a, :, a, :] += we * d2c
+    cross = we * (p_u @ p_v) / (nu * nv)[:, None, None]
+    blocks[:, 0, :, 1, :] += cross
+    blocks[:, 1, :, 0, :] += cross.transpose(0, 2, 1)
+    return grad, np.einsum("ap,taxby,bq->tpxqy", _ANGLE_LEGS, blocks, _ANGLE_LEGS)
+
+
+def bloch_table_einsum(tube, pots) -> BlochTable:
+    """energy.bloch_table assembled with einsum: the einsum term kernels, each
+    slot pair rotated into the motif frames by one 3-operand einsum, and its
+    (turn, cell, row, column) key stacked from broadcast arrays."""
+    ell, L, pos = tube.ell, tube.period, tube.positions
+    image, dist = image_distances(pos - pos[:4, None], L)
+    dist[np.arange(4), np.arange(4)] = np.inf
+    star = np.column_stack([np.arange(4), np.nonzero(dist < BOND_CUTOFF)[1].reshape(4, 3)])
+    t = np.take_along_axis(image, star, axis=1)
+    legs = pos[star] - pos[:4, None] + np.multiply.outer(t * L, [1.0, 0.0, 0.0])
+    kappa, turn = star % 4, (star // 4) % ell
+    cell = np.rint((pos[star, 0] + t * L - pos[kappa, 0]) / (L / tube.m)).astype(np.int64)
+    rot = axial_rotations(2.0 * np.pi * turn / ell)
+    bonds = bond_term_einsum(legs[:, 1:].reshape(12, 3), pots.v2, 0.5, second=True)
+    angles = angle_term_einsum(legs[:, [1, 1, 2]].reshape(12, 3), legs[:, [2, 3, 3]].reshape(12, 3), pots.v3, second=True)
+    grad, pairs, parts = np.zeros((4, 3)), [], []
+    for slots, (grads, blocks) in (([[1, 0], [2, 0], [3, 0]], bonds), ([[1, 0, 2], [1, 0, 3], [2, 0, 3]], angles)):
+        k, r, i, j = (x[:, slots].reshape(12, len(slots[0]), *x.shape[2:]) for x in (kappa, rot, turn, cell))
+        np.add.at(grad, k, np.einsum("taxy,tax->tay", r, grads))
+        pair = ((i[:, None] - i[:, :, None]) % ell, j[:, None] - j[:, :, None], k[:, :, None], k[:, None])
+        pairs.append(np.stack(np.broadcast_arrays(*pair)).reshape(4, -1))
+        parts.append(np.einsum("taxc,taxbz,tbzd->tabcd", r, blocks, r).reshape(-1, 3, 3))
+    turns, cells, rows, cols = np.concatenate(pairs, axis=1)
+    low, width = cells.min(), cells.max() - cells.min() + 1
+    keys, inverse = np.unique(turns * width + cells - low, return_inverse=True)
+    offsets = np.stack([keys // width, keys % width + low], axis=1)
+    coupling = np.zeros((len(offsets), 4, 4, 3, 3))
+    np.add.at(coupling, (inverse, rows, cols), np.concatenate(parts))
+    coupling = coupling.transpose(0, 1, 3, 2, 4).reshape(len(offsets), 144)
+    return BlochTable(ell, tube.m, offsets, coupling, grad)
 
 
 def total_energy_gathered(tube, pots, graph=None, positions=None):

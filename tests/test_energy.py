@@ -2,16 +2,19 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle import (
     E1,
     adjacency,
+    angle_term_einsum,
     assert_graph_equals_brute,
     bloch_blocks_gathered,
     bloch_modes,
+    bloch_table_einsum,
     bond_angle,
     bond_angles_gathered,
+    bond_term_einsum,
     expected_neighbors,
     gradient_gathered,
     hessian,
@@ -537,11 +540,11 @@ def test_atoms_coinciding_through_an_image_are_refused(tube, k):
 
 
 @lru_cache(maxsize=None)
-def _family(preset, ell, m):
+def _family(preset, ell, m, offset=0.005):
     from nanolab.reduced import minimize_family, reference_angles
 
     pots = potentials.load(preset)
-    return build_nanotube(minimize_family(reference_angles(ell, pots).mu_us + 0.005, ell, pots, m=m).geometry, m)
+    return build_nanotube(minimize_family(reference_angles(ell, pots).mu_us + offset, ell, pots, m=m).geometry, m)
 
 
 def _assert_same_bits(a, b):
@@ -638,3 +641,73 @@ def test_angles_from_bond_references_equal_gathered_legs_on_clouds(preset, n, L,
     pots = potentials.load(preset)
     _assert_value_path_equals_gathered_legs(cloud, pots, graph, stack, batch)
     _assert_derivatives_equal_gathered_legs(cloud.with_positions(stack[0]), pots, graph)
+
+
+@settings(max_examples=200)
+@given(
+    preset=st.sampled_from(["soft", "stiff"]),
+    terms=st.integers(1, 24),
+    weights=st.sampled_from(["one", "half", "per-term"]),
+    second=st.booleans(),
+    zeros=st.sampled_from([0.0, 0.2, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_term_kernels_equal_einsum_oracle(preset, terms, weights, second, zeros, seed):
+    # the kernels' spelled-out sign and leg algebra gives the bits of the
+    # einsum contractions, the sign of zero included (compared as int64):
+    # legs 0.8 .. 1.15 long, across the pair cutoff's knots, with components
+    # set to exactly +0.0 or -0.0, so a -0.0 leg component comes out as
+    # einsum's +0.0
+    pots = potentials.load(preset)
+    rng = np.random.default_rng(seed)
+    legs = rng.normal(size=(3, terms, 3))
+    legs *= rng.uniform(0.8, 1.15, (3, terms, 1)) / np.linalg.norm(legs, axis=-1, keepdims=True)
+    hit = rng.random(legs.shape) < zeros
+    legs[hit] = rng.choice([0.0, -0.0], int(np.sum(hit)))
+    legs[..., 0][~np.any(legs, axis=-1)] = 1.0
+    w = {"one": 1.0, "half": 0.5, "per-term": rng.uniform(0.1, 2.0, terms)}[weights]
+    d, u, v = legs
+    for kernel, oracle, args in ((energy._bond_term, bond_term_einsum, (d, pots.v2)),
+                                 (energy._angle_term, angle_term_einsum, (u, v, pots.v3))):
+        try:
+            want = oracle(*args, w, second)
+        except DegenerateGeometryError as err:
+            with pytest.raises(DegenerateGeometryError, match=str(err)):
+                kernel(*args, w, second)
+            continue
+        got = kernel(*args, w, second)
+        assert (got[1] is None) == (want[1] is None) == (not second)
+        for a, b in zip(got, want):
+            if b is not None:
+                assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+                assert not np.any(np.signbit(a) & (a == 0.0))
+
+
+@settings(max_examples=40)
+@given(
+    preset=st.sampled_from(["soft", "stiff"]),
+    ell=st.sampled_from([4, 5, 6, 7, 12, 24, 48, 96]),
+    m=st.sampled_from([1, 2, 3, 4, 16]),
+    offset=st.sampled_from([0.0, 0.01]),
+    moved=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(preset="stiff", ell=96, m=16, offset=0.0, moved=True, seed=0)
+@example(preset="soft", ell=4, m=1, offset=0.01, moved=False, seed=0)
+def test_bloch_table_equals_einsum_assembly(preset, ell, m, offset, moved, seed):
+    # the table rotates each slot pair into the motif frames by two batched
+    # matmuls, which round differently from the oracle's one einsum: the
+    # couplings agree within 4 eps max|coupling| (at most 1.53 measured over
+    # ell 4 .. 96, m 1 .. 16, both presets, mu_us and mu_us + 0.01, built and
+    # rigidly moved).  The offsets, and the motif gradient, whose rotation is
+    # written out in closed form, are the oracle's to the bit
+    pots = potentials.load(preset)
+    tube = _family(preset, ell, m, offset)
+    if moved:
+        rng = np.random.default_rng(seed)
+        pos = tube.positions @ axial_rotations(rng.uniform(0.0, 2.0 * np.pi)).T
+        tube = tube.with_positions(pos + [rng.uniform(-2.0, 2.0) * tube.period, *rng.uniform(-1.5, 1.5, 2)])
+    table, oracle = bloch_table(tube, pots), bloch_table_einsum(tube, pots)
+    assert np.array_equal(table.offsets, oracle.offsets)
+    assert table.gradient.tobytes() == oracle.gradient.tobytes()
+    assert np.max(np.abs(table.coupling - oracle.coupling)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(oracle.coupling))

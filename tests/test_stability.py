@@ -414,23 +414,39 @@ def test_spectrum_builds_no_bond_graph(base, pots_soft, monkeypatch):
     assert terms == [("_bond_term", 12), ("_angle_term", 12)] * 2 * len(copies)
 
 
-@pytest.mark.parametrize("how", ["nan", "huge", "short-period"])
+_DEGENERATE = {
+    "nan": (5, 1, np.nan),
+    "huge": (5, 1, -(2.0**510)),
+    "nan-motif": (0, 1, np.nan),
+    "nan-axial": (50, 0, np.nan),
+    "inf": (2, 2, np.inf),
+    "-inf": (37, 0, -np.inf),
+    "huge-motif": (3, 0, 2.0**510),
+}
+
+
+@pytest.mark.parametrize("how", ["nan", "huge", "short-period", "nan-motif", "nan-axial", "inf", "-inf", "huge-motif"])
 def test_degenerate_tube_is_refused_before_any_table(base, pots_soft, monkeypatch, how):
     # geometry.check_positions with the bond cutoff runs first: no warning
-    # and no table
+    # and no table; a direct bloch_table call runs the same check before any
+    # arithmetic, so it raises the same error with no warning and no term
+    # kernel call, at a motif atom or elsewhere
     tube0, _, _ = base
     pos = tube0.positions.copy()
     if how == "short-period":
         tube, message = Nanotube(pos, np.nextafter(2.0 * BOND_CUTOFF, 0.0), tube0.ell, tube0.m), "twice the bond cutoff"
     else:
-        pos[5, 1] = np.nan if how == "nan" else -(2.0**510)
+        atom, axis, value = _DEGENERATE[how]
+        pos[atom, axis] = value
         tube, message = tube0.with_positions(pos), r"below 2\*\*510"
-    calls = _count_paths(monkeypatch)
+    calls, terms = _count_paths(monkeypatch), _count_terms(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateGeometryError, match=message):
             null_space_report(tube, pots_soft, acoustic=True)
-    assert calls == {"bloch_table": 0}
+        with pytest.raises(DegenerateGeometryError, match=message):
+            bloch_table(tube, pots_soft)
+    assert calls == {"bloch_table": 0} and terms == []
 
 
 def _unstationary_member(ell, m):
@@ -855,7 +871,8 @@ def test_isometry_amplitudes_fold_into_the_label_range(base, ell):
     # each amplitude sits at a label of Z_ell; on the tube's own labels
     # those of one block are orthonormal
     tube0, _, _ = base
-    labels, amplitudes = stab._isometry_amplitudes(Nanotube(tube0.positions, tube0.period, ell, tube0.n // (4 * ell)))
+    tube = Nanotube(tube0.positions, tube0.period, ell, tube0.n // (4 * ell))
+    labels, amplitudes = stab._isometry_amplitudes(tube, np.mean(tube.positions[:, 1:], axis=0))
     assert list(labels) == [0, 0, *{1: [0, 0], 2: [1, 1]}.get(ell, [1, -1])]
     assert set(labels) <= set(stab._signed_labels(ell))
     if ell == tube0.ell:
