@@ -62,13 +62,13 @@ def reduced_anchor(size, seed) -> dict:
 
 
 def reference_angle_order(ells, seed) -> dict:
-    """alpha_ch < alpha_us < min(alpha_ru, 2pi/3) at each of ells[0], and
+    """alpha_ch < alpha_us < 2pi/3, the rolled-up angle, at each of ells[0], and
     2pi/3 - alpha_us ~ ell^-2 (log-log slope within 0.2) over ells[1]."""
     order_ells, fit_ells = ells
     order_ok = True
     for ell in order_ells:
         refs = reduced.reference_angles(ell, SOFT)
-        order_ok &= refs.alpha_ch < refs.alpha_us < min(refs.alpha_ru, TWO_THIRDS_PI)
+        order_ok &= refs.alpha_ch < refs.alpha_us < TWO_THIRDS_PI
     gaps = [TWO_THIRDS_PI - reduced.reference_angles(ell, SOFT).alpha_us for ell in fit_ells]
     slope = float(np.polyfit(np.log(np.array(fit_ells, dtype=float)), np.log(gaps), 1)[0])
     return {"passed": bool(order_ok and abs(slope + 2.0) <= 0.2), "slope": slope}
@@ -162,9 +162,9 @@ def cell_convexity(ells, seed, r: float = 0.9, pots=SOFT, cells=None) -> dict:
     are several distinct ell.  cells, when given, holds the kink cell of each
     ell (see cellspec.kink_cell)."""
     # the angle-sum concavity constant does not depend on ell
-    c_kink = cellspec.angle_sum_concavity()["c_kink"]
+    c_kink = cellspec.angle_sum_concavity()
     rows = [
-        cellspec.cell_hessian_convexity(ell, pots, r=r, cell=cell, c_kink=c_kink)
+        cellspec.cell_hessian_convexity(ell, pots, c_kink, r=r, cell=cell)
         for ell, cell in zip(ells, cells or [None] * len(ells))
     ]
     ok = all(row["c_good"] > 0 and row["c_weak"] > 0 and row["c_kink"] > 0 for row in rows)
@@ -191,7 +191,7 @@ def fracture_thresholds(m_list, seed) -> dict:
     """A cleaved (12, 16) tube costs exactly 4 ell over the intact one, and
     the fracture offsets over m_list scale like m^-1/2 (slope within 0.1)."""
     ct = fracture.build_cleaved(12, 16, reduced.reference_angles(12, SOFT).mu_us + 0.1, SOFT)
-    ident = abs(ct.energy - ct.base_energy - 4 * ct.ell)
+    ident = abs(ct.energy - ct.base_energy - 4 * ct.tube.ell)
     scaling = fracture.fracture_scaling(12, m_list, SOFT)
     ok = ct.fully_cleaved and ident <= 1e-10 * ct.tube.n and abs(scaling["slope"] + 0.5) <= 0.1
     return {

@@ -83,39 +83,6 @@ def _sparse(entries) -> np.ndarray:
     return v
 
 
-def _good_vectors() -> np.ndarray:
-    u = np.zeros((13, 8, 3))
-    u[0] = planar_reference() * np.array([1.0, 1.0, 0.0])
-    u[0][6] = u[0][7] = 0.0
-    u[1] = _sparse({2: (0.5, SQ3 / 2, 0.0), 3: (-0.5, SQ3 / 2, 0.0)})
-    u[2] = _sparse({1: (1.0, 0.0, 0.0), 3: (1.0, 0.0, 0.0), 4: (1.0, 0.0, 0.0)})
-    u[3] = _sparse(
-        {
-            1: (0.5, -SQ3 / 2, 0.0),
-            2: (0.5, SQ3 / 2, 0.0),
-            3: (-0.5, SQ3 / 2, 0.0),
-            4: (1.0, 0.0, 0.0),
-        }
-    )
-    u[4] = _sparse({6: (-1.0, 0.0, 0.0)})
-    u[5] = _sparse({6: (-1.0, 0.0, 0.0), 7: (1.0, 0.0, 0.0)})
-    u[6] = _sparse({0: (SQ3, 0.0, 0.0), 2: (0.0, 1.0, 0.0), 5: (0.0, -1.0, 0.0)})
-    u[7] = _sparse({2: (SQ3 / 2, -0.5, 0.0), 3: (SQ3 / 2, 0.5, 0.0)})
-    u[8] = _sparse(
-        {
-            0: (SQ3 / 2, 0.5, 0.0),
-            1: (-SQ3 / 2, 0.5, 0.0),
-            2: (0.0, 1.0, 0.0),
-            3: (0.0, 1.0, 0.0),
-        }
-    )
-    u[9] = _sparse({6: (0.0, 1.0, 0.0)})
-    u[10] = _sparse({6: (0.0, 1.0, 0.0), 7: (0.0, 1.0, 0.0)})
-    u[11] = _sparse({0: (1.0, 0.0, 0.0)})
-    u[12] = _sparse({0: (0.0, 1.0, 0.0)})
-    return u
-
-
 def _bad_vectors() -> np.ndarray:
     w = np.zeros((5, 8, 3))
     w[0] = _sparse({0: (0.0, 0.0, 1.0)})
@@ -128,10 +95,11 @@ def _bad_vectors() -> np.ndarray:
 
 @dataclass(frozen=True)
 class CellBasis:
-    """24 directions of cell-configuration space: degenerate, good, bad."""
+    """The six degenerate (rigid-motion) and five bad (second-order)
+    directions of cell-configuration space; the thirteen good directions
+    that complete the 24 act on T to first order."""
 
     degenerate: np.ndarray
-    good: np.ndarray
     bad: np.ndarray
 
 
@@ -147,7 +115,7 @@ def cell_basis() -> CellBasis:
     ]
     for d, a in enumerate(rots):
         degen[3 + d] = x0 @ a.T
-    return CellBasis(degen, _good_vectors(), _bad_vectors())
+    return CellBasis(degen, _bad_vectors())
 
 
 ANGLE_SUM_VECTORS = np.zeros((3, 10))
@@ -209,7 +177,7 @@ def t_jacobian_kernel() -> dict:
     and the span of the degenerate-plus-bad basis directions.
     """
     jac = t_jacobian(planar_reference())
-    u, s, vt = np.linalg.svd(jac)
+    _, s, vt = np.linalg.svd(jac)
     rank = int(np.sum(s > 1e-8 * s[0]))
     kernel = vt[rank:].T
     sa = np.linalg.svd(jac[:10], compute_uv=False)
@@ -219,30 +187,27 @@ def t_jacobian_kernel() -> dict:
     span = np.concatenate([basis.degenerate, basis.bad], axis=0).reshape(-1, 24).T
     max_angle = _largest_principal_angle(np.linalg.qr(span)[0], kernel) if kernel.size else float("nan")
     return {
-        "rank": rank,
         "kernel_dim": 24 - rank,
         "kernel_dim_angles": 24 - rank_a,
-        "kernel": kernel,
-        "singular_values": s,
         "max_principal_angle": max_angle,
     }
 
 
-def tilde_derivative_signs(ells, pots: PotentialSet, cells=None) -> dict:
+def tilde_derivative_signs(ells, pots: PotentialSet, cells) -> dict:
     """Sign and scale structure of the tilde-energy derivatives at the kink cell.
 
     Bond entries of the gradient vanish (unit bonds at the pair minimum); angle
     entries are strictly negative with magnitude of order 1/ell^2; the Hessian
     is diagonal with entries in a fixed positive band.  A row holds the bond
     residual and the band of the negated angle entries times ell^2;
-    acceptance.tilde_derivatives decides whether they pass.  cells, when
-    given, holds the kink cell of each ell (see kink_cell).  scaling_slope,
+    acceptance.tilde_derivatives decides whether they pass.  cells holds the
+    kink cell of each ell (see kink_cell).  scaling_slope,
     the log-log slope of the mean negated angle entry over ell, is None
     without two distinct ell or when a mean is not positive.
     """
     rows, mags = [], []
-    for ell, cell in zip(ells, cells or [None] * len(ells)):
-        y = t_map(kink_cell(ell, pots) if cell is None else cell)
+    for ell, cell in zip(ells, cells):
+        y = t_map(cell)
         g = tilde_gradient(y, pots)
         hd = tilde_hessian_diag(y, pots)
         mags.append(np.mean(-g[:10]))
@@ -337,14 +302,13 @@ def constrained_rayleigh_min(hess: np.ndarray, span: np.ndarray, r: float) -> di
                 v = (r / npv) * pv + np.sqrt(1.0 - r**2) * perp / nperp
     v = v / np.linalg.norm(v)
     upper = float(v @ hess @ v)
-    return {"lower": lower, "upper": upper, "nu": float(nu_star)}
+    return {"lower": lower, "upper": upper}
 
 
-def angle_sum_concavity() -> dict:
+def angle_sum_concavity() -> float:
     """Angle-sum concavity constant c_kink at the planar reference, exactly:
     -lambda_max of the analytic angle-sum Hessian H on the five bad directions
-    with their rigid-motion parts projected out.  Also the rate -w'Hw/|w|^2
-    of each such direction w (ratios).
+    with their rigid-motion parts projected out.
 
     The angle sum is invariant under rigid motions and stationary at the
     planar reference, so H annihilates the six rigid directions and c_kink is
@@ -358,19 +322,18 @@ def angle_sum_concavity() -> dict:
     q, _ = np.linalg.qr(perp.T)
     # the angle sum is the cell's term sum with zero bond weights
     hess = term_hessian(planar_reference(), CELL_GRAPH, _Identity, _Identity, 0.0, ANGLE_SUM_VECTORS.sum(axis=0))
-    ratios = -np.einsum("bi,ij,bj->b", perp, hess, perp) / np.sum(perp**2, axis=1)
-    return {"c_kink": float(-np.linalg.eigvalsh(q.T @ hess @ q)[-1]), "ratios": ratios}
+    return float(-np.linalg.eigvalsh(q.T @ hess @ q)[-1])
 
 
-def cell_hessian_convexity(ell: int, pots: PotentialSet, r: float = 0.9, cell=None, c_kink=None) -> dict:
+def cell_hessian_convexity(ell: int, pots: PotentialSet, c_kink: float, r: float = 0.9, cell=None) -> dict:
     """Constrained convexity of the cell-energy Hessian at the kink cell.
 
     (a) directions r-separated from the degenerate-plus-bad span have Rayleigh
     quotients bounded below by a positive constant; (b) directions merely
     r-separated from the rigid motions keep a positive bound of order 1/ell^2;
-    (c) the angle-sum concavity constant at the planar reference is positive.
-    cell (the kink cell of ell) and c_kink (angle_sum_concavity's constant)
-    are computed when not given.  Computes the bounds only;
+    (c) the angle-sum concavity constant at the planar reference,
+    angle_sum_concavity's c_kink, is positive.  cell (the kink cell of ell)
+    is computed when not given.  Computes the bounds only;
     acceptance.cell_convexity decides whether they are positive.
     """
     basis = cell_basis()
@@ -379,8 +342,6 @@ def cell_hessian_convexity(ell: int, pots: PotentialSet, r: float = 0.9, cell=No
     span_d = basis.degenerate.reshape(6, 24).T
     good = constrained_rayleigh_min(hess, span_db, r)
     weak = constrained_rayleigh_min(hess, span_d, r)
-    if c_kink is None:
-        c_kink = angle_sum_concavity()["c_kink"]
     return {
         "ell": ell,
         "r": r,

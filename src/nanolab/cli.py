@@ -130,7 +130,8 @@ def cmd_reduced(args) -> int:
     grid = _parse_grid(args.mu_grid, refs.mu_us)
     fams, sol = reduced.family_minima(grid, args.ell, pots, m=args.m)
     evals = np.linalg.eigvalsh(sol.envelope_hessian())
-    minima = [[fam.mu, fam.lambda1, fam.lambda2, fam.alpha, fam.geometry.rho, fam.energy] for fam in fams]
+    geoms = [fam.geometry for fam in fams]
+    minima = [[g.mu, g.lambda1, g.lambda2, fam.alpha, g.rho, fam.energy] for g, fam in zip(geoms, fams)]
     header = ["mu", "lambda1", "lambda2", "alpha", "rho", "emin", "hess_eig1", "hess_eig2", "hess_eig3", "n_pinned"]
     _emit_csv(header, [np.array(minima, dtype=float), evals, [fam.n_pinned for fam in fams]], args.out)
     return EXIT_OK

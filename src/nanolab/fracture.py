@@ -35,18 +35,11 @@ class CleavedTube:
     """Tube cleaved along one labeled cross-section, halves rigidly separated."""
 
     tube: Nanotube
-    ell: int
-    m: int
-    mu: float
-    mu_us: float
-    gap: float
-    n_bonds: int
     bond_deficit: int
     fully_cleaved: bool
     base_energy: float
     energy: float
     measured_energy: float
-    degree_histogram: dict
 
 
 def build_cleaved(ell: int, m: int, mu: float, pots: PotentialSet) -> CleavedTube:
@@ -59,39 +52,28 @@ def build_cleaved(ell: int, m: int, mu: float, pots: PotentialSet) -> CleavedTub
     """
     if m % 2 != 0:
         raise InvalidParameterError(f"m must be even for a clean half split, got {m}")
-    refs = reference_angles(ell, pots)
-    mu_us = refs.mu_us
+    mu_us = reference_angles(ell, pots).mu_us
     if mu < mu_us - 1e-12:
         raise InvalidParameterError(f"mu={mu} below the unstretched period {mu_us}")
     geom = solve_family(ell, mu_us, 1.0, 1.0)
-    gap = m * (mu - mu_us)
     L = m * mu
 
     pos = unwrapped_positions(geom, m)
-    pos[m // 2 :, ..., 0] += gap
+    pos[m // 2 :, ..., 0] += m * (mu - mu_us)
     pos[..., 0] = np.mod(pos[..., 0], L)
     tube = Nanotube(pos.reshape(-1, 3), L, ell, m)
 
     graph = bond_graph(tube)
     intact = 6 * m * ell
     deficit = intact - graph.n_bonds
-    deg = graph.degrees()
-    hist = {int(d): int(c) for d, c in zip(*np.unique(deg, return_counts=True))}
     base_energy = family_energy(geom, m, pots)
     return CleavedTube(
         tube=tube,
-        ell=ell,
-        m=m,
-        mu=mu,
-        mu_us=mu_us,
-        gap=gap,
-        n_bonds=graph.n_bonds,
         bond_deficit=int(deficit),
         fully_cleaved=deficit == 4 * ell,
         base_energy=base_energy,
         energy=base_energy + 4.0 * ell,
         measured_energy=total_energy(tube, pots, graph),
-        degree_histogram=hist,
     )
 
 

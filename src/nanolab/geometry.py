@@ -17,7 +17,7 @@ alpha and one of amplitude beta = 2*arcsin(sin(alpha)*sin(gamma_ell/2)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class ZigzagGeometry:
     rho: float
     alpha: float
     beta: float
-    gamma_ell: float
 
 
 def flat_index(ell: int, m: int, i, j, k, l):
@@ -86,14 +85,13 @@ class Nanotube:
     period: float
     ell: int
     m: int
-    geometry: ZigzagGeometry | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
         return self.positions.shape[0]
 
     def with_positions(self, positions: np.ndarray) -> "Nanotube":
-        return Nanotube(np.array(positions, dtype=float), self.period, self.ell, self.m, self.geometry)
+        return Nanotube(np.array(positions, dtype=float), self.period, self.ell, self.m)
 
 
 # The open interval of periods mu a family member may have.
@@ -129,7 +127,7 @@ def solve_family(ell: int, mu: float, lambda1: float, lambda2: float) -> ZigzagG
     if rho <= 0.55 / np.sin(g):
         raise InvalidParameterError(f"rho={rho} must exceed 0.55/sin(gamma_ell)={0.55 / np.sin(g)}")
     alpha = np.arccos(-sigma / lambda2)
-    return ZigzagGeometry(ell, mu, lambda1, lambda2, sigma, rho, alpha, beta(alpha, g), g)
+    return ZigzagGeometry(ell, mu, lambda1, lambda2, sigma, rho, alpha, beta(alpha, g))
 
 
 def unwrapped_positions(geom: ZigzagGeometry, m: int) -> np.ndarray:
@@ -153,7 +151,7 @@ def build_nanotube(geom: ZigzagGeometry, m: int) -> Nanotube:
     pos = unwrapped_positions(geom, m)
     L = m * geom.mu
     pos[..., 0] = np.mod(pos[..., 0], L)
-    return Nanotube(pos.reshape(-1, 3), L, geom.ell, m, geom)
+    return Nanotube(pos.reshape(-1, 3), L, geom.ell, m)
 
 
 def axial_rotations(angles) -> np.ndarray:

@@ -147,13 +147,6 @@ def default_stiff() -> PotentialSet:
 _PRESETS = {"soft": default_soft, "stiff": default_stiff}
 
 
-def from_name(name: str) -> PotentialSet:
-    try:
-        return _PRESETS[name]()
-    except KeyError:
-        raise ValueError(f"unknown potential preset {name!r}; choose from {sorted(_PRESETS)}")
-
-
 _JSON_DEFAULTS = {"k2": 400.0, "k3": 400.0, "cutoff_lo": 1.05, "cutoff_hi": BOND_CUTOFF}
 
 
@@ -201,7 +194,7 @@ def load(spec) -> PotentialSet:
     if isinstance(spec, PotentialSet):
         return spec
     if isinstance(spec, str) and spec in _PRESETS:
-        return from_name(spec)
+        return _PRESETS[spec]()
     pots = from_json(spec)
     with np.errstate(all="ignore"):  # a curvature beyond the floats reads inf or NaN, and is refused
         curvatures = np.abs([pots.v2_curvature_at_min(), pots.v3_curvature_at_min()])

@@ -285,14 +285,12 @@ def reduced_hessian(mu, gamma1, gamma2, pots) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReferenceAngles:
-    """Rolled-up, polyhedral, and energy-optimal bond angles for a given ell."""
+    """Polyhedral and energy-optimal bond angles for a given ell, and the
+    unstretched period mu_us = 2 - 2 cos(alpha_us)."""
 
-    ell: int
-    alpha_ru: float
     alpha_ch: float
     alpha_us: float
     mu_us: float
-    beta_us: float
 
 
 def golden_section_min(f, a: float, b: float, steps: int) -> float:
@@ -356,30 +354,22 @@ def reference_angles(ell: int, pots: PotentialSet) -> ReferenceAngles:
         x, prev = step, x
     alpha_us = x
     return ReferenceAngles(
-        ell=ell,
-        alpha_ru=TWO_THIRDS_PI,
         alpha_ch=float(2.0 * np.arccos(0.5 / np.sin(0.5 * g))),
         alpha_us=alpha_us,
         mu_us=float(2.0 - 2.0 * np.cos(alpha_us)),
-        beta_us=float(beta(alpha_us, g)),
     )
 
 
 @dataclass(frozen=True)
 class FamilyMinimum:
-    """Energy-optimal family member at fixed period mu; n_pinned counts the
-    inner variables (lambda, alpha1, alpha2) pinned at a bound of the search
-    box."""
+    """Energy-optimal family member at fixed period mu: its geometry, its
+    bond angle alpha1, the total energy of its m-cell tube, and n_pinned,
+    the inner variables (lambda, alpha1, alpha2) pinned at a bound of the
+    search box."""
 
-    mu: float
-    ell: int
-    m: int
-    lambda1: float
-    lambda2: float
-    alpha: float
-    energy_per_cell: float
-    energy: float
     geometry: ZigzagGeometry
+    alpha: float
+    energy: float
     n_pinned: int
 
 
@@ -408,20 +398,7 @@ def family_minima(mus, ell: int, pots: PotentialSet, m: int = 1):
             geom = solve_family(ell, mu, lambda1, lam)
         except InvalidParameterError as exc:
             raise InvalidParameterError(f"mu={mu!r}: {exc}") from exc
-        fams.append(
-            FamilyMinimum(
-                mu=mu,
-                ell=ell,
-                m=m,
-                lambda1=lambda1,
-                lambda2=lam,
-                alpha=a1,
-                energy_per_cell=value,
-                energy=float(2 * m * ell * value),
-                geometry=geom,
-                n_pinned=pinned,
-            )
-        )
+        fams.append(FamilyMinimum(geometry=geom, alpha=a1, energy=float(2 * m * ell * value), n_pinned=pinned))
     return fams, sol
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from .cells import total_symmetry_defect
 from .energy import _norm3, bloch_table, bond_graph, image_distances, near_pairs, total_energy
 from .errors import EtaTooLargeError, InvalidParameterError, NotStationaryError
-from .geometry import Nanotube, build_nanotube, check_positions
+from .geometry import Nanotube, build_nanotube, check_positions, gamma
 from .potentials import BOND_CUTOFF, PotentialSet
 from .reduced import minimize_family, reduced_hessian
 
@@ -400,8 +400,9 @@ def _block_null_space(tube: Nanotube, centroid, p, q, blocks, near_null):
 def _acoustic_ratio(tube: Nanotube, pots: PotentialSet, table) -> float:
     """Cauchy-Born check on a family tube: the longitudinal acoustic curvature
     lambda(q)/q^2 of the block B(0, q) at the axial phase q = ACOUSTIC_Q,
-    divided by e''(mu)/2, where e'' = reduced_hessian(mu, gamma, gamma)[0, 0]
-    is the stretching stiffness of the reduced periodic model.
+    divided by e''(mu)/2, where e'' = reduced_hessian(mu, gamma_ell,
+    gamma_ell)[0, 0] is the stretching stiffness of the reduced periodic
+    model at the tube's own period per cell, mu = L/m.
 
     The longitudinal branch is the eigenvector of B(0, q) closest to a
     uniform axial translation.  The ratio tends to 1 as q -> 0 when the
@@ -409,8 +410,8 @@ def _acoustic_ratio(tube: Nanotube, pots: PotentialSet, table) -> float:
     """
     w, v = np.linalg.eigh(table.blocks([0], [ACOUSTIC_Q])[0])
     branch = np.argmax(np.abs(_AXIAL @ v))
-    geom = tube.geometry
-    stiffness = reduced_hessian(geom.mu, geom.gamma_ell, geom.gamma_ell, pots)[0, 0]
+    g = gamma(tube.ell)
+    stiffness = reduced_hessian(tube.period / tube.m, g, g, pots)[0, 0]
     return float(w[branch] / ACOUSTIC_Q**2 / (0.5 * stiffness))
 
 
@@ -432,8 +433,7 @@ def null_space_report(tube: Nanotube, pots: PotentialSet, acoustic: bool = False
     principal angles against the isometry directions are measured inside
     them, with no 3n-vector built.  max_principal_angle is None when there
     are no near-null modes.  With acoustic, the report also holds
-    acoustic_ratio (see _acoustic_ratio), None unless the tube carries a
-    geometry of its ell and period, whose mu the ratio reads.  Raises
+    acoustic_ratio (see _acoustic_ratio), read at mu = L/m.  Raises
     NotStationaryError unless |grad| < GRAD_TOL_FACTOR * sqrt(n), |grad|
     read as sqrt(ell * m) times that of the motif (see energy.BlochTable).
     """
@@ -466,7 +466,5 @@ def null_space_report(tube: Nanotube, pots: PotentialSet, acoustic: bool = False
         "null_blocks": null_blocks,
     }
     if acoustic:
-        geom = tube.geometry
-        fits = geom is not None and geom.ell == tube.ell and geom.mu * tube.m == tube.period
-        report["acoustic_ratio"] = _acoustic_ratio(tube, pots, table) if fits else None
+        report["acoustic_ratio"] = _acoustic_ratio(tube, pots, table)
     return report

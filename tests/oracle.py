@@ -17,7 +17,9 @@ ReducedSolution.minimizer_derivative), the brute-force family minimizer
 (reduced.reduced_solve), the np.clip form of reduced.beta, the reference
 angles with the Newton polish run to its step cap
 (reduced.reference_angles), the one-eigensolve-per-point dual scan
-(cellspec.constrained_rayleigh_min), the scan-plus-bisection fracture
+(cellspec.constrained_rayleigh_min), the thirteen good directions of the
+cell basis, the kernel basis of cellspec.t_jacobian and the angle-sum rate of
+each bad direction, which only the tests read, the scan-plus-bisection fracture
 threshold of one m (fracture.fracture_scaling) and the one-trial-at-a-time
 stability ensemble with a bond graph rebuilt for every draw
 (stability.stability_trial).  The
@@ -685,6 +687,68 @@ def angle_sum_second_fd(cell, v, step: float = 1e-3):
     return (4.0 * second(0.5 * step) - second(step)) / 3.0
 
 
+def good_vectors() -> np.ndarray:
+    """The thirteen good directions (13, 8, 3) of cell-configuration space
+    that complete cellspec.cell_basis's degenerate and bad ones to 24: each
+    changes a bond or an angle of the planar reference to first order."""
+    from nanolab.cellspec import SQ3, _sparse, planar_reference
+
+    u = np.zeros((13, 8, 3))
+    u[0] = planar_reference() * np.array([1.0, 1.0, 0.0])
+    u[0][6] = u[0][7] = 0.0
+    u[1] = _sparse({2: (0.5, SQ3 / 2, 0.0), 3: (-0.5, SQ3 / 2, 0.0)})
+    u[2] = _sparse({1: (1.0, 0.0, 0.0), 3: (1.0, 0.0, 0.0), 4: (1.0, 0.0, 0.0)})
+    u[3] = _sparse(
+        {
+            1: (0.5, -SQ3 / 2, 0.0),
+            2: (0.5, SQ3 / 2, 0.0),
+            3: (-0.5, SQ3 / 2, 0.0),
+            4: (1.0, 0.0, 0.0),
+        }
+    )
+    u[4] = _sparse({6: (-1.0, 0.0, 0.0)})
+    u[5] = _sparse({6: (-1.0, 0.0, 0.0), 7: (1.0, 0.0, 0.0)})
+    u[6] = _sparse({0: (SQ3, 0.0, 0.0), 2: (0.0, 1.0, 0.0), 5: (0.0, -1.0, 0.0)})
+    u[7] = _sparse({2: (SQ3 / 2, -0.5, 0.0), 3: (SQ3 / 2, 0.5, 0.0)})
+    u[8] = _sparse(
+        {
+            0: (SQ3 / 2, 0.5, 0.0),
+            1: (-SQ3 / 2, 0.5, 0.0),
+            2: (0.0, 1.0, 0.0),
+            3: (0.0, 1.0, 0.0),
+        }
+    )
+    u[9] = _sparse({6: (0.0, 1.0, 0.0)})
+    u[10] = _sparse({6: (0.0, 1.0, 0.0), 7: (0.0, 1.0, 0.0)})
+    u[11] = _sparse({0: (1.0, 0.0, 0.0)})
+    u[12] = _sparse({0: (0.0, 1.0, 0.0)})
+    return u
+
+
+def t_jacobian_kernel_basis() -> np.ndarray:
+    """Orthonormal basis (24, k) of the kernel of cellspec.t_jacobian at the
+    planar reference, by SVD with singular values below 1e-8 of the largest
+    counted as zero, as cellspec.t_jacobian_kernel counts them."""
+    from nanolab.cellspec import planar_reference, t_jacobian
+
+    _, s, vt = np.linalg.svd(t_jacobian(planar_reference()))
+    return vt[int(np.sum(s > 1e-8 * s[0])) :].T
+
+
+def angle_sum_ratios() -> np.ndarray:
+    """The rate -w'Hw/|w|^2 of each of the five bad directions w, their
+    rigid-motion parts projected out, with H the analytic angle-sum Hessian
+    at the planar reference (see cellspec.angle_sum_concavity)."""
+    from nanolab.cellspec import ANGLE_SUM_VECTORS, _Identity, cell_basis, planar_reference
+
+    basis = cell_basis()
+    qdeg, _ = np.linalg.qr(basis.degenerate.reshape(6, 24).T)
+    bad = basis.bad.reshape(5, 24)
+    perp = bad - (bad @ qdeg) @ qdeg.T
+    hess = term_hessian(planar_reference(), CELL_GRAPH, _Identity, _Identity, 0.0, ANGLE_SUM_VECTORS.sum(axis=0))
+    return -np.einsum("bi,ij,bj->b", perp, hess, perp) / np.sum(perp**2, axis=1)
+
+
 def reduced_hessian_fd(mu, gamma1, gamma2, pots, step: float = 1e-4):
     """Richardson-extrapolated central differences of the envelope gradient
     (d/dmu, d/dgamma1, d/dgamma2) of reduced.reduced_solve, symmetrized: 12
@@ -829,7 +893,6 @@ def reference_angles_capped(ell: int, pots):
     that runs to its 60-step cap when its iterates cycle (the library stops
     at the first repeat of a 2-cycle)."""
     from nanolab.geometry import gamma
-    from nanolab.potentials import TWO_THIRDS_PI
     from nanolab.reduced import ALPHA_HI, ALPHA_LO, ReferenceAngles, beta_derivatives
 
     g = gamma(ell)
@@ -888,14 +951,7 @@ def reference_angles_capped(ell: int, pots):
         if step == x:
             break
         x = step
-    return ReferenceAngles(
-        ell=ell,
-        alpha_ru=TWO_THIRDS_PI,
-        alpha_ch=alpha_ch,
-        alpha_us=x,
-        mu_us=float(2.0 - 2.0 * np.cos(x)),
-        beta_us=float(beta_clip(x, g)),
-    )
+    return ReferenceAngles(alpha_ch=alpha_ch, alpha_us=x, mu_us=float(2.0 - 2.0 * np.cos(x)))
 
 
 def constrained_rayleigh_min_loop(hess, span, r: float) -> dict:
@@ -951,7 +1007,7 @@ def constrained_rayleigh_min_loop(hess, span, r: float) -> dict:
                 v = (r / npv) * pv + np.sqrt(1.0 - r**2) * perp / nperp
     v = v / np.linalg.norm(v)
     upper = float(v @ hess @ v)
-    return {"lower": lower, "upper": upper, "nu": float(nu_star)}
+    return {"lower": lower, "upper": upper}
 
 
 # mu points of the coarse scan for a sign change, and the bisection tolerance

@@ -41,7 +41,7 @@ from nanolab.cells import (
 from nanolab.cellspec import cell_hessian, t_jacobian
 from nanolab.energy import _bond_lengths, _bond_vectors, bond_graph, total_energy
 from nanolab.errors import DegenerateGeometryError, InvalidCellError
-from nanolab.geometry import Nanotube, axial_rotations, build_nanotube, flat_index, solve_family
+from nanolab.geometry import Nanotube, axial_rotations, build_nanotube, flat_index, gamma, solve_family
 from nanolab.reduced import ReducedPoint, beta, minimize_family, reference_angles, sym_energy
 from nanolab.stability import MODES, BondBand, PerturbationSpec, sample_perturbations
 
@@ -146,7 +146,7 @@ def test_cell_decomposition_perturbed(perturbed, pots_soft):
 def test_family_cell_energy_equals_symmetric_energy(tube, geom, pots_soft):
     c = gather_cells(tube)[0, 0, 0]
     e_cell = float(cell_energies(c, pots_soft))
-    pt = ReducedPoint(geom.mu, geom.gamma_ell, geom.gamma_ell, geom.lambda2, geom.alpha, geom.alpha)
+    pt = ReducedPoint(geom.mu, gamma(geom.ell), gamma(geom.ell), geom.lambda2, geom.alpha, geom.alpha)
     assert e_cell == pytest.approx(sym_energy(pt, pots_soft), abs=1e-12)
 
 
@@ -180,7 +180,7 @@ def test_plane_angle_theta_flat_and_invariance(rng):
 
 def test_family_plane_angles_equal_gamma(tube, geom):
     th = cell_plane_angles(gather_cells(tube))
-    assert np.max(np.abs(th - geom.gamma_ell)) < 1e-10
+    assert np.max(np.abs(th - gamma(geom.ell))) < 1e-10
 
 
 def test_dual_plane_angle_consistent_with_beta_constraint(tube, geom):
@@ -339,7 +339,7 @@ def test_cell_view_accessors(tube, pots_soft, geom):
     assert view.energy(pots_soft) == pytest.approx(
         float(cell_energies(gather_cells(tube)[1, 1, 0], pots_soft)), abs=1e-12
     )
-    assert view.theta_bar() == pytest.approx(geom.gamma_ell, abs=1e-10)
+    assert view.theta_bar() == pytest.approx(gamma(geom.ell), abs=1e-10)
     assert view.dual_center_distance() == pytest.approx(geom.mu, abs=1e-10)
     xp, sx, delta = view.symmetrize()
     assert delta <= 1e-20

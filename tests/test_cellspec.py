@@ -6,13 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle import (
+    angle_sum_ratios,
     angle_sum_second_fd,
     cell_energy_gradient,
     cell_hessian_fd,
     constrained_rayleigh_min_loop,
+    good_vectors,
     reflect_s1,
     reflect_s2,
     t_jacobian_fd,
+    t_jacobian_kernel_basis,
     tilde_energy,
 )
 
@@ -42,7 +45,7 @@ from nanolab.cellspec import (
 from nanolab.energy import gradient, term_hessian
 from nanolab.errors import DegenerateGeometryError, InvalidParameterError
 from nanolab.geometry import Nanotube, gamma
-from nanolab.reduced import reference_angles
+from nanolab.reduced import beta, reference_angles
 
 TP = 2.0 * np.pi / 3.0
 
@@ -64,7 +67,7 @@ def test_kink_cell_unit_bonds_and_angles(pots_soft):
         angles = y[:10]
         assert np.max(np.abs(y[10:] - 1.0)) < 1e-12
         values = sorted(set(np.round(angles, 9)))
-        assert np.allclose(angles[:2], refs.beta_us, atol=1e-10)
+        assert np.allclose(angles[:2], beta(refs.alpha_us, gamma(ell)), atol=1e-10)
         assert np.allclose(angles[2:], refs.alpha_us, atol=1e-10)
         assert len(values) == 2
 
@@ -86,9 +89,9 @@ def test_kink_approaches_planar_reference(pots_soft):
 
 def test_basis_rank_and_orthogonality():
     basis = cell_basis()
-    stacked = np.concatenate([basis.degenerate, basis.good, basis.bad]).reshape(24, 24)
+    stacked = np.concatenate([basis.degenerate, good_vectors(), basis.bad]).reshape(24, 24)
     assert np.linalg.matrix_rank(stacked, tol=1e-10) == 24
-    good = basis.good.reshape(13, 24)
+    good = good_vectors().reshape(13, 24)
     bad = basis.bad.reshape(5, 24)
     assert np.max(np.abs(good @ bad.T)) == 0.0
 
@@ -96,7 +99,7 @@ def test_basis_rank_and_orthogonality():
 def test_basis_transcription_checksum():
     # guards the hand-transcribed direction table against silent edits
     basis = cell_basis()
-    stacked = np.concatenate([basis.degenerate, basis.good, basis.bad]).reshape(24, 24)
+    stacked = np.concatenate([basis.degenerate, good_vectors(), basis.bad]).reshape(24, 24)
     canonical = ",".join(format(v, ".12g") for v in stacked.ravel())
     digest = hashlib.sha256(canonical.encode()).hexdigest()
     assert digest == "93b1df4b8c1942567bb54be6774ed632e53edd039f841d226df273201c542cd2"
@@ -146,13 +149,13 @@ def test_kernel_angle_is_scipys():
     rep = t_jacobian_kernel()
     basis = cell_basis()
     span = np.linalg.qr(np.concatenate([basis.degenerate, basis.bad], axis=0).reshape(-1, 24).T)[0]
-    assert abs(rep["max_principal_angle"] - np.max(subspace_angles(span, rep["kernel"]))) <= 1e-13
+    assert abs(rep["max_principal_angle"] - np.max(subspace_angles(span, t_jacobian_kernel_basis()))) <= 1e-13
 
 
 def test_good_directions_act_to_first_order():
     jac = t_jacobian(planar_reference())
     basis = cell_basis()
-    for u in basis.good.reshape(13, 24):
+    for u in good_vectors().reshape(13, 24):
         assert np.linalg.norm(jac @ u) > 1e-3
     for w in np.concatenate([basis.degenerate, basis.bad]).reshape(11, 24):
         assert np.linalg.norm(jac @ w) < 1e-6
@@ -162,7 +165,7 @@ def test_first_good_direction_bond_rates():
     # the uniform hexagon dilation stretches all six ring bonds at unit rate
     # and shortens both outer axial bonds
     jac = t_jacobian(planar_reference())
-    u1 = cell_basis().good[0].ravel()
+    u1 = good_vectors()[0].ravel()
     rates = (jac @ u1)[10:]
     assert np.allclose(rates, [1, 1, 1, 1, 1, 1, -1, -1], atol=1e-8)
 
@@ -179,7 +182,8 @@ def test_tilde_gradient_and_hessian_shapes(pots_soft):
 
 
 def test_tilde_derivative_scaling(pots_soft):
-    rep = tilde_derivative_signs([16, 32, 64], pots_soft)
+    ells = [16, 32, 64]
+    rep = tilde_derivative_signs(ells, pots_soft, [kink_cell(ell, pots_soft) for ell in ells])
     assert rep["scaling_slope"] == pytest.approx(-2.0, abs=0.2)
     for row in rep["rows"]:
         assert row["bond_grad_residual"] < 1e-10
@@ -188,8 +192,9 @@ def test_tilde_derivative_scaling(pots_soft):
 
 
 def test_tilde_derivative_rejects_small_ell(pots_soft):
+    # the ell >= 16 gate is kink_cell's, which builds the cells the check reads
     with pytest.raises(InvalidParameterError):
-        tilde_derivative_signs([8], pots_soft)
+        tilde_derivative_signs([8], pots_soft, [kink_cell(8, pots_soft)])
 
 
 def test_t_map_rejects_a_cell_of_another_shape():
@@ -239,14 +244,15 @@ def test_constrained_rayleigh_bounds_consistent(pots_soft):
 
 
 def test_cell_convexity_constants(pots_soft):
-    rep = cell_hessian_convexity(32, pots_soft, r=0.9)
+    rep = cell_hessian_convexity(32, pots_soft, angle_sum_concavity(), r=0.9)
     assert rep["c_good"] > 0.0
     assert rep["c_weak"] > 0.0
     assert rep["c_kink"] > 0.0
 
 
 def test_cell_convexity_weak_bound_scales_inverse_square(pots_soft):
-    rows = [cell_hessian_convexity(ell, pots_soft, r=0.9) for ell in (16, 32, 64)]
+    c_kink = angle_sum_concavity()
+    rows = [cell_hessian_convexity(ell, pots_soft, c_kink, r=0.9) for ell in (16, 32, 64)]
     ells = np.array([r["ell"] for r in rows], dtype=float)
     cw = np.array([r["c_weak"] for r in rows])
     slope = np.polyfit(np.log(ells), np.log(cw), 1)[0]
@@ -265,14 +271,13 @@ def test_single_atom_out_of_plane_angle_sum_drop():
 
 
 def test_angle_sum_concavity_constant():
-    rep = angle_sum_concavity()
-    assert rep["c_kink"] > 0.0
-    assert np.all(rep["ratios"] > 0.0)
+    assert angle_sum_concavity() > 0.0
+    assert np.all(angle_sum_ratios() > 0.0)
 
 
 def test_convexity_rejects_small_ell(pots_soft):
     with pytest.raises(InvalidParameterError):
-        cell_hessian_convexity(8, pots_soft)
+        cell_hessian_convexity(8, pots_soft, angle_sum_concavity())
 
 
 # generators of the infinitesimal rotations: a rotation about axis e_d moves
@@ -341,11 +346,10 @@ def test_kink_cell_derivatives_match_oracles(pots_soft, ell):
 def test_angle_sum_concavity_matches_second_difference():
     # the ratios are those of the five bad directions, -d2/resid^2 with d2
     # the second derivative of the total angle sum
-    rep = angle_sum_concavity()
     basis = cell_basis()
     qdeg, _ = np.linalg.qr(basis.degenerate.reshape(6, 24).T)
     x0 = planar_reference()
-    for w, ratio in zip(basis.bad.reshape(5, 24), rep["ratios"]):
+    for w, ratio in zip(basis.bad.reshape(5, 24), angle_sum_ratios()):
         v = w / np.linalg.norm(w)
         resid = np.linalg.norm(v - qdeg @ (qdeg.T @ v))
         errors = [
@@ -379,7 +383,7 @@ def test_angle_sum_concavity_bounds_random_directions():
     v, resid = v[resid >= 1e-8], resid[resid >= 1e-8]
     ratios = -np.einsum("si,ij,sj->s", v, _angle_sum_hessian(), v) / resid**2
     assert len(ratios) == 20000
-    assert angle_sum_concavity()["c_kink"] <= np.min(ratios) + 1e-12
+    assert angle_sum_concavity() <= np.min(ratios) + 1e-12
 
 
 def test_angle_sum_concavity_equals_second_difference_at_minimizer():
@@ -392,7 +396,7 @@ def test_angle_sum_concavity_equals_second_difference_at_minimizer():
     h = _angle_sum_hessian()
     v = q @ np.linalg.eigh(q.T @ h @ q)[1][:, -1]
     assert np.linalg.norm(v @ qdeg) <= 1e-14
-    c_kink = angle_sum_concavity()["c_kink"]
+    c_kink = angle_sum_concavity()
     assert -angle_sum_second_fd(planar_reference(), v.reshape(8, 3), 1e-2) == pytest.approx(c_kink, rel=1e-8)
 
 

@@ -859,7 +859,7 @@ def test_energy_and_cells_give_the_clean_result_or_name_the_defect(
     rng = np.random.default_rng(seed)
     a, b, L = a % ell, b % m, tube.period
     image = tube.positions.reshape(m, ell, 4, 3) @ axial_rotations(2.0 * np.pi * a / ell).T
-    pos = np.roll(image + [b * tube.geometry.mu, 0.0, 0.0], (b, a), axis=(0, 1)).reshape(-1, 3)
+    pos = np.roll(image + [b * L / m, 0.0, 0.0], (b, a), axis=(0, 1)).reshape(-1, 3)
     pos = pos @ axial_rotations(turn).T
     pos[:, 0] += (shift + rng.integers(-2, 3, tube.n)) * L
     e, mm = ell, m

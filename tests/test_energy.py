@@ -26,7 +26,7 @@ from oracle import (
     total_energy_gathered,
 )
 
-from nanolab import energy, geometry, potentials
+from nanolab import energy, potentials
 from nanolab.energy import (
     bloch_table,
     bond_graph,
@@ -276,7 +276,6 @@ def test_bond_angle_values():
 
 
 def test_family_tube_angle_multiset(tube):
-    g = tube.geometry
     graph = bond_graph(tube)
     u, v = leg_vectors_gathered(tube.positions, graph)
     cosangles = np.einsum("ij,ij->i", u, v) / (
@@ -337,7 +336,7 @@ def test_family_energy_planar_values_give_minus_3n_over_2(pots_soft):
     from nanolab.geometry import ZigzagGeometry
 
     tp = 2 * np.pi / 3
-    g = ZigzagGeometry(8, 3.0, 1.0, 1.0, 0.5, 2.0, tp, tp, geometry.gamma(8))
+    g = ZigzagGeometry(8, 3.0, 1.0, 1.0, 0.5, 2.0, tp, tp)
     n = 4 * 2 * 8
     assert family_energy(g, 2, pots_soft) == pytest.approx(-1.5 * n, abs=1e-12)
 

@@ -3,7 +3,7 @@ import pytest
 from oracle import fracture_threshold_scan
 from scipy.optimize import brentq
 
-from nanolab.energy import family_energy
+from nanolab.energy import bond_graph, family_energy
 from nanolab.errors import InvalidParameterError, WindowTooSmallError
 from nanolab.fracture import build_cleaved, fracture_scaling
 from nanolab.geometry import build_nanotube, gamma, solve_family
@@ -28,7 +28,7 @@ def test_fully_cleaved_bond_deficit_and_energy_identity(refs12, pots_soft):
 
 def test_cleft_degree_structure(refs12, pots_soft):
     ct = build_cleaved(12, 16, refs12.mu_us + 0.1, pots_soft)
-    hist = ct.degree_histogram
+    hist = dict(zip(*np.unique(bond_graph(ct.tube).degrees(), return_counts=True)))
     # two interface rings lose all three bonds, two lose exactly one
     assert hist.get(0, 0) == 2 * 12
     assert hist.get(2, 0) == 2 * 12
@@ -168,5 +168,5 @@ def test_uncleaved_tube_is_the_family_tube(pots_soft, refs12):
     ct = build_cleaved(12, 4, refs12.mu_us, pots_soft)
     assert not ct.fully_cleaved and ct.bond_deficit < 4 * 12
     tube = build_nanotube(solve_family(12, refs12.mu_us, 1.0, 1.0), 4)
-    assert ct.gap == 0.0 and ct.tube.period == tube.period
+    assert ct.tube.period == tube.period
     assert np.array_equal(ct.tube.positions, tube.positions)

@@ -26,7 +26,7 @@ def test_solve_family_reference_case():
     assert g.alpha == pytest.approx(2.0 * np.pi / 3.0, abs=1e-12)
     # solve sigma^2 + 4 rho^2 sin^2(pi/(2 ell)) = lambda2^2 for rho
     assert g.rho == pytest.approx(np.sqrt(0.75) / (2.0 * np.sin(np.pi / 16.0)), abs=1e-14)
-    assert g.beta == pytest.approx(2.0 * np.arcsin(np.sin(g.alpha) * np.sin(g.gamma_ell / 2.0)), abs=1e-15)
+    assert g.beta == pytest.approx(2.0 * np.arcsin(np.sin(g.alpha) * np.sin(gamma(8) / 2.0)), abs=1e-15)
 
 
 def test_solve_family_gates():
@@ -46,7 +46,7 @@ def test_solve_family_gates():
                 for ell in (4, 8, 64):
                     g = solve_family(ell, mu, l1, l2)
                     assert g.sigma > 0.2
-                    assert g.rho > 0.55 / np.sin(g.gamma_ell)
+                    assert g.rho > 0.55 / np.sin(gamma(ell))
 
 
 def test_constraints_hold_on_solutions(rng):
@@ -65,8 +65,13 @@ def test_constraints_hold_on_solutions(rng):
 
 
 @pytest.fixture(scope="module")
-def tube():
-    return build_nanotube(solve_family(8, 2.95, 1.01, 0.99), 3)
+def geom():
+    return solve_family(8, 2.95, 1.01, 0.99)
+
+
+@pytest.fixture(scope="module")
+def tube(geom):
+    return build_nanotube(geom, 3)
 
 
 def test_build_basic_shape(tube):
@@ -76,16 +81,15 @@ def test_build_basic_shape(tube):
     assert np.all(tube.positions[:, 0] < tube.period)
 
 
-def test_first_atom_position(tube):
-    g = tube.geometry
+def test_first_atom_position(tube, geom):
     idx = flat_index(tube.ell, tube.m, 1, 0, 0, 0)
-    want = np.array([0.0, g.rho * np.cos(2 * np.pi / 8), g.rho * np.sin(2 * np.pi / 8)])
+    want = np.array([0.0, geom.rho * np.cos(2 * np.pi / 8), geom.rho * np.sin(2 * np.pi / 8)])
     assert np.allclose(tube.positions[idx], want, atol=1e-14)
 
 
-def test_atoms_on_cylinder(tube):
+def test_atoms_on_cylinder(tube, geom):
     radii = np.linalg.norm(tube.positions[:, 1:], axis=1)
-    assert np.max(np.abs(radii - tube.geometry.rho)) < 1e-12
+    assert np.max(np.abs(radii - geom.rho)) < 1e-12
 
 
 def test_fixed_i_k_atoms_collinear_along_axis(tube):
@@ -99,15 +103,14 @@ def test_fixed_i_k_atoms_collinear_along_axis(tube):
             assert np.max(np.ptp(np.array(yz), axis=0)) < 1e-12
 
 
-def test_sections_structure(tube):
+def test_sections_structure(tube, geom):
     # 4m planar sections of ell atoms, consecutive spacings alternating sigma/lambda1
-    g = tube.geometry
     x = np.sort(np.unique(np.round(tube.positions[:, 0], 10)))
     assert len(x) == 4 * tube.m
     counts = [np.sum(np.abs(tube.positions[:, 0] - xi) < 1e-9) for xi in x]
     assert all(c == tube.ell for c in counts)
     spacings = np.diff(np.concatenate([x, [tube.period]]))
-    expect = np.tile([g.sigma, g.lambda1], 2 * tube.m)
+    expect = np.tile([geom.sigma, geom.lambda1], 2 * tube.m)
     # the wrapped order starts (0, sigma, sigma+lambda1, ...)
     assert np.allclose(np.sort(spacings), np.sort(expect), atol=1e-9)
     for a, b in zip(spacings, expect):
@@ -132,19 +135,17 @@ def test_rotation_invariance_witness(tube):
     assert _matches_as_set(tube.positions, tube.positions @ rot.T, period=tube.period)
 
 
-def test_translation_invariance_witness(tube):
-    g = tube.geometry
+def test_translation_invariance_witness(tube, geom):
     shifted = tube.positions.copy()
-    shifted[:, 0] = np.mod(shifted[:, 0] + g.mu, tube.period)
+    shifted[:, 0] = np.mod(shifted[:, 0] + geom.mu, tube.period)
     assert _matches_as_set(tube.positions, shifted, period=tube.period)
 
 
-def test_rototranslation_invariance_witness(tube):
-    g = tube.geometry
+def test_rototranslation_invariance_witness(tube, geom):
     th = np.pi / tube.ell
     rot = np.array([[1, 0, 0], [0, np.cos(th), -np.sin(th)], [0, np.sin(th), np.cos(th)]])
     moved = tube.positions @ rot.T
-    moved[:, 0] = np.mod(moved[:, 0] + g.lambda1 + g.sigma, tube.period)
+    moved[:, 0] = np.mod(moved[:, 0] + geom.lambda1 + geom.sigma, tube.period)
     assert _matches_as_set(tube.positions, moved, period=tube.period)
 
 
@@ -161,13 +162,12 @@ def test_expected_neighbors_table(tube):
     assert (AtomId(ell, 0, 1, 1), "lambda2") in nbrs
 
 
-def test_expected_neighbor_distances(tube):
-    g = tube.geometry
+def test_expected_neighbor_distances(tube, geom):
     for idx in range(0, tube.n, 7):
         a = index_to_id(idx, tube.ell, tube.m)
         for nb, kind in expected_neighbors(a, tube.ell, tube.m):
             _, d = image_distances(tube.positions[flat_index(tube.ell, tube.m, *nb)] - tube.positions[idx], tube.period)
-            want = g.lambda1 if kind == "lambda1" else g.lambda2
+            want = geom.lambda1 if kind == "lambda1" else geom.lambda2
             assert d == pytest.approx(want, abs=1e-10)
 
 
@@ -192,8 +192,7 @@ def test_flat_index_bijection(tube):
     assert seen == set(range(tube.n))
 
 
-def test_bond_angles_two_alpha_one_beta(tube):
-    g = tube.geometry
+def test_bond_angles_two_alpha_one_beta(tube, geom):
     pos = tube.positions
     for idx in (0, 13, 41):
         a = index_to_id(idx, tube.ell, tube.m)
@@ -207,7 +206,7 @@ def test_bond_angles_two_alpha_one_beta(tube):
                     bond_angle(pos[nbrs[p]], pos[idx], pos[nbrs[q]], tube.period, ti, tk)
                 )
         angles = np.sort(angles)
-        assert np.allclose(angles, np.sort([g.beta, g.alpha, g.alpha]), atol=1e-10)
+        assert np.allclose(angles, np.sort([geom.beta, geom.alpha, geom.alpha]), atol=1e-10)
 
 
 def test_build_rejects_bad_m():

@@ -132,8 +132,9 @@ def test_load_by_name_and_passthrough(pots_soft):
     assert potentials.load("soft").name == "soft"
     assert potentials.load("stiff").name == "stiff"
     assert potentials.load(pots_soft) is pots_soft
-    with pytest.raises(ValueError):
-        potentials.from_name("granite")
+    # a name that is no preset is read as the path of a JSON set
+    with pytest.raises(FileNotFoundError):
+        potentials.load("granite")
 
 
 def test_load_validates_json_sets_only(monkeypatch):

@@ -130,8 +130,7 @@ def test_first_order_optimality_residual(pots_soft):
 def test_reference_angles_ordering(pots_soft):
     for ell in (10, 20, 40):
         refs = reference_angles(ell, pots_soft)
-        assert refs.alpha_ru == TP
-        assert refs.alpha_ch < refs.alpha_us < refs.alpha_ru
+        assert refs.alpha_ch < refs.alpha_us < TP
         assert refs.mu_us == pytest.approx(2.0 - 2.0 * np.cos(refs.alpha_us), abs=1e-14)
         # the fixed point definition beta(alpha_ch, gamma_ell) = alpha_ch
         assert beta(refs.alpha_ch, gamma(ell)) == pytest.approx(refs.alpha_ch, abs=1e-11)
@@ -152,7 +151,8 @@ def test_reference_angles_rejects_small_ell(pots_soft):
 def test_minimize_family_total_energy_identity(pots_soft):
     fam = minimize_family(2.99, 10, pots_soft, m=3)
     tube = build_nanotube(fam.geometry, 3)
-    assert fam.energy == pytest.approx(2 * 3 * 10 * fam.energy_per_cell, abs=1e-12)
+    per_cell, _ = reduced_energy(2.99, gamma(10), gamma(10), pots_soft)
+    assert fam.energy == pytest.approx(2 * 3 * 10 * per_cell, abs=1e-12)
     assert total_energy(tube, pots_soft) == pytest.approx(fam.energy, abs=1e-9 * tube.n)
 
 
@@ -160,22 +160,22 @@ def test_minimize_family_matches_brute_force(pots_soft):
     fam = minimize_family(2.99, 12, pots_soft, m=2)
     l1, l2, e = minimize_family_direct(2.99, 12, pots_soft, m=2, resolution=2e-3)
     assert e == pytest.approx(fam.energy, abs=1e-8)
-    assert l1 == pytest.approx(fam.lambda1, abs=1e-5)
-    assert l2 == pytest.approx(fam.lambda2, abs=1e-5)
+    assert l1 == pytest.approx(fam.geometry.lambda1, abs=1e-5)
+    assert l2 == pytest.approx(fam.geometry.lambda2, abs=1e-5)
 
 
 def test_unit_bonds_at_unstretched_period(pots_soft, pots_stiff):
     for pots in (pots_soft, pots_stiff):
         refs = reference_angles(12, pots)
-        fam = minimize_family(refs.mu_us, 12, pots)
-        assert fam.lambda1 == pytest.approx(1.0, abs=1e-9)
-        assert fam.lambda2 == pytest.approx(1.0, abs=1e-9)
+        geom = minimize_family(refs.mu_us, 12, pots).geometry
+        assert geom.lambda1 == pytest.approx(1.0, abs=1e-9)
+        assert geom.lambda2 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_bond_lengths_follow_stretch_sign(pots_soft):
     refs = reference_angles(12, pots_soft)
-    above = minimize_family(refs.mu_us + 0.01, 12, pots_soft)
-    below = minimize_family(refs.mu_us - 0.01, 12, pots_soft)
+    above = minimize_family(refs.mu_us + 0.01, 12, pots_soft).geometry
+    below = minimize_family(refs.mu_us - 0.01, 12, pots_soft).geometry
     assert above.lambda1 > 1.0 and above.lambda2 > 1.0
     assert below.lambda1 < 1.0 and below.lambda2 < 1.0
 
@@ -260,7 +260,7 @@ def test_verified_convexity_box_reported(pots_soft):
 
 def test_minimizer_properties_report():
     # on a 9-point mu grid around mu_us: E_min is convex with its grid argmin
-    # at mu_us, both bond lengths grow with mu, and alpha_ch < alpha < alpha_ru
+    # at mu_us, both bond lengths grow with mu, and alpha_ch < alpha < 2pi/3
     # at mu_us
     for preset, window in (("soft", 0.01), ("stiff", 0.005)):
         pots = potentials.load(preset)
@@ -270,9 +270,9 @@ def test_minimizer_properties_report():
         emin = np.array([f.energy for f in fams])
         assert np.all(np.diff(emin, 2) > 0.0)
         assert np.argmin(emin) == 4
-        assert np.all(np.diff([f.lambda1 for f in fams]) > 0.0)
-        assert np.all(np.diff([f.lambda2 for f in fams]) > 0.0)
-        assert refs.alpha_ch < fams[4].alpha < refs.alpha_ru
+        assert np.all(np.diff([f.geometry.lambda1 for f in fams]) > 0.0)
+        assert np.all(np.diff([f.geometry.lambda2 for f in fams]) > 0.0)
+        assert refs.alpha_ch < fams[4].alpha < TP
 
 
 def test_radius_trend_flips_for_stiff():
@@ -466,8 +466,8 @@ def test_family_minima_matches_minimize_family(pots_soft):
     fams, sol = family_minima(mus, 12, pots_soft, m=3)
     for mu, fam in zip(mus, fams):
         one = minimize_family(mu, 12, pots_soft, m=3)
-        assert (fam.lambda1, fam.lambda2, fam.alpha, fam.energy) == (one.lambda1, one.lambda2, one.alpha, one.energy)
-    assert np.array_equal([f.energy_per_cell for f in fams], sol.value)
+        assert (fam.geometry, fam.alpha, fam.energy) == (one.geometry, one.alpha, one.energy)
+    assert np.array_equal([f.energy for f in fams], 2 * 3 * 12 * sol.value)
 
 
 def test_batched_solve_raises_when_a_point_does_not_converge(pots_soft, monkeypatch):
