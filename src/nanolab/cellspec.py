@@ -235,6 +235,13 @@ def cell_hessian(cell: np.ndarray, pots: PotentialSet) -> np.ndarray:
 
 # points of the geometric nu scan before golden-section refinement
 N_SCAN = 60
+# stride of the scan's coarse grid, which is solved first; the certified
+# window around its maximum is solved next (see constrained_rayleigh_min)
+SCAN_STRIDE = 6
+# a span column whose QR diagonal entry is at most this fraction of the largest
+# one is dependent on the others: the spans of the cell checks sit at 0.12 and
+# 0.46, a dependent column at about 1e-16
+SPAN_RANK_TOL = 1e-8
 # eigenvalues of H + nu*P this close to the smallest, relative to max|lambda(H)|,
 # belong to its eigenspace: golden section leaves a multiple eigenvalue split by
 # about 1e-16 of that scale, and the next distinct one at the kink cells sits
@@ -259,10 +266,22 @@ def constrained_rayleigh_min(hess: np.ndarray, span: np.ndarray, r: float) -> di
     else the smallest eigenvector with its in-span part shrunk to |Pv| = r.
     The lower bound is the dual value less its round-off allowance
     (DUAL_ROUNDOFF_ULPS).
+
+    hess must be a finite square matrix with as many rows as span, and span
+    finite and of full column rank; other input raises InvalidParameterError.
     """
     if not (0.0 < r < 1.0):
         raise InvalidParameterError(f"r must lie in (0, 1), got {r}")
-    q, _ = np.linalg.qr(span)
+    hess = np.asarray(hess, dtype=float)
+    span = np.asarray(span, dtype=float)
+    if span.ndim != 2 or not np.all(np.isfinite(span)):
+        raise InvalidParameterError(f"span must be a finite 2-d array, got shape {span.shape}")
+    if hess.shape != (span.shape[0],) * 2 or not np.all(np.isfinite(hess)):
+        raise InvalidParameterError(f"hess must be a finite {span.shape[0]}x{span.shape[0]} matrix, got shape {hess.shape}")
+    q, rfac = np.linalg.qr(span)
+    diag = np.abs(np.diag(rfac))
+    if span.shape[1] > span.shape[0] or np.any(diag <= SPAN_RANK_TOL * diag.max(initial=0.0)):
+        raise InvalidParameterError(f"span must have full column rank {span.shape[1]}")
     proj = q @ q.T
 
     def dual(nu):
@@ -270,9 +289,29 @@ def constrained_rayleigh_min(hess: np.ndarray, span: np.ndarray, r: float) -> di
 
     scale = float(np.max(np.abs(np.linalg.eigvalsh(hess))))
     nus = np.concatenate([[0.0], np.geomspace(1e-6 * scale, 10.0 * scale, N_SCAN)])
-    # the scan as one stacked eigensolve: each matrix and its eigenvalues are
-    # the ones dual(nu) computes
-    vals = np.linalg.eigvalsh(hess + nus[:, None, None] * proj)[:, 0] - nus * r**2
+    vals = np.full(N_SCAN + 1, -np.inf)
+
+    def scan(idx):
+        # stacked eigensolves: each matrix and its eigenvalues are the ones
+        # dual(nu) computes
+        vals[idx] = np.linalg.eigvalsh(hess + nus[idx, None, None] * proj)[:, 0] - nus[idx] * r**2
+
+    coarse = np.append(np.arange(0, N_SCAN, SCAN_STRIDE), N_SCAN)
+    scan(coarse)
+    # delta bounds each value's error: eigvalsh's round-off (DUAL_ROUNDOFF_ULPS)
+    # and the rounding of nu*r^2 and of the difference.  The dual is concave in
+    # nu, so a coarse maximum m above its coarse neighbours by more than
+    # 2*delta is above every value beyond them, and argmax over the window
+    # between them is argmax over the whole scan; otherwise (ties, a flat dual,
+    # a value that is not finite) the whole scan is solved.
+    j = int(np.argmax(vals[coarse]))
+    m, near = coarse[j], coarse[max(j - 1, 0) : j + 2]
+    delta = 2.0 * DUAL_ROUNDOFF_ULPS * np.finfo(float).eps * (scale + nus[-1])
+    if np.all(np.isfinite(vals[coarse])) and np.all((near == m) | (vals[near] + 2.0 * delta < vals[m])):
+        rest = np.arange(near[0] + 1, near[-1])
+    else:
+        rest = np.arange(N_SCAN + 1)
+    scan(np.setdiff1d(rest, coarse))
     best = int(np.argmax(vals))
     lo = nus[max(0, best - 1)]
     hi = nus[min(len(nus) - 1, best + 1)]

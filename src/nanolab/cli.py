@@ -106,11 +106,9 @@ def cmd_cells(args) -> int:
     return EXIT_OK
 
 
-def _parse_grid(text: str, mu_us: float):
+def _parse_grid(text: str):
     """The --mu-grid points a:b:steps: finite ends and steps >= 1, with a == b
     when steps is 1.  Raises InvalidParameterError otherwise."""
-    if not text:
-        return np.linspace(mu_us - 0.02, mu_us + 0.02, 9)
     parts = text.split(":")
     try:
         a, b, steps = float(parts[0]), float(parts[1]), int(parts[2])
@@ -126,8 +124,12 @@ def _parse_grid(text: str, mu_us: float):
 
 def cmd_reduced(args) -> int:
     pots = potentials.load(args.pots)
-    refs = reduced.reference_angles(args.ell, pots)
-    grid = _parse_grid(args.mu_grid, refs.mu_us)
+    geometry.gamma(args.ell)  # an ell of 3 or less is refused before a bad grid
+    if args.mu_grid:
+        grid = _parse_grid(args.mu_grid)
+    else:
+        mu_us = reduced.reference_angles(args.ell, pots).mu_us
+        grid = np.linspace(mu_us - 0.02, mu_us + 0.02, 9)
     fams, sol = reduced.family_minima(grid, args.ell, pots, m=args.m)
     evals = np.linalg.eigvalsh(sol.envelope_hessian())
     geoms = [fam.geometry for fam in fams]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
 import sys
 from dataclasses import dataclass
 
@@ -183,7 +184,9 @@ def from_json(source) -> PotentialSet:
 
 
 def load(spec) -> PotentialSet:
-    """Resolve a preset name, JSON path, or dict into a PotentialSet.
+    """Resolve a preset name, JSON path, or dict into a PotentialSet.  A
+    string that is neither a preset nor an existing path raises
+    InvalidParameterError.
 
     A set read from JSON must have curvatures at the minima of magnitude at
     most STIFFNESS_MAX (the check stiffness-scale, made first: beyond it the
@@ -193,8 +196,11 @@ def load(spec) -> PotentialSet:
     """
     if isinstance(spec, PotentialSet):
         return spec
-    if isinstance(spec, str) and spec in _PRESETS:
-        return _PRESETS[spec]()
+    if isinstance(spec, str):
+        if spec in _PRESETS:
+            return _PRESETS[spec]()
+        if not os.path.exists(spec):
+            raise InvalidParameterError(f"potential set {spec!r} is neither a preset ({', '.join(_PRESETS)}) nor a file")
     pots = from_json(spec)
     with np.errstate(all="ignore"):  # a curvature beyond the floats reads inf or NaN, and is refused
         curvatures = np.abs([pots.v2_curvature_at_min(), pots.v3_curvature_at_min()])

@@ -19,7 +19,7 @@ from oracle import (
     tilde_energy,
 )
 
-from nanolab import cells
+from nanolab import cells, cellspec
 from nanolab.cells import (
     CELL_GRAPH,
     cell_energies,
@@ -27,6 +27,7 @@ from nanolab.cells import (
 )
 from nanolab.cellspec import (
     ANGLE_SUM_VECTORS,
+    N_SCAN,
     _Identity,
     angle_sum_concavity,
     cell_basis,
@@ -427,3 +428,105 @@ def test_constrained_rayleigh_min_equals_loop_oracle_on_random_matrices(seed, ra
     span = rng.standard_normal((24, rank))
     assert _same_report(constrained_rayleigh_min(h, span, r), constrained_rayleigh_min_loop(h, span, r))
 
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(3, 12), r=st.floats(0.05, 0.95), exponent=st.floats(-6.0, 6.0))
+@example(seed=2, rank=6, r=0.5, exponent=-6.0)
+@example(seed=3, rank=6, r=0.5, exponent=6.0)
+def test_constrained_rayleigh_min_equals_loop_oracle_at_any_scale(seed, rank, r, exponent):
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((24, 24))
+    h = (h + h.T) * 10.0**exponent
+    span = rng.standard_normal((24, rank))
+    assert _same_report(constrained_rayleigh_min(h, span, r), constrained_rayleigh_min_loop(h, span, r))
+
+
+@pytest.fixture()
+def scan_sizes(monkeypatch):
+    """Matrix counts of the stacked eigvalsh calls, i.e. of the nu scan's
+    solves; the other eigensolves take one matrix each."""
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            sizes.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(cellspec.np.linalg, "eigvalsh", counted)
+    return sizes
+
+
+def _dual_argmax(h, span, r):
+    """Index of the largest dual value on the scan grid, one eigvalsh per point."""
+    q, _ = np.linalg.qr(span)
+    scale = np.max(np.abs(np.linalg.eigvalsh(h)))
+    nus = np.concatenate([[0.0], np.geomspace(1e-6 * scale, 10.0 * scale, N_SCAN)])
+    return int(np.argmax([np.linalg.eigvalsh(h + nu * (q @ q.T))[0] - nu * r**2 for nu in nus]))
+
+
+def _solved_and_same(h, span, r, sizes) -> bool:
+    sizes.clear()
+    got = constrained_rayleigh_min(h, span, r)
+    return _same_report(got, constrained_rayleigh_min_loop(h, span, r))
+
+
+@pytest.mark.parametrize("c", [1e-3, 1.0, 1e5])
+def test_flat_dual_solves_the_whole_scan(scan_sizes, c):
+    # lambda_min(cI + nu*P) = c for P of rank 6, and nu*r^2 is below c's ulp:
+    # every coarse value ties, so no window is certified
+    span = np.random.default_rng(3).standard_normal((24, 6))
+    assert _solved_and_same(c * np.eye(24), span, 1e-9, scan_sizes)
+    assert scan_sizes == [11, 50]
+
+
+def test_dual_maximum_at_nu_zero_solves_one_side(scan_sizes):
+    # the span misses the smallest eigenvector, so the dual falls from nu = 0
+    h, span = np.diag(np.arange(1.0, 25.0)), np.eye(24)[:, [23]]
+    assert _dual_argmax(h, span, 0.5) == 0
+    assert _solved_and_same(h, span, 0.5, scan_sizes)
+    assert scan_sizes == [11, 5]
+
+
+def test_dual_maximum_at_the_last_nu_solves_one_side(scan_sizes):
+    rng = np.random.default_rng(5)
+    h = rng.standard_normal((24, 24))
+    h += h.T
+    span = rng.standard_normal((24, 12))
+    assert _dual_argmax(h, span, 1e-3) == N_SCAN
+    assert _solved_and_same(h, span, 1e-3, scan_sizes)
+    assert scan_sizes == [11, 5]
+
+
+@pytest.mark.parametrize("r", [0.5, 0.9])
+def test_kink_cell_bounds_solve_a_window_of_the_scan(pots_soft, pots_stiff, scan_sizes, r):
+    basis = cell_basis()
+    spans = [np.concatenate([basis.degenerate, basis.bad]).reshape(-1, 24).T, basis.degenerate.reshape(6, 24).T]
+    for pots in (pots_soft, pots_stiff):
+        for ell in (16, 32, 64):
+            h = cell_hessian(kink_cell(ell, pots), pots)
+            for span in spans:
+                scan_sizes.clear()
+                constrained_rayleigh_min(h, span, r)
+                assert len(scan_sizes) == 2 and sum(scan_sizes) <= 25, (pots.name, ell, scan_sizes)
+
+
+def _dependent_span():
+    span = np.random.default_rng(4).standard_normal((24, 3))
+    span[:, 2] = span[:, 0] + span[:, 1]
+    return span
+
+
+@pytest.mark.parametrize(
+    "hess, span",
+    [
+        (np.eye(24), np.zeros((24, 2))),
+        (np.eye(24), _dependent_span()),
+        (np.full((24, 24), np.nan), np.eye(24)[:, :6]),
+        (np.eye(5), np.eye(24)[:, :6]),
+    ],
+    ids=["zero-span", "dependent-span", "nan-hess", "hess-size"],
+)
+def test_constrained_rayleigh_min_refuses_bad_input(hess, span):
+    with pytest.raises(InvalidParameterError):
+        constrained_rayleigh_min(hess, span, 0.5)

@@ -100,6 +100,25 @@ def test_reduced_default_grid_spans_mu_us(tmp_path):
     assert mu == np.linspace(mu_us - 0.02, mu_us + 0.02, 9).tolist()
 
 
+@pytest.mark.parametrize("grid, calls", [(["--mu-grid", "2.98:3.0:3"], 0), ([], 1)], ids=["explicit", "default"])
+def test_reduced_reads_mu_us_only_for_the_default_grid(tmp_path, monkeypatch, grid, calls):
+    counted = []
+    reference_angles = reduced.reference_angles
+
+    def counting(*args):
+        counted.append(args)
+        return reference_angles(*args)
+
+    monkeypatch.setattr(reduced, "reference_angles", counting)
+    assert run(["reduced", "--ell", "12", *grid, "-o", str(tmp_path / "r.csv")]) == 0
+    assert len(counted) == calls
+
+
+def test_reduced_refuses_a_small_ell_before_a_bad_grid(tmp_path, capsys):
+    assert run(["reduced", "--ell", "3", "--mu-grid", "bad", "-o", str(tmp_path / "r.csv")]) == 1
+    assert capsys.readouterr().err == "nanolab: ell must exceed 3, got 3\n"
+
+
 @pytest.mark.parametrize("m", ["0", "-2"])
 def test_reduced_rejects_m_below_one(tmp_path, capsys, m):
     out = tmp_path / "r.csv"
@@ -320,6 +339,15 @@ def test_directory_in_place_of_a_file_exits_one(tmp_path, capsys, flag):
     # the line names the file the user gave, never the temp file
     assert repr(str(target)) in err and ".tmp" not in err
     assert not list(tmp_path.glob("*.tmp")) and not list(target.iterdir())
+
+
+def test_unknown_pots_name_exits_one_naming_the_presets(tmp_path, capsys):
+    tube_path = str(tmp_path / "t.pxyz")
+    run(["generate", "--ell", "6", "--m", "1", "--mu", "2.9", "--lambda1", "1", "--lambda2", "1", "-o", tube_path])
+    assert run(["energy", "--in", tube_path, "--pots", "granite"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nanolab: ") and len(err.splitlines()) == 1
+    assert "soft" in err and "stiff" in err
 
 
 def test_missing_output_directory_exits_one(tmp_path, capsys):

@@ -132,8 +132,8 @@ def test_load_by_name_and_passthrough(pots_soft):
     assert potentials.load("soft").name == "soft"
     assert potentials.load("stiff").name == "stiff"
     assert potentials.load(pots_soft) is pots_soft
-    # a name that is no preset is read as the path of a JSON set
-    with pytest.raises(FileNotFoundError):
+    # a name that is neither a preset nor a file is refused, naming the presets
+    with pytest.raises(InvalidParameterError, match=r"'granite' is neither a preset \(soft, stiff\) nor a file$"):
         potentials.load("granite")
 
 
